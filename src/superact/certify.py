@@ -22,7 +22,6 @@ from typing import Callable, Mapping
 
 import numpy as np
 
-from .linalg import jacobi_eigvalsh
 from .states import (
     PAULI_X,
     PAULI_Y,
@@ -155,7 +154,7 @@ def _transpose_side(rho, bipartition) -> tuple[np.ndarray, int]:
 def negativity(rho, bipartition=None) -> float:
     """log2 of the trace norm of the partial transpose; zero for PPT states."""
     pt, _ = _transpose_side(rho, bipartition)
-    eigs = jacobi_eigvalsh(pt[None])[0]
+    eigs = np.linalg.eigvalsh(pt)
     return float(np.log2(np.abs(eigs).sum()))
 
 
@@ -166,7 +165,7 @@ def min_eig_after_pt(rho, bipartition=None) -> float:
     nonnegative value certifies separability.
     """
     pt, _ = _transpose_side(rho, bipartition)
-    return float(jacobi_eigvalsh(pt[None])[0][0])
+    return float(np.linalg.eigvalsh(pt)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -326,7 +325,7 @@ def _batched_objective(t4: np.ndarray, thetas: np.ndarray, phis: np.ndarray,
     safe = np.where(valid, weights, 1.0)
     projected = projected / safe[:, None, None]
     pt = projected.reshape(-1, 2, 2, 2, 2).transpose(0, 1, 4, 3, 2).reshape(-1, 4, 4)
-    eigs = jacobi_eigvalsh(pt)
+    eigs = np.linalg.eigvalsh(pt)
     if quantifier == QUANTIFIER_NEGATIVITY:
         with np.errstate(divide="ignore"):
             values = np.log2(np.abs(eigs).sum(axis=1))

@@ -1,16 +1,19 @@
 """Eigenvalues of small complex Hermitian matrices via cyclic Jacobi rotations.
 
-Every certification quantity in this package (negativity, PPT checks,
-positive-semidefiniteness of constructed states) reduces to eigenvalues of
-Hermitian matrices of dimension at most 64.  At that scale the quadratically
-convergent Jacobi iteration is essentially exact and has no pathological
-inputs, which matters more than asymptotic speed here.
+Eigensolver policy: the hot paths call LAPACK (``numpy.linalg``).  Those
+are ``DensityMatrix`` validation, the SLE grid and its refinement,
+negativity and the minimum eigenvalue after partial transposition, and
+every iteration of the PPT-mixer SDP.  This module's Jacobi solver is kept
+where independence from LAPACK is the point: re-verifying witness
+certificates (``sdp.verify_witness_certificate``) and
+``DensityMatrix.eigenvalues()``.
 
-The solver is batched: an input of shape (..., n, n) is diagonalized in
+At the dimensions used here (at most 64) the quadratically convergent
+Jacobi iteration is essentially exact and has no pathological inputs.  The
+solver is batched: an input of shape (..., n, n) is diagonalized in
 lockstep across the leading axes.  Because the rotation order is cyclic (a
 fixed schedule over index pairs, not data-dependent pivoting), all matrices
-in a batch share the same schedule and the sweep vectorizes cleanly, which
-keeps parameter-grid scans cheap.
+in a batch share the same schedule and the sweep vectorizes cleanly.
 """
 
 from __future__ import annotations
@@ -142,9 +145,3 @@ def hermitian_eigenvalues(matrix, *, hermiticity_tol: float = 1e-8) -> np.ndarra
             f"(tolerance {hermiticity_tol:.1e})")
     return jacobi_eigvalsh(a[None])[0]
 
-
-def psd_projection(matrix) -> np.ndarray:
-    """Nearest (Frobenius) positive-semidefinite matrix to a Hermitian input."""
-    w, v = jacobi_eigh(np.asarray(matrix, dtype=np.complex128)[None])
-    w = np.maximum(w, 0.0)
-    return (v[0] * w[0][None, :]) @ v[0].conj().T

@@ -83,33 +83,41 @@ class WitnessResult:
     certified_sign: str
 
 
-def _transpose_blocks(x: np.ndarray, n_qubits: int) -> None:
-    """In-place partial transpose of each Q block (slots 2, 4, 6)."""
-    for k, party in enumerate(BIPARTITIONS):
-        slot = 2 + 2 * k
-        x[slot] = _partial_transpose_array(x[slot], n_qubits, party)
+def _partial_transpose_index(n_qubits: int) -> np.ndarray:
+    """Gather index of the three partial transposes, shape (3, dim**2).
+
+    With dim = 2**n_qubits and a stack of three dim x dim blocks flattened
+    to ``flat``, ``flat[index[k]]`` is block k partially transposed over
+    ``BIPARTITIONS[k]``, in row-major order.
+    """
+    dim = 2 ** n_qubits
+    flat = np.arange(dim * dim).reshape(dim, dim)
+    return np.stack([
+        k * dim * dim + _partial_transpose_array(flat, n_qubits, party).ravel()
+        for k, party in enumerate(BIPARTITIONS)
+    ])
 
 
-def _project_affine(x: np.ndarray, n_qubits: int, dim: int,
+def _transpose_stack(blocks: np.ndarray, pt_index: np.ndarray) -> np.ndarray:
+    """Partial transpose of ``blocks[k]`` over ``BIPARTITIONS[k]`` for k = 0..2."""
+    return blocks.reshape(-1)[pt_index].reshape(blocks.shape)
+
+
+def _project_affine(x: np.ndarray, pt_index: np.ndarray,
                     eye: np.ndarray) -> np.ndarray:
+    dim = eye.shape[0]
     w = x[0]
-    r0 = float(np.trace(w).real) - 1.0
-    r = []
-    for k, party in enumerate(BIPARTITIONS):
-        q_t = _partial_transpose_array(x[2 + 2 * k], n_qubits, party)
-        r.append(w - x[1 + 2 * k] - q_t)
+    p_blocks, q_blocks = x[1::2], x[2::2]
+    r0 = float(w.trace().real) - 1.0
+    r = w - p_blocks - _transpose_stack(q_blocks, pt_index)
     r_sum = r[0] + r[1] + r[2]
-    t = (5.0 * r0 - float(np.trace(r_sum).real)) / (2.0 * dim)
+    t = (5.0 * r0 - float(r_sum.trace().real)) / (2.0 * dim)
     s = (r_sum - 3.0 * t * eye) / 5.0
-    out = x.copy()
-    m_total = np.zeros_like(w)
-    for k, party in enumerate(BIPARTITIONS):
-        m_k = 0.5 * (r[k] - t * eye - s)
-        m_total += m_k
-        out[1 + 2 * k] = x[1 + 2 * k] + m_k
-        out[2 + 2 * k] = x[2 + 2 * k] + _partial_transpose_array(
-            m_k, n_qubits, party)
-    out[0] = w - (t * eye + m_total)
+    m = 0.5 * (r - t * eye - s)
+    out = np.empty_like(x)
+    out[0] = w - (t * eye + (m[0] + m[1] + m[2]))
+    out[1::2] = p_blocks + m
+    out[2::2] = q_blocks + _transpose_stack(m, pt_index)
     return out
 
 
@@ -140,10 +148,15 @@ def ppt_mixer_witness(rho, config: SolverConfig | None = None) -> WitnessResult:
     if n_qubits != 3:
         raise ValueError(f"expected a three-qubit state, got {n_qubits} qubits")
     dim = m.shape[0]
-    eye = np.eye(dim, dtype=np.complex128)
+    # The program for a real state is invariant under complex conjugation,
+    # so averaging an optimal witness with its conjugate gives a real optimal
+    # one: such states iterate in real arithmetic.
+    dtype = np.complex128 if m.imag.any() else np.float64
+    eye = np.eye(dim, dtype=dtype)
+    pt_index = _partial_transpose_index(n_qubits)
 
-    c = np.zeros((7, dim, dim), dtype=np.complex128)
-    c[0] = m
+    c = np.zeros((7, dim, dim), dtype=dtype)
+    c[0] = m if dtype is np.complex128 else m.real
     z = np.zeros_like(c)
     z[0] = eye / dim
     z[1:] = eye / (2 * dim)
@@ -154,10 +167,10 @@ def ppt_mixer_witness(rho, config: SolverConfig | None = None) -> WitnessResult:
     iterations = 0
     check_every = 50
     for iterations in range(1, cfg.max_iterations + 1):
-        xf = _project_affine(z - cfg.step * c, n_qubits, dim, eye)
+        xf = _project_affine(z - cfg.step * c, pt_index, eye)
         xg = _project_cone(2.0 * xf - z)
         z = z + cfg.relaxation * (xg - xf)
-        history.append(float(np.real(np.vdot(m, xf[0]))))
+        history.append(float(np.vdot(c[0], xf[0]).real))
         if iterations % check_every == 0 and len(history) > cfg.stagnation_window:
             window = history[-cfg.stagnation_window - 1:]
             if max(window) - min(window) < cfg.stagnation_tol:
@@ -165,6 +178,7 @@ def ppt_mixer_witness(rho, config: SolverConfig | None = None) -> WitnessResult:
                     converged = True
                     break
 
+    xf = xf.astype(np.complex128)
     witness = 0.5 * (xf[0] + xf[0].conj().T)
     decompositions = []
     residuals = []

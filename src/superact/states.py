@@ -23,7 +23,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .linalg import hermitian_eigenvalues, jacobi_eigvalsh
+from .linalg import hermitian_eigenvalues
 
 HERMITICITY_TOL = 1e-10
 TRACE_TOL = 1e-10
@@ -105,6 +105,12 @@ class DensityMatrix:
         if m.shape != (dim, dim):
             raise StateValidationError(
                 f"matrix shape {m.shape} does not match {self.n_qubits} qubits")
+        bad = ~np.isfinite(m)
+        if bad.any():
+            first = tuple(int(i) for i in np.argwhere(bad)[0])
+            raise StateValidationError(
+                f"non-finite entries (NaN or inf): {int(bad.sum())}, "
+                f"the first at {first}")
         herm_dev = float(np.abs(m - m.conj().T).max())
         if herm_dev > HERMITICITY_TOL:
             raise StateValidationError(
@@ -116,7 +122,7 @@ class DensityMatrix:
                     f"trace {tr!r} deviates from 1 beyond {TRACE_TOL:.1e}")
         elif tr < -TRACE_TOL:
             raise StateValidationError(f"trace {tr!r} is negative")
-        lam_min = float(jacobi_eigvalsh(m[None])[0][0])
+        lam_min = float(np.linalg.eigvalsh(m)[0])
         if lam_min < PSD_TOL:
             raise StateValidationError(
                 f"minimum eigenvalue {lam_min:.3e} below {PSD_TOL:.1e}")

@@ -4,6 +4,7 @@ import pytest
 
 from superact import noisy_ghz, save_density_matrix
 from superact.cli import RunConfig, main, parse_state_spec, worker_count
+from superact.states import density_matrix_to_dict
 
 
 def run_cli(args, capsys):
@@ -82,6 +83,17 @@ def test_certify_invalid_file_nonzero_exit(tmp_path, capsys):
     code, out, err = run_cli(["certify", "--input", str(bad)], capsys)
     assert code == 1
     assert "error" in err
+    assert out == ""
+
+
+def test_certify_rejects_non_finite_file(tmp_path, capsys):
+    doc = density_matrix_to_dict(noisy_ghz(0.5))
+    doc["re"][0][7] = float("nan")
+    bad = tmp_path / "nan.json"
+    bad.write_text(json.dumps(doc))
+    code, out, err = run_cli(["certify", "--input", str(bad)], capsys)
+    assert code == 1
+    assert "non-finite" in err
     assert out == ""
 
 

@@ -1,13 +1,16 @@
 import numpy as np
 import pytest
 
+from superact import linalg, noisy_ghz
+from superact.certify import negativity, sle_quantify
 from superact.linalg import (
     NonHermitianError,
     hermitian_eigenvalues,
     jacobi_eigh,
     jacobi_eigvalsh,
-    psd_projection,
 )
+from superact.sdp import ppt_mixer_witness, verify_witness_certificate
+from superact.states import DensityMatrix
 from util import random_hermitian
 
 
@@ -57,12 +60,21 @@ def test_rejects_non_square():
         hermitian_eigenvalues(np.zeros((2, 3)))
 
 
-def test_psd_projection_clips_negative_part():
-    rng = np.random.default_rng(11)
-    a = random_hermitian(rng, 6)
-    p = psd_projection(a)
-    assert np.linalg.eigvalsh(p).min() > -1e-12
-    w = np.linalg.eigvalsh(a)
-    # Frobenius distance to the PSD cone equals the norm of the negative part.
-    assert np.linalg.norm(p - a) == pytest.approx(
-        np.linalg.norm(np.minimum(w, 0.0)), abs=1e-10)
+
+def test_jacobi_only_in_certificate_reverification(monkeypatch):
+    # Hot paths run on LAPACK; the Jacobi solver is reserved for checks
+    # whose value lies in being independent of it.
+    class JacobiCalled(Exception):
+        pass
+
+    def forbidden(*args, **kwargs):
+        raise JacobiCalled
+
+    rho = noisy_ghz(0.5)
+    monkeypatch.setattr(linalg, "jacobi_eigh", forbidden)
+    DensityMatrix(3, np.asarray(rho.entries))
+    sle_quantify(rho)
+    negativity(rho, (0,))
+    result = ppt_mixer_witness(rho)
+    with pytest.raises(JacobiCalled):
+        verify_witness_certificate(result, rho)

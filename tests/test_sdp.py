@@ -15,13 +15,13 @@ from superact.sdp import (
     WitnessResult,
     ppt_mixer_witness,
     verify_witness_certificate,
+    _partial_transpose_index,
     _project_affine,
     _project_cone,
+    _transpose_stack,
 )
 from superact.states import _partial_transpose_array
 from util import random_hermitian
-
-cvxpy = pytest.importorskip("cvxpy")
 
 
 def _certificate_invariants(result: WitnessResult, rho, feas_tol=1e-6):
@@ -47,14 +47,27 @@ def test_affine_projection_feasible_and_idempotent():
     rng = np.random.default_rng(0)
     x = np.stack([random_hermitian(rng, 8) for _ in range(7)])
     eye = np.eye(8, dtype=complex)
-    y = _project_affine(x, 3, 8, eye)
+    pt_index = _partial_transpose_index(3)
+    y = _project_affine(x, pt_index, eye)
     assert abs(np.trace(y[0]).real - 1.0) < 1e-12
     for k, party in enumerate(BIPARTITIONS):
         residual = y[0] - y[1 + 2 * k] - _partial_transpose_array(
             y[2 + 2 * k], 3, party)
         assert np.abs(residual).max() < 1e-12
-    again = _project_affine(y, 3, 8, eye)
+    again = _project_affine(y, pt_index, eye)
     assert np.abs(again - y).max() < 1e-12
+
+
+def test_gather_partial_transpose_matches_reshape():
+    rng = np.random.default_rng(2)
+    pt_index = _partial_transpose_index(3)
+    for _ in range(5):
+        blocks = (rng.standard_normal((3, 8, 8))
+                  + 1j * rng.standard_normal((3, 8, 8)))
+        gathered = _transpose_stack(blocks, pt_index)
+        for k, party in enumerate(BIPARTITIONS):
+            assert np.array_equal(gathered[k],
+                                  _partial_transpose_array(blocks[k], 3, party))
 
 
 def test_cone_projection_clips_to_psd():
@@ -133,6 +146,32 @@ def test_non_convergence_reports_indeterminate():
     assert result.iterations == 10
 
 
+def _local_phase(rho):
+    """Conjugate by a local diagonal phase unitary, making entries complex."""
+    u = np.array([1.0], dtype=complex)
+    for angle in (0.3, 1.1, 2.0):
+        u = np.kron(u, np.array([1.0, np.exp(1j * angle)]))
+    return np.asarray(rho.entries) * np.outer(u, u.conj())
+
+
+@pytest.mark.parametrize("rho_factory", [
+    lambda: noisy_w(0.6),
+    lambda: distill_cnot(noisy_w(0.6), noisy_w(0.6)).state,
+])
+def test_real_path_matches_complex_path(rho_factory):
+    rho = rho_factory()
+    rotated = _local_phase(rho)
+    assert not np.asarray(rho.entries).imag.any()
+    assert rotated.imag.any()
+    real = ppt_mixer_witness(rho)
+    complex_ = ppt_mixer_witness(rotated)
+    assert real.witness.dtype == complex_.witness.dtype == np.complex128
+    assert real.optimal_value == pytest.approx(complex_.optimal_value, abs=1e-9)
+    assert real.certified_sign == complex_.certified_sign
+    assert verify_witness_certificate(real, rho)
+    assert verify_witness_certificate(complex_, rotated)
+
+
 def test_rejects_wrong_dimension():
     with pytest.raises(ValueError):
         ppt_mixer_witness(maximally_mixed(2))
@@ -141,7 +180,7 @@ def test_rejects_wrong_dimension():
 # ---------------------------------------------------------------------------
 # cross-check against an independent conic solver
 
-def _reference_value(rho_entries):
+def _reference_value(cvxpy, rho_entries):
     d = 8
     w = cvxpy.Variable((d, d), hermitian=True)
     constraints = [cvxpy.trace(w) == 1]
@@ -172,7 +211,8 @@ def _reference_value(rho_entries):
     lambda: distill_cnot(noisy_w(0.53), noisy_w(0.53)).state,
 ])
 def test_matches_reference_solver(rho_factory):
+    cvxpy = pytest.importorskip("cvxpy")
     rho = rho_factory()
     ours = ppt_mixer_witness(rho).optimal_value
-    reference = _reference_value(np.asarray(rho.entries))
+    reference = _reference_value(cvxpy, np.asarray(rho.entries))
     assert ours == pytest.approx(reference, abs=2e-6)

@@ -69,6 +69,14 @@ def test_density_matrix_rejects_negative_eigenvalue():
         DensityMatrix(2, m)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0.0, np.nan)])
+def test_density_matrix_rejects_non_finite_entries(bad):
+    m = (np.eye(4) / 4.0).astype(complex)
+    m[1, 2] = m[2, 1] = bad
+    with pytest.raises(StateValidationError, match="non-finite"):
+        DensityMatrix(2, m)
+
+
 def test_partition_requires_disjoint_cover():
     SubsystemPartition(3, {"A": (0,), "B": (1, 2)})
     with pytest.raises(StateValidationError):
