@@ -13,6 +13,14 @@ and extremizes a bipartite quantifier of the normalized remainder:
 The optimizer is deterministic: a 64x64 (theta, phi) grid with a
 lowest-theta-then-lowest-phi tie-break, followed by a Nelder-Mead simplex
 refinement seeded from the best three grid points.
+
+The objective is set up once per search.  The projected pair state is a
+combination of four 4x4 blocks of rho with coefficients in (theta, phi),
+``c^2 T00 + c s (e^{i phi} T01 + e^{-i phi} T10) + s^2 T11``, so the blocks
+are partially transposed and traced once and each evaluation, of the whole
+grid or of one Nelder-Mead point, is a single ``(n, 4) @ (4, 16)`` product
+followed by a batched 4x4 eigensolve.  ``sle_quantifier_at`` evaluates the
+same objective at one point.
 """
 
 from __future__ import annotations
@@ -302,48 +310,75 @@ def _resolve_pair(rho, pair) -> tuple[tuple[int, int], int]:
     return (kept[0], kept[1]), measured[0]
 
 
-def _projection_tensor(m: np.ndarray, kept: tuple[int, int], measured: int) -> np.ndarray:
-    """Reshape rho to [kept-row, meas-row, kept-col, meas-col] blocks."""
-    perm = [kept[0], kept[1], measured]
-    t = m.reshape((2,) * 6)
-    t = t.transpose(perm + [3 + i for i in perm])
-    return t.reshape(4, 2, 4, 2)
+class _SLEObjective:
+    """The SLE objective of one state, kept pair and quantifier.
 
-
-def _batched_objective(t4: np.ndarray, thetas: np.ndarray, phis: np.ndarray,
-                       quantifier: str) -> tuple[np.ndarray, np.ndarray]:
-    """Quantifier values for a batch of (theta, phi) projection directions.
-
-    Invalid (near-zero-weight) projections are returned as the worst
-    possible value for the search direction, plus a validity mask.
+    With ``T_ab = <a| rho |b>`` over the measured qubit, the projected
+    (unnormalized) pair state is
+    ``c^2 T_00 + c s (e^{i phi} T_01 + e^{-i phi} T_10) + s^2 T_11`` with
+    ``c, s = cos(theta), sin(theta)``, that is the real combination
+    ``(c^2, c s cos(phi), c s sin(phi), s^2)`` of the blocks
+    ``(T_00, T_01 + T_10, i (T_01 - T_10), T_11)``.  Partial transposition
+    and trace are linear, so the four blocks are transposed and traced once
+    here and every evaluation is one ``(n, 4) @ (4, 16)`` product, done in
+    real arithmetic on the blocks' real view.
     """
-    w = np.stack([np.cos(thetas),
-                  np.sin(thetas) * np.exp(1j * phis)], axis=1)
-    projected = np.einsum("na,iajb,nb->nij", w.conj(), t4, w)
-    weights = np.einsum("nii->n", projected).real
-    valid = weights > DEGENERATE_WEIGHT
-    safe = np.where(valid, weights, 1.0)
-    projected = projected / safe[:, None, None]
-    pt = projected.reshape(-1, 2, 2, 2, 2).transpose(0, 1, 4, 3, 2).reshape(-1, 4, 4)
-    eigs = np.linalg.eigvalsh(pt)
-    if quantifier == QUANTIFIER_NEGATIVITY:
-        with np.errstate(divide="ignore"):
-            values = np.log2(np.abs(eigs).sum(axis=1))
-        values = np.where(valid, values, -np.inf)
-    elif quantifier == QUANTIFIER_MIN_EIGENVALUE:
-        values = np.where(valid, eigs[:, 0], np.inf)
-    else:
-        raise ValueError(f"unknown quantifier {quantifier!r}")
-    return values, valid
+
+    def __init__(self, rho, pair, quantifier: str):
+        if quantifier not in (QUANTIFIER_NEGATIVITY, QUANTIFIER_MIN_EIGENVALUE):
+            raise ValueError(f"unknown quantifier {quantifier!r}")
+        m, _ = _entries(rho)
+        kept, measured = _resolve_pair(rho, pair)
+        # Axes of the reshaped rho: qubit rows 0..2, then qubit columns 3..5.
+        t00, t01, t10, t11 = m.reshape((2,) * 6).transpose(
+            measured, 3 + measured, kept[0], kept[1], 3 + kept[0], 3 + kept[1]
+        ).reshape(4, 4, 4)
+        blocks = np.stack([t00, t01 + t10, 1j * (t01 - t10), t11])
+        blocks_pt = blocks.reshape(4, 2, 2, 2, 2).transpose(0, 1, 4, 3, 2)
+        self.quantifier = quantifier
+        self.blocks = blocks.reshape(4, 16).view(np.float64)
+        self.blocks_pt = blocks_pt.reshape(4, 16).view(np.float64)
+        self.traces = np.einsum("kii->k", blocks).real
+
+    @staticmethod
+    def _coefficients(thetas: np.ndarray, phis: np.ndarray) -> np.ndarray:
+        c, s = np.cos(thetas), np.sin(thetas)
+        cs = c * s
+        return np.stack([c * c, cs * np.cos(phis), cs * np.sin(phis), s * s],
+                        axis=1)
+
+    def _combine(self, coeffs: np.ndarray, blocks: np.ndarray) -> np.ndarray:
+        return (coeffs @ blocks).view(np.complex128).reshape(-1, 4, 4)
+
+    def values(self, thetas: np.ndarray,
+               phis: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Quantifier values for a batch of (theta, phi) projection directions.
+
+        Invalid (near-zero-weight) projections are returned as the worst
+        possible value for the search direction, plus a validity mask.
+        """
+        coeffs = self._coefficients(thetas, phis)
+        weights = coeffs @ self.traces
+        valid = weights > DEGENERATE_WEIGHT
+        safe = np.where(valid, weights, 1.0)
+        pt = self._combine(coeffs, self.blocks_pt) / safe[:, None, None]
+        eigs = np.linalg.eigvalsh(pt)
+        if self.quantifier == QUANTIFIER_NEGATIVITY:
+            with np.errstate(divide="ignore"):
+                values = np.log2(np.abs(eigs).sum(axis=1))
+            return np.where(valid, values, -np.inf), valid
+        return np.where(valid, eigs[:, 0], np.inf), valid
+
+    def projected(self, theta: float, phi: float) -> np.ndarray:
+        """The unnormalized pair state left by the projection at one point."""
+        coeffs = self._coefficients(np.array([theta]), np.array([phi]))
+        return self._combine(coeffs, self.blocks)[0]
 
 
 def sle_quantifier_at(rho, pair, theta: float, phi: float, quantifier: str) -> float:
     """Evaluate the chosen quantifier at one projection direction."""
-    m, _ = _entries(rho)
-    kept, measured = _resolve_pair(rho, pair)
-    t4 = _projection_tensor(m, kept, measured)
-    values, valid = _batched_objective(t4, np.array([theta]), np.array([phi]),
-                                       quantifier)
+    values, valid = _SLEObjective(rho, pair, quantifier).values(
+        np.array([theta]), np.array([phi]))
     if not valid[0]:
         raise DegenerateProjectionError(
             f"projection at theta={theta}, phi={phi} has vanishing weight")
@@ -408,18 +443,14 @@ def sle_quantify(rho, pair=None, quantifier: str = QUANTIFIER_NEGATIVITY,
     quantifier : str
         ``"negativity"`` or ``"min-eigenvalue-after-pt"``.
     """
-    m, _ = _entries(rho)
-    kept, measured = _resolve_pair(rho, pair)
-    t4 = _projection_tensor(m, kept, measured)
+    objective = _SLEObjective(rho, pair, quantifier)
     maximize = quantifier == QUANTIFIER_NEGATIVITY
-    if not maximize and quantifier != QUANTIFIER_MIN_EIGENVALUE:
-        raise ValueError(f"unknown quantifier {quantifier!r}")
 
     theta_axis = np.linspace(0.0, np.pi / 2.0, grid_size)
     phi_axis = np.linspace(0.0, 2.0 * np.pi, grid_size, endpoint=False)
     tg, pg = np.meshgrid(theta_axis, phi_axis, indexing="ij")
     thetas, phis = tg.ravel(), pg.ravel()
-    values, valid = _batched_objective(t4, thetas, phis, quantifier)
+    values, valid = objective.values(thetas, phis)
     if not valid.any():
         raise DegenerateProjectionError(
             "every projection direction on the grid has vanishing weight")
@@ -431,11 +462,10 @@ def sle_quantify(rho, pair=None, quantifier: str = QUANTIFIER_NEGATIVITY,
     top = order[:3]
 
     def signed_objective(point: np.ndarray) -> float:
-        try:
-            v = sle_quantifier_at(m, kept, point[0], point[1], quantifier)
-        except DegenerateProjectionError:
+        values, valid = objective.values(point[:1], point[1:])
+        if not valid[0]:
             return np.inf
-        return -v if maximize else v
+        return -values[0] if maximize else values[0]
 
     simplex = np.stack([np.array([thetas[i], phis[i]]) for i in top])
     edge1, edge2 = simplex[1] - simplex[0], simplex[2] - simplex[0]
@@ -461,8 +491,7 @@ def sle_quantify(rho, pair=None, quantifier: str = QUANTIFIER_NEGATIVITY,
 
     theta, phi = float(best_point[0]), float(best_point[1])
     value = -best_signed if maximize else best_signed
-    w = np.array([np.cos(theta), np.sin(theta) * np.exp(1j * phi)])
-    projected = np.einsum("a,iajb,b->ij", w.conj(), t4, w)
+    projected = objective.projected(theta, phi)
     weight = float(np.trace(projected).real)
     localized = DensityMatrix(2, projected / weight)
     return SLEResult(value=float(value), theta=theta, phi=phi,

@@ -47,6 +47,15 @@ class DegenerateProjectionError(ValueError):
     """A projection produced (near-)zero weight where a state was required."""
 
 
+def _check_finite(m: np.ndarray) -> None:
+    if not np.isfinite(m).all():
+        bad = ~np.isfinite(m)
+        first = tuple(int(i) for i in np.argwhere(bad)[0])
+        raise StateValidationError(
+            f"non-finite entries (NaN or inf): {int(bad.sum())}, "
+            f"the first at {first}")
+
+
 def _readonly(a: np.ndarray) -> np.ndarray:
     a = np.array(a)
     a.setflags(write=False)
@@ -105,12 +114,7 @@ class DensityMatrix:
         if m.shape != (dim, dim):
             raise StateValidationError(
                 f"matrix shape {m.shape} does not match {self.n_qubits} qubits")
-        bad = ~np.isfinite(m)
-        if bad.any():
-            first = tuple(int(i) for i in np.argwhere(bad)[0])
-            raise StateValidationError(
-                f"non-finite entries (NaN or inf): {int(bad.sum())}, "
-                f"the first at {first}")
+        _check_finite(m)
         herm_dev = float(np.abs(m - m.conj().T).max())
         if herm_dev > HERMITICITY_TOL:
             raise StateValidationError(
@@ -209,9 +213,13 @@ def _entries(rho) -> tuple[np.ndarray, int]:
     if isinstance(rho, DensityMatrix):
         return np.asarray(rho.entries), rho.n_qubits
     m = np.asarray(rho, dtype=np.complex128)
-    n = int(round(np.log2(m.shape[0])))
+    if m.ndim != 2 or m.shape[0] != m.shape[1] or m.size == 0:
+        raise StateValidationError(
+            f"matrix shape {m.shape} is not a nonempty square matrix")
+    n = m.shape[0].bit_length() - 1
     if m.shape != (2 ** n, 2 ** n):
-        raise ValueError(f"matrix shape {m.shape} is not a qubit register")
+        raise StateValidationError(f"matrix shape {m.shape} is not a qubit register")
+    _check_finite(m)
     return m, n
 
 

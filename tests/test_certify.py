@@ -18,6 +18,7 @@ from superact.certify import (
     QUANTIFIER_MIN_EIGENVALUE,
     QUANTIFIER_NEGATIVITY,
     NotXShapedError,
+    _SLEObjective,
     exact_epr_settings,
     exact_ghz_settings,
     fidelity_from_settings,
@@ -33,8 +34,8 @@ from superact.certify import (
     x_shape_view,
 )
 from superact.distill import analytic_distilled_noisy_ghz, distill_cnot
-from superact.states import DegenerateProjectionError
-from util import random_density_matrix, random_unitary
+from superact.states import DegenerateProjectionError, StateValidationError
+from util import BAD_RAW_ARRAYS, random_density_matrix, random_unitary
 
 P_GRID = np.linspace(0.0, 1.0, 21)
 
@@ -149,6 +150,13 @@ def test_negativity_local_unitary_invariance():
         u = np.kron(random_unitary(rng, 2), random_unitary(rng, 4))
         rotated = u @ rho @ u.conj().T
         assert negativity(rotated, part) == pytest.approx(base, abs=1e-10)
+
+
+@pytest.mark.parametrize("bad", list(BAD_RAW_ARRAYS))
+def test_negativity_rejects_bad_raw_arrays(bad):
+    array, message = BAD_RAW_ARRAYS[bad]
+    with pytest.raises(StateValidationError, match=message):
+        negativity(array, (0,))
 
 
 def test_min_eig_after_pt_values():
@@ -293,8 +301,69 @@ def test_sle_all_degenerate_errors():
         sle_quantify(np.zeros((8, 8), dtype=complex))
 
 
+@pytest.mark.parametrize("bad", list(BAD_RAW_ARRAYS))
+def test_sle_rejects_bad_raw_arrays(bad):
+    array, message = BAD_RAW_ARRAYS[bad]
+    with pytest.raises(StateValidationError, match=message):
+        sle_quantify(array)
+
+
 def test_sle_rejects_bad_pair():
     with pytest.raises(ValueError):
         sle_quantify(noisy_ghz(0.5), pair=(0, 1, 2))
     with pytest.raises(ValueError):
         sle_quantify(maximally_mixed(2))
+
+
+def _einsum_objective(m, kept, measured, thetas, phis, quantifier):
+    """The SLE objective as a per-point einsum over the full 8x8 matrix."""
+    perm = [kept[0], kept[1], measured]
+    t4 = (m.reshape((2,) * 6).transpose(perm + [3 + i for i in perm])
+          .reshape(4, 2, 4, 2))
+    w = np.stack([np.cos(thetas), np.sin(thetas) * np.exp(1j * phis)], axis=1)
+    projected = np.einsum("na,iajb,nb->nij", w.conj(), t4, w)
+    weights = np.einsum("nii->n", projected).real
+    valid = weights > 1e-14
+    projected = projected / np.where(valid, weights, 1.0)[:, None, None]
+    pt = projected.reshape(-1, 2, 2, 2, 2).transpose(0, 1, 4, 3, 2).reshape(-1, 4, 4)
+    eigs = np.linalg.eigvalsh(pt)
+    if quantifier == QUANTIFIER_NEGATIVITY:
+        with np.errstate(divide="ignore"):
+            return np.where(valid, np.log2(np.abs(eigs).sum(axis=1)), -np.inf)
+    return np.where(valid, eigs[:, 0], np.inf)
+
+
+@pytest.mark.parametrize("quantifier", [QUANTIFIER_NEGATIVITY,
+                                        QUANTIFIER_MIN_EIGENVALUE])
+@pytest.mark.parametrize("kept", [(0, 1), (0, 2), (1, 2)])
+def test_sle_objective_matches_einsum_formula(kept, quantifier):
+    rng = np.random.default_rng(7)
+    measured = 3 - sum(kept)
+    pin = np.ones(8)
+    pin[[i for i in range(8) if (i >> (2 - measured)) & 1]] = 0.0
+    thetas = np.concatenate([rng.uniform(0.0, np.pi / 2, 40), [np.pi / 2]])
+    phis = np.concatenate([rng.uniform(0.0, 2 * np.pi, 40), [0.3]])
+    for _ in range(4):
+        m = random_density_matrix(rng, 3)
+        # Pinning the measured qubit to |0> gives the last point (theta =
+        # pi/2) vanishing weight.
+        pinned = pin[:, None] * m * pin[None, :]
+        for state in (m, pinned / np.trace(pinned).real):
+            values, valid = _SLEObjective(state, kept, quantifier).values(
+                thetas, phis)
+            expected = _einsum_objective(state, kept, measured, thetas, phis,
+                                         quantifier)
+            assert np.array_equal(valid, np.isfinite(expected))
+            assert np.allclose(values, expected, rtol=0.0, atol=1e-13)
+    assert not valid[-1]
+
+
+@pytest.mark.parametrize("quantifier", [QUANTIFIER_NEGATIVITY,
+                                        QUANTIFIER_MIN_EIGENVALUE])
+def test_sle_value_matches_point_evaluation(quantifier):
+    rng = np.random.default_rng(11)
+    for _ in range(3):
+        m = random_density_matrix(rng, 3)
+        result = sle_quantify(m, quantifier=quantifier)
+        at = sle_quantifier_at(m, None, result.theta, result.phi, quantifier)
+        assert at == pytest.approx(result.value, abs=1e-12)

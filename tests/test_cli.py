@@ -269,3 +269,16 @@ def test_csv_format_flag_round_trip(capsys):
     header, row = out.strip().split("\n")
     cols = dict(zip(header.split(","), row.split(",")))
     assert float(cols["success_probability"]) == pytest.approx(0.21875)
+
+
+def test_sweep_w_thresholds_golden(capsys):
+    # The SDP-backed bisections, pinned to their exact rows: a solver change
+    # that moves any certified sign on the bisection path changes these.
+    code, out, _ = run_cli(
+        ["sweep", "--thresholds", "W-GME,W-GME-after-distill"], capsys)
+    assert code == 0
+    assert out.strip().split("\n") == [
+        "property,crossing_p,bracket_width,evaluations",
+        "W-GME,0.47890624999999998,0.00078124999999998335,9",
+        "W-GME-after-distill,0.5185546875,0.00058593749999996669,9",
+    ]

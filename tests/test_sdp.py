@@ -3,7 +3,8 @@ import time
 import numpy as np
 import pytest
 
-from superact import ghz3, maximally_mixed, noisy_ghz, noisy_w
+from superact import ghz3, maximally_mixed, noise_model_state, noisy_ghz, noisy_w
+from superact.certify import gme_concurrence_arguments
 from superact.distill import distill_cnot
 from superact.linalg import jacobi_eigvalsh
 from superact.sdp import (
@@ -20,8 +21,8 @@ from superact.sdp import (
     _project_cone,
     _transpose_stack,
 )
-from superact.states import _partial_transpose_array
-from util import random_hermitian
+from superact.states import StateValidationError, _partial_transpose_array
+from util import BAD_RAW_ARRAYS, random_hermitian
 
 
 def _certificate_invariants(result: WitnessResult, rho, feas_tol=1e-6):
@@ -112,6 +113,39 @@ def test_gme_regime_negative():
     assert result.certified_sign == SIGN_NEGATIVE
 
 
+# For GHZ-diagonal X states the optimum is minus a third of the largest inner
+# argument of the X-shape concurrence, on both sides of the GME boundary.
+
+@pytest.mark.parametrize("p", [0.3, 0.43, 0.45, 0.5, 0.6, 0.8, 0.95, 1.0])
+def test_noisy_ghz_optimum_matches_closed_form(p):
+    rho = noisy_ghz(p)
+    result = ppt_mixer_witness(rho)
+    assert result.optimal_value == pytest.approx(-(7 * p - 3) / 24, abs=1e-8)
+    assert verify_witness_certificate(result, rho)
+
+
+@pytest.mark.parametrize("pqr", [(0.8, 0.9, 0.9), (0.7, 0.95, 0.85)])
+def test_noise_model_optimum_matches_closed_form(pqr):
+    rho = noise_model_state(*pqr)
+    result = ppt_mixer_witness(rho)
+    expected = -float(gme_concurrence_arguments(rho).max()) / 3.0
+    assert result.optimal_value == pytest.approx(expected, abs=1e-8)
+    assert verify_witness_certificate(result, rho)
+
+
+@pytest.mark.parametrize("rho_factory, budget", [
+    (lambda: distill_cnot(noisy_w(0.45), noisy_w(0.45)).state, 2500),
+    (lambda: noisy_w(0.6), 350),
+    (lambda: noisy_ghz(0.5), 500),
+], ids=["distilled-w-0.45", "noisy-w-0.6", "noisy-ghz-0.5"])
+def test_iteration_budget_at_default_settings(rho_factory, budget):
+    # Iteration counts are deterministic; these bounds hold at the measured
+    # default step and relaxation and fail if those drift back.
+    result = ppt_mixer_witness(rho_factory())
+    assert result.converged
+    assert result.iterations <= budget
+
+
 def test_certificates_verifiable_without_solver():
     for rho in (noisy_ghz(1.0), noisy_ghz(0.4), noisy_w(0.6)):
         result = ppt_mixer_witness(rho)
@@ -175,6 +209,13 @@ def test_real_path_matches_complex_path(rho_factory):
 def test_rejects_wrong_dimension():
     with pytest.raises(ValueError):
         ppt_mixer_witness(maximally_mixed(2))
+
+
+@pytest.mark.parametrize("bad", list(BAD_RAW_ARRAYS))
+def test_rejects_bad_raw_arrays(bad):
+    array, message = BAD_RAW_ARRAYS[bad]
+    with pytest.raises(StateValidationError, match=message):
+        ppt_mixer_witness(array)
 
 
 # ---------------------------------------------------------------------------

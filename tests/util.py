@@ -65,3 +65,21 @@ def brute_partial_transpose(rho, n_qubits, party):
             nj = sum(b << (n_qubits - 1 - q) for q, b in enumerate(bj))
             out[ni, nj] = rho[i, j]
     return out
+
+
+def _one_nan_state():
+    m = np.eye(8, dtype=complex) / 8.0
+    m[3, 5] = np.nan
+    return m
+
+
+# Raw arrays that are not a three-qubit matrix, each with the pattern its
+# rejection message must match.
+BAD_RAW_ARRAYS = {
+    "one-nan": (_one_nan_state(), r"non-finite.*the first at \(3, 5\)"),
+    "empty": (np.zeros(0), "shape"),
+    "empty-2d": (np.zeros((0, 0)), "shape"),
+    "1-d": (np.full(8, 0.125), "shape"),
+    "non-square": (np.ones((8, 4)), "shape"),
+    "not-power-of-two": (np.eye(6) / 6.0, "shape"),
+}
