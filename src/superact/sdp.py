@@ -18,7 +18,39 @@ other projects onto the product of PSD cones, and the reflection update is
 over-relaxed.  Certificates are extracted so that they can be re-verified
 without trusting the solver: the returned witness has unit trace and the
 returned cone factors are exactly PSD, with the remaining constraint
-violation reported per bipartition as a residual norm.
+violation reported per bipartition as a residual norm.  A second
+certificate, a PPT mixture, bounds the optimum from below.
+
+Certified bounds
+----------------
+The dual of the program is the PPT-mixture decomposition (Jungnitsch,
+Moroder & Guehne, PRL 106, 190502, 2011)
+
+    maximize    t
+    subject to  rho - t I = Y_1 + Y_2 + Y_3,  Y_i >= 0,  Y_i^{T_i} >= 0,
+
+and weak duality gives tr(W rho) >= t for every feasible W and every such
+decomposition.  Both sides are repaired into exactly feasible points from
+any iterate, with xf the affine iterate, y = 2 xf - z the reflection and
+xg its cone projection:
+
+- *upper bound*: take W = herm(xf_0) and Q_i the PSD part of xf's Q
+  blocks, let delta = max(0, -min_i lambda_min(W - Q_i^{T_i})), and scale
+  (W + delta I, W - Q_i^{T_i} + delta I, Q_i) by 1 / (1 + 8 delta).  The
+  result is feasible with unit trace and value (tr(W rho) + delta) /
+  (1 + 8 delta);
+- *lower bound*: the cone multipliers (xg - y) / step give A_i from the P
+  blocks and B_i from the Q blocks, both PSD; at a fixed point
+  Y_i = A_i = B_i^{T_i}.  Take Y_i = herm(A_i + B_i^{T_i}) / 2 + eps_i I
+  with eps_i the smallest shift that makes Y_i and Y_i^{T_i} PSD, let
+  R = rho - sum_i Y_i and t = min(lambda_min(R), lambda_min(R^{T_1})), and
+  add R - t I to Y_1.  Then rho - t I = sum_i Y_i exactly and t is the
+  lower bound.
+
+Both bounds cost four small batched LAPACK calls.  A solve asked only for
+the sign (``sign_only=True``) computes them every 10 iterations and stops
+as soon as the upper bound lies below minus the certification margin or
+the lower bound above it; a default solve computes them once, at its stop.
 
 Affine projection
 -----------------
@@ -67,6 +99,7 @@ fewer iterations in total, 31350, but takes 450 on noisy W at 0.6.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -76,6 +109,10 @@ BIPARTITIONS = ((0,), (1,), (2,))
 SIGN_NEGATIVE = "negative"
 SIGN_NONNEGATIVE = "nonnegative"
 SIGN_INDETERMINATE = "indeterminate"
+
+# Iterations between two evaluations of the certified bounds in a
+# sign-only solve.
+_BOUND_CHECK_EVERY = 10
 
 
 @dataclass(frozen=True)
@@ -106,9 +143,18 @@ class WitnessResult:
 
     ``witness`` has unit trace; every (P, Q) pair in ``decompositions`` is
     exactly positive semidefinite; ``residuals`` holds the Frobenius norms
-    ||W - P_i - Q_i^{T_i}|| that remain.  ``certified_sign`` reports the
-    sign of ``optimal_value`` only when it clears the configured margin and
-    the iteration converged.
+    ||W - P_i - Q_i^{T_i}|| that remain.  ``mixture`` holds (Y_1, Y_2, Y_3)
+    with rho - ``lower_bound`` I = Y_1 + Y_2 + Y_3 and every Y_i and
+    Y_i^{T_i} positive semidefinite, so the optimum is at least
+    ``lower_bound`` (see "Certified bounds" in the module docstring).
+
+    In a default solve, ``certified_sign`` reports the sign of
+    ``optimal_value`` only when it clears the configured margin and the
+    iteration converged.  In a sign-only solve the witness is the repaired,
+    exactly feasible one, so ``optimal_value`` is an upper bound; the sign
+    is ``negative`` when that bound lies below minus the margin,
+    ``nonnegative`` when ``lower_bound`` lies above the margin, and
+    ``indeterminate`` otherwise.
     """
 
     optimal_value: float
@@ -118,6 +164,8 @@ class WitnessResult:
     iterations: int
     converged: bool
     certified_sign: str
+    lower_bound: float
+    mixture: tuple[np.ndarray, ...]
 
 
 def _partial_transpose_index(n_qubits: int) -> np.ndarray:
@@ -173,12 +221,80 @@ def _cone_violation(x: np.ndarray) -> float:
     return float(np.sqrt((np.minimum(w, 0.0) ** 2).sum(axis=1)).max())
 
 
-def ppt_mixer_witness(rho, config: SolverConfig | None = None) -> WitnessResult:
+class _Bounds(NamedTuple):
+    """Repaired primal and dual points of one iterate and their values."""
+
+    upper: float
+    witness: np.ndarray
+    p_blocks: np.ndarray
+    q_blocks: np.ndarray
+    lower: float
+    mixture: np.ndarray
+
+
+def _certified_bounds(rho: np.ndarray, xf: np.ndarray, cone_gap: np.ndarray,
+                      step: float, pt_index: np.ndarray,
+                      eye: np.ndarray) -> _Bounds:
+    """Feasible witness and PPT mixture built from one iterate.
+
+    ``cone_gap`` is xg - y on the six cone blocks; see "Certified bounds" in
+    the module docstring for both repairs.
+    """
+    dim = eye.shape[0]
+    w = 0.5 * (xf[0] + xf[0].conj().T)
+    lam, vec = np.linalg.eigh(xf[2::2])
+    q_hat = (vec * np.maximum(lam, 0.0)[:, None, :]) @ np.conj(
+        np.swapaxes(vec, -1, -2))
+    p_raw = w - _transpose_stack(q_hat, pt_index)
+    delta = max(0.0, -float(np.linalg.eigvalsh(p_raw)[:, 0].min()))
+    scale = 1.0 / (1.0 + dim * delta)
+    witness = (w + delta * eye) * scale
+
+    multipliers = cone_gap / step
+    mix = multipliers[0::2] + _transpose_stack(multipliers[1::2], pt_index)
+    mix = 0.25 * (mix + np.conj(np.swapaxes(mix, -1, -2)))
+    lowest = np.linalg.eigvalsh(
+        np.concatenate([mix, _transpose_stack(mix, pt_index)]))[:, 0]
+    mix += np.maximum(0.0, -lowest.reshape(2, -1).min(axis=0))[:, None, None] * eye
+    r = rho - (mix[0] + mix[1] + mix[2])
+    r_t1 = r.reshape(-1)[pt_index[0]].reshape(r.shape)
+    t = float(np.linalg.eigvalsh(np.stack([r, r_t1]))[:, 0].min())
+    mix[0] += r - t * eye
+    return _Bounds(
+        upper=float(np.vdot(rho, witness).real),
+        witness=witness,
+        p_blocks=(p_raw + delta * eye) * scale,
+        q_blocks=q_hat * scale,
+        lower=t,
+        mixture=mix,
+    )
+
+
+def _residuals(witness: np.ndarray, p_blocks: np.ndarray,
+               q_blocks: np.ndarray, pt_index: np.ndarray) -> tuple[float, ...]:
+    """Frobenius norms ||W - P_i - Q_i^{T_i}||, one per bipartition."""
+    rebuilt = p_blocks + _transpose_stack(q_blocks, pt_index)
+    return tuple(float(np.linalg.norm(witness - r)) for r in rebuilt)
+
+
+def ppt_mixer_witness(rho, config: SolverConfig | None = None, *,
+                      sign_only: bool = False) -> WitnessResult:
     """Solve the PPT-mixer program for a three-qubit state.
+
+    By default the iteration runs until its stopping rule (see
+    ``SolverConfig``) and reports the witness at the last iterate.  With
+    ``sign_only=True`` it also builds the certified bounds every 10
+    iterations and stops as soon as they fix the sign against
+    ``certification_margin``; the result then carries the repaired, exactly
+    feasible witness, whose value is an upper bound on the optimum, and
+    ``converged`` is True when either the bounds or the stopping rule ended
+    the solve.  Both modes report the lower bound and its PPT mixture at the
+    final iterate.
 
     Non-convergence within the iteration budget is not an exception: the
     result is returned with ``converged=False``, its residuals, and an
-    ``indeterminate`` sign.
+    ``indeterminate`` sign (in a sign-only solve, unless the bounds at the
+    final iterate fix the sign).
     """
     cfg = config or SolverConfig()
     m, n_qubits = _entries(rho)
@@ -191,6 +307,7 @@ def ppt_mixer_witness(rho, config: SolverConfig | None = None) -> WitnessResult:
     dtype = np.complex128 if m.imag.any() else np.float64
     eye = np.eye(dim, dtype=dtype)
     pt_index = _partial_transpose_index(n_qubits)
+    margin = cfg.certification_margin
 
     c = np.zeros((7, dim, dim), dtype=dtype)
     c[0] = m if dtype is np.complex128 else m.real
@@ -198,52 +315,72 @@ def ppt_mixer_witness(rho, config: SolverConfig | None = None) -> WitnessResult:
     z[0] = eye / dim
     z[1:] = eye / (2 * dim)
 
+    def bounds_now() -> _Bounds:
+        return _certified_bounds(c[0], xf, xg[1:] - y[1:], cfg.step,
+                                 pt_index, eye)
+
     history: list[float] = []
-    xf = z
+    xf = y = xg = z
+    bounds, bounds_at = None, -1
     converged = False
     iterations = 0
     check_every = 50
     for iterations in range(1, cfg.max_iterations + 1):
         xf = _project_affine(z - cfg.step * c, pt_index, eye)
-        xg = _project_cone(2.0 * xf - z)
+        y = 2.0 * xf - z
+        xg = _project_cone(y)
         z = z + cfg.relaxation * (xg - xf)
         history.append(float(np.vdot(c[0], xf[0]).real))
+        if sign_only and iterations % _BOUND_CHECK_EVERY == 0:
+            bounds, bounds_at = bounds_now(), iterations
+            if bounds.upper < -margin or bounds.lower > margin:
+                converged = True
+                break
         if iterations % check_every == 0 and len(history) > cfg.stagnation_window:
             window = history[-cfg.stagnation_window - 1:]
             if max(window) - min(window) < cfg.stagnation_tol:
                 if _cone_violation(xf) <= cfg.feasibility_tol:
                     converged = True
                     break
+    if bounds_at != iterations:
+        bounds = bounds_now()
+    mixture = tuple(bounds.mixture.astype(np.complex128))
 
-    xf = xf.astype(np.complex128)
-    witness = 0.5 * (xf[0] + xf[0].conj().T)
-    decompositions = []
-    residuals = []
-    cone = _project_cone(xf)
-    for k, party in enumerate(BIPARTITIONS):
-        p_hat = cone[1 + 2 * k]
-        q_hat = cone[2 + 2 * k]
-        reconstruction = p_hat + _partial_transpose_array(q_hat, n_qubits, party)
-        residuals.append(float(np.linalg.norm(witness - reconstruction)))
-        decompositions.append((p_hat, q_hat))
-
-    optimal_value = float(np.real(np.vdot(m, witness)))
-    if not converged:
-        sign = SIGN_INDETERMINATE
-    elif optimal_value < -cfg.certification_margin:
-        sign = SIGN_NEGATIVE
-    elif optimal_value > cfg.certification_margin:
-        sign = SIGN_NONNEGATIVE
+    if sign_only:
+        witness = bounds.witness.astype(np.complex128)
+        p_blocks = bounds.p_blocks.astype(np.complex128)
+        q_blocks = bounds.q_blocks.astype(np.complex128)
+        optimal_value = bounds.upper
+        if optimal_value < -margin:
+            sign = SIGN_NEGATIVE
+        elif bounds.lower > margin:
+            sign = SIGN_NONNEGATIVE
+        else:
+            sign = SIGN_INDETERMINATE
     else:
-        sign = SIGN_INDETERMINATE
+        xf = xf.astype(np.complex128)
+        witness = 0.5 * (xf[0] + xf[0].conj().T)
+        cone = _project_cone(xf)
+        p_blocks, q_blocks = cone[1::2], cone[2::2]
+        optimal_value = float(np.real(np.vdot(m, witness)))
+        if not converged:
+            sign = SIGN_INDETERMINATE
+        elif optimal_value < -margin:
+            sign = SIGN_NEGATIVE
+        elif optimal_value > margin:
+            sign = SIGN_NONNEGATIVE
+        else:
+            sign = SIGN_INDETERMINATE
     return WitnessResult(
         optimal_value=optimal_value,
         witness=witness,
-        decompositions=tuple(decompositions),
-        residuals=tuple(residuals),
+        decompositions=tuple(zip(p_blocks, q_blocks)),
+        residuals=_residuals(witness, p_blocks, q_blocks, pt_index),
         iterations=iterations,
         converged=converged,
         certified_sign=sign,
+        lower_bound=bounds.lower,
+        mixture=mixture,
     )
 
 
@@ -269,25 +406,42 @@ def witness_result_to_json_dict(result: WitnessResult) -> dict:
 
 def verify_witness_certificate(result: WitnessResult, rho,
                                feasibility_tol: float = 1e-6) -> bool:
-    """Re-check a witness certificate without trusting the solver.
+    """Re-check both certificates of a result without trusting the solver.
 
-    Uses the package's own Jacobi eigensolver, so the check is independent
-    of the LAPACK-backed projections used inside the iteration.
+    The witness must have unit trace, the reported value, PSD factors and
+    ||W - P_i - Q_i^{T_i}|| <= ``feasibility_tol`` for every bipartition;
+    the residuals the solver reports are not consulted.  The PPT mixture
+    must sum to rho - ``lower_bound`` I within 1e-9 (Frobenius norm) with
+    every Y_i and Y_i^{T_i} PSD.  Eigenvalues come from the package's own
+    Jacobi solver, so the check is independent of the LAPACK-backed
+    projections used inside the iteration.  Every comparison is written so
+    that a NaN fails it.
     """
     from .linalg import jacobi_eigvalsh
 
     m, n_qubits = _entries(rho)
     w = result.witness
-    if abs(float(np.trace(w).real) - 1.0) > 1e-8:
+    if not abs(float(np.trace(w).real) - 1.0) <= 1e-8:
         return False
-    if abs(float(np.real(np.vdot(m, w))) - result.optimal_value) > 1e-8:
+    if not abs(float(np.real(np.vdot(m, w))) - result.optimal_value) <= 1e-8:
         return False
-    for (p_hat, q_hat), residual, party in zip(result.decompositions,
-                                               result.residuals, BIPARTITIONS):
+    if len(result.decompositions) != len(BIPARTITIONS):
+        return False
+    for (p_hat, q_hat), party in zip(result.decompositions, BIPARTITIONS):
         eigs = jacobi_eigvalsh(np.stack([p_hat, q_hat]))
-        if eigs[:, 0].min() < -1e-9:
+        if not eigs[:, 0].min() >= -1e-9:
             return False
         reconstruction = p_hat + _partial_transpose_array(q_hat, n_qubits, party)
-        if np.linalg.norm(w - reconstruction) > max(feasibility_tol, 2 * residual):
+        if not np.linalg.norm(w - reconstruction) <= feasibility_tol:
             return False
-    return True
+
+    if len(result.mixture) != len(BIPARTITIONS):
+        return False
+    mixture = np.stack(result.mixture)
+    shifted = m - result.lower_bound * np.eye(m.shape[0])
+    if not np.linalg.norm(shifted - mixture.sum(axis=0)) <= 1e-9:
+        return False
+    transposed = [_partial_transpose_array(block, n_qubits, party)
+                  for block, party in zip(mixture, BIPARTITIONS)]
+    eigs = jacobi_eigvalsh(np.concatenate([mixture, np.stack(transposed)]))
+    return bool(eigs[:, 0].min() >= -1e-9)

@@ -5,8 +5,8 @@ margin function of the noise parameter p that is negative where the
 property is absent and positive where it is present:
 
 - GME margins are the (unclipped) inner arguments of the X-shape
-  concurrence, or the negated PPT-mixer optimum where the concurrence does
-  not apply;
+  concurrence, or, where the concurrence does not apply, the negated value
+  of a PPT-mixer witness whose sign is certified;
 - SLE margins are the negated minimum eigenvalue after partial
   transposition, extremized over projection directions where needed.
 
@@ -14,6 +14,17 @@ Bisection on the sign of the margin then brackets the crossing.  Bisection
 is used deliberately: the margins are cheap, monotone sign indicators near
 each crossing, and the bracket provides a self-evident correctness
 certificate.
+
+The two SDP-backed margins (W-GME and W-GME-after-distill) solve the
+PPT-mixer program in sign-only mode: each solve stops as soon as a feasible
+witness (an upper bound) or a PPT mixture (a lower bound) puts the optimum
+clear of the certification margin, and the margin's sign is the certified
+one.  Bisection therefore narrows a bracket only on certified signs.  When
+a solve cannot certify its sign, because the optimum at that p lies within
+the margin of zero, the margin raises ``ValueError`` naming p and the
+certified interval [lower, upper]; the search is refused rather than
+continued on an uncertified sign.  The default 1e-3 tolerance stops
+bisecting well before that happens.
 """
 
 from __future__ import annotations
@@ -30,7 +41,7 @@ from .certify import (
     sle_quantify,
 )
 from .distill import analytic_distilled_noisy_ghz, distill_cnot, localize
-from .sdp import SolverConfig, ppt_mixer_witness
+from .sdp import SIGN_INDETERMINATE, SolverConfig, ppt_mixer_witness
 from .states import noisy_ghz, noisy_w
 
 PROPERTY_GME = "GME"
@@ -99,13 +110,26 @@ def _margin_w_sle(p: float) -> float:
     return -min_eig_after_pt(state, (1,))
 
 
+def _sdp_margin(label: str, p: float, rho,
+                config: SolverConfig | None) -> float:
+    result = ppt_mixer_witness(rho, config, sign_only=True)
+    if result.certified_sign == SIGN_INDETERMINATE:
+        margin = (config or SolverConfig()).certification_margin
+        raise ValueError(
+            f"{label}: the PPT-mixer sign at p={p!r} is not certified: the "
+            f"optimum lies in [{result.lower_bound:.6e}, "
+            f"{result.optimal_value:.6e}], which does not clear the margin "
+            f"{margin:g}; use a larger tolerance")
+    return -result.optimal_value
+
+
 def _margin_w_gme(p: float, config: SolverConfig | None) -> float:
-    return -ppt_mixer_witness(noisy_w(p), config).optimal_value
+    return _sdp_margin(PROPERTY_W_GME, p, noisy_w(p), config)
 
 
 def _margin_w_gme_after(p: float, config: SolverConfig | None) -> float:
     state = distill_cnot(noisy_w(p), noisy_w(p)).state
-    return -ppt_mixer_witness(state, config).optimal_value
+    return _sdp_margin(PROPERTY_W_GME_AFTER, p, state, config)
 
 
 def certifying_margin(property_name: str,

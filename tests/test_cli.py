@@ -282,3 +282,28 @@ def test_sweep_w_thresholds_golden(capsys):
         "W-GME,0.47890624999999998,0.00078124999999998335,9",
         "W-GME-after-distill,0.5185546875,0.00058593749999996669,9",
     ]
+
+
+def test_sweep_all_thresholds_golden(capsys):
+    code, out, _ = run_cli(["sweep", "--thresholds", "all"], capsys)
+    assert code == 0
+    assert out.split("\n") == [
+        "property,crossing_p,bracket_width,evaluations",
+        "GME,0.42857151031494134,5.7220458984930112e-07,20",
+        "SLE,0.33333339691162112,5.7220458984930112e-07,20",
+        "GME-after-distill,0.30216903686523444,7.6293945314165335e-07,19",
+        "SLE-after-distill,0.26120357513427739,5.7220458984930112e-07,19",
+        "W-GME,0.47890624999999998,0.00078124999999998335,9",
+        "W-GME-after-distill,0.5185546875,0.00058593749999996669,9",
+        "W-SLE,0.27272701263427723,5.7220458984930112e-07,20",
+        "",
+    ]
+
+
+def test_sweep_refuses_uncertified_sdp_bracket(capsys):
+    code, out, err = run_cli(["sweep", "--thresholds", "W-GME-after-distill",
+                              "--tolerance", "1e-6"], capsys)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("superact: error: W-GME-after-distill: ")
+    assert "is not certified" in err

@@ -1,3 +1,4 @@
+import dataclasses
 import time
 
 import numpy as np
@@ -21,8 +22,12 @@ from superact.sdp import (
     _project_cone,
     _transpose_stack,
 )
-from superact.states import StateValidationError, _partial_transpose_array
-from util import BAD_RAW_ARRAYS, random_hermitian
+from superact.states import (
+    DensityMatrix,
+    StateValidationError,
+    _partial_transpose_array,
+)
+from util import BAD_RAW_ARRAYS, random_density_matrix, random_hermitian
 
 
 def _certificate_invariants(result: WitnessResult, rho, feas_tol=1e-6):
@@ -36,9 +41,14 @@ def _certificate_invariants(result: WitnessResult, rho, feas_tol=1e-6):
         eigs = jacobi_eigvalsh(np.stack([p_hat, q_hat]))
         assert eigs[:, 0].min() >= -1e-9
         rebuilt = p_hat + _partial_transpose_array(q_hat, 3, party)
-        assert np.linalg.norm(result.witness - rebuilt) <= max(feas_tol,
-                                                               2 * residual)
+        assert np.linalg.norm(result.witness - rebuilt) <= feas_tol
         assert residual <= feas_tol
+    mixture = np.stack(result.mixture)
+    assert np.linalg.norm(m - result.lower_bound * np.eye(8)
+                          - mixture.sum(axis=0)) <= 1e-9
+    for block, party in zip(mixture, BIPARTITIONS):
+        transposed = _partial_transpose_array(block, 3, party)
+        assert jacobi_eigvalsh(np.stack([block, transposed])).min() >= -1e-9
 
 
 # ---------------------------------------------------------------------------
@@ -119,9 +129,18 @@ def test_gme_regime_negative():
 @pytest.mark.parametrize("p", [0.3, 0.43, 0.45, 0.5, 0.6, 0.8, 0.95, 1.0])
 def test_noisy_ghz_optimum_matches_closed_form(p):
     rho = noisy_ghz(p)
+    exact = -(7 * p - 3) / 24
     result = ppt_mixer_witness(rho)
-    assert result.optimal_value == pytest.approx(-(7 * p - 3) / 24, abs=1e-8)
+    assert result.optimal_value == pytest.approx(exact, abs=1e-8)
     assert verify_witness_certificate(result, rho)
+    # Both bounds come from rounded arithmetic, hence the 1e-12 slack.
+    fast = ppt_mixer_witness(rho, sign_only=True)
+    for lower in (result.lower_bound, fast.lower_bound):
+        assert lower <= exact + 1e-12
+    assert exact <= fast.optimal_value + 1e-12
+    assert fast.certified_sign == (SIGN_NEGATIVE if exact < 0
+                                   else SIGN_NONNEGATIVE)
+    assert verify_witness_certificate(fast, rho)
 
 
 @pytest.mark.parametrize("pqr", [(0.8, 0.9, 0.9), (0.7, 0.95, 0.85)])
@@ -178,6 +197,131 @@ def test_non_convergence_reports_indeterminate():
     assert result.certified_sign == SIGN_INDETERMINATE
     assert len(result.residuals) == 3
     assert result.iterations == 10
+
+
+# ---------------------------------------------------------------------------
+# certified bounds and the sign-only solve
+
+def _bound_corpus():
+    states = {f"noisy-w-{p}": noisy_w(p)
+              for p in (0.3, 0.45, 0.478, 0.48, 0.5, 0.6)}
+    states.update({f"distilled-w-{p}": distill_cnot(noisy_w(p), noisy_w(p)).state
+                   for p in (0.45, 0.5185, 0.52, 0.6)})
+    states.update({f"noise-model-{pqr}": noise_model_state(*pqr)
+                   for pqr in ((0.8, 0.9, 0.9), (0.7, 0.95, 0.85))})
+    rng = np.random.default_rng(7)
+    for k in range(2):
+        # Full-rank random states, biseparable once mixed with white noise.
+        mix = (0.3, 0.9)[k]
+        states[f"random-{k}"] = DensityMatrix(
+            3, mix * random_density_matrix(rng, 3) + (1.0 - mix) * np.eye(8) / 8.0)
+    for k in range(2, 4):
+        # Random pure states with a little white noise: GME.
+        v = rng.standard_normal(8) + 1j * rng.standard_normal(8)
+        v /= np.linalg.norm(v)
+        states[f"random-{k}"] = DensityMatrix(
+            3, 0.9 * np.outer(v, v.conj()) + 0.1 * np.eye(8) / 8.0)
+    return states
+
+
+BOUND_CORPUS = _bound_corpus()
+
+
+@pytest.mark.parametrize("name", list(BOUND_CORPUS))
+def test_bounds_sandwich_the_optimum_and_certify_the_sign(name):
+    rho = BOUND_CORPUS[name]
+    default = ppt_mixer_witness(rho)
+    fast = ppt_mixer_witness(rho, sign_only=True)
+    # Weak duality: a verified PPT mixture lies below every feasible value.
+    assert default.lower_bound <= default.optimal_value + 1e-9
+    assert fast.lower_bound <= default.optimal_value + 1e-9
+    assert fast.optimal_value >= default.optimal_value - 1e-9
+    assert fast.iterations <= default.iterations
+    if default.certified_sign != SIGN_INDETERMINATE:
+        assert fast.certified_sign == default.certified_sign
+    # The sign-only witness is the repaired, exactly feasible one.
+    assert max(fast.residuals) < 1e-12
+    for result in (default, fast):
+        _certificate_invariants(result, rho)
+        assert verify_witness_certificate(result, rho)
+
+
+def test_sign_only_stops_on_bounds_and_stays_inside_budget():
+    # Pinned counts, with head room, of the sign-only solve on states that
+    # the bounds certify quickly.
+    for rho, budget in ((noisy_w(0.6), 50), (noisy_ghz(0.3), 20),
+                        (distill_cnot(noisy_w(0.45), noisy_w(0.45)).state, 50)):
+        result = ppt_mixer_witness(rho, sign_only=True)
+        assert result.converged
+        assert result.certified_sign != SIGN_INDETERMINATE
+        assert result.iterations <= budget
+        assert result.iterations % 10 == 0
+
+
+def test_sign_only_indeterminate_inside_the_margin():
+    # Noisy W at 0.479 has an optimum of a few 1e-6, inside the 1e-5 margin:
+    # the bounds never clear it and the stagnation rule ends the solve.
+    result = ppt_mixer_witness(noisy_w(0.479), sign_only=True)
+    assert result.certified_sign == SIGN_INDETERMINATE
+    assert result.lower_bound <= result.optimal_value
+    assert abs(result.optimal_value) < 1e-4
+    assert verify_witness_certificate(result, noisy_w(0.479))
+
+
+def test_verifier_rejects_tampered_lower_bound():
+    rho = noisy_ghz(0.5)
+    result = ppt_mixer_witness(rho)
+    assert verify_witness_certificate(result, rho)
+    raised = dataclasses.replace(result, lower_bound=result.lower_bound + 1e-3)
+    assert not verify_witness_certificate(raised, rho)
+
+
+def test_verifier_rejects_non_ppt_mixture_blocks():
+    rho = noisy_ghz(0.9)
+    result = ppt_mixer_witness(rho, sign_only=True)
+    assert verify_witness_certificate(result, rho)
+    ghz = np.asarray(ghz3().projector().entries)
+    swapped = dataclasses.replace(
+        result, mixture=(ghz,) + tuple(result.mixture[1:]))
+    assert not verify_witness_certificate(swapped, rho)
+    # Moving the whole of rho - t I into one block keeps the sum exact but
+    # that block is not PPT, since the state is GME.
+    m = np.asarray(rho.entries)
+    lumped = dataclasses.replace(result, mixture=(
+        m - result.lower_bound * np.eye(8), np.zeros((8, 8)), np.zeros((8, 8))))
+    assert not verify_witness_certificate(lumped, rho)
+    assert not verify_witness_certificate(
+        dataclasses.replace(result, mixture=result.mixture[:2]), rho)
+
+
+def test_verifier_does_not_trust_reported_residuals():
+    rho = noisy_w(0.6)
+    # Three iterations leave residuals near 0.8, which the result reports
+    # honestly; the certificate must still fail at the 1e-6 tolerance.
+    early = ppt_mixer_witness(rho, SolverConfig(max_iterations=3))
+    assert max(early.residuals) > 0.1
+    assert not verify_witness_certificate(early, rho)
+    # A unit-trace witness I/8 paired with another witness's factors.
+    solved = ppt_mixer_witness(rho)
+    witness = np.eye(8, dtype=complex) / 8.0
+    residuals = tuple(
+        float(np.linalg.norm(witness - p - _partial_transpose_array(q, 3, party)))
+        for (p, q), party in zip(solved.decompositions, BIPARTITIONS))
+    assert min(residuals) > 0.1
+    forged = dataclasses.replace(solved, witness=witness, optimal_value=0.125,
+                                 residuals=residuals)
+    assert not verify_witness_certificate(forged, rho)
+    assert verify_witness_certificate(solved, rho)
+
+
+def test_verifier_rejects_nan_certificates():
+    rho = noisy_ghz(0.5)
+    result = ppt_mixer_witness(rho)
+    assert not verify_witness_certificate(
+        dataclasses.replace(result, lower_bound=float("nan")), rho)
+    nan_witness = np.full((8, 8), np.nan, dtype=complex)
+    assert not verify_witness_certificate(
+        dataclasses.replace(result, witness=nan_witness), rho)
 
 
 def _local_phase(rho):

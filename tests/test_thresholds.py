@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
+import superact.thresholds as thresholds
 from superact import fidelity_with_pure, ghz3, noisy_ghz
 from superact.distill import distill_tripartite
+from superact.sdp import SIGN_INDETERMINATE
 from superact.thresholds import (
     PROPERTY_GME,
     PROPERTY_GME_AFTER,
@@ -97,6 +99,40 @@ def test_sdp_backed_thresholds_near_reported_values():
     assert 0.474 <= w_gme.crossing_p <= 0.484
     w_gme_after = find_threshold(PROPERTY_W_GME_AFTER)
     assert 0.514 <= w_gme_after.crossing_p <= 0.524
+
+
+def test_sdp_bisection_uses_few_sign_only_iterations(monkeypatch):
+    # The 18 default bisection evaluations of the two SDP-backed properties
+    # each stop once certified bounds fix the sign (860 iterations in all,
+    # at most 90 per solve, when these bounds were set).
+    solves = []
+    solver = thresholds.ppt_mixer_witness
+
+    def recording(*args, **kwargs):
+        result = solver(*args, **kwargs)
+        solves.append((kwargs.get("sign_only"), result))
+        return result
+
+    monkeypatch.setattr(thresholds, "ppt_mixer_witness", recording)
+    reports = [find_threshold(name)
+               for name in (PROPERTY_W_GME, PROPERTY_W_GME_AFTER)]
+    assert [r.evaluations for r in reports] == [9, 9]
+    assert len(solves) == 18
+    assert all(sign_only for sign_only, _ in solves)
+    assert all(r.certified_sign != SIGN_INDETERMINATE for _, r in solves)
+    iterations = [r.iterations for _, r in solves]
+    assert sum(iterations) <= 1200
+    assert max(iterations) <= 150
+
+
+@pytest.mark.parametrize("name", [PROPERTY_W_GME, PROPERTY_W_GME_AFTER])
+def test_sdp_bisection_refuses_uncertified_signs(name):
+    # At 1e-6 the bisection reaches points whose optimum lies inside the
+    # 1e-5 certification margin; it must stop there, not guess the sign.
+    with pytest.raises(ValueError,
+                       match=rf"{name}: .* at p=0\.[45]\d+ is not certified: "
+                             rf"the optimum lies in \[\S+, \S+\]"):
+        find_threshold(name, tolerance=1e-6)
 
 
 def test_threshold_ordering_of_the_window_diagram():
