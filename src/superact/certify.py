@@ -14,6 +14,16 @@ The optimizer is deterministic: a 64x64 (theta, phi) grid with a
 lowest-theta-then-lowest-phi tie-break, followed by a Nelder-Mead simplex
 refinement seeded from the best three grid points.
 
+A sign-only search (``sle_quantify(..., sign_only=True)``) answers only
+whether the optimum certifies the property, and stops at the first point
+that settles it: a signed objective (the minimum eigenvalue, or minus the
+negativity) below -``SLE_SIGN_SLACK``.  It tries the 8x8 stride-8 subgrid,
+then the full grid, then the same Nelder-Mead run, which it leaves at the
+first such point.  The full search's optimum is no larger than any value it
+evaluates, and it evaluates every point the sign-only search does, so the
+two signs agree; a search that finds no such point returns exactly the
+full search's result.
+
 The objective is set up once per search.  The projected pair state is a
 combination of four 4x4 blocks of rho with coefficients in (theta, phi),
 ``c^2 T00 + c s (e^{i phi} T01 + e^{-i phi} T10) + s^2 T11``, so the blocks
@@ -52,6 +62,11 @@ X_SHAPE_LEAKAGE_TOL = 1e-8
 SLE_GRID_SIZE = 64
 SLE_REFINE_STEPS = 500
 SLE_PARAM_TOL = 1e-9
+# A sign-only SLE search settles only for signed values below -SLE_SIGN_SLACK,
+# so optima within rounding of zero take the full search; its first stage
+# is the stride-SLE_COARSE_STRIDE subgrid of the search grid.
+SLE_SIGN_SLACK = 1e-12
+SLE_COARSE_STRIDE = 8
 
 
 class NotXShapedError(ValueError):
@@ -423,15 +438,59 @@ def _nelder_mead(objective: Callable[[np.ndarray], float],
     return points[best], values[best]
 
 
+class _SignSettled(Exception):
+    """A sign-only refinement reached a point that certifies the sign."""
+
+    def __init__(self, point: np.ndarray, signed: float):
+        super().__init__()
+        self.point = point
+        self.signed = signed
+
+
+def _grid_values(objective: _SLEObjective, maximize: bool,
+                 theta_axis: np.ndarray, phi_axis: np.ndarray):
+    """The minimized (signed) objective on the grid ``theta_axis x phi_axis``.
+
+    Returns the grid points, their signed values and validity, and the
+    stable ascending order of the values; the points are theta-major, so
+    the order breaks ties toward the lowest theta, then the lowest phi.
+    """
+    tg, pg = np.meshgrid(theta_axis, phi_axis, indexing="ij")
+    thetas, phis = tg.ravel(), pg.ravel()
+    values, valid = objective.values(thetas, phis)
+    signed = -values if maximize else values
+    return thetas, phis, signed, valid, np.argsort(signed, kind="stable")
+
+
 def sle_quantify(rho, pair=None, quantifier: str = QUANTIFIER_NEGATIVITY,
                  grid_size: int = SLE_GRID_SIZE,
                  refine_steps: int = SLE_REFINE_STEPS,
-                 param_tol: float = SLE_PARAM_TOL) -> SLEResult:
+                 param_tol: float = SLE_PARAM_TOL, *,
+                 sign_only: bool = False) -> SLEResult:
     """Extremize a bipartite quantifier over single-qubit projections.
 
     Negativity is maximized (positive optimum certifies SLE); the minimum
     eigenvalue after partial transposition is minimized (positive minimum
     certifies the absence of SLE).
+
+    The search minimizes a signed objective s, the minimum eigenvalue or
+    minus the negativity, over a ``grid_size`` x ``grid_size`` grid and then
+    by Nelder-Mead from the best three grid points, and reports the better
+    of the grid and refined optima.
+
+    With ``sign_only=True`` the search settles for the first point with
+    s < -``SLE_SIGN_SLACK``, trying in turn the stride-8 subgrid of the same
+    grid (its best point), the full grid (its best point, without
+    refinement) and the same Nelder-Mead run, which stops at the first such
+    point it evaluates.  It returns that point's value, (theta, phi) and
+    localized state, which certify the sign but need not be the optimum.
+    The sign always equals the default search's: the default result is no
+    larger than any value that search evaluates, and it evaluates every
+    point the sign-only search does, so it lies below zero too.  The slack
+    (1e-12) leaves optima within rounding of zero, whose sign is rounding
+    noise, to the full search, and dwarfs the last-bit change a point's
+    value can take when it is evaluated in a different batch.  When no
+    point qualifies, the result is exactly the default search's.
 
     Parameters
     ----------
@@ -442,32 +501,55 @@ def sle_quantify(rho, pair=None, quantifier: str = QUANTIFIER_NEGATIVITY,
         is projected.  Defaults to qubits (0, 1).
     quantifier : str
         ``"negativity"`` or ``"min-eigenvalue-after-pt"``.
+    grid_size : int
+        Grid points per axis, at least 2.
+    sign_only : bool
+        Stop at the first point that certifies the sign of the optimum.
     """
+    if grid_size < 2:
+        raise ValueError(f"grid_size must be at least 2, got {grid_size}")
     objective = _SLEObjective(rho, pair, quantifier)
     maximize = quantifier == QUANTIFIER_NEGATIVITY
 
+    def result(theta: float, phi: float, signed: float) -> SLEResult:
+        value = -signed if maximize else signed
+        projected = objective.projected(theta, phi)
+        weight = float(np.trace(projected).real)
+        localized = DensityMatrix(2, projected / weight)
+        return SLEResult(value=float(value), theta=float(theta),
+                         phi=float(phi), quantifier=quantifier,
+                         localized_state=localized)
+
     theta_axis = np.linspace(0.0, np.pi / 2.0, grid_size)
     phi_axis = np.linspace(0.0, 2.0 * np.pi, grid_size, endpoint=False)
-    tg, pg = np.meshgrid(theta_axis, phi_axis, indexing="ij")
-    thetas, phis = tg.ravel(), pg.ravel()
-    values, valid = objective.values(thetas, phis)
+    if sign_only:
+        thetas, phis, signed, _, order = _grid_values(
+            objective, maximize, theta_axis[::SLE_COARSE_STRIDE],
+            phi_axis[::SLE_COARSE_STRIDE])
+        best = order[0]
+        if signed[best] < -SLE_SIGN_SLACK:
+            return result(thetas[best], phis[best], signed[best])
+
+    thetas, phis, signed, valid, order = _grid_values(
+        objective, maximize, theta_axis, phi_axis)
     if not valid.any():
         raise DegenerateProjectionError(
             "every projection direction on the grid has vanishing weight")
-
-    signed = values if maximize else -values
-    # theta-major ordering makes argmax break ties toward the lowest theta,
-    # then the lowest phi.
-    order = np.argsort(-signed, kind="stable")
-    top = order[:3]
+    grid_best = int(order[0])
+    grid_signed = signed[grid_best]
+    if sign_only and grid_signed < -SLE_SIGN_SLACK:
+        return result(thetas[grid_best], phis[grid_best], grid_signed)
 
     def signed_objective(point: np.ndarray) -> float:
         values, valid = objective.values(point[:1], point[1:])
         if not valid[0]:
             return np.inf
-        return -values[0] if maximize else values[0]
+        value = -values[0] if maximize else values[0]
+        if sign_only and value < -SLE_SIGN_SLACK:
+            raise _SignSettled(point, value)
+        return value
 
-    simplex = np.stack([np.array([thetas[i], phis[i]]) for i in top])
+    simplex = np.stack([np.array([thetas[i], phis[i]]) for i in order[:3]])
     edge1, edge2 = simplex[1] - simplex[0], simplex[2] - simplex[0]
     area = abs(edge1[0] * edge2[1] - edge1[1] * edge2[0])
     if area < 1e-12:
@@ -478,21 +560,14 @@ def sle_quantify(rho, pair=None, quantifier: str = QUANTIFIER_NEGATIVITY,
             simplex[0] + np.array([0.5 * h_theta, 0.0]),
             simplex[0] + np.array([0.0, 0.5 * h_phi]),
         ])
-    best_point, best_signed = _nelder_mead(signed_objective, simplex,
-                                           refine_steps, param_tol)
+    try:
+        best_point, best_signed = _nelder_mead(signed_objective, simplex,
+                                               refine_steps, param_tol)
+    except _SignSettled as settled:
+        return result(settled.point[0], settled.point[1], settled.signed)
 
-    grid_best = int(top[0])
-    grid_signed = -signed[grid_best]
     if grid_signed <= best_signed:
         # Refinement never found a strictly better point; keep the grid one
         # for a deterministic, reproducible optimizer location.
-        best_point = np.array([thetas[grid_best], phis[grid_best]])
-        best_signed = grid_signed
-
-    theta, phi = float(best_point[0]), float(best_point[1])
-    value = -best_signed if maximize else best_signed
-    projected = objective.projected(theta, phi)
-    weight = float(np.trace(projected).real)
-    localized = DensityMatrix(2, projected / weight)
-    return SLEResult(value=float(value), theta=theta, phi=phi,
-                     quantifier=quantifier, localized_state=localized)
+        return result(thetas[grid_best], phis[grid_best], grid_signed)
+    return result(best_point[0], best_point[1], best_signed)

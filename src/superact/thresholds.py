@@ -25,6 +25,14 @@ the margin of zero, the margin raises ``ValueError`` naming p and the
 certified interval [lower, upper]; the search is refused rather than
 continued on an uncertified sign.  The default 1e-3 tolerance stops
 bisecting well before that happens.
+
+The two SLE margins (SLE and SLE-after-distill) run sign-only SLE searches:
+each stops at the first projection direction whose minimum eigenvalue
+after partial transposition lies below -1e-12, which puts the optimum below
+it too, and only a search that finds none runs to its optimum.  Their
+signs, and so every bracket, are those of the full searches.  A margin
+value is therefore a certifying value, not always the optimum, and the
+values that a no-sign-change error prints are those certifying values.
 """
 
 from __future__ import annotations
@@ -93,13 +101,14 @@ def _margin_gme_after(p: float) -> float:
 
 
 def _margin_sle(p: float) -> float:
-    return -sle_quantify(noisy_ghz(p),
-                         quantifier=QUANTIFIER_MIN_EIGENVALUE).value
+    return -sle_quantify(noisy_ghz(p), quantifier=QUANTIFIER_MIN_EIGENVALUE,
+                         sign_only=True).value
 
 
 def _margin_sle_after(p: float) -> float:
     return -sle_quantify(analytic_distilled_noisy_ghz(p),
-                         quantifier=QUANTIFIER_MIN_EIGENVALUE).value
+                         quantifier=QUANTIFIER_MIN_EIGENVALUE,
+                         sign_only=True).value
 
 
 def _margin_w_sle(p: float) -> float:
@@ -162,8 +171,9 @@ def find_threshold(property_name: str,
                    solver_config: SolverConfig | None = None) -> ThresholdReport:
     """Bisect the certifying margin of a property to a sign-change bracket.
 
-    ``tolerance`` bounds the half-width of the final bracket; it defaults to
-    1e-6 for closed-form margins and 1e-3 for SDP-backed ones.
+    ``tolerance``, positive and finite, bounds the half-width of the final
+    bracket; it defaults to 1e-6 for closed-form margins and 1e-3 for
+    SDP-backed ones.
     """
     if property_name not in DEFAULT_RANGES:
         raise ValueError(f"unknown property {property_name!r}")
@@ -171,8 +181,8 @@ def find_threshold(property_name: str,
     if not 0.0 <= lo < hi <= 1.0:
         raise ValueError(f"invalid range ({lo}, {hi})")
     tol = tolerance if tolerance is not None else default_tolerance(property_name)
-    if tol <= 0.0:
-        raise ValueError(f"tolerance must be positive, got {tol}")
+    if not 0.0 < tol < np.inf:
+        raise ValueError(f"tolerance must be positive and finite, got {tol}")
     margin = certifying_margin(property_name, solver_config)
 
     m_lo, m_hi = margin(lo), margin(hi)

@@ -17,6 +17,7 @@ from superact import (
 from superact.certify import (
     QUANTIFIER_MIN_EIGENVALUE,
     QUANTIFIER_NEGATIVITY,
+    SLE_SIGN_SLACK,
     NotXShapedError,
     _SLEObjective,
     exact_epr_settings,
@@ -33,6 +34,7 @@ from superact.certify import (
     w_witness_expectation,
     x_shape_view,
 )
+import superact.thresholds as thresholds
 from superact.distill import analytic_distilled_noisy_ghz, distill_cnot
 from superact.states import DegenerateProjectionError, StateValidationError
 from util import BAD_RAW_ARRAYS, random_density_matrix, random_unitary
@@ -367,3 +369,94 @@ def test_sle_value_matches_point_evaluation(quantifier):
         result = sle_quantify(m, quantifier=quantifier)
         at = sle_quantifier_at(m, None, result.theta, result.phi, quantifier)
         assert at == pytest.approx(result.value, abs=1e-12)
+
+
+def test_sle_rejects_grid_size_below_two():
+    for grid_size in (0, 1):
+        with pytest.raises(ValueError, match="grid_size must be at least 2"):
+            sle_quantify(noisy_ghz(0.5), grid_size=grid_size)
+
+
+def _sign_only_agrees(rho, pair, quantifier) -> bool:
+    """Compare a sign-only SLE search with the default one; True if it settled.
+
+    A settled result lies below -slack in the signed objective (the minimum
+    eigenvalue, or minus the negativity) and the default optimum is no
+    larger; any other result must be the default one, bit for bit.
+    """
+    full = sle_quantify(rho, pair, quantifier)
+    fast = sle_quantify(rho, pair, quantifier, sign_only=True)
+    flip = -1.0 if quantifier == QUANTIFIER_NEGATIVITY else 1.0
+    assert np.sign(fast.value) == np.sign(full.value)
+    if flip * fast.value < -SLE_SIGN_SLACK:
+        assert flip * full.value <= flip * fast.value + 1e-15
+        at = sle_quantifier_at(rho, pair, fast.theta, fast.phi, quantifier)
+        assert at == pytest.approx(fast.value, abs=1e-12)
+        assert fast.localized_state.normalized
+        return True
+    assert (fast.value, fast.theta, fast.phi) == (full.value, full.theta,
+                                                  full.phi)
+    assert np.array_equal(fast.localized_state.entries,
+                          full.localized_state.entries)
+    return False
+
+
+def test_sle_sign_only_agrees_with_default_search():
+    rng = np.random.default_rng(3)
+    randoms = [random_density_matrix(rng, 3) for _ in range(3)]
+    # Just past the weight 0.68608 where the min-eig optimum of pair (0, 1)
+    # crosses zero, the negative region is small enough to fall between the
+    # coarse grid points (at 0.687) or between all grid points (at 0.68609).
+    mixed = [t * randoms[1] + (1 - t) * np.eye(8) / 8 for t in (0.687, 0.68609)]
+    states = [
+        noise_model_state(0.45, 0.9084, 0.9210),
+        noise_model_state(0.8, 0.9, 0.9),
+        # PPT after every projection, optimum zero to rounding:
+        noisy_ghz(1 / 3),
+        noisy_ghz(0.3),
+        analytic_distilled_noisy_ghz((2 * np.sqrt(2) - 1) / 7),
+        noisy_w(0.6),
+        *randoms,
+        *mixed,
+    ]
+    settled = []
+    for rho in states:
+        for quantifier in (QUANTIFIER_NEGATIVITY, QUANTIFIER_MIN_EIGENVALUE):
+            for pair in ((0, 1), (0, 2), (1, 2)):
+                settled.append(_sign_only_agrees(rho, pair, quantifier))
+    assert any(settled) and not all(settled)
+
+
+def test_sle_sign_only_agrees_on_every_bisection_point(monkeypatch):
+    searched = []
+    search = thresholds.sle_quantify
+
+    def recording(rho, *args, **kwargs):
+        searched.append((rho, kwargs))
+        return search(rho, *args, **kwargs)
+
+    monkeypatch.setattr(thresholds, "sle_quantify", recording)
+    for name in (thresholds.PROPERTY_SLE, thresholds.PROPERTY_SLE_AFTER):
+        thresholds.find_threshold(name)
+    assert len(searched) == 39
+    settled = []
+    for rho, kwargs in searched:
+        assert kwargs == {"quantifier": QUANTIFIER_MIN_EIGENVALUE,
+                          "sign_only": True}
+        settled.append(_sign_only_agrees(rho, None, QUANTIFIER_MIN_EIGENVALUE))
+    assert any(settled) and not all(settled)
+
+
+def test_sle_sign_only_settles_on_the_coarse_grid(monkeypatch):
+    batches = []
+    values = _SLEObjective.values
+
+    def recording(self, thetas, phis):
+        batches.append(thetas.size)
+        return values(self, thetas, phis)
+
+    monkeypatch.setattr(_SLEObjective, "values", recording)
+    result = sle_quantify(noisy_ghz(0.6), quantifier=QUANTIFIER_MIN_EIGENVALUE,
+                          sign_only=True)
+    assert batches == [64]
+    assert result.value < -SLE_SIGN_SLACK

@@ -300,6 +300,15 @@ def test_sweep_all_thresholds_golden(capsys):
     ]
 
 
+@pytest.mark.parametrize("tolerance", ["nan", "inf"])
+def test_sweep_rejects_non_finite_tolerance(capsys, tolerance):
+    code, out, err = run_cli(["sweep", "--thresholds", "GME",
+                              "--tolerance", tolerance], capsys)
+    assert code == 1
+    assert out == ""
+    assert "tolerance must be positive and finite" in err
+
+
 def test_sweep_refuses_uncertified_sdp_bracket(capsys):
     code, out, err = run_cli(["sweep", "--thresholds", "W-GME-after-distill",
                               "--tolerance", "1e-6"], capsys)

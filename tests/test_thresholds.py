@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import superact.certify as certify
 import superact.thresholds as thresholds
 from superact import fidelity_with_pure, ghz3, noisy_ghz
 from superact.distill import distill_tripartite
@@ -87,6 +88,12 @@ def test_invalid_range_and_tolerance():
         find_threshold("unknown-property")
 
 
+def test_non_finite_tolerance_rejected():
+    for tolerance in (float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="positive and finite"):
+            find_threshold(PROPERTY_GME, (0.3, 0.6), tolerance=tolerance)
+
+
 def test_default_tolerances():
     assert default_tolerance(PROPERTY_GME) == 1e-6
     assert default_tolerance(PROPERTY_W_GME) == 1e-3
@@ -123,6 +130,28 @@ def test_sdp_bisection_uses_few_sign_only_iterations(monkeypatch):
     iterations = [r.iterations for _, r in solves]
     assert sum(iterations) <= 1200
     assert max(iterations) <= 150
+
+
+@pytest.mark.parametrize("name,max_calls,max_points", [
+    # Measured when these budgets were set: 1750 calls / 60340 points and
+    # 1408 / 55840; full searches at every point take 3482 / 85382 and
+    # 3272 / 81077.
+    (PROPERTY_SLE, 1800, 62000),
+    (PROPERTY_SLE_AFTER, 1450, 57500),
+])
+def test_sle_bisection_objective_budget(monkeypatch, name, max_calls,
+                                        max_points):
+    batches = []
+    values = certify._SLEObjective.values
+
+    def recording(self, thetas, phis):
+        batches.append(thetas.size)
+        return values(self, thetas, phis)
+
+    monkeypatch.setattr(certify._SLEObjective, "values", recording)
+    find_threshold(name)
+    assert len(batches) <= max_calls
+    assert sum(batches) <= max_points
 
 
 @pytest.mark.parametrize("name", [PROPERTY_W_GME, PROPERTY_W_GME_AFTER])
