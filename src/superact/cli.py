@@ -7,8 +7,7 @@ file ``{"n_qubits": k, "re": [[...]], "im": [[...]]}``.
 Every run validates its inputs before computing and writes its whole report
 atomically at the end, so no partial output file is ever left behind.  With
 identical configuration (including seeds) the output files are
-byte-identical.  ``SUPERACT_THREADS`` caps the worker count used by sweep
-fan-outs; results are collected in grid order regardless.
+byte-identical.
 """
 
 from __future__ import annotations
@@ -18,7 +17,6 @@ import json
 import os
 import sys
 import tempfile
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -58,25 +56,9 @@ class RunConfig:
             raise ValueError(f"unknown output format {self.fmt!r}")
         if self.grid is not None and self.grid[2] < 1:
             raise ValueError("grid count must be at least 1")
-        if self.tolerance is not None and self.tolerance <= 0:
-            raise ValueError("tolerances must be positive")
-
-
-def worker_count() -> int:
-    raw = os.environ.get("SUPERACT_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
-def _ordered_map(fn, items):
-    """Apply fn across items, optionally threaded, preserving order."""
-    workers = worker_count()
-    if workers == 1 or len(items) <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
+        if self.tolerance is not None and not 0 < self.tolerance < np.inf:
+            raise ValueError(
+                f"tolerance must be positive and finite, got {self.tolerance}")
 
 
 def parse_state_spec(spec: str) -> DensityMatrix:
@@ -155,6 +137,7 @@ def cmd_certify(config: RunConfig, full_certificates: bool = False) -> str:
     witness = ppt_mixer_witness(rho, solver)
     report["ppt_mixer"] = {
         "optimal_value": witness.optimal_value,
+        "lower_bound": witness.lower_bound,
         "certified_sign": witness.certified_sign,
         "converged": witness.converged,
         "iterations": witness.iterations,
@@ -215,10 +198,12 @@ def cmd_distill(config: RunConfig, protocol: str, localize_spec: str | None,
         }
     if recertify:
         witness = ppt_mixer_witness(outcome.state)
+        try:
+            concurrence = cert.gme_concurrence_x(outcome.state)
+        except cert.NotXShapedError:
+            concurrence = None
         report["recertify"] = {
-            "gme_concurrence": cert.gme_concurrence_x(outcome.state)
-            if cert.x_shape_view(outcome.state).max_off_pattern_magnitude <= 1e-8
-            else None,
+            "gme_concurrence": concurrence,
             "ppt_mixer_value": witness.optimal_value,
             "ppt_mixer_sign": witness.certified_sign,
         }
@@ -229,25 +214,13 @@ def _parse_grid(spec: str) -> tuple[float, float, int]:
     parts = spec.split(":")
     if len(parts) != 3:
         raise ValueError(f"grid spec {spec!r} is not START:STOP:COUNT")
-    start, stop, count = float(parts[0]), float(parts[1]), int(parts[2])
-    if count < 1:
-        raise ValueError("grid count must be at least 1")
-    return start, stop, count
-
-
-def _grid_values(grid: tuple[float, float, int]) -> np.ndarray:
-    start, stop, count = grid
-    if count == 1:
-        return np.array([start])
-    return np.linspace(start, stop, count)
+    return float(parts[0]), float(parts[1]), int(parts[2])
 
 
 def cmd_sweep(config: RunConfig, mode: str, names: list[str] | None) -> str:
     if mode == "curves":
-        return thr.fidelity_curves_csv(_grid_values(config.grid))
+        return thr.fidelity_curves_csv(np.linspace(*config.grid))
     if mode == "certify":
-        values = _grid_values(config.grid)
-
         def one(p: float) -> str:
             rho = noisy_ghz(p)
             row = (p,
@@ -256,7 +229,7 @@ def cmd_sweep(config: RunConfig, mode: str, names: list[str] | None) -> str:
                    cert.sle_quantify(rho).value)
             return ",".join(format(v, ".17g") for v in row)
 
-        rows = _ordered_map(one, list(values))
+        rows = [one(p) for p in np.linspace(*config.grid)]
         return ("p,gme_concurrence,ghz_witness_expectation,sle_negativity\n"
                 + "\n".join(rows) + "\n")
     if mode == "thresholds":
@@ -267,10 +240,8 @@ def cmd_sweep(config: RunConfig, mode: str, names: list[str] | None) -> str:
         if unknown:
             raise ValueError(f"unknown threshold properties: {unknown}")
 
-        def one(name: str) -> thr.ThresholdReport:
-            return thr.find_threshold(name, tolerance=config.tolerance)
-
-        reports = _ordered_map(one, wanted)
+        reports = [thr.find_threshold(name, tolerance=config.tolerance)
+                   for name in wanted]
         return thr.threshold_reports_csv(reports)
     raise ValueError(f"unknown sweep mode {mode!r}")
 

@@ -15,11 +15,10 @@ The solver is Douglas-Rachford splitting over the 7-tuple
 onto the affine constraint set after a gradient step on the linear
 objective (the projection has a small closed form, derived below), the
 other projects onto the product of PSD cones, and the reflection update is
-over-relaxed.  Certificates are extracted so that they can be re-verified
-without trusting the solver: the returned witness has unit trace and the
-returned cone factors are exactly PSD, with the remaining constraint
-violation reported per bipartition as a residual norm.  A second
-certificate, a PPT mixture, bounds the optimum from below.
+over-relaxed.  Every solve returns two certificates built from its final
+iterate, so that they can be re-verified without trusting the solver: an
+exactly feasible witness, whose value bounds the optimum from above, and a
+PPT mixture, which bounds it from below.
 
 Certified bounds
 ----------------
@@ -47,10 +46,12 @@ xg its cone projection:
   add R - t I to Y_1.  Then rho - t I = sum_i Y_i exactly and t is the
   lower bound.
 
-Both bounds cost four small batched LAPACK calls.  A solve asked only for
-the sign (``sign_only=True``) computes them every 10 iterations and stops
-as soon as the upper bound lies below minus the certification margin or
-the lower bound above it; a default solve computes them once, at its stop.
+Both bounds cost four small batched LAPACK calls.  Every result is built
+from the bounds at the final iterate, and its sign is read from them.  A
+solve asked only for the sign (``sign_only=True``) computes them every 10
+iterations and stops as soon as the upper bound lies below minus the
+certification margin or the lower bound above it; a default solve computes
+them once, at its stop.
 
 Affine projection
 -----------------
@@ -139,22 +140,20 @@ class SolverConfig:
 
 @dataclass(frozen=True)
 class WitnessResult:
-    """Solution and self-verifiable certificate of the witness program.
+    """Solution and self-verifiable certificates of the witness program.
 
-    ``witness`` has unit trace; every (P, Q) pair in ``decompositions`` is
-    exactly positive semidefinite; ``residuals`` holds the Frobenius norms
-    ||W - P_i - Q_i^{T_i}|| that remain.  ``mixture`` holds (Y_1, Y_2, Y_3)
-    with rho - ``lower_bound`` I = Y_1 + Y_2 + Y_3 and every Y_i and
-    Y_i^{T_i} positive semidefinite, so the optimum is at least
-    ``lower_bound`` (see "Certified bounds" in the module docstring).
+    The optimum lies in [``lower_bound``, ``optimal_value``] (see "Certified
+    bounds" in the module docstring).  ``witness`` is the repaired, exactly
+    feasible witness: it has unit trace, every (P, Q) pair in
+    ``decompositions`` is positive semidefinite, ``residuals`` holds the
+    Frobenius norms ||W - P_i - Q_i^{T_i}|| (rounding only), and
+    ``optimal_value`` is its value tr(W rho).  ``mixture`` holds
+    (Y_1, Y_2, Y_3) with rho - ``lower_bound`` I = Y_1 + Y_2 + Y_3 and every
+    Y_i and Y_i^{T_i} positive semidefinite.
 
-    In a default solve, ``certified_sign`` reports the sign of
-    ``optimal_value`` only when it clears the configured margin and the
-    iteration converged.  In a sign-only solve the witness is the repaired,
-    exactly feasible one, so ``optimal_value`` is an upper bound; the sign
-    is ``negative`` when that bound lies below minus the margin,
-    ``nonnegative`` when ``lower_bound`` lies above the margin, and
-    ``indeterminate`` otherwise.
+    ``certified_sign`` is ``negative`` when ``optimal_value`` lies below
+    minus the configured margin, ``nonnegative`` when ``lower_bound`` lies
+    above the margin, and ``indeterminate`` otherwise.
     """
 
     optimal_value: float
@@ -281,20 +280,16 @@ def ppt_mixer_witness(rho, config: SolverConfig | None = None, *,
                       sign_only: bool = False) -> WitnessResult:
     """Solve the PPT-mixer program for a three-qubit state.
 
-    By default the iteration runs until its stopping rule (see
-    ``SolverConfig``) and reports the witness at the last iterate.  With
-    ``sign_only=True`` it also builds the certified bounds every 10
-    iterations and stops as soon as they fix the sign against
-    ``certification_margin``; the result then carries the repaired, exactly
-    feasible witness, whose value is an upper bound on the optimum, and
-    ``converged`` is True when either the bounds or the stopping rule ended
-    the solve.  Both modes report the lower bound and its PPT mixture at the
-    final iterate.
+    Whatever the mode, the result holds the certified bounds of the final
+    iterate and the sign they fix (see ``WitnessResult``).  ``sign_only``
+    chooses only when to stop: by default the iteration runs until its
+    stopping rule (see ``SolverConfig``); with ``sign_only=True`` it also
+    builds the bounds every 10 iterations and stops as soon as they fix the
+    sign against ``certification_margin``.  ``converged`` is True when the
+    stopping rule, or in a sign-only solve the bounds, ended the solve.
 
-    Non-convergence within the iteration budget is not an exception: the
-    result is returned with ``converged=False``, its residuals, and an
-    ``indeterminate`` sign (in a sign-only solve, unless the bounds at the
-    final iterate fix the sign).
+    Reaching the iteration budget is not an exception: the result is
+    returned with ``converged=False`` and the bounds of the last iterate.
     """
     cfg = config or SolverConfig()
     m, n_qubits = _entries(rho)
@@ -344,35 +339,18 @@ def ppt_mixer_witness(rho, config: SolverConfig | None = None, *,
                     break
     if bounds_at != iterations:
         bounds = bounds_now()
-    mixture = tuple(bounds.mixture.astype(np.complex128))
 
-    if sign_only:
-        witness = bounds.witness.astype(np.complex128)
-        p_blocks = bounds.p_blocks.astype(np.complex128)
-        q_blocks = bounds.q_blocks.astype(np.complex128)
-        optimal_value = bounds.upper
-        if optimal_value < -margin:
-            sign = SIGN_NEGATIVE
-        elif bounds.lower > margin:
-            sign = SIGN_NONNEGATIVE
-        else:
-            sign = SIGN_INDETERMINATE
+    witness = bounds.witness.astype(np.complex128)
+    p_blocks = bounds.p_blocks.astype(np.complex128)
+    q_blocks = bounds.q_blocks.astype(np.complex128)
+    if bounds.upper < -margin:
+        sign = SIGN_NEGATIVE
+    elif bounds.lower > margin:
+        sign = SIGN_NONNEGATIVE
     else:
-        xf = xf.astype(np.complex128)
-        witness = 0.5 * (xf[0] + xf[0].conj().T)
-        cone = _project_cone(xf)
-        p_blocks, q_blocks = cone[1::2], cone[2::2]
-        optimal_value = float(np.real(np.vdot(m, witness)))
-        if not converged:
-            sign = SIGN_INDETERMINATE
-        elif optimal_value < -margin:
-            sign = SIGN_NEGATIVE
-        elif optimal_value > margin:
-            sign = SIGN_NONNEGATIVE
-        else:
-            sign = SIGN_INDETERMINATE
+        sign = SIGN_INDETERMINATE
     return WitnessResult(
-        optimal_value=optimal_value,
+        optimal_value=bounds.upper,
         witness=witness,
         decompositions=tuple(zip(p_blocks, q_blocks)),
         residuals=_residuals(witness, p_blocks, q_blocks, pt_index),
@@ -380,7 +358,7 @@ def ppt_mixer_witness(rho, config: SolverConfig | None = None, *,
         converged=converged,
         certified_sign=sign,
         lower_bound=bounds.lower,
-        mixture=mixture,
+        mixture=tuple(bounds.mixture.astype(np.complex128)),
     )
 
 
@@ -401,6 +379,8 @@ def witness_result_to_json_dict(result: WitnessResult) -> dict:
         "iterations": result.iterations,
         "converged": result.converged,
         "certified_sign": result.certified_sign,
+        "lower_bound": result.lower_bound,
+        "mixture": [_matrix_to_dict(y) for y in result.mixture],
     }
 
 

@@ -1,9 +1,11 @@
 import json
 
+import numpy as np
 import pytest
 
-from superact import noisy_ghz, save_density_matrix
-from superact.cli import RunConfig, main, parse_state_spec, worker_count
+from superact import noisy_ghz, noisy_w, save_density_matrix
+from superact.cli import RunConfig, main, parse_state_spec
+from superact.sdp import WitnessResult, verify_witness_certificate
 from superact.states import density_matrix_to_dict
 
 
@@ -19,8 +21,9 @@ def run_cli(args, capsys):
 def test_run_config_validation():
     with pytest.raises(ValueError):
         RunConfig("sweep", (), (0, 1, 0), None, 0, None, "csv")
-    with pytest.raises(ValueError):
-        RunConfig("sweep", (), None, -1.0, 0, None, "csv")
+    for tolerance in (-1.0, 0.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="positive and finite"):
+            RunConfig("sweep", (), None, tolerance, 0, None, "csv")
     with pytest.raises(ValueError):
         RunConfig("sweep", (), None, None, 0, None, "yaml")
 
@@ -34,15 +37,6 @@ def test_parse_state_spec_builtins():
         parse_state_spec("noisy-ghz:0.5,0.6")
     with pytest.raises(ValueError):
         parse_state_spec("squeezed:1.0")
-
-
-def test_worker_count_env(monkeypatch):
-    monkeypatch.delenv("SUPERACT_THREADS", raising=False)
-    assert worker_count() == 1
-    monkeypatch.setenv("SUPERACT_THREADS", "4")
-    assert worker_count() == 4
-    monkeypatch.setenv("SUPERACT_THREADS", "bogus")
-    assert worker_count() == 1
 
 
 # ---------------------------------------------------------------------------
@@ -95,6 +89,46 @@ def test_certify_rejects_non_finite_file(tmp_path, capsys):
     assert code == 1
     assert "non-finite" in err
     assert out == ""
+
+
+def test_certify_rejects_non_finite_config_tolerance(tmp_path, capsys):
+    cfg = tmp_path / "run.json"
+    cfg.write_text('{"input": "noisy-w:0.6", "tolerance": NaN}')
+    code, out, err = run_cli(["--config", str(cfg), "certify"], capsys)
+    assert code == 1
+    assert out == ""
+    assert "tolerance must be positive and finite" in err
+
+
+def _matrix(doc):
+    return np.asarray(doc["re"]) + 1j * np.asarray(doc["im"])
+
+
+@pytest.mark.parametrize("p, sign", [(0.3, "nonnegative"), (0.6, "negative")])
+def test_full_certificates_verify_from_the_report(capsys, p, sign):
+    # The report alone must carry both certificates of the printed verdict.
+    code, out, _ = run_cli(["certify", "--input", f"noisy-w:{p}",
+                            "--full-certificates"], capsys)
+    assert code == 0
+    doc = json.loads(out)["ppt_mixer"]
+    assert doc["certified_sign"] == sign
+    result = WitnessResult(
+        optimal_value=doc["optimal_value"],
+        witness=_matrix(doc["witness"]),
+        decompositions=tuple((_matrix(d["P"]), _matrix(d["Q"]))
+                             for d in doc["decompositions"]),
+        residuals=tuple(doc["residuals"]),
+        iterations=doc["iterations"],
+        converged=doc["converged"],
+        certified_sign=doc["certified_sign"],
+        lower_bound=doc["lower_bound"],
+        mixture=tuple(_matrix(y) for y in doc["mixture"]),
+    )
+    assert verify_witness_certificate(result, noisy_w(p))
+    if sign == "negative":
+        assert result.optimal_value < -1e-5
+    else:
+        assert result.lower_bound > 1e-5
 
 
 def test_certify_never_leaves_partial_output(tmp_path, capsys):
@@ -188,13 +222,12 @@ def test_sweep_thresholds_unknown_name(capsys):
     assert "bogus" in err
 
 
-def test_sweep_certify_deterministic_and_thread_safe(capsys, monkeypatch):
+def test_sweep_certify_deterministic_and_thread_safe(capsys):
     code, ref, _ = run_cli(["sweep", "--certify", "0:0.9:4"], capsys)
     assert code == 0
-    monkeypatch.setenv("SUPERACT_THREADS", "4")
-    code, threaded, _ = run_cli(["sweep", "--certify", "0:0.9:4"], capsys)
+    code, again, _ = run_cli(["sweep", "--certify", "0:0.9:4"], capsys)
     assert code == 0
-    assert threaded == ref
+    assert again == ref
 
 
 def test_sweep_invalid_grid(capsys):

@@ -191,12 +191,19 @@ def test_runtime_budget_per_instance():
 
 
 def test_non_convergence_reports_indeterminate():
-    result = ppt_mixer_witness(noisy_ghz(0.7),
-                               SolverConfig(max_iterations=10))
+    # The sign comes from the bounds, not from the stop: after 10 iterations
+    # they still straddle zero, after 20 the upper bound clears the margin.
+    rho = noisy_ghz(0.7)
+    result = ppt_mixer_witness(rho, SolverConfig(max_iterations=10))
     assert not result.converged
+    assert result.lower_bound < 0.0 < result.optimal_value
     assert result.certified_sign == SIGN_INDETERMINATE
     assert len(result.residuals) == 3
     assert result.iterations == 10
+    later = ppt_mixer_witness(rho, SolverConfig(max_iterations=20))
+    assert not later.converged
+    assert later.certified_sign == SIGN_NEGATIVE
+    assert verify_witness_certificate(later, rho)
 
 
 # ---------------------------------------------------------------------------
@@ -239,9 +246,19 @@ def test_bounds_sandwich_the_optimum_and_certify_the_sign(name):
     assert fast.iterations <= default.iterations
     if default.certified_sign != SIGN_INDETERMINATE:
         assert fast.certified_sign == default.certified_sign
-    # The sign-only witness is the repaired, exactly feasible one.
-    assert max(fast.residuals) < 1e-12
+    margin = SolverConfig().certification_margin
     for result in (default, fast):
+        # Both modes return the repaired, exactly feasible witness, whose
+        # value is the upper bound, and read the sign from the two bounds.
+        assert max(result.residuals) < 1e-12
+        assert result.lower_bound <= result.optimal_value
+        if result.optimal_value < -margin:
+            expected = SIGN_NEGATIVE
+        elif result.lower_bound > margin:
+            expected = SIGN_NONNEGATIVE
+        else:
+            expected = SIGN_INDETERMINATE
+        assert result.certified_sign == expected
         _certificate_invariants(result, rho)
         assert verify_witness_certificate(result, rho)
 
@@ -294,24 +311,36 @@ def test_verifier_rejects_non_ppt_mixture_blocks():
         dataclasses.replace(result, mixture=result.mixture[:2]), rho)
 
 
+def test_early_stop_still_yields_a_verifiable_certificate():
+    # Three iterations are far from the optimum, but the result is built
+    # from the repaired bounds, so its certificates still verify.
+    rho = noisy_w(0.6)
+    early = ppt_mixer_witness(rho, SolverConfig(max_iterations=3))
+    assert not early.converged
+    assert max(early.residuals) < 1e-12
+    assert early.lower_bound <= early.optimal_value
+    assert verify_witness_certificate(early, rho)
+
+
 def test_verifier_does_not_trust_reported_residuals():
     rho = noisy_w(0.6)
-    # Three iterations leave residuals near 0.8, which the result reports
-    # honestly; the certificate must still fail at the 1e-6 tolerance.
-    early = ppt_mixer_witness(rho, SolverConfig(max_iterations=3))
-    assert max(early.residuals) > 0.1
-    assert not verify_witness_certificate(early, rho)
-    # A unit-trace witness I/8 paired with another witness's factors.
     solved = ppt_mixer_witness(rho)
-    witness = np.eye(8, dtype=complex) / 8.0
-    residuals = tuple(
-        float(np.linalg.norm(witness - p - _partial_transpose_array(q, 3, party)))
-        for (p, q), party in zip(solved.decompositions, BIPARTITIONS))
-    assert min(residuals) > 0.1
-    forged = dataclasses.replace(solved, witness=witness, optimal_value=0.125,
-                                 residuals=residuals)
-    assert not verify_witness_certificate(forged, rho)
     assert verify_witness_certificate(solved, rho)
+    # Infeasible unit-trace witnesses paired with the solved factors: I/8
+    # reporting its true residuals, and the GHZ projector claiming zero.
+    ghz = np.asarray(ghz3().projector().entries, dtype=complex)
+    for witness, honest in ((np.eye(8, dtype=complex) / 8.0, True),
+                            (ghz, False)):
+        residuals = tuple(
+            float(np.linalg.norm(
+                witness - p - _partial_transpose_array(q, 3, party)))
+            for (p, q), party in zip(solved.decompositions, BIPARTITIONS))
+        assert min(residuals) > 0.1
+        forged = dataclasses.replace(
+            solved, witness=witness,
+            optimal_value=float(np.vdot(np.asarray(rho.entries), witness).real),
+            residuals=residuals if honest else (0.0, 0.0, 0.0))
+        assert not verify_witness_certificate(forged, rho)
 
 
 def test_verifier_rejects_nan_certificates():
