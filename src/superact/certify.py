@@ -2,40 +2,29 @@
 
 The stochastic-localizable-entanglement (SLE) search projects the third
 qubit of a tripartite state onto cos(theta)|0> + sin(theta) e^{i phi}|1>
-and extremizes a bipartite quantifier of the normalized remainder:
-
-- ``negativity`` is maximized; a positive optimum certifies that some
-  projection leaves the pair entangled (for two qubits the PPT criterion is
-  necessary and sufficient, so this is an if-and-only-if certificate);
-- ``min-eigenvalue-after-pt`` is minimized; a positive minimum certifies
-  that every projection leaves the pair separable, i.e. the absence of SLE.
+and minimizes the lowest eigenvalue lambda_min after partial transposition
+of the normalized remainder pair.  A negative minimum certifies that some
+projection leaves the pair entangled, a nonnegative one that none does (for
+two qubits the PPT criterion is necessary and sufficient).  The same search
+gives the maximal negativity: the partial transpose of a unit-trace
+two-qubit state has at most one negative eigenvalue (Sanpera, Tarrach &
+Vidal, "Quantum separability, time reversal and canonical decompositions",
+PRA 58, 826 (1998)), so the negativity is log2(1 - 2 min(0, lambda_min)),
+largest where lambda_min is smallest.
 
 The optimizer is deterministic: a 64x64 (theta, phi) grid with a
 lowest-theta-then-lowest-phi tie-break, followed by a Nelder-Mead simplex
-refinement seeded from the best three grid points.
-
-A sign-only search (``sle_quantify(..., sign_only=True)``) answers only
-whether the optimum certifies the property, and stops at the first point
-that settles it: a signed objective (the minimum eigenvalue, or minus the
-negativity) below -``SLE_SIGN_SLACK``.  It tries the 8x8 stride-8 subgrid,
-then the full grid, then the same Nelder-Mead run, which it leaves at the
-first such point.  The full search's optimum is no larger than any value it
-evaluates, and it evaluates every point the sign-only search does, so the
-two signs agree; a search that finds no such point returns exactly the
-full search's result.
-
-The objective is set up once per search.  The projected pair state is a
-combination of four 4x4 blocks of rho with coefficients in (theta, phi),
-``c^2 T00 + c s (e^{i phi} T01 + e^{-i phi} T10) + s^2 T11``, so the blocks
-are partially transposed and traced once and each evaluation, of the whole
-grid or of one Nelder-Mead point, is a single ``(n, 4) @ (4, 16)`` product
-followed by a batched 4x4 eigensolve.  ``sle_quantifier_at`` evaluates the
-same objective at one point.
+refinement seeded from the best three grid points.  A sign-only search
+stops at the first point that certifies a negative minimum (see
+``sle_quantify``).  The objective, ``_SLEObjective``, is set up once per
+search, so each evaluation, of the whole grid or of one Nelder-Mead point,
+is one small matrix product and a batched 4x4 eigensolve;
+``sle_quantifier_at`` evaluates it at one point.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Mapping
 
 import numpy as np
@@ -326,7 +315,7 @@ def _resolve_pair(rho, pair) -> tuple[tuple[int, int], int]:
 
 
 class _SLEObjective:
-    """The SLE objective of one state, kept pair and quantifier.
+    """The SLE objective of one state and kept pair.
 
     With ``T_ab = <a| rho |b>`` over the measured qubit, the projected
     (unnormalized) pair state is
@@ -339,18 +328,17 @@ class _SLEObjective:
     real arithmetic on the blocks' real view.
     """
 
-    def __init__(self, rho, pair, quantifier: str):
-        if quantifier not in (QUANTIFIER_NEGATIVITY, QUANTIFIER_MIN_EIGENVALUE):
-            raise ValueError(f"unknown quantifier {quantifier!r}")
+    def __init__(self, rho, pair):
         m, _ = _entries(rho)
         kept, measured = _resolve_pair(rho, pair)
+        if not isinstance(rho, DensityMatrix):  # _report needs rho >= 0
+            DensityMatrix(3, m, normalized=False)
         # Axes of the reshaped rho: qubit rows 0..2, then qubit columns 3..5.
         t00, t01, t10, t11 = m.reshape((2,) * 6).transpose(
             measured, 3 + measured, kept[0], kept[1], 3 + kept[0], 3 + kept[1]
         ).reshape(4, 4, 4)
         blocks = np.stack([t00, t01 + t10, 1j * (t01 - t10), t11])
         blocks_pt = blocks.reshape(4, 2, 2, 2, 2).transpose(0, 1, 4, 3, 2)
-        self.quantifier = quantifier
         self.blocks = blocks.reshape(4, 16).view(np.float64)
         self.blocks_pt = blocks_pt.reshape(4, 16).view(np.float64)
         self.traces = np.einsum("kii->k", blocks).real
@@ -365,24 +353,18 @@ class _SLEObjective:
     def _combine(self, coeffs: np.ndarray, blocks: np.ndarray) -> np.ndarray:
         return (coeffs @ blocks).view(np.complex128).reshape(-1, 4, 4)
 
-    def values(self, thetas: np.ndarray,
-               phis: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Quantifier values for a batch of (theta, phi) projection directions.
+    def values(self, thetas: np.ndarray, phis: np.ndarray) -> np.ndarray:
+        """Minimum eigenvalues after partial transposition of the normalized
+        pair states for a batch of (theta, phi) projection directions.
 
-        Invalid (near-zero-weight) projections are returned as the worst
-        possible value for the search direction, plus a validity mask.
+        Invalid (near-zero-weight) projections score ``inf``.
         """
         coeffs = self._coefficients(thetas, phis)
         weights = coeffs @ self.traces
         valid = weights > DEGENERATE_WEIGHT
         safe = np.where(valid, weights, 1.0)
         pt = self._combine(coeffs, self.blocks_pt) / safe[:, None, None]
-        eigs = np.linalg.eigvalsh(pt)
-        if self.quantifier == QUANTIFIER_NEGATIVITY:
-            with np.errstate(divide="ignore"):
-                values = np.log2(np.abs(eigs).sum(axis=1))
-            return np.where(valid, values, -np.inf), valid
-        return np.where(valid, eigs[:, 0], np.inf), valid
+        return np.where(valid, np.linalg.eigvalsh(pt)[:, 0], np.inf)
 
     def projected(self, theta: float, phi: float) -> np.ndarray:
         """The unnormalized pair state left by the projection at one point."""
@@ -390,14 +372,31 @@ class _SLEObjective:
         return self._combine(coeffs, self.blocks)[0]
 
 
+def _report(min_eigenvalue: float, quantifier: str) -> float:
+    """``quantifier`` of a pair state whose partial transpose has lowest
+    eigenvalue ``min_eigenvalue`` (see the module docstring)."""
+    if quantifier == QUANTIFIER_NEGATIVITY:
+        return float(np.log2(1.0 - 2.0 * min(0.0, min_eigenvalue)))
+    if quantifier == QUANTIFIER_MIN_EIGENVALUE:
+        return float(min_eigenvalue)
+    raise ValueError(f"unknown quantifier {quantifier!r}")
+
+
+def sle_reported_as(result: SLEResult, quantifier: str) -> SLEResult:
+    """A min-eigenvalue SLE result reported as ``quantifier``, same optimizer."""
+    if result.quantifier != QUANTIFIER_MIN_EIGENVALUE:
+        raise ValueError(f"cannot re-report a {result.quantifier!r} result")
+    return replace(result, value=_report(result.value, quantifier),
+                   quantifier=quantifier)
+
+
 def sle_quantifier_at(rho, pair, theta: float, phi: float, quantifier: str) -> float:
     """Evaluate the chosen quantifier at one projection direction."""
-    values, valid = _SLEObjective(rho, pair, quantifier).values(
-        np.array([theta]), np.array([phi]))
-    if not valid[0]:
+    value = _SLEObjective(rho, pair).values(np.array([theta]), np.array([phi]))[0]
+    if value == np.inf:
         raise DegenerateProjectionError(
             f"projection at theta={theta}, phi={phi} has vanishing weight")
-    return float(values[0])
+    return _report(value, quantifier)
 
 
 def _nelder_mead(objective: Callable[[np.ndarray], float],
@@ -441,25 +440,24 @@ def _nelder_mead(objective: Callable[[np.ndarray], float],
 class _SignSettled(Exception):
     """A sign-only refinement reached a point that certifies the sign."""
 
-    def __init__(self, point: np.ndarray, signed: float):
+    def __init__(self, point: np.ndarray, value: float):
         super().__init__()
         self.point = point
-        self.signed = signed
+        self.value = value
 
 
-def _grid_values(objective: _SLEObjective, maximize: bool,
-                 theta_axis: np.ndarray, phi_axis: np.ndarray):
-    """The minimized (signed) objective on the grid ``theta_axis x phi_axis``.
+def _grid_values(objective: _SLEObjective, theta_axis: np.ndarray,
+                 phi_axis: np.ndarray):
+    """The objective on the grid ``theta_axis x phi_axis``.
 
-    Returns the grid points, their signed values and validity, and the
-    stable ascending order of the values; the points are theta-major, so
-    the order breaks ties toward the lowest theta, then the lowest phi.
+    Returns the grid points, their values and the stable ascending order of
+    the values; the points are theta-major, so the order breaks ties toward
+    the lowest theta, then the lowest phi.
     """
     tg, pg = np.meshgrid(theta_axis, phi_axis, indexing="ij")
     thetas, phis = tg.ravel(), pg.ravel()
-    values, valid = objective.values(thetas, phis)
-    signed = -values if maximize else values
-    return thetas, phis, signed, valid, np.argsort(signed, kind="stable")
+    values = objective.values(thetas, phis)
+    return thetas, phis, values, np.argsort(values, kind="stable")
 
 
 def sle_quantify(rho, pair=None, quantifier: str = QUANTIFIER_NEGATIVITY,
@@ -469,38 +467,41 @@ def sle_quantify(rho, pair=None, quantifier: str = QUANTIFIER_NEGATIVITY,
                  sign_only: bool = False) -> SLEResult:
     """Extremize a bipartite quantifier over single-qubit projections.
 
-    Negativity is maximized (positive optimum certifies SLE); the minimum
-    eigenvalue after partial transposition is minimized (positive minimum
-    certifies the absence of SLE).
+    One search serves both quantifiers (see the module docstring): it
+    minimizes the minimum eigenvalue after partial transposition, and the
+    maximal negativity is log2(1 - 2 min(0, minimum)) at the same optimizer
+    (Sanpera, Tarrach & Vidal, PRA 58, 826 (1998)).
 
-    The search minimizes a signed objective s, the minimum eigenvalue or
-    minus the negativity, over a ``grid_size`` x ``grid_size`` grid and then
-    by Nelder-Mead from the best three grid points, and reports the better
-    of the grid and refined optima.
+    The search runs over a ``grid_size`` x ``grid_size`` grid and then
+    Nelder-Mead from the best three grid points, and reports the better of
+    the grid and refined optima.
 
-    With ``sign_only=True`` the search settles for the first point with
-    s < -``SLE_SIGN_SLACK``, trying in turn the stride-8 subgrid of the same
-    grid (its best point), the full grid (its best point, without
-    refinement) and the same Nelder-Mead run, which stops at the first such
-    point it evaluates.  It returns that point's value, (theta, phi) and
-    localized state, which certify the sign but need not be the optimum.
-    The sign always equals the default search's: the default result is no
-    larger than any value that search evaluates, and it evaluates every
-    point the sign-only search does, so it lies below zero too.  The slack
-    (1e-12) leaves optima within rounding of zero, whose sign is rounding
-    noise, to the full search, and dwarfs the last-bit change a point's
-    value can take when it is evaluated in a different batch.  When no
-    point qualifies, the result is exactly the default search's.
+    With ``sign_only=True`` the search settles for the first point whose
+    minimum eigenvalue lies below -``SLE_SIGN_SLACK``, trying in turn the
+    stride-8 subgrid of the same grid (its best point), the full grid (its
+    best point, without refinement) and the same Nelder-Mead run, which
+    stops at the first such point it evaluates.  It returns that point's
+    value, (theta, phi) and localized state, which certify the sign but
+    need not be the optimum.  The sign always equals the default search's:
+    the default result is no larger than any value that search evaluates,
+    and it evaluates every point the sign-only search does, so it lies
+    below zero too.  The slack (1e-12) leaves optima within rounding of
+    zero, whose sign is rounding noise, to the full search, and dwarfs the
+    last-bit change a point's value can take when it is evaluated in a
+    different batch.  When no point qualifies, the result is exactly the
+    default search's.
 
     Parameters
     ----------
     rho : DensityMatrix or array
-        Three-qubit state.
+        Three-qubit state; an array must be Hermitian and positive
+        semidefinite, with any trace.
     pair : optional
         The two kept qubits, as indices or a partition; the remaining qubit
         is projected.  Defaults to qubits (0, 1).
     quantifier : str
-        ``"negativity"`` or ``"min-eigenvalue-after-pt"``.
+        ``"negativity"`` or ``"min-eigenvalue-after-pt"``, the quantifier
+        reported.
     grid_size : int
         Grid points per axis, at least 2.
     sign_only : bool
@@ -508,43 +509,38 @@ def sle_quantify(rho, pair=None, quantifier: str = QUANTIFIER_NEGATIVITY,
     """
     if grid_size < 2:
         raise ValueError(f"grid_size must be at least 2, got {grid_size}")
-    objective = _SLEObjective(rho, pair, quantifier)
-    maximize = quantifier == QUANTIFIER_NEGATIVITY
+    _report(0.0, quantifier)  # reject an unknown quantifier before searching
+    objective = _SLEObjective(rho, pair)
 
-    def result(theta: float, phi: float, signed: float) -> SLEResult:
-        value = -signed if maximize else signed
+    def result(theta: float, phi: float, value: float) -> SLEResult:
         projected = objective.projected(theta, phi)
         weight = float(np.trace(projected).real)
         localized = DensityMatrix(2, projected / weight)
-        return SLEResult(value=float(value), theta=float(theta),
+        return SLEResult(value=_report(value, quantifier), theta=float(theta),
                          phi=float(phi), quantifier=quantifier,
                          localized_state=localized)
 
     theta_axis = np.linspace(0.0, np.pi / 2.0, grid_size)
     phi_axis = np.linspace(0.0, 2.0 * np.pi, grid_size, endpoint=False)
     if sign_only:
-        thetas, phis, signed, _, order = _grid_values(
-            objective, maximize, theta_axis[::SLE_COARSE_STRIDE],
+        thetas, phis, values, order = _grid_values(
+            objective, theta_axis[::SLE_COARSE_STRIDE],
             phi_axis[::SLE_COARSE_STRIDE])
         best = order[0]
-        if signed[best] < -SLE_SIGN_SLACK:
-            return result(thetas[best], phis[best], signed[best])
+        if values[best] < -SLE_SIGN_SLACK:
+            return result(thetas[best], phis[best], values[best])
 
-    thetas, phis, signed, valid, order = _grid_values(
-        objective, maximize, theta_axis, phi_axis)
-    if not valid.any():
+    thetas, phis, values, order = _grid_values(objective, theta_axis, phi_axis)
+    grid_best = int(order[0])
+    grid_value = values[grid_best]
+    if grid_value == np.inf:
         raise DegenerateProjectionError(
             "every projection direction on the grid has vanishing weight")
-    grid_best = int(order[0])
-    grid_signed = signed[grid_best]
-    if sign_only and grid_signed < -SLE_SIGN_SLACK:
-        return result(thetas[grid_best], phis[grid_best], grid_signed)
+    if sign_only and grid_value < -SLE_SIGN_SLACK:
+        return result(thetas[grid_best], phis[grid_best], grid_value)
 
-    def signed_objective(point: np.ndarray) -> float:
-        values, valid = objective.values(point[:1], point[1:])
-        if not valid[0]:
-            return np.inf
-        value = -values[0] if maximize else values[0]
+    def point_value(point: np.ndarray) -> float:
+        value = objective.values(point[:1], point[1:])[0]
         if sign_only and value < -SLE_SIGN_SLACK:
             raise _SignSettled(point, value)
         return value
@@ -561,13 +557,13 @@ def sle_quantify(rho, pair=None, quantifier: str = QUANTIFIER_NEGATIVITY,
             simplex[0] + np.array([0.0, 0.5 * h_phi]),
         ])
     try:
-        best_point, best_signed = _nelder_mead(signed_objective, simplex,
-                                               refine_steps, param_tol)
+        best_point, best_value = _nelder_mead(point_value, simplex,
+                                              refine_steps, param_tol)
     except _SignSettled as settled:
-        return result(settled.point[0], settled.point[1], settled.signed)
+        return result(settled.point[0], settled.point[1], settled.value)
 
-    if grid_signed <= best_signed:
+    if grid_value <= best_value:
         # Refinement never found a strictly better point; keep the grid one
         # for a deterministic, reproducible optimizer location.
-        return result(thetas[grid_best], phis[grid_best], grid_signed)
-    return result(best_point[0], best_point[1], best_signed)
+        return result(thetas[grid_best], phis[grid_best], grid_value)
+    return result(best_point[0], best_point[1], best_value)

@@ -144,10 +144,11 @@ def cmd_certify(config: RunConfig, full_certificates: bool = False) -> str:
         "max_residual": max(witness.residuals),
     }
 
+    found = cert.sle_quantify(rho, quantifier=cert.QUANTIFIER_MIN_EIGENVALUE)
     sle = {}
     for label, quantifier in (("negativity", cert.QUANTIFIER_NEGATIVITY),
                               ("min_eigenvalue", cert.QUANTIFIER_MIN_EIGENVALUE)):
-        result = cert.sle_quantify(rho, quantifier=quantifier)
+        result = cert.sle_reported_as(found, quantifier)
         if full_certificates:
             sle[label] = cert.sle_result_to_json_dict(result)
         else:

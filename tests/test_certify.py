@@ -31,6 +31,7 @@ from superact.certify import (
     negativity,
     sle_quantifier_at,
     sle_quantify,
+    sle_reported_as,
     w_witness_expectation,
     x_shape_view,
 )
@@ -245,6 +246,41 @@ def test_sle_noisy_ghz_boundary_one_third():
     assert sle_quantify(noisy_ghz(0.35)).value > 1e-4
 
 
+def test_sle_negativity_just_past_the_thresholds():
+    # Negativity is flat zero on the PPT region, so searching it directly
+    # missed these small entangled patches; read off the minimum eigenvalue
+    # (1 - 3p)/4 it is log2(1 + 1.5e-6).
+    p = 1 / 3 + 1e-6
+    assert sle_quantify(noisy_ghz(p)).value == pytest.approx(
+        np.log2(1 + 1.5e-6), abs=1e-9)
+    distilled = analytic_distilled_noisy_ghz((2 * np.sqrt(2) - 1) / 7 + 1e-6)
+    assert sle_quantify(distilled).value > 0.0
+
+
+def test_sle_negativity_is_exactly_zero_on_ppt_states():
+    for rho in (noisy_ghz(0.3), noisy_w(0.25), noisy_ghz(0.0)):
+        assert sle_quantify(rho).value == 0.0
+
+
+def test_sle_negativity_reported_at_the_min_eigenvalue_optimum():
+    for rho in (noisy_ghz(0.6), noisy_ghz(0.3), noisy_w(0.6),
+                noise_model_state(0.45, 0.9084, 0.9210)):
+        neg = sle_quantify(rho, quantifier=QUANTIFIER_NEGATIVITY)
+        lam = sle_quantify(rho, quantifier=QUANTIFIER_MIN_EIGENVALUE)
+        assert (neg.theta, neg.phi) == (lam.theta, lam.phi)
+        assert neg.value == np.log2(1 - 2 * min(0.0, lam.value))
+        assert np.array_equal(neg.localized_state.entries,
+                              lam.localized_state.entries)
+        for result in (neg, lam):
+            reported = sle_reported_as(lam, result.quantifier)
+            assert (reported.value, reported.theta, reported.phi,
+                    reported.quantifier) == (result.value, result.theta,
+                                             result.phi, result.quantifier)
+            assert reported.localized_state is lam.localized_state
+    with pytest.raises(ValueError, match="cannot re-report"):
+        sle_reported_as(neg, QUANTIFIER_MIN_EIGENVALUE)
+
+
 def test_sle_min_eig_variant_closed_form():
     for p in (0.2, 0.5, 0.9):
         result = sle_quantify(noisy_ghz(p), quantifier=QUANTIFIER_MIN_EIGENVALUE)
@@ -301,6 +337,35 @@ def test_sle_skips_degenerate_directions():
 def test_sle_all_degenerate_errors():
     with pytest.raises(DegenerateProjectionError):
         sle_quantify(np.zeros((8, 8), dtype=complex))
+    with pytest.raises(DegenerateProjectionError):
+        sle_quantifier_at(np.zeros((8, 8)), None, 0.3, 0.2,
+                          QUANTIFIER_NEGATIVITY)
+
+
+def test_sle_rejects_non_states():
+    # The negativity is read off the minimum eigenvalue, which needs a
+    # Hermitian positive semidefinite input; any trace is accepted.
+    rng = np.random.default_rng(5)
+    m = random_density_matrix(rng, 3)
+    skewed = m.copy()
+    skewed[0, 1] += 1e-3
+    negative = m - 0.5 * np.outer(np.eye(8)[3], np.eye(8)[3])
+    for array, message in ((skewed, "Hermiticity"),
+                           (negative, "minimum eigenvalue")):
+        with pytest.raises(StateValidationError, match=message):
+            sle_quantify(array)
+        for quantifier in (QUANTIFIER_NEGATIVITY, QUANTIFIER_MIN_EIGENVALUE):
+            with pytest.raises(StateValidationError, match=message):
+                sle_quantifier_at(array, None, 0.3, 0.2, quantifier)
+    assert sle_quantify(3.0 * m).value == pytest.approx(sle_quantify(m).value,
+                                                         abs=1e-12)
+
+
+def test_sle_rejects_unknown_quantifier():
+    with pytest.raises(ValueError, match="unknown quantifier"):
+        sle_quantify(noisy_ghz(0.5), quantifier="concurrence")
+    with pytest.raises(ValueError, match="unknown quantifier"):
+        sle_quantifier_at(noisy_ghz(0.5), None, 0.3, 0.2, "concurrence")
 
 
 @pytest.mark.parametrize("bad", list(BAD_RAW_ARRAYS))
@@ -318,7 +383,11 @@ def test_sle_rejects_bad_pair():
 
 
 def _einsum_objective(m, kept, measured, thetas, phis, quantifier):
-    """The SLE objective as a per-point einsum over the full 8x8 matrix."""
+    """The SLE objective as a per-point einsum over the full 8x8 matrix.
+
+    The negativity is computed from all four eigenvalues, independently of
+    the library's reading of it off the minimum eigenvalue.
+    """
     perm = [kept[0], kept[1], measured]
     t4 = (m.reshape((2,) * 6).transpose(perm + [3 + i for i in perm])
           .reshape(4, 2, 4, 2))
@@ -339,6 +408,8 @@ def _einsum_objective(m, kept, measured, thetas, phis, quantifier):
                                         QUANTIFIER_MIN_EIGENVALUE])
 @pytest.mark.parametrize("kept", [(0, 1), (0, 2), (1, 2)])
 def test_sle_objective_matches_einsum_formula(kept, quantifier):
+    # The objective is the minimum eigenvalue; the negativity is the value
+    # sle_quantifier_at derives from it at each point.
     rng = np.random.default_rng(7)
     measured = 3 - sum(kept)
     pin = np.ones(8)
@@ -351,12 +422,21 @@ def test_sle_objective_matches_einsum_formula(kept, quantifier):
         # pi/2) vanishing weight.
         pinned = pin[:, None] * m * pin[None, :]
         for state in (m, pinned / np.trace(pinned).real):
-            values, valid = _SLEObjective(state, kept, quantifier).values(
-                thetas, phis)
             expected = _einsum_objective(state, kept, measured, thetas, phis,
                                          quantifier)
-            assert np.array_equal(valid, np.isfinite(expected))
-            assert np.allclose(values, expected, rtol=0.0, atol=1e-13)
+            valid = np.isfinite(expected)
+            if quantifier == QUANTIFIER_MIN_EIGENVALUE:
+                values = _SLEObjective(state, kept).values(thetas, phis)
+                assert np.array_equal(np.isfinite(values), valid)
+                assert np.allclose(values, expected, rtol=0.0, atol=1e-13)
+                continue
+            for theta, phi, ok, want in zip(thetas, phis, valid, expected):
+                if ok:
+                    at = sle_quantifier_at(state, kept, theta, phi, quantifier)
+                    assert at == pytest.approx(want, rel=0.0, abs=1e-13)
+                else:
+                    with pytest.raises(DegenerateProjectionError):
+                        sle_quantifier_at(state, kept, theta, phi, quantifier)
     assert not valid[-1]
 
 

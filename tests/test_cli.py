@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from superact import noisy_ghz, noisy_w, save_density_matrix
+import superact.certify as cert
 from superact.cli import RunConfig, main, parse_state_spec
 from superact.sdp import WitnessResult, verify_witness_certificate
 from superact.states import density_matrix_to_dict
@@ -51,6 +52,28 @@ def test_certify_builtin_state(capsys):
     assert report["sle"]["negativity"]["value"] > 0.3
     assert report["ppt_mixer"]["certified_sign"] == "negative"
     assert report["x_shape_leakage"] == 0.0
+
+
+def test_certify_runs_one_sle_search_per_state(monkeypatch, capsys):
+    made = []
+
+    class Counting(cert._SLEObjective):
+        def __init__(self, *args):
+            made.append(args)
+            super().__init__(*args)
+
+    monkeypatch.setattr(cert, "_SLEObjective", Counting)
+    for spec in ("noisy-ghz:0.3", "noisy-ghz:0.333334", "noisy-ghz:0.5",
+                 "noisy-w:0.6", "noise-model:0.45,0.9084,0.921"):
+        made.clear()
+        code, out, _ = run_cli(["certify", "--input", spec, "--format", "json"],
+                               capsys)
+        assert code == 0 and len(made) == 1
+        sle = json.loads(out)["sle"]
+        neg, lam = sle["negativity"], sle["min_eigenvalue"]
+        assert (neg["theta"], neg["phi"]) == (lam["theta"], lam["phi"])
+        assert neg["value"] == np.log2(1 - 2 * min(0.0, lam["value"]))
+        assert (neg["value"] > 0.0) == (lam["value"] < 0.0)
 
 
 def test_certify_ghz_certified(capsys):
@@ -222,7 +245,7 @@ def test_sweep_thresholds_unknown_name(capsys):
     assert "bogus" in err
 
 
-def test_sweep_certify_deterministic_and_thread_safe(capsys):
+def test_sweep_certify_deterministic(capsys):
     code, ref, _ = run_cli(["sweep", "--certify", "0:0.9:4"], capsys)
     assert code == 0
     code, again, _ = run_cli(["sweep", "--certify", "0:0.9:4"], capsys)

@@ -3,7 +3,7 @@ import pytest
 
 import superact.certify as certify
 import superact.thresholds as thresholds
-from superact import fidelity_with_pure, ghz3, noisy_ghz
+from superact import fidelity_with_pure, ghz3, noisy_ghz, noisy_w
 from superact.distill import distill_tripartite
 from superact.sdp import SIGN_INDETERMINATE
 from superact.thresholds import (
@@ -152,6 +152,28 @@ def test_sle_bisection_objective_budget(monkeypatch, name, max_calls,
     find_threshold(name)
     assert len(batches) <= max_calls
     assert sum(batches) <= max_points
+
+
+def test_w_sle_margin_agrees_with_the_full_sle_search(monkeypatch):
+    # The W-SLE margin takes the computational-basis branch as the optimal
+    # localization; the search over every projection must agree with it at
+    # each bisection point.
+    points = []
+    margin = thresholds._margin_w_sle
+
+    def recording(p):
+        points.append((p, margin(p)))
+        return points[-1][1]
+
+    monkeypatch.setattr(thresholds, "_margin_w_sle", recording)
+    find_threshold(PROPERTY_W_SLE)
+    assert len(points) >= 20
+    for p, value in points:
+        searched = -certify.sle_quantify(
+            noisy_w(p), pair=(0, 1),
+            quantifier=certify.QUANTIFIER_MIN_EIGENVALUE).value
+        assert np.sign(value) == np.sign(searched) != 0.0
+        assert value == pytest.approx(searched, rel=0.0, abs=1e-12)
 
 
 @pytest.mark.parametrize("name", [PROPERTY_W_GME, PROPERTY_W_GME_AFTER])
