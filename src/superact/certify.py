@@ -15,11 +15,53 @@ largest where lambda_min is smallest.
 The optimizer is deterministic: a 64x64 (theta, phi) grid with a
 lowest-theta-then-lowest-phi tie-break, followed by a Nelder-Mead simplex
 refinement seeded from the best three grid points.  A sign-only search
-stops at the first point that certifies a negative minimum (see
-``sle_quantify``).  The objective, ``_SLEObjective``, is set up once per
-search, so each evaluation, of the whole grid or of one Nelder-Mead point,
-is one small matrix product and a batched 4x4 eigensolve;
-``sle_quantifier_at`` evaluates it at one point.
+stops at the first point that certifies a negative minimum, or at a
+certificate of a nonnegative one (see ``sle_quantify``).  The objective,
+``_SLEObjective``, is set up once per search, so each evaluation, of the
+whole grid or of one Nelder-Mead point, is one small matrix product and a
+batched 4x4 eigensolve; ``sle_quantifier_at`` evaluates it at one point.
+
+Certified nonnegative signs
+---------------------------
+Call the measured qubit m and the kept pair (a, b), and let X = rho^{T_b}.
+Projecting m onto |psi> and transposing b leaves an unnormalized pair whose
+lowest eigenvalue is the minimum of <psi phi|X|psi phi> over unit |phi>.
+If X - t I = P + Q^{T_m} with P, Q >= 0, that minimum is at least t, since
+<psi phi|Q^{T_m}|psi phi> = <psi* phi|Q|psi* phi> >= 0.  With t > 0 every
+normalized value is then at least t / weight > 0 (the weight is at most
+tr rho), so every localized pair is PPT and, for two qubits, separable
+(Horodecki, Horodecki & Horodecki, PLA 223, 1 (1996)).  In 2x4 such a
+decomposition need not exist for a block-positive X (Woronowicz, Rep. Math.
+Phys. 10, 165 (1976)), so a missing one proves nothing.
+
+The best t is the optimum of min tr(X W) over unit-trace W with W >= 0 and
+W^{T_m} >= 0, whose dual is this decomposition.  ``sle_certificate``
+solves it by Douglas-Rachford splitting, as ``sdp.py`` solves the
+PPT-mixer program, over (W, A, B): the affine set W = A = B^{T_m},
+tr W = 1 has the closed-form projection
+W = mean(W_0, A_0, B_0^{T_m}) + ((1 - tr) / 8) I, and the cones are
+A, B >= 0.  Every ``SLE_CERT_CHECK_EVERY`` = 5 iterations both sides of
+the iterate are repaired, as in ``sdp.py``:
+
+- *certificate*: the cone multipliers give P-hat and Q-hat, the PSD parts
+  of minus the A and B reflections over the step; t is the lowest
+  eigenvalue of X - P-hat - Q-hat^{T_m}, and the PSD remainder minus t I
+  moves into P, so X - t I = P + Q^{T_m} exactly.  The solve returns it at
+  the first t > ``SLE_SIGN_SLACK``;
+- *refutation*: the affine iterate W, shifted by the smallest delta I that
+  makes W and W^{T_m} PSD and rescaled to unit trace, is feasible, and
+  its value bounds every t from above.  Once it is at most the slack no
+  certificate can clear it, and the solve returns None.
+
+After ``SLE_CERT_MAX_ITERATIONS`` it returns None as well.  The step, the
+relaxation and the cap were measured at the 39 SLE and SLE-after-distill
+bisection points.  27 of them have no negative point on the 8x8 subgrid:
+18 with a nonnegative optimum, 9 with a negative one.  Over steps
+{0.5, 1, 2, 4, 8} and relaxations {1.0, 1.2, 1.5}, (2, 1.0) took the
+fewest iterations on both: 625 in all, at most 100, to certify the 18,
+against 745-1280 for the other settings; and 645, at most 105, to refute
+the 9 (660-1125).  The cap of 200 is twice the longest certifying solve.
+Every certificate found there passes ``verify_sle_certificate``.
 """
 
 from __future__ import annotations
@@ -39,6 +81,7 @@ from .states import (
     _entries,
     _partial_transpose_array,
     _resolve_qubits,
+    _state_entries,
     ghz3,
     w_state,
 )
@@ -56,6 +99,12 @@ SLE_PARAM_TOL = 1e-9
 # is the stride-SLE_COARSE_STRIDE subgrid of the search grid.
 SLE_SIGN_SLACK = 1e-12
 SLE_COARSE_STRIDE = 8
+# Douglas-Rachford settings of ``sle_certificate``, chosen by measurement
+# (see "Certified nonnegative signs" in the module docstring).
+SLE_CERT_STEP = 2.0
+SLE_CERT_RELAXATION = 1.0
+SLE_CERT_MAX_ITERATIONS = 200
+SLE_CERT_CHECK_EVERY = 5
 
 
 class NotXShapedError(ValueError):
@@ -149,7 +198,7 @@ def gme_concurrence_x(rho, leakage_tol: float = X_SHAPE_LEAKAGE_TOL) -> float:
 # bipartite quantifiers
 
 def _transpose_side(rho, bipartition) -> tuple[np.ndarray, int]:
-    m, n = _entries(rho)
+    m, n = _state_entries(rho)
     if bipartition is None:
         if n != 2:
             raise ValueError("bipartition required for more than two qubits")
@@ -269,14 +318,36 @@ def fidelity_from_settings(expectations: Mapping[str, float], target: str) -> fl
 # stochastic localizable entanglement
 
 @dataclass(frozen=True)
+class SLECertificate:
+    """A decomposition rho^{T_b} - t I = P + Q^{T_m} with P, Q >= 0.
+
+    ``pair`` is the kept pair (a, b), b the qubit transposed in rho^{T_b}
+    and m the measured qubit; t is ``lower_bound``.  With t > 0 every
+    projection of m leaves a PPT, hence separable, pair (see "Certified
+    nonnegative signs" in the module docstring); ``verify_sle_certificate``
+    re-checks it.
+    """
+
+    pair: tuple[int, int]
+    lower_bound: float
+    p: np.ndarray
+    q: np.ndarray
+
+
+@dataclass(frozen=True)
 class SLEResult:
-    """Optimum of a bipartite quantifier over single-qubit projections."""
+    """Optimum of a bipartite quantifier over single-qubit projections.
+
+    ``certificate`` is set only by a sign-only search that settled a
+    nonnegative sign with a decomposability certificate.
+    """
 
     value: float
     theta: float
     phi: float
     quantifier: str
     localized_state: DensityMatrix
+    certificate: SLECertificate | None = None
 
 
 def sle_result_to_json_dict(result: SLEResult) -> dict:
@@ -329,10 +400,8 @@ class _SLEObjective:
     """
 
     def __init__(self, rho, pair):
-        m, _ = _entries(rho)
+        m, _ = _state_entries(rho)  # _report needs rho >= 0
         kept, measured = _resolve_pair(rho, pair)
-        if not isinstance(rho, DensityMatrix):  # _report needs rho >= 0
-            DensityMatrix(3, m, normalized=False)
         # Axes of the reshaped rho: qubit rows 0..2, then qubit columns 3..5.
         t00, t01, t10, t11 = m.reshape((2,) * 6).transpose(
             measured, 3 + measured, kept[0], kept[1], 3 + kept[0], 3 + kept[1]
@@ -397,6 +466,109 @@ def sle_quantifier_at(rho, pair, theta: float, phi: float, quantifier: str) -> f
         raise DegenerateProjectionError(
             f"projection at theta={theta}, phi={phi} has vanishing weight")
     return _report(value, quantifier)
+
+
+def _hermitian_part(a: np.ndarray) -> np.ndarray:
+    return 0.5 * (a + np.conj(np.swapaxes(a, -1, -2)))
+
+
+def sle_certificate(rho, pair=None) -> SLECertificate | None:
+    """Certify that no projection of the measured qubit leaves an NPT pair.
+
+    Solves min tr(X W) over unit-trace W with W >= 0 and W^{T_m} >= 0, with
+    X = rho^{T_b}, by Douglas-Rachford splitting, and every
+    ``SLE_CERT_CHECK_EVERY`` iterations repairs the cone multipliers into a
+    decomposition X - t I = P + Q^{T_m} (see "Certified nonnegative signs"
+    in the module docstring).  Returns it at the first t above
+    ``SLE_SIGN_SLACK``.  Returns None once a feasible W puts the optimum,
+    and so every such t, at or below the slack, or after
+    ``SLE_CERT_MAX_ITERATIONS`` iterations: no certificate does not mean
+    that some projection leaves an NPT pair.
+
+    ``rho`` is a three-qubit state (an array must be Hermitian and positive
+    semidefinite, with any trace); ``pair`` names the kept qubits as in
+    ``sle_quantify``.
+    """
+    m, _ = _state_entries(rho)
+    kept, measured = _resolve_pair(rho, pair)
+    x = _partial_transpose_array(m, 3, (kept[1],))
+    if not x.imag.any():  # a real state iterates in real arithmetic
+        x = x.real.copy()
+    gather = _partial_transpose_array(np.arange(64).reshape(8, 8), 3,
+                                      (measured,)).ravel()
+
+    def transpose_m(a: np.ndarray) -> np.ndarray:
+        return a.reshape(-1)[gather].reshape(8, 8)
+
+    eye = np.eye(8, dtype=x.dtype)
+    # The splitting variable z = (z_w, z_a, z_b) over (W, A, B): the affine
+    # set is W = A = B^{T_m} with tr W = 1, the cones are A, B >= 0.
+    z_w, z_a, z_b = eye / 8.0, eye / 8.0, eye / 8.0
+    step, relaxation = SLE_CERT_STEP, SLE_CERT_RELAXATION
+    for iteration in range(1, SLE_CERT_MAX_ITERATIONS + 1):
+        w = (z_w - step * x + z_a + transpose_m(z_b)) / 3.0
+        w += ((1.0 - w.trace().real) / 8.0) * eye
+        w_m = transpose_m(w)
+        lam, vec = np.linalg.eigh(np.stack([2.0 * w - z_a, 2.0 * w_m - z_b]))
+        vec_h = np.conj(np.swapaxes(vec, -1, -2))
+        cone = (vec * np.maximum(lam, 0.0)[:, None, :]) @ vec_h
+        z_w = z_w + relaxation * (w - z_w)
+        z_a = z_a + relaxation * (cone[0] - w)
+        z_b = z_b + relaxation * (cone[1] - w_m)
+        if iteration % SLE_CERT_CHECK_EVERY:
+            continue
+        # The multipliers (cone point - reflection) / step are the PSD parts
+        # of minus the reflections: P-hat from A, Q-hat from B.
+        p_hat, q_hat = _hermitian_part(
+            (vec * np.maximum(-lam, 0.0)[:, None, :]) @ vec_h / step)
+        remainder = _hermitian_part(x - p_hat - transpose_m(q_hat))
+        w = _hermitian_part(w)
+        lowest = np.linalg.eigvalsh(
+            np.stack([remainder, w, transpose_m(w)]))[:, 0]
+        t = float(lowest[0])
+        if t > SLE_SIGN_SLACK:
+            return SLECertificate(pair=kept, lower_bound=t,
+                                  p=p_hat + remainder - t * eye, q=q_hat)
+        # (W + delta I) / (1 + 8 delta) is feasible and bounds every t above.
+        delta = max(0.0, -float(lowest[1:].min()))
+        upper = (float(np.vdot(x, w).real) + delta * float(x.trace().real)) / (
+            1.0 + 8.0 * delta)
+        if upper <= SLE_SIGN_SLACK:
+            return None
+    return None
+
+
+def verify_sle_certificate(certificate: SLECertificate, rho) -> bool:
+    """Re-check an SLE certificate against ``rho`` without trusting the solver.
+
+    With X = rho^{T_b} rebuilt from ``rho`` and the residual
+    R = X - t I - P - Q^{T_m}, every projected, transposed pair has lowest
+    eigenvalue at least t + min(0, lambda_min P) + min(0, lambda_min Q) -
+    ||R||_2 (times 1 / weight), on the Hermitian parts of P and Q.  The
+    certificate is accepted when that bound lies above ``SLE_SIGN_SLACK``
+    and no more than 1e-9 below the certificate's own ``lower_bound``, so
+    that a t the decomposition does not back is rejected.  Eigenvalues come
+    from the package's Jacobi solver, independent of the LAPACK calls of the
+    solve; a non-finite entry fails the check.
+    """
+    from .linalg import jacobi_eigvalsh
+
+    m, _ = _state_entries(rho)
+    kept, measured = _resolve_pair(rho, certificate.pair)
+    p = np.asarray(certificate.p, dtype=np.complex128)
+    q = np.asarray(certificate.q, dtype=np.complex128)
+    t = float(certificate.lower_bound)
+    if p.shape != (8, 8) or q.shape != (8, 8):
+        return False
+    if not (np.isfinite(t) and np.isfinite(p).all() and np.isfinite(q).all()):
+        return False
+    residual = (_partial_transpose_array(m, 3, (kept[1],)) - t * np.eye(8)
+                - p - _partial_transpose_array(q, 3, (measured,)))
+    eigs = jacobi_eigvalsh(np.stack([
+        _hermitian_part(p), _hermitian_part(q), residual.conj().T @ residual]))
+    bound = (t + min(0.0, eigs[0, 0]) + min(0.0, eigs[1, 0])
+             - float(np.sqrt(max(0.0, eigs[2, -1]))))
+    return bool(bound > SLE_SIGN_SLACK and bound >= t - 1e-9)
 
 
 def _nelder_mead(objective: Callable[[np.ndarray], float],
@@ -488,8 +660,17 @@ def sle_quantify(rho, pair=None, quantifier: str = QUANTIFIER_NEGATIVITY,
     below zero too.  The slack (1e-12) leaves optima within rounding of
     zero, whose sign is rounding noise, to the full search, and dwarfs the
     last-bit change a point's value can take when it is evaluated in a
-    different batch.  When no point qualifies, the result is exactly the
-    default search's.
+    different batch.
+
+    When the subgrid has no such point, ``sle_certificate`` runs before the
+    full grid.  If it finds a decomposition with t > ``SLE_SIGN_SLACK``,
+    every value the default search can reach is at least t / weight > 0
+    (see "Certified nonnegative signs" in the module docstring), so the
+    search returns the subgrid's best point, whose value is an evaluated
+    minimum and so positive too, with ``certificate`` set.  Otherwise the
+    search goes on as above, and when no point qualifies the result is
+    exactly the default search's.  The default search takes no
+    certificate.
 
     Parameters
     ----------
@@ -512,13 +693,14 @@ def sle_quantify(rho, pair=None, quantifier: str = QUANTIFIER_NEGATIVITY,
     _report(0.0, quantifier)  # reject an unknown quantifier before searching
     objective = _SLEObjective(rho, pair)
 
-    def result(theta: float, phi: float, value: float) -> SLEResult:
+    def result(theta: float, phi: float, value: float,
+               certificate: SLECertificate | None = None) -> SLEResult:
         projected = objective.projected(theta, phi)
         weight = float(np.trace(projected).real)
         localized = DensityMatrix(2, projected / weight)
         return SLEResult(value=_report(value, quantifier), theta=float(theta),
                          phi=float(phi), quantifier=quantifier,
-                         localized_state=localized)
+                         localized_state=localized, certificate=certificate)
 
     theta_axis = np.linspace(0.0, np.pi / 2.0, grid_size)
     phi_axis = np.linspace(0.0, 2.0 * np.pi, grid_size, endpoint=False)
@@ -529,6 +711,11 @@ def sle_quantify(rho, pair=None, quantifier: str = QUANTIFIER_NEGATIVITY,
         best = order[0]
         if values[best] < -SLE_SIGN_SLACK:
             return result(thetas[best], phis[best], values[best])
+        if values[best] < np.inf:
+            certificate = sle_certificate(rho, pair)
+            if certificate is not None:
+                return result(thetas[best], phis[best], values[best],
+                              certificate)
 
     thetas, phis, values, order = _grid_values(objective, theta_axis, phi_axis)
     grid_best = int(order[0])

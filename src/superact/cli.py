@@ -13,6 +13,8 @@ byte-identical.
 from __future__ import annotations
 
 import argparse
+import csv
+import io
 import json
 import os
 import sys
@@ -109,10 +111,12 @@ def _render(doc: dict, fmt: str) -> str:
     if fmt == "json":
         return json.dumps(doc, indent=2, sort_keys=True) + "\n"
     flat = _flatten(doc)
-    keys = list(flat)
     fmt_val = lambda v: format(v, ".17g") if isinstance(v, float) else str(v)
-    return (",".join(keys) + "\n"
-            + ",".join(fmt_val(flat[k]) for k in keys) + "\n")
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(flat.keys())
+    writer.writerow(fmt_val(v) for v in flat.values())
+    return out.getvalue()
 
 
 # ---------------------------------------------------------------------------

@@ -104,7 +104,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .states import _entries, _partial_transpose_array
+from .states import _entries, _partial_transpose_array, _state_entries
 
 BIPARTITIONS = ((0,), (1,), (2,))
 SIGN_NEGATIVE = "negative"
@@ -292,7 +292,7 @@ def ppt_mixer_witness(rho, config: SolverConfig | None = None, *,
     returned with ``converged=False`` and the bounds of the last iterate.
     """
     cfg = config or SolverConfig()
-    m, n_qubits = _entries(rho)
+    m, n_qubits = _state_entries(rho)
     if n_qubits != 3:
         raise ValueError(f"expected a three-qubit state, got {n_qubits} qubits")
     dim = m.shape[0]

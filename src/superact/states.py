@@ -223,6 +223,21 @@ def _entries(rho) -> tuple[np.ndarray, int]:
     return m, n
 
 
+def _state_entries(rho) -> tuple[np.ndarray, int]:
+    """Like ``_entries``, but a raw array must also be a state of any trace.
+
+    The array passes ``DensityMatrix(n, m, normalized=False)``, so a
+    non-Hermitian or non-PSD one raises ``StateValidationError``; a
+    ``DensityMatrix`` was validated when it was built and is not checked
+    again.
+    """
+    if isinstance(rho, DensityMatrix):
+        return np.asarray(rho.entries), rho.n_qubits
+    m, n = _entries(rho)
+    DensityMatrix(n, m, normalized=False)
+    return m, n
+
+
 # ---------------------------------------------------------------------------
 # canonical pure states
 

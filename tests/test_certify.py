@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -30,8 +32,10 @@ from superact.certify import (
     mk_observable,
     negativity,
     sle_quantifier_at,
+    sle_certificate,
     sle_quantify,
     sle_reported_as,
+    verify_sle_certificate,
     w_witness_expectation,
     x_shape_view,
 )
@@ -457,28 +461,37 @@ def test_sle_rejects_grid_size_below_two():
             sle_quantify(noisy_ghz(0.5), grid_size=grid_size)
 
 
-def _sign_only_agrees(rho, pair, quantifier) -> bool:
-    """Compare a sign-only SLE search with the default one; True if it settled.
+def _sign_only_agrees(rho, pair, quantifier) -> str | None:
+    """Compare a sign-only SLE search with the default one.
 
-    A settled result lies below -slack in the signed objective (the minimum
-    eigenvalue, or minus the negativity) and the default optimum is no
-    larger; any other result must be the default one, bit for bit.
+    Returns how the search settled: ``"negative"`` at a point below -slack
+    in the signed objective (the minimum eigenvalue, or minus the
+    negativity), where the default optimum is no larger; ``"certified"``
+    with a decomposability certificate, whose bound t the default min-eig
+    optimum does not undercut and which verifies; ``None`` when it ran the
+    full search, whose result it must then be, bit for bit.
     """
     full = sle_quantify(rho, pair, quantifier)
     fast = sle_quantify(rho, pair, quantifier, sign_only=True)
     flip = -1.0 if quantifier == QUANTIFIER_NEGATIVITY else 1.0
     assert np.sign(fast.value) == np.sign(full.value)
-    if flip * fast.value < -SLE_SIGN_SLACK:
-        assert flip * full.value <= flip * fast.value + 1e-15
+    if flip * fast.value < -SLE_SIGN_SLACK or fast.certificate is not None:
         at = sle_quantifier_at(rho, pair, fast.theta, fast.phi, quantifier)
         assert at == pytest.approx(fast.value, abs=1e-12)
         assert fast.localized_state.normalized
-        return True
+    if fast.certificate is not None:
+        full_min = sle_quantify(rho, pair, QUANTIFIER_MIN_EIGENVALUE).value
+        assert full_min >= fast.certificate.lower_bound - 1e-15
+        assert verify_sle_certificate(fast.certificate, rho)
+        return "certified"
+    if flip * fast.value < -SLE_SIGN_SLACK:
+        assert flip * full.value <= flip * fast.value + 1e-15
+        return "negative"
     assert (fast.value, fast.theta, fast.phi) == (full.value, full.theta,
                                                   full.phi)
     assert np.array_equal(fast.localized_state.entries,
                           full.localized_state.entries)
-    return False
+    return None
 
 
 def test_sle_sign_only_agrees_with_default_search():
@@ -504,7 +517,7 @@ def test_sle_sign_only_agrees_with_default_search():
         for quantifier in (QUANTIFIER_NEGATIVITY, QUANTIFIER_MIN_EIGENVALUE):
             for pair in ((0, 1), (0, 2), (1, 2)):
                 settled.append(_sign_only_agrees(rho, pair, quantifier))
-    assert any(settled) and not all(settled)
+    assert set(settled) == {"negative", "certified", None}
 
 
 def test_sle_sign_only_agrees_on_every_bisection_point(monkeypatch):
@@ -512,19 +525,22 @@ def test_sle_sign_only_agrees_on_every_bisection_point(monkeypatch):
     search = thresholds.sle_quantify
 
     def recording(rho, *args, **kwargs):
-        searched.append((rho, kwargs))
-        return search(rho, *args, **kwargs)
+        searched.append((rho, kwargs, search(rho, *args, **kwargs)))
+        return searched[-1][2]
 
     monkeypatch.setattr(thresholds, "sle_quantify", recording)
     for name in (thresholds.PROPERTY_SLE, thresholds.PROPERTY_SLE_AFTER):
         thresholds.find_threshold(name)
     assert len(searched) == 39
     settled = []
-    for rho, kwargs in searched:
+    for rho, kwargs, result in searched:
         assert kwargs == {"quantifier": QUANTIFIER_MIN_EIGENVALUE,
                           "sign_only": True}
         settled.append(_sign_only_agrees(rho, None, QUANTIFIER_MIN_EIGENVALUE))
-    assert any(settled) and not all(settled)
+        # Every nonnegative margin is settled by a verified certificate.
+        assert (settled[-1] == "certified") == (result.value >= 0.0)
+    assert settled.count("certified") == 18
+    assert settled.count("negative") == 21
 
 
 def test_sle_sign_only_settles_on_the_coarse_grid(monkeypatch):
@@ -540,3 +556,106 @@ def test_sle_sign_only_settles_on_the_coarse_grid(monkeypatch):
                           sign_only=True)
     assert batches == [64]
     assert result.value < -SLE_SIGN_SLACK
+
+
+def test_sle_sign_only_settles_nonnegative_signs_by_certificate(monkeypatch):
+    batches = []
+    values = _SLEObjective.values
+
+    def recording(self, thetas, phis):
+        batches.append(thetas.size)
+        return values(self, thetas, phis)
+
+    monkeypatch.setattr(_SLEObjective, "values", recording)
+    rho = noisy_ghz(0.3)
+    result = sle_quantify(rho, quantifier=QUANTIFIER_MIN_EIGENVALUE,
+                          sign_only=True)
+    assert batches == [64]
+    assert result.value >= result.certificate.lower_bound > SLE_SIGN_SLACK
+    assert verify_sle_certificate(result.certificate, rho)
+    # The default search takes no certificate.
+    assert sle_quantify(rho).certificate is None
+
+
+@pytest.mark.parametrize("pair", [(0, 1), (0, 2), (1, 2)])
+@pytest.mark.parametrize("rho", [
+    noisy_ghz(1 / 3 - 1e-4),
+    analytic_distilled_noisy_ghz((2 * np.sqrt(2) - 1) / 7 - 1e-4),
+], ids=["ghz", "distilled-ghz"])
+def test_sle_certificate_just_below_the_thresholds(rho, pair):
+    certificate = sle_certificate(rho, pair)
+    assert certificate is not None
+    assert certificate.pair == pair
+    assert verify_sle_certificate(certificate, rho)
+    optimum = sle_quantify(rho, pair, QUANTIFIER_MIN_EIGENVALUE).value
+    assert 0.0 < certificate.lower_bound <= optimum + 1e-15
+
+
+@pytest.mark.parametrize("pair", [(0, 1), (0, 2), (1, 2)])
+def test_sle_certificate_none_at_and_past_the_threshold(pair):
+    # Past 1/3 some projection leaves an NPT pair; at 1/3 the optimum is
+    # zero to rounding, so no t clears the slack and a sign-only search
+    # falls back to the full one (see the agreement tests).
+    for p in (1 / 3 + 1e-6, 1 / 3):
+        assert sle_certificate(noisy_ghz(p), pair) is None
+
+
+def test_verify_sle_certificate_rejects_forgeries():
+    rho = noisy_ghz(0.3)
+    certificate = sle_certificate(rho, (0, 1))
+    assert verify_sle_certificate(certificate, rho)
+    t = certificate.lower_bound
+    eye = np.eye(8)
+    forgeries = {
+        # P and Q no longer back the claimed bound.
+        "inflated t": replace(certificate, lower_bound=t + 1e-3),
+        # Still sums to rho^{T_b} - t I, but Q has eigenvalues below -t.
+        "non-PSD Q": replace(certificate, p=certificate.p + 2 * t * eye,
+                             q=certificate.q - 2 * t * eye),
+        "non-finite P": replace(certificate, p=np.full((8, 8), np.nan)),
+        "wrong shape": replace(certificate, q=certificate.q[:4, :4]),
+    }
+    for name, forged in forgeries.items():
+        assert not verify_sle_certificate(forged, rho), name
+    # Checked against another state, the same certificate proves nothing.
+    assert not verify_sle_certificate(certificate, noisy_ghz(0.6))
+    assert not verify_sle_certificate(certificate, noisy_ghz(0.25))
+
+
+_NON_STATES = {
+    "non-Hermitian": "Hermiticity",
+    "non-PSD": "minimum eigenvalue",
+}
+
+
+def _non_state(kind: str, n_qubits: int) -> np.ndarray:
+    m = random_density_matrix(np.random.default_rng(7), n_qubits)
+    if kind == "non-Hermitian":
+        m[0, 1] += 1e-3
+    else:
+        m[1, 1] -= 0.5
+    return m
+
+
+@pytest.mark.parametrize("kind", list(_NON_STATES))
+@pytest.mark.parametrize("entry", [
+    lambda m: negativity(m, (0,)),
+    lambda m: min_eig_after_pt(m, (0,)),
+    lambda m: sle_certificate(m),
+], ids=["negativity", "min_eig_after_pt", "sle_certificate"])
+def test_entry_points_reject_raw_non_states(entry, kind):
+    with pytest.raises(StateValidationError, match=_NON_STATES[kind]):
+        entry(_non_state(kind, 3))
+
+
+def test_density_matrix_inputs_are_not_validated_again(monkeypatch):
+    rho = noisy_ghz(0.3)
+    built = []
+    monkeypatch.setattr(DensityMatrix, "__post_init__",
+                        lambda self: built.append(self))
+    negativity(rho, (0,))
+    min_eig_after_pt(rho, (0,))
+    sle_certificate(rho)
+    assert built == []
+    negativity(np.asarray(rho.entries), (0,))
+    assert len(built) == 1

@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 
 import numpy as np
@@ -325,6 +327,23 @@ def test_csv_format_flag_round_trip(capsys):
     header, row = out.strip().split("\n")
     cols = dict(zip(header.split(","), row.split(",")))
     assert float(cols["success_probability"]) == pytest.approx(0.21875)
+
+
+def test_csv_quotes_fields_with_commas(capsys):
+    spec = "noise-model:0.45,0.9084,0.921"
+    code, out, _ = run_cli(["certify", "--input", spec, "--format", "csv"],
+                           capsys)
+    assert code == 0
+    rows = list(csv.DictReader(io.StringIO(out)))
+    assert len(rows) == 1 and len(rows[0]) == 17
+    assert None not in rows[0]  # no field beyond the header
+    assert rows[0]["input"] == spec
+    # A comma-free spec needs no quotes: the plain join of the fields.
+    code, plain, _ = run_cli(["certify", "--input", "noisy-ghz:0.5",
+                              "--format", "csv"], capsys)
+    header, row = plain.split("\n")[:2]
+    assert '"' not in plain and len(row.split(",")) == 17
+    assert len(header.split(",")) == 17
 
 
 def test_sweep_w_thresholds_golden(capsys):

@@ -2,7 +2,12 @@ import numpy as np
 import pytest
 
 from superact import linalg, noisy_ghz
-from superact.certify import negativity, sle_quantify
+from superact.certify import (
+    QUANTIFIER_MIN_EIGENVALUE,
+    negativity,
+    sle_quantify,
+    verify_sle_certificate,
+)
 from superact.linalg import (
     NonHermitianError,
     hermitian_eigenvalues,
@@ -78,3 +83,10 @@ def test_jacobi_only_in_certificate_reverification(monkeypatch):
     result = ppt_mixer_witness(rho)
     with pytest.raises(JacobiCalled):
         verify_witness_certificate(result, rho)
+    # The sign-only SLE search's certificate stage, at a state without SLE.
+    separable = noisy_ghz(0.3)
+    settled = sle_quantify(separable, quantifier=QUANTIFIER_MIN_EIGENVALUE,
+                           sign_only=True)
+    assert settled.certificate is not None
+    with pytest.raises(JacobiCalled):
+        verify_sle_certificate(settled.certificate, separable)

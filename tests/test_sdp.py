@@ -391,6 +391,19 @@ def test_rejects_bad_raw_arrays(bad):
         ppt_mixer_witness(array)
 
 
+def test_rejects_raw_non_states():
+    m = random_density_matrix(np.random.default_rng(7), 3)
+    skewed = m.copy()
+    skewed[0, 1] += 1e-3
+    negative = m - 0.5 * np.diag(np.eye(8)[1])
+    for array, message in ((skewed, "Hermiticity"),
+                           (negative, "minimum eigenvalue")):
+        with pytest.raises(StateValidationError, match=message):
+            ppt_mixer_witness(array)
+    # Any trace is accepted.
+    assert ppt_mixer_witness(2.0 * m, sign_only=True).iterations > 0
+
+
 # ---------------------------------------------------------------------------
 # cross-check against an independent conic solver
 

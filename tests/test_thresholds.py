@@ -133,11 +133,12 @@ def test_sdp_bisection_uses_few_sign_only_iterations(monkeypatch):
 
 
 @pytest.mark.parametrize("name,max_calls,max_points", [
-    # Measured when these budgets were set: 1750 calls / 60340 points and
-    # 1408 / 55840; full searches at every point take 3482 / 85382 and
-    # 3272 / 81077.
-    (PROPERTY_SLE, 1800, 62000),
-    (PROPERTY_SLE_AFTER, 1450, 57500),
+    # Measured when these budgets were set: 52 calls / 17692 points and
+    # 61 / 21733, with the nonnegative margins settled by certificates;
+    # without them 1750 / 60340 and 1408 / 55840, and full searches at
+    # every point take 3482 / 85382 and 3272 / 81077.
+    pytest.param(PROPERTY_SLE, 55, 18200, id=PROPERTY_SLE),
+    pytest.param(PROPERTY_SLE_AFTER, 65, 22400, id=PROPERTY_SLE_AFTER),
 ])
 def test_sle_bisection_objective_budget(monkeypatch, name, max_calls,
                                         max_points):
