@@ -4,9 +4,9 @@ Eigensolver policy: the hot paths call LAPACK (``numpy.linalg``).  Those
 are ``DensityMatrix`` validation, the SLE grid and its refinement,
 negativity and the minimum eigenvalue after partial transposition, and
 every iteration of the PPT-mixer SDP.  This module's Jacobi solver is kept
-where independence from LAPACK is the point: re-verifying witness
-certificates (``sdp.verify_witness_certificate``) and
-``DensityMatrix.eigenvalues()``.
+where independence from LAPACK is the point: re-verifying witness and
+SLE certificates (``sdp.verify_witness_certificate``,
+``certify.verify_sle_certificate``) and ``DensityMatrix.eigenvalues()``.
 
 At the dimensions used here (at most 64) the quadratically convergent
 Jacobi iteration is essentially exact and has no pathological inputs.  The

@@ -104,7 +104,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .states import _entries, _partial_transpose_array, _state_entries
+from .states import _finite_array, _partial_transpose_array, _state_entries
 
 BIPARTITIONS = ((0,), (1,), (2,))
 SIGN_NEGATIVE = "negative"
@@ -394,20 +394,33 @@ def verify_witness_certificate(result: WitnessResult, rho,
     must sum to rho - ``lower_bound`` I within 1e-9 (Frobenius norm) with
     every Y_i and Y_i^{T_i} PSD.  Eigenvalues come from the package's own
     Jacobi solver, so the check is independent of the LAPACK-backed
-    projections used inside the iteration.  Every comparison is written so
-    that a NaN fails it.
+    projections used inside the iteration.  A witness, decomposition or
+    mixture of the wrong shape, or a non-finite entry or bound, fails the
+    check.
+
+    ``rho`` must be a three-qubit state: an array must be Hermitian and
+    positive semidefinite, with any trace, or ``StateValidationError`` is
+    raised.
     """
     from .linalg import jacobi_eigvalsh
 
-    m, n_qubits = _entries(rho)
-    w = result.witness
+    m, n_qubits = _state_entries(rho)
+    if n_qubits != 3:
+        raise ValueError(f"expected a three-qubit state, got {n_qubits} qubits")
+    dim = m.shape[0]
+    w = _finite_array(result.witness, (dim, dim))
+    decompositions = _finite_array(result.decompositions,
+                                   (len(BIPARTITIONS), 2, dim, dim))
+    mixture = _finite_array(result.mixture, (len(BIPARTITIONS), dim, dim))
+    if w is None or decompositions is None or mixture is None:
+        return False
+    if not np.isfinite([result.optimal_value, result.lower_bound]).all():
+        return False
     if not abs(float(np.trace(w).real) - 1.0) <= 1e-8:
         return False
     if not abs(float(np.real(np.vdot(m, w))) - result.optimal_value) <= 1e-8:
         return False
-    if len(result.decompositions) != len(BIPARTITIONS):
-        return False
-    for (p_hat, q_hat), party in zip(result.decompositions, BIPARTITIONS):
+    for (p_hat, q_hat), party in zip(decompositions, BIPARTITIONS):
         eigs = jacobi_eigvalsh(np.stack([p_hat, q_hat]))
         if not eigs[:, 0].min() >= -1e-9:
             return False
@@ -415,10 +428,7 @@ def verify_witness_certificate(result: WitnessResult, rho,
         if not np.linalg.norm(w - reconstruction) <= feasibility_tol:
             return False
 
-    if len(result.mixture) != len(BIPARTITIONS):
-        return False
-    mixture = np.stack(result.mixture)
-    shifted = m - result.lower_bound * np.eye(m.shape[0])
+    shifted = m - result.lower_bound * np.eye(dim)
     if not np.linalg.norm(shifted - mixture.sum(axis=0)) <= 1e-9:
         return False
     transposed = [_partial_transpose_array(block, n_qubits, party)

@@ -209,6 +209,19 @@ def _resolve_qubits(spec, n_qubits: int, *, role: str) -> tuple[int, ...]:
     return idx
 
 
+def _finite_array(a, shape: tuple[int, ...]) -> np.ndarray | None:
+    """``a`` as a complex array of ``shape``, or None when it does not have
+    that shape or holds a non-finite entry; certificate verifiers use it to
+    reject a malformed certificate without raising."""
+    try:
+        m = np.asarray(a, dtype=np.complex128)
+    except (TypeError, ValueError):  # ragged or non-numeric
+        return None
+    if m.shape != shape or not np.isfinite(m).all():
+        return None
+    return m
+
+
 def _entries(rho) -> tuple[np.ndarray, int]:
     if isinstance(rho, DensityMatrix):
         return np.asarray(rho.entries), rho.n_qubits

@@ -28,19 +28,22 @@ bisecting well before that happens.
 
 The two SLE margins (SLE and SLE-after-distill) run sign-only SLE searches.
 A search stops at the first projection direction whose minimum eigenvalue
-after partial transposition lies below -1e-12, which puts the optimum below
-it too.  When the 8x8 subgrid has none, the search first looks for a
+after partial transposition lies below -1e-12: that projection leaves an
+entangled pair, which puts the optimum below zero too.  It looks on the
+8x8 subgrid, then takes one see-saw step from the subgrid's best point.
+When neither finds such a direction, the search looks for a
 decomposability certificate rho^{T_b} - t I = P + Q^{T_m} with t > 1e-12,
 which puts every projection, and so the optimum, above zero; with one it
 returns the subgrid's best value.  Only a search that finds neither, within
 the certificate solve's 200-iteration cap, runs on over the full grid and
 Nelder-Mead, and only one that finds no negative direction there either
 runs to its optimum (see ``certify.sle_quantify``).  At the 39 bisection
-points of the default ranges, each of the 18 nonnegative margins is
-settled by a certificate.  The signs, and so every bracket, are those of
-the full searches.  A margin value is therefore a certifying value, not
-always the optimum, and the values that a no-sign-change error prints are
-those certifying values.
+points of the default ranges, the 21 negative margins are settled by the
+subgrid (12) or the step (9), and each of the 18 nonnegative margins by a
+certificate.  The signs, and so every bracket, are those of the full
+searches.  A margin value is therefore a certifying value, not always the
+optimum, and the values that a no-sign-change error prints are those
+certifying values.
 """
 
 from __future__ import annotations

@@ -39,6 +39,7 @@ from superact.certify import (
     w_witness_expectation,
     x_shape_view,
 )
+import superact.certify as certify
 import superact.thresholds as thresholds
 from superact.distill import analytic_distilled_noisy_ghz, distill_cnot
 from superact.states import DegenerateProjectionError, StateValidationError
@@ -543,38 +544,95 @@ def test_sle_sign_only_agrees_on_every_bisection_point(monkeypatch):
     assert settled.count("negative") == 21
 
 
-def test_sle_sign_only_settles_on_the_coarse_grid(monkeypatch):
-    batches = []
+@pytest.fixture
+def batches(monkeypatch):
+    """The sizes of the ``_SLEObjective.values`` batches a test evaluates."""
+    sizes = []
     values = _SLEObjective.values
 
     def recording(self, thetas, phis):
-        batches.append(thetas.size)
+        sizes.append(thetas.size)
         return values(self, thetas, phis)
 
     monkeypatch.setattr(_SLEObjective, "values", recording)
+    return sizes
+
+
+def test_sle_sign_only_settles_on_the_coarse_grid(batches):
     result = sle_quantify(noisy_ghz(0.6), quantifier=QUANTIFIER_MIN_EIGENVALUE,
                           sign_only=True)
     assert batches == [64]
     assert result.value < -SLE_SIGN_SLACK
 
 
-def test_sle_sign_only_settles_nonnegative_signs_by_certificate(monkeypatch):
-    batches = []
-    values = _SLEObjective.values
-
-    def recording(self, thetas, phis):
-        batches.append(thetas.size)
-        return values(self, thetas, phis)
-
-    monkeypatch.setattr(_SLEObjective, "values", recording)
+def test_sle_sign_only_settles_nonnegative_signs_by_certificate(batches):
     rho = noisy_ghz(0.3)
     result = sle_quantify(rho, quantifier=QUANTIFIER_MIN_EIGENVALUE,
                           sign_only=True)
-    assert batches == [64]
+    # The subgrid, then the see-saw step's one point, which stays positive.
+    assert batches == [64, 1]
     assert result.value >= result.certificate.lower_bound > SLE_SIGN_SLACK
     assert verify_sle_certificate(result.certificate, rho)
     # The default search takes no certificate.
     assert sle_quantify(rho).certificate is None
+
+
+def test_sle_seesaw_step_never_increases_the_value():
+    rng = np.random.default_rng(17)
+    for _ in range(4):
+        rho = random_density_matrix(rng, 3)
+        for pair in ((0, 1), (0, 2), (1, 2)):
+            objective = _SLEObjective(rho, pair)
+            thetas = rng.uniform(0.0, np.pi / 2.0, 8)
+            phis = rng.uniform(0.0, 2.0 * np.pi, 8)
+            for theta, phi in zip(thetas, phis):
+                start = objective.values(np.array([theta]), np.array([phi]))[0]
+                step = objective.seesaw_step(theta, phi)
+                after = objective.values(step[:1], step[1:])[0]
+                assert after <= start + 1e-15
+
+
+def test_sle_seesaw_step_skipped_on_a_singular_weight_form(batches):
+    # The measured qubit pinned to |0>: the weight form R = diag(1, 0) is
+    # singular, so the step is skipped, no certificate exists (the direction
+    # |1> has zero weight) and the sign-only search runs the full search.
+    pinned = tensor(isotropic(0.2),
+                    DensityMatrix(1, np.diag([1.0, 0.0]).astype(complex)))
+    assert _SLEObjective(pinned, None).seesaw_step(0.3, 0.2) is None
+    assert _sign_only_agrees(pinned, None, QUANTIFIER_MIN_EIGENVALUE) is None
+    # The default search, then the subgrid and straight on to the full grid.
+    sign_only = batches[batches.index(64):]
+    assert sign_only[:2] == [64, 64 * 64]
+
+
+def test_sle_bisection_negative_margins_settle_by_the_seesaw_step(
+        monkeypatch, batches):
+    searches = []
+    certificates = []
+    search, certificate = thresholds.sle_quantify, certify.sle_certificate
+
+    def recording_search(rho, *args, **kwargs):
+        first_batch, first_certificate = len(batches), len(certificates)
+        result = search(rho, *args, **kwargs)
+        searches.append((result.value, sum(batches[first_batch:]),
+                         len(certificates) - first_certificate))
+        return result
+
+    def recording_certificate(*args, **kwargs):
+        certificates.append(certificate(*args, **kwargs))
+        return certificates[-1]
+
+    monkeypatch.setattr(thresholds, "sle_quantify", recording_search)
+    monkeypatch.setattr(certify, "sle_certificate", recording_certificate)
+    for name in (thresholds.PROPERTY_SLE, thresholds.PROPERTY_SLE_AFTER):
+        thresholds.find_threshold(name)
+    negative = [(points, solves) for value, points, solves in searches
+                if value < -SLE_SIGN_SLACK]
+    assert len(negative) == 21
+    # The subgrid's 64 points and at most the step's one, no certificate.
+    assert all(points <= 65 and solves == 0 for points, solves in negative)
+    assert len(certificates) == 18
+    assert all(c is not None for c in certificates)
 
 
 @pytest.mark.parametrize("pair", [(0, 1), (0, 2), (1, 2)])
@@ -614,6 +672,7 @@ def test_verify_sle_certificate_rejects_forgeries():
                              q=certificate.q - 2 * t * eye),
         "non-finite P": replace(certificate, p=np.full((8, 8), np.nan)),
         "wrong shape": replace(certificate, q=certificate.q[:4, :4]),
+        "ragged P": replace(certificate, p=[[1.0, 0.0], [1.0]]),
     }
     for name, forged in forgeries.items():
         assert not verify_sle_certificate(forged, rho), name

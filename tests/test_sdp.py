@@ -353,6 +353,53 @@ def test_verifier_rejects_nan_certificates():
         dataclasses.replace(result, witness=nan_witness), rho)
 
 
+def test_verifier_rejects_malformed_certificates():
+    # A certificate of the wrong shape, or with a non-finite entry anywhere,
+    # fails the check instead of raising from inside NumPy.
+    rho = noisy_w(0.6)
+    result = ppt_mixer_witness(rho, sign_only=True)
+    assert verify_witness_certificate(result, rho)
+    p, q = result.decompositions[0]
+    nan_block = np.full((8, 8), np.nan, dtype=complex)
+    forgeries = {
+        "4x4 witness": dict(witness=np.eye(4, dtype=complex) / 4.0),
+        "flat witness": dict(witness=result.witness.ravel()),
+        "inf witness": dict(witness=np.where(
+            np.eye(8, dtype=bool), result.witness, np.inf)),
+        "missing decomposition": dict(decompositions=result.decompositions[:2]),
+        "short decomposition": dict(
+            decompositions=((p,),) + result.decompositions[1:]),
+        "4x4 decomposition": dict(
+            decompositions=((p[:4, :4], q[:4, :4]),) + result.decompositions[1:]),
+        "nan decomposition": dict(
+            decompositions=((nan_block, q),) + result.decompositions[1:]),
+        "extra mixture block": dict(mixture=result.mixture + (nan_block,)),
+        "4x4 mixture": dict(mixture=tuple(y[:4, :4] for y in result.mixture)),
+        "nan mixture": dict(mixture=(nan_block,) + result.mixture[1:]),
+        "inf lower bound": dict(lower_bound=float("inf")),
+        "nan value": dict(optimal_value=float("nan")),
+    }
+    for name, fields in forgeries.items():
+        forged = dataclasses.replace(result, **fields)
+        assert not verify_witness_certificate(forged, rho), name
+
+
+def test_verifier_validates_the_state():
+    m = random_density_matrix(np.random.default_rng(7), 3)
+    result = ppt_mixer_witness(m, sign_only=True)
+    assert verify_witness_certificate(result, m)
+    skewed = m.copy()
+    skewed[0, 1] += 1e-3
+    negative = m - 0.5 * np.diag(np.eye(8)[1])
+    for array, message in ((skewed, "Hermiticity"),
+                           (negative, "minimum eigenvalue"),
+                           *BAD_RAW_ARRAYS.values()):
+        with pytest.raises(StateValidationError, match=message):
+            verify_witness_certificate(result, array)
+    with pytest.raises(ValueError, match="three-qubit"):
+        verify_witness_certificate(result, maximally_mixed(2))
+
+
 def _local_phase(rho):
     """Conjugate by a local diagonal phase unitary, making entries complex."""
     u = np.array([1.0], dtype=complex)

@@ -133,12 +133,14 @@ def test_sdp_bisection_uses_few_sign_only_iterations(monkeypatch):
 
 
 @pytest.mark.parametrize("name,max_calls,max_points", [
-    # Measured when these budgets were set: 52 calls / 17692 points and
-    # 61 / 21733, with the nonnegative margins settled by certificates;
-    # without them 1750 / 60340 and 1408 / 55840, and full searches at
-    # every point take 3482 / 85382 and 3272 / 81077.
-    pytest.param(PROPERTY_SLE, 55, 18200, id=PROPERTY_SLE),
-    pytest.param(PROPERTY_SLE_AFTER, 65, 22400, id=PROPERTY_SLE_AFTER),
+    # Measured when these budgets were set: 34 calls / 1294 points and
+    # 32 / 1229, with the nonnegative margins settled by certificates and
+    # the negative ones the subgrid misses by one see-saw step; without the
+    # step 52 / 17692 and 61 / 21733, without certificates either
+    # 1750 / 60340 and 1408 / 55840, and full searches at every point take
+    # 3482 / 85382 and 3272 / 81077.
+    pytest.param(PROPERTY_SLE, 36, 1340, id=PROPERTY_SLE),
+    pytest.param(PROPERTY_SLE_AFTER, 35, 1270, id=PROPERTY_SLE_AFTER),
 ])
 def test_sle_bisection_objective_budget(monkeypatch, name, max_calls,
                                         max_points):
