@@ -12,17 +12,18 @@ Vidal, "Quantum separability, time reversal and canonical decompositions",
 PRA 58, 826 (1998)), so the negativity is log2(1 - 2 min(0, lambda_min)),
 largest where lambda_min is smallest.
 
-The optimizer is deterministic: a 64x64 (theta, phi) grid with a
-lowest-theta-then-lowest-phi tie-break, followed by a Nelder-Mead simplex
-refinement seeded from the best three grid points.  A sign-only search
-stops at the first point that certifies a negative minimum, or at a
-certificate of a nonnegative one (see ``sle_quantify``).  The objective,
-``_SLEObjective``, is set up once per search, so each evaluation, of the
-whole grid or of one Nelder-Mead point, is one small matrix product and a
-batched 4x4 eigensolve; ``sle_quantifier_at`` evaluates it at one point.
+The optimizer is deterministic: the best point of a 64x64 (theta, phi)
+grid, ties going to the lowest theta, then the lowest phi, refined by
+see-saw steps (see "Refinement").  A sign-only search looks at the 8x8
+subgrid and one step, and stops at a point that certifies a negative
+minimum or at a certificate of a nonnegative one (see ``sle_quantify``).
+The objective, ``_SLEObjective``, is set up once per search, so each
+evaluation, of a grid or of one stepped point, is one small matrix product
+and a batched 4x4 eigensolve; ``sle_quantifier_at`` evaluates it at one
+point.
 
-Sign-only searches
-------------------
+Refinement
+----------
 With psi = (cos(theta), sin(theta) e^{i phi}) and the blocks
 T_ij = <i| rho |j> over the measured qubit, the projected, transposed pair
 is sum_ij conj(psi_i) psi_j T_ij^{T_b} and its weight psi^H R psi, where
@@ -32,14 +33,21 @@ psi^H A(f) psi / psi^H R psi, with A(f)_ij = <f| T_ij^{T_b} |f>, and can be
 minimized alternately over the two ("see-saw"; Werner & Wolf, "Bell
 inequalities and entanglement", QIC 1 (2001)): f is the lowest eigenvector
 of the 4x4 pair at the current psi, psi the lowest generalized eigenvector
-of the 2x2 pair (A(f), R).  A sign-only search takes one such step from
-its subgrid's best point.  The step never increases the value: the new
+of the 2x2 pair (A(f), R).  The step never increases the value: the new
 psi's value is at most its ratio at f, the lowest ratio at f, so at most
-the old psi's ratio at f, which is the old value.  At the 39 SLE and
-SLE-after-distill bisection points the subgrid settles 12 of the 21
-negative margins and the step the other 9, each within 1e-16 of the full
-search's optimum.  The default search keeps the grid and Nelder-Mead, so
-its reported optimizer does not move.
+the old psi's ratio at f, which is the old value.
+
+The search steps from the grid's best point and keeps each step only while
+it strictly lowers the value, at most ``SLE_REFINE_STEPS`` of them, so it
+never reports a point worse than the grid's.  On a ring of degenerate
+optima, as for noisy GHZ states with p > 0, whose value does not depend on
+phi, the step leaves the grid's phi in place and lands on theta = pi/4.
+When R is singular the step is skipped: the measured qubit is then pure,
+the state a product with it, and the objective constant wherever the
+weight is nonzero.  A sign-only search takes at most one step from its
+subgrid's best point.  At the 39 SLE and SLE-after-distill bisection points the
+subgrid settles 12 of the 21 negative margins and the step the other 9,
+each within 1e-16 of the default search's optimum.
 
 Certified nonnegative signs
 ---------------------------
@@ -82,14 +90,14 @@ fewest iterations on both: 625 in all, at most 100, to certify the 18,
 against 745-1280 for the other settings; and 645, at most 105, to refute
 the 9 (660-1125).  The cap of 200 is twice the longest certifying solve.
 Every certificate found there passes ``verify_sle_certificate``.  Since
-the see-saw step settles those 9 first (see "Sign-only searches"), a
-sign-only search solves for a certificate only at the 18.
+the see-saw step settles those 9 first (see "Refinement"), a sign-only
+search solves for a certificate only at the 18.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Callable, Mapping
+from typing import Mapping
 
 import numpy as np
 
@@ -116,9 +124,8 @@ X_SHAPE_LEAKAGE_TOL = 1e-8
 
 SLE_GRID_SIZE = 64
 SLE_REFINE_STEPS = 500
-SLE_PARAM_TOL = 1e-9
 # A sign-only SLE search settles only for signed values below -SLE_SIGN_SLACK,
-# so optima within rounding of zero take the full search; its first stage
+# so optima within rounding of zero take the default search; its first stage
 # is the stride-SLE_COARSE_STRIDE subgrid of the search grid.
 SLE_SIGN_SLACK = 1e-12
 SLE_COARSE_STRIDE = 8
@@ -464,8 +471,8 @@ class _SLEObjective:
         return self._combine(coeffs, self.blocks)[0]
 
     def seesaw_step(self, theta: float, phi: float) -> np.ndarray | None:
-        """One see-saw step from (theta, phi) (see "Sign-only searches" in
-        the module docstring).
+        """One see-saw step from (theta, phi) (see "Refinement" in the
+        module docstring).
 
         Returns the direction (theta, phi) of the lowest generalized
         eigenvector of (A, R), the 2x2 forms of the lowest eigenvector f of
@@ -623,71 +630,39 @@ def verify_sle_certificate(certificate: SLECertificate, rho) -> bool:
     return bool(bound > SLE_SIGN_SLACK and bound >= t - 1e-9)
 
 
-def _nelder_mead(objective: Callable[[np.ndarray], float],
-                 simplex: np.ndarray, max_steps: int,
-                 param_tol: float) -> tuple[np.ndarray, float]:
-    """Minimize a 2-D function from an explicit starting simplex."""
-    points = [np.array(p, dtype=float) for p in simplex]
-    values = [objective(p) for p in points]
-    for _ in range(max_steps):
-        order = np.argsort(values)
-        points = [points[i] for i in order]
-        values = [values[i] for i in order]
-        spread = max(np.abs(points[i] - points[0]).max() for i in (1, 2))
-        if spread < param_tol:
-            break
-        centroid = 0.5 * (points[0] + points[1])
-        reflected = centroid + (centroid - points[2])
-        f_r = objective(reflected)
-        if f_r < values[0]:
-            expanded = centroid + 2.0 * (centroid - points[2])
-            f_e = objective(expanded)
-            if f_e < f_r:
-                points[2], values[2] = expanded, f_e
-            else:
-                points[2], values[2] = reflected, f_r
-        elif f_r < values[1]:
-            points[2], values[2] = reflected, f_r
-        else:
-            contracted = centroid + 0.5 * (points[2] - centroid)
-            f_c = objective(contracted)
-            if f_c < values[2]:
-                points[2], values[2] = contracted, f_c
-            else:
-                for i in (1, 2):
-                    points[i] = points[0] + 0.5 * (points[i] - points[0])
-                    values[i] = objective(points[i])
-    best = int(np.argmin(values))
-    return points[best], values[best]
+def _grid_best(objective: _SLEObjective, theta_axis: np.ndarray,
+               phi_axis: np.ndarray) -> tuple[float, float, float]:
+    """The best point of the objective on the grid ``theta_axis x phi_axis``
+    and its value.
 
-
-class _SignSettled(Exception):
-    """A sign-only refinement reached a point that certifies the sign."""
-
-    def __init__(self, point: np.ndarray, value: float):
-        super().__init__()
-        self.point = point
-        self.value = value
-
-
-def _grid_values(objective: _SLEObjective, theta_axis: np.ndarray,
-                 phi_axis: np.ndarray):
-    """The objective on the grid ``theta_axis x phi_axis``.
-
-    Returns the grid points, their values and the stable ascending order of
-    the values; the points are theta-major, so the order breaks ties toward
-    the lowest theta, then the lowest phi.
+    The points are theta-major and ``np.argmin`` takes the first minimum, so
+    ties go to the lowest theta, then the lowest phi.
     """
     tg, pg = np.meshgrid(theta_axis, phi_axis, indexing="ij")
     thetas, phis = tg.ravel(), pg.ravel()
     values = objective.values(thetas, phis)
-    return thetas, phis, values, np.argsort(values, kind="stable")
+    best = int(np.argmin(values))
+    return thetas[best], phis[best], values[best]
+
+
+def _descend(objective: _SLEObjective, theta: float, phi: float, value: float,
+             max_steps: int) -> tuple[float, float, float]:
+    """Up to ``max_steps`` see-saw steps from (theta, phi), each kept only if
+    it strictly lowers the value; returns the last point kept and its value.
+    """
+    for _ in range(max_steps):
+        step = objective.seesaw_step(theta, phi)
+        if step is None:
+            break
+        stepped = objective.values(step[:1], step[1:])[0]
+        if not stepped < value:
+            break
+        theta, phi, value = step[0], step[1], stepped
+    return theta, phi, value
 
 
 def sle_quantify(rho, pair=None, quantifier: str = QUANTIFIER_NEGATIVITY,
-                 grid_size: int = SLE_GRID_SIZE,
-                 refine_steps: int = SLE_REFINE_STEPS,
-                 param_tol: float = SLE_PARAM_TOL, *,
+                 grid_size: int = SLE_GRID_SIZE, *,
                  sign_only: bool = False) -> SLEResult:
     """Extremize a bipartite quantifier over single-qubit projections.
 
@@ -696,35 +671,31 @@ def sle_quantify(rho, pair=None, quantifier: str = QUANTIFIER_NEGATIVITY,
     maximal negativity is log2(1 - 2 min(0, minimum)) at the same optimizer
     (Sanpera, Tarrach & Vidal, PRA 58, 826 (1998)).
 
-    The search runs over a ``grid_size`` x ``grid_size`` grid and then
-    Nelder-Mead from the best three grid points, and reports the better of
-    the grid and refined optima.
+    The search takes the best point of a ``grid_size`` x ``grid_size`` grid
+    and then see-saw steps from it (``_SLEObjective.seesaw_step``, see
+    "Refinement" in the module docstring) while each one strictly lowers
+    the value, at most ``SLE_REFINE_STEPS`` of them, and reports the last
+    point kept.
 
-    With ``sign_only=True`` the search settles for the first point whose
-    minimum eigenvalue lies below -``SLE_SIGN_SLACK``, trying in turn the
-    stride-8 subgrid of the same grid (its best point), one see-saw step
-    from that point (``_SLEObjective.seesaw_step``, see "Sign-only
-    searches" in the module docstring), the full grid (its best point,
-    without refinement) and the same Nelder-Mead run, which stops at the
-    first such point it evaluates.  It returns that point's value,
-    (theta, phi) and localized state, which certify the sign but need not
-    be the optimum.  A negative sign rests on that evaluated direction: its
-    projection leaves an NPT, hence entangled, pair, so the optimum lies
-    below zero too.  The slack (1e-12) leaves optima within rounding of
-    zero, whose sign is rounding noise, to the full search, and dwarfs the
-    last-bit change a point's value can take when it is evaluated in a
-    different batch.
+    With ``sign_only=True`` the search first takes the best point of the
+    stride-8 subgrid of the same grid and, unless its minimum eigenvalue
+    already lies below -``SLE_SIGN_SLACK``, one see-saw step from it, kept
+    if it lowers the value.  If the point reached lies below
+    -``SLE_SIGN_SLACK``, the search returns its value, (theta, phi) and
+    localized state, which
+    certify the sign but need not be the optimum: the projection leaves an
+    NPT, hence entangled, pair, so the optimum lies below zero too.  The
+    slack (1e-12) leaves optima within rounding of zero, whose sign is
+    rounding noise, to the default search, and dwarfs the last-bit change a
+    point's value can take when it is evaluated in a different batch.
 
-    When neither the subgrid nor the step has such a point,
-    ``sle_certificate`` runs before the full grid.  If it finds a
-    decomposition with t > ``SLE_SIGN_SLACK``, every value the default
-    search can reach is at least t / weight > 0 (see "Certified
-    nonnegative signs" in the module docstring), so the search returns the
-    subgrid's best point, whose value is an evaluated minimum and so
-    positive too, with ``certificate`` set.  Otherwise the search goes on
-    as above, and when no point qualifies the result is exactly the
-    default search's.  The default search takes neither the step nor a
-    certificate.
+    Otherwise ``sle_certificate`` runs.  If it finds a decomposition with
+    t > ``SLE_SIGN_SLACK``, every value the default search can reach is at
+    least t / weight > 0 (see "Certified nonnegative signs" in the module
+    docstring), so the search returns that point, whose value is an
+    evaluated minimum and so positive too, with ``certificate`` set.
+    Without a certificate the result is exactly the default search's.  The
+    default search takes no certificate.
 
     Parameters
     ----------
@@ -759,57 +730,20 @@ def sle_quantify(rho, pair=None, quantifier: str = QUANTIFIER_NEGATIVITY,
     theta_axis = np.linspace(0.0, np.pi / 2.0, grid_size)
     phi_axis = np.linspace(0.0, 2.0 * np.pi, grid_size, endpoint=False)
     if sign_only:
-        thetas, phis, values, order = _grid_values(
-            objective, theta_axis[::SLE_COARSE_STRIDE],
-            phi_axis[::SLE_COARSE_STRIDE])
-        best = order[0]
-        if values[best] < -SLE_SIGN_SLACK:
-            return result(thetas[best], phis[best], values[best])
-        if values[best] < np.inf:
-            step = objective.seesaw_step(thetas[best], phis[best])
-            if step is not None:
-                value = objective.values(step[:1], step[1:])[0]
-                if value < -SLE_SIGN_SLACK:
-                    return result(step[0], step[1], value)
+        theta, phi, value = _grid_best(objective,
+                                       theta_axis[::SLE_COARSE_STRIDE],
+                                       phi_axis[::SLE_COARSE_STRIDE])
+        if value >= -SLE_SIGN_SLACK:
+            theta, phi, value = _descend(objective, theta, phi, value, 1)
+        if value < -SLE_SIGN_SLACK:
+            return result(theta, phi, value)
+        if value < np.inf:
             certificate = sle_certificate(rho, pair)
             if certificate is not None:
-                return result(thetas[best], phis[best], values[best],
-                              certificate)
+                return result(theta, phi, value, certificate)
 
-    thetas, phis, values, order = _grid_values(objective, theta_axis, phi_axis)
-    grid_best = int(order[0])
-    grid_value = values[grid_best]
-    if grid_value == np.inf:
+    theta, phi, value = _grid_best(objective, theta_axis, phi_axis)
+    if value == np.inf:
         raise DegenerateProjectionError(
             "every projection direction on the grid has vanishing weight")
-    if sign_only and grid_value < -SLE_SIGN_SLACK:
-        return result(thetas[grid_best], phis[grid_best], grid_value)
-
-    def point_value(point: np.ndarray) -> float:
-        value = objective.values(point[:1], point[1:])[0]
-        if sign_only and value < -SLE_SIGN_SLACK:
-            raise _SignSettled(point, value)
-        return value
-
-    simplex = np.stack([np.array([thetas[i], phis[i]]) for i in order[:3]])
-    edge1, edge2 = simplex[1] - simplex[0], simplex[2] - simplex[0]
-    area = abs(edge1[0] * edge2[1] - edge1[1] * edge2[0])
-    if area < 1e-12:
-        h_theta = theta_axis[1] - theta_axis[0]
-        h_phi = phi_axis[1] - phi_axis[0]
-        simplex = np.stack([
-            simplex[0],
-            simplex[0] + np.array([0.5 * h_theta, 0.0]),
-            simplex[0] + np.array([0.0, 0.5 * h_phi]),
-        ])
-    try:
-        best_point, best_value = _nelder_mead(point_value, simplex,
-                                              refine_steps, param_tol)
-    except _SignSettled as settled:
-        return result(settled.point[0], settled.point[1], settled.value)
-
-    if grid_value <= best_value:
-        # Refinement never found a strictly better point; keep the grid one
-        # for a deterministic, reproducible optimizer location.
-        return result(thetas[grid_best], phis[grid_best], grid_value)
-    return result(best_point[0], best_point[1], best_value)
+    return result(*_descend(objective, theta, phi, value, SLE_REFINE_STEPS))

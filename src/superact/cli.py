@@ -58,6 +58,9 @@ class RunConfig:
             raise ValueError(f"unknown output format {self.fmt!r}")
         if self.grid is not None and self.grid[2] < 1:
             raise ValueError("grid count must be at least 1")
+        if self.grid is not None and not np.all(np.isfinite(self.grid[:2])):
+            raise ValueError(
+                f"grid start and stop must be finite, got {self.grid[:2]}")
         if self.tolerance is not None and not 0 < self.tolerance < np.inf:
             raise ValueError(
                 f"tolerance must be positive and finite, got {self.tolerance}")
@@ -319,6 +322,38 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _strings(value) -> bool:
+    return isinstance(value, list) and all(isinstance(v, str) for v in value)
+
+
+def _number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+_CONFIG_KINDS = {
+    "a string": lambda v: isinstance(v, str),
+    "a string or a list of strings":
+        lambda v: isinstance(v, str) or _strings(v),
+    "a list of strings": _strings,
+    "an integer": lambda v: _number(v) and isinstance(v, int),
+    "a number": _number,
+    "true or false": lambda v: isinstance(v, bool),
+}
+# The kind of JSON value each option takes in a config file; argparse types
+# the same options given as flags.  Other keys are ignored, null means unset.
+_CONFIG_OPTIONS = {
+    "input": "a string or a list of strings",
+    "sample": "a list of strings",
+    "seed": "an integer",
+    "tolerance": "a number",
+    "schedule": "a number",
+    "full_certificates": "true or false",
+    "recertify": "true or false",
+    **{key: "a string" for key in ("protocol", "localize", "curves", "certify",
+                                   "thresholds", "output", "fmt")},
+}
+
+
 def _merge_config(args: argparse.Namespace) -> dict:
     file_options = {}
     if args.config:
@@ -326,7 +361,13 @@ def _merge_config(args: argparse.Namespace) -> dict:
             file_options = json.load(fh)
         if not isinstance(file_options, dict):
             raise ValueError("config file must hold a JSON object")
-    merged = dict(file_options)
+    merged = {key: value for key, value in file_options.items()
+              if value is not None}
+    for key, value in merged.items():
+        kind = _CONFIG_OPTIONS.get(key)
+        if kind is not None and not _CONFIG_KINDS[kind](value):
+            raise ValueError(
+                f"config option {key!r} must be {kind}, got {value!r}")
     for key, value in vars(args).items():
         if key != "config" and value is not None:
             merged[key] = value

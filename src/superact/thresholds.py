@@ -34,16 +34,15 @@ entangled pair, which puts the optimum below zero too.  It looks on the
 When neither finds such a direction, the search looks for a
 decomposability certificate rho^{T_b} - t I = P + Q^{T_m} with t > 1e-12,
 which puts every projection, and so the optimum, above zero; with one it
-returns the subgrid's best value.  Only a search that finds neither, within
-the certificate solve's 200-iteration cap, runs on over the full grid and
-Nelder-Mead, and only one that finds no negative direction there either
-runs to its optimum (see ``certify.sle_quantify``).  At the 39 bisection
-points of the default ranges, the 21 negative margins are settled by the
-subgrid (12) or the step (9), and each of the 18 nonnegative margins by a
-certificate.  The signs, and so every bracket, are those of the full
-searches.  A margin value is therefore a certifying value, not always the
-optimum, and the values that a no-sign-change error prints are those
-certifying values.
+returns the best value the subgrid and the step found.  Only a search that
+finds neither, within the certificate solve's 200-iteration cap, runs the
+default search to its optimum (see ``certify.sle_quantify``).  At the 39
+bisection points of the default ranges, the 21 negative margins are
+settled by the subgrid (12) or the step (9), and each of the 18
+nonnegative margins by a certificate.  The signs, and so every bracket,
+are those of the default searches.  A margin value is therefore a
+certifying value, not always the optimum, and the values that a
+no-sign-change error prints are those certifying values.
 """
 
 from __future__ import annotations
@@ -246,7 +245,7 @@ def fidelity_curves(p_values) -> np.ndarray:
     localizing with an X measurement.
     """
     p = np.asarray(p_values, dtype=float).reshape(-1)
-    if np.any((p < 0.0) | (p > 1.0)):
+    if not np.all((p >= 0.0) & (p <= 1.0)):  # NaN fails both comparisons
         raise ValueError("p values must lie in [0, 1]")
     denom = 3.0 * p * p + 1.0
     f_initial = (1.0 + 7.0 * p) / 8.0

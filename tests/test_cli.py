@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -29,6 +30,9 @@ def test_run_config_validation():
             RunConfig("sweep", (), None, tolerance, 0, None, "csv")
     with pytest.raises(ValueError):
         RunConfig("sweep", (), None, None, 0, None, "yaml")
+    for grid in ((np.nan, 1.0, 3), (0.0, np.inf, 3), (-np.inf, 1.0, 3)):
+        with pytest.raises(ValueError, match="must be finite"):
+            RunConfig("sweep", (), grid, None, 0, None, "csv")
 
 
 def test_parse_state_spec_builtins():
@@ -261,6 +265,17 @@ def test_sweep_invalid_grid(capsys):
     assert "count" in err
 
 
+@pytest.mark.parametrize("mode", ["--curves", "--certify"])
+@pytest.mark.parametrize("grid", ["nan:1:3", "0:inf:3", "0:nan:3"])
+def test_sweep_rejects_non_finite_grid(mode, grid, capsys):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no linspace warning on the way
+        code, out, err = run_cli(["sweep", mode, grid], capsys)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("superact: error:") and "must be finite" in err
+
+
 # ---------------------------------------------------------------------------
 # coincidence
 
@@ -318,6 +333,23 @@ def test_config_file_supplies_defaults(tmp_path, capsys):
                                  "--format", "json"], capsys)
     assert code == 0
     assert json.loads(out_json)["gme_concurrence"] == pytest.approx(0.125, abs=1e-9)
+
+
+@pytest.mark.parametrize("options, message", [
+    ({"input": "noisy-ghz:0.5", "tolerance": "abc"},
+     "'tolerance' must be a number, got 'abc'"),
+    ({"input": 5}, "'input' must be a string or a list of strings, got 5"),
+    ({"input": "noisy-ghz:0.5", "seed": 1.5},
+     "'seed' must be an integer, got 1.5"),
+])
+def test_config_file_rejects_mistyped_options(tmp_path, capsys, options,
+                                              message):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps(options))
+    code, out, err = run_cli(["--config", str(cfg), "certify"], capsys)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("superact: error:") and message in err
 
 
 def test_csv_format_flag_round_trip(capsys):

@@ -212,6 +212,9 @@ def test_fidelity_curves_endpoints_and_pipeline_agreement():
 def test_fidelity_curves_rejects_out_of_range():
     with pytest.raises(ValueError):
         fidelity_curves([1.2])
+    for bad in ([np.nan], [0.5, np.nan], [-np.inf]):
+        with pytest.raises(ValueError, match="must lie in"):
+            fidelity_curves(bad)
 
 
 def test_csv_emission_round_trippable():
