@@ -64,18 +64,18 @@ Phys. 10, 165 (1976)), so a missing one proves nothing.
 
 The best t is the optimum of min tr(X W) over unit-trace W with W >= 0 and
 W^{T_m} >= 0, whose dual is this decomposition.  ``sle_certificate``
-solves it by Douglas-Rachford splitting, as ``sdp.py`` solves the
-PPT-mixer program, over (W, A, B): the affine set W = A = B^{T_m},
-tr W = 1 has the closed-form projection
-W = mean(W_0, A_0, B_0^{T_m}) + ((1 - tr) / 8) I, and the cones are
-A, B >= 0.  Every ``SLE_CERT_CHECK_EVERY`` = 5 iterations both sides of
-the iterate are repaired, as in ``sdp.py``:
+solves it with the Douglas-Rachford loop of ``sdp.py`` (see
+"Douglas-Rachford iteration" there) over (W, A, B): the affine set
+W = A = B^{T_m}, tr W = 1 has the closed-form projection
+``_project_sle_affine``, W = mean(W_0, A_0, B_0^{T_m}) + ((1 - tr) / 8) I,
+and the cones are A, B >= 0.  Every ``SLE_CERT_CHECK_EVERY`` = 5 iterations
+both sides of the iterate are repaired, as in ``sdp.py``:
 
-- *certificate*: the cone multipliers give P-hat and Q-hat, the PSD parts
-  of minus the A and B reflections over the step; t is the lowest
-  eigenvalue of X - P-hat - Q-hat^{T_m}, and the PSD remainder minus t I
-  moves into P, so X - t I = P + Q^{T_m} exactly.  The solve returns it at
-  the first t > ``SLE_SIGN_SLACK``;
+- *certificate*: the cone gap over the step holds the multipliers, P-hat
+  from A and Q-hat from B, both PSD; t is the lowest eigenvalue of
+  X - P-hat - Q-hat^{T_m}, and the PSD remainder minus t I moves into P, so
+  X - t I = P + Q^{T_m} exactly.  The solve returns it at the first
+  t > ``SLE_SIGN_SLACK``;
 - *refutation*: the affine iterate W, shifted by the smallest delta I that
   makes W and W^{T_m} PSD and rescaled to unit trace, is feasible, and
   its value bounds every t from above.  Once it is at most the slack no
@@ -101,6 +101,7 @@ from typing import Mapping
 
 import numpy as np
 
+from .sdp import _partial_transpose_index, _transpose_stack, douglas_rachford
 from .states import (
     PAULI_X,
     PAULI_Y,
@@ -533,6 +534,15 @@ def _hermitian_part(a: np.ndarray) -> np.ndarray:
     return 0.5 * (a + np.conj(np.swapaxes(a, -1, -2)))
 
 
+def _project_sle_affine(x: np.ndarray, pt_index: np.ndarray,
+                        eye: np.ndarray) -> np.ndarray:
+    """Orthogonal projection of a stack (W, A, B) onto W = A = B^{T_m},
+    tr W = 1, with ``pt_index`` the gather index of the transpose over m."""
+    w = (x[0] + x[1] + _transpose_stack(x[2], pt_index)) / 3.0
+    w += ((1.0 - w.trace().real) / 8.0) * eye
+    return np.stack([w, w, _transpose_stack(w, pt_index)])
+
+
 def sle_certificate(rho, pair=None) -> SLECertificate | None:
     """Certify that no projection of the measured qubit leaves an NPT pair.
 
@@ -555,37 +565,24 @@ def sle_certificate(rho, pair=None) -> SLECertificate | None:
     x = _partial_transpose_array(m, 3, (kept[1],))
     if not x.imag.any():  # a real state iterates in real arithmetic
         x = x.real.copy()
-    gather = _partial_transpose_array(np.arange(64).reshape(8, 8), 3,
-                                      (measured,)).ravel()
-
-    def transpose_m(a: np.ndarray) -> np.ndarray:
-        return a.reshape(-1)[gather].reshape(8, 8)
-
+    pt_index = _partial_transpose_index(3, ((measured,),))
     eye = np.eye(8, dtype=x.dtype)
-    # The splitting variable z = (z_w, z_a, z_b) over (W, A, B): the affine
-    # set is W = A = B^{T_m} with tr W = 1, the cones are A, B >= 0.
-    z_w, z_a, z_b = eye / 8.0, eye / 8.0, eye / 8.0
-    step, relaxation = SLE_CERT_STEP, SLE_CERT_RELAXATION
-    for iteration in range(1, SLE_CERT_MAX_ITERATIONS + 1):
-        w = (z_w - step * x + z_a + transpose_m(z_b)) / 3.0
-        w += ((1.0 - w.trace().real) / 8.0) * eye
-        w_m = transpose_m(w)
-        lam, vec = np.linalg.eigh(np.stack([2.0 * w - z_a, 2.0 * w_m - z_b]))
-        vec_h = np.conj(np.swapaxes(vec, -1, -2))
-        cone = (vec * np.maximum(lam, 0.0)[:, None, :]) @ vec_h
-        z_w = z_w + relaxation * (w - z_w)
-        z_a = z_a + relaxation * (cone[0] - w)
-        z_b = z_b + relaxation * (cone[1] - w_m)
+    zero = np.zeros_like(x)
+    # Over (W, A, B), from I/8 in each block; only W carries a cost.
+    iterates = douglas_rachford(
+        np.stack([x, zero, zero]), np.stack([eye / 8.0] * 3),
+        lambda v: _project_sle_affine(v, pt_index, eye),
+        SLE_CERT_STEP, SLE_CERT_RELAXATION, SLE_CERT_MAX_ITERATIONS)
+    for iteration, (xf, cone_gap) in enumerate(iterates, 1):
         if iteration % SLE_CERT_CHECK_EVERY:
             continue
-        # The multipliers (cone point - reflection) / step are the PSD parts
-        # of minus the reflections: P-hat from A, Q-hat from B.
-        p_hat, q_hat = _hermitian_part(
-            (vec * np.maximum(-lam, 0.0)[:, None, :]) @ vec_h / step)
-        remainder = _hermitian_part(x - p_hat - transpose_m(q_hat))
-        w = _hermitian_part(w)
+        # The cone multipliers: P-hat from A, Q-hat from B.
+        p_hat, q_hat = _hermitian_part(cone_gap / SLE_CERT_STEP)
+        remainder = _hermitian_part(
+            x - p_hat - _transpose_stack(q_hat, pt_index))
+        w = _hermitian_part(xf[0])
         lowest = np.linalg.eigvalsh(
-            np.stack([remainder, w, transpose_m(w)]))[:, 0]
+            np.stack([remainder, w, _transpose_stack(w, pt_index)]))[:, 0]
         t = float(lowest[0])
         if t > SLE_SIGN_SLACK:
             return SLECertificate(pair=kept, lower_bound=t,
@@ -661,8 +658,7 @@ def _descend(objective: _SLEObjective, theta: float, phi: float, value: float,
     return theta, phi, value
 
 
-def sle_quantify(rho, pair=None, quantifier: str = QUANTIFIER_NEGATIVITY,
-                 grid_size: int = SLE_GRID_SIZE, *,
+def sle_quantify(rho, pair=None, quantifier: str = QUANTIFIER_NEGATIVITY, *,
                  sign_only: bool = False) -> SLEResult:
     """Extremize a bipartite quantifier over single-qubit projections.
 
@@ -671,8 +667,8 @@ def sle_quantify(rho, pair=None, quantifier: str = QUANTIFIER_NEGATIVITY,
     maximal negativity is log2(1 - 2 min(0, minimum)) at the same optimizer
     (Sanpera, Tarrach & Vidal, PRA 58, 826 (1998)).
 
-    The search takes the best point of a ``grid_size`` x ``grid_size`` grid
-    and then see-saw steps from it (``_SLEObjective.seesaw_step``, see
+    The search takes the best point of an ``SLE_GRID_SIZE`` x
+    ``SLE_GRID_SIZE`` grid (64 x 64) and then see-saw steps from it (``_SLEObjective.seesaw_step``, see
     "Refinement" in the module docstring) while each one strictly lowers
     the value, at most ``SLE_REFINE_STEPS`` of them, and reports the last
     point kept.
@@ -708,13 +704,9 @@ def sle_quantify(rho, pair=None, quantifier: str = QUANTIFIER_NEGATIVITY,
     quantifier : str
         ``"negativity"`` or ``"min-eigenvalue-after-pt"``, the quantifier
         reported.
-    grid_size : int
-        Grid points per axis, at least 2.
     sign_only : bool
         Stop at the first point that certifies the sign of the optimum.
     """
-    if grid_size < 2:
-        raise ValueError(f"grid_size must be at least 2, got {grid_size}")
     _report(0.0, quantifier)  # reject an unknown quantifier before searching
     objective = _SLEObjective(rho, pair)
 
@@ -727,8 +719,8 @@ def sle_quantify(rho, pair=None, quantifier: str = QUANTIFIER_NEGATIVITY,
                          phi=float(phi), quantifier=quantifier,
                          localized_state=localized, certificate=certificate)
 
-    theta_axis = np.linspace(0.0, np.pi / 2.0, grid_size)
-    phi_axis = np.linspace(0.0, 2.0 * np.pi, grid_size, endpoint=False)
+    theta_axis = np.linspace(0.0, np.pi / 2.0, SLE_GRID_SIZE)
+    phi_axis = np.linspace(0.0, 2.0 * np.pi, SLE_GRID_SIZE, endpoint=False)
     if sign_only:
         theta, phi, value = _grid_best(objective,
                                        theta_axis[::SLE_COARSE_STRIDE],

@@ -340,7 +340,8 @@ _CONFIG_KINDS = {
     "true or false": lambda v: isinstance(v, bool),
 }
 # The kind of JSON value each option takes in a config file; argparse types
-# the same options given as flags.  Other keys are ignored, null means unset.
+# the same options given as flags.  Any other key is an error, null means
+# unset.
 _CONFIG_OPTIONS = {
     "input": "a string or a list of strings",
     "sample": "a list of strings",
@@ -361,13 +362,15 @@ def _merge_config(args: argparse.Namespace) -> dict:
             file_options = json.load(fh)
         if not isinstance(file_options, dict):
             raise ValueError("config file must hold a JSON object")
-    merged = {key: value for key, value in file_options.items()
-              if value is not None}
-    for key, value in merged.items():
+    for key, value in file_options.items():
         kind = _CONFIG_OPTIONS.get(key)
-        if kind is not None and not _CONFIG_KINDS[kind](value):
+        if kind is None:
+            raise ValueError(f"unknown config option {key!r}")
+        if value is not None and not _CONFIG_KINDS[kind](value):
             raise ValueError(
                 f"config option {key!r} must be {kind}, got {value!r}")
+    merged = {key: value for key, value in file_options.items()
+              if value is not None}
     for key, value in vars(args).items():
         if key != "config" and value is not None:
             merged[key] = value

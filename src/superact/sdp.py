@@ -10,15 +10,30 @@ for the three one-versus-rest bipartitions of a three-qubit state.  A
 negative optimum certifies genuine multipartite entanglement; a nonnegative
 optimum is strong (though not conclusive) evidence of bi-separability.
 
-The solver is Douglas-Rachford splitting over the 7-tuple
-(W, P_1, Q_1, ..., Q_3) of Hermitian matrices: one proximal step projects
-onto the affine constraint set after a gradient step on the linear
-objective (the projection has a small closed form, derived below), the
-other projects onto the product of PSD cones, and the reflection update is
-over-relaxed.  Every solve returns two certificates built from its final
-iterate, so that they can be re-verified without trusting the solver: an
-exactly feasible witness, whose value bounds the optimum from above, and a
-PPT mixture, which bounds it from below.
+The solver is Douglas-Rachford splitting (see "Douglas-Rachford
+iteration") over the 7-tuple (W, P_1, Q_1, ..., Q_3) of Hermitian matrices,
+with W the free block.  Every solve returns two certificates built from its
+final iterate, so that they can be re-verified without trusting the solver:
+an exactly feasible witness, whose value bounds the optimum from above, and
+a PPT mixture, which bounds it from below.
+
+Douglas-Rachford iteration
+--------------------------
+``douglas_rachford`` is the one loop behind both cone programs of the
+package, this one and the SLE certificate program of ``certify.py``.  A
+program is a stack x of Hermitian blocks with the linear cost <c, x>, an
+affine constraint set with its orthogonal projection P_A, and a product of
+cones: block 0 is free and blocks 1: are PSD, projected by clipping their
+eigenvalues (P_K).  From the splitting variable z each iteration takes a
+gradient step on the cost and the two projections,
+
+    xf = P_A(z - step c),   y = 2 xf - z,   xg = P_K(y),
+    z <- z + relaxation (xg - xf),
+
+and yields the affine iterate xf and the cone gap xg - y on blocks 1:.  The
+gap over the step holds the multipliers of the cone constraints, from
+which both programs repair their dual certificates; each program chooses
+when to check and when to stop.
 
 Certified bounds
 ----------------
@@ -167,23 +182,27 @@ class WitnessResult:
     mixture: tuple[np.ndarray, ...]
 
 
-def _partial_transpose_index(n_qubits: int) -> np.ndarray:
-    """Gather index of the three partial transposes, shape (3, dim**2).
+def _partial_transpose_index(n_qubits: int,
+                             parties=BIPARTITIONS) -> np.ndarray:
+    """Gather index of one partial transpose per party, shape (k, dim**2).
 
-    With dim = 2**n_qubits and a stack of three dim x dim blocks flattened
-    to ``flat``, ``flat[index[k]]`` is block k partially transposed over
-    ``BIPARTITIONS[k]``, in row-major order.
+    With dim = 2**n_qubits and a stack of k = len(parties) dim x dim blocks
+    flattened to ``flat``, ``flat[index[j]]`` is block j partially
+    transposed over ``parties[j]``, in row-major order.
     """
     dim = 2 ** n_qubits
     flat = np.arange(dim * dim).reshape(dim, dim)
     return np.stack([
         k * dim * dim + _partial_transpose_array(flat, n_qubits, party).ravel()
-        for k, party in enumerate(BIPARTITIONS)
+        for k, party in enumerate(parties)
     ])
 
 
 def _transpose_stack(blocks: np.ndarray, pt_index: np.ndarray) -> np.ndarray:
-    """Partial transpose of ``blocks[k]`` over ``BIPARTITIONS[k]`` for k = 0..2."""
+    """Partial transpose of ``blocks[j]`` over the j-th party of ``pt_index``.
+
+    With a one-party index, ``blocks`` may also be a single matrix.
+    """
     return blocks.reshape(-1)[pt_index].reshape(blocks.shape)
 
 
@@ -205,13 +224,35 @@ def _project_affine(x: np.ndarray, pt_index: np.ndarray,
     return out
 
 
+def _psd_part(blocks: np.ndarray) -> np.ndarray:
+    """Projection of each Hermitian block onto the PSD cone."""
+    lam, vec = np.linalg.eigh(blocks)
+    return (vec * np.maximum(lam, 0.0)[:, None, :]) @ np.conj(
+        np.swapaxes(vec, -1, -2))
+
+
 def _project_cone(x: np.ndarray) -> np.ndarray:
     out = x.copy()
-    blocks = x[1:]
-    w, v = np.linalg.eigh(blocks)
-    w = np.maximum(w, 0.0)
-    out[1:] = (v * w[:, None, :]) @ np.conj(np.swapaxes(v, -1, -2))
+    out[1:] = _psd_part(x[1:])
     return out
+
+
+def douglas_rachford(c: np.ndarray, z: np.ndarray, project_affine,
+                     step: float, relaxation: float, max_iterations: int):
+    """Douglas-Rachford iterates of min <c, x> over an affine set and cones.
+
+    Starts from the splitting variable ``z`` and yields, for each of at most
+    ``max_iterations`` iterations, the affine iterate and the cone gap
+    xg[1:] - y[1:] (see "Douglas-Rachford iteration" in the module
+    docstring).  ``project_affine`` is the orthogonal projection onto the
+    affine set; block 0 of the stack is free, blocks 1: are PSD.
+    """
+    for _ in range(max_iterations):
+        xf = project_affine(z - step * c)
+        y = 2.0 * xf - z
+        xg = _project_cone(y)
+        z = z + relaxation * (xg - xf)
+        yield xf, xg[1:] - y[1:]
 
 
 def _cone_violation(x: np.ndarray) -> float:
@@ -241,9 +282,7 @@ def _certified_bounds(rho: np.ndarray, xf: np.ndarray, cone_gap: np.ndarray,
     """
     dim = eye.shape[0]
     w = 0.5 * (xf[0] + xf[0].conj().T)
-    lam, vec = np.linalg.eigh(xf[2::2])
-    q_hat = (vec * np.maximum(lam, 0.0)[:, None, :]) @ np.conj(
-        np.swapaxes(vec, -1, -2))
+    q_hat = _psd_part(xf[2::2])
     p_raw = w - _transpose_stack(q_hat, pt_index)
     delta = max(0.0, -float(np.linalg.eigvalsh(p_raw)[:, 0].min()))
     scale = 1.0 / (1.0 + dim * delta)
@@ -256,7 +295,7 @@ def _certified_bounds(rho: np.ndarray, xf: np.ndarray, cone_gap: np.ndarray,
         np.concatenate([mix, _transpose_stack(mix, pt_index)]))[:, 0]
     mix += np.maximum(0.0, -lowest.reshape(2, -1).min(axis=0))[:, None, None] * eye
     r = rho - (mix[0] + mix[1] + mix[2])
-    r_t1 = r.reshape(-1)[pt_index[0]].reshape(r.shape)
+    r_t1 = _transpose_stack(r, pt_index[:1])
     t = float(np.linalg.eigvalsh(np.stack([r, r_t1]))[:, 0].min())
     mix[0] += r - t * eye
     return _Bounds(
@@ -311,20 +350,18 @@ def ppt_mixer_witness(rho, config: SolverConfig | None = None, *,
     z[1:] = eye / (2 * dim)
 
     def bounds_now() -> _Bounds:
-        return _certified_bounds(c[0], xf, xg[1:] - y[1:], cfg.step,
-                                 pt_index, eye)
+        return _certified_bounds(c[0], xf, cone_gap, cfg.step, pt_index, eye)
 
     history: list[float] = []
-    xf = y = xg = z
+    xf, cone_gap = z, np.zeros_like(z[1:])
     bounds, bounds_at = None, -1
     converged = False
     iterations = 0
     check_every = 50
-    for iterations in range(1, cfg.max_iterations + 1):
-        xf = _project_affine(z - cfg.step * c, pt_index, eye)
-        y = 2.0 * xf - z
-        xg = _project_cone(y)
-        z = z + cfg.relaxation * (xg - xf)
+    iterates = douglas_rachford(
+        c, z, lambda x: _project_affine(x, pt_index, eye),
+        cfg.step, cfg.relaxation, cfg.max_iterations)
+    for iterations, (xf, cone_gap) in enumerate(iterates, 1):
         history.append(float(np.vdot(c[0], xf[0]).real))
         if sign_only and iterations % _BOUND_CHECK_EVERY == 0:
             bounds, bounds_at = bounds_now(), iterations

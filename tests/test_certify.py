@@ -475,12 +475,6 @@ def test_sle_value_matches_point_evaluation(quantifier):
         assert at == pytest.approx(result.value, abs=1e-12)
 
 
-def test_sle_rejects_grid_size_below_two():
-    for grid_size in (0, 1):
-        with pytest.raises(ValueError, match="grid_size must be at least 2"):
-            sle_quantify(noisy_ghz(0.5), grid_size=grid_size)
-
-
 def _sign_only_agrees(rho, pair, quantifier) -> str | None:
     """Compare a sign-only SLE search with the default one.
 

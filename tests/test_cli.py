@@ -341,6 +341,8 @@ def test_config_file_supplies_defaults(tmp_path, capsys):
     ({"input": 5}, "'input' must be a string or a list of strings, got 5"),
     ({"input": "noisy-ghz:0.5", "seed": 1.5},
      "'seed' must be an integer, got 1.5"),
+    ({"input": "noisy-ghz:0.5", "tolerence": 1e-3, "fromat": "csv"},
+     "superact: error: unknown config option 'tolerence'"),
 ])
 def test_config_file_rejects_mistyped_options(tmp_path, capsys, options,
                                               message):

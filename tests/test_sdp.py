@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from superact import ghz3, maximally_mixed, noise_model_state, noisy_ghz, noisy_w
-from superact.certify import gme_concurrence_arguments
+from superact.certify import _project_sle_affine, gme_concurrence_arguments
 from superact.distill import distill_cnot
 from superact.linalg import jacobi_eigvalsh
 from superact.sdp import (
@@ -54,19 +54,47 @@ def _certificate_invariants(result: WitnessResult, rho, feas_tol=1e-6):
 # ---------------------------------------------------------------------------
 # splitting-iteration internals
 
-def test_affine_projection_feasible_and_idempotent():
+def _witness_projection():
+    pt_index, eye = _partial_transpose_index(3), np.eye(8, dtype=complex)
+
+    def feasible(y):
+        assert abs(np.trace(y[0]).real - 1.0) < 1e-12
+        for k, party in enumerate(BIPARTITIONS):
+            residual = y[0] - y[1 + 2 * k] - _partial_transpose_array(
+                y[2 + 2 * k], 3, party)
+            assert np.abs(residual).max() < 1e-12
+
+    return 7, lambda x: _project_affine(x, pt_index, eye), feasible
+
+
+def _sle_projection(measured):
+    pt_index = _partial_transpose_index(3, ((measured,),))
+
+    def feasible(y):
+        assert abs(np.trace(y[0]).real - 1.0) < 1e-12
+        assert np.abs(y[1] - y[0]).max() < 1e-12
+        transposed = _partial_transpose_array(y[2], 3, (measured,))
+        assert np.abs(transposed - y[0]).max() < 1e-12
+
+    return 3, lambda x: _project_sle_affine(x, pt_index, np.eye(8)), feasible
+
+
+@pytest.mark.parametrize("program", [
+    pytest.param(_witness_projection(), id="ppt-mixer"),
+    *(pytest.param(_sle_projection(m), id=f"sle-m{m}") for m in range(3)),
+])
+def test_affine_projection_feasible_and_idempotent(program):
+    blocks, project, feasible = program
     rng = np.random.default_rng(0)
-    x = np.stack([random_hermitian(rng, 8) for _ in range(7)])
-    eye = np.eye(8, dtype=complex)
-    pt_index = _partial_transpose_index(3)
-    y = _project_affine(x, pt_index, eye)
-    assert abs(np.trace(y[0]).real - 1.0) < 1e-12
-    for k, party in enumerate(BIPARTITIONS):
-        residual = y[0] - y[1 + 2 * k] - _partial_transpose_array(
-            y[2 + 2 * k], 3, party)
-        assert np.abs(residual).max() < 1e-12
-    again = _project_affine(y, pt_index, eye)
-    assert np.abs(again - y).max() < 1e-12
+    x = np.stack([random_hermitian(rng, 8) for _ in range(blocks)])
+    y = project(x)
+    feasible(y)
+    assert np.abs(project(y) - y).max() < 1e-12
+    # Orthogonal: x - P(x) is normal to the affine set, so to a - P(x) for
+    # every feasible a.
+    a = project(np.stack([random_hermitian(rng, 8) for _ in range(blocks)]))
+    feasible(a)
+    assert abs(np.vdot(x - y, a - y)) < 1e-12 * np.linalg.norm(x) ** 2
 
 
 def test_gather_partial_transpose_matches_reshape():

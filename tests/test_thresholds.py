@@ -132,6 +132,35 @@ def test_sdp_bisection_uses_few_sign_only_iterations(monkeypatch):
     assert max(iterations) <= 150
 
 
+def test_sle_bisection_certificates_use_few_iterations(monkeypatch):
+    # The 18 nonnegative margins of the SLE and SLE-after-distill bisections
+    # each settle on a decomposability certificate (625 Douglas-Rachford
+    # iterations in all, at most 100 per solve, when these bounds were set).
+    counts, solves = [], []
+    kernel, solver = certify.douglas_rachford, certify.sle_certificate
+
+    def counting(*args):
+        counts.append(0)
+        for iterate in kernel(*args):
+            counts[-1] += 1
+            yield iterate
+
+    def recording(rho, pair=None):
+        solves.append((rho, solver(rho, pair)))
+        return solves[-1][1]
+
+    monkeypatch.setattr(certify, "douglas_rachford", counting)
+    monkeypatch.setattr(certify, "sle_certificate", recording)
+    for name in (PROPERTY_SLE, PROPERTY_SLE_AFTER):
+        find_threshold(name)
+    assert len(solves) == len(counts) == 18
+    assert all(certificate is not None
+               and certify.verify_sle_certificate(certificate, rho)
+               for rho, certificate in solves)
+    assert sum(counts) <= 875
+    assert max(counts) <= 140
+
+
 @pytest.mark.parametrize("name,max_calls,max_points", [
     # Measured when these budgets were set: 34 calls / 1294 points and
     # 32 / 1229, with the nonnegative margins settled by certificates and
