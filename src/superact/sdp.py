@@ -30,10 +30,20 @@ gradient step on the cost and the two projections,
     xf = P_A(z - step c),   y = 2 xf - z,   xg = P_K(y),
     z <- z + relaxation (xg - xf),
 
-and yields the affine iterate xf and the cone gap xg - y on blocks 1:.  The
-gap over the step holds the multipliers of the cone constraints, from
-which both programs repair their dual certificates; each program chooses
-when to check and when to stop.
+and yields xf, y, xg and the updated z.  The cone gap xg - y on blocks 1:
+over the step holds the multipliers of the cone constraints, from which
+both programs repair their dual certificates; each program forms it only
+when it checks, and chooses when to check and when to stop.
+
+A solve starts from a given z: a program's cold start, or the final z of
+an earlier solve of the same program, which both solvers take as ``start``
+and hand back as ``final_z``.  Along a threshold bisection successive
+solves differ only in p, so each starts from the previous one's final z
+(see ``thresholds.certifying_margin``).  A start that does not have the
+program's shape and dtype, or is not finite, is ignored.  The start can
+only change how soon a solve stops: every verdict is read from bounds
+repaired into exactly feasible points at the final iterate, whatever the
+start.
 
 Certified bounds
 ----------------
@@ -114,7 +124,7 @@ fewer iterations in total, 31350, but takes 450 on noisy W at 0.6.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
@@ -164,7 +174,9 @@ class WitnessResult:
     Frobenius norms ||W - P_i - Q_i^{T_i}|| (rounding only), and
     ``optimal_value`` is its value tr(W rho).  ``mixture`` holds
     (Y_1, Y_2, Y_3) with rho - ``lower_bound`` I = Y_1 + Y_2 + Y_3 and every
-    Y_i and Y_i^{T_i} positive semidefinite.
+    Y_i and Y_i^{T_i} positive semidefinite.  ``final_z`` is the splitting
+    variable the solve reached, a start for a solve of a nearby state; it
+    is no part of either certificate.
 
     ``certified_sign`` is ``negative`` when ``optimal_value`` lies below
     minus the configured margin, ``nonnegative`` when ``lower_bound`` lies
@@ -180,6 +192,7 @@ class WitnessResult:
     certified_sign: str
     lower_bound: float
     mixture: tuple[np.ndarray, ...]
+    final_z: np.ndarray | None = field(default=None, repr=False)
 
 
 def _partial_transpose_index(n_qubits: int,
@@ -237,22 +250,33 @@ def _project_cone(x: np.ndarray) -> np.ndarray:
     return out
 
 
+def _start(start, cold: np.ndarray) -> np.ndarray:
+    """``start`` if it is a finite array of ``cold``'s shape and dtype,
+    otherwise the cold start ``cold``."""
+    if (isinstance(start, np.ndarray) and start.shape == cold.shape
+            and start.dtype == cold.dtype and np.isfinite(start).all()):
+        return start
+    return cold
+
+
 def douglas_rachford(c: np.ndarray, z: np.ndarray, project_affine,
                      step: float, relaxation: float, max_iterations: int):
     """Douglas-Rachford iterates of min <c, x> over an affine set and cones.
 
     Starts from the splitting variable ``z`` and yields, for each of at most
-    ``max_iterations`` iterations, the affine iterate and the cone gap
-    xg[1:] - y[1:] (see "Douglas-Rachford iteration" in the module
-    docstring).  ``project_affine`` is the orthogonal projection onto the
-    affine set; block 0 of the stack is free, blocks 1: are PSD.
+    ``max_iterations`` iterations, the affine iterate xf, the reflection y,
+    its cone projection xg and the updated z (see "Douglas-Rachford
+    iteration" in the module docstring); the cone gap is xg[1:] - y[1:].
+    ``project_affine`` is the orthogonal projection onto the affine set;
+    block 0 of the stack is free, blocks 1: are PSD.  No array is changed
+    in place, ``z`` included.
     """
     for _ in range(max_iterations):
         xf = project_affine(z - step * c)
         y = 2.0 * xf - z
         xg = _project_cone(y)
         z = z + relaxation * (xg - xf)
-        yield xf, xg[1:] - y[1:]
+        yield xf, y, xg, z
 
 
 def _cone_violation(x: np.ndarray) -> float:
@@ -316,7 +340,8 @@ def _residuals(witness: np.ndarray, p_blocks: np.ndarray,
 
 
 def ppt_mixer_witness(rho, config: SolverConfig | None = None, *,
-                      sign_only: bool = False) -> WitnessResult:
+                      sign_only: bool = False,
+                      start: np.ndarray | None = None) -> WitnessResult:
     """Solve the PPT-mixer program for a three-qubit state.
 
     Whatever the mode, the result holds the certified bounds of the final
@@ -329,6 +354,13 @@ def ppt_mixer_witness(rho, config: SolverConfig | None = None, *,
 
     Reaching the iteration budget is not an exception: the result is
     returned with ``converged=False`` and the bounds of the last iterate.
+
+    The iteration starts from ``start``, the ``final_z`` of an earlier
+    result, when it has this program's shape (7, 8, 8) and dtype (float64
+    for a real state, complex128 otherwise) and is finite, and otherwise
+    from the cold start I/8 in W and I/16 in every P and Q block.  The start
+    changes only when the solve stops, never what its bounds certify (see
+    "Douglas-Rachford iteration" in the module docstring).
     """
     cfg = config or SolverConfig()
     m, n_qubits = _state_entries(rho)
@@ -345,15 +377,17 @@ def ppt_mixer_witness(rho, config: SolverConfig | None = None, *,
 
     c = np.zeros((7, dim, dim), dtype=dtype)
     c[0] = m if dtype is np.complex128 else m.real
-    z = np.zeros_like(c)
-    z[0] = eye / dim
-    z[1:] = eye / (2 * dim)
+    cold = np.zeros_like(c)
+    cold[0] = eye / dim
+    cold[1:] = eye / (2 * dim)
+    z = _start(start, cold)
 
     def bounds_now() -> _Bounds:
-        return _certified_bounds(c[0], xf, cone_gap, cfg.step, pt_index, eye)
+        return _certified_bounds(c[0], xf, xg[1:] - y[1:], cfg.step,
+                                 pt_index, eye)
 
     history: list[float] = []
-    xf, cone_gap = z, np.zeros_like(z[1:])
+    xf = y = xg = z
     bounds, bounds_at = None, -1
     converged = False
     iterations = 0
@@ -361,7 +395,7 @@ def ppt_mixer_witness(rho, config: SolverConfig | None = None, *,
     iterates = douglas_rachford(
         c, z, lambda x: _project_affine(x, pt_index, eye),
         cfg.step, cfg.relaxation, cfg.max_iterations)
-    for iterations, (xf, cone_gap) in enumerate(iterates, 1):
+    for iterations, (xf, y, xg, z) in enumerate(iterates, 1):
         history.append(float(np.vdot(c[0], xf[0]).real))
         if sign_only and iterations % _BOUND_CHECK_EVERY == 0:
             bounds, bounds_at = bounds_now(), iterations
@@ -396,6 +430,7 @@ def ppt_mixer_witness(rho, config: SolverConfig | None = None, *,
         certified_sign=sign,
         lower_bound=bounds.lower,
         mixture=tuple(bounds.mixture.astype(np.complex128)),
+        final_z=z,
     )
 
 

@@ -548,6 +548,8 @@ def test_sle_sign_only_agrees_on_every_bisection_point(monkeypatch):
     assert len(searched) == 39
     settled = []
     for rho, kwargs, result in searched:
+        start = kwargs.pop("start")  # a certificate solve's warm start
+        assert start is None or start.shape == (3, 8, 8)
         assert kwargs == {"quantifier": QUANTIFIER_MIN_EIGENVALUE,
                           "sign_only": True}
         settled.append(_sign_only_agrees(rho, None, QUANTIFIER_MIN_EIGENVALUE))
@@ -669,6 +671,20 @@ def test_sle_certificate_none_at_and_past_the_threshold(pair):
     # falls back to the full one (see the agreement tests).
     for p in (1 / 3 + 1e-6, 1 / 3):
         assert sle_certificate(noisy_ghz(p), pair) is None
+
+
+def test_sle_certificate_start_taken_only_when_it_fits():
+    # A nearby state's final splitting variable is taken, and the
+    # certificate still verifies; one of another dtype or shape is ignored.
+    near = sle_certificate(noisy_ghz(0.3))
+    cold = sle_certificate(noisy_ghz(0.31))
+    warm = sle_certificate(noisy_ghz(0.31), start=near.final_z)
+    assert verify_sle_certificate(warm, noisy_ghz(0.31))
+    assert not np.array_equal(warm.final_z, cold.final_z)
+    for start in (near.final_z.astype(complex), near.final_z[:2], None):
+        ignored = sle_certificate(noisy_ghz(0.31), start=start)
+        for name in ("lower_bound", "p", "q", "final_z"):
+            assert np.array_equal(getattr(ignored, name), getattr(cold, name))
 
 
 def test_verify_sle_certificate_rejects_forgeries():

@@ -141,6 +141,7 @@ def test_full_certificates_verify_from_the_report(capsys, p, sign):
     assert code == 0
     doc = json.loads(out)["ppt_mixer"]
     assert doc["certified_sign"] == sign
+    assert "final_z" not in doc
     result = WitnessResult(
         optimal_value=doc["optimal_value"],
         witness=_matrix(doc["witness"]),
@@ -407,6 +408,14 @@ def test_sweep_all_thresholds_golden(capsys):
         "W-SLE,0.27272701263427723,5.7220458984930112e-07,20",
         "",
     ]
+
+
+def test_sweep_all_thresholds_repeats_byte_identical(capsys):
+    # The warm starts of one bisection must not carry over to the next run.
+    first = run_cli(["sweep", "--thresholds", "all"], capsys)
+    second = run_cli(["sweep", "--thresholds", "all"], capsys)
+    assert first == second
+    assert first[0] == 0
 
 
 @pytest.mark.parametrize("tolerance", ["nan", "inf"])

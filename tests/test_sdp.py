@@ -454,6 +454,22 @@ def test_real_path_matches_complex_path(rho_factory):
     assert verify_witness_certificate(complex_, rotated)
 
 
+def test_mismatched_start_gives_the_cold_result():
+    # A start is taken only with the program's shape and dtype: a real
+    # state's final splitting variable, a truncated or a non-finite one
+    # leave a complex state's solve exactly as it is from cold.
+    rho = random_density_matrix(np.random.default_rng(11), 3)
+    cold = ppt_mixer_witness(rho, sign_only=True)
+    real_z = ppt_mixer_witness(noisy_w(0.6), sign_only=True).final_z
+    assert real_z.dtype == np.float64 and cold.final_z.dtype == np.complex128
+    for start in (real_z, cold.final_z[:6], np.full_like(cold.final_z, np.nan),
+                  cold.final_z.tolist()):
+        warm = ppt_mixer_witness(rho, sign_only=True, start=start)
+        for f in dataclasses.fields(WitnessResult):
+            assert np.array_equal(getattr(warm, f.name),
+                                  getattr(cold, f.name)), f.name
+
+
 def test_rejects_wrong_dimension():
     with pytest.raises(ValueError):
         ppt_mixer_witness(maximally_mixed(2))

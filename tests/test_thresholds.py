@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -5,7 +7,7 @@ import superact.certify as certify
 import superact.thresholds as thresholds
 from superact import fidelity_with_pure, ghz3, noisy_ghz, noisy_w
 from superact.distill import distill_tripartite
-from superact.sdp import SIGN_INDETERMINATE
+from superact.sdp import SIGN_INDETERMINATE, verify_witness_certificate
 from superact.thresholds import (
     PROPERTY_GME,
     PROPERTY_GME_AFTER,
@@ -110,14 +112,16 @@ def test_sdp_backed_thresholds_near_reported_values():
 
 def test_sdp_bisection_uses_few_sign_only_iterations(monkeypatch):
     # The 18 default bisection evaluations of the two SDP-backed properties
-    # each stop once certified bounds fix the sign (860 iterations in all,
-    # at most 90 per solve, when these bounds were set).
+    # each stop once certified bounds fix the sign, each solve warm-started
+    # from the previous one's final splitting variable (300 iterations in
+    # all, at most 30 per solve, when these bounds were set; 860 and 90
+    # from cold starts).
     solves = []
     solver = thresholds.ppt_mixer_witness
 
-    def recording(*args, **kwargs):
-        result = solver(*args, **kwargs)
-        solves.append((kwargs.get("sign_only"), result))
+    def recording(rho, *args, **kwargs):
+        result = solver(rho, *args, **kwargs)
+        solves.append((rho, kwargs.get("sign_only"), result))
         return result
 
     monkeypatch.setattr(thresholds, "ppt_mixer_witness", recording)
@@ -125,17 +129,20 @@ def test_sdp_bisection_uses_few_sign_only_iterations(monkeypatch):
                for name in (PROPERTY_W_GME, PROPERTY_W_GME_AFTER)]
     assert [r.evaluations for r in reports] == [9, 9]
     assert len(solves) == 18
-    assert all(sign_only for sign_only, _ in solves)
-    assert all(r.certified_sign != SIGN_INDETERMINATE for _, r in solves)
-    iterations = [r.iterations for _, r in solves]
-    assert sum(iterations) <= 1200
-    assert max(iterations) <= 150
+    assert all(sign_only for _, sign_only, _ in solves)
+    assert all(r.certified_sign != SIGN_INDETERMINATE for _, _, r in solves)
+    assert all(verify_witness_certificate(r, rho) for rho, _, r in solves)
+    iterations = [r.iterations for _, _, r in solves]
+    assert sum(iterations) <= 350
+    assert max(iterations) <= 40
 
 
 def test_sle_bisection_certificates_use_few_iterations(monkeypatch):
     # The 18 nonnegative margins of the SLE and SLE-after-distill bisections
-    # each settle on a decomposability certificate (625 Douglas-Rachford
-    # iterations in all, at most 100 per solve, when these bounds were set).
+    # each settle on a decomposability certificate, each solve warm-started
+    # from the previous certificate's final splitting variable (240
+    # Douglas-Rachford iterations in all, at most 30 per solve, when these
+    # bounds were set; 625 and 100 from cold starts).
     counts, solves = [], []
     kernel, solver = certify.douglas_rachford, certify.sle_certificate
 
@@ -145,8 +152,8 @@ def test_sle_bisection_certificates_use_few_iterations(monkeypatch):
             counts[-1] += 1
             yield iterate
 
-    def recording(rho, pair=None):
-        solves.append((rho, solver(rho, pair)))
+    def recording(rho, pair=None, *, start=None):
+        solves.append((rho, solver(rho, pair, start=start)))
         return solves[-1][1]
 
     monkeypatch.setattr(certify, "douglas_rachford", counting)
@@ -157,8 +164,29 @@ def test_sle_bisection_certificates_use_few_iterations(monkeypatch):
     assert all(certificate is not None
                and certify.verify_sle_certificate(certificate, rho)
                for rho, certificate in solves)
-    assert sum(counts) <= 875
-    assert max(counts) <= 140
+    assert sum(counts) <= 300
+    assert max(counts) <= 40
+
+
+def test_warm_starts_stay_inside_one_bisection(monkeypatch):
+    # Each find_threshold call starts its first solve cold: a W-GME
+    # bisection repeats exactly, solve for solve, with another SDP-backed
+    # bisection run in between.
+    iterations = []
+    solver = thresholds.ppt_mixer_witness
+
+    def recording(*args, **kwargs):
+        result = solver(*args, **kwargs)
+        iterations.append(result.iterations)
+        return result
+
+    monkeypatch.setattr(thresholds, "ppt_mixer_witness", recording)
+    runs = []
+    for name in (PROPERTY_W_GME, PROPERTY_W_GME_AFTER, PROPERTY_W_GME):
+        iterations.clear()
+        runs.append((find_threshold(name), list(iterations)))
+    assert runs[0] == runs[2]
+    assert len(runs[0][1]) == len(runs[1][1]) == 9
 
 
 @pytest.mark.parametrize("name,max_calls,max_points", [
@@ -208,14 +236,20 @@ def test_w_sle_margin_agrees_with_the_full_sle_search(monkeypatch):
         assert value == pytest.approx(searched, rel=0.0, abs=1e-12)
 
 
-@pytest.mark.parametrize("name", [PROPERTY_W_GME, PROPERTY_W_GME_AFTER])
-def test_sdp_bisection_refuses_uncertified_signs(name):
-    # At 1e-6 the bisection reaches points whose optimum lies inside the
+@pytest.mark.parametrize("name,p", [
+    pytest.param(PROPERTY_W_GME, "0.47900390625", id=PROPERTY_W_GME),
+    pytest.param(PROPERTY_W_GME_AFTER, "0.5189208984375",
+                 id=PROPERTY_W_GME_AFTER),
+])
+def test_sdp_bisection_refuses_uncertified_signs(name, p):
+    # At 3e-5 the bisection reaches a point whose optimum lies inside the
     # 1e-5 certification margin; it must stop there, not guess the sign.
+    # The point is pinned: a warm start may change when a solve stops,
+    # never which bisection point is refused.
     with pytest.raises(ValueError,
-                       match=rf"{name}: .* at p=0\.[45]\d+ is not certified: "
-                             rf"the optimum lies in \[\S+, \S+\]"):
-        find_threshold(name, tolerance=1e-6)
+                       match=rf"{name}: .* at p={re.escape(p)} is not "
+                             rf"certified: the optimum lies in \[\S+, \S+\]"):
+        find_threshold(name, tolerance=3e-5)
 
 
 def test_threshold_ordering_of_the_window_diagram():
