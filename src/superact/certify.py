@@ -92,9 +92,10 @@ the 9 (660-1125).  The cap of 200 is twice the longest certifying solve.
 Every certificate found there passes ``verify_sle_certificate``.  Since
 the see-saw step settles those 9 first (see "Refinement"), a sign-only
 search solves for a certificate only at the 18.  Those counts are from
-cold starts; along a bisection each solve starts from the previous
-certificate's final splitting variable (``start``), and the same 18
-certificates take 240 iterations, at most 30.
+cold starts of plain Douglas-Rachford.  With the Anderson acceleration of
+the loop the 18 take 250 iterations from cold starts, at most 20; along a
+bisection each solve starts from the previous certificate's final
+splitting variable (``start``), and they take 140, at most 10.
 """
 
 from __future__ import annotations
@@ -105,6 +106,7 @@ from typing import Mapping
 import numpy as np
 
 from .sdp import (
+    _hermitian_part,
     _partial_transpose_index,
     _start,
     _transpose_stack,
@@ -539,10 +541,6 @@ def sle_quantifier_at(rho, pair, theta: float, phi: float, quantifier: str) -> f
         raise DegenerateProjectionError(
             f"projection at theta={theta}, phi={phi} has vanishing weight")
     return _report(value, quantifier)
-
-
-def _hermitian_part(a: np.ndarray) -> np.ndarray:
-    return 0.5 * (a + np.conj(np.swapaxes(a, -1, -2)))
 
 
 def _project_sle_affine(x: np.ndarray, pt_index: np.ndarray,

@@ -139,8 +139,10 @@ def cmd_certify(config: RunConfig, full_certificates: bool = False) -> str:
     report["ghz_witness_expectation"] = cert.ghz_witness_expectation(rho)
     report["w_witness_expectation"] = cert.w_witness_expectation(rho)
 
+    # The config key "tolerance" is the width at which the PPT-mixer
+    # solve's certified interval stops it.
     solver = SolverConfig() if config.tolerance is None else SolverConfig(
-        feasibility_tol=config.tolerance)
+        gap_tol=config.tolerance)
     witness = ppt_mixer_witness(rho, solver)
     report["ppt_mixer"] = {
         "optimal_value": witness.optimal_value,

@@ -34,9 +34,9 @@ the SLE margins, a certificate; see "Douglas-Rachford iteration" in
 ``find_threshold`` call.  A start changes only when a solve stops, not the
 sign it certifies, so every bracket is the one that cold starts give.  At
 the default ranges and tolerances the 18 PPT-mixer solves of the two
-SDP-backed properties take 300 iterations, at most 30 per solve, against
-860 and 90 from cold starts, and the 18 certificate solves of the two SLE
-properties take 240, at most 30, against 625 and 100.
+SDP-backed properties take 200 iterations, at most 20 per solve, against
+450 and 70 from cold starts, and the 18 certificate solves of the two SLE
+properties take 140, at most 10, against 250 and 20.
 
 The two SLE margins (SLE and SLE-after-distill) run sign-only SLE searches.
 A search stops at the first projection direction whose minimum eigenvalue

@@ -129,6 +129,23 @@ def test_certify_rejects_non_finite_config_tolerance(tmp_path, capsys):
     assert "tolerance must be positive and finite" in err
 
 
+def test_certify_config_tolerance_sets_the_gap(tmp_path, capsys):
+    # For certify, the config key "tolerance" is the width of the certified
+    # interval at which the PPT-mixer solve stops.
+    cfg = tmp_path / "run.json"
+    solves = {}
+    for tolerance in (1e-3, 1e-11):
+        cfg.write_text(json.dumps({"input": "noisy-w:0.6",
+                                   "tolerance": tolerance}))
+        code, out, _ = run_cli(["--config", str(cfg), "certify"], capsys)
+        assert code == 0
+        ppt = json.loads(out)["ppt_mixer"]
+        assert ppt["converged"]
+        assert ppt["optimal_value"] - ppt["lower_bound"] <= tolerance
+        solves[tolerance] = ppt
+    assert solves[1e-3]["iterations"] < solves[1e-11]["iterations"]
+
+
 def _matrix(doc):
     return np.asarray(doc["re"]) + 1j * np.asarray(doc["im"])
 

@@ -21,6 +21,7 @@ from superact.sdp import (
     _project_affine,
     _project_cone,
     _transpose_stack,
+    douglas_rachford,
 )
 from superact.states import (
     DensityMatrix,
@@ -109,6 +110,42 @@ def test_gather_partial_transpose_matches_reshape():
                                   _partial_transpose_array(blocks[k], 3, party))
 
 
+def test_partial_transpose_index_is_built_once_and_read_only():
+    index = _partial_transpose_index(3)
+    assert _partial_transpose_index(3) is index
+    assert _partial_transpose_index(3, ((1,),)) is not index
+    assert not index.flags.writeable
+
+
+def _mixed_random_state(seed, rank):
+    """A random rank-``rank`` state mixed with white noise, seeded."""
+    rng = np.random.default_rng(seed)
+    a = (rng.standard_normal((8, rank))
+         + 1j * rng.standard_normal((8, rank)))
+    m = a @ a.conj().T
+    mix = rng.uniform(0.3, 0.8)
+    return mix * m / np.trace(m).real + (1.0 - mix) * np.eye(8) / 8.0
+
+
+def test_accelerated_iterates_stay_hermitian():
+    # The extrapolation combines past iterates with real coefficients, so
+    # every z the loop yields for a complex state is Hermitian block by
+    # block.  Complex coefficients would break this on the first
+    # extrapolated step; without the exact Hermitian part of each step,
+    # rounding drift grows past 1e-12 within the first 1000 iterations.
+    rho = _mixed_random_state(39, 1)
+    pt_index, eye = _partial_transpose_index(3), np.eye(8, dtype=complex)
+    c = np.zeros((7, 8, 8), dtype=complex)
+    c[0] = rho
+    z = np.zeros_like(c)
+    z[0] = eye / 8.0
+    z[1:] = eye / 16.0
+    iterates = douglas_rachford(
+        c, z, lambda x: _project_affine(x, pt_index, eye), 7.0, 1.2, 1500)
+    for _, _, _, z in iterates:
+        assert np.abs(z - np.conj(np.swapaxes(z, -1, -2))).max() <= 1e-12
+
+
 def test_cone_projection_clips_to_psd():
     rng = np.random.default_rng(1)
     x = np.stack([random_hermitian(rng, 8) for _ in range(7)])
@@ -182,15 +219,51 @@ def test_noise_model_optimum_matches_closed_form(pqr):
 
 @pytest.mark.parametrize("rho_factory, budget", [
     (lambda: distill_cnot(noisy_w(0.45), noisy_w(0.45)).state, 2500),
-    (lambda: noisy_w(0.6), 350),
-    (lambda: noisy_ghz(0.5), 500),
+    (lambda: noisy_w(0.6), 60),
+    (lambda: noisy_ghz(0.5), 40),
 ], ids=["distilled-w-0.45", "noisy-w-0.6", "noisy-ghz-0.5"])
 def test_iteration_budget_at_default_settings(rho_factory, budget):
     # Iteration counts are deterministic; these bounds hold at the measured
-    # default step and relaxation and fail if those drift back.
+    # default step and relaxation with Anderson acceleration (1310, 40 and
+    # 30 iterations when they were set) and fail if either drifts back.
     result = ppt_mixer_witness(rho_factory())
     assert result.converged
     assert result.iterations <= budget
+
+
+_GAP_CORPUS = {
+    **{f"noisy-ghz-{p}": (lambda p=p: noisy_ghz(p)) for p in (0.3, 0.5, 0.8)},
+    **{f"noise-model-{pqr}": (lambda pqr=pqr: noise_model_state(*pqr))
+       for pqr in ((0.8, 0.9, 0.9), (0.7, 0.95, 0.85))},
+    **{f"noisy-w-{p}": (lambda p=p: noisy_w(p)) for p in (0.45, 0.6)},
+    "distilled-w-0.45":
+        lambda: distill_cnot(noisy_w(0.45), noisy_w(0.45)).state,
+    **{f"random-rank-{rank}": (lambda seed=seed, rank=rank:
+                               _mixed_random_state(seed, rank))
+       for seed, rank in ((0, 8), (1, 4), (2, 2))},
+}
+
+
+@pytest.mark.parametrize("name", list(_GAP_CORPUS))
+def test_default_solve_stops_on_the_certified_gap(name):
+    rho = _GAP_CORPUS[name]()
+    result = ppt_mixer_witness(rho)
+    assert result.converged
+    assert result.iterations % 10 == 0
+    assert 0.0 <= result.optimal_value - result.lower_bound <= (
+        SolverConfig().gap_tol)
+    assert verify_witness_certificate(result, rho)
+
+
+def test_slow_random_state_stays_inside_its_budget():
+    # A noisy random pure state on which Douglas-Rachford converges slowly:
+    # 1920 iterations when this bound was set, 3750 with an Anderson memory
+    # of 8 instead of 16.
+    rho = _mixed_random_state(39, 1)
+    result = ppt_mixer_witness(rho)
+    assert result.converged
+    assert result.optimal_value - result.lower_bound <= SolverConfig().gap_tol
+    assert result.iterations <= 3000
 
 
 def test_certificates_verifiable_without_solver():
@@ -219,15 +292,17 @@ def test_runtime_budget_per_instance():
 
 
 def test_non_convergence_reports_indeterminate():
-    # The sign comes from the bounds, not from the stop: after 10 iterations
-    # they still straddle zero, after 20 the upper bound clears the margin.
-    rho = noisy_ghz(0.7)
-    result = ppt_mixer_witness(rho, SolverConfig(max_iterations=10))
+    # The sign comes from the bounds, not from the stop: after 3 iterations
+    # they still straddle zero, after 20 the upper bound clears the margin
+    # while the interval is still too wide to stop the solve.
+    rho = noisy_w(0.6)
+    result = ppt_mixer_witness(rho, SolverConfig(max_iterations=3))
     assert not result.converged
     assert result.lower_bound < 0.0 < result.optimal_value
     assert result.certified_sign == SIGN_INDETERMINATE
     assert len(result.residuals) == 3
-    assert result.iterations == 10
+    assert result.iterations == 3
+    assert verify_witness_certificate(result, rho)
     later = ppt_mixer_witness(rho, SolverConfig(max_iterations=20))
     assert not later.converged
     assert later.certified_sign == SIGN_NEGATIVE
@@ -305,10 +380,13 @@ def test_sign_only_stops_on_bounds_and_stays_inside_budget():
 
 def test_sign_only_indeterminate_inside_the_margin():
     # Noisy W at 0.479 has an optimum of a few 1e-6, inside the 1e-5 margin:
-    # the bounds never clear it and the stagnation rule ends the solve.
+    # the bounds never clear it, and the solve ends once they lie within
+    # the gap tolerance of each other.
     result = ppt_mixer_witness(noisy_w(0.479), sign_only=True)
+    assert result.converged
     assert result.certified_sign == SIGN_INDETERMINATE
-    assert result.lower_bound <= result.optimal_value
+    assert 0.0 <= result.optimal_value - result.lower_bound <= (
+        SolverConfig().gap_tol)
     assert abs(result.optimal_value) < 1e-4
     assert verify_witness_certificate(result, noisy_w(0.479))
 
