@@ -124,6 +124,7 @@ from .states import (
     _partial_transpose_array,
     _resolve_qubits,
     _state_entries,
+    fidelity_with_pure,
     ghz3,
     w_state,
 )
@@ -190,11 +191,10 @@ class XShapeView:
         return m
 
 
-def x_shape_view(rho, tolerance: float = 0.0) -> XShapeView:
+def x_shape_view(rho) -> XShapeView:
     """Extract the X pattern of a matrix and report off-pattern leakage.
 
-    Leakage is never an error here; entries with magnitude at most
-    ``tolerance`` are treated as clean zeros.
+    Leakage is never an error here.
     """
     m, _ = _entries(rho)
     d = m.shape[0]
@@ -209,29 +209,30 @@ def x_shape_view(rho, tolerance: float = 0.0) -> XShapeView:
     pattern[idx, idx] = True
     pattern[idx, d - 1 - idx] = True
     off = np.abs(m[~pattern])
-    leakage = float(off.max(initial=0.0))
-    if leakage <= tolerance:
-        leakage = 0.0
-    return XShapeView(a=a, b=b, c=c, max_off_pattern_magnitude=leakage)
+    return XShapeView(a=a, b=b, c=c,
+                      max_off_pattern_magnitude=float(off.max(initial=0.0)))
 
 
-def gme_concurrence_arguments(rho, leakage_tol: float = X_SHAPE_LEAKAGE_TOL) -> np.ndarray:
+def gme_concurrence_arguments(rho) -> np.ndarray:
     """Inner arguments |c_i| - sum_{j != i} sqrt(a_j b_j), before clipping.
 
     Their maximum changes sign exactly where genuine multipartite
     entanglement appears, which makes them the natural bisection quantity.
+    Off-pattern entries above ``X_SHAPE_LEAKAGE_TOL`` raise
+    ``NotXShapedError``.
     """
     view = x_shape_view(rho)
-    if view.max_off_pattern_magnitude > leakage_tol:
-        raise NotXShapedError(view.max_off_pattern_magnitude, leakage_tol)
+    if view.max_off_pattern_magnitude > X_SHAPE_LEAKAGE_TOL:
+        raise NotXShapedError(view.max_off_pattern_magnitude,
+                              X_SHAPE_LEAKAGE_TOL)
     roots = np.sqrt(np.maximum(view.a * view.b, 0.0))
     total = roots.sum()
     return np.abs(view.c) - (total - roots)
 
 
-def gme_concurrence_x(rho, leakage_tol: float = X_SHAPE_LEAKAGE_TOL) -> float:
+def gme_concurrence_x(rho) -> float:
     """GME concurrence of an X-shaped state: 2 max_i {0, |c_i| - sum sqrt(a_j b_j)}."""
-    args = gme_concurrence_arguments(rho, leakage_tol)
+    args = gme_concurrence_arguments(rho)
     return float(2.0 * max(0.0, args.max()))
 
 
@@ -278,9 +279,7 @@ def ghz_witness_expectation(rho) -> float:
     m, n = _entries(rho)
     if n != 3:
         raise ValueError(f"expected a three-qubit state, got {n} qubits")
-    amps = np.asarray(ghz3().amplitudes)
-    fidelity = float(np.real(amps.conj() @ m @ amps))
-    return 0.5 * float(np.trace(m).real) - fidelity
+    return 0.5 * float(np.trace(m).real) - fidelity_with_pure(m, ghz3())
 
 
 def w_witness_expectation(rho) -> float:
@@ -288,9 +287,8 @@ def w_witness_expectation(rho) -> float:
     m, n = _entries(rho)
     if n != 3:
         raise ValueError(f"expected a three-qubit state, got {n} qubits")
-    amps = np.asarray(w_state().amplitudes)
-    fidelity = float(np.real(amps.conj() @ m @ amps))
-    return (2.0 / 3.0) * float(np.trace(m).real) - fidelity
+    return ((2.0 / 3.0) * float(np.trace(m).real)
+            - fidelity_with_pure(m, w_state()))
 
 
 def mk_observable(k: int) -> np.ndarray:

@@ -27,7 +27,7 @@ from . import certify as cert
 from . import coincidence as coin
 from . import thresholds as thr
 from .distill import distill_cnot, distill_tripartite, localize
-from .sdp import SolverConfig, ppt_mixer_witness
+from .sdp import GAP_TOL, ppt_mixer_witness
 from .states import (
     DensityMatrix,
     StateValidationError,
@@ -141,9 +141,7 @@ def cmd_certify(config: RunConfig, full_certificates: bool = False) -> str:
 
     # The config key "tolerance" is the width at which the PPT-mixer
     # solve's certified interval stops it.
-    solver = SolverConfig() if config.tolerance is None else SolverConfig(
-        gap_tol=config.tolerance)
-    witness = ppt_mixer_witness(rho, solver)
+    witness = ppt_mixer_witness(rho, gap_tol=config.tolerance or GAP_TOL)
     report["ppt_mixer"] = {
         "optimal_value": witness.optimal_value,
         "lower_bound": witness.lower_bound,
@@ -317,10 +315,14 @@ def _build_parser() -> argparse.ArgumentParser:
     group.add_argument("--sample", nargs="+", metavar="KEY=VALUE",
                        help="sample counts, e.g. setting=zzz shots=1000 seed=7")
 
+    # Only certify and distill choose their format, and only sampling is
+    # seeded; sweep and coincidence tables are always CSV.
     for p in (p_cert, p_dist, p_sweep, p_coin):
         p.add_argument("--output", help="output path (default: stdout)")
+    for p in (p_cert, p_dist):
         p.add_argument("--format", choices=("csv", "json"), dest="fmt")
-        p.add_argument("--seed", type=int)
+    p_coin.add_argument("--seed", type=int,
+                        help="sampling seed when --sample gives none")
     return parser
 
 

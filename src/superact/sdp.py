@@ -99,11 +99,13 @@ xg its cone projection:
 
 Both bounds cost four small batched LAPACK calls.  Every solve computes
 them every 10 iterations and stops as soon as upper - lower is at most
-``gap_tol`` (1e-8 by default); a solve asked only for the sign
+``gap_tol``, the one setting a caller of ``ppt_mixer_witness`` passes
+(``GAP_TOL`` = 1e-8 by default); a solve asked only for the sign
 (``sign_only=True``) also stops as soon as the upper bound lies below minus
-the certification margin or the lower bound above it.  The gap stop ends
-sign-only solves too, so that one whose optimum lies inside the margin
-ends with an indeterminate sign instead of running to the iteration cap.
+the certification margin ``CERTIFICATION_MARGIN`` = 1e-5 or the lower
+bound above it.  The gap stop ends sign-only solves too, so that one whose
+optimum lies inside the margin ends with an indeterminate sign instead of
+running to the iteration cap ``MAX_ITERATIONS`` = 200000.
 Every result is built from the bounds at the final iterate, and its sign is
 read from them.
 
@@ -122,14 +124,15 @@ in closed form:
 
 where r_0, R_i are the constraint residuals of the point being projected.
 
-Default step and relaxation
----------------------------
+Step and relaxation
+-------------------
 Douglas-Rachford convergence depends strongly on the step and the
-relaxation (Giselsson & Boyd, IEEE TAC 2017), so the defaults were chosen by
-a scan that predates both the Anderson acceleration and the gap stop: the
-solver then stopped when a window of 100 objective values, checked every 50
-iterations, spanned less than 1e-9 at a cone violation of at most 1e-7, and
-the counts below are of that rule and of plain Douglas-Rachford.  It
+relaxation (Giselsson & Boyd, IEEE TAC 2017), so the fixed ``STEP`` and
+``RELAXATION`` were chosen by a scan that predates both the Anderson
+acceleration and the gap stop: the solver then stopped when a window of 100
+objective values, checked every 50 iterations, spanned less than 1e-9 at a
+cone violation of at most 1e-7, and the counts below are of that rule and
+of plain Douglas-Rachford.  It
 scanned step from 0.5 to 32 and relaxation from 1.0 to 1.9 over a fixed
 corpus of 46 states: noisy W at p in {0.4, 0.45, 0.475, 0.478, 0.4797, 0.48,
 0.4875, 0.5, 0.6}; CNOT-distilled noisy W at the W-GME-after-distill
@@ -141,7 +144,7 @@ admissible when
 - no certified sign changed and no family's total iteration count rose;
 - every optimal value lay within 1e-8 of a tight reference solve (a
   window of 400 values spanning less than 1e-13) made with the old and
-  with the new setting.  On one random state the old defaults themselves miss
+  with the new setting.  On one random state the old setting itself misses
   the reference by 1.8e-7, so there a setting had only to do no worse;
 - distilled W at p = 0.45, noisy W at 0.6 and noisy GHZ at 0.5 took at most
   2500, 350 and 500 iterations.
@@ -177,6 +180,20 @@ SIGN_NEGATIVE = "negative"
 SIGN_NONNEGATIVE = "nonnegative"
 SIGN_INDETERMINATE = "indeterminate"
 
+# Douglas-Rachford step and relaxation of the witness program, chosen by
+# measurement (see "Step and relaxation" in the module docstring).
+STEP = 7.0
+RELAXATION = 1.2
+# A solve stops once its certified interval [lower bound, upper bound] is at
+# most ``gap_tol`` wide (GAP_TOL by default), or after MAX_ITERATIONS; a
+# sign-only solve also stops once the interval clears CERTIFICATION_MARGIN
+# (see "Certified bounds" in the module docstring).
+GAP_TOL = 1e-8
+MAX_ITERATIONS = 200_000
+CERTIFICATION_MARGIN = 1e-5
+# Largest ||W - P_i - Q_i^{T_i}|| that ``verify_witness_certificate``
+# accepts.
+FEASIBILITY_TOL = 1e-6
 # Iterations between two evaluations of the certified bounds.
 _BOUND_CHECK_EVERY = 10
 # Anderson acceleration of the Douglas-Rachford map: the number of past
@@ -188,27 +205,6 @@ _ANDERSON_REGULARIZATION = 1e-10
 # difference is zero, as at an exact fixed point (the maximally mixed state
 # reaches one).
 _TINY = np.finfo(float).tiny
-
-
-@dataclass(frozen=True)
-class SolverConfig:
-    """Settings of the splitting iteration and of its stopping rule.
-
-    ``step`` scales the objective in the affine proximal step and
-    ``relaxation`` over-relaxes the reflection update.  Their defaults were
-    chosen by measurement (see the module docstring, "Default step and
-    relaxation").  A solve stops once its certified interval
-    [lower bound, upper bound], computed every 10 iterations, is at most
-    ``gap_tol`` wide, or after ``max_iterations``; a sign-only solve also
-    stops once the interval clears ``certification_margin`` (see
-    "Certified bounds" in the module docstring).
-    """
-
-    step: float = 7.0
-    relaxation: float = 1.2
-    gap_tol: float = 1e-8
-    max_iterations: int = 200_000
-    certification_margin: float = 1e-5
 
 
 @dataclass(frozen=True)
@@ -227,8 +223,8 @@ class WitnessResult:
     is no part of either certificate.
 
     ``certified_sign`` is ``negative`` when ``optimal_value`` lies below
-    minus the configured margin, ``nonnegative`` when ``lower_bound`` lies
-    above the margin, and ``indeterminate`` otherwise.
+    minus ``CERTIFICATION_MARGIN``, ``nonnegative`` when ``lower_bound``
+    lies above it, and ``indeterminate`` otherwise.
     """
 
     optimal_value: float
@@ -443,7 +439,7 @@ def _residuals(witness: np.ndarray, p_blocks: np.ndarray,
     return tuple(float(np.linalg.norm(witness - r)) for r in rebuilt)
 
 
-def ppt_mixer_witness(rho, config: SolverConfig | None = None, *,
+def ppt_mixer_witness(rho, *, gap_tol: float = GAP_TOL,
                       sign_only: bool = False,
                       start: np.ndarray | None = None) -> WitnessResult:
     """Solve the PPT-mixer program for a three-qubit state.
@@ -452,11 +448,12 @@ def ppt_mixer_witness(rho, config: SolverConfig | None = None, *,
     iterate and the sign they fix (see ``WitnessResult``).  Every 10
     iterations the solve builds the bounds and stops once they lie within
     ``gap_tol`` of each other; with ``sign_only=True`` it also stops as soon
-    as they fix the sign against ``certification_margin``.  ``converged``
+    as they fix the sign against ``CERTIFICATION_MARGIN``.  ``converged``
     is True when the bounds ended the solve.
 
-    Reaching the iteration budget is not an exception: the result is
-    returned with ``converged=False`` and the bounds of the last iterate.
+    Reaching the iteration budget, ``MAX_ITERATIONS``, is not an
+    exception: the result is returned with ``converged=False`` and the
+    bounds of the last iterate.
 
     The iteration starts from ``start``, the ``final_z`` of an earlier
     result, when it has this program's shape (7, 8, 8) and dtype (float64
@@ -465,7 +462,6 @@ def ppt_mixer_witness(rho, config: SolverConfig | None = None, *,
     changes only when the solve stops, never what its bounds certify (see
     "Douglas-Rachford iteration" in the module docstring).
     """
-    cfg = config or SolverConfig()
     m, n_qubits = _state_entries(rho)
     if n_qubits != 3:
         raise ValueError(f"expected a three-qubit state, got {n_qubits} qubits")
@@ -476,7 +472,6 @@ def ppt_mixer_witness(rho, config: SolverConfig | None = None, *,
     dtype = np.complex128 if m.imag.any() else np.float64
     eye = np.eye(dim, dtype=dtype)
     pt_index = _partial_transpose_index(n_qubits)
-    margin = cfg.certification_margin
 
     c = np.zeros((7, dim, dim), dtype=dtype)
     c[0] = m if dtype is np.complex128 else m.real
@@ -486,7 +481,7 @@ def ppt_mixer_witness(rho, config: SolverConfig | None = None, *,
     z = _start(start, cold)
 
     def bounds_now() -> _Bounds:
-        return _certified_bounds(c[0], xf, xg[1:] - y[1:], cfg.step,
+        return _certified_bounds(c[0], xf, xg[1:] - y[1:], STEP,
                                  pt_index, eye)
 
     xf = y = xg = z
@@ -495,14 +490,14 @@ def ppt_mixer_witness(rho, config: SolverConfig | None = None, *,
     iterations = 0
     iterates = douglas_rachford(
         c, z, lambda x: _project_affine(x, pt_index, eye),
-        cfg.step, cfg.relaxation, cfg.max_iterations)
+        STEP, RELAXATION, MAX_ITERATIONS)
     for iterations, (xf, y, xg, z) in enumerate(iterates, 1):
         if iterations % _BOUND_CHECK_EVERY:
             continue
         bounds, bounds_at = bounds_now(), iterations
-        if (bounds.upper - bounds.lower <= cfg.gap_tol
-                or sign_only and (bounds.upper < -margin
-                                  or bounds.lower > margin)):
+        if (bounds.upper - bounds.lower <= gap_tol
+                or sign_only and (bounds.upper < -CERTIFICATION_MARGIN
+                                  or bounds.lower > CERTIFICATION_MARGIN)):
             converged = True
             break
     if bounds_at != iterations:
@@ -511,9 +506,9 @@ def ppt_mixer_witness(rho, config: SolverConfig | None = None, *,
     witness = bounds.witness.astype(np.complex128)
     p_blocks = bounds.p_blocks.astype(np.complex128)
     q_blocks = bounds.q_blocks.astype(np.complex128)
-    if bounds.upper < -margin:
+    if bounds.upper < -CERTIFICATION_MARGIN:
         sign = SIGN_NEGATIVE
-    elif bounds.lower > margin:
+    elif bounds.lower > CERTIFICATION_MARGIN:
         sign = SIGN_NONNEGATIVE
     else:
         sign = SIGN_INDETERMINATE
@@ -553,12 +548,11 @@ def witness_result_to_json_dict(result: WitnessResult) -> dict:
     }
 
 
-def verify_witness_certificate(result: WitnessResult, rho,
-                               feasibility_tol: float = 1e-6) -> bool:
+def verify_witness_certificate(result: WitnessResult, rho) -> bool:
     """Re-check both certificates of a result without trusting the solver.
 
     The witness must have unit trace, the reported value, PSD factors and
-    ||W - P_i - Q_i^{T_i}|| <= ``feasibility_tol`` for every bipartition;
+    ||W - P_i - Q_i^{T_i}|| <= ``FEASIBILITY_TOL`` for every bipartition;
     the residuals the solver reports are not consulted.  The PPT mixture
     must sum to rho - ``lower_bound`` I within 1e-9 (Frobenius norm) with
     every Y_i and Y_i^{T_i} PSD.  Eigenvalues come from the package's own
@@ -594,7 +588,7 @@ def verify_witness_certificate(result: WitnessResult, rho,
         if not eigs[:, 0].min() >= -1e-9:
             return False
         reconstruction = p_hat + _partial_transpose_array(q_hat, n_qubits, party)
-        if not np.linalg.norm(w - reconstruction) <= feasibility_tol:
+        if not np.linalg.norm(w - reconstruction) <= FEASIBILITY_TOL:
             return False
 
     shifted = m - result.lower_bound * np.eye(dim)

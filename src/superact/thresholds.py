@@ -16,9 +16,10 @@ each crossing, and the bracket provides a self-evident correctness
 certificate.
 
 The two SDP-backed margins (W-GME and W-GME-after-distill) solve the
-PPT-mixer program in sign-only mode: each solve stops as soon as a feasible
-witness (an upper bound) or a PPT mixture (a lower bound) puts the optimum
-clear of the certification margin, and the margin's sign is the certified
+PPT-mixer program in sign-only mode, at the solver's fixed settings: each
+solve stops as soon as a feasible witness (an upper bound) or a PPT mixture
+(a lower bound) puts the optimum clear of the certification margin
+``sdp.CERTIFICATION_MARGIN`` = 1e-5, and the margin's sign is the certified
 one.  Bisection therefore narrows a bracket only on certified signs.  When
 a solve cannot certify its sign, because the optimum at that p lies within
 the margin of zero, the margin raises ``ValueError`` naming p and the
@@ -60,7 +61,6 @@ no-sign-change error prints are those certifying values.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -72,7 +72,7 @@ from .certify import (
     sle_quantify,
 )
 from .distill import analytic_distilled_noisy_ghz, distill_cnot, localize
-from .sdp import SIGN_INDETERMINATE, SolverConfig, ppt_mixer_witness
+from .sdp import CERTIFICATION_MARGIN, SIGN_INDETERMINATE, ppt_mixer_witness
 from .states import noisy_ghz, noisy_w
 
 PROPERTY_GME = "GME"
@@ -148,34 +148,28 @@ def _margin_w_sle(p: float) -> float:
     return -min_eig_after_pt(state, (1,))
 
 
-def _sdp_margin(label: str, p: float, rho, start,
-                config: SolverConfig | None) -> tuple[float, np.ndarray]:
-    result = ppt_mixer_witness(rho, config, sign_only=True, start=start)
+def _sdp_margin(label: str, p: float, rho, start) -> tuple[float, np.ndarray]:
+    result = ppt_mixer_witness(rho, sign_only=True, start=start)
     if result.certified_sign == SIGN_INDETERMINATE:
-        margin = (config or SolverConfig()).certification_margin
         raise ValueError(
             f"{label}: the PPT-mixer sign at p={p!r} is not certified: the "
             f"optimum lies in [{result.lower_bound:.6e}, "
             f"{result.optimal_value:.6e}], which does not clear the margin "
-            f"{margin:g}; use a larger tolerance")
+            f"{CERTIFICATION_MARGIN:g}; use a larger tolerance")
     return -result.optimal_value, result.final_z
 
 
-def _margin_w_gme(p: float, start,
-                  config: SolverConfig | None) -> tuple[float, np.ndarray]:
-    return _sdp_margin(PROPERTY_W_GME, p, noisy_w(p), start, config)
+def _margin_w_gme(p: float, start) -> tuple[float, np.ndarray]:
+    return _sdp_margin(PROPERTY_W_GME, p, noisy_w(p), start)
 
 
-def _margin_w_gme_after(p: float, start,
-                        config: SolverConfig | None
-                        ) -> tuple[float, np.ndarray]:
-    state = distill_cnot(noisy_w(p), noisy_w(p)).state
-    return _sdp_margin(PROPERTY_W_GME_AFTER, p, state, start, config)
+def _margin_w_gme_after(p: float, start) -> tuple[float, np.ndarray]:
+    rho = noisy_w(p)
+    state = distill_cnot(rho, rho).state
+    return _sdp_margin(PROPERTY_W_GME_AFTER, p, state, start)
 
 
-def certifying_margin(property_name: str,
-                      solver_config: SolverConfig | None = None
-                      ) -> Callable[[float], float]:
+def certifying_margin(property_name: str) -> Callable[[float], float]:
     """Margin function of p: positive iff the property is present.
 
     The margins that solve a cone program (SLE, SLE-after-distill, W-GME
@@ -193,9 +187,8 @@ def certifying_margin(property_name: str,
     solves = {
         PROPERTY_SLE: _margin_sle,
         PROPERTY_SLE_AFTER: _margin_sle_after,
-        PROPERTY_W_GME: partial(_margin_w_gme, config=solver_config),
-        PROPERTY_W_GME_AFTER: partial(_margin_w_gme_after,
-                                      config=solver_config),
+        PROPERTY_W_GME: _margin_w_gme,
+        PROPERTY_W_GME_AFTER: _margin_w_gme_after,
     }
     if property_name not in solves:
         raise ValueError(f"unknown property {property_name!r}")
@@ -216,8 +209,7 @@ def default_tolerance(property_name: str) -> float:
 
 def find_threshold(property_name: str,
                    p_range: tuple[float, float] | None = None,
-                   tolerance: float | None = None,
-                   solver_config: SolverConfig | None = None) -> ThresholdReport:
+                   tolerance: float | None = None) -> ThresholdReport:
     """Bisect the certifying margin of a property to a sign-change bracket.
 
     ``tolerance``, positive and finite, bounds the half-width of the final
@@ -232,7 +224,7 @@ def find_threshold(property_name: str,
     tol = tolerance if tolerance is not None else default_tolerance(property_name)
     if not 0.0 < tol < np.inf:
         raise ValueError(f"tolerance must be positive and finite, got {tol}")
-    margin = certifying_margin(property_name, solver_config)
+    margin = certifying_margin(property_name)
 
     m_lo, m_hi = margin(lo), margin(hi)
     evaluations = 2

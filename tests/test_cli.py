@@ -327,6 +327,30 @@ def test_coincidence_sample_reproducible(capsys):
     assert out2 == out1
 
 
+@pytest.mark.parametrize("args", [
+    ["sweep", "--thresholds", "W-SLE", "--format", "json"],
+    ["sweep", "--curves", "0:1:3", "--seed", "1"],
+    ["coincidence", "--schedule", "0.5", "--format", "json"],
+    ["certify", "--input", "noisy-ghz:0.5", "--seed", "1"],
+    ["distill", "--input", "noisy-ghz:0.5", "--seed", "1"],
+], ids=" ".join)
+def test_flags_a_subcommand_would_ignore_are_rejected(args, capsys):
+    # Sweep and coincidence tables are always CSV, and only sampling is
+    # seeded: a flag that could not change the output is a usage error.
+    with pytest.raises(SystemExit) as exc:
+        main(args)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_coincidence_seed_flag_seeds_the_sample(capsys):
+    sample = ["coincidence", "--sample", "setting=zzz", "shots=10"]
+    code, flagged, _ = run_cli(sample + ["--seed", "3"], capsys)
+    assert code == 0
+    assert json.loads(flagged)["seed"] == 3
+    assert run_cli(sample + ["seed=3"], capsys)[1] == flagged
+
+
 # ---------------------------------------------------------------------------
 # output files and config files
 
@@ -451,3 +475,4 @@ def test_sweep_refuses_uncertified_sdp_bracket(capsys):
     assert out == ""
     assert err.startswith("superact: error: W-GME-after-distill: ")
     assert "is not certified" in err
+    assert "does not clear the margin 1e-05;" in err

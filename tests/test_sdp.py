@@ -5,15 +5,17 @@ import numpy as np
 import pytest
 
 from superact import ghz3, maximally_mixed, noise_model_state, noisy_ghz, noisy_w
+from superact import sdp
 from superact.certify import _project_sle_affine, gme_concurrence_arguments
 from superact.distill import distill_cnot
 from superact.linalg import jacobi_eigvalsh
 from superact.sdp import (
     BIPARTITIONS,
+    CERTIFICATION_MARGIN,
+    GAP_TOL,
     SIGN_INDETERMINATE,
     SIGN_NEGATIVE,
     SIGN_NONNEGATIVE,
-    SolverConfig,
     WitnessResult,
     ppt_mixer_witness,
     verify_witness_certificate,
@@ -250,8 +252,7 @@ def test_default_solve_stops_on_the_certified_gap(name):
     result = ppt_mixer_witness(rho)
     assert result.converged
     assert result.iterations % 10 == 0
-    assert 0.0 <= result.optimal_value - result.lower_bound <= (
-        SolverConfig().gap_tol)
+    assert 0.0 <= result.optimal_value - result.lower_bound <= GAP_TOL
     assert verify_witness_certificate(result, rho)
 
 
@@ -262,7 +263,7 @@ def test_slow_random_state_stays_inside_its_budget():
     rho = _mixed_random_state(39, 1)
     result = ppt_mixer_witness(rho)
     assert result.converged
-    assert result.optimal_value - result.lower_bound <= SolverConfig().gap_tol
+    assert result.optimal_value - result.lower_bound <= GAP_TOL
     assert result.iterations <= 3000
 
 
@@ -291,19 +292,21 @@ def test_runtime_budget_per_instance():
     assert time.perf_counter() - start < 30.0
 
 
-def test_non_convergence_reports_indeterminate():
+def test_non_convergence_reports_indeterminate(monkeypatch):
     # The sign comes from the bounds, not from the stop: after 3 iterations
     # they still straddle zero, after 20 the upper bound clears the margin
     # while the interval is still too wide to stop the solve.
     rho = noisy_w(0.6)
-    result = ppt_mixer_witness(rho, SolverConfig(max_iterations=3))
+    monkeypatch.setattr(sdp, "MAX_ITERATIONS", 3)
+    result = ppt_mixer_witness(rho)
     assert not result.converged
     assert result.lower_bound < 0.0 < result.optimal_value
     assert result.certified_sign == SIGN_INDETERMINATE
     assert len(result.residuals) == 3
     assert result.iterations == 3
     assert verify_witness_certificate(result, rho)
-    later = ppt_mixer_witness(rho, SolverConfig(max_iterations=20))
+    monkeypatch.setattr(sdp, "MAX_ITERATIONS", 20)
+    later = ppt_mixer_witness(rho)
     assert not later.converged
     assert later.certified_sign == SIGN_NEGATIVE
     assert verify_witness_certificate(later, rho)
@@ -349,7 +352,7 @@ def test_bounds_sandwich_the_optimum_and_certify_the_sign(name):
     assert fast.iterations <= default.iterations
     if default.certified_sign != SIGN_INDETERMINATE:
         assert fast.certified_sign == default.certified_sign
-    margin = SolverConfig().certification_margin
+    margin = CERTIFICATION_MARGIN
     for result in (default, fast):
         # Both modes return the repaired, exactly feasible witness, whose
         # value is the upper bound, and read the sign from the two bounds.
@@ -385,8 +388,7 @@ def test_sign_only_indeterminate_inside_the_margin():
     result = ppt_mixer_witness(noisy_w(0.479), sign_only=True)
     assert result.converged
     assert result.certified_sign == SIGN_INDETERMINATE
-    assert 0.0 <= result.optimal_value - result.lower_bound <= (
-        SolverConfig().gap_tol)
+    assert 0.0 <= result.optimal_value - result.lower_bound <= GAP_TOL
     assert abs(result.optimal_value) < 1e-4
     assert verify_witness_certificate(result, noisy_w(0.479))
 
@@ -417,11 +419,12 @@ def test_verifier_rejects_non_ppt_mixture_blocks():
         dataclasses.replace(result, mixture=result.mixture[:2]), rho)
 
 
-def test_early_stop_still_yields_a_verifiable_certificate():
+def test_early_stop_still_yields_a_verifiable_certificate(monkeypatch):
     # Three iterations are far from the optimum, but the result is built
     # from the repaired bounds, so its certificates still verify.
     rho = noisy_w(0.6)
-    early = ppt_mixer_witness(rho, SolverConfig(max_iterations=3))
+    monkeypatch.setattr(sdp, "MAX_ITERATIONS", 3)
+    early = ppt_mixer_witness(rho)
     assert not early.converged
     assert max(early.residuals) < 1e-12
     assert early.lower_bound <= early.optimal_value
