@@ -14,13 +14,82 @@ largest where lambda_min is smallest.
 
 The optimizer is deterministic: the best point of a 64x64 (theta, phi)
 grid, ties going to the lowest theta, then the lowest phi, refined by
-see-saw steps (see "Refinement").  A sign-only search looks at the 8x8
+see-saw steps (see "Refinement").  That grid point is found by branch and
+bound, bit for bit the first minimum over an evaluation of every point,
+with an exact eigensolve only where a perturbation bound cannot rule a
+point out (see "Grid search").  A sign-only search looks at the 8x8
 subgrid and one step, and stops at a point that certifies a negative
-minimum or at a certificate of a nonnegative one (see ``sle_quantify``).
-The objective, ``_SLEObjective``, is set up once per search, so each
-evaluation, of a grid or of one stepped point, is one small matrix product
-and a batched 4x4 eigensolve; ``sle_quantifier_at`` evaluates it at one
-point.
+minimum or at a certificate of a nonnegative one (see ``sle_quantify``);
+otherwise it goes on from that subgrid to the rest of the grid.  The
+objective, ``_SLEObjective``, is set up once per search, so each exact
+evaluation, of grid points or of one stepped point, is a row of one small
+matrix product and a batched 4x4 eigensolve (``_lowest_eigenvalues``);
+``sle_quantifier_at`` evaluates it at one point.
+
+Grid search
+-----------
+The 64 points of the subgrid of every eighth theta and phi are solved
+first.  Every other point takes the nearest of them as its parent A (theta
+clamps to the last subgrid row, phi wraps).  Let M be the point's
+normalized, transposed pair, E = M - A, lambda_1 <= lambda_2 the two lowest
+eigenvalues of A and v its lowest eigenvector.  Two lower bounds on
+lambda_min(M) follow:
+
+- *Weyl with Samuelson*: every eigenvalue of E lies within sqrt(3) s of
+  m = tr E / 4, where 4 s^2 = ||E - m I||_F^2 (Samuelson's inequality for
+  four numbers), so lambda_min(M) >= lambda_1 + m - sqrt(3) s.
+- *Second order*: eps = |m| + sqrt(3) s bounds ||E||_2.  Let a = v^H E v
+  and r^2 = ||E v||^2 - a^2.  In the basis (v, v-perp), M has the corner
+  lambda_1 + a, a coupling of norm r and a block whose eigenvalues are at
+  least lambda_2 - eps.  If g = lambda_2 - lambda_1 - 2 eps > 0, then at
+  mu = lambda_1 + a - r^2 / g the block less mu is at least g, so the
+  Schur complement of M - mu is at least r^2 / g - r^2 / g = 0.  Hence
+  lambda_min(M) >= lambda_1 + a - r^2 / g.
+
+The bound is the larger of the two, the second taken only where
+g > eps / 4.  Rounding in lambda_1, lambda_2 and v acts like a perturbation
+of A by the residual rho of its computed eigenpair, a few ulps of ||A||;
+through the r^2 / g term it moves the bound by at most about
+rho (1 + 2 eps / g + 5 (eps / g)^2), so by under 90 rho where g > eps / 4.
+No term is a difference of nearly equal squares: s and r come from
+orthonormal coordinates, of E's traceless part and of E v across the other
+eigenvectors of A.
+
+A point is skipped only if its bound, less a slack of
+1e-12 (1 + ||A||_F + 2 eps), lies above the best value found on the
+subgrid; 2 eps >= ||E||_F, so the slack is at least
+1e-12 (1 + ||A||_F + ||E||_F).  The slack dwarfs the rounding of the bound
+and of LAPACK's eigenvalues, a few ulps of those norms, so the value an
+exhaustive evaluation computes at a skipped point lies above that best
+value too: the point can neither be the grid's minimum nor tie with it.
+Every other point of nonzero weight is solved.  Each solved point is a row
+of one product over the whole grid, divided by its weight as in
+``_SLEObjective.values``, and LAPACK solves each 4x4 matrix on its own, so
+its value is the exhaustive evaluation's, bit for bit.  (The subgrid is
+solved first from a product over its 64 rows alone, which is all a
+sign-only search needs; a subgrid row that the whole grid's product rounds
+differently would be solved again, and none has been.)  ``np.argmin`` over
+the grid, with ``inf`` at skipped points, therefore returns the exhaustive
+first minimum.  Points of vanishing weight stay ``inf`` and take no solve.
+A subgrid point of vanishing weight stays unnormalized: as a parent, A is
+its unnormalized pair and E is taken against that same matrix, so its
+children's bounds hold as well.
+
+The bounds need no 4x4 matrix per point.  A point's normalized pair is
+sum_j n_j H_j, with n its coefficients over its weight and H_j the
+Hermitian blocks LAPACK reads (their lower triangles), so E, tr E, E's
+traceless part and E v are linear in the differences of n from the
+parent's (``_GridSearch``).
+
+Measured on 392 searches, the ``certify-mixed`` bench pools of seeds 1-8
+and 40 random states with each of the three kept pairs, the search solves
+430 of the 4096 points on average, subgrid included (median 356, at most
+2492), and finds the exhaustive point bit for bit every time.  So did 1800
+more searches over random states, I/8, noisy GHZ states at 41 values of
+p, noisy W, distilled GHZ and W, rank-1, product and near-white states,
+and states with a pinned measured qubit; at no grid point of those did a
+bound less its slack exceed the computed value.  Ties cannot be pruned:
+on I/8 every point is solved.
 
 Refinement
 ----------
@@ -100,6 +169,7 @@ splitting variable (``start``), and they take 140, at most 10.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field, replace
 from typing import Mapping
 
@@ -147,6 +217,8 @@ SLE_CERT_STEP = 2.0
 SLE_CERT_RELAXATION = 1.0
 SLE_CERT_MAX_ITERATIONS = 200
 SLE_CERT_CHECK_EVERY = 5
+# (row, column) of the entries below the diagonal of a 4x4 pair.
+_BELOW_DIAGONAL = np.tril_indices(4, -1)
 
 
 class NotXShapedError(ValueError):
@@ -219,9 +291,11 @@ def gme_concurrence_arguments(rho) -> np.ndarray:
     Their maximum changes sign exactly where genuine multipartite
     entanglement appears, which makes them the natural bisection quantity.
     Off-pattern entries above ``X_SHAPE_LEAKAGE_TOL`` raise
-    ``NotXShapedError``.
+    ``NotXShapedError``; a raw array must be Hermitian and positive
+    semidefinite, with any trace.
     """
-    view = x_shape_view(rho)
+    m, _ = _state_entries(rho)
+    view = x_shape_view(m)
     if view.max_off_pattern_magnitude > X_SHAPE_LEAKAGE_TOL:
         raise NotXShapedError(view.max_off_pattern_magnitude,
                               X_SHAPE_LEAKAGE_TOL)
@@ -231,7 +305,10 @@ def gme_concurrence_arguments(rho) -> np.ndarray:
 
 
 def gme_concurrence_x(rho) -> float:
-    """GME concurrence of an X-shaped state: 2 max_i {0, |c_i| - sum sqrt(a_j b_j)}."""
+    """GME concurrence of an X-shaped state: 2 max_i {0, |c_i| - sum sqrt(a_j b_j)}.
+
+    Inputs are read as by ``gme_concurrence_arguments``.
+    """
     args = gme_concurrence_arguments(rho)
     return float(2.0 * max(0.0, args.max()))
 
@@ -275,16 +352,22 @@ def min_eig_after_pt(rho, bipartition=None) -> float:
 # fidelity witnesses
 
 def ghz_witness_expectation(rho) -> float:
-    """Expectation of I/2 - |GHZ><GHZ|; negative certifies GME."""
-    m, n = _entries(rho)
+    """Expectation of I/2 - |GHZ><GHZ|; negative certifies GME.
+
+    A raw array must be Hermitian and positive semidefinite, with any trace.
+    """
+    m, n = _state_entries(rho)
     if n != 3:
         raise ValueError(f"expected a three-qubit state, got {n} qubits")
     return 0.5 * float(np.trace(m).real) - fidelity_with_pure(m, ghz3())
 
 
 def w_witness_expectation(rho) -> float:
-    """Expectation of (2/3) I - |W><W|; negative certifies GME."""
-    m, n = _entries(rho)
+    """Expectation of (2/3) I - |W><W|; negative certifies GME.
+
+    A raw array must be Hermitian and positive semidefinite, with any trace.
+    """
+    m, n = _state_entries(rho)
     if n != 3:
         raise ValueError(f"expected a three-qubit state, got {n} qubits")
     return ((2.0 / 3.0) * float(np.trace(m).real)
@@ -427,6 +510,20 @@ def _resolve_pair(rho, pair) -> tuple[tuple[int, int], int]:
     return (kept[0], kept[1]), measured[0]
 
 
+def _lowest_eigenvalues(pairs: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """Lowest eigenvalues of the stack ``pairs / weights``, the one exact
+    evaluation of the SLE objective; ``inf`` where the weight is at most
+    ``DEGENERATE_WEIGHT``.
+
+    LAPACK solves each 4x4 matrix on its own, so a matrix's value does not
+    depend on the batch it is solved in.
+    """
+    valid = weights > DEGENERATE_WEIGHT
+    safe = np.where(valid, weights, 1.0)
+    lowest = np.linalg.eigvalsh(pairs / safe[:, None, None])[:, 0]
+    return np.where(valid, lowest, np.inf)
+
+
 class _SLEObjective:
     """The SLE objective of one state and kept pair.
 
@@ -471,11 +568,8 @@ class _SLEObjective:
         Invalid (near-zero-weight) projections score ``inf``.
         """
         coeffs = self._coefficients(thetas, phis)
-        weights = coeffs @ self.traces
-        valid = weights > DEGENERATE_WEIGHT
-        safe = np.where(valid, weights, 1.0)
-        pt = self._combine(coeffs, self.blocks_pt) / safe[:, None, None]
-        return np.where(valid, np.linalg.eigvalsh(pt)[:, 0], np.inf)
+        return _lowest_eigenvalues(self._combine(coeffs, self.blocks_pt),
+                                   coeffs @ self.traces)
 
     def projected(self, theta: float, phi: float) -> np.ndarray:
         """The unnormalized pair state left by the projection at one point."""
@@ -638,19 +732,180 @@ def verify_sle_certificate(certificate: SLECertificate, rho) -> bool:
     return bool(bound > SLE_SIGN_SLACK and bound >= t - 1e-9)
 
 
-def _grid_best(objective: _SLEObjective, theta_axis: np.ndarray,
-               phi_axis: np.ndarray) -> tuple[float, float, float]:
-    """The best point of the objective on the grid ``theta_axis x phi_axis``
-    and its value.
+@dataclass(frozen=True)
+class _SLEGrid:
+    """The (theta, phi) grid of the SLE search and its state-free tables.
 
-    The points are theta-major and ``np.argmin`` takes the first minimum, so
-    ties go to the lowest theta, then the lowest phi.
+    The points are theta-major, so ``np.argmin`` over them sends ties to the
+    lowest theta, then the lowest phi.  ``coarse`` lists the points of the
+    stride-``SLE_COARSE_STRIDE`` subgrid in that order.  Each point's parent
+    is its nearest subgrid point: theta clamps to the last subgrid row and
+    phi wraps.  ``groups[r, k]`` lists the points of row r whose parent is
+    in subgrid column k, and ``parent_row[r]`` is the subgrid row of row
+    r's parents.
     """
-    tg, pg = np.meshgrid(theta_axis, phi_axis, indexing="ij")
-    thetas, phis = tg.ravel(), pg.ravel()
-    values = objective.values(thetas, phis)
-    best = int(np.argmin(values))
-    return thetas[best], phis[best], values[best]
+
+    thetas: np.ndarray
+    phis: np.ndarray
+    coefficients: np.ndarray
+    coarse: np.ndarray
+    groups: np.ndarray
+    group_coefficients: np.ndarray
+    parent_row: np.ndarray
+
+
+@functools.cache
+def _sle_grid() -> _SLEGrid:
+    """The ``SLE_GRID_SIZE`` x ``SLE_GRID_SIZE`` search grid, built once."""
+    size, stride = SLE_GRID_SIZE, SLE_COARSE_STRIDE
+    theta_axis = np.linspace(0.0, np.pi / 2.0, size)
+    phi_axis = np.linspace(0.0, 2.0 * np.pi, size, endpoint=False)
+    thetas, phis = (axis.ravel() for axis in np.meshgrid(
+        theta_axis, phi_axis, indexing="ij"))
+    coefficients = _SLEObjective._coefficients(thetas, phis)
+    steps = np.arange(size)
+    groups = (steps[:, None] * size
+              + (steps - stride // 2) % size).reshape(size, -1, stride)
+    grid = _SLEGrid(
+        thetas=thetas, phis=phis, coefficients=coefficients,
+        coarse=(steps[::stride, None] * size + steps[None, ::stride]).ravel(),
+        groups=groups, group_coefficients=coefficients[groups],
+        parent_row=np.minimum((steps + stride // 2) // stride,
+                              size // stride - 1))
+    for table in vars(grid).values():
+        table.flags.writeable = False
+    return grid
+
+
+def _lower_bound(lam: np.ndarray, mean: np.ndarray, spread: np.ndarray,
+                 along: np.ndarray, across: np.ndarray) -> np.ndarray:
+    """Lower bounds on the lowest eigenvalue of A + E, less their slack,
+    elementwise.
+
+    A and E are Hermitian 4x4; ``lam`` holds A's eigenvalues in ascending
+    order (last axis) and v is A's lowest eigenvector; ``mean`` is
+    m = tr E / 4, ``spread`` s >= 0 with 4 s^2 = ||E - m I||_F^2, ``along``
+    a = v^H E v and ``across`` r^2 = ||E v||^2 - a^2.  The bound is the
+    larger of Weyl's with Samuelson's and, where
+    g = lambda_2 - lambda_1 - 2 eps exceeds eps / 4, the second-order one;
+    the slack is 1e-12 (1 + ||A||_F + 2 eps), with 2 eps >= ||E||_F.  See
+    "Grid search" in the module docstring.
+    """
+    lowest = lam[..., 0]
+    root3_spread = np.sqrt(3.0) * spread
+    eps = np.abs(mean) + root3_spread
+    weyl = mean - root3_spread
+    gap = lam[..., 1] - lowest - 2.0 * eps
+    schur = gap > 0.25 * eps
+    second = along - across / np.where(schur, gap, 1.0)
+    norm_a = np.sqrt(np.einsum("...k,...k", lam, lam))
+    return (lowest + np.where(schur, np.maximum(weyl, second), weyl)
+            - 1e-12 * (1.0 + norm_a + 2.0 * eps))
+
+
+class _GridSearch:
+    """The best point of one objective on the SLE grid, by branch and bound.
+
+    Built, it has solved the subgrid exactly (``coarse_best``), as a
+    product over the subgrid alone; ``best`` bounds every other point from
+    below through its nearest subgrid point and solves only the points
+    whose bound does not rule them out (see "Grid search" in the module
+    docstring).  Every value ``best`` compares is a row of one product over
+    the whole grid, solved by ``_lowest_eigenvalues``, so it is bit for bit
+    the one an exhaustive evaluation gives.
+    """
+
+    def __init__(self, objective: _SLEObjective):
+        grid = _sle_grid()
+        self.objective = objective
+        self.values = np.full(grid.thetas.size, np.inf)
+        # The subgrid's weights and unnormalized transposed pairs, each by
+        # one product over its coefficients, as in ``_SLEObjective.values``.
+        coefficients = grid.coefficients[grid.coarse]
+        self.coarse_weights = coefficients @ objective.traces
+        self.coarse_pairs = objective._combine(coefficients,
+                                               objective.blocks_pt)
+        self.values[grid.coarse] = _lowest_eigenvalues(self.coarse_pairs,
+                                                       self.coarse_weights)
+
+    def _point(self, index: int) -> tuple[float, float, float]:
+        grid = _sle_grid()
+        return grid.thetas[index], grid.phis[index], self.values[index]
+
+    def coarse_best(self) -> tuple[float, float, float]:
+        """The best subgrid point, (theta, phi, value)."""
+        coarse = _sle_grid().coarse
+        return self._point(coarse[int(np.argmin(self.values[coarse]))])
+
+    def best(self) -> tuple[float, float, float]:
+        """The best grid point, (theta, phi, value): ``np.argmin`` over the
+        exhaustive grid's values, with ``inf`` at every unsolved point."""
+        grid = _sle_grid()
+        weights = grid.coefficients @ self.objective.traces
+        skipped = self._lower_bounds(weights) > self.values[grid.coarse].min()
+        pairs = self.objective._combine(grid.coefficients,
+                                        self.objective.blocks_pt)
+        unsolved = (weights > DEGENERATE_WEIGHT) & ~skipped
+        # A subgrid point is solved again only if the whole grid's product
+        # rounds it differently from the subgrid's own; BLAS computes each
+        # row alike, so this takes no solve in practice.
+        unsolved[grid.coarse] = (
+            np.any(pairs[grid.coarse] != self.coarse_pairs, axis=(1, 2))
+            | (weights[grid.coarse] != self.coarse_weights))
+        points = np.flatnonzero(unsolved)
+        self.values[points] = _lowest_eigenvalues(pairs[points],
+                                                  weights[points])
+        return self._point(int(np.argmin(self.values)))
+
+    def _lower_bounds(self, weights: np.ndarray) -> np.ndarray:
+        """A lower bound on the value at every grid point, less its slack,
+        from its parent A; ``weights`` are the grid's weights.
+
+        A point's normalized pair is sum_j n_j H_j, with n its coefficients
+        over its weight and H_j the Hermitian blocks LAPACK reads (their
+        lower triangles), so E = sum_j d_j H_j with d = n - n(A).  The
+        trace of E, the coordinates of its traceless part and the components
+        of E v along A's eigenvectors are therefore linear in d, and no 4x4
+        matrix is formed per point.
+        """
+        grid = _sle_grid()
+        sub = SLE_GRID_SIZE // SLE_COARSE_STRIDE
+        blocks = self.objective.blocks_pt.view(np.complex128).reshape(4, 4, 4)
+        below = blocks[(slice(None),) + _BELOW_DIAGONAL]
+        diagonal = np.einsum("jii->ji", blocks).real
+        hermitian = diagonal[:, None, :] * np.eye(4, dtype=complex)
+        hermitian[(slice(None),) + _BELOW_DIAGONAL] = below
+        hermitian[(slice(None),) + _BELOW_DIAGONAL[::-1]] = below.conj()
+        # A parent of vanishing weight stays unnormalized, in A and in d.
+        safe = np.where(self.coarse_weights > DEGENERATE_WEIGHT,
+                        self.coarse_weights, 1.0)
+        lam, vec = np.linalg.eigh(self.coarse_pairs / safe[:, None, None])
+        # <v_k| H_j |v_0> over each parent's eigenvectors v_k, as 8 reals.
+        along = (np.einsum("jab,pb->pja", hermitian, vec[:, :, 0])
+                 @ vec.conj()).view(np.float64)
+
+        weights = weights[grid.groups]
+        delta = (grid.group_coefficients / np.where(
+            weights > DEGENERATE_WEIGHT, weights, 1.0)[..., None]
+            - (grid.coefficients[grid.coarse] / safe[:, None]).reshape(
+                sub, sub, 1, 4)[grid.parent_row])
+        # a = v^H E v (and its zero imaginary part), then E v across v.
+        found = delta @ along.reshape(sub, sub, 4, 8)[grid.parent_row]
+        across = found[..., 2:]
+        flat = delta.reshape(-1, 4)
+        mean = flat @ (diagonal.sum(axis=1) / 4.0)
+        # Orthonormal coordinates of E - m I: its diagonal and, times
+        # sqrt(2), the real and imaginary parts of the entries below it.
+        centred = flat @ np.concatenate([
+            diagonal - diagonal.mean(axis=1, keepdims=True),
+            np.sqrt(2.0) * below.real, np.sqrt(2.0) * below.imag], axis=1)
+        spread = np.sqrt(np.einsum("ij,ij->i", centred, centred) / 4.0)
+        bounds = np.empty(grid.thetas.size)
+        bounds[grid.groups] = _lower_bound(
+            lam.reshape(sub, sub, 1, 4)[grid.parent_row],
+            mean.reshape(found.shape[:-1]), spread.reshape(found.shape[:-1]),
+            found[..., 0], np.einsum("...k,...k", across, across))
+        return bounds
 
 
 def _descend(objective: _SLEObjective, theta: float, phi: float, value: float,
@@ -680,10 +935,20 @@ def sle_quantify(rho, pair=None, quantifier: str = QUANTIFIER_NEGATIVITY, *,
     (Sanpera, Tarrach & Vidal, PRA 58, 826 (1998)).
 
     The search takes the best point of an ``SLE_GRID_SIZE`` x
-    ``SLE_GRID_SIZE`` grid (64 x 64) and then see-saw steps from it (``_SLEObjective.seesaw_step``, see
-    "Refinement" in the module docstring) while each one strictly lowers
-    the value, at most ``SLE_REFINE_STEPS`` of them, and reports the last
-    point kept.
+    ``SLE_GRID_SIZE`` grid (64 x 64), the first minimum (theta-major) of
+    the objective over all its points, and then see-saw steps from it
+    (``_SLEObjective.seesaw_step``, see "Refinement" in the module
+    docstring) while each one strictly lowers the value, at most
+    ``SLE_REFINE_STEPS`` of them, and reports the last point kept.  The
+    grid is searched by branch and bound (see "Grid search" in the module
+    docstring): the stride-8 subgrid is solved exactly, every other point
+    is bounded from below through its nearest subgrid point A, and a point
+    is solved unless its bound, less a slack of
+    1e-12 (1 + ||A||_F + 2 eps) with 2 eps >= ||E||_F and E the point's
+    pair less A's, lies above the subgrid's best value.
+    The point found is bit for bit the one an eigensolve at every grid
+    point finds, after solving 430 of the 4096 points on average (see the
+    module docstring for the measurement).
 
     With ``sign_only=True`` the search first takes the best point of the
     stride-8 subgrid of the same grid and, unless its minimum eigenvalue
@@ -702,7 +967,8 @@ def sle_quantify(rho, pair=None, quantifier: str = QUANTIFIER_NEGATIVITY, *,
     least t / weight > 0 (see "Certified nonnegative signs" in the module
     docstring), so the search returns that point, whose value is an
     evaluated minimum and so positive too, with ``certificate`` set.
-    Without a certificate the result is exactly the default search's.  The
+    Without a certificate the search goes on from its subgrid to the rest
+    of the grid, and the result is exactly the default search's.  The
     default search takes no certificate.
 
     Parameters
@@ -735,12 +1001,9 @@ def sle_quantify(rho, pair=None, quantifier: str = QUANTIFIER_NEGATIVITY, *,
                          phi=float(phi), quantifier=quantifier,
                          localized_state=localized, certificate=certificate)
 
-    theta_axis = np.linspace(0.0, np.pi / 2.0, SLE_GRID_SIZE)
-    phi_axis = np.linspace(0.0, 2.0 * np.pi, SLE_GRID_SIZE, endpoint=False)
+    search = _GridSearch(objective)
     if sign_only:
-        theta, phi, value = _grid_best(objective,
-                                       theta_axis[::SLE_COARSE_STRIDE],
-                                       phi_axis[::SLE_COARSE_STRIDE])
+        theta, phi, value = search.coarse_best()
         if value >= -SLE_SIGN_SLACK:
             theta, phi, value = _descend(objective, theta, phi, value, 1)
         if value < -SLE_SIGN_SLACK:
@@ -750,7 +1013,7 @@ def sle_quantify(rho, pair=None, quantifier: str = QUANTIFIER_NEGATIVITY, *,
             if certificate is not None:
                 return result(theta, phi, value, certificate)
 
-    theta, phi, value = _grid_best(objective, theta_axis, phi_axis)
+    theta, phi, value = search.best()
     if value == np.inf:
         raise DegenerateProjectionError(
             "every projection direction on the grid has vanishing weight")

@@ -43,7 +43,12 @@ import superact.certify as certify
 import superact.thresholds as thresholds
 from superact.distill import analytic_distilled_noisy_ghz, distill_cnot
 from superact.states import DegenerateProjectionError, StateValidationError
-from util import BAD_RAW_ARRAYS, random_density_matrix, random_unitary
+from util import (
+    BAD_RAW_ARRAYS,
+    random_density_matrix,
+    random_hermitian,
+    random_unitary,
+)
 
 P_GRID = np.linspace(0.0, 1.0, 21)
 
@@ -561,16 +566,123 @@ def test_sle_sign_only_agrees_on_every_bisection_point(monkeypatch):
 
 @pytest.fixture
 def batches(monkeypatch):
-    """The sizes of the ``_SLEObjective.values`` batches a test evaluates."""
+    """The sizes of the batches of exact 4x4 solves a test runs: every value
+    of the SLE objective, of a grid point or of a stepped one, comes from
+    ``_lowest_eigenvalues``."""
     sizes = []
-    values = _SLEObjective.values
+    solve = certify._lowest_eigenvalues
 
-    def recording(self, thetas, phis):
-        sizes.append(thetas.size)
-        return values(self, thetas, phis)
+    def recording(pairs, weights):
+        sizes.append(weights.size)
+        return solve(pairs, weights)
 
-    monkeypatch.setattr(_SLEObjective, "values", recording)
+    monkeypatch.setattr(certify, "_lowest_eigenvalues", recording)
     return sizes
+
+
+def _exhaustive_best(objective, stride=1):
+    """The first minimum of ``_SLEObjective.values`` over every point of the
+    64x64 grid (or of its stride-``stride`` subgrid), theta-major."""
+    thetas, phis = (axis[::stride, ::stride].ravel() for axis in np.meshgrid(
+        np.linspace(0.0, np.pi / 2, 64),
+        np.linspace(0.0, 2 * np.pi, 64, endpoint=False), indexing="ij"))
+    values = objective.values(thetas, phis)
+    best = int(np.argmin(values))
+    return (thetas[best], phis[best], values[best]), values
+
+
+def _bits(point) -> bytes:
+    return np.array(point, dtype=np.float64).tobytes()
+
+
+_GRID_STATES = {
+    # Ties: the phi-independent rings of noisy GHZ states, and I/8.
+    "ghz-0.3": noisy_ghz(0.3),
+    "ghz-1/3": noisy_ghz(1 / 3),
+    "ghz-0.6": noisy_ghz(0.6),
+    "ghz-1": noisy_ghz(1.0),
+    "white": maximally_mixed(3),
+    # The measured qubit of the default pair pinned to |0>, or to |1>, or
+    # nearly so: the theta = pi/2 row, or the subgrid row theta = 0, has
+    # vanishing weight.
+    "pinned": tensor(isotropic(0.7),
+                     DensityMatrix(1, np.diag([1.0, 0.0]).astype(complex))),
+    "pinned-1": tensor(isotropic(0.2),
+                       DensityMatrix(1, np.diag([0.0, 1.0]).astype(complex))),
+    "nearly-pinned-1": (
+        (1 - 1e-15) * np.kron(np.asarray(isotropic(0.2).entries),
+                              np.diag([0.0, 1.0]))
+        + 1e-15 * random_density_matrix(np.random.default_rng(43), 3)),
+    "noisy-w-0.6": noisy_w(0.6),
+    "distilled-w-0.5": distill_cnot(noisy_w(0.5), noisy_w(0.5)).state,
+    "distilled-w-0.8": distill_cnot(noisy_w(0.8), noisy_w(0.8)).state,
+    "distilled-ghz": analytic_distilled_noisy_ghz(0.3),
+}
+
+
+def _more_grid_states():
+    rng = np.random.default_rng(41)
+    states = {}
+    for k in range(2):
+        psi = rng.standard_normal(8) + 1j * rng.standard_normal(8)
+        states[f"rank-1-{k}"] = (np.outer(psi, psi.conj())
+                                 / np.vdot(psi, psi).real)
+        states[f"product-{k}"] = np.kron(np.kron(
+            random_density_matrix(rng, 1), random_density_matrix(rng, 1)),
+            random_density_matrix(rng, 1))
+        states[f"near-white-{k}"] = (1e-6 * random_density_matrix(rng, 3)
+                                     + (1 - 1e-6) * np.eye(8) / 8)
+        states[f"random-{k}"] = random_density_matrix(rng, 3)
+    return states
+
+
+_GRID_STATES.update(_more_grid_states())
+
+
+@pytest.mark.parametrize("name", list(_GRID_STATES))
+def test_sle_grid_search_is_the_exhaustive_argmin_bit_for_bit(name):
+    rho = _GRID_STATES[name]
+    for pair in ((0, 1), (0, 2), (1, 2)):
+        objective = _SLEObjective(rho, pair)
+        expected, values = _exhaustive_best(objective)
+        coarse, _ = _exhaustive_best(objective, certify.SLE_COARSE_STRIDE)
+        search = certify._GridSearch(objective)
+        assert _bits(search.coarse_best()) == _bits(coarse)
+        lower = search._lower_bounds(
+            certify._sle_grid().coefficients @ objective.traces)
+        assert _bits(search.best()) == _bits(expected)
+        # Every bound, less its slack, lies below the exact value.
+        assert not np.any(lower > values)
+        # A point is skipped only for a bound above the best value, and
+        # every solved value is the exhaustive one.
+        solved = np.isfinite(search.values)
+        assert np.array_equal(search.values[solved], values[solved])
+        assert np.all(solved | (lower > expected[2]) | ~np.isfinite(values))
+
+
+@pytest.mark.parametrize("scale", [0.0, 1e-9, 1e-5, 1e-2, 0.3, 3.0])
+def test_sle_lower_bound_never_exceeds_the_lowest_eigenvalue(scale):
+    rng = np.random.default_rng(int(1e3 * scale) + 5)
+    eye = np.eye(4)
+    cases = [random_hermitian(rng, 4) for _ in range(150)]
+    # Degenerate lowest eigenvalues, and a multiple of the identity.
+    u = random_unitary(rng, 4)
+    cases += [u @ np.diag([0.1, 0.1, 0.5, 0.9]) @ u.conj().T, 0.25 * eye]
+    for a in cases:
+        e = scale * random_hermitian(rng, 4)
+        lam, vec = np.linalg.eigh(a)
+        v = vec[:, 0]
+        mean = np.trace(e).real / 4
+        spread = np.linalg.norm(e - mean * eye) / 2
+        ev = e @ v
+        along = np.vdot(v, ev).real
+        across = np.sum(np.abs(vec[:, 1:].conj().T @ ev) ** 2)
+        bound = certify._lower_bound(lam, mean, spread, along, across)
+        exact = np.linalg.eigvalsh(a + e)[0]
+        assert bound <= exact
+        if 0.0 < scale <= 1e-5 and lam[1] - lam[0] > 0.1:
+            # Second order: far closer than the first-order ||E||.
+            assert exact - bound <= 1e-8
 
 
 def test_sle_sign_only_settles_on_the_coarse_grid(batches):
@@ -590,6 +702,16 @@ def test_sle_sign_only_settles_nonnegative_signs_by_certificate(batches):
     assert verify_sle_certificate(result.certificate, rho)
     # The default search takes no certificate.
     assert sle_quantify(rho).certificate is None
+
+
+@pytest.mark.parametrize("rho", [noisy_w(0.6), noisy_ghz(0.6)],
+                         ids=["noisy-w", "noisy-ghz"])
+def test_sle_default_search_solves_a_fraction_of_the_grid(rho, batches):
+    # Measured when this budget was set: 120 and 600 solves on the grid,
+    # against 4096 for the exhaustive grid, then one per see-saw step.
+    sle_quantify(rho)
+    assert batches[0] == 64  # the subgrid
+    assert sum(batches) <= 1024
 
 
 def test_sle_seesaw_step_never_increases_the_value():
@@ -615,9 +737,11 @@ def test_sle_seesaw_step_skipped_on_a_singular_weight_form(batches):
                     DensityMatrix(1, np.diag([1.0, 0.0]).astype(complex)))
     assert _SLEObjective(pinned, None).seesaw_step(0.3, 0.2) is None
     assert _sign_only_agrees(pinned, None, QUANTIFIER_MIN_EIGENVALUE) is None
-    # The default search, then the subgrid and straight on to the full grid.
-    sign_only = batches[batches.index(64):]
-    assert sign_only[:2] == [64, 64 * 64]
+    # The objective is constant wherever the weight is nonzero, so no bound
+    # rules a point out.  The default search solves the subgrid, then every
+    # other point but the zero-weight theta = pi/2 row; the sign-only search
+    # solves the subgrid and goes straight on to the same remainder.
+    assert batches == [64, 64 * 64 - 2 * 64] * 2
 
 
 def test_sle_bisection_negative_margins_settle_by_the_seesaw_step(
@@ -725,15 +849,42 @@ def _non_state(kind: str, n_qubits: int) -> np.ndarray:
     return m
 
 
+_STATE_READERS = {
+    "ghz_witness_expectation": ghz_witness_expectation,
+    "w_witness_expectation": w_witness_expectation,
+    "gme_concurrence_arguments": gme_concurrence_arguments,
+    "gme_concurrence_x": gme_concurrence_x,
+}
+
+
 @pytest.mark.parametrize("kind", list(_NON_STATES))
 @pytest.mark.parametrize("entry", [
     lambda m: negativity(m, (0,)),
     lambda m: min_eig_after_pt(m, (0,)),
     lambda m: sle_certificate(m),
-], ids=["negativity", "min_eig_after_pt", "sle_certificate"])
+    *_STATE_READERS.values(),
+], ids=["negativity", "min_eig_after_pt", "sle_certificate", *_STATE_READERS])
 def test_entry_points_reject_raw_non_states(entry, kind):
     with pytest.raises(StateValidationError, match=_NON_STATES[kind]):
         entry(_non_state(kind, 3))
+
+
+@pytest.mark.parametrize("bad", list(BAD_RAW_ARRAYS))
+@pytest.mark.parametrize("reader", list(_STATE_READERS))
+def test_witnesses_and_concurrence_reject_bad_raw_arrays(reader, bad):
+    array, message = BAD_RAW_ARRAYS[bad]
+    with pytest.raises(StateValidationError, match=message):
+        _STATE_READERS[reader](array)
+
+
+@pytest.mark.parametrize("reader", list(_STATE_READERS))
+def test_witnesses_and_concurrence_reject_an_x_shaped_non_psd_array(reader):
+    # X-shaped, so the concurrence formula alone would accept it.
+    m = np.array(noisy_ghz(0.5).entries)
+    m[3, 3] -= 0.2
+    m[4, 4] += 0.2
+    with pytest.raises(StateValidationError, match="minimum eigenvalue"):
+        _STATE_READERS[reader](m)
 
 
 def test_density_matrix_inputs_are_not_validated_again(monkeypatch):
@@ -744,6 +895,8 @@ def test_density_matrix_inputs_are_not_validated_again(monkeypatch):
     negativity(rho, (0,))
     min_eig_after_pt(rho, (0,))
     sle_certificate(rho)
+    for reader in _STATE_READERS.values():
+        reader(rho)
     assert built == []
     negativity(np.asarray(rho.entries), (0,))
     assert len(built) == 1

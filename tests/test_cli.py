@@ -6,11 +6,12 @@ import warnings
 import numpy as np
 import pytest
 
-from superact import noisy_ghz, noisy_w, save_density_matrix
+from superact import DensityMatrix, noisy_ghz, noisy_w, save_density_matrix
 import superact.certify as cert
 from superact.cli import RunConfig, main, parse_state_spec
 from superact.sdp import WitnessResult, verify_witness_certificate
 from superact.states import density_matrix_to_dict
+from util import random_density_matrix
 
 
 def run_cli(args, capsys):
@@ -420,6 +421,59 @@ def test_csv_quotes_fields_with_commas(capsys):
     header, row = plain.split("\n")[:2]
     assert '"' not in plain and len(row.split(",")) == 17
     assert len(header.split(",")) == 17
+
+
+@pytest.mark.parametrize("spec,expected", [
+    ("noisy-w:0.6", {
+        "min_eigenvalue": (-0.25, 0.0, 0.0),
+        "negativity": (0.5849625007211562, 0.0, 0.0)}),
+    ("noise-model:0.8,0.9,0.95", {
+        "min_eigenvalue": (-0.246, 0.7853981633974483, 0.0),
+        "negativity": (0.5772475355931507, 0.7853981633974483, 0.0)}),
+    ("random", {
+        "min_eigenvalue": (-0.023570036563113256, 1.4520697872558654,
+                           0.42426856408871894),
+        "negativity": (0.06645444063350468, 1.4520697872558654,
+                       0.42426856408871894)}),
+])
+def test_certify_sle_golden(capsys, tmp_path, spec, expected):
+    # The SLE optimum (value, theta, phi) exactly as the exhaustive 64x64
+    # grid and its see-saw refinement printed it; the random state's lies
+    # off the grid, where the refinement took it.
+    if spec == "random":
+        spec = str(tmp_path / "random.json")
+        save_density_matrix(DensityMatrix(3, random_density_matrix(
+            np.random.default_rng(2718), 3)), spec)
+    code, out, _ = run_cli(["certify", "--input", spec, "--format", "json"],
+                           capsys)
+    assert code == 0
+    sle = json.loads(out)["sle"]
+    assert {name: (found["value"], found["theta"], found["phi"])
+            for name, found in sle.items()} == expected
+
+
+def test_sweep_certify_golden(capsys):
+    code, out, _ = run_cli(["sweep", "--certify", "0:1:11"], capsys)
+    assert code == 0
+    assert out.split("\n") == [
+        "p,gme_concurrence,ghz_witness_expectation,sle_negativity",
+        "0,0,0.375,0",
+        "0.10000000000000001,0,0.28750000000000009,0",
+        "0.20000000000000001,0,0.20000000000000012,0",
+        "0.30000000000000004,0,0.11250000000000004,0",
+        "0.40000000000000002,0,0.025000000000000189,0.13750352374993474",
+        "0.5,0.12499999999999989,-0.062499999999999833,0.32192809488736235",
+        "0.60000000000000009,0.30000000000000004,-0.14999999999999986,"
+        "0.4854268271702421",
+        "0.70000000000000007,0.47500000000000009,-0.23749999999999982,"
+        "0.63226821549951306",
+        "0.80000000000000004,0.64999999999999969,-0.32499999999999957,"
+        "0.76553474636297725",
+        "0.90000000000000002,0.82499999999999973,-0.41249999999999976,"
+        "0.88752527074158749",
+        "1,0.99999999999999978,-0.49999999999999978,1",
+        "",
+    ]
 
 
 def test_sweep_w_thresholds_golden(capsys):

@@ -202,13 +202,13 @@ def test_warm_starts_stay_inside_one_bisection(monkeypatch):
 def test_sle_bisection_objective_budget(monkeypatch, name, max_calls,
                                         max_points):
     batches = []
-    values = certify._SLEObjective.values
+    solve = certify._lowest_eigenvalues
 
-    def recording(self, thetas, phis):
-        batches.append(thetas.size)
-        return values(self, thetas, phis)
+    def recording(pairs, weights):
+        batches.append(weights.size)
+        return solve(pairs, weights)
 
-    monkeypatch.setattr(certify._SLEObjective, "values", recording)
+    monkeypatch.setattr(certify, "_lowest_eigenvalues", recording)
     find_threshold(name)
     assert len(batches) <= max_calls
     assert sum(batches) <= max_points
