@@ -450,36 +450,25 @@ def sampled_ghz_fidelity(rho, shots: int, seed: int) -> tuple[float, float]:
     population = population_expectation(pop_hist)
     var_f = 0.25 * population * (1.0 - population) / shots
 
-    coefficients = {"x": np.cos, "y": np.sin}
     pauli_settings = ["".join(t) for t in product("xy", repeat=3)]
-    estimates = {}
-    for offset, pauli in enumerate(pauli_settings, start=1):
-        hist = sample_counts(m, pauli, shots, seed + offset)
-        estimates[pauli] = product_expectation(hist)
+    estimates = [
+        product_expectation(sample_counts(m, pauli, shots, seed + offset))
+        for offset, pauli in enumerate(pauli_settings, start=1)]
 
-    m_values = {}
-    for k in range(3):
-        angle = k * np.pi / 3.0
-        total = 0.0
-        for pauli in pauli_settings:
-            coeff = 1.0
-            for ch in pauli:
-                coeff *= coefficients[ch](angle)
-            total += coeff * estimates[pauli]
-        m_values[f"m{k}"] = total
-
-    # F couples to each product setting T through the net weight
-    # sum_k (-1)^k prod(coeffs); variance adds over the independent settings.
-    for pauli in pauli_settings:
-        weight = 0.0
-        for k in range(3):
-            angle = k * np.pi / 3.0
-            coeff = 1.0
-            for ch in pauli:
-                coeff *= coefficients[ch](angle)
-            weight += (-1.0) ** k * coeff
-        var_t = (1.0 - estimates[pauli] ** 2) / shots
-        var_f += (weight / 6.0) ** 2 * var_t
+    # coefficients[k, s] is the product over the parties of cos(k pi/3) for
+    # x and sin(k pi/3) for y in setting s, so m_k = sum_s coefficients[k, s]
+    # T_s.  F couples to T_s through the net weight sum_k (-1)^k
+    # coefficients[k, s]; variance adds over the independent settings.  Both
+    # sums run in setting order, so a seeded estimate repeats to the bit.
+    angles = np.arange(3) * np.pi / 3.0
+    factors = {"x": np.cos(angles), "y": np.sin(angles)}
+    coefficients = np.array([factors[a] * factors[b] * factors[c]
+                             for a, b, c in pauli_settings]).T
+    m_values = {f"m{k}": sum(row * estimates)
+                for k, row in enumerate(coefficients)}
+    weights = coefficients[0] - coefficients[1] + coefficients[2]
+    for weight, estimate in zip(weights, estimates):
+        var_f += (weight / 6.0) ** 2 * ((1.0 - estimate ** 2) / shots)
 
     settings = {"population": population, **m_values}
     return fidelity_from_settings(settings, "ghz3"), float(np.sqrt(var_f))

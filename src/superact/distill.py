@@ -1,23 +1,34 @@
 """SLOCC distillation maps and their closed-form outputs.
 
-Two protocols act on a pair of identically prepared states:
+Two protocols act on a pair of states with the same number of qubits.
+Party k holds qubit k of each copy; it keeps the copy-1 photon and
+measures the copy-2 photon.  In the computational basis, with i and j
+the row and column bit strings, both maps are entrywise products:
 
-- the parity-check protocol, where each party overlaps its two photons on a
-  polarizing beam splitter, keeps same-polarization events, measures the
-  second output in the X basis, and applies a phase flip when the recorded
-  number of minus outcomes is odd;
-- the CNOT protocol, where each party applies a CNOT between its two qubits
-  and post-selects the ancilla on zero, which multiplies density-matrix
-  entries elementwise.
+- the CNOT protocol: each party applies a CNOT from its kept to its
+  measured qubit and post-selects the ancilla on zero, the Kraus operator
+  |0><00| + |1><11| per party.  It keeps the terms where the two copies
+  agree, so the unnormalized output is ``rho1 * rho2`` entrywise;
+- the parity-check protocol (three qubits): each party overlaps its two
+  photons on a polarizing beam splitter, keeps same-polarization events
+  and measures the second output in the X basis, the Kraus operators
+  (|0><00| +/- |1><11|)/sqrt(2) of :func:`parity_operators`.  The branch
+  with signs s carries entry (i, j) of ``rho1 * rho2`` with the factor
+  prod_k s_k^(d_k) / 8, where d = i XOR j.  A phase flip on the first
+  kept qubit of every branch with an odd number of minus outcomes
+  multiplies it by (prod_k s_k)^(d_0).  Summed over the eight branches,
+  prod_k sum_(s_k) s_k^(d_k XOR d_0) / 8 is 1 where d is 000 or 111 and
+  0 elsewhere, so the output is ``rho1 * rho2`` on those entries and
+  zero on all others.  On the diagonal d = 000, so each branch has the
+  same weight tr(out) / 8.
 
-Both are deterministic maps here: every post-selection branch is computed
-exactly and summed, no sampling is involved.
+Both are deterministic maps: every post-selection branch is accounted
+for exactly, no sampling is involved.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
 
 import numpy as np
 
@@ -26,13 +37,18 @@ from .states import (
     DegenerateProjectionError,
     DensityMatrix,
     PureState,
-    _entries,
+    _state_entries,
     apply_local,
     bloch_state,
     project_subsystem,
 )
 
 SUCCESS_FLOOR = 1e-14
+
+# The parity check keeps entry (i, j) when the row and column bit strings
+# differ on all three qubits (i XOR j = 7) or on none (i XOR j = 0).
+_PARITY_KEPT = np.bitwise_xor.outer(np.arange(8), np.arange(8)) % 7 == 0
+_PARITY_LABELS = ("+++", "++-", "+-+", "+--", "-++", "-+-", "--+", "---")
 
 
 class DistillationImpossibleError(ValueError):
@@ -75,61 +91,42 @@ def parity_operators() -> tuple[np.ndarray, np.ndarray]:
     return plus, minus
 
 
-def _interleaved_copy_pair(rho1, rho2) -> tuple[np.ndarray, int]:
-    """Tensor two copies and reorder qubits so each party's pair is adjacent.
-
-    Input order is (copy-1 qubits, copy-2 qubits); output order is
-    (party-0 pair, party-1 pair, ...), with the copy-1 qubit first in each
-    pair (that is the photon each party keeps).
-    """
-    m1, n1 = _entries(rho1)
-    m2, n2 = _entries(rho2)
+def _copy_pair(rho1, rho2) -> tuple[np.ndarray, np.ndarray, int]:
+    """Entries of two states of the same qubit count, validated as states."""
+    m1, n1 = _state_entries(rho1)
+    m2, n2 = _state_entries(rho2)
     if n1 != n2:
         raise ValueError(f"qubit counts differ: {n1} vs {n2}")
-    joint = np.kron(m1, m2)
-    n = 2 * n1
-    perm = [i // 2 if i % 2 == 0 else n1 + i // 2 for i in range(n)]
-    t = joint.reshape((2,) * (2 * n))
-    t = t.transpose(perm + [n + i for i in perm])
-    return t.reshape(joint.shape), n1
+    return m1, m2, n1
+
+
+def _outcome(out: np.ndarray, n_qubits: int,
+             labels: tuple[str, ...]) -> DistillationOutcome:
+    """Normalize ``out``; its weight is shared equally by the ``labels``."""
+    success = float(np.trace(out).real)
+    if success < SUCCESS_FLOOR:
+        raise DistillationImpossibleError(
+            f"post-selection weight {success:.3e} below {SUCCESS_FLOOR:.1e}")
+    return DistillationOutcome(
+        state=DensityMatrix(n_qubits, out / success),
+        success_probability=success,
+        parity_branch_weights=tuple((label, success / len(labels))
+                                    for label in labels),
+    )
 
 
 def distill_tripartite(rho1, rho2) -> DistillationOutcome:
     """Parity-check distillation of two three-qubit states.
 
-    All eight X-measurement branches are evaluated; odd-minus branches get a
-    phase flip on the first party's kept qubit before the branches are
-    summed and normalized.
+    The eight X-measurement branches, with the phase flip on odd-minus
+    branches, sum to ``rho1 * rho2`` entrywise on the entries whose row and
+    column bits differ on all qubits or on none (see the module docstring);
+    each branch carries an eighth of the success probability.
     """
-    joint, n_parties = _interleaved_copy_pair(rho1, rho2)
+    m1, m2, n_parties = _copy_pair(rho1, rho2)
     if n_parties != 3:
         raise ValueError(f"expected three-qubit inputs, got {n_parties} qubits")
-    plus, minus = parity_operators()
-    correction = np.kron(PAULI_Z, np.eye(4, dtype=np.complex128))
-
-    branches = []
-    total = np.zeros((8, 8), dtype=np.complex128)
-    for signs in product((+1, -1), repeat=3):
-        k = np.array([[1.0]], dtype=np.complex128)
-        for s in signs:
-            k = np.kron(k, plus if s > 0 else minus)
-        out = k @ joint @ k.conj().T
-        if signs.count(-1) % 2 == 1:
-            out = correction @ out @ correction.conj().T
-        weight = float(np.trace(out).real)
-        label = "".join("+" if s > 0 else "-" for s in signs)
-        branches.append((label, weight))
-        total += out
-
-    success = float(np.trace(total).real)
-    if success < SUCCESS_FLOOR:
-        raise DistillationImpossibleError(
-            f"post-selection weight {success:.3e} below {SUCCESS_FLOOR:.1e}")
-    return DistillationOutcome(
-        state=DensityMatrix(3, total / success),
-        success_probability=success,
-        parity_branch_weights=tuple(branches),
-    )
+    return _outcome(np.where(_PARITY_KEPT, m1 * m2, 0.0), 3, _PARITY_LABELS)
 
 
 def distill_cnot(rho1, rho2) -> DistillationOutcome:
@@ -139,23 +136,8 @@ def distill_cnot(rho1, rho2) -> DistillationOutcome:
     pair, so the unnormalized output entries are the elementwise products of
     the two input matrices.
     """
-    joint, n_parties = _interleaved_copy_pair(rho1, rho2)
-    p0 = np.zeros((2, 4), dtype=np.complex128)
-    p0[0, 0] = p0[1, 3] = 1.0
-    k = np.array([[1.0]], dtype=np.complex128)
-    for _ in range(n_parties):
-        k = np.kron(k, p0)
-    out = k @ joint @ k.conj().T
-    success = float(np.trace(out).real)
-    if success < SUCCESS_FLOOR:
-        raise DistillationImpossibleError(
-            f"post-selection weight {success:.3e} below {SUCCESS_FLOOR:.1e}")
-    label = "0" * n_parties
-    return DistillationOutcome(
-        state=DensityMatrix(n_parties, out / success),
-        success_probability=success,
-        parity_branch_weights=((label, success),),
-    )
+    m1, m2, n_parties = _copy_pair(rho1, rho2)
+    return _outcome(m1 * m2, n_parties, ("0" * n_parties,))
 
 
 def localize(rho, measured_qubit: int, basis: str,

@@ -82,8 +82,10 @@ def test_criterion_1_threshold_suite():
 
 
 def test_criterion_2_distillation_oracle():
-    """Operator-level distillation matches the closed-form output entrywise
-    and in fidelity, to 1e-12 on a 21-point grid."""
+    """The parity-check map (the masked entrywise product of the two
+    copies, which ``test_distill.py`` checks against the Kraus-operator
+    branch sum) matches the closed-form output entrywise and in fidelity,
+    to 1e-12 on a 21-point grid."""
     for p in np.linspace(0.0, 1.0, 21):
         out = distill_tripartite(noisy_ghz(p), noisy_ghz(p))
         oracle = analytic_distilled_noisy_ghz(p)

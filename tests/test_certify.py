@@ -41,7 +41,11 @@ from superact.certify import (
 )
 import superact.certify as certify
 import superact.thresholds as thresholds
-from superact.distill import analytic_distilled_noisy_ghz, distill_cnot
+from superact.distill import (
+    analytic_distilled_noisy_ghz,
+    distill_cnot,
+    distill_tripartite,
+)
 from superact.states import DegenerateProjectionError, StateValidationError
 from util import (
     BAD_RAW_ARRAYS,
@@ -862,8 +866,11 @@ _STATE_READERS = {
     lambda m: negativity(m, (0,)),
     lambda m: min_eig_after_pt(m, (0,)),
     lambda m: sle_certificate(m),
+    lambda m: distill_cnot(m, m),
+    lambda m: distill_tripartite(m, m),
     *_STATE_READERS.values(),
-], ids=["negativity", "min_eig_after_pt", "sle_certificate", *_STATE_READERS])
+], ids=["negativity", "min_eig_after_pt", "sle_certificate", "distill_cnot",
+        "distill_tripartite", *_STATE_READERS])
 def test_entry_points_reject_raw_non_states(entry, kind):
     with pytest.raises(StateValidationError, match=_NON_STATES[kind]):
         entry(_non_state(kind, 3))

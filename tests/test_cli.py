@@ -221,6 +221,58 @@ def test_distill_recertify(capsys):
     assert report["recertify"]["ppt_mixer_sign"] == "negative"
 
 
+_CNOT_W_REPORT = {
+    "json": "\n".join([
+        '{',
+        '  "branch_weights": {',
+        '    "000": 0.2000000000000001',
+        '  },',
+        '  "fidelity_ghz": 0.012499999999999994,',
+        '  "inputs": [',
+        '    "noisy-w:0.6",',
+        '    "noisy-w:0.6"',
+        '  ],',
+        '  "localized": {',
+        '    "basis": "x",',
+        '    "fidelity_epr": 0.17499999999999996,',
+        '    "outcome": 0,',
+        '    "qubit": 2,',
+        '    "weight": 0.49999999999999994',
+        '  },',
+        '  "protocol": "cnot",',
+        '  "recertify": {',
+        '    "gme_concurrence": null,',
+        '    "ppt_mixer_sign": "negative",',
+        '    "ppt_mixer_value": -0.027425640029585936',
+        '  },',
+        '  "success_probability": 0.2000000000000001,',
+        '  "w_witness_expectation": -0.045833333333333504',
+        '}',
+        '',
+    ]),
+    "csv": "protocol,inputs,success_probability,branch_weights.000,"
+           "fidelity_ghz,w_witness_expectation,localized.basis,"
+           "localized.qubit,localized.outcome,localized.weight,"
+           "localized.fidelity_epr,recertify.gme_concurrence,"
+           "recertify.ppt_mixer_value,recertify.ppt_mixer_sign\n"
+           "cnot,noisy-w:0.6;noisy-w:0.6,0.20000000000000009,"
+           "0.20000000000000009,0.012499999999999994,-0.045833333333333504,"
+           "x,2,0,0.49999999999999994,0.17499999999999996,None,"
+           "-0.027425640029585936,negative\n",
+}
+
+
+@pytest.mark.parametrize("fmt", list(_CNOT_W_REPORT))
+def test_distill_cnot_recertify_localize_golden(capsys, fmt):
+    # The whole report, byte for byte: the CNOT map's entrywise product is
+    # exact, so no digit of it may move.
+    code, out, _ = run_cli(["distill", "--protocol", "cnot",
+                            "--input", "noisy-w:0.6", "--recertify",
+                            "--localize", "x:2", "--format", fmt], capsys)
+    assert code == 0
+    assert out == _CNOT_W_REPORT[fmt]
+
+
 def test_distill_rejects_three_inputs(capsys):
     code, _, err = run_cli(["distill", "--input", "noisy-ghz:0.5",
                             "--input", "noisy-ghz:0.5",

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from superact import ghz3, maximally_mixed, noisy_ghz
+from superact import ghz3, maximally_mixed, noisy_ghz, noisy_w
 from superact.coincidence import (
     ORDER_DOUBLE_PAIR,
     ORDER_IDEAL,
@@ -229,3 +229,13 @@ def test_sampled_fidelity_recovers_exact_value():
     estimate, sigma = sampled_ghz_fidelity(noisy_ghz(0.6), 10 ** 6, 2026)
     assert sigma < 1e-3
     assert abs(estimate - exact) < 3 * sigma
+
+
+@pytest.mark.parametrize("rho,shots,seed,expected", [
+    (noisy_ghz(0.6), 1000, 7, (0.64175, 0.009670228151393328)),
+    (noisy_w(0.3), 5000, 123, (0.08785, 0.004435372419538184)),
+])
+def test_sampled_fidelity_golden(rho, shots, seed, expected):
+    # A seeded estimate and its error repeat to the last bit: the settings
+    # are recombined in a fixed order.
+    assert sampled_ghz_fidelity(rho, shots, seed) == expected

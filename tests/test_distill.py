@@ -1,3 +1,6 @@
+from functools import reduce
+from itertools import product
+
 import numpy as np
 import pytest
 
@@ -22,7 +25,7 @@ from superact.distill import (
     parity_operators,
     pbs_projector,
 )
-from superact.states import PAULI_X, PureState
+from superact.states import PAULI_X, PAULI_Z, PureState
 from util import random_density_matrix
 
 P_GRID = np.linspace(0.0, 1.0, 21)
@@ -153,6 +156,76 @@ def test_cnot_pure_product_state():
     out = distill_cnot(zero, zero)
     assert out.success_probability == pytest.approx(1.0)
     assert np.abs(np.asarray(out.state.entries) - np.asarray(zero.entries)).max() < 1e-15
+
+
+# ---------------------------------------------------------------------------
+# operator-level reference: both maps as Kraus branches on the 64x64 pair
+
+def _interleaved_pair(m1, m2):
+    """kron(m1, m2) with the qubits reordered to (party-0 pair, party-1
+    pair, ...), the copy-1 (kept) qubit first in each pair."""
+    n = m1.shape[0].bit_length() - 1
+    perm = [q for k in range(n) for q in (k, n + k)]
+    t = np.kron(m1, m2).reshape((2,) * (4 * n))
+    return t.transpose(perm + [2 * n + q for q in perm]).reshape(4 ** n, 4 ** n)
+
+
+def _operator_pbs_branches(m1, m2):
+    """(label, unnormalized output) of each parity-check branch, with the
+    phase flip on the first kept qubit of the odd-minus branches."""
+    joint = _interleaved_pair(m1, m2)
+    plus, minus = parity_operators()
+    flip = np.kron(PAULI_Z, np.eye(4))
+    branches = []
+    for signs in product("+-", repeat=3):
+        k = reduce(np.kron, [plus if s == "+" else minus for s in signs])
+        out = k @ joint @ k.conj().T
+        if signs.count("-") % 2:
+            out = flip @ out @ flip
+        branches.append(("".join(signs), out))
+    return branches
+
+
+def _operator_cnot(m1, m2):
+    n = m1.shape[0].bit_length() - 1
+    keep_zero = np.zeros((2, 4))
+    keep_zero[0, 0] = keep_zero[1, 3] = 1.0  # |0><00| + |1><11|
+    k = reduce(np.kron, [keep_zero] * n)
+    return k @ _interleaved_pair(m1, m2) @ k.conj().T
+
+
+def test_parity_check_matches_the_operator_route():
+    rng = np.random.default_rng(16)
+    for _ in range(10):
+        a, b = random_density_matrix(rng, 3), random_density_matrix(rng, 3)
+        branches = _operator_pbs_branches(a, b)
+        total = sum(out for _, out in branches)
+        success = np.trace(total).real
+        result = distill_tripartite(a, b)
+        assert abs(result.success_probability - success) < 1e-12
+        assert np.abs(np.asarray(result.state.entries)
+                      - total / success).max() < 1e-12
+        assert [label for label, _ in result.parity_branch_weights] == [
+            label for label, _ in branches]
+        for (_, weight), (_, out) in zip(result.parity_branch_weights, branches):
+            assert weight == result.success_probability / 8
+            assert abs(np.trace(out).real - weight) < 1e-12
+
+
+@pytest.mark.parametrize("n_qubits", [1, 2, 3])
+def test_cnot_matches_the_operator_route(n_qubits):
+    rng = np.random.default_rng(17)
+    for _ in range(5):
+        a = random_density_matrix(rng, n_qubits)
+        b = random_density_matrix(rng, n_qubits)
+        out = _operator_cnot(a, b)
+        success = np.trace(out).real
+        result = distill_cnot(a, b)
+        assert abs(result.success_probability - success) < 1e-12
+        assert np.abs(np.asarray(result.state.entries)
+                      - out / success).max() < 1e-12
+        assert result.parity_branch_weights == (
+            ("0" * n_qubits, result.success_probability),)
 
 
 # ---------------------------------------------------------------------------
