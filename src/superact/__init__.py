@@ -3,7 +3,7 @@
 Subpackages by concern:
 
 - :mod:`superact.states` -- multi-qubit pure states and density matrices
-- :mod:`superact.linalg` -- cyclic-Jacobi Hermitian eigensolver
+- :mod:`superact.linalg` -- Jacobi eigensolver for certificate checks
 - :mod:`superact.distill` -- parity-check and CNOT distillation protocols
 - :mod:`superact.certify` -- GME concurrence, negativity, witnesses, SLE search
 - :mod:`superact.sdp` -- first-order solver for the PPT-mixer program

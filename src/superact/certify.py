@@ -266,12 +266,11 @@ class XShapeView:
 def x_shape_view(rho) -> XShapeView:
     """Extract the X pattern of a matrix and report off-pattern leakage.
 
-    Leakage is never an error here.
+    Leakage is never an error here; a raw array must be Hermitian and
+    positive semidefinite, with any trace.
     """
-    m, _ = _entries(rho)
+    m, _ = _state_entries(rho)
     d = m.shape[0]
-    if d % 2 != 0:
-        raise ValueError(f"X pattern needs even dimension, got {d}")
     half = d // 2
     a = np.array([m[i, i].real for i in range(half)])
     b = np.array([m[d - 1 - i, d - 1 - i].real for i in range(half)])
@@ -294,8 +293,7 @@ def gme_concurrence_arguments(rho) -> np.ndarray:
     ``NotXShapedError``; a raw array must be Hermitian and positive
     semidefinite, with any trace.
     """
-    m, _ = _state_entries(rho)
-    view = x_shape_view(m)
+    view = x_shape_view(rho)
     if view.max_off_pattern_magnitude > X_SHAPE_LEAKAGE_TOL:
         raise NotXShapedError(view.max_off_pattern_magnitude,
                               X_SHAPE_LEAKAGE_TOL)
@@ -356,9 +354,7 @@ def ghz_witness_expectation(rho) -> float:
 
     A raw array must be Hermitian and positive semidefinite, with any trace.
     """
-    m, n = _state_entries(rho)
-    if n != 3:
-        raise ValueError(f"expected a three-qubit state, got {n} qubits")
+    m, _ = _state_entries(rho, 3)
     return 0.5 * float(np.trace(m).real) - fidelity_with_pure(m, ghz3())
 
 
@@ -367,9 +363,7 @@ def w_witness_expectation(rho) -> float:
 
     A raw array must be Hermitian and positive semidefinite, with any trace.
     """
-    m, n = _state_entries(rho)
-    if n != 3:
-        raise ValueError(f"expected a three-qubit state, got {n} qubits")
+    m, _ = _state_entries(rho, 3)
     return ((2.0 / 3.0) * float(np.trace(m).real)
             - fidelity_with_pure(m, w_state()))
 
@@ -389,9 +383,7 @@ def _product_expectation(m: np.ndarray, single_qubit_ops) -> float:
 
 def exact_ghz_settings(rho) -> dict[str, float]:
     """Exact expectation values of the GHZ fidelity decomposition settings."""
-    m, n = _entries(rho)
-    if n != 3:
-        raise ValueError(f"expected a three-qubit state, got {n} qubits")
+    m, _ = _entries(rho, 3)
     settings = {"population": float(np.real(m[0, 0] + m[7, 7]))}
     for k in range(3):
         mk = mk_observable(k)
@@ -401,9 +393,7 @@ def exact_ghz_settings(rho) -> dict[str, float]:
 
 def exact_epr_settings(rho) -> dict[str, float]:
     """Exact expectation values of the EPR fidelity decomposition settings."""
-    m, n = _entries(rho)
-    if n != 2:
-        raise ValueError(f"expected a two-qubit state, got {n} qubits")
+    m, _ = _entries(rho, 2)
     return {
         "population": float(np.real(m[0, 0] + m[3, 3])),
         "xx": _product_expectation(m, (PAULI_X, PAULI_X)),
@@ -487,10 +477,7 @@ def sle_result_to_json_dict(result: SLEResult) -> dict:
     }
 
 
-def _resolve_pair(rho, pair) -> tuple[tuple[int, int], int]:
-    _, n = _entries(rho)
-    if n != 3:
-        raise ValueError(f"SLE search expects a three-qubit state, got {n}")
+def _resolve_pair(pair) -> tuple[tuple[int, int], int]:
     if pair is None:
         kept: tuple[int, ...] = (0, 1)
     elif isinstance(pair, SubsystemPartition):
@@ -539,8 +526,8 @@ class _SLEObjective:
     """
 
     def __init__(self, rho, pair):
-        m, _ = _state_entries(rho)  # _report needs rho >= 0
-        kept, measured = _resolve_pair(rho, pair)
+        m, _ = _state_entries(rho, 3)  # _report needs rho >= 0
+        kept, measured = _resolve_pair(pair)
         # Axes of the reshaped rho: qubit rows 0..2, then qubit columns 3..5.
         t00, t01, t10, t11 = m.reshape((2,) * 6).transpose(
             measured, 3 + measured, kept[0], kept[1], 3 + kept[0], 3 + kept[1]
@@ -664,8 +651,8 @@ def sle_certificate(rho, pair=None, *,
     of an earlier certificate, when it is a finite (3, 8, 8) array of the
     program's dtype, and otherwise from I/8 in each block.
     """
-    m, _ = _state_entries(rho)
-    kept, measured = _resolve_pair(rho, pair)
+    m, _ = _state_entries(rho, 3)
+    kept, measured = _resolve_pair(pair)
     x = _partial_transpose_array(m, 3, (kept[1],))
     if not x.imag.any():  # a real state iterates in real arithmetic
         x = x.real.copy()
@@ -716,8 +703,8 @@ def verify_sle_certificate(certificate: SLECertificate, rho) -> bool:
     """
     from .linalg import jacobi_eigvalsh
 
-    m, _ = _state_entries(rho)
-    kept, measured = _resolve_pair(rho, certificate.pair)
+    m, _ = _state_entries(rho, 3)
+    kept, measured = _resolve_pair(certificate.pair)
     p = _finite_array(certificate.p, (8, 8))
     q = _finite_array(certificate.q, (8, 8))
     t = float(certificate.lower_bound)

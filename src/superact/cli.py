@@ -86,7 +86,10 @@ def _atomic_write(path: str | None, text: str) -> None:
         sys.stdout.write(text)
         return
     directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".superact-")
+    try:
+        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".superact-")
+    except OSError as exc:  # e.g. a missing directory
+        raise OSError(f"cannot write {path}: {exc.strerror}") from None
     try:
         with os.fdopen(fd, "w") as fh:
             fh.write(text)
@@ -176,6 +179,13 @@ def cmd_distill(config: RunConfig, protocol: str, localize_spec: str | None,
         specs = specs * 2
     if len(specs) != 2:
         raise ValueError("distill takes one or two input states")
+    if localize_spec is not None:
+        basis, _, digits = localize_spec.partition(":")
+        try:
+            qubit = int(digits)
+        except ValueError:
+            raise ValueError(f"--localize {localize_spec!r} is not BASIS:QUBIT, "
+                             f"e.g. x:2") from None
     rho1, rho2 = parse_state_spec(specs[0]), parse_state_spec(specs[1])
     if protocol == "pbs":
         outcome = distill_tripartite(rho1, rho2)
@@ -195,11 +205,10 @@ def cmd_distill(config: RunConfig, protocol: str, localize_spec: str | None,
         report["w_witness_expectation"] = cert.w_witness_expectation(outcome.state)
 
     if localize_spec is not None:
-        basis, _, qubit = localize_spec.partition(":")
-        state, weight = localize(outcome.state, int(qubit), basis, 0)
+        state, weight = localize(outcome.state, qubit, basis, 0)
         report["localized"] = {
             "basis": basis,
-            "qubit": int(qubit),
+            "qubit": qubit,
             "outcome": 0,
             "weight": weight,
             "fidelity_epr": fidelity_with_pure(state, bell_phi_plus()),
@@ -427,13 +436,12 @@ def main(argv=None) -> int:
             text = cmd_coincidence(config, options.get("schedule"), sample)
         else:
             raise ValueError(f"unknown subcommand {sub!r}")
-    except (ValueError, OSError, StateValidationError, json.JSONDecodeError) as exc:
-        print(f"superact: error: {exc}", file=sys.stderr)
-        return 1
-    try:
         _atomic_write(config.output, text)
     except BrokenPipeError:
         return 0
+    except (ValueError, OSError, StateValidationError, json.JSONDecodeError) as exc:
+        print(f"superact: error: {exc}", file=sys.stderr)
+        return 1
     return 0
 
 

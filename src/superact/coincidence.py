@@ -50,6 +50,7 @@ import numpy as np
 from .certify import fidelity_from_settings
 from .states import (
     DensityMatrix,
+    _check_unit_interval,
     _entries,
     ghz3,
     make_ghz,
@@ -347,8 +348,7 @@ def _flip_pair_mixture(index: int) -> DensityMatrix:
 
 def preparation_schedule(p: float) -> PreparationSchedule:
     """Five-row motor schedule whose effective mixture is the noisy GHZ state."""
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"p={p!r} outside [0, 1]")
+    _check_unit_interval(p=p)
     p_prime = 2.0 * p / (1.0 + p)
     mixed_prob = (1.0 - p_prime) / 4.0
     # M2 flips the a photon and M3 the b photon, so the single-flip rows are
@@ -371,8 +371,7 @@ def generation_probability(p: float, g: float) -> float:
     preparation interferometer's 1/2 post-selection, and the schedule's
     herald acceptance 1/(1+p) combine to g^2 / (2 (1+p)).
     """
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"p={p!r} outside [0, 1]")
+    _check_unit_interval(p=p)
     return g * g / (2.0 * (1.0 + p))
 
 
@@ -443,9 +442,7 @@ def sampled_ghz_fidelity(rho, shots: int, seed: int) -> tuple[float, float]:
     and recombined.  Returns the estimate and its propagated one-sigma
     statistical error.
     """
-    m, n = _entries(rho)
-    if n != 3:
-        raise ValueError(f"expected a three-qubit state, got {n} qubits")
+    m, _ = _entries(rho, 3)
     pop_hist = sample_counts(m, "zzz", shots, seed)
     population = population_expectation(pop_hist)
     var_f = 0.25 * population * (1.0 - population) / shots

@@ -33,17 +33,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from .states import (
+    DEGENERATE_WEIGHT,
     PAULI_Z,
     DegenerateProjectionError,
     DensityMatrix,
     PureState,
+    _check_unit_interval,
     _state_entries,
     apply_local,
     bloch_state,
     project_subsystem,
 )
-
-SUCCESS_FLOOR = 1e-14
 
 # The parity check keeps entry (i, j) when the row and column bit strings
 # differ on all three qubits (i XOR j = 7) or on none (i XOR j = 0).
@@ -91,10 +91,12 @@ def parity_operators() -> tuple[np.ndarray, np.ndarray]:
     return plus, minus
 
 
-def _copy_pair(rho1, rho2) -> tuple[np.ndarray, np.ndarray, int]:
-    """Entries of two states of the same qubit count, validated as states."""
-    m1, n1 = _state_entries(rho1)
-    m2, n2 = _state_entries(rho2)
+def _copy_pair(rho1, rho2,
+               n_qubits: int | None = None) -> tuple[np.ndarray, np.ndarray, int]:
+    """Entries of two states of the same qubit count, validated as states;
+    with ``n_qubits`` that count must be ``n_qubits``."""
+    m1, n1 = _state_entries(rho1, n_qubits)
+    m2, n2 = _state_entries(rho2, n_qubits)
     if n1 != n2:
         raise ValueError(f"qubit counts differ: {n1} vs {n2}")
     return m1, m2, n1
@@ -104,9 +106,9 @@ def _outcome(out: np.ndarray, n_qubits: int,
              labels: tuple[str, ...]) -> DistillationOutcome:
     """Normalize ``out``; its weight is shared equally by the ``labels``."""
     success = float(np.trace(out).real)
-    if success < SUCCESS_FLOOR:
+    if success < DEGENERATE_WEIGHT:
         raise DistillationImpossibleError(
-            f"post-selection weight {success:.3e} below {SUCCESS_FLOOR:.1e}")
+            f"post-selection weight {success:.3e} below {DEGENERATE_WEIGHT:.1e}")
     return DistillationOutcome(
         state=DensityMatrix(n_qubits, out / success),
         success_probability=success,
@@ -123,9 +125,7 @@ def distill_tripartite(rho1, rho2) -> DistillationOutcome:
     column bits differ on all qubits or on none (see the module docstring);
     each branch carries an eighth of the success probability.
     """
-    m1, m2, n_parties = _copy_pair(rho1, rho2)
-    if n_parties != 3:
-        raise ValueError(f"expected three-qubit inputs, got {n_parties} qubits")
+    m1, m2, _ = _copy_pair(rho1, rho2, 3)
     return _outcome(np.where(_PARITY_KEPT, m1 * m2, 0.0), 3, _PARITY_LABELS)
 
 
@@ -174,8 +174,7 @@ def analytic_distilled_noisy_ghz(p: float) -> DensityMatrix:
 
     Serves as the independent oracle for :func:`distill_tripartite`.
     """
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"p={p!r} outside [0, 1]")
+    _check_unit_interval(p=p)
     norm = 3.0 * p * p + 1.0
     m = np.zeros((8, 8), dtype=np.complex128)
     corner = (3.0 * p + 1.0) ** 2 / 8.0
@@ -188,8 +187,7 @@ def analytic_distilled_noisy_ghz(p: float) -> DensityMatrix:
 
 def analytic_fidelity_after(p: float) -> float:
     """GHZ fidelity of the distilled noisy GHZ state: (25p^2+6p+1)/(24p^2+8)."""
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"p={p!r} outside [0, 1]")
+    _check_unit_interval(p=p)
     return (25.0 * p * p + 6.0 * p + 1.0) / (24.0 * p * p + 8.0)
 
 
@@ -210,7 +208,7 @@ def component_fidelity_update(component_fidelities) -> np.ndarray:
     new_plus = plus ** 2 + minus ** 2
     new_minus = 2.0 * plus * minus
     survival = float((plus + minus).dot(plus + minus))
-    if survival < SUCCESS_FLOOR:
+    if survival < DEGENERATE_WEIGHT:
         raise DistillationImpossibleError("all components have zero survival")
     out = np.empty(8)
     out[0::2] = new_plus / survival

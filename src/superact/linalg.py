@@ -1,19 +1,21 @@
 """Eigenvalues of small complex Hermitian matrices via cyclic Jacobi rotations.
 
-Eigensolver policy: the hot paths call LAPACK (``numpy.linalg``).  Those
-are ``DensityMatrix`` validation, the SLE grid and its refinement,
-negativity and the minimum eigenvalue after partial transposition, and
-every iteration of the PPT-mixer SDP.  This module's Jacobi solver is kept
-where independence from LAPACK is the point: re-verifying witness and
-SLE certificates (``sdp.verify_witness_certificate``,
-``certify.verify_sle_certificate``) and ``DensityMatrix.eigenvalues()``.
+Eigensolver policy: every eigenvalue the package computes comes from
+LAPACK (``numpy.linalg``), ``DensityMatrix.eigenvalues()`` and
+:func:`hermitian_eigenvalues` included, except where independence from
+LAPACK is the point.  This module's Jacobi solver serves exactly those
+two checks: re-verifying witness and SLE certificates
+(``sdp.verify_witness_certificate``, ``certify.verify_sle_certificate``),
+each on a small stack of 8x8 matrices.
 
-At the dimensions used here (at most 64) the quadratically convergent
-Jacobi iteration is essentially exact and has no pathological inputs.  The
-solver is batched: an input of shape (..., n, n) is diagonalized in
-lockstep across the leading axes.  Because the rotation order is cyclic (a
-fixed schedule over index pairs, not data-dependent pivoting), all matrices
-in a batch share the same schedule and the sweep vectorizes cleanly.
+At that dimension the quadratically convergent Jacobi iteration is
+essentially exact and has no pathological inputs.  The solver is batched:
+an input of shape (..., n, n) is diagonalized in lockstep across the
+leading axes.  Because the rotation order is cyclic (a fixed schedule over
+index pairs, not data-dependent pivoting), all matrices in a batch share
+the same schedule and the sweep vectorizes cleanly.  It sweeps until every
+off-diagonal magnitude is below ``DEFAULT_OFFDIAG_TOL`` times the largest
+input magnitude of its matrix, or for at most ``MAX_SWEEPS`` sweeps.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ import numpy as np
 
 DEFAULT_OFFDIAG_TOL = 1e-15
 MAX_SWEEPS = 60
+HERMITICITY_TOL = 1e-8
 
 
 class NonHermitianError(ValueError):
@@ -37,8 +40,7 @@ def _as_batched(matrices) -> tuple[np.ndarray, tuple[int, ...]]:
     return a.reshape((-1, n, n)), batch_shape
 
 
-def jacobi_eigh(matrices, *, compute_vectors: bool = True,
-                tol: float = DEFAULT_OFFDIAG_TOL, max_sweeps: int = MAX_SWEEPS):
+def jacobi_eigh(matrices, *, compute_vectors: bool = True):
     """Diagonalize a batch of Hermitian matrices by cyclic Jacobi sweeps.
 
     Parameters
@@ -48,11 +50,6 @@ def jacobi_eigh(matrices, *, compute_vectors: bool = True,
         callers that need strict validation should check beforehand.
     compute_vectors : bool
         Accumulate the (unitary) eigenvector matrices as well.
-    tol : float
-        Sweep until every off-diagonal magnitude is below ``tol`` times the
-        largest input magnitude of the corresponding matrix.
-    max_sweeps : int
-        Hard cap on the number of full cyclic sweeps.
 
     Returns
     -------
@@ -73,9 +70,9 @@ def jacobi_eigh(matrices, *, compute_vectors: bool = True,
     off_mask = ~np.eye(n, dtype=bool)
     pairs = [(p, q) for p in range(n - 1) for q in range(p + 1, n)]
 
-    for _ in range(max_sweeps):
+    for _ in range(MAX_SWEEPS):
         off = np.abs(a[:, off_mask]).max(axis=1)
-        if np.all(off <= tol * scale):
+        if np.all(off <= DEFAULT_OFFDIAG_TOL * scale):
             break
         for p, q in pairs:
             apq = a[:, p, q]
@@ -123,25 +120,26 @@ def jacobi_eigh(matrices, *, compute_vectors: bool = True,
     return w.reshape(batch_shape + (n,)), v
 
 
-def jacobi_eigvalsh(matrices, **kwargs) -> np.ndarray:
+def jacobi_eigvalsh(matrices) -> np.ndarray:
     """Ascending eigenvalues of a batch of Hermitian matrices."""
-    w, _ = jacobi_eigh(matrices, compute_vectors=False, **kwargs)
+    w, _ = jacobi_eigh(matrices, compute_vectors=False)
     return w
 
 
-def hermitian_eigenvalues(matrix, *, hermiticity_tol: float = 1e-8) -> np.ndarray:
-    """Ascending real eigenvalues of a single Hermitian matrix.
+def hermitian_eigenvalues(matrix) -> np.ndarray:
+    """Ascending real eigenvalues of a single Hermitian matrix, from LAPACK.
 
     Raises :class:`NonHermitianError` when the entrywise deviation from the
-    adjoint exceeds ``hermiticity_tol``.
+    adjoint exceeds ``HERMITICITY_TOL``; otherwise the spectrum is that of
+    the Hermitian part.
     """
     a = np.asarray(matrix, dtype=np.complex128)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"expected one square matrix, got shape {a.shape}")
     deviation = np.abs(a - a.conj().T).max()
-    if deviation > hermiticity_tol:
+    if deviation > HERMITICITY_TOL:
         raise NonHermitianError(
             f"matrix deviates from Hermitian by {deviation:.3e} "
-            f"(tolerance {hermiticity_tol:.1e})")
-    return jacobi_eigvalsh(a[None])[0]
+            f"(tolerance {HERMITICITY_TOL:.1e})")
+    return np.linalg.eigvalsh(0.5 * (a + a.conj().T))
 

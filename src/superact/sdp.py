@@ -462,9 +462,7 @@ def ppt_mixer_witness(rho, *, gap_tol: float = GAP_TOL,
     changes only when the solve stops, never what its bounds certify (see
     "Douglas-Rachford iteration" in the module docstring).
     """
-    m, n_qubits = _state_entries(rho)
-    if n_qubits != 3:
-        raise ValueError(f"expected a three-qubit state, got {n_qubits} qubits")
+    m, n_qubits = _state_entries(rho, 3)
     dim = m.shape[0]
     # The program for a real state is invariant under complex conjugation,
     # so averaging an optimal witness with its conjugate gives a real optimal
@@ -567,9 +565,7 @@ def verify_witness_certificate(result: WitnessResult, rho) -> bool:
     """
     from .linalg import jacobi_eigvalsh
 
-    m, n_qubits = _state_entries(rho)
-    if n_qubits != 3:
-        raise ValueError(f"expected a three-qubit state, got {n_qubits} qubits")
+    m, n_qubits = _state_entries(rho, 3)
     dim = m.shape[0]
     w = _finite_array(result.witness, (dim, dim))
     decompositions = _finite_array(result.decompositions,

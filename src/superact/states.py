@@ -23,8 +23,6 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .linalg import hermitian_eigenvalues
-
 HERMITICITY_TOL = 1e-10
 TRACE_TOL = 1e-10
 PSD_TOL = -1e-9
@@ -140,8 +138,8 @@ class DensityMatrix:
         return float(np.trace(self.entries).real)
 
     def eigenvalues(self) -> np.ndarray:
-        """Ascending eigenvalues (exact Jacobi diagonalization)."""
-        return hermitian_eigenvalues(self.entries)
+        """Ascending eigenvalues, from LAPACK (``numpy.linalg.eigvalsh``)."""
+        return np.linalg.eigvalsh(self.entries)
 
 
 @dataclass(frozen=True)
@@ -222,21 +220,29 @@ def _finite_array(a, shape: tuple[int, ...]) -> np.ndarray | None:
     return m
 
 
-def _entries(rho) -> tuple[np.ndarray, int]:
+def _entries(rho, n_qubits: int | None = None) -> tuple[np.ndarray, int]:
+    """Entries and qubit count of a ``DensityMatrix`` or a finite array over
+    a qubit register; with ``n_qubits`` (two or three) the count must match.
+    """
     if isinstance(rho, DensityMatrix):
-        return np.asarray(rho.entries), rho.n_qubits
-    m = np.asarray(rho, dtype=np.complex128)
-    if m.ndim != 2 or m.shape[0] != m.shape[1] or m.size == 0:
-        raise StateValidationError(
-            f"matrix shape {m.shape} is not a nonempty square matrix")
-    n = m.shape[0].bit_length() - 1
-    if m.shape != (2 ** n, 2 ** n):
-        raise StateValidationError(f"matrix shape {m.shape} is not a qubit register")
-    _check_finite(m)
+        m, n = np.asarray(rho.entries), rho.n_qubits
+    else:
+        m = np.asarray(rho, dtype=np.complex128)
+        if m.ndim != 2 or m.shape[0] != m.shape[1] or m.size == 0:
+            raise StateValidationError(
+                f"matrix shape {m.shape} is not a nonempty square matrix")
+        n = m.shape[0].bit_length() - 1
+        if m.shape != (2 ** n, 2 ** n):
+            raise StateValidationError(
+                f"matrix shape {m.shape} is not a qubit register")
+        _check_finite(m)
+    if n_qubits is not None and n != n_qubits:
+        word = {2: "two", 3: "three"}[n_qubits]
+        raise ValueError(f"expected a {word}-qubit state, got {n} qubits")
     return m, n
 
 
-def _state_entries(rho) -> tuple[np.ndarray, int]:
+def _state_entries(rho, n_qubits: int | None = None) -> tuple[np.ndarray, int]:
     """Like ``_entries``, but a raw array must also be a state of any trace.
 
     The array passes ``DensityMatrix(n, m, normalized=False)``, so a
@@ -244,10 +250,9 @@ def _state_entries(rho) -> tuple[np.ndarray, int]:
     ``DensityMatrix`` was validated when it was built and is not checked
     again.
     """
-    if isinstance(rho, DensityMatrix):
-        return np.asarray(rho.entries), rho.n_qubits
-    m, n = _entries(rho)
-    DensityMatrix(n, m, normalized=False)
+    m, n = _entries(rho, n_qubits)
+    if not isinstance(rho, DensityMatrix):
+        DensityMatrix(n, m, normalized=False)
     return m, n
 
 

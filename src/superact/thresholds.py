@@ -2,21 +2,34 @@
 
 Each certifiable property of the noisy GHZ / noisy W family is reduced to a
 margin function of the noise parameter p that is negative where the
-property is absent and positive where it is present:
+property is absent and positive where it is present.  One table,
+``_MARGINS``, maps each property to the state it is evaluated on, built
+from p by ``noisy_ghz``, ``analytic_distilled_noisy_ghz``, ``noisy_w`` or
+the CNOT-distilled noisy W state, and to one of four margins, each with the
+signature ``(label, p, rho, start) -> (value, start)``:
 
-- GME margins are the (unclipped) inner arguments of the X-shape
-  concurrence, or, where the concurrence does not apply, the negated value
+- the concurrence margin (GME, GME-after-distill): the largest unclipped
+  inner argument of the X-shape concurrence;
+- the sign-only SLE search (SLE, SLE-after-distill): the negated
+  certifying minimum eigenvalue after partial transposition;
+- the sign-only PPT mixer (W-GME, W-GME-after-distill): the negated value
   of a PPT-mixer witness whose sign is certified;
-- SLE margins are the negated minimum eigenvalue after partial
-  transposition, extremized over projection directions where needed.
+- the W-SLE branch (W-SLE): the negated minimum eigenvalue after partial
+  transposition of the pair left by projecting qubit 2 onto |0>, the SLE
+  objective at theta = 0 (``certify.sle_quantifier_at``), which is the
+  optimal localization for the noisy W state.
+
+``start`` is what one cone-program solve hands to the next; the margins
+that solve none hand it back unchanged.  ``default_tolerance`` reads the
+margin from the same table: 1e-3 for the PPT mixer, 1e-6 for the others.
 
 Bisection on the sign of the margin then brackets the crossing.  Bisection
 is used deliberately: the margins are cheap, monotone sign indicators near
 each crossing, and the bracket provides a self-evident correctness
 certificate.
 
-The two SDP-backed margins (W-GME and W-GME-after-distill) solve the
-PPT-mixer program in sign-only mode, at the solver's fixed settings: each
+The two PPT-mixer margins (W-GME and W-GME-after-distill) solve the
+program in sign-only mode, at the solver's fixed settings: each
 solve stops as soon as a feasible witness (an upper bound) or a PPT mixture
 (a lower bound) puts the optimum clear of the certification margin
 ``sdp.CERTIFICATION_MARGIN`` = 1e-5, and the margin's sign is the certified
@@ -39,7 +52,8 @@ SDP-backed properties take 200 iterations, at most 20 per solve, against
 450 and 70 from cold starts, and the 18 certificate solves of the two SLE
 properties take 140, at most 10, against 250 and 20.
 
-The two SLE margins (SLE and SLE-after-distill) run sign-only SLE searches.
+The two SLE-search margins (SLE and SLE-after-distill) run sign-only SLE
+searches.
 A search stops at the first projection direction whose minimum eigenvalue
 after partial transposition lies below -1e-12: that projection leaves an
 entangled pair, which puts the optimum below zero too.  It looks on the
@@ -68,12 +82,12 @@ import numpy as np
 from .certify import (
     QUANTIFIER_MIN_EIGENVALUE,
     gme_concurrence_arguments,
-    min_eig_after_pt,
+    sle_quantifier_at,
     sle_quantify,
 )
-from .distill import analytic_distilled_noisy_ghz, distill_cnot, localize
+from .distill import analytic_distilled_noisy_ghz, distill_cnot
 from .sdp import CERTIFICATION_MARGIN, SIGN_INDETERMINATE, ppt_mixer_witness
-from .states import noisy_ghz, noisy_w
+from .states import DensityMatrix, noisy_ghz, noisy_w
 
 PROPERTY_GME = "GME"
 PROPERTY_SLE = "SLE"
@@ -96,8 +110,6 @@ DEFAULT_RANGES: dict[str, tuple[float, float]] = {
     PROPERTY_W_SLE: (0.15, 0.45),
 }
 
-_SDP_BACKED = frozenset({PROPERTY_W_GME, PROPERTY_W_GME_AFTER})
-
 
 @dataclass(frozen=True)
 class ThresholdReport:
@@ -115,15 +127,11 @@ class ThresholdConstant:
     provenance: str
 
 
-def _margin_gme(p: float) -> float:
-    return float(gme_concurrence_arguments(noisy_ghz(p)).max())
+def _concurrence(label: str, p: float, rho, start):
+    return float(gme_concurrence_arguments(rho).max()), start
 
 
-def _margin_gme_after(p: float) -> float:
-    return float(gme_concurrence_arguments(analytic_distilled_noisy_ghz(p)).max())
-
-
-def _sle_margin(rho, start) -> tuple[float, np.ndarray | None]:
+def _sle_search(label: str, p: float, rho, start):
     # Only a certificate hands back a final z; without one the start
     # carries over to the next search.
     result = sle_quantify(rho, quantifier=QUANTIFIER_MIN_EIGENVALUE,
@@ -132,23 +140,7 @@ def _sle_margin(rho, start) -> tuple[float, np.ndarray | None]:
     return -result.value, start if certificate is None else certificate.final_z
 
 
-def _margin_sle(p: float, start) -> tuple[float, np.ndarray | None]:
-    return _sle_margin(noisy_ghz(p), start)
-
-
-def _margin_sle_after(p: float, start) -> tuple[float, np.ndarray | None]:
-    return _sle_margin(analytic_distilled_noisy_ghz(p), start)
-
-
-def _margin_w_sle(p: float) -> float:
-    # The optimal localization for the noisy W state is a computational-basis
-    # measurement post-selected on zero, so the margin uses that closed-form
-    # branch directly.
-    state, _ = localize(noisy_w(p), 2, "computational", 0)
-    return -min_eig_after_pt(state, (1,))
-
-
-def _sdp_margin(label: str, p: float, rho, start) -> tuple[float, np.ndarray]:
+def _ppt_mixer(label: str, p: float, rho, start):
     result = ppt_mixer_witness(rho, sign_only=True, start=start)
     if result.certified_sign == SIGN_INDETERMINATE:
         raise ValueError(
@@ -159,14 +151,34 @@ def _sdp_margin(label: str, p: float, rho, start) -> tuple[float, np.ndarray]:
     return -result.optimal_value, result.final_z
 
 
-def _margin_w_gme(p: float, start) -> tuple[float, np.ndarray]:
-    return _sdp_margin(PROPERTY_W_GME, p, noisy_w(p), start)
+def _w_sle(label: str, p: float, rho, start):
+    # Projecting qubit 2 onto |0> is the optimal localization for the noisy
+    # W state (a test checks it against the full search).
+    return -sle_quantifier_at(rho, None, 0.0, 0.0,
+                              QUANTIFIER_MIN_EIGENVALUE), start
 
 
-def _margin_w_gme_after(p: float, start) -> tuple[float, np.ndarray]:
+def _cnot_distilled_w(p: float) -> DensityMatrix:
     rho = noisy_w(p)
-    state = distill_cnot(rho, rho).state
-    return _sdp_margin(PROPERTY_W_GME_AFTER, p, state, start)
+    return distill_cnot(rho, rho).state
+
+
+# Property -> (state builder of p, margin).
+_MARGINS: dict[str, tuple[Callable, Callable]] = {
+    PROPERTY_GME: (noisy_ghz, _concurrence),
+    PROPERTY_SLE: (noisy_ghz, _sle_search),
+    PROPERTY_GME_AFTER: (analytic_distilled_noisy_ghz, _concurrence),
+    PROPERTY_SLE_AFTER: (analytic_distilled_noisy_ghz, _sle_search),
+    PROPERTY_W_GME: (noisy_w, _ppt_mixer),
+    PROPERTY_W_GME_AFTER: (_cnot_distilled_w, _ppt_mixer),
+    PROPERTY_W_SLE: (noisy_w, _w_sle),
+}
+
+
+def _table_entry(property_name: str) -> tuple[Callable, Callable]:
+    if property_name not in _MARGINS:
+        raise ValueError(f"unknown property {property_name!r}")
+    return _MARGINS[property_name]
 
 
 def certifying_margin(property_name: str) -> Callable[[float], float]:
@@ -177,34 +189,20 @@ def certifying_margin(property_name: str) -> Callable[[float], float]:
     variable of the previous solve of the same function, or cold on its
     first (see the module docstring); each call returns a new function.
     """
-    simple = {
-        PROPERTY_GME: _margin_gme,
-        PROPERTY_GME_AFTER: _margin_gme_after,
-        PROPERTY_W_SLE: _margin_w_sle,
-    }
-    if property_name in simple:
-        return simple[property_name]
-    solves = {
-        PROPERTY_SLE: _margin_sle,
-        PROPERTY_SLE_AFTER: _margin_sle_after,
-        PROPERTY_W_GME: _margin_w_gme,
-        PROPERTY_W_GME_AFTER: _margin_w_gme_after,
-    }
-    if property_name not in solves:
-        raise ValueError(f"unknown property {property_name!r}")
-    solve = solves[property_name]
+    build, evaluate = _table_entry(property_name)
     start = None
 
     def margin(p: float) -> float:
         nonlocal start
-        value, start = solve(p, start)
+        value, start = evaluate(property_name, p, build(p), start)
         return value
 
     return margin
 
 
 def default_tolerance(property_name: str) -> float:
-    return SDP_BACKED_TOL if property_name in _SDP_BACKED else CLOSED_FORM_TOL
+    _, evaluate = _table_entry(property_name)
+    return SDP_BACKED_TOL if evaluate is _ppt_mixer else CLOSED_FORM_TOL
 
 
 def find_threshold(property_name: str,

@@ -854,6 +854,7 @@ def _non_state(kind: str, n_qubits: int) -> np.ndarray:
 
 
 _STATE_READERS = {
+    "x_shape_view": x_shape_view,
     "ghz_witness_expectation": ghz_witness_expectation,
     "w_witness_expectation": w_witness_expectation,
     "gme_concurrence_arguments": gme_concurrence_arguments,

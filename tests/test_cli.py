@@ -188,6 +188,17 @@ def test_certify_never_leaves_partial_output(tmp_path, capsys):
     assert not any(p.name.startswith(".superact-") for p in tmp_path.iterdir())
 
 
+def test_output_into_a_missing_directory_is_an_error(tmp_path, capsys):
+    target = tmp_path / "missing" / "x.csv"
+    code, out, err = run_cli(["sweep", "--curves", "0:1:3",
+                              "--output", str(target)], capsys)
+    assert code == 1
+    assert out == ""
+    assert err == (f"superact: error: cannot write {target}: "
+                   "No such file or directory\n")
+    assert not (tmp_path / "missing").exists()
+
+
 # ---------------------------------------------------------------------------
 # distill
 
@@ -279,6 +290,18 @@ def test_distill_rejects_three_inputs(capsys):
                             "--input", "noisy-ghz:0.5"], capsys)
     assert code == 1
     assert "one or two" in err
+
+
+@pytest.mark.parametrize("spec", ["x", "x:", "x:two"])
+def test_distill_localize_needs_a_qubit(monkeypatch, capsys, spec):
+    # The spec is parsed before any distillation runs.
+    monkeypatch.setattr("superact.cli.distill_tripartite", None)
+    code, out, err = run_cli(["distill", "--input", "noisy-ghz:0.5",
+                              "--localize", spec], capsys)
+    assert code == 1
+    assert out == ""
+    assert err == (f"superact: error: --localize {spec!r} is not "
+                   "BASIS:QUBIT, e.g. x:2\n")
 
 
 # ---------------------------------------------------------------------------

@@ -34,7 +34,7 @@ def test_matches_lapack_on_random_hermitian(dim):
     rng = np.random.default_rng(dim)
     for _ in range(5):
         a = random_hermitian(rng, dim)
-        ours = hermitian_eigenvalues(a)
+        ours = jacobi_eigvalsh(a)
         reference = np.linalg.eigvalsh(a)
         assert np.abs(ours - reference).max() < 1e-11 * max(1.0, np.abs(a).max())
 
@@ -67,8 +67,8 @@ def test_rejects_non_square():
 
 
 def test_jacobi_only_in_certificate_reverification(monkeypatch):
-    # Hot paths run on LAPACK; the Jacobi solver is reserved for checks
-    # whose value lies in being independent of it.
+    # Every state spectrum comes from LAPACK; the Jacobi solver is reserved
+    # for checks whose value lies in being independent of it.
     class JacobiCalled(Exception):
         pass
 
@@ -78,6 +78,8 @@ def test_jacobi_only_in_certificate_reverification(monkeypatch):
     rho = noisy_ghz(0.5)
     monkeypatch.setattr(linalg, "jacobi_eigh", forbidden)
     DensityMatrix(3, np.asarray(rho.entries))
+    rho.eigenvalues()
+    hermitian_eigenvalues(rho.entries)
     sle_quantify(rho)
     negativity(rho, (0,))
     result = ppt_mixer_witness(rho)

@@ -100,6 +100,9 @@ def test_default_tolerances():
     assert default_tolerance(PROPERTY_GME) == 1e-6
     assert default_tolerance(PROPERTY_W_GME) == 1e-3
     assert default_tolerance(PROPERTY_W_GME_AFTER) == 1e-3
+    assert default_tolerance(PROPERTY_W_SLE) == 1e-6
+    with pytest.raises(ValueError, match="unknown property"):
+        default_tolerance("W-GHZ")
 
 
 @pytest.mark.slow
@@ -219,13 +222,18 @@ def test_w_sle_margin_agrees_with_the_full_sle_search(monkeypatch):
     # localization; the search over every projection must agree with it at
     # each bisection point.
     points = []
-    margin = thresholds._margin_w_sle
+    factory = thresholds.certifying_margin
 
-    def recording(p):
-        points.append((p, margin(p)))
-        return points[-1][1]
+    def recording_factory(name):
+        margin = factory(name)
 
-    monkeypatch.setattr(thresholds, "_margin_w_sle", recording)
+        def recording(p):
+            points.append((p, margin(p)))
+            return points[-1][1]
+
+        return recording
+
+    monkeypatch.setattr(thresholds, "certifying_margin", recording_factory)
     find_threshold(PROPERTY_W_SLE)
     assert len(points) >= 20
     for p, value in points:
