@@ -15,7 +15,6 @@ Subpackages by concern:
 from .states import (
     DensityMatrix,
     PureState,
-    SubsystemPartition,
     apply_local,
     bell_phi_plus,
     bloch_state,
@@ -39,7 +38,6 @@ from .linalg import hermitian_eigenvalues
 __all__ = [
     "DensityMatrix",
     "PureState",
-    "SubsystemPartition",
     "apply_local",
     "bell_phi_plus",
     "bloch_state",

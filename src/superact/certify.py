@@ -188,7 +188,6 @@ from .states import (
     DEGENERATE_WEIGHT,
     DegenerateProjectionError,
     DensityMatrix,
-    SubsystemPartition,
     _entries,
     _finite_array,
     _partial_transpose_array,
@@ -226,7 +225,6 @@ class NotXShapedError(ValueError):
 
     def __init__(self, leakage: float, tolerance: float):
         self.leakage = leakage
-        self.tolerance = tolerance
         super().__init__(
             f"off-pattern magnitude {leakage:.3e} exceeds {tolerance:.1e}")
 
@@ -247,20 +245,6 @@ class XShapeView:
     b: np.ndarray
     c: np.ndarray
     max_off_pattern_magnitude: float
-
-    @property
-    def half_dim(self) -> int:
-        return self.a.size
-
-    def reconstruct(self) -> np.ndarray:
-        d = 2 * self.half_dim
-        m = np.zeros((d, d), dtype=np.complex128)
-        for i in range(self.half_dim):
-            m[i, i] = self.a[i]
-            m[d - 1 - i, d - 1 - i] = self.b[i]
-            m[i, d - 1 - i] = self.c[i]
-            m[d - 1 - i, i] = np.conj(self.c[i])
-        return m
 
 
 def x_shape_view(rho) -> XShapeView:
@@ -314,24 +298,22 @@ def gme_concurrence_x(rho) -> float:
 # ---------------------------------------------------------------------------
 # bipartite quantifiers
 
-def _transpose_side(rho, bipartition) -> tuple[np.ndarray, int]:
+def _transpose_side(rho, bipartition) -> np.ndarray:
+    """``rho`` transposed on the qubits ``bipartition`` names; None means
+    qubit 1 of a two-qubit state."""
     m, n = _state_entries(rho)
     if bipartition is None:
         if n != 2:
             raise ValueError("bipartition required for more than two qubits")
         side = (1,)
-    elif isinstance(bipartition, SubsystemPartition):
-        labels = bipartition.labels
-        label = "B" if "B" in labels else labels[-1]
-        side = bipartition.qubits(label)
     else:
-        side = _resolve_qubits(bipartition, n, role="B")
-    return _partial_transpose_array(m, n, tuple(side)), n
+        side = _resolve_qubits(bipartition, n)
+    return _partial_transpose_array(m, n, side)
 
 
 def negativity(rho, bipartition=None) -> float:
     """log2 of the trace norm of the partial transpose; zero for PPT states."""
-    pt, _ = _transpose_side(rho, bipartition)
+    pt = _transpose_side(rho, bipartition)
     eigs = np.linalg.eigvalsh(pt)
     return float(np.log2(np.abs(eigs).sum()))
 
@@ -342,7 +324,7 @@ def min_eig_after_pt(rho, bipartition=None) -> float:
     Negative certifies entanglement across the bipartition; for two qubits a
     nonnegative value certifies separability.
     """
-    pt, _ = _transpose_side(rho, bipartition)
+    pt = _transpose_side(rho, bipartition)
     return float(np.linalg.eigvalsh(pt)[0])
 
 
@@ -478,17 +460,7 @@ def sle_result_to_json_dict(result: SLEResult) -> dict:
 
 
 def _resolve_pair(pair) -> tuple[tuple[int, int], int]:
-    if pair is None:
-        kept: tuple[int, ...] = (0, 1)
-    elif isinstance(pair, SubsystemPartition):
-        if "kept" in pair.parts:
-            kept = pair.qubits("kept")
-        elif "A" in pair.parts and "B" in pair.parts:
-            kept = pair.qubits("A") + pair.qubits("B")
-        else:
-            raise ValueError(f"partition {pair.labels} does not name a kept pair")
-    else:
-        kept = tuple(int(i) for i in pair)
+    kept = (0, 1) if pair is None else tuple(int(i) for i in pair)
     if len(kept) != 2:
         raise ValueError(f"kept pair must have exactly two qubits, got {kept}")
     measured = tuple(i for i in range(3) if i not in kept)
@@ -964,8 +936,8 @@ def sle_quantify(rho, pair=None, quantifier: str = QUANTIFIER_NEGATIVITY, *,
         Three-qubit state; an array must be Hermitian and positive
         semidefinite, with any trace.
     pair : optional
-        The two kept qubits, as indices or a partition; the remaining qubit
-        is projected.  Defaults to qubits (0, 1).
+        The indices of the two kept qubits; the remaining qubit is
+        projected.  Defaults to qubits (0, 1).
     quantifier : str
         ``"negativity"`` or ``"min-eigenvalue-after-pt"``, the quantifier
         reported.

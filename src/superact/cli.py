@@ -45,7 +45,6 @@ from .states import (
 class RunConfig:
     """Resolved options of one CLI invocation."""
 
-    subcommand: str
     inputs: tuple[str, ...]
     grid: tuple[float, float, int] | None
     tolerance: float | None
@@ -66,19 +65,24 @@ class RunConfig:
                 f"tolerance must be positive and finite, got {self.tolerance}")
 
 
+# Built-in state spec name -> (constructor, number of parameters).
+_BUILT_IN_STATES = {"noisy-ghz": (noisy_ghz, 1), "noisy-w": (noisy_w, 1),
+                    "noise-model": (noise_model_state, 3)}
+
+
 def parse_state_spec(spec: str) -> DensityMatrix:
     """Resolve a built-in state spec or a density-matrix JSON file path."""
-    if ":" in spec:
-        name, _, argstr = spec.partition(":")
+    if ":" not in spec:
+        return load_density_matrix(spec)
+    name, _, argstr = spec.partition(":")
+    build, arity = _BUILT_IN_STATES.get(name, (None, -1))
+    try:
         args = [float(tok) for tok in argstr.split(",") if tok]
-        if name == "noisy-ghz" and len(args) == 1:
-            return noisy_ghz(args[0])
-        if name == "noisy-w" and len(args) == 1:
-            return noisy_w(args[0])
-        if name == "noise-model" and len(args) == 3:
-            return noise_model_state(*args)
+    except ValueError:
+        args = None
+    if args is None or len(args) != arity:
         raise ValueError(f"unrecognized state spec {spec!r}")
-    return load_density_matrix(spec)
+    return build(*args)
 
 
 def _atomic_write(path: str | None, text: str) -> None:
@@ -228,10 +232,12 @@ def cmd_distill(config: RunConfig, protocol: str, localize_spec: str | None,
 
 
 def _parse_grid(spec: str) -> tuple[float, float, int]:
-    parts = spec.split(":")
-    if len(parts) != 3:
-        raise ValueError(f"grid spec {spec!r} is not START:STOP:COUNT")
-    return float(parts[0]), float(parts[1]), int(parts[2])
+    try:
+        start, stop, count = spec.split(":")
+        return float(start), float(stop), int(count)
+    except ValueError:
+        raise ValueError(
+            f"grid spec {spec!r} is not START:STOP:COUNT") from None
 
 
 def cmd_sweep(config: RunConfig, mode: str, names: list[str] | None) -> str:
@@ -263,6 +269,13 @@ def cmd_sweep(config: RunConfig, mode: str, names: list[str] | None) -> str:
     raise ValueError(f"unknown sweep mode {mode!r}")
 
 
+def _integer(name: str, value) -> int:
+    try:
+        return int(value)
+    except ValueError:
+        raise ValueError(f"{name}={value!r} is not an integer") from None
+
+
 def cmd_coincidence(config: RunConfig, schedule_p: float | None,
                     sample_args: dict | None) -> str:
     if schedule_p is not None:
@@ -272,8 +285,8 @@ def cmd_coincidence(config: RunConfig, schedule_p: float | None,
         if missing:
             raise ValueError(f"--sample needs {missing} as KEY=VALUE tokens")
         setting = sample_args["setting"]
-        shots = int(sample_args["shots"])
-        seed = int(sample_args.get("seed", config.seed))
+        shots = _integer("--sample shots", sample_args["shots"])
+        seed = _integer("--sample seed", sample_args.get("seed", config.seed))
         rho = parse_state_spec(sample_args.get("state", "noisy-ghz:1.0"))
         hist = coin.sample_counts(rho, setting, shots, seed)
         doc = coin.histogram_to_json_dict(setting, shots, seed, hist)
@@ -403,7 +416,6 @@ def main(argv=None) -> int:
             raise ValueError(f"{sub} requires --input (flag or config file)")
         grid_spec = options.get("curves") or options.get("certify")
         config = RunConfig(
-            subcommand=sub,
             inputs=tuple(inputs),
             grid=_parse_grid(grid_spec) if grid_spec else None,
             tolerance=options.get("tolerance"),

@@ -162,9 +162,6 @@ class DetectionPattern:
         if any(c < 0 for c in self.counts):
             raise ValueError("terminal counts must be nonnegative")
 
-    def total(self) -> int:
-        return sum(self.counts)
-
 
 def source_pair(source: int, branch: str) -> Pair:
     """The photon pair source ``source`` emits in polarization branch ``branch``."""
@@ -399,8 +396,9 @@ def sample_counts(rho, setting: str, shots: int, seed: int) -> dict[str, int]:
     if len(key) != n or any(ch not in _BASIS_ROTATIONS for ch in key):
         raise ValueError(
             f"invalid setting {setting!r} for {n} qubits; use characters x/y/z")
-    if shots <= 0:
-        raise ValueError(f"shots must be positive, got {shots}")
+    if not 0 < shots <= np.iinfo(np.int64).max:  # the sampler's range
+        raise ValueError(
+            f"shots must be positive and fit in int64, got {shots}")
     u = np.array([[1.0]], dtype=np.complex128)
     for ch in key:
         u = np.kron(u, _BASIS_ROTATIONS[ch])

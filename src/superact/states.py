@@ -18,8 +18,8 @@ function, so everything here is safe to call from concurrent workers.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from dataclasses import dataclass
+from typing import Mapping
 
 import numpy as np
 
@@ -29,12 +29,9 @@ PSD_TOL = -1e-9
 AMPLITUDE_NORM_TOL = 1e-12
 DEGENERATE_WEIGHT = 1e-14
 
-PAULI_I = np.eye(2, dtype=np.complex128)
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=np.complex128)
 PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=np.complex128)
 PAULI_Z = np.array([[1, 0], [0, -1]], dtype=np.complex128)
-
-PARTY_LABELS = ("A", "B", "C", "kept", "measured")
 
 
 class StateValidationError(ValueError):
@@ -82,10 +79,6 @@ class PureState:
                 f"{AMPLITUDE_NORM_TOL:.1e}")
         object.__setattr__(self, "amplitudes", _readonly(amps))
 
-    @property
-    def dim(self) -> int:
-        return 2 ** self.n_qubits
-
     def projector(self) -> "DensityMatrix":
         """Rank-one density matrix |psi><psi|."""
         return DensityMatrix(self.n_qubits, np.outer(self.amplitudes,
@@ -130,10 +123,6 @@ class DensityMatrix:
                 f"minimum eigenvalue {lam_min:.3e} below {PSD_TOL:.1e}")
         object.__setattr__(self, "entries", _readonly(m))
 
-    @property
-    def dim(self) -> int:
-        return 2 ** self.n_qubits
-
     def trace(self) -> float:
         return float(np.trace(self.entries).real)
 
@@ -142,63 +131,9 @@ class DensityMatrix:
         return np.linalg.eigvalsh(self.entries)
 
 
-@dataclass(frozen=True)
-class SubsystemPartition:
-    """Assignment of qubit indices to party labels.
-
-    The labelled index groups must be disjoint and cover ``0..n_qubits-1``.
-    """
-
-    n_qubits: int
-    parts: Mapping[str, tuple[int, ...]] = field(default_factory=dict)
-
-    def __post_init__(self):
-        parts = {label: tuple(int(i) for i in idx)
-                 for label, idx in dict(self.parts).items()}
-        seen: list[int] = []
-        for label, idx in parts.items():
-            if label not in PARTY_LABELS:
-                raise StateValidationError(
-                    f"unknown party label {label!r}; expected one of {PARTY_LABELS}")
-            seen.extend(idx)
-        if sorted(seen) != list(range(self.n_qubits)):
-            raise StateValidationError(
-                f"indices {sorted(seen)} do not form a disjoint cover of "
-                f"0..{self.n_qubits - 1}")
-        object.__setattr__(self, "parts", parts)
-
-    def qubits(self, label: str) -> tuple[int, ...]:
-        return self.parts[label]
-
-    @property
-    def labels(self) -> tuple[str, ...]:
-        return tuple(self.parts)
-
-    @classmethod
-    def bipartition(cls, n_qubits: int, first: Sequence[int],
-                    labels: tuple[str, str] = ("A", "B")) -> "SubsystemPartition":
-        first_t = tuple(int(i) for i in first)
-        second = tuple(i for i in range(n_qubits) if i not in first_t)
-        return cls(n_qubits, {labels[0]: first_t, labels[1]: second})
-
-    @classmethod
-    def kept_measured(cls, n_qubits: int, kept: Sequence[int]) -> "SubsystemPartition":
-        kept_t = tuple(int(i) for i in kept)
-        measured = tuple(i for i in range(n_qubits) if i not in kept_t)
-        return cls(n_qubits, {"kept": kept_t, "measured": measured})
-
-
-def _resolve_qubits(spec, n_qubits: int, *, role: str) -> tuple[int, ...]:
-    """Accept either explicit indices or a SubsystemPartition label group."""
-    if isinstance(spec, SubsystemPartition):
-        if role in spec.parts:
-            idx = spec.parts[role]
-        elif len(spec.parts) == 1:
-            idx = next(iter(spec.parts.values()))
-        else:
-            raise ValueError(
-                f"partition {spec.labels} does not single out a {role!r} group")
-    elif isinstance(spec, (int, np.integer)):
+def _resolve_qubits(spec, n_qubits: int) -> tuple[int, ...]:
+    """One qubit index or a sequence of them, distinct and in range."""
+    if isinstance(spec, (int, np.integer)):
         idx = (int(spec),)
     else:
         idx = tuple(int(i) for i in spec)
@@ -362,11 +297,11 @@ def tensor(a: DensityMatrix, b: DensityMatrix) -> DensityMatrix:
 def partial_trace(rho, keep) -> DensityMatrix:
     """Reduced state on the kept qubits; the trace is preserved.
 
-    ``keep`` is a sequence of qubit indices or a partition with a ``kept``
-    group.  Kept qubits retain their relative order.
+    ``keep`` is a qubit index or a sequence of them.  Kept qubits retain
+    their relative order.
     """
     m, n = _entries(rho)
-    kept = _resolve_qubits(keep, n, role="kept")
+    kept = _resolve_qubits(keep, n)
     traced = tuple(i for i in range(n) if i not in kept)
     t = m.reshape((2,) * (2 * n))
     # Preserve the caller's kept order by permuting before contraction.
@@ -394,7 +329,7 @@ def partial_transpose(rho, party) -> np.ndarray:
     positive semidefinite, which is exactly what makes it useful.
     """
     m, n = _entries(rho)
-    idx = _resolve_qubits(party, n, role="B")
+    idx = _resolve_qubits(party, n)
     return _partial_transpose_array(m, n, idx)
 
 
@@ -408,7 +343,7 @@ def project_subsystem(rho, psi: PureState, measured,
     weight is below ``1e-14``.
     """
     m, n = _entries(rho)
-    measured_idx = _resolve_qubits(measured, n, role="measured")
+    measured_idx = _resolve_qubits(measured, n)
     if psi.n_qubits != len(measured_idx):
         raise ValueError(
             f"projector on {psi.n_qubits} qubits does not match "

@@ -212,7 +212,8 @@ def find_threshold(property_name: str,
 
     ``tolerance``, positive and finite, bounds the half-width of the final
     bracket; it defaults to 1e-6 for closed-form margins and 1e-3 for
-    SDP-backed ones.
+    SDP-backed ones.  A tolerance the bracket cannot reach, because its
+    ends become adjacent floats first, raises ``ValueError``.
     """
     if property_name not in DEFAULT_RANGES:
         raise ValueError(f"unknown property {property_name!r}")
@@ -232,6 +233,9 @@ def find_threshold(property_name: str,
             f"(values {m_lo:.3e}, {m_hi:.3e})")
     while (hi - lo) / 2.0 > tol:
         mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:  # lo and hi are adjacent floats
+            raise ValueError(f"{property_name}: tolerance {tol:g} is below "
+                             f"the float resolution at p = {mid!r}")
         m_mid = margin(mid)
         evaluations += 1
         if m_mid == 0.0:

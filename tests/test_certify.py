@@ -5,7 +5,6 @@ import pytest
 
 from superact import (
     DensityMatrix,
-    SubsystemPartition,
     bell_phi_plus,
     fidelity_with_pure,
     ghz3,
@@ -85,11 +84,11 @@ def test_x_shape_view_reports_leakage():
     rho = random_density_matrix(rng, 2)
     view = x_shape_view(rho)
     assert view.max_off_pattern_magnitude > 0.0
-    # reconstruction agrees with the input on the X pattern itself
-    rebuilt = view.reconstruct()
-    for i in range(4):
-        assert rebuilt[i, i] == pytest.approx(rho[i, i].real)
-        assert rebuilt[i, 3 - i] == pytest.approx(rho[i, 3 - i])
+    # the view agrees with the input on the X pattern itself
+    for i in range(2):
+        assert view.a[i] == pytest.approx(rho[i, i].real)
+        assert view.b[i] == pytest.approx(rho[3 - i, 3 - i].real)
+        assert view.c[i] == pytest.approx(rho[i, 3 - i])
 
 
 # ---------------------------------------------------------------------------
@@ -162,11 +161,10 @@ def test_negativity_local_unitary_invariance():
         assert negativity(rotated, (1,)) == pytest.approx(base, abs=1e-10)
     for _ in range(5):
         rho = random_density_matrix(rng, 3)
-        part = SubsystemPartition(3, {"A": (0,), "B": (1, 2)})
-        base = negativity(rho, part)
+        base = negativity(rho, (1, 2))
         u = np.kron(random_unitary(rng, 2), random_unitary(rng, 4))
         rotated = u @ rho @ u.conj().T
-        assert negativity(rotated, part) == pytest.approx(base, abs=1e-10)
+        assert negativity(rotated, (1, 2)) == pytest.approx(base, abs=1e-10)
 
 
 @pytest.mark.parametrize("bad", list(BAD_RAW_ARRAYS))
@@ -182,8 +180,7 @@ def test_min_eig_after_pt_values():
 
 
 def test_min_eig_bipartition_resolution():
-    part = SubsystemPartition(2, {"A": (0,), "B": (1,)})
-    assert min_eig_after_pt(bell_phi_plus().projector(), part) == pytest.approx(-0.5)
+    assert min_eig_after_pt(bell_phi_plus().projector(), (1,)) == pytest.approx(-0.5)
 
 
 # ---------------------------------------------------------------------------
@@ -353,9 +350,6 @@ def test_sle_pair_selection():
     for pair in ((0, 2), (1, 2)):
         assert sle_quantify(noisy_ghz(0.6), pair=pair).value == pytest.approx(
             base, abs=1e-9)
-    part = SubsystemPartition(3, {"A": (0,), "B": (2,), "measured": (1,)})
-    assert sle_quantify(noisy_ghz(0.6), pair=part).value == pytest.approx(
-        base, abs=1e-9)
 
 
 def test_sle_skips_degenerate_directions():

@@ -11,7 +11,7 @@ import superact.certify as cert
 from superact.cli import RunConfig, main, parse_state_spec
 from superact.sdp import WitnessResult, verify_witness_certificate
 from superact.states import density_matrix_to_dict
-from util import random_density_matrix
+from util import limit_margin_evaluations, random_density_matrix
 
 
 def run_cli(args, capsys):
@@ -25,15 +25,15 @@ def run_cli(args, capsys):
 
 def test_run_config_validation():
     with pytest.raises(ValueError):
-        RunConfig("sweep", (), (0, 1, 0), None, 0, None, "csv")
+        RunConfig((), (0, 1, 0), None, 0, None, "csv")
     for tolerance in (-1.0, 0.0, float("nan"), float("inf")):
         with pytest.raises(ValueError, match="positive and finite"):
-            RunConfig("sweep", (), None, tolerance, 0, None, "csv")
+            RunConfig((), None, tolerance, 0, None, "csv")
     with pytest.raises(ValueError):
-        RunConfig("sweep", (), None, None, 0, None, "yaml")
+        RunConfig((), None, None, 0, None, "yaml")
     for grid in ((np.nan, 1.0, 3), (0.0, np.inf, 3), (-np.inf, 1.0, 3)):
         with pytest.raises(ValueError, match="must be finite"):
-            RunConfig("sweep", (), grid, None, 0, None, "csv")
+            RunConfig((), grid, None, 0, None, "csv")
 
 
 def test_parse_state_spec_builtins():
@@ -419,6 +419,32 @@ def test_flags_a_subcommand_would_ignore_are_rejected(args, capsys):
     assert "unrecognized arguments" in capsys.readouterr().err
 
 
+def test_coincidence_sample_rejects_shots_beyond_int64(capsys):
+    code, out, err = run_cli(["coincidence", "--sample", "setting=zzz",
+                              "shots=100000000000000000000"], capsys)
+    assert code == 1
+    assert out == ""
+    assert err == ("superact: error: shots must be positive and fit in "
+                   "int64, got 100000000000000000000\n")
+
+
+@pytest.mark.parametrize("args, message", [
+    (["coincidence", "--sample", "setting=zzz", "shots=abc"],
+     "--sample shots='abc' is not an integer"),
+    (["coincidence", "--sample", "setting=zzz", "shots=10", "seed=1.5"],
+     "--sample seed='1.5' is not an integer"),
+    (["sweep", "--curves", "0:1:2.5"],
+     "grid spec '0:1:2.5' is not START:STOP:COUNT"),
+    (["certify", "--input", "noisy-ghz:abc"],
+     "unrecognized state spec 'noisy-ghz:abc'"),
+], ids=["shots", "seed", "grid", "state"])
+def test_unparsable_numbers_name_the_input(capsys, args, message):
+    code, out, err = run_cli(args, capsys)
+    assert code == 1
+    assert out == ""
+    assert err == f"superact: error: {message}\n"
+
+
 def test_coincidence_seed_flag_seeds_the_sample(capsys):
     sample = ["coincidence", "--sample", "setting=zzz", "shots=10"]
     code, flagged, _ = run_cli(sample + ["--seed", "3"], capsys)
@@ -595,6 +621,17 @@ def test_sweep_rejects_non_finite_tolerance(capsys, tolerance):
     assert code == 1
     assert out == ""
     assert "tolerance must be positive and finite" in err
+
+
+def test_sweep_refuses_a_tolerance_below_float_resolution(monkeypatch,
+                                                         capsys):
+    limit_margin_evaluations(monkeypatch)
+    code, out, err = run_cli(["sweep", "--thresholds", "GME",
+                              "--tolerance", "1e-17"], capsys)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("superact: error: GME: tolerance 1e-17 is below "
+                          "the float resolution at p = 0.428")
 
 
 def test_sweep_refuses_uncertified_sdp_bracket(capsys):

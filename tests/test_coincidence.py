@@ -197,6 +197,15 @@ def test_sample_counts_validates_setting():
         sample_counts(noisy_ghz(0.5), "zzz", 0, 0)
 
 
+def test_sample_counts_shots_must_fit_in_int64():
+    largest = 2 ** 63 - 1
+    hist = sample_counts(ghz3().projector(), "zzz", largest, 5)
+    assert sum(hist.values()) == largest
+    for shots in (largest + 1, 10 ** 20):
+        with pytest.raises(ValueError, match="fit in int64"):
+            sample_counts(ghz3().projector(), "zzz", shots, 5)
+
+
 def test_sample_counts_chi_squared_against_born_probabilities():
     cases = [
         (maximally_mixed(3), "zzz", np.full(8, 1 / 8)),

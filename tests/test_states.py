@@ -6,7 +6,6 @@ import pytest
 from superact import (
     DensityMatrix,
     PureState,
-    SubsystemPartition,
     apply_local,
     bell_phi_plus,
     bloch_state,
@@ -39,6 +38,15 @@ from util import (
 )
 
 P_GRID = np.linspace(0.0, 1.0, 21)
+
+
+def test_star_import_resolves_every_exported_name():
+    import superact
+
+    namespace = {}
+    exec("from superact import *", namespace)
+    assert sorted(superact.__all__) == sorted(
+        name for name in namespace if name != "__builtins__")
 
 
 # ---------------------------------------------------------------------------
@@ -75,16 +83,6 @@ def test_density_matrix_rejects_non_finite_entries(bad):
     m[1, 2] = m[2, 1] = bad
     with pytest.raises(StateValidationError, match="non-finite"):
         DensityMatrix(2, m)
-
-
-def test_partition_requires_disjoint_cover():
-    SubsystemPartition(3, {"A": (0,), "B": (1, 2)})
-    with pytest.raises(StateValidationError):
-        SubsystemPartition(3, {"A": (0,), "B": (0, 1, 2)})
-    with pytest.raises(StateValidationError):
-        SubsystemPartition(3, {"A": (0,), "B": (1,)})
-    with pytest.raises(StateValidationError):
-        SubsystemPartition(2, {"left": (0,), "B": (1,)})
 
 
 @pytest.mark.parametrize("p", [0.0, 0.3, 1.0])
@@ -233,12 +231,6 @@ def test_partial_trace_matches_brute_force():
         reference = brute_partial_trace(rho, 3, keep)
         assert np.abs(np.asarray(ours.entries) - reference).max() < 1e-13
         assert ours.trace() == pytest.approx(1.0)
-
-
-def test_partial_trace_accepts_partition():
-    part = SubsystemPartition.kept_measured(3, kept=(0, 1))
-    reduced = partial_trace(noisy_ghz(0.4), part)
-    assert reduced.n_qubits == 2
 
 
 def test_partial_transpose_involution_and_trace_100_trials():

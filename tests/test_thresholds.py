@@ -25,6 +25,7 @@ from superact.thresholds import (
     find_threshold,
     threshold_reports_csv,
 )
+from util import limit_margin_evaluations
 
 
 def test_analytic_constants_values_and_provenance():
@@ -96,6 +97,16 @@ def test_non_finite_tolerance_rejected():
             find_threshold(PROPERTY_GME, (0.3, 0.6), tolerance=tolerance)
 
 
+@pytest.mark.parametrize("tolerance", [1e-17, 1e-300])
+def test_tolerance_below_float_resolution_raises(monkeypatch, tolerance):
+    # Once lo and hi are adjacent floats their midpoint is one of them and
+    # the bracket stops shrinking above the tolerance.
+    limit_margin_evaluations(monkeypatch)
+    with pytest.raises(ValueError, match=r"GME: tolerance .* float resolution "
+                                         r"at p = 0\.428"):
+        find_threshold(PROPERTY_GME, tolerance=tolerance)
+
+
 def test_default_tolerances():
     assert default_tolerance(PROPERTY_GME) == 1e-6
     assert default_tolerance(PROPERTY_W_GME) == 1e-3
@@ -105,7 +116,6 @@ def test_default_tolerances():
         default_tolerance("W-GHZ")
 
 
-@pytest.mark.slow
 def test_sdp_backed_thresholds_near_reported_values():
     w_gme = find_threshold(PROPERTY_W_GME)
     assert 0.474 <= w_gme.crossing_p <= 0.484

@@ -4,6 +4,8 @@ index gymnastics."""
 
 import numpy as np
 
+import superact.thresholds as thresholds
+
 
 def random_density_matrix(rng, n_qubits):
     dim = 2 ** n_qubits
@@ -21,6 +23,26 @@ def random_unitary(rng, dim):
     a = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     q, r = np.linalg.qr(a)
     return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+def limit_margin_evaluations(monkeypatch, limit=100):
+    """Make every ``certifying_margin`` function raise after ``limit``
+    evaluations, so that a bisection that stops shrinking fails instead of
+    running forever."""
+    build = thresholds.certifying_margin
+
+    def counted(name):
+        margin, calls = build(name), []
+
+        def wrapped(p):
+            calls.append(p)
+            if len(calls) > limit:
+                raise RuntimeError(f"more than {limit} margin evaluations")
+            return margin(p)
+
+        return wrapped
+
+    monkeypatch.setattr(thresholds, "certifying_margin", counted)
 
 
 def brute_partial_trace(rho, n_qubits, keep):
