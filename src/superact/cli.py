@@ -4,9 +4,14 @@ Built-in state specs (``noisy-ghz:P``, ``noisy-w:P``, ``noise-model:P,Q,R``)
 cover the canonical states; anything else is read as a density-matrix JSON
 file ``{"n_qubits": k, "re": [[...]], "im": [[...]]}``.
 
-Every run validates its inputs before computing and writes its whole report
-atomically at the end, so no partial output file is ever left behind.  With
-identical configuration (including seeds) the output files are
+``main`` takes one path for every subcommand: parse the flags, merge them
+over the ``--config`` file, check every option once, call the subcommand's
+handler from ``_COMMANDS`` and write its whole report atomically, so no
+partial output file is ever left behind and nothing is computed before every
+option has passed its check.  Flags beat the config file; a mode flag given
+on the command line (``--curves``/``--certify``/``--thresholds``, or
+``--schedule``/``--sample``) also drops the file's other modes of its group.
+With identical configuration (including seeds) the output files are
 byte-identical.
 """
 
@@ -19,7 +24,6 @@ import json
 import os
 import sys
 import tempfile
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -39,30 +43,6 @@ from .states import (
     noisy_ghz,
     noisy_w,
 )
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Resolved options of one CLI invocation."""
-
-    inputs: tuple[str, ...]
-    grid: tuple[float, float, int] | None
-    tolerance: float | None
-    seed: int
-    output: str | None
-    fmt: str
-
-    def __post_init__(self):
-        if self.fmt not in ("csv", "json"):
-            raise ValueError(f"unknown output format {self.fmt!r}")
-        if self.grid is not None and self.grid[2] < 1:
-            raise ValueError("grid count must be at least 1")
-        if self.grid is not None and not np.all(np.isfinite(self.grid[:2])):
-            raise ValueError(
-                f"grid start and stop must be finite, got {self.grid[:2]}")
-        if self.tolerance is not None and not 0 < self.tolerance < np.inf:
-            raise ValueError(
-                f"tolerance must be positive and finite, got {self.tolerance}")
 
 
 # Built-in state spec name -> (constructor, number of parameters).
@@ -132,9 +112,10 @@ def _render(doc: dict, fmt: str) -> str:
 # ---------------------------------------------------------------------------
 # subcommands
 
-def cmd_certify(config: RunConfig, full_certificates: bool = False) -> str:
-    rho = parse_state_spec(config.inputs[0])
-    report: dict = {"input": config.inputs[0]}
+def cmd_certify(options: dict) -> str:
+    spec = options["input"][0]
+    rho = parse_state_spec(spec)
+    report: dict = {"input": spec}
 
     view = cert.x_shape_view(rho)
     report["x_shape_leakage"] = view.max_off_pattern_magnitude
@@ -148,7 +129,7 @@ def cmd_certify(config: RunConfig, full_certificates: bool = False) -> str:
 
     # The config key "tolerance" is the width at which the PPT-mixer
     # solve's certified interval stops it.
-    witness = ppt_mixer_witness(rho, gap_tol=config.tolerance or GAP_TOL)
+    witness = ppt_mixer_witness(rho, gap_tol=options.get("tolerance", GAP_TOL))
     report["ppt_mixer"] = {
         "optimal_value": witness.optimal_value,
         "lower_bound": witness.lower_bound,
@@ -158,6 +139,7 @@ def cmd_certify(config: RunConfig, full_certificates: bool = False) -> str:
         "max_residual": max(witness.residuals),
     }
 
+    full_certificates = options.get("full_certificates")
     found = cert.sle_quantify(rho, quantifier=cert.QUANTIFIER_MIN_EIGENVALUE)
     sle = {}
     for label, quantifier in (("negativity", cert.QUANTIFIER_NEGATIVITY),
@@ -173,30 +155,18 @@ def cmd_certify(config: RunConfig, full_certificates: bool = False) -> str:
         from .sdp import witness_result_to_json_dict
 
         report["ppt_mixer"] = witness_result_to_json_dict(witness)
-    return _render(report, config.fmt)
+    return _render(report, options["fmt"])
 
 
-def cmd_distill(config: RunConfig, protocol: str, localize_spec: str | None,
-                recertify: bool) -> str:
-    specs = list(config.inputs)
+def cmd_distill(options: dict) -> str:
+    specs, protocol = options["input"], options["protocol"]
     if len(specs) == 1:
         specs = specs * 2
-    if len(specs) != 2:
-        raise ValueError("distill takes one or two input states")
-    if localize_spec is not None:
-        basis, _, digits = localize_spec.partition(":")
-        try:
-            qubit = int(digits)
-        except ValueError:
-            raise ValueError(f"--localize {localize_spec!r} is not BASIS:QUBIT, "
-                             f"e.g. x:2") from None
     rho1, rho2 = parse_state_spec(specs[0]), parse_state_spec(specs[1])
     if protocol == "pbs":
         outcome = distill_tripartite(rho1, rho2)
-    elif protocol == "cnot":
-        outcome = distill_cnot(rho1, rho2)
     else:
-        raise ValueError(f"unknown protocol {protocol!r}")
+        outcome = distill_cnot(rho1, rho2)
 
     report: dict = {
         "protocol": protocol,
@@ -208,7 +178,8 @@ def cmd_distill(config: RunConfig, protocol: str, localize_spec: str | None,
         report["fidelity_ghz"] = fidelity_with_pure(outcome.state, ghz3())
         report["w_witness_expectation"] = cert.w_witness_expectation(outcome.state)
 
-    if localize_spec is not None:
+    if "localize" in options:
+        basis, qubit = options["localize"]
         state, weight = localize(outcome.state, qubit, basis, 0)
         report["localized"] = {
             "basis": basis,
@@ -217,7 +188,7 @@ def cmd_distill(config: RunConfig, protocol: str, localize_spec: str | None,
             "weight": weight,
             "fidelity_epr": fidelity_with_pure(state, bell_phi_plus()),
         }
-    if recertify:
+    if options.get("recertify"):
         witness = ppt_mixer_witness(outcome.state)
         try:
             concurrence = cert.gme_concurrence_x(outcome.state)
@@ -228,70 +199,44 @@ def cmd_distill(config: RunConfig, protocol: str, localize_spec: str | None,
             "ppt_mixer_value": witness.optimal_value,
             "ppt_mixer_sign": witness.certified_sign,
         }
-    return _render(report, config.fmt)
+    return _render(report, options["fmt"])
 
 
-def _parse_grid(spec: str) -> tuple[float, float, int]:
-    try:
-        start, stop, count = spec.split(":")
-        return float(start), float(stop), int(count)
-    except ValueError:
-        raise ValueError(
-            f"grid spec {spec!r} is not START:STOP:COUNT") from None
-
-
-def cmd_sweep(config: RunConfig, mode: str, names: list[str] | None) -> str:
-    if mode == "curves":
-        return thr.fidelity_curves_csv(np.linspace(*config.grid))
-    if mode == "certify":
-        def one(p: float) -> str:
-            rho = noisy_ghz(p)
-            row = (p,
-                   cert.gme_concurrence_x(rho),
-                   cert.ghz_witness_expectation(rho),
-                   cert.sle_quantify(rho).value)
-            return ",".join(format(v, ".17g") for v in row)
-
-        rows = [one(p) for p in np.linspace(*config.grid)]
-        return ("p,gme_concurrence,ghz_witness_expectation,sle_negativity\n"
-                + "\n".join(rows) + "\n")
-    if mode == "thresholds":
-        wanted = names or ["all"]
-        if wanted == ["all"]:
-            wanted = list(thr.DEFAULT_RANGES)
-        unknown = [n for n in wanted if n not in thr.DEFAULT_RANGES]
-        if unknown:
-            raise ValueError(f"unknown threshold properties: {unknown}")
-
-        reports = [thr.find_threshold(name, tolerance=config.tolerance)
-                   for name in wanted]
+def cmd_sweep(options: dict) -> str:
+    if "thresholds" in options:
+        reports = [thr.find_threshold(name, tolerance=options.get("tolerance"))
+                   for name in options["thresholds"]]
         return thr.threshold_reports_csv(reports)
-    raise ValueError(f"unknown sweep mode {mode!r}")
+    if "curves" in options:
+        return thr.fidelity_curves_csv(np.linspace(*options["curves"]))
+
+    def one(p: float) -> str:
+        rho = noisy_ghz(p)
+        row = (p,
+               cert.gme_concurrence_x(rho),
+               cert.ghz_witness_expectation(rho),
+               cert.sle_quantify(rho).value)
+        return ",".join(format(v, ".17g") for v in row)
+
+    rows = [one(p) for p in np.linspace(*options["certify"])]
+    return ("p,gme_concurrence,ghz_witness_expectation,sle_negativity\n"
+            + "\n".join(rows) + "\n")
 
 
-def _integer(name: str, value) -> int:
-    try:
-        return int(value)
-    except ValueError:
-        raise ValueError(f"{name}={value!r} is not an integer") from None
-
-
-def cmd_coincidence(config: RunConfig, schedule_p: float | None,
-                    sample_args: dict | None) -> str:
-    if schedule_p is not None:
-        return coin.preparation_schedule(schedule_p).to_csv()
-    if sample_args is not None:
-        missing = [k for k in ("setting", "shots") if k not in sample_args]
-        if missing:
-            raise ValueError(f"--sample needs {missing} as KEY=VALUE tokens")
-        setting = sample_args["setting"]
-        shots = _integer("--sample shots", sample_args["shots"])
-        seed = _integer("--sample seed", sample_args.get("seed", config.seed))
-        rho = parse_state_spec(sample_args.get("state", "noisy-ghz:1.0"))
-        hist = coin.sample_counts(rho, setting, shots, seed)
+def cmd_coincidence(options: dict) -> str:
+    if "schedule" in options:
+        return coin.preparation_schedule(options["schedule"]).to_csv()
+    if options.get("sample"):
+        setting, shots, seed, state = options["sample"]
+        hist = coin.sample_counts(parse_state_spec(state), setting, shots, seed)
         doc = coin.histogram_to_json_dict(setting, shots, seed, hist)
         return json.dumps(doc, indent=2, sort_keys=True) + "\n"
     return coin.enumerate_same_order_events().to_csv()
+
+
+# Subcommand name -> handler; each reads the checked options it needs.
+_COMMANDS = {"certify": cmd_certify, "distill": cmd_distill,
+             "sweep": cmd_sweep, "coincidence": cmd_coincidence}
 
 
 # ---------------------------------------------------------------------------
@@ -304,11 +249,13 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--config", help="JSON file with default options")
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
+    # The store_true flags default to None, not False, so that leaving one
+    # out keeps the config file's value.
     p_cert = sub.add_parser("certify", help="run all certifiers on one state")
     p_cert.add_argument("--input",
                         help="state spec or density-matrix JSON path")
     p_cert.add_argument("--full-certificates", action="store_true",
-                        dest="full_certificates",
+                        dest="full_certificates", default=None,
                         help="embed complete witness and localized-state "
                              "matrices in the report")
 
@@ -318,7 +265,7 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="state spec; repeat for two different inputs")
     p_dist.add_argument("--localize", metavar="BASIS:QUBIT",
                         help="also localize the output, e.g. x:2")
-    p_dist.add_argument("--recertify", action="store_true",
+    p_dist.add_argument("--recertify", action="store_true", default=None,
                         help="re-run GME certifiers on the output")
 
     p_sweep = sub.add_parser("sweep", help="tabulate curves or thresholds")
@@ -379,6 +326,11 @@ _CONFIG_OPTIONS = {
     **{key: "a string" for key in ("protocol", "localize", "curves", "certify",
                                    "thresholds", "output", "fmt")},
 }
+# Mode options, one group per subcommand that has modes.  A mode flag given
+# on the command line drops the config file's other modes of its group.
+_MODE_GROUPS = ({"curves", "certify", "thresholds"}, {"schedule", "sample"})
+# Largest grid count: np.linspace allocates every point at once.
+_MAX_GRID_COUNT = 1_000_000
 
 
 def _merge_config(args: argparse.Namespace) -> dict:
@@ -397,58 +349,97 @@ def _merge_config(args: argparse.Namespace) -> dict:
                 f"config option {key!r} must be {kind}, got {value!r}")
     merged = {key: value for key, value in file_options.items()
               if value is not None}
-    for key, value in vars(args).items():
-        if key != "config" and value is not None:
-            merged[key] = value
-    return merged
+    flags = {key: value for key, value in vars(args).items()
+             if key != "config" and value is not None}
+    for group in _MODE_GROUPS:
+        if group & flags.keys():
+            merged = {k: v for k, v in merged.items() if k not in group}
+    return merged | flags
+
+
+def _parse_grid(spec: str) -> tuple[float, float, int]:
+    try:
+        start, stop, count = spec.split(":")
+        start, stop, count = float(start), float(stop), int(count)
+    except ValueError:
+        raise ValueError(
+            f"grid spec {spec!r} is not START:STOP:COUNT") from None
+    if count < 1:
+        raise ValueError("grid count must be at least 1")
+    if count > _MAX_GRID_COUNT:
+        raise ValueError(
+            f"grid count must be at most {_MAX_GRID_COUNT}, got {count}")
+    if not np.all(np.isfinite((start, stop))):
+        raise ValueError(
+            f"grid start and stop must be finite, got {(start, stop)}")
+    return start, stop, count
+
+
+def _integer(name: str, value) -> int:
+    try:
+        return int(value)
+    except ValueError:
+        raise ValueError(f"{name}={value!r} is not an integer") from None
+
+
+def _check_options(options: dict) -> dict:
+    """Check every merged option, parsing the structured ones in place.
+
+    A key the subcommand does not use is checked all the same.
+    """
+    sub, inputs = options["subcommand"], options.get("input") or []
+    options["input"] = [inputs] if isinstance(inputs, str) else inputs
+    if sub in ("certify", "distill") and not inputs:
+        raise ValueError(f"{sub} requires --input (flag or config file)")
+    if sub == "distill" and len(options["input"]) > 2:
+        raise ValueError("distill takes one or two input states")
+    for mode in ("curves", "certify"):
+        if mode in options:
+            options[mode] = _parse_grid(options[mode])
+    options["fmt"] = options.get("fmt") or "json"
+    if options["fmt"] not in ("csv", "json"):
+        raise ValueError(f"unknown output format {options['fmt']!r}")
+    tolerance = options.get("tolerance")
+    if tolerance is not None and not 0 < tolerance < np.inf:
+        raise ValueError(
+            f"tolerance must be positive and finite, got {tolerance}")
+    if options.setdefault("protocol", "pbs") not in ("pbs", "cnot"):
+        raise ValueError(f"unknown protocol {options['protocol']!r}")
+    if "localize" in options:
+        basis, _, digits = options["localize"].partition(":")
+        try:
+            options["localize"] = basis, int(digits)
+        except ValueError:
+            raise ValueError(f"--localize {options['localize']!r} is not "
+                             f"BASIS:QUBIT, e.g. x:2") from None
+    if "thresholds" in options:
+        names = [n for n in options["thresholds"].split(",") if n]
+        if names in ([], ["all"]):
+            names = list(thr.DEFAULT_RANGES)
+        unknown = [n for n in names if n not in thr.DEFAULT_RANGES]
+        if unknown:
+            raise ValueError(f"unknown threshold properties: {unknown}")
+        options["thresholds"] = names
+    if options.get("sample"):
+        if any("=" not in token for token in options["sample"]):
+            raise ValueError("--sample tokens must look like KEY=VALUE")
+        sample = dict(token.split("=", 1) for token in options["sample"])
+        missing = [k for k in ("setting", "shots") if k not in sample]
+        if missing:
+            raise ValueError(f"--sample needs {missing} as KEY=VALUE tokens")
+        options["sample"] = (
+            sample["setting"], _integer("--sample shots", sample["shots"]),
+            _integer("--sample seed", sample.get("seed", options.get("seed", 0))),
+            sample.get("state", "noisy-ghz:1.0"))
+    return options
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
-        options = _merge_config(args)
-        sub = options["subcommand"]
-        inputs = options.get("input") or []
-        if isinstance(inputs, str):
-            inputs = [inputs]
-        if sub in ("certify", "distill") and not inputs:
-            raise ValueError(f"{sub} requires --input (flag or config file)")
-        grid_spec = options.get("curves") or options.get("certify")
-        config = RunConfig(
-            inputs=tuple(inputs),
-            grid=_parse_grid(grid_spec) if grid_spec else None,
-            tolerance=options.get("tolerance"),
-            seed=int(options.get("seed", 0)),
-            output=options.get("output"),
-            fmt=options.get("fmt") or ("csv" if sub in ("sweep", "coincidence")
-                                       else "json"),
-        )
-        if sub == "certify":
-            text = cmd_certify(config, bool(options.get("full_certificates")))
-        elif sub == "distill":
-            text = cmd_distill(config, options.get("protocol", "pbs"),
-                               options.get("localize"),
-                               bool(options.get("recertify")))
-        elif sub == "sweep":
-            if options.get("curves"):
-                text = cmd_sweep(config, "curves", None)
-            elif options.get("certify"):
-                text = cmd_sweep(config, "certify", None)
-            else:
-                names = [n for n in str(options["thresholds"]).split(",") if n]
-                text = cmd_sweep(config, "thresholds", names)
-        elif sub == "coincidence":
-            sample = None
-            if options.get("sample"):
-                tokens = options["sample"]
-                if any("=" not in token for token in tokens):
-                    raise ValueError("--sample tokens must look like KEY=VALUE")
-                sample = dict(token.split("=", 1) for token in tokens)
-            text = cmd_coincidence(config, options.get("schedule"), sample)
-        else:
-            raise ValueError(f"unknown subcommand {sub!r}")
-        _atomic_write(config.output, text)
+        options = _check_options(_merge_config(args))
+        _atomic_write(options.get("output"),
+                      _COMMANDS[args.subcommand](options))
     except BrokenPipeError:
         return 0
     except (ValueError, OSError, StateValidationError, json.JSONDecodeError) as exc:

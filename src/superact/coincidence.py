@@ -399,6 +399,8 @@ def sample_counts(rho, setting: str, shots: int, seed: int) -> dict[str, int]:
     if not 0 < shots <= np.iinfo(np.int64).max:  # the sampler's range
         raise ValueError(
             f"shots must be positive and fit in int64, got {shots}")
+    if seed < 0:  # Philox takes non-negative seeds only
+        raise ValueError(f"seed must be non-negative, got {seed}")
     u = np.array([[1.0]], dtype=np.complex128)
     for ch in key:
         u = np.kron(u, _BASIS_ROTATIONS[ch])

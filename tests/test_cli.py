@@ -8,7 +8,7 @@ import pytest
 
 from superact import DensityMatrix, noisy_ghz, noisy_w, save_density_matrix
 import superact.certify as cert
-from superact.cli import RunConfig, main, parse_state_spec
+from superact.cli import _CONFIG_OPTIONS, _build_parser, main, parse_state_spec
 from superact.sdp import WitnessResult, verify_witness_certificate
 from superact.states import density_matrix_to_dict
 from util import limit_margin_evaluations, random_density_matrix
@@ -23,17 +23,13 @@ def run_cli(args, capsys):
 # ---------------------------------------------------------------------------
 # configuration plumbing
 
-def test_run_config_validation():
-    with pytest.raises(ValueError):
-        RunConfig((), (0, 1, 0), None, 0, None, "csv")
-    for tolerance in (-1.0, 0.0, float("nan"), float("inf")):
-        with pytest.raises(ValueError, match="positive and finite"):
-            RunConfig((), None, tolerance, 0, None, "csv")
-    with pytest.raises(ValueError):
-        RunConfig((), None, None, 0, None, "yaml")
-    for grid in ((np.nan, 1.0, 3), (0.0, np.inf, 3), (-np.inf, 1.0, 3)):
-        with pytest.raises(ValueError, match="must be finite"):
-            RunConfig((), grid, None, 0, None, "csv")
+def test_every_flag_has_a_config_key():
+    parser = _build_parser()
+    keys = set()
+    for argv in (["certify"], ["distill"], ["sweep", "--curves", "0:1:3"],
+                 ["coincidence"]):
+        keys |= vars(parser.parse_args(argv)).keys()
+    assert keys - {"config", "subcommand"} == _CONFIG_OPTIONS.keys()
 
 
 def test_parse_state_spec_builtins():
@@ -360,6 +356,18 @@ def test_sweep_invalid_grid(capsys):
 
 
 @pytest.mark.parametrize("mode", ["--curves", "--certify"])
+@pytest.mark.parametrize("count", [10**20, 1_000_001])
+def test_sweep_rejects_a_grid_count_above_the_limit(monkeypatch, capsys, mode,
+                                                    count):
+    monkeypatch.setattr(np, "linspace", None)  # rejected before allocating
+    code, out, err = run_cli(["sweep", mode, f"0:1:{count}"], capsys)
+    assert code == 1
+    assert out == ""
+    assert err == ("superact: error: grid count must be at most 1000000, "
+                   f"got {count}\n")
+
+
+@pytest.mark.parametrize("mode", ["--curves", "--certify"])
 @pytest.mark.parametrize("grid", ["nan:1:3", "0:inf:3", "0:nan:3"])
 def test_sweep_rejects_non_finite_grid(mode, grid, capsys):
     with warnings.catch_warnings():
@@ -437,12 +445,23 @@ def test_coincidence_sample_rejects_shots_beyond_int64(capsys):
      "grid spec '0:1:2.5' is not START:STOP:COUNT"),
     (["certify", "--input", "noisy-ghz:abc"],
      "unrecognized state spec 'noisy-ghz:abc'"),
-], ids=["shots", "seed", "grid", "state"])
+    (["sweep", "--curves", ""], "grid spec '' is not START:STOP:COUNT"),
+    (["sweep", "--certify", ""], "grid spec '' is not START:STOP:COUNT"),
+], ids=["shots", "seed", "grid", "state", "empty-curves", "empty-certify"])
 def test_unparsable_numbers_name_the_input(capsys, args, message):
     code, out, err = run_cli(args, capsys)
     assert code == 1
     assert out == ""
     assert err == f"superact: error: {message}\n"
+
+
+@pytest.mark.parametrize("seed", [["seed=-1"], ["--seed", "-1"]], ids=" ".join)
+def test_coincidence_sample_rejects_a_negative_seed(capsys, seed):
+    code, out, err = run_cli(["coincidence", "--sample", "setting=zzz",
+                              "shots=10"] + seed, capsys)
+    assert code == 1
+    assert out == ""
+    assert err == "superact: error: seed must be non-negative, got -1\n"
 
 
 def test_coincidence_seed_flag_seeds_the_sample(capsys):
@@ -487,15 +506,52 @@ def test_config_file_supplies_defaults(tmp_path, capsys):
      "'seed' must be an integer, got 1.5"),
     ({"input": "noisy-ghz:0.5", "tolerence": 1e-3, "fromat": "csv"},
      "superact: error: unknown config option 'tolerence'"),
+    ({"input": "noisy-ghz:0.5", "fmt": "yaml"}, "unknown output format 'yaml'"),
 ])
 def test_config_file_rejects_mistyped_options(tmp_path, capsys, options,
                                               message):
+    # sweep uses neither input nor fmt, and checks every key all the same.
     cfg = tmp_path / "run.json"
     cfg.write_text(json.dumps(options))
-    code, out, err = run_cli(["--config", str(cfg), "certify"], capsys)
-    assert code == 1
-    assert out == ""
-    assert err.startswith("superact: error:") and message in err
+    for args in (["certify"], ["sweep", "--curves", "0:1:3"]):
+        code, out, err = run_cli(["--config", str(cfg)] + args, capsys)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("superact: error:") and message in err
+
+
+@pytest.mark.parametrize("options, args", [
+    ({"curves": "0:1:3"}, ["sweep", "--thresholds", "GME"]),
+    ({"schedule": 0.5}, ["coincidence", "--sample", "setting=zzz", "shots=10"]),
+], ids=["sweep", "coincidence"])
+def test_mode_flag_beats_the_config_files_mode(tmp_path, capsys, options,
+                                               args):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps(options))
+    flagged = run_cli(args, capsys)
+    assert flagged[0] == 0
+    assert run_cli(["--config", str(cfg)] + args, capsys) == flagged
+
+
+def test_coincidence_takes_the_config_files_mode(tmp_path, capsys):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"schedule": 0.5}))
+    assert (run_cli(["--config", str(cfg), "coincidence"], capsys)
+            == run_cli(["coincidence", "--schedule", "0.5"], capsys))
+
+
+@pytest.mark.parametrize("options, args", [
+    ({"input": "noisy-w:0.6", "full_certificates": True},
+     ["certify", "--input", "noisy-w:0.6", "--full-certificates"]),
+    ({"input": "noisy-w:0.6", "recertify": True},
+     ["distill", "--input", "noisy-w:0.6", "--recertify"]),
+], ids=["full_certificates", "recertify"])
+def test_config_file_turns_a_switch_on(tmp_path, capsys, options, args):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps(options))
+    flagged = run_cli(args, capsys)
+    assert flagged[0] == 0
+    assert run_cli(["--config", str(cfg), args[0]], capsys) == flagged
 
 
 def test_csv_format_flag_round_trip(capsys):
@@ -614,7 +670,7 @@ def test_sweep_all_thresholds_repeats_byte_identical(capsys):
     assert first[0] == 0
 
 
-@pytest.mark.parametrize("tolerance", ["nan", "inf"])
+@pytest.mark.parametrize("tolerance", ["nan", "inf", "-1", "0"])
 def test_sweep_rejects_non_finite_tolerance(capsys, tolerance):
     code, out, err = run_cli(["sweep", "--thresholds", "GME",
                               "--tolerance", tolerance], capsys)

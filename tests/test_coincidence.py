@@ -206,6 +206,11 @@ def test_sample_counts_shots_must_fit_in_int64():
             sample_counts(ghz3().projector(), "zzz", shots, 5)
 
 
+def test_sample_counts_rejects_a_negative_seed():
+    with pytest.raises(ValueError, match="seed must be non-negative, got -1"):
+        sample_counts(noisy_ghz(0.5), "zzz", 10, -1)
+
+
 def test_sample_counts_chi_squared_against_born_probabilities():
     cases = [
         (maximally_mixed(3), "zzz", np.full(8, 1 / 8)),
