@@ -30,11 +30,12 @@ import numpy as np
 from . import certify as cert
 from . import coincidence as coin
 from . import thresholds as thr
-from .distill import distill_cnot, distill_tripartite, localize
+from .distill import _basis_key, distill_cnot, distill_tripartite, localize
 from .sdp import GAP_TOL, ppt_mixer_witness
 from .states import (
     DensityMatrix,
     StateValidationError,
+    _resolve_qubits,
     bell_phi_plus,
     fidelity_with_pure,
     ghz3,
@@ -163,6 +164,8 @@ def cmd_distill(options: dict) -> str:
     if len(specs) == 1:
         specs = specs * 2
     rho1, rho2 = parse_state_spec(specs[0]), parse_state_spec(specs[1])
+    if "localize" in options:  # distilling keeps the inputs' qubit count
+        _resolve_qubits(options["localize"][1], rho1.n_qubits)
     if protocol == "pbs":
         outcome = distill_tripartite(rho1, rho2)
     else:
@@ -337,7 +340,11 @@ def _merge_config(args: argparse.Namespace) -> dict:
     file_options = {}
     if args.config:
         with open(args.config) as fh:
-            file_options = json.load(fh)
+            try:
+                file_options = json.load(fh)
+            except json.JSONDecodeError as exc:
+                raise ValueError(f"config file {args.config} is not valid "
+                                 f"JSON: {exc}") from None
         if not isinstance(file_options, dict):
             raise ValueError("config file must hold a JSON object")
     for key, value in file_options.items():
@@ -412,6 +419,7 @@ def _check_options(options: dict) -> dict:
         except ValueError:
             raise ValueError(f"--localize {options['localize']!r} is not "
                              f"BASIS:QUBIT, e.g. x:2") from None
+        _basis_key(basis)
     if "thresholds" in options:
         names = [n for n in options["thresholds"].split(",") if n]
         if names in ([], ["all"]):

@@ -42,6 +42,7 @@ flips b1 and b2.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from itertools import product
 
@@ -49,9 +50,10 @@ import numpy as np
 
 from .certify import fidelity_from_settings
 from .states import (
+    DEGENERATE_WEIGHT,
     DensityMatrix,
     _check_unit_interval,
-    _entries,
+    _state_entries,
     ghz3,
     make_ghz,
 )
@@ -380,35 +382,81 @@ _BASIS_ROTATIONS = {
     "x": np.array([[1, 1], [1, -1]], dtype=np.complex128) / np.sqrt(2.0),
     "y": np.array([[1, -1j], [1, 1j]], dtype=np.complex128) / np.sqrt(2.0),
 }
+# (-1)^(number of ones) of each three-qubit outcome, in outcome order: the
+# value of the full product observable on that outcome.
+_PARITIES_3 = np.array([1, -1, -1, 1, -1, 1, 1, -1])
 
 
-def sample_counts(rho, setting: str, shots: int, seed: int) -> dict[str, int]:
-    """Sample measurement outcomes of a product Pauli setting.
+@functools.lru_cache(maxsize=64)  # every setting of up to three qubits
+def _setting_rotation(key: str) -> np.ndarray:
+    """Read-only product rotation of a lower-case setting; row i of it maps
+    a state onto outcome i."""
+    u = np.array([[1.0]], dtype=np.complex128)
+    for ch in key:
+        u = np.kron(u, _BASIS_ROTATIONS[ch])
+    u.setflags(write=False)
+    return u
 
-    ``setting`` is one character in {x, y, z} per qubit.  Outcome strings
-    are bit strings, ``0`` marking the +1 eigenvalue of that qubit's
-    observable.  Sampling uses the counter-based Philox generator, so a
-    fixed (setting, shots, seed) triple reproduces the histogram bit for
-    bit on any platform.
-    """
-    m, n = _entries(rho)
-    key = setting.lower()
-    if len(key) != n or any(ch not in _BASIS_ROTATIONS for ch in key):
+
+def _sampling_state(rho, n_qubits: int | None = None) -> tuple[np.ndarray, int]:
+    """Entries and qubit count of a state of nonzero trace."""
+    m, n = _state_entries(rho, n_qubits)
+    trace = float(np.trace(m).real)
+    if trace < DEGENERATE_WEIGHT:
         raise ValueError(
-            f"invalid setting {setting!r} for {n} qubits; use characters x/y/z")
+            f"state trace {trace:.3e} below {DEGENERATE_WEIGHT:.1e}; "
+            f"there is nothing to sample")
+    return m, n
+
+
+def _check_shots_and_seed(shots, seed) -> None:
+    for name, value in (("shots", shots), ("seed", seed)):
+        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
     if not 0 < shots <= np.iinfo(np.int64).max:  # the sampler's range
         raise ValueError(
             f"shots must be positive and fit in int64, got {shots}")
     if seed < 0:  # Philox takes non-negative seeds only
         raise ValueError(f"seed must be non-negative, got {seed}")
-    u = np.array([[1.0]], dtype=np.complex128)
-    for ch in key:
-        u = np.kron(u, _BASIS_ROTATIONS[ch])
+
+
+def _born_counts(m: np.ndarray, key: str, shots: int, seed: int) -> np.ndarray:
+    """Outcome counts (int64, in outcome order) of a checked setting."""
+    u = _setting_rotation(key)
     probs = np.real(np.einsum("ij,jk,ik->i", u, m, u.conj()))
     probs = np.maximum(probs, 0.0)
     probs = probs / probs.sum()
     rng = np.random.Generator(np.random.Philox(seed))
-    counts = rng.multinomial(shots, probs)
+    return rng.multinomial(shots, probs)
+
+
+def sample_counts(rho, setting: str, shots: int, seed: int) -> dict[str, int]:
+    """Sample measurement outcomes of a product Pauli setting.
+
+    ``setting`` is a string of one character in {x, y, z} per qubit, in
+    either case.  Outcome strings are bit strings, ``0`` marking the +1
+    eigenvalue of that qubit's observable.
+
+    ``rho`` is a ``DensityMatrix`` or an array that is a state of nonzero
+    trace (the outcome probabilities are normalised); a non-state raises
+    ``StateValidationError``.  ``shots`` (positive, at most the int64
+    maximum) and ``seed`` (non-negative) must be ``int`` or NumPy
+    integers, not ``bool``.  Any other bad argument raises ``ValueError``
+    naming it.
+
+    Each setting's rotation is built once and cached.  Sampling uses the
+    counter-based Philox generator, so a fixed (setting, shots, seed)
+    triple reproduces the histogram bit for bit on any platform.
+    """
+    m, n = _sampling_state(rho)
+    if not isinstance(setting, str):
+        raise ValueError(f"setting must be a string, got {setting!r}")
+    key = setting.lower()
+    if len(key) != n or any(ch not in _BASIS_ROTATIONS for ch in key):
+        raise ValueError(
+            f"invalid setting {setting!r} for {n} qubits; use characters x/y/z")
+    _check_shots_and_seed(shots, seed)
+    counts = _born_counts(m, key, shots, seed)
     return {format(i, f"0{n}b"): int(c) for i, c in enumerate(counts)}
 
 
@@ -439,17 +487,22 @@ def sampled_ghz_fidelity(rho, shots: int, seed: int) -> tuple[float, float]:
     The three equatorial settings of the fidelity decomposition are linear
     combinations of the eight {x, y} product settings, so those eight plus
     the populations setting are sampled (each with its own derived seed)
-    and recombined.  Returns the estimate and its propagated one-sigma
-    statistical error.
+    and recombined.  ``rho`` is a three-qubit state; it, ``shots`` and
+    ``seed`` are checked once, by the rules of :func:`sample_counts`.  The
+    population and the parities are read straight from the count arrays,
+    and each setting's rotation comes from the same cache.  Returns the
+    estimate and its propagated one-sigma statistical error.
     """
-    m, _ = _entries(rho, 3)
-    pop_hist = sample_counts(m, "zzz", shots, seed)
-    population = population_expectation(pop_hist)
+    m, _ = _sampling_state(rho, 3)
+    _check_shots_and_seed(shots, seed)
+    shots = int(shots)  # so each count / shots rounds as int / int does
+    counts = _born_counts(m, "zzz", shots, seed)
+    population = int(counts[0] + counts[7]) / shots
     var_f = 0.25 * population * (1.0 - population) / shots
 
     pauli_settings = ["".join(t) for t in product("xy", repeat=3)]
     estimates = [
-        product_expectation(sample_counts(m, pauli, shots, seed + offset))
+        int(_PARITIES_3 @ _born_counts(m, pauli, shots, seed + offset)) / shots
         for offset, pauli in enumerate(pauli_settings, start=1)]
 
     # coefficients[k, s] is the product over the parties of cos(k pi/3) for

@@ -140,6 +140,14 @@ def distill_cnot(rho1, rho2) -> DistillationOutcome:
     return _outcome(m1 * m2, n_parties, ("0" * n_parties,))
 
 
+def _basis_key(basis: str) -> str:
+    """Lower-case name of a basis :func:`localize` accepts."""
+    key = basis.lower()
+    if key not in ("x", "computational", "z"):
+        raise ValueError(f"unknown basis {basis!r}; use 'x' or 'computational'")
+    return key
+
+
 def localize(rho, measured_qubit: int, basis: str,
              outcome: int) -> tuple[DensityMatrix, float]:
     """Project one qubit onto a basis state and return the two-qubit remainder.
@@ -149,14 +157,12 @@ def localize(rho, measured_qubit: int, basis: str,
     gets a phase-flip correction on the first remaining qubit, so both
     branches localize toward the same target state.
     """
-    key = basis.lower()
+    key = _basis_key(basis)
     if key == "x":
         psi = bloch_state(np.pi / 4.0, 0.0 if outcome == 0 else np.pi)
-    elif key in ("computational", "z"):
+    else:
         psi = PureState(1, np.array([1.0, 0.0]) if outcome == 0
                         else np.array([0.0, 1.0]))
-    else:
-        raise ValueError(f"unknown basis {basis!r}; use 'x' or 'computational'")
     if outcome not in (0, 1):
         raise ValueError(f"outcome must be 0 or 1, got {outcome}")
     try:

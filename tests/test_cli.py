@@ -300,6 +300,27 @@ def test_distill_localize_needs_a_qubit(monkeypatch, capsys, spec):
                    "BASIS:QUBIT, e.g. x:2\n")
 
 
+@pytest.mark.parametrize("protocol", ["pbs", "cnot"])
+@pytest.mark.parametrize("spec, message", [
+    ("q:2", "unknown basis 'q'; use 'x' or 'computational'"),
+    ("x:7", "invalid qubit indices (7,) for 3 qubits"),
+    ("z:-1", "invalid qubit indices (-1,) for 3 qubits"),
+], ids=["basis", "qubit-7", "qubit-negative"])
+def test_distill_checks_the_localization_before_distilling(
+        monkeypatch, capsys, protocol, spec, message):
+    def unreachable(*args):
+        raise AssertionError("distillation ran")
+
+    monkeypatch.setattr("superact.cli.distill_tripartite", unreachable)
+    monkeypatch.setattr("superact.cli.distill_cnot", unreachable)
+    code, out, err = run_cli(["distill", "--input", "noisy-ghz:0.5",
+                              "--protocol", protocol, "--localize", spec],
+                             capsys)
+    assert code == 1
+    assert out == ""
+    assert err == f"superact: error: {message}\n"
+
+
 # ---------------------------------------------------------------------------
 # sweep
 
@@ -464,6 +485,17 @@ def test_coincidence_sample_rejects_a_negative_seed(capsys, seed):
     assert err == "superact: error: seed must be non-negative, got -1\n"
 
 
+def test_coincidence_sample_golden(capsys):
+    code, out, _ = run_cli(["coincidence", "--sample", "setting=xyz",
+                            "shots=1000", "seed=7", "state=noisy-ghz:0.6"],
+                           capsys)
+    assert code == 0
+    assert out == ('{\n  "histogram": {\n    "000": 132,\n    "001": 131,\n'
+                   '    "010": 118,\n    "011": 114,\n    "100": 116,\n'
+                   '    "101": 132,\n    "110": 132,\n    "111": 125\n  },\n'
+                   '  "seed": 7,\n  "setting": "xyz",\n  "shots": 1000\n}\n')
+
+
 def test_coincidence_seed_flag_seeds_the_sample(capsys):
     sample = ["coincidence", "--sample", "setting=zzz", "shots=10"]
     code, flagged, _ = run_cli(sample + ["--seed", "3"], capsys)
@@ -518,6 +550,17 @@ def test_config_file_rejects_mistyped_options(tmp_path, capsys, options,
         assert code == 1
         assert out == ""
         assert err.startswith("superact: error:") and message in err
+
+
+def test_config_file_that_is_not_json(tmp_path, capsys):
+    cfg = tmp_path / "bad.json"
+    cfg.write_text("[1\n")
+    code, out, err = run_cli(["--config", str(cfg), "sweep", "--curves",
+                              "0:1:2"], capsys)
+    assert code == 1
+    assert out == ""
+    assert err == (f"superact: error: config file {cfg} is not valid JSON: "
+                   "Expecting ',' delimiter: line 2 column 1 (char 3)\n")
 
 
 @pytest.mark.parametrize("options, args", [

@@ -1,7 +1,12 @@
+import hashlib
+import json
+from itertools import product
+
 import numpy as np
 import pytest
 from scipy import stats
 
+import superact.coincidence as coincidence
 from superact import ghz3, maximally_mixed, noisy_ghz, noisy_w
 from superact.coincidence import (
     ORDER_DOUBLE_PAIR,
@@ -193,6 +198,8 @@ def test_sample_counts_validates_setting():
         sample_counts(noisy_ghz(0.5), "zz", 100, 0)
     with pytest.raises(ValueError):
         sample_counts(noisy_ghz(0.5), "zzq", 100, 0)
+    with pytest.raises(ValueError, match="setting must be a string, got None"):
+        sample_counts(noisy_ghz(0.5), None, 100, 0)
     with pytest.raises(ValueError):
         sample_counts(noisy_ghz(0.5), "zzz", 0, 0)
 
@@ -209,6 +216,79 @@ def test_sample_counts_shots_must_fit_in_int64():
 def test_sample_counts_rejects_a_negative_seed():
     with pytest.raises(ValueError, match="seed must be non-negative, got -1"):
         sample_counts(noisy_ghz(0.5), "zzz", 10, -1)
+
+
+def _complex_state():
+    k = np.arange(8)
+    psi = (k + 1.0) * np.exp(0.7j * k)
+    psi /= np.linalg.norm(psi)
+    return 0.7 * np.outer(psi, psi.conj()) + 0.3 * np.eye(8) / 8.0
+
+
+def test_sample_counts_histogram_golden():
+    # Every setting on three states (one of them an array with complex
+    # coherences) at two seeds: 162 histograms, pinned by their digest.
+    states = {"noisy-ghz:0.6": noisy_ghz(0.6), "noisy-w:0.3": noisy_w(0.3),
+              "complex": _complex_state()}
+    doc = {f"{name}/{''.join(s)}/{seed}":
+           sample_counts(rho, "".join(s), 1000, seed)
+           for name, rho in states.items()
+           for s in product("xyz", repeat=3) for seed in (7, 2026)}
+    assert doc["complex/xyz/7"] == {"000": 103, "001": 105, "010": 37,
+                                    "011": 36, "100": 234, "101": 372,
+                                    "110": 58, "111": 55}
+    digest = hashlib.sha256(json.dumps(doc, sort_keys=True).encode())
+    assert digest.hexdigest() == (
+        "044d8a99c7a9d89091ab21ed23dc5adc6bfeb1c7069289cee4867924be245be5")
+
+
+@pytest.mark.parametrize("sample", [
+    lambda rho, shots, seed: sample_counts(rho, "zzz", shots, seed),
+    sampled_ghz_fidelity,
+], ids=["sample_counts", "sampled_ghz_fidelity"])
+@pytest.mark.parametrize("rho, shots, seed, match", [
+    (np.diag([2.0, -1.0, 0, 0, 0, 0, 0, 0]), 10, 0, "minimum eigenvalue"),
+    (np.zeros((8, 8)), 10, 0, "state trace 0.000e\\+00 below 1.0e-14"),
+    (noisy_ghz(0.5), 2.5, 0, "shots must be an integer, got 2.5"),
+    (noisy_ghz(0.5), 10.7, 0, "shots must be an integer, got 10.7"),
+    (noisy_ghz(0.5), True, 0, "shots must be an integer, got True"),
+    (noisy_ghz(0.5), 10, 1.5, "seed must be an integer, got 1.5"),
+    (noisy_ghz(0.5), 10, np.True_, "seed must be an integer, got "),
+], ids=["non-state", "zero-trace", "shots-2.5", "shots-10.7", "shots-bool",
+        "seed-1.5", "seed-numpy-bool"])
+def test_sampling_rejects_invalid_input(sample, rho, shots, seed, match):
+    with pytest.raises(ValueError, match=match):
+        sample(rho, shots, seed)
+
+
+def test_sampling_takes_numpy_integers():
+    rho = noisy_ghz(0.6)
+    assert (sample_counts(rho, "xyz", np.int64(1000), np.uint32(7))
+            == sample_counts(rho, "xyz", 1000, 7))
+    assert (sampled_ghz_fidelity(rho, np.int32(1000), np.int64(7))
+            == sampled_ghz_fidelity(rho, 1000, 7))
+
+
+def test_setting_rotations_are_built_once(monkeypatch):
+    calls = []
+    kron = np.kron
+
+    def counting_kron(*args):
+        calls.append(args)
+        return kron(*args)
+
+    monkeypatch.setattr(np, "kron", counting_kron)
+    coincidence._setting_rotation.cache_clear()
+    sampled_ghz_fidelity(noisy_ghz(0.6), 100, 1)
+    assert len(calls) == 27  # three factors for each of the nine settings
+    calls.clear()
+    sampled_ghz_fidelity(noisy_ghz(0.6), 100, 2)
+    sample_counts(noisy_ghz(0.6), "XYY", 100, 3)
+    assert calls == []
+    rotation = coincidence._setting_rotation("xyy")
+    assert not rotation.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        rotation[0, 0] = 0.0
 
 
 def test_sample_counts_chi_squared_against_born_probabilities():
