@@ -17,14 +17,15 @@ grid, ties going to the lowest theta, then the lowest phi, refined by
 see-saw steps (see "Refinement").  That grid point is found by branch and
 bound, bit for bit the first minimum over an evaluation of every point,
 with an exact eigensolve only where a perturbation bound cannot rule a
-point out (see "Grid search").  A sign-only search looks at the 8x8
-subgrid and one step, and stops at a point that certifies a negative
-minimum or at a certificate of a nonnegative one (see ``sle_quantify``);
-otherwise it goes on from that subgrid to the rest of the grid.  The
-objective, ``_SLEObjective``, is set up once per search, so each exact
-evaluation, of grid points or of one stepped point, is a row of one small
-matrix product and a batched 4x4 eigensolve (``_lowest_eigenvalues``);
-``sle_quantifier_at`` evaluates it at one point.
+point out (see "Grid search").  A sign-only search settles the sign by a
+branch and bound over bands of the Bloch sphere instead, and stops at a
+point that certifies a negative minimum or at bands that certify a
+nonnegative one (see "Certified signs"); otherwise it takes the default
+search.  The objective, ``_SLEObjective``, is set up once per search, so
+each exact evaluation, of grid points or of one stepped point, is a row of
+one small matrix product and a batched 4x4 eigensolve
+(``_lowest_eigenvalues``); ``sle_quantifier_at`` evaluates it at one
+point.
 
 Grid search
 -----------
@@ -62,15 +63,13 @@ subgrid; 2 eps >= ||E||_F, so the slack is at least
 and of LAPACK's eigenvalues, a few ulps of those norms, so the value an
 exhaustive evaluation computes at a skipped point lies above that best
 value too: the point can neither be the grid's minimum nor tie with it.
-Every other point of nonzero weight is solved.  Each solved point is a row
-of one product over the whole grid, divided by its weight as in
-``_SLEObjective.values``, and LAPACK solves each 4x4 matrix on its own, so
-its value is the exhaustive evaluation's, bit for bit.  (The subgrid is
-solved first from a product over its 64 rows alone, which is all a
-sign-only search needs; a subgrid row that the whole grid's product rounds
-differently would be solved again, and none has been.)  ``np.argmin`` over
-the grid, with ``inf`` at skipped points, therefore returns the exhaustive
-first minimum.  Points of vanishing weight stay ``inf`` and take no solve.
+Every other point of nonzero weight is solved.  Each solved point, the
+subgrid's included, is a row of one product over the whole grid, divided
+by its weight as in ``_SLEObjective.values``, and LAPACK solves each 4x4
+matrix on its own, so its value is the exhaustive evaluation's, bit for
+bit.  ``np.argmin`` over the grid, with ``inf`` at skipped points,
+therefore returns the exhaustive first minimum.  Points of vanishing
+weight stay ``inf`` and take no solve.
 A subgrid point of vanishing weight stays unnormalized: as a parent, A is
 its unnormalized pair and E is taken against that same matrix, so its
 children's bounds hold as well.
@@ -113,83 +112,69 @@ optima, as for noisy GHZ states with p > 0, whose value does not depend on
 phi, the step leaves the grid's phi in place and lands on theta = pi/4.
 When R is singular the step is skipped: the measured qubit is then pure,
 the state a product with it, and the objective constant wherever the
-weight is nonzero.  A sign-only search takes at most one step from its
-subgrid's best point.  At the 39 SLE and SLE-after-distill bisection points the
-subgrid settles 12 of the 21 negative margins and the step the other 9,
-each within 1e-16 of the default search's optimum.
+weight is nonzero.
 
-Certified nonnegative signs
----------------------------
-Call the measured qubit m and the kept pair (a, b), and let X = rho^{T_b}.
-Projecting m onto |psi> and transposing b leaves an unnormalized pair whose
-lowest eigenvalue is the minimum of <psi phi|X|psi phi> over unit |phi>.
-If X - t I = P + Q^{T_m} with P, Q >= 0, that minimum is at least t, since
-<psi phi|Q^{T_m}|psi phi> = <psi* phi|Q|psi* phi> >= 0.  With t > 0 every
-normalized value is then at least t / weight > 0 (the weight is at most
-tr rho), so every localized pair is PPT and, for two qubits, separable
-(Horodecki, Horodecki & Horodecki, PLA 223, 1 (1996)).  In 2x4 such a
-decomposition need not exist for a block-positive X (Woronowicz, Rep. Math.
-Phys. 10, 165 (1976)), so a missing one proves nothing.
+Certified signs
+---------------
+With the measured qubit's projector written as (I + n.sigma) / 2, the
+unnormalized, transposed pair M(n) is affine in n: its coefficients over
+``_SLEObjective``'s four blocks are ((1 + z) / 2, x / 2, y / 2, (1 - z) / 2).
+So f(n) = lambda_min M(n) is concave, and on the unit sphere it has the
+objective's sign.  If every nonzero entry of rho joins basis states of
+equal total charge, with charge 1 on the measured qubit and -1, 0 or 1 on
+each kept one (``_ring_charges``; noisy GHZ, distilled GHZ and noisy W
+states have such charges), a phase on the measured qubit is undone by
+diagonal phases on the kept ones, which leave lambda_min after partial
+transposition unchanged.  f then depends only on z and the radius
+sqrt(x^2 + y^2), and its minimum over the sphere is its minimum over the
+half circle x = sqrt(1 - z^2), y = 0.
 
-The best t is the optimum of min tr(X W) over unit-trace W with W >= 0 and
-W^{T_m} >= 0, whose dual is this decomposition.  ``sle_certificate``
-solves it with the Douglas-Rachford loop of ``sdp.py`` (see
-"Douglas-Rachford iteration" there) over (W, A, B): the affine set
-W = A = B^{T_m}, tr W = 1 has the closed-form projection
-``_project_sle_affine``, W = mean(W_0, A_0, B_0^{T_m}) + ((1 - tr) / 8) I,
-and the cones are A, B >= 0.  Every ``SLE_CERT_CHECK_EVERY`` = 5 iterations
-both sides of the iterate are repaired, as in ``sdp.py``:
+The search splits z into bands, eight to start.  The arc of a band from z1
+to z2, with chord ends p1 and p2, lies in the hull of p1, p2, p1 / h and
+p2 / h, where h is the length of the chord's midpoint: the last two span
+the tangent at the arc's middle.  h is shrunk by a relative 1e-12, so that
+rounding cannot move the arc outside the hull.  A concave function takes
+its minimum over a polygon at a vertex (Horst & Tuy, "Global
+Optimization: Deterministic Approaches", 1996), so the smallest of the
+four values bounds f on the band.  Each round evaluates the hull points of
+every open band in one batched eigensolve and halves the bands still open.
+A chord end, which lies on the sphere, whose normalized value lies below
+-``SLE_SIGN_SLACK`` settles a negative sign.  Once every band's bound lies
+above the slack, every projection leaves a PPT, hence separable, pair
+(Horodecki, Horodecki & Horodecki, PLA 223, 1 (1996)), and the bands'
+breakpoints and the charges are the certificate; ``verify_sle_certificate``
+re-checks it with its own contraction and the Jacobi solver.  Rounding
+moves a hull point by a few ulps and its value by a few ulps of ||rho||,
+which the slack dwarfs.
 
-- *certificate*: the cone gap over the step holds the multipliers, P-hat
-  from A and Q-hat from B, both PSD; t is the lowest eigenvalue of
-  X - P-hat - Q-hat^{T_m}, and the PSD remainder minus t I moves into P, so
-  X - t I = P + Q^{T_m} exactly.  The solve returns it at the first
-  t > ``SLE_SIGN_SLACK``;
-- *refutation*: the affine iterate W, shifted by the smallest delta I that
-  makes W and W^{T_m} PSD and rescaled to unit trace, is feasible, and
-  its value bounds every t from above.  Once it is at most the slack no
-  certificate can clear it, and the solve returns None.
-
-After ``SLE_CERT_MAX_ITERATIONS`` it returns None as well.  The step, the
-relaxation and the cap were measured at the 39 SLE and SLE-after-distill
-bisection points.  27 of them have no negative point on the 8x8 subgrid:
-18 with a nonnegative optimum, 9 with a negative one.  Over steps
-{0.5, 1, 2, 4, 8} and relaxations {1.0, 1.2, 1.5}, (2, 1.0) took the
-fewest iterations on both: 625 in all, at most 100, to certify the 18,
-against 745-1280 for the other settings; and 645, at most 105, to refute
-the 9 (660-1125).  The cap of 200 is twice the longest certifying solve.
-Every certificate found there passes ``verify_sle_certificate``.  Since
-the see-saw step settles those 9 first (see "Refinement"), a sign-only
-search solves for a certificate only at the 18.  Those counts are from
-cold starts of plain Douglas-Rachford.  With the Anderson acceleration of
-the loop the 18 take 250 iterations from cold starts, at most 20; along a
-bisection each solve starts from the previous certificate's final
-splitting variable (``start``), and they take 140, at most 10.
+Near a zero optimum the open bands double each round, so the search stops
+before it would evaluate more than ``SLE_BAND_EVALUATIONS`` = 512 hull
+points, and leaves the sign to the default search.  At the 39 SLE and
+SLE-after-distill bisection points every search settles: 21 negative signs
+in the first round of 32 points, and 18 nonnegative ones in at most 128
+points each; the 39 searches evaluate 1824 points in all.  Noisy GHZ,
+distilled GHZ and noisy W states settle within 256-280 points down to
+1e-11 below their thresholds and within 32 above them; from 1e-12 the
+optimum lies within the slack of zero and no search settles.  The cap is
+about twice the 280.  An undecided search stops at 464-512 points, in
+2-8 ms on a 2-vCPU VM, where a cap of 16384 takes 17-47 ms.
 """
 
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field, replace
+import itertools
+from dataclasses import dataclass, replace
 from typing import Mapping
 
 import numpy as np
 
-from .sdp import (
-    _hermitian_part,
-    _partial_transpose_index,
-    _start,
-    _transpose_stack,
-    douglas_rachford,
-)
 from .states import (
     PAULI_X,
     PAULI_Y,
     DEGENERATE_WEIGHT,
     DegenerateProjectionError,
     DensityMatrix,
-    _entries,
-    _finite_array,
     _partial_transpose_array,
     _resolve_qubits,
     _state_entries,
@@ -205,17 +190,19 @@ X_SHAPE_LEAKAGE_TOL = 1e-8
 
 SLE_GRID_SIZE = 64
 SLE_REFINE_STEPS = 500
-# A sign-only SLE search settles only for signed values below -SLE_SIGN_SLACK,
-# so optima within rounding of zero take the default search; its first stage
-# is the stride-SLE_COARSE_STRIDE subgrid of the search grid.
-SLE_SIGN_SLACK = 1e-12
+# The grid search bounds each point through the nearest point of the
+# stride-SLE_COARSE_STRIDE subgrid (see "Grid search").
 SLE_COARSE_STRIDE = 8
-# Douglas-Rachford settings of ``sle_certificate``, chosen by measurement
-# (see "Certified nonnegative signs" in the module docstring).
-SLE_CERT_STEP = 2.0
-SLE_CERT_RELAXATION = 1.0
-SLE_CERT_MAX_ITERATIONS = 200
-SLE_CERT_CHECK_EVERY = 5
+# A sign-only SLE search settles a sign only on a value below -SLE_SIGN_SLACK
+# or on band bounds above SLE_SIGN_SLACK, so optima within rounding of zero
+# take the default search; it evaluates at most SLE_BAND_EVALUATIONS hull
+# points (see "Certified signs" in the module docstring).
+SLE_SIGN_SLACK = 1e-12
+SLE_BAND_EVALUATIONS = 512
+# The first breakpoints in z of a sign-only search's bands.
+_FIRST_BREAKPOINTS = np.linspace(-1.0, 1.0, 9)
+# Bit of each qubit (columns, qubit 0 first) in each basis index (rows).
+_QUBIT_BITS = (np.arange(8)[:, None] >> np.arange(2, -1, -1)) & 1
 # (row, column) of the entries below the diagonal of a 4x4 pair.
 _BELOW_DIAGONAL = np.tril_indices(4, -1)
 
@@ -298,9 +285,12 @@ def gme_concurrence_x(rho) -> float:
 # ---------------------------------------------------------------------------
 # bipartite quantifiers
 
-def _transpose_side(rho, bipartition) -> np.ndarray:
-    """``rho`` transposed on the qubits ``bipartition`` names; None means
-    qubit 1 of a two-qubit state."""
+def negativity(rho, bipartition=None) -> float:
+    """log2 of the trace norm of the partial transpose; zero for PPT states.
+
+    ``bipartition`` names the transposed qubits; None means qubit 1 of a
+    two-qubit state.
+    """
     m, n = _state_entries(rho)
     if bipartition is None:
         if n != 2:
@@ -308,24 +298,8 @@ def _transpose_side(rho, bipartition) -> np.ndarray:
         side = (1,)
     else:
         side = _resolve_qubits(bipartition, n)
-    return _partial_transpose_array(m, n, side)
-
-
-def negativity(rho, bipartition=None) -> float:
-    """log2 of the trace norm of the partial transpose; zero for PPT states."""
-    pt = _transpose_side(rho, bipartition)
-    eigs = np.linalg.eigvalsh(pt)
+    eigs = np.linalg.eigvalsh(_partial_transpose_array(m, n, side))
     return float(np.log2(np.abs(eigs).sum()))
-
-
-def min_eig_after_pt(rho, bipartition=None) -> float:
-    """Lowest eigenvalue after partial transposition.
-
-    Negative certifies entanglement across the bipartition; for two qubits a
-    nonnegative value certifies separability.
-    """
-    pt = _transpose_side(rho, bipartition)
-    return float(np.linalg.eigvalsh(pt)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -354,33 +328,6 @@ def mk_observable(k: int) -> np.ndarray:
     """cos(k pi/3) X + sin(k pi/3) Y, the three equatorial settings."""
     angle = k * np.pi / 3.0
     return np.cos(angle) * PAULI_X + np.sin(angle) * PAULI_Y
-
-
-def _product_expectation(m: np.ndarray, single_qubit_ops) -> float:
-    op = np.array([[1.0]], dtype=np.complex128)
-    for o in single_qubit_ops:
-        op = np.kron(op, o)
-    return float(np.real(np.trace(m @ op)))
-
-
-def exact_ghz_settings(rho) -> dict[str, float]:
-    """Exact expectation values of the GHZ fidelity decomposition settings."""
-    m, _ = _entries(rho, 3)
-    settings = {"population": float(np.real(m[0, 0] + m[7, 7]))}
-    for k in range(3):
-        mk = mk_observable(k)
-        settings[f"m{k}"] = _product_expectation(m, (mk, mk, mk))
-    return settings
-
-
-def exact_epr_settings(rho) -> dict[str, float]:
-    """Exact expectation values of the EPR fidelity decomposition settings."""
-    m, _ = _entries(rho, 2)
-    return {
-        "population": float(np.real(m[0, 0] + m[3, 3])),
-        "xx": _product_expectation(m, (PAULI_X, PAULI_X)),
-        "yy": _product_expectation(m, (PAULI_Y, PAULI_Y)),
-    }
 
 
 _FIDELITY_SETTINGS = {
@@ -413,22 +360,20 @@ def fidelity_from_settings(expectations: Mapping[str, float], target: str) -> fl
 
 @dataclass(frozen=True)
 class SLECertificate:
-    """A decomposition rho^{T_b} - t I = P + Q^{T_m} with P, Q >= 0.
+    """Bands in z that prove every projection of the measured qubit leaves a
+    PPT, hence separable, pair.
 
-    ``pair`` is the kept pair (a, b), b the qubit transposed in rho^{T_b}
-    and m the measured qubit; t is ``lower_bound``.  With t > 0 every
-    projection of m leaves a PPT, hence separable, pair (see "Certified
-    nonnegative signs" in the module docstring); ``verify_sle_certificate``
-    re-checks it.  ``final_z`` is the splitting variable the solve reached,
-    a start for the solve of a nearby state; it is no part of the
-    certificate.
+    ``pair`` is the kept pair (a, b) and ``charges`` the charge of each
+    qubit, 1 on the measured one, that every nonzero entry of rho conserves;
+    ``breakpoints`` run from -1 to 1 and split the projectors' z into bands
+    on each of which the hull bound lies above ``SLE_SIGN_SLACK`` (see
+    "Certified signs" in the module docstring).  ``verify_sle_certificate``
+    re-checks it.
     """
 
     pair: tuple[int, int]
-    lower_bound: float
-    p: np.ndarray
-    q: np.ndarray
-    final_z: np.ndarray | None = field(default=None, repr=False)
+    charges: tuple[int, int, int]
+    breakpoints: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -436,7 +381,7 @@ class SLEResult:
     """Optimum of a bipartite quantifier over single-qubit projections.
 
     ``certificate`` is set only by a sign-only search that settled a
-    nonnegative sign with a decomposability certificate.
+    nonnegative sign on bands.
     """
 
     value: float
@@ -500,6 +445,7 @@ class _SLEObjective:
     def __init__(self, rho, pair):
         m, _ = _state_entries(rho, 3)  # _report needs rho >= 0
         kept, measured = _resolve_pair(pair)
+        self.entries, self.kept, self.measured = m, kept, measured
         # Axes of the reshaped rho: qubit rows 0..2, then qubit columns 3..5.
         t00, t01, t10, t11 = m.reshape((2,) * 6).transpose(
             measured, 3 + measured, kept[0], kept[1], 3 + kept[0], 3 + kept[1]
@@ -594,101 +540,122 @@ def sle_quantifier_at(rho, pair, theta: float, phi: float, quantifier: str) -> f
     return _report(value, quantifier)
 
 
-def _project_sle_affine(x: np.ndarray, pt_index: np.ndarray,
-                        eye: np.ndarray) -> np.ndarray:
-    """Orthogonal projection of a stack (W, A, B) onto W = A = B^{T_m},
-    tr W = 1, with ``pt_index`` the gather index of the transpose over m."""
-    w = (x[0] + x[1] + _transpose_stack(x[2], pt_index)) / 3.0
-    w += ((1.0 - w.trace().real) / 8.0) * eye
-    return np.stack([w, w, _transpose_stack(w, pt_index)])
+def _respects(m: np.ndarray, charges) -> bool:
+    """Whether every nonzero entry of the 8x8 ``m`` joins basis states of
+    equal total charge, with ``charges`` the charge of each qubit."""
+    total = _QUBIT_BITS @ np.asarray(charges)
+    return not np.any((m != 0) & (total[:, None] != total[None, :]))
 
 
-def sle_certificate(rho, pair=None, *,
-                    start: np.ndarray | None = None) -> SLECertificate | None:
-    """Certify that no projection of the measured qubit leaves an NPT pair.
-
-    Solves min tr(X W) over unit-trace W with W >= 0 and W^{T_m} >= 0, with
-    X = rho^{T_b}, by Douglas-Rachford splitting, and every
-    ``SLE_CERT_CHECK_EVERY`` iterations repairs the cone multipliers into a
-    decomposition X - t I = P + Q^{T_m} (see "Certified nonnegative signs"
-    in the module docstring).  Returns it at the first t above
-    ``SLE_SIGN_SLACK``.  Returns None once a feasible W puts the optimum,
-    and so every such t, at or below the slack, or after
-    ``SLE_CERT_MAX_ITERATIONS`` iterations: no certificate does not mean
-    that some projection leaves an NPT pair.
-
-    ``rho`` is a three-qubit state (an array must be Hermitian and positive
-    semidefinite, with any trace); ``pair`` names the kept qubits as in
-    ``sle_quantify``.  The iteration starts from ``start``, the ``final_z``
-    of an earlier certificate, when it is a finite (3, 8, 8) array of the
-    program's dtype, and otherwise from I/8 in each block.
-    """
-    m, _ = _state_entries(rho, 3)
-    kept, measured = _resolve_pair(pair)
-    x = _partial_transpose_array(m, 3, (kept[1],))
-    if not x.imag.any():  # a real state iterates in real arithmetic
-        x = x.real.copy()
-    pt_index = _partial_transpose_index(3, ((measured,),))
-    eye = np.eye(8, dtype=x.dtype)
-    zero = np.zeros_like(x)
-    # Over (W, A, B), cold from I/8 in each block; only W carries a cost.
-    iterates = douglas_rachford(
-        np.stack([x, zero, zero]), _start(start, np.stack([eye / 8.0] * 3)),
-        lambda v: _project_sle_affine(v, pt_index, eye),
-        SLE_CERT_STEP, SLE_CERT_RELAXATION, SLE_CERT_MAX_ITERATIONS)
-    for iteration, (xf, y, xg, z) in enumerate(iterates, 1):
-        if iteration % SLE_CERT_CHECK_EVERY:
-            continue
-        # The cone multipliers: P-hat from A, Q-hat from B.
-        p_hat, q_hat = _hermitian_part((xg[1:] - y[1:]) / SLE_CERT_STEP)
-        remainder = _hermitian_part(
-            x - p_hat - _transpose_stack(q_hat, pt_index))
-        w = _hermitian_part(xf[0])
-        lowest = np.linalg.eigvalsh(
-            np.stack([remainder, w, _transpose_stack(w, pt_index)]))[:, 0]
-        t = float(lowest[0])
-        if t > SLE_SIGN_SLACK:
-            return SLECertificate(pair=kept, lower_bound=t,
-                                  p=p_hat + remainder - t * eye, q=q_hat,
-                                  final_z=z)
-        # (W + delta I) / (1 + 8 delta) is feasible and bounds every t above.
-        delta = max(0.0, -float(lowest[1:].min()))
-        upper = (float(np.vdot(x, w).real) + delta * float(x.trace().real)) / (
-            1.0 + 8.0 * delta)
-        if upper <= SLE_SIGN_SLACK:
-            return None
+def _ring_charges(objective: _SLEObjective) -> tuple[int, int, int] | None:
+    """Charges of the qubits, 1 on the measured one and -1, 0 or 1 on each
+    kept one, that the state's nonzero entries conserve; None if none do."""
+    for kept_charges in itertools.product((-1, 0, 1), repeat=2):
+        charges = [1, 1, 1]
+        charges[objective.kept[0]], charges[objective.kept[1]] = kept_charges
+        if _respects(objective.entries, charges):
+            return tuple(charges)
     return None
+
+
+def _hull_points(z1: np.ndarray, z2: np.ndarray) -> np.ndarray:
+    """The four hull points (x, z) of each band [z1, z2] of the half circle
+    x = sqrt(1 - z^2): the chord ends p1, p2, then p1 / h and p2 / h, with h
+    the length of the chord's midpoint less a relative 1e-12; shape
+    (bands, 4, 2)."""
+    ends = np.stack([np.stack([np.sqrt(1.0 - z * z), z], axis=-1)
+                     for z in (z1, z2)], axis=1)
+    h = np.linalg.norm(ends.mean(axis=1), axis=-1) * (1.0 - 1e-12)
+    return np.concatenate([ends, ends / h[:, None, None]], axis=1)
+
+
+def _hull_lowest(pairs: np.ndarray) -> np.ndarray:
+    """Lowest eigenvalues of a stack of unnormalized transposed pairs, the
+    band search's one evaluation."""
+    return np.linalg.eigvalsh(pairs)[:, 0]
+
+
+def _band_search(
+        objective: _SLEObjective) -> tuple[float, np.ndarray | None] | None:
+    """The sign of the SLE objective of a state with ring charges, by branch
+    and bound over bands in z (see "Certified signs" in the module
+    docstring).
+
+    Returns (z, None) at an evaluated point of the circle whose value lies
+    below -``SLE_SIGN_SLACK``, and (z, breakpoints) once every band's bound
+    lies above the slack, z the evaluated point of the lowest value and
+    breakpoints the bands' ends.  Returns None when another round would
+    take it past ``SLE_BAND_EVALUATIONS`` hull points, or a band can no
+    longer be halved.
+    """
+    z1, z2 = _FIRST_BREAKPOINTS[:-1], _FIRST_BREAKPOINTS[1:]
+    closed = []
+    best_z, best = 0.0, np.inf
+    evaluations = 0
+    while z1.size:
+        evaluations += 4 * z1.size
+        if evaluations > SLE_BAND_EVALUATIONS:
+            return None
+        x, z = np.moveaxis(_hull_points(z1, z2), -1, 0)
+        # The projector (I + n.sigma) / 2 over the objective's four blocks.
+        coefficients = 0.5 * np.stack([1.0 + z, x, np.zeros_like(x), 1.0 - z],
+                                      axis=-1)
+        lowest = _hull_lowest(objective._combine(
+            coefficients.reshape(-1, 4), objective.blocks_pt)).reshape(-1, 4)
+        # Normalized values at the chord ends, which lie on the circle.
+        weights = coefficients[:, :2] @ objective.traces
+        valid = weights > DEGENERATE_WEIGHT
+        values = np.where(valid, lowest[:, :2] / np.where(valid, weights, 1.0),
+                          np.inf)
+        band, end = np.unravel_index(np.argmin(values), values.shape)
+        if values[band, end] < best:
+            best_z, best = (z1, z2)[end][band], values[band, end]
+        if best < -SLE_SIGN_SLACK:
+            return best_z, None
+        still_open = lowest.min(axis=1) <= SLE_SIGN_SLACK
+        closed.append(z1[~still_open])
+        z1, z2 = z1[still_open], z2[still_open]
+        mid = 0.5 * (z1 + z2)
+        if not np.all((z1 < mid) & (mid < z2)):
+            return None
+        z1, z2 = np.concatenate([z1, mid]), np.concatenate([mid, z2])
+    return best_z, np.append(np.sort(np.concatenate(closed)), 1.0)
 
 
 def verify_sle_certificate(certificate: SLECertificate, rho) -> bool:
     """Re-check an SLE certificate against ``rho`` without trusting the solver.
 
-    With X = rho^{T_b} rebuilt from ``rho`` and the residual
-    R = X - t I - P - Q^{T_m}, every projected, transposed pair has lowest
-    eigenvalue at least t + min(0, lambda_min P) + min(0, lambda_min Q) -
-    ||R||_2 (times 1 / weight), on the Hermitian parts of P and Q.  The
-    certificate is accepted when that bound lies above ``SLE_SIGN_SLACK``
-    and no more than 1e-9 below the certificate's own ``lower_bound``, so
-    that a t the decomposition does not back is rejected.  Eigenvalues come
-    from the package's Jacobi solver, independent of the LAPACK calls of the
-    solve; a non-finite entry fails the check.
+    The breakpoints must be finite and strictly increasing, from exactly -1
+    to exactly 1, and rho's nonzero entries must conserve the charges, with
+    charge 1 on the measured qubit.  Every band's four hull points are then
+    contracted with rho^{T_b} here, not through the search's objective, and
+    the lowest eigenvalue of each pair must lie above ``SLE_SIGN_SLACK``
+    (see "Certified signs" in the module docstring).  Eigenvalues come from
+    the package's Jacobi solver, independent of the LAPACK calls of the
+    search; a malformed or non-finite entry fails the check.
     """
     from .linalg import jacobi_eigvalsh
 
     m, _ = _state_entries(rho, 3)
-    kept, measured = _resolve_pair(certificate.pair)
-    p = _finite_array(certificate.p, (8, 8))
-    q = _finite_array(certificate.q, (8, 8))
-    t = float(certificate.lower_bound)
-    if p is None or q is None or not np.isfinite(t):
+    try:
+        kept, measured = _resolve_pair(certificate.pair)
+        z = np.asarray(certificate.breakpoints, dtype=np.float64)
+        charges = np.asarray(certificate.charges, dtype=np.float64)
+    except (TypeError, ValueError):  # no pair, ragged or non-numeric
         return False
-    residual = (_partial_transpose_array(m, 3, (kept[1],)) - t * np.eye(8)
-                - p - _partial_transpose_array(q, 3, (measured,)))
-    eigs = jacobi_eigvalsh(np.stack([
-        _hermitian_part(p), _hermitian_part(q), residual.conj().T @ residual]))
-    bound = (t + min(0.0, eigs[0, 0]) + min(0.0, eigs[1, 0])
-             - float(np.sqrt(max(0.0, eigs[2, -1]))))
-    return bool(bound > SLE_SIGN_SLACK and bound >= t - 1e-9)
+    if (z.ndim != 1 or z.size < 2 or not np.isfinite(z).all()
+            or z[0] != -1.0 or z[-1] != 1.0 or not np.all(z[1:] > z[:-1])):
+        return False
+    if (charges.shape != (3,) or charges[measured] != 1.0
+            or not _respects(m, charges)):
+        return False
+    # x[i, a, b, j, c, d] = <i a b| rho^{T_b} |j c d>, i and j over qubit m.
+    x = _partial_transpose_array(m, 3, (kept[1],)).reshape((2,) * 6).transpose(
+        measured, *kept, 3 + measured, 3 + kept[0], 3 + kept[1])
+    px, pz = np.moveaxis(_hull_points(z[:-1], z[1:]).reshape(-1, 2), -1, 0)
+    projectors = 0.5 * np.array([[1.0 + pz, px], [px, 1.0 - pz]])
+    pairs = np.einsum("jin,iabjcd->nabcd", projectors, x).reshape(-1, 4, 4)
+    return bool(jacobi_eigvalsh(pairs)[:, 0].min() > SLE_SIGN_SLACK)
 
 
 @dataclass(frozen=True)
@@ -765,56 +732,38 @@ def _lower_bound(lam: np.ndarray, mean: np.ndarray, spread: np.ndarray,
 class _GridSearch:
     """The best point of one objective on the SLE grid, by branch and bound.
 
-    Built, it has solved the subgrid exactly (``coarse_best``), as a
-    product over the subgrid alone; ``best`` bounds every other point from
-    below through its nearest subgrid point and solves only the points
+    Built, it holds the whole grid's weights and unnormalized transposed
+    pairs, each from one product over the grid's coefficients, and has
+    solved the subgrid's rows of them; ``best`` bounds every other point
+    from below through its nearest subgrid point and solves only the points
     whose bound does not rule them out (see "Grid search" in the module
-    docstring).  Every value ``best`` compares is a row of one product over
-    the whole grid, solved by ``_lowest_eigenvalues``, so it is bit for bit
-    the one an exhaustive evaluation gives.
+    docstring).  Every value is a row of that product, solved by
+    ``_lowest_eigenvalues``, so it is bit for bit the one an exhaustive
+    evaluation gives.
     """
 
     def __init__(self, objective: _SLEObjective):
         grid = _sle_grid()
         self.objective = objective
+        self.weights = grid.coefficients @ objective.traces
+        self.pairs = objective._combine(grid.coefficients, objective.blocks_pt)
         self.values = np.full(grid.thetas.size, np.inf)
-        # The subgrid's weights and unnormalized transposed pairs, each by
-        # one product over its coefficients, as in ``_SLEObjective.values``.
-        coefficients = grid.coefficients[grid.coarse]
-        self.coarse_weights = coefficients @ objective.traces
-        self.coarse_pairs = objective._combine(coefficients,
-                                               objective.blocks_pt)
-        self.values[grid.coarse] = _lowest_eigenvalues(self.coarse_pairs,
-                                                       self.coarse_weights)
-
-    def _point(self, index: int) -> tuple[float, float, float]:
-        grid = _sle_grid()
-        return grid.thetas[index], grid.phis[index], self.values[index]
-
-    def coarse_best(self) -> tuple[float, float, float]:
-        """The best subgrid point, (theta, phi, value)."""
-        coarse = _sle_grid().coarse
-        return self._point(coarse[int(np.argmin(self.values[coarse]))])
+        self.values[grid.coarse] = _lowest_eigenvalues(
+            self.pairs[grid.coarse], self.weights[grid.coarse])
 
     def best(self) -> tuple[float, float, float]:
         """The best grid point, (theta, phi, value): ``np.argmin`` over the
         exhaustive grid's values, with ``inf`` at every unsolved point."""
         grid = _sle_grid()
-        weights = grid.coefficients @ self.objective.traces
-        skipped = self._lower_bounds(weights) > self.values[grid.coarse].min()
-        pairs = self.objective._combine(grid.coefficients,
-                                        self.objective.blocks_pt)
-        unsolved = (weights > DEGENERATE_WEIGHT) & ~skipped
-        # A subgrid point is solved again only if the whole grid's product
-        # rounds it differently from the subgrid's own; BLAS computes each
-        # row alike, so this takes no solve in practice.
-        unsolved[grid.coarse] = (
-            np.any(pairs[grid.coarse] != self.coarse_pairs, axis=(1, 2))
-            | (weights[grid.coarse] != self.coarse_weights))
+        skipped = (self._lower_bounds(self.weights)
+                   > self.values[grid.coarse].min())
+        unsolved = (self.weights > DEGENERATE_WEIGHT) & ~skipped
+        unsolved[grid.coarse] = False
         points = np.flatnonzero(unsolved)
-        self.values[points] = _lowest_eigenvalues(pairs[points],
-                                                  weights[points])
-        return self._point(int(np.argmin(self.values)))
+        self.values[points] = _lowest_eigenvalues(self.pairs[points],
+                                                  self.weights[points])
+        best = int(np.argmin(self.values))
+        return grid.thetas[best], grid.phis[best], self.values[best]
 
     def _lower_bounds(self, weights: np.ndarray) -> np.ndarray:
         """A lower bound on the value at every grid point, less its slack,
@@ -836,9 +785,10 @@ class _GridSearch:
         hermitian[(slice(None),) + _BELOW_DIAGONAL] = below
         hermitian[(slice(None),) + _BELOW_DIAGONAL[::-1]] = below.conj()
         # A parent of vanishing weight stays unnormalized, in A and in d.
-        safe = np.where(self.coarse_weights > DEGENERATE_WEIGHT,
-                        self.coarse_weights, 1.0)
-        lam, vec = np.linalg.eigh(self.coarse_pairs / safe[:, None, None])
+        parents = weights[grid.coarse]
+        safe = np.where(parents > DEGENERATE_WEIGHT, parents, 1.0)
+        lam, vec = np.linalg.eigh(
+            self.pairs[grid.coarse] / safe[:, None, None])
         # <v_k| H_j |v_0> over each parent's eigenvectors v_k, as 8 reals.
         along = (np.einsum("jab,pb->pja", hermitian, vec[:, :, 0])
                  @ vec.conj()).view(np.float64)
@@ -848,9 +798,6 @@ class _GridSearch:
             weights > DEGENERATE_WEIGHT, weights, 1.0)[..., None]
             - (grid.coefficients[grid.coarse] / safe[:, None]).reshape(
                 sub, sub, 1, 4)[grid.parent_row])
-        # a = v^H E v (and its zero imaginary part), then E v across v.
-        found = delta @ along.reshape(sub, sub, 4, 8)[grid.parent_row]
-        across = found[..., 2:]
         flat = delta.reshape(-1, 4)
         mean = flat @ (diagonal.sum(axis=1) / 4.0)
         # Orthonormal coordinates of E - m I: its diagonal and, times
@@ -859,6 +806,13 @@ class _GridSearch:
             diagonal - diagonal.mean(axis=1, keepdims=True),
             np.sqrt(2.0) * below.real, np.sqrt(2.0) * below.imag], axis=1)
         spread = np.sqrt(np.einsum("ij,ij->i", centred, centred) / 4.0)
+        # The largest temporary goes before the next ones come: with the
+        # grid's pairs alive, a higher peak makes the allocator return the
+        # heap and fault it back in on every search.
+        del centred
+        # a = v^H E v (and its zero imaginary part), then E v across v.
+        found = delta @ along.reshape(sub, sub, 4, 8)[grid.parent_row]
+        across = found[..., 2:]
         bounds = np.empty(grid.thetas.size)
         bounds[grid.groups] = _lower_bound(
             lam.reshape(sub, sub, 1, 4)[grid.parent_row],
@@ -867,12 +821,13 @@ class _GridSearch:
         return bounds
 
 
-def _descend(objective: _SLEObjective, theta: float, phi: float, value: float,
-             max_steps: int) -> tuple[float, float, float]:
-    """Up to ``max_steps`` see-saw steps from (theta, phi), each kept only if
-    it strictly lowers the value; returns the last point kept and its value.
+def _descend(objective: _SLEObjective, theta: float, phi: float,
+             value: float) -> tuple[float, float, float]:
+    """Up to ``SLE_REFINE_STEPS`` see-saw steps from (theta, phi), each kept
+    only if it strictly lowers the value; returns the last point kept and
+    its value.
     """
-    for _ in range(max_steps):
+    for _ in range(SLE_REFINE_STEPS):
         step = objective.seesaw_step(theta, phi)
         if step is None:
             break
@@ -884,8 +839,7 @@ def _descend(objective: _SLEObjective, theta: float, phi: float, value: float,
 
 
 def sle_quantify(rho, pair=None, quantifier: str = QUANTIFIER_NEGATIVITY, *,
-                 sign_only: bool = False,
-                 start: np.ndarray | None = None) -> SLEResult:
+                 sign_only: bool = False) -> SLEResult:
     """Extremize a bipartite quantifier over single-qubit projections.
 
     One search serves both quantifiers (see the module docstring): it
@@ -909,25 +863,22 @@ def sle_quantify(rho, pair=None, quantifier: str = QUANTIFIER_NEGATIVITY, *,
     point finds, after solving 430 of the 4096 points on average (see the
     module docstring for the measurement).
 
-    With ``sign_only=True`` the search first takes the best point of the
-    stride-8 subgrid of the same grid and, unless its minimum eigenvalue
-    already lies below -``SLE_SIGN_SLACK``, one see-saw step from it, kept
-    if it lowers the value.  If the point reached lies below
-    -``SLE_SIGN_SLACK``, the search returns its value, (theta, phi) and
-    localized state, which
-    certify the sign but need not be the optimum: the projection leaves an
-    NPT, hence entangled, pair, so the optimum lies below zero too.  The
-    slack (1e-12) leaves optima within rounding of zero, whose sign is
-    rounding noise, to the default search, and dwarfs the last-bit change a
-    point's value can take when it is evaluated in a different batch.
-
-    Otherwise ``sle_certificate`` runs.  If it finds a decomposition with
-    t > ``SLE_SIGN_SLACK``, every value the default search can reach is at
-    least t / weight > 0 (see "Certified nonnegative signs" in the module
-    docstring), so the search returns that point, whose value is an
-    evaluated minimum and so positive too, with ``certificate`` set.
-    Without a certificate the search goes on from its subgrid to the rest
-    of the grid, and the result is exactly the default search's.  The
+    With ``sign_only=True``, a state whose nonzero entries conserve ring
+    charges (see "Certified signs" in the module docstring) first takes a
+    branch and bound over bands in z = cos(2 theta), at phi = 0.  If it
+    evaluates a projection whose minimum eigenvalue lies below
+    -``SLE_SIGN_SLACK``, the search returns that point's value,
+    (theta, phi) and localized state, which certify the sign but need not
+    be the optimum: the projection leaves an NPT, hence entangled, pair, so
+    the optimum lies below zero too.  If every band's bound lies above the
+    slack, no projection leaves an NPT pair, and the search returns its
+    evaluated point of the lowest value, positive too, with the bands as
+    ``certificate``.  The slack (1e-12) leaves optima within rounding of
+    zero, whose sign is rounding noise, to the default search, and dwarfs
+    the last-bit change a point's value can take when it is evaluated in a
+    different batch.  A state without ring charges, and a search that
+    settles neither sign within ``SLE_BAND_EVALUATIONS`` hull points, take
+    the default search, whose result is then returned exactly.  The
     default search takes no certificate.
 
     Parameters
@@ -942,11 +893,8 @@ def sle_quantify(rho, pair=None, quantifier: str = QUANTIFIER_NEGATIVITY, *,
         ``"negativity"`` or ``"min-eigenvalue-after-pt"``, the quantifier
         reported.
     sign_only : bool
-        Stop at the first point that certifies the sign of the optimum.
-    start : array, optional
-        Start of a sign-only search's certificate solve, the ``final_z`` of
-        an earlier certificate (see ``sle_certificate``); it cannot change
-        the sign or what the certificate proves.
+        Stop at the first point, or bands, that certify the sign of the
+        optimum.
     """
     _report(0.0, quantifier)  # reject an unknown quantifier before searching
     objective = _SLEObjective(rho, pair)
@@ -960,20 +908,17 @@ def sle_quantify(rho, pair=None, quantifier: str = QUANTIFIER_NEGATIVITY, *,
                          phi=float(phi), quantifier=quantifier,
                          localized_state=localized, certificate=certificate)
 
-    search = _GridSearch(objective)
-    if sign_only:
-        theta, phi, value = search.coarse_best()
-        if value >= -SLE_SIGN_SLACK:
-            theta, phi, value = _descend(objective, theta, phi, value, 1)
-        if value < -SLE_SIGN_SLACK:
-            return result(theta, phi, value)
-        if value < np.inf:
-            certificate = sle_certificate(rho, pair, start=start)
-            if certificate is not None:
-                return result(theta, phi, value, certificate)
+    charges = _ring_charges(objective) if sign_only else None
+    settled = None if charges is None else _band_search(objective)
+    if settled is not None:
+        z, breakpoints = settled
+        theta = 0.5 * float(np.arccos(z))
+        value = objective.values(np.array([theta]), np.zeros(1))[0]
+        return result(theta, 0.0, value, None if breakpoints is None else
+                      SLECertificate(objective.kept, charges, breakpoints))
 
-    theta, phi, value = search.best()
+    theta, phi, value = _GridSearch(objective).best()
     if value == np.inf:
         raise DegenerateProjectionError(
             "every projection direction on the grid has vanishing weight")
-    return result(*_descend(objective, theta, phi, value, SLE_REFINE_STEPS))
+    return result(*_descend(objective, theta, phi, value))

@@ -6,7 +6,7 @@ LAPACK (``numpy.linalg``), ``DensityMatrix.eigenvalues()`` and
 LAPACK is the point.  This module's Jacobi solver serves exactly those
 two checks: re-verifying witness and SLE certificates
 (``sdp.verify_witness_certificate``, ``certify.verify_sle_certificate``),
-each on a small stack of 8x8 matrices.
+on small stacks of 8x8 and 4x4 matrices.
 
 At that dimension the quadratically convergent Jacobi iteration is
 essentially exact and has no pathological inputs.  The solver is batched:

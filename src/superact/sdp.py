@@ -19,20 +19,19 @@ a PPT mixture, which bounds it from below.
 
 Douglas-Rachford iteration
 --------------------------
-``douglas_rachford`` is the one loop behind both cone programs of the
-package, this one and the SLE certificate program of ``certify.py``.  A
-program is a stack x of Hermitian blocks with the linear cost <c, x>, an
-affine constraint set with its orthogonal projection P_A, and a product of
-cones: block 0 is free and blocks 1: are PSD, projected by clipping their
-eigenvalues (P_K).  From the splitting variable z each iteration takes a
-gradient step on the cost and the two projections,
+``douglas_rachford`` is the loop behind the program.  It takes a stack x
+of Hermitian blocks with the linear cost <c, x>, an affine constraint set
+with its orthogonal projection P_A, and a product of cones: block 0 is free
+and blocks 1: are PSD, projected by clipping their eigenvalues (P_K).
+From the splitting variable z each iteration takes a gradient step on the
+cost and the two projections,
 
     xf = P_A(z - step c),   y = 2 xf - z,   xg = P_K(y),
     z <- z + relaxation (xg - xf),
 
 and yields xf, y, xg and the z it moves on to.  The cone gap xg - y on
 blocks 1: over the step holds the multipliers of the cone constraints, from
-which both programs repair their dual certificates; each program forms it
+which ``ppt_mixer_witness`` repairs its dual certificate; it forms the gap
 only when it checks, and chooses when to check and when to stop.
 
 The loop accelerates the fixed-point iteration z <- T(z) of that map by
@@ -61,9 +60,9 @@ iterations (one solve reached its 30000 cap), 16 took 37140.  Extrapolation
 cannot corrupt a verdict: every result is read from bounds repaired at the
 final iterate.
 
-A solve starts from a given z: a program's cold start, or the final z of
-an earlier solve of the same program, which both solvers take as ``start``
-and hand back as ``final_z``.  Along a threshold bisection successive
+A solve starts from a given z: the program's cold start, or the final z
+of an earlier solve, which ``ppt_mixer_witness`` takes as ``start`` and
+hands back as ``final_z``.  Along a threshold bisection successive
 solves differ only in p, so each starts from the previous one's final z
 (see ``thresholds.certifying_margin``).  A start that does not have the
 program's shape and dtype, or is not finite, is ignored.  The start can
@@ -240,21 +239,20 @@ class WitnessResult:
 
 
 @functools.cache
-def _partial_transpose_index(n_qubits: int,
-                             parties=BIPARTITIONS) -> np.ndarray:
-    """Gather index of one partial transpose per party, shape (k, dim**2).
+def _partial_transpose_index(n_qubits: int) -> np.ndarray:
+    """Gather index of one partial transpose per bipartition, shape
+    (3, dim**2).
 
-    With dim = 2**n_qubits and a stack of k = len(parties) dim x dim blocks
-    flattened to ``flat``, ``flat[index[j]]`` is block j partially
-    transposed over ``parties[j]``, in row-major order.  ``parties`` is a
-    tuple of tuples; the index is built once per argument pair and is
-    read-only.
+    With dim = 2**n_qubits and a stack of three dim x dim blocks flattened
+    to ``flat``, ``flat[index[j]]`` is block j partially transposed over
+    ``BIPARTITIONS[j]``, in row-major order.  The index is built once per
+    qubit count and is read-only.
     """
     dim = 2 ** n_qubits
     flat = np.arange(dim * dim).reshape(dim, dim)
     index = np.stack([
         k * dim * dim + _partial_transpose_array(flat, n_qubits, party).ravel()
-        for k, party in enumerate(parties)
+        for k, party in enumerate(BIPARTITIONS)
     ])
     index.flags.writeable = False
     return index

@@ -19,8 +19,8 @@ signature ``(label, p, rho, start) -> (value, start)``:
   objective at theta = 0 (``certify.sle_quantifier_at``), which is the
   optimal localization for the noisy W state.
 
-``start`` is what one cone-program solve hands to the next; the margins
-that solve none hand it back unchanged.  ``default_tolerance`` reads the
+``start`` is what one PPT-mixer solve hands to the next; the margins that
+solve none hand it back unchanged.  ``default_tolerance`` reads the
 margin from the same table: 1e-3 for the PPT mixer, 1e-6 for the others.
 
 Bisection on the sign of the margin then brackets the crossing.  Bisection
@@ -40,34 +40,28 @@ certified interval [lower, upper]; the search is refused rather than
 continued on an uncertified sign.  The default 1e-3 tolerance stops
 bisecting well before that happens.
 
-Successive bisection points differ only in p, so every cone-program solve
-of one margin function, PPT-mixer or SLE certificate, starts from the final
-splitting variable of the last solve before it that returned a result (for
-the SLE margins, a certificate; see "Douglas-Rachford iteration" in
-``sdp.py``); the first starts cold, and so does every new
-``find_threshold`` call.  A start changes only when a solve stops, not the
-sign it certifies, so every bracket is the one that cold starts give.  At
-the default ranges and tolerances the 18 PPT-mixer solves of the two
-SDP-backed properties take 200 iterations, at most 20 per solve, against
-450 and 70 from cold starts, and the 18 certificate solves of the two SLE
-properties take 140, at most 10, against 250 and 20.
+Successive bisection points differ only in p, so every PPT-mixer solve of
+one margin function starts from the final splitting variable of the solve
+before it (see "Douglas-Rachford iteration" in ``sdp.py``); the first
+starts cold, and so does every new ``find_threshold`` call.  A start
+changes only when a solve stops, not the sign it certifies, so every
+bracket is the one that cold starts give.  At the default ranges and
+tolerances the 18 PPT-mixer solves of the two SDP-backed properties take
+200 iterations, at most 20 per solve, against 450 and 70 from cold starts.
 
 The two SLE-search margins (SLE and SLE-after-distill) run sign-only SLE
-searches.
-A search stops at the first projection direction whose minimum eigenvalue
-after partial transposition lies below -1e-12: that projection leaves an
-entangled pair, which puts the optimum below zero too.  It looks on the
-8x8 subgrid, then takes one see-saw step from the subgrid's best point.
-When neither finds such a direction, the search looks for a
-decomposability certificate rho^{T_b} - t I = P + Q^{T_m} with t > 1e-12,
-which puts every projection, and so the optimum, above zero; with one it
-returns the best value the subgrid and the step found.  Only a search that
-finds neither, within the certificate solve's 200-iteration cap, runs the
-default search to its optimum (see ``certify.sle_quantify``).  At the 39
-bisection points of the default ranges, the 21 negative margins are
-settled by the subgrid (12) or the step (9), and each of the 18
-nonnegative margins by a certificate.  The signs, and so every bracket,
-are those of the default searches.  A margin value is therefore a
+searches, a branch and bound over bands of the measured qubit's Bloch
+sphere (see "Certified signs" in ``certify.py``).  A search stops at the
+first projection direction whose minimum eigenvalue after partial
+transposition lies below -1e-12: that projection leaves an entangled pair,
+which puts the optimum below zero too.  Or it stops once bounds on every
+band lie above 1e-12, which puts every projection, and so the optimum,
+above zero, and returns its lowest evaluated value.  Only a search that
+settles neither within 512 evaluated points runs the default search to its
+optimum (see ``certify.sle_quantify``).  At the 39 bisection points of the
+default ranges every search settles on bands: 21 negative margins and 18
+nonnegative ones, each with a certificate.  The signs, and so every
+bracket, are those of the default searches.  A margin value is therefore a
 certifying value, not always the optimum, and the values that a
 no-sign-change error prints are those certifying values.
 """
@@ -132,12 +126,8 @@ def _concurrence(label: str, p: float, rho, start):
 
 
 def _sle_search(label: str, p: float, rho, start):
-    # Only a certificate hands back a final z; without one the start
-    # carries over to the next search.
-    result = sle_quantify(rho, quantifier=QUANTIFIER_MIN_EIGENVALUE,
-                          sign_only=True, start=start)
-    certificate = result.certificate
-    return -result.value, start if certificate is None else certificate.final_z
+    return -sle_quantify(rho, quantifier=QUANTIFIER_MIN_EIGENVALUE,
+                         sign_only=True).value, start
 
 
 def _ppt_mixer(label: str, p: float, rho, start):
@@ -184,10 +174,10 @@ def _table_entry(property_name: str) -> tuple[Callable, Callable]:
 def certifying_margin(property_name: str) -> Callable[[float], float]:
     """Margin function of p: positive iff the property is present.
 
-    The margins that solve a cone program (SLE, SLE-after-distill, W-GME
-    and W-GME-after-distill) start each solve from the final splitting
-    variable of the previous solve of the same function, or cold on its
-    first (see the module docstring); each call returns a new function.
+    The margins that solve the PPT-mixer program (W-GME and
+    W-GME-after-distill) start each solve from the final splitting variable
+    of the previous solve of the same function, or cold on its first (see
+    the module docstring); each call returns a new function.
     """
     build, evaluate = _table_entry(property_name)
     start = None

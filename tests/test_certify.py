@@ -12,6 +12,7 @@ from superact import (
     noise_model_state,
     noisy_ghz,
     noisy_w,
+    partial_transpose,
     tensor,
     w_state,
 )
@@ -20,18 +21,16 @@ from superact.certify import (
     QUANTIFIER_NEGATIVITY,
     SLE_SIGN_SLACK,
     NotXShapedError,
+    SLE_BAND_EVALUATIONS,
+    SLECertificate,
     _SLEObjective,
-    exact_epr_settings,
-    exact_ghz_settings,
     fidelity_from_settings,
     ghz_witness_expectation,
     gme_concurrence_arguments,
     gme_concurrence_x,
-    min_eig_after_pt,
     mk_observable,
     negativity,
     sle_quantifier_at,
-    sle_certificate,
     sle_quantify,
     sle_reported_as,
     verify_sle_certificate,
@@ -48,6 +47,8 @@ from superact.distill import (
 from superact.states import DegenerateProjectionError, StateValidationError
 from util import (
     BAD_RAW_ARRAYS,
+    exact_epr_settings,
+    exact_ghz_settings,
     random_density_matrix,
     random_hermitian,
     random_unitary,
@@ -174,13 +175,19 @@ def test_negativity_rejects_bad_raw_arrays(bad):
         negativity(array, (0,))
 
 
+def _min_eig_after_pt(rho, party=(1,)) -> float:
+    return float(np.linalg.eigvalsh(partial_transpose(rho, party))[0])
+
+
 def test_min_eig_after_pt_values():
-    assert min_eig_after_pt(maximally_mixed(2)) == pytest.approx(0.25)
-    assert min_eig_after_pt(bell_phi_plus().projector()) == pytest.approx(-0.5)
+    assert _min_eig_after_pt(maximally_mixed(2)) == pytest.approx(0.25)
+    bell = bell_phi_plus().projector()
+    assert _min_eig_after_pt(bell) == pytest.approx(-0.5)
 
 
 def test_min_eig_bipartition_resolution():
-    assert min_eig_after_pt(bell_phi_plus().projector(), (1,)) == pytest.approx(-0.5)
+    bell = bell_phi_plus().projector()
+    assert _min_eig_after_pt(bell, (0,)) == pytest.approx(-0.5)
 
 
 # ---------------------------------------------------------------------------
@@ -484,9 +491,9 @@ def _sign_only_agrees(rho, pair, quantifier) -> str | None:
     Returns how the search settled: ``"negative"`` at a point below -slack
     in the signed objective (the minimum eigenvalue, or minus the
     negativity), where the default optimum is no larger; ``"certified"``
-    with a decomposability certificate, whose bound t the default min-eig
-    optimum does not undercut and which verifies; ``None`` when it ran the
-    full search, whose result it must then be, bit for bit.
+    with a band certificate that verifies, where the default min-eig
+    optimum is positive; ``None`` when it ran the full search, whose result
+    it must then be, bit for bit.
     """
     full = sle_quantify(rho, pair, quantifier)
     fast = sle_quantify(rho, pair, quantifier, sign_only=True)
@@ -498,7 +505,7 @@ def _sign_only_agrees(rho, pair, quantifier) -> str | None:
         assert fast.localized_state.normalized
     if fast.certificate is not None:
         full_min = sle_quantify(rho, pair, QUANTIFIER_MIN_EIGENVALUE).value
-        assert full_min >= fast.certificate.lower_bound - 1e-15
+        assert full_min > 0.0 and flip * fast.value >= 0.0
         assert verify_sle_certificate(fast.certificate, rho)
         return "certified"
     if flip * fast.value < -SLE_SIGN_SLACK:
@@ -551,8 +558,6 @@ def test_sle_sign_only_agrees_on_every_bisection_point(monkeypatch):
     assert len(searched) == 39
     settled = []
     for rho, kwargs, result in searched:
-        start = kwargs.pop("start")  # a certificate solve's warm start
-        assert start is None or start.shape == (3, 8, 8)
         assert kwargs == {"quantifier": QUANTIFIER_MIN_EIGENVALUE,
                           "sign_only": True}
         settled.append(_sign_only_agrees(rho, None, QUANTIFIER_MIN_EIGENVALUE))
@@ -578,10 +583,10 @@ def batches(monkeypatch):
     return sizes
 
 
-def _exhaustive_best(objective, stride=1):
+def _exhaustive_best(objective):
     """The first minimum of ``_SLEObjective.values`` over every point of the
-    64x64 grid (or of its stride-``stride`` subgrid), theta-major."""
-    thetas, phis = (axis[::stride, ::stride].ravel() for axis in np.meshgrid(
+    64x64 grid, theta-major."""
+    thetas, phis = (axis.ravel() for axis in np.meshgrid(
         np.linspace(0.0, np.pi / 2, 64),
         np.linspace(0.0, 2 * np.pi, 64, endpoint=False), indexing="ij"))
     values = objective.values(thetas, phis)
@@ -643,9 +648,7 @@ def test_sle_grid_search_is_the_exhaustive_argmin_bit_for_bit(name):
     for pair in ((0, 1), (0, 2), (1, 2)):
         objective = _SLEObjective(rho, pair)
         expected, values = _exhaustive_best(objective)
-        coarse, _ = _exhaustive_best(objective, certify.SLE_COARSE_STRIDE)
         search = certify._GridSearch(objective)
-        assert _bits(search.coarse_best()) == _bits(coarse)
         lower = search._lower_bounds(
             certify._sle_grid().coefficients @ objective.traces)
         assert _bits(search.best()) == _bits(expected)
@@ -683,20 +686,43 @@ def test_sle_lower_bound_never_exceeds_the_lowest_eigenvalue(scale):
             assert exact - bound <= 1e-8
 
 
-def test_sle_sign_only_settles_on_the_coarse_grid(batches):
+@pytest.fixture
+def hull_points(monkeypatch):
+    """The sizes of the batches of hull points a sign-only band search
+    evaluates, one batch per round (``_hull_lowest``)."""
+    sizes = []
+    solve = certify._hull_lowest
+
+    def recording(pairs):
+        sizes.append(len(pairs))
+        return solve(pairs)
+
+    monkeypatch.setattr(certify, "_hull_lowest", recording)
+    return sizes
+
+
+def test_sle_sign_only_settles_negative_signs_in_the_first_round(
+        batches, hull_points):
     result = sle_quantify(noisy_ghz(0.6), quantifier=QUANTIFIER_MIN_EIGENVALUE,
                           sign_only=True)
-    assert batches == [64]
+    # Eight bands of four hull points, then the reported point alone.
+    assert hull_points == [32]
+    assert batches == [1]
     assert result.value < -SLE_SIGN_SLACK
+    assert result.certificate is None and result.phi == 0.0
 
 
-def test_sle_sign_only_settles_nonnegative_signs_by_certificate(batches):
+def test_sle_sign_only_settles_nonnegative_signs_by_certificate(
+        batches, hull_points):
     rho = noisy_ghz(0.3)
     result = sle_quantify(rho, quantifier=QUANTIFIER_MIN_EIGENVALUE,
                           sign_only=True)
-    # The subgrid, then the see-saw step's one point, which stays positive.
-    assert batches == [64, 1]
-    assert result.value >= result.certificate.lower_bound > SLE_SIGN_SLACK
+    # The bands settle it in the first round; no grid point is solved.
+    assert hull_points == [32]
+    assert batches == [1]
+    assert result.value > SLE_SIGN_SLACK
+    assert result.certificate.pair == (0, 1)
+    assert result.certificate.charges[2] == 1
     assert verify_sle_certificate(result.certificate, rho)
     # The default search takes no certificate.
     assert sle_quantify(rho).certificate is None
@@ -729,47 +755,44 @@ def test_sle_seesaw_step_never_increases_the_value():
 
 def test_sle_seesaw_step_skipped_on_a_singular_weight_form(batches):
     # The measured qubit pinned to |0>: the weight form R = diag(1, 0) is
-    # singular, so the step is skipped, no certificate exists (the direction
-    # |1> has zero weight) and the sign-only search runs the full search.
+    # singular, so the step is skipped.  The band search cannot settle the
+    # sign, since the zero-weight pole |1> forces a zero there, and the
+    # sign-only search runs the full search.
     pinned = tensor(isotropic(0.2),
                     DensityMatrix(1, np.diag([1.0, 0.0]).astype(complex)))
     assert _SLEObjective(pinned, None).seesaw_step(0.3, 0.2) is None
     assert _sign_only_agrees(pinned, None, QUANTIFIER_MIN_EIGENVALUE) is None
     # The objective is constant wherever the weight is nonzero, so no bound
-    # rules a point out.  The default search solves the subgrid, then every
-    # other point but the zero-weight theta = pi/2 row; the sign-only search
-    # solves the subgrid and goes straight on to the same remainder.
+    # rules a point out.  Both searches solve the subgrid, then every other
+    # point but the zero-weight theta = pi/2 row.
     assert batches == [64, 64 * 64 - 2 * 64] * 2
 
 
-def test_sle_bisection_negative_margins_settle_by_the_seesaw_step(
-        monkeypatch, batches):
-    searches = []
-    certificates = []
-    search, certificate = thresholds.sle_quantify, certify.sle_certificate
+def test_sle_bisection_margins_settle_in_the_band_search(monkeypatch, batches):
+    searched = []
+    search = thresholds.sle_quantify
 
-    def recording_search(rho, *args, **kwargs):
-        first_batch, first_certificate = len(batches), len(certificates)
+    def recording(rho, *args, **kwargs):
+        first = len(batches)
         result = search(rho, *args, **kwargs)
-        searches.append((result.value, sum(batches[first_batch:]),
-                         len(certificates) - first_certificate))
+        searched.append((rho, result, batches[first:]))
         return result
 
-    def recording_certificate(*args, **kwargs):
-        certificates.append(certificate(*args, **kwargs))
-        return certificates[-1]
-
-    monkeypatch.setattr(thresholds, "sle_quantify", recording_search)
-    monkeypatch.setattr(certify, "sle_certificate", recording_certificate)
+    monkeypatch.setattr(thresholds, "sle_quantify", recording)
     for name in (thresholds.PROPERTY_SLE, thresholds.PROPERTY_SLE_AFTER):
         thresholds.find_threshold(name)
-    negative = [(points, solves) for value, points, solves in searches
-                if value < -SLE_SIGN_SLACK]
-    assert len(negative) == 21
-    # The subgrid's 64 points and at most the step's one, no certificate.
-    assert all(points <= 65 and solves == 0 for points, solves in negative)
-    assert len(certificates) == 18
-    assert all(c is not None for c in certificates)
+    assert len(searched) == 39
+    # No search falls back to the grid: each solves its reported point only.
+    assert all(solved == [1] for _, _, solved in searched)
+    negative = [(rho, r) for rho, r, _ in searched if r.certificate is None]
+    certified = [(rho, r) for rho, r, _ in searched if r.certificate]
+    assert len(negative) == 21 and len(certified) == 18
+    for rho, result in negative:
+        assert sle_quantifier_at(rho, None, result.theta, result.phi,
+                                 QUANTIFIER_MIN_EIGENVALUE) < -1e-12
+    for rho, result in certified:
+        assert result.value > 0.0
+        assert verify_sle_certificate(result.certificate, rho)
 
 
 @pytest.mark.parametrize("pair", [(0, 1), (0, 2), (1, 2)])
@@ -778,58 +801,194 @@ def test_sle_bisection_negative_margins_settle_by_the_seesaw_step(
     analytic_distilled_noisy_ghz((2 * np.sqrt(2) - 1) / 7 - 1e-4),
 ], ids=["ghz", "distilled-ghz"])
 def test_sle_certificate_just_below_the_thresholds(rho, pair):
-    certificate = sle_certificate(rho, pair)
+    result = sle_quantify(rho, pair, QUANTIFIER_MIN_EIGENVALUE, sign_only=True)
+    certificate = result.certificate
     assert certificate is not None
     assert certificate.pair == pair
     assert verify_sle_certificate(certificate, rho)
     optimum = sle_quantify(rho, pair, QUANTIFIER_MIN_EIGENVALUE).value
-    assert 0.0 < certificate.lower_bound <= optimum + 1e-15
+    assert 0.0 < optimum and 0.0 < result.value
 
 
 @pytest.mark.parametrize("pair", [(0, 1), (0, 2), (1, 2)])
 def test_sle_certificate_none_at_and_past_the_threshold(pair):
     # Past 1/3 some projection leaves an NPT pair; at 1/3 the optimum is
-    # zero to rounding, so no t clears the slack and a sign-only search
-    # falls back to the full one (see the agreement tests).
-    for p in (1 / 3 + 1e-6, 1 / 3):
-        assert sle_certificate(noisy_ghz(p), pair) is None
+    # zero to rounding, so no band bound clears the slack and a sign-only
+    # search falls back to the full one (see the agreement tests).
+    past = sle_quantify(noisy_ghz(1 / 3 + 1e-6), pair,
+                        QUANTIFIER_MIN_EIGENVALUE, sign_only=True)
+    assert past.certificate is None and past.value < -SLE_SIGN_SLACK
+    at = sle_quantify(noisy_ghz(1 / 3), pair, QUANTIFIER_MIN_EIGENVALUE,
+                      sign_only=True)
+    assert at.certificate is None
 
 
-def test_sle_certificate_start_taken_only_when_it_fits():
-    # A nearby state's final splitting variable is taken, and the
-    # certificate still verifies; one of another dtype or shape is ignored.
-    near = sle_certificate(noisy_ghz(0.3))
-    cold = sle_certificate(noisy_ghz(0.31))
-    warm = sle_certificate(noisy_ghz(0.31), start=near.final_z)
-    assert verify_sle_certificate(warm, noisy_ghz(0.31))
-    assert not np.array_equal(warm.final_z, cold.final_z)
-    for start in (near.final_z.astype(complex), near.final_z[:2], None):
-        ignored = sle_certificate(noisy_ghz(0.31), start=start)
-        for name in ("lower_bound", "p", "q", "final_z"):
-            assert np.array_equal(getattr(ignored, name), getattr(cold, name))
+_PINNED = tensor(isotropic(0.2),
+                 DensityMatrix(1, np.diag([1.0, 0.0]).astype(complex)))
+
+
+@pytest.mark.parametrize("pair", [(0, 1), (0, 2), (1, 2)])
+@pytest.mark.parametrize("rho", [noisy_ghz(1 / 3), _PINNED],
+                         ids=["ghz-1/3", "pinned"])
+def test_sle_undecided_band_search_stays_under_its_cap(rho, pair,
+                                                       hull_points):
+    # At noisy GHZ's threshold the optimum is zero to rounding.  With qubit
+    # 2 pinned to |0>, measuring it leaves a zero at the pole |1>, whose
+    # weight vanishes, and keeping it leaves a pair with a zero eigenvalue
+    # at every projection.  No band search settles either, and each leaves
+    # the sign to the default search, whose result it returns bit for bit.
+    full = sle_quantify(rho, pair, QUANTIFIER_MIN_EIGENVALUE)
+    fast = sle_quantify(rho, pair, QUANTIFIER_MIN_EIGENVALUE, sign_only=True)
+    assert 0 < sum(hull_points) <= SLE_BAND_EVALUATIONS
+    assert fast.certificate is None
+    assert _bits((fast.value, fast.theta, fast.phi)) == _bits(
+        (full.value, full.theta, full.phi))
+    assert np.array_equal(fast.localized_state.entries,
+                          full.localized_state.entries)
+
+
+def test_sle_ring_charges():
+    # Noisy W conserves the excitation number, noisy GHZ a charge whose
+    # kept qubits sum to -1; a random state conserves none and takes the
+    # default search.
+    assert certify._ring_charges(_SLEObjective(noisy_w(0.5), None)) == (
+        1, 1, 1)
+    for pair in ((0, 1), (0, 2), (1, 2)):
+        charges = certify._ring_charges(_SLEObjective(noisy_ghz(0.5), pair))
+        assert charges[3 - sum(pair)] == 1 and sum(charges) == 0
+    random = random_density_matrix(np.random.default_rng(4), 3)
+    assert certify._ring_charges(_SLEObjective(random, None)) is None
+
+
+@pytest.mark.parametrize("rho", [
+    noisy_w(0.4), noisy_ghz(0.4), analytic_distilled_noisy_ghz(0.3),
+    distill_cnot(noisy_w(0.5), noisy_w(0.5)).state,
+], ids=["noisy-w", "noisy-ghz", "distilled-ghz", "distilled-w"])
+def test_sle_objective_of_a_ring_state_does_not_depend_on_phi(rho):
+    rng = np.random.default_rng(9)
+    thetas = rng.uniform(0.0, np.pi / 2, 30)
+    for pair in ((0, 1), (0, 2), (1, 2)):
+        objective = _SLEObjective(rho, pair)
+        assert certify._ring_charges(objective) is not None
+        assert np.allclose(objective.values(thetas, rng.uniform(0, 7, 30)),
+                           objective.values(thetas, np.zeros(30)),
+                           rtol=0.0, atol=1e-14)
+
+
+def test_sle_band_hull_contains_its_arc():
+    rng = np.random.default_rng(5)
+    z = np.sort(np.concatenate([[-1.0, 1.0], rng.uniform(-1.0, 1.0, 30)]))
+    hulls = certify._hull_points(z[:-1], z[1:])
+    assert hulls.shape == (31, 4, 2)
+    for z1, z2, hull in zip(z[:-1], z[1:], hulls):
+        angles = np.linspace(np.arccos(z2), np.arccos(z1), 41)
+        arc = np.stack([np.sin(angles), np.cos(angles)], axis=-1)
+        # The quadrilateral p2, p1, p1 / h, p2 / h is counter-clockwise in
+        # (x, z): no arc point lies to the right of an edge.
+        corners = hull[[1, 0, 2, 3]]
+        edges = np.roll(corners, -1, axis=0) - corners
+        offsets = arc[:, None, :] - corners[None, :, :]
+        distances = (edges[:, 0] * offsets[..., 1]
+                     - edges[:, 1] * offsets[..., 0]) / np.linalg.norm(
+                         edges, axis=1)
+        assert distances.min() >= -1e-15
+        # The tangent edge clears the arc's midpoint by the 1e-12 margin.
+        assert distances[20, 2] > 5e-13
+
+
+def _x_shaped_objective(rho, pair, theta, phi) -> float:
+    """The SLE objective of an X-shaped state: the lower eigenvalue of two
+    2x2 blocks over the projection's weight.
+
+    Projecting the measured qubit leaves an X-shaped pair M with diagonal
+    d(a, b) and anti-diagonal M[ab, a'b'] (a' = 1 - a); transposing b
+    keeps it X-shaped, with blocks {00, 11} (coupled by M[01, 10]) and
+    {01, 10} (coupled by M[00, 11]).
+    """
+    m = np.asarray(getattr(rho, "entries", rho))
+    measured = 3 - sum(pair)
+
+    def index(i, a, b):
+        bits = [0, 0, 0]
+        bits[measured], bits[pair[0]], bits[pair[1]] = i, a, b
+        return 4 * bits[0] + 2 * bits[1] + bits[2]
+
+    c, s = np.cos(theta), np.sin(theta)
+
+    def d(a, b):
+        return (c * c * m[index(0, a, b), index(0, a, b)].real
+                + s * s * m[index(1, a, b), index(1, a, b)].real)
+
+    def anti(a, b):
+        row0, row1 = index(0, a, b), index(1, a, b)
+        col0, col1 = index(0, 1 - a, 1 - b), index(1, 1 - a, 1 - b)
+        return c * s * (np.exp(1j * phi) * m[row0, col1]
+                        + np.exp(-1j * phi) * m[row1, col0])
+
+    lows = [(p + q) / 2 - np.hypot((p - q) / 2, abs(off))
+            for p, q, off in ((d(0, 0), d(1, 1), anti(0, 1)),
+                              (d(0, 1), d(1, 0), anti(0, 0)))]
+    return min(lows) / sum(d(a, b) for a in (0, 1) for b in (0, 1))
+
+
+@pytest.mark.parametrize("rho", [
+    noisy_ghz(0.2), noisy_ghz(0.6), noise_model_state(0.45, 0.9084, 0.9210),
+    noise_model_state(0.8, 0.9, 0.7), analytic_distilled_noisy_ghz(0.3),
+    analytic_distilled_noisy_ghz(0.7),
+], ids=["ghz-0.2", "ghz-0.6", "noise-model-a", "noise-model-b",
+        "distilled-ghz-0.3", "distilled-ghz-0.7"])
+def test_sle_objective_matches_the_x_shaped_closed_form(rho):
+    assert x_shape_view(rho).max_off_pattern_magnitude == 0.0
+    rng = np.random.default_rng(13)
+    thetas = rng.uniform(0.0, np.pi / 2, 25)
+    phis = rng.uniform(0.0, 2 * np.pi, 25)
+    for pair in ((0, 1), (0, 2), (1, 2)):
+        values = _SLEObjective(rho, pair).values(thetas, phis)
+        expected = [_x_shaped_objective(rho, pair, t, f)
+                    for t, f in zip(thetas, phis)]
+        assert np.allclose(values, expected, rtol=0.0, atol=1e-15)
 
 
 def test_verify_sle_certificate_rejects_forgeries():
-    rho = noisy_ghz(0.3)
-    certificate = sle_certificate(rho, (0, 1))
+    rho = noisy_ghz(1 / 3 - 1e-4)
+    certificate = sle_quantify(rho, (0, 1), QUANTIFIER_MIN_EIGENVALUE,
+                               sign_only=True).certificate
     assert verify_sle_certificate(certificate, rho)
-    t = certificate.lower_bound
-    eye = np.eye(8)
+    z = certificate.breakpoints
+    assert z.size > 9  # refined past the first eight bands
+    swapped = z.copy()
+    swapped[[2, 3]] = swapped[[3, 2]]
     forgeries = {
-        # P and Q no longer back the claimed bound.
-        "inflated t": replace(certificate, lower_bound=t + 1e-3),
-        # Still sums to rho^{T_b} - t I, but Q has eigenvalues below -t.
-        "non-PSD Q": replace(certificate, p=certificate.p + 2 * t * eye,
-                             q=certificate.q - 2 * t * eye),
-        "non-finite P": replace(certificate, p=np.full((8, 8), np.nan)),
-        "wrong shape": replace(certificate, q=certificate.q[:4, :4]),
-        "ragged P": replace(certificate, p=[[1.0, 0.0], [1.0]]),
+        # A gap at either pole: the bands no longer reach -1 or 1.
+        "dropped first band": z[1:],
+        "dropped last band": z[:-1],
+        # A refined band dropped: its parent's hull bound does not clear.
+        "dropped inner band": np.delete(z, 4),
+        "inflated endpoint": np.append(z[:-1], np.nextafter(1.0, 2.0)),
+        "bands out of order": swapped,
+        "zero-width band": np.insert(z, 4, z[4]),
+        "non-finite": np.where(z == 0.0, np.nan, z),
+        "ragged": [[-1.0], [0.0, 1.0]],
     }
-    for name, forged in forgeries.items():
+    for name, breakpoints in forgeries.items():
+        forged = replace(certificate, breakpoints=breakpoints)
         assert not verify_sle_certificate(forged, rho), name
-    # Checked against another state, the same certificate proves nothing.
-    assert not verify_sle_certificate(certificate, noisy_ghz(0.6))
-    assert not verify_sle_certificate(certificate, noisy_ghz(0.25))
+    # |000><111| joins charges 0 and 3; charge 0 on the measured qubit does
+    # not make the objective independent of phi.
+    for charges in ((1, 1, 1), (0, 0, 0), (0, -1, 1.5), "abc"):
+        forged = replace(certificate, charges=charges)
+        assert not verify_sle_certificate(forged, rho), charges
+    for pair in ((0, 0), (0, 1, 2), (0, 5), "ab"):
+        assert not verify_sle_certificate(replace(certificate, pair=pair),
+                                          rho), pair
+    # Checked against another state, the same certificate proves nothing:
+    # past the threshold a band fails, and noisy W breaks the charges.
+    assert not verify_sle_certificate(certificate, noisy_ghz(1 / 3 + 1e-4))
+    assert not verify_sle_certificate(certificate, noisy_w(0.2))
+    # Bands that a full round of the search closes verify by themselves.
+    assert verify_sle_certificate(
+        SLECertificate((0, 1), certificate.charges, np.linspace(-1, 1, 9)),
+        noisy_ghz(0.3))
 
 
 _NON_STATES = {
@@ -859,12 +1018,11 @@ _STATE_READERS = {
 @pytest.mark.parametrize("kind", list(_NON_STATES))
 @pytest.mark.parametrize("entry", [
     lambda m: negativity(m, (0,)),
-    lambda m: min_eig_after_pt(m, (0,)),
-    lambda m: sle_certificate(m),
+    lambda m: sle_quantify(m, sign_only=True),
     lambda m: distill_cnot(m, m),
     lambda m: distill_tripartite(m, m),
     *_STATE_READERS.values(),
-], ids=["negativity", "min_eig_after_pt", "sle_certificate", "distill_cnot",
+], ids=["negativity", "sle_quantify_sign_only", "distill_cnot",
         "distill_tripartite", *_STATE_READERS])
 def test_entry_points_reject_raw_non_states(entry, kind):
     with pytest.raises(StateValidationError, match=_NON_STATES[kind]):
@@ -891,12 +1049,12 @@ def test_witnesses_and_concurrence_reject_an_x_shaped_non_psd_array(reader):
 
 def test_density_matrix_inputs_are_not_validated_again(monkeypatch):
     rho = noisy_ghz(0.3)
+    certificate = sle_quantify(rho, sign_only=True).certificate
     built = []
     monkeypatch.setattr(DensityMatrix, "__post_init__",
                         lambda self: built.append(self))
     negativity(rho, (0,))
-    min_eig_after_pt(rho, (0,))
-    sle_certificate(rho)
+    assert verify_sle_certificate(certificate, rho)
     for reader in _STATE_READERS.values():
         reader(rho)
     assert built == []

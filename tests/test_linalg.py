@@ -85,7 +85,7 @@ def test_jacobi_only_in_certificate_reverification(monkeypatch):
     result = ppt_mixer_witness(rho)
     with pytest.raises(JacobiCalled):
         verify_witness_certificate(result, rho)
-    # The sign-only SLE search's certificate stage, at a state without SLE.
+    # The sign-only SLE search's band certificate, at a state without SLE.
     separable = noisy_ghz(0.3)
     settled = sle_quantify(separable, quantifier=QUANTIFIER_MIN_EIGENVALUE,
                            sign_only=True)

@@ -6,7 +6,7 @@ import pytest
 
 from superact import ghz3, maximally_mixed, noise_model_state, noisy_ghz, noisy_w
 from superact import sdp
-from superact.certify import _project_sle_affine, gme_concurrence_arguments
+from superact.certify import gme_concurrence_arguments
 from superact.distill import distill_cnot
 from superact.linalg import jacobi_eigvalsh
 from superact.sdp import (
@@ -70,21 +70,8 @@ def _witness_projection():
     return 7, lambda x: _project_affine(x, pt_index, eye), feasible
 
 
-def _sle_projection(measured):
-    pt_index = _partial_transpose_index(3, ((measured,),))
-
-    def feasible(y):
-        assert abs(np.trace(y[0]).real - 1.0) < 1e-12
-        assert np.abs(y[1] - y[0]).max() < 1e-12
-        transposed = _partial_transpose_array(y[2], 3, (measured,))
-        assert np.abs(transposed - y[0]).max() < 1e-12
-
-    return 3, lambda x: _project_sle_affine(x, pt_index, np.eye(8)), feasible
-
-
 @pytest.mark.parametrize("program", [
     pytest.param(_witness_projection(), id="ppt-mixer"),
-    *(pytest.param(_sle_projection(m), id=f"sle-m{m}") for m in range(3)),
 ])
 def test_affine_projection_feasible_and_idempotent(program):
     blocks, project, feasible = program
@@ -115,7 +102,6 @@ def test_gather_partial_transpose_matches_reshape():
 def test_partial_transpose_index_is_built_once_and_read_only():
     index = _partial_transpose_index(3)
     assert _partial_transpose_index(3) is index
-    assert _partial_transpose_index(3, ((1,),)) is not index
     assert not index.flags.writeable
 
 

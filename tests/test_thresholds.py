@@ -150,37 +150,6 @@ def test_sdp_bisection_uses_few_sign_only_iterations(monkeypatch):
     assert max(iterations) <= 40
 
 
-def test_sle_bisection_certificates_use_few_iterations(monkeypatch):
-    # The 18 nonnegative margins of the SLE and SLE-after-distill bisections
-    # each settle on a decomposability certificate, each solve warm-started
-    # from the previous certificate's final splitting variable (240
-    # Douglas-Rachford iterations in all, at most 30 per solve, when these
-    # bounds were set; 625 and 100 from cold starts).
-    counts, solves = [], []
-    kernel, solver = certify.douglas_rachford, certify.sle_certificate
-
-    def counting(*args):
-        counts.append(0)
-        for iterate in kernel(*args):
-            counts[-1] += 1
-            yield iterate
-
-    def recording(rho, pair=None, *, start=None):
-        solves.append((rho, solver(rho, pair, start=start)))
-        return solves[-1][1]
-
-    monkeypatch.setattr(certify, "douglas_rachford", counting)
-    monkeypatch.setattr(certify, "sle_certificate", recording)
-    for name in (PROPERTY_SLE, PROPERTY_SLE_AFTER):
-        find_threshold(name)
-    assert len(solves) == len(counts) == 18
-    assert all(certificate is not None
-               and certify.verify_sle_certificate(certificate, rho)
-               for rho, certificate in solves)
-    assert sum(counts) <= 300
-    assert max(counts) <= 40
-
-
 def test_warm_starts_stay_inside_one_bisection(monkeypatch):
     # Each find_threshold call starts its first solve cold: a W-GME
     # bisection repeats exactly, solve for solve, with another SDP-backed
@@ -202,29 +171,54 @@ def test_warm_starts_stay_inside_one_bisection(monkeypatch):
     assert len(runs[0][1]) == len(runs[1][1]) == 9
 
 
-@pytest.mark.parametrize("name,max_calls,max_points", [
-    # Measured when these budgets were set: 34 calls / 1294 points and
-    # 32 / 1229, with the nonnegative margins settled by certificates and
-    # the negative ones the subgrid misses by one see-saw step; without the
-    # step 52 / 17692 and 61 / 21733, without certificates either
-    # 1750 / 60340 and 1408 / 55840, and full searches at every point take
-    # 3482 / 85382 and 3272 / 81077.
-    pytest.param(PROPERTY_SLE, 36, 1340, id=PROPERTY_SLE),
-    pytest.param(PROPERTY_SLE_AFTER, 35, 1270, id=PROPERTY_SLE_AFTER),
+@pytest.mark.parametrize("name,max_hull_points", [
+    # Measured when these budgets were set: 976 and 848 hull points over
+    # the 20 and 19 band searches, none of which reached the grid.  The
+    # subgrid, see-saw step and cone-program certificate that the band
+    # search replaced solved 1294 and 1229 grid and stepped points.
+    pytest.param(PROPERTY_SLE, 1000, id=PROPERTY_SLE),
+    pytest.param(PROPERTY_SLE_AFTER, 870, id=PROPERTY_SLE_AFTER),
 ])
-def test_sle_bisection_objective_budget(monkeypatch, name, max_calls,
-                                        max_points):
-    batches = []
-    solve = certify._lowest_eigenvalues
+def test_sle_bisection_objective_budget(monkeypatch, name, max_hull_points):
+    hull, solved = [], []
+    hull_lowest, lowest = certify._hull_lowest, certify._lowest_eigenvalues
+
+    def recording_hull(pairs):
+        hull.append(len(pairs))
+        return hull_lowest(pairs)
 
     def recording(pairs, weights):
-        batches.append(weights.size)
-        return solve(pairs, weights)
+        solved.append(weights.size)
+        return lowest(pairs, weights)
 
+    monkeypatch.setattr(certify, "_hull_lowest", recording_hull)
     monkeypatch.setattr(certify, "_lowest_eigenvalues", recording)
-    find_threshold(name)
-    assert len(batches) <= max_calls
-    assert sum(batches) <= max_points
+    report = find_threshold(name)
+    # Each search solves its reported point alone, none the grid.
+    assert solved == [1] * report.evaluations
+    assert sum(hull) <= max_hull_points
+
+
+def test_w_sle_bracket_ends_carry_certificates():
+    # The W-SLE margin assumes that projecting qubit 2 onto |0> is the
+    # optimal localization.  At the final bracket's ends a sign-only search
+    # over every projection backs that: below the crossing its bands prove
+    # no projection leaves an NPT pair, above it a projection does.
+    report = find_threshold(PROPERTY_W_SLE)
+    lo = report.crossing_p - report.bracket_width
+    hi = report.crossing_p + report.bracket_width
+    below = certify.sle_quantify(noisy_w(lo),
+                                 quantifier=certify.QUANTIFIER_MIN_EIGENVALUE,
+                                 sign_only=True)
+    assert below.certificate is not None
+    assert certify.verify_sle_certificate(below.certificate, noisy_w(lo))
+    above = certify.sle_quantify(noisy_w(hi),
+                                 quantifier=certify.QUANTIFIER_MIN_EIGENVALUE,
+                                 sign_only=True)
+    assert above.certificate is None
+    assert certify.sle_quantifier_at(
+        noisy_w(hi), None, above.theta, above.phi,
+        certify.QUANTIFIER_MIN_EIGENVALUE) < -1e-12
 
 
 def test_w_sle_margin_agrees_with_the_full_sle_search(monkeypatch):

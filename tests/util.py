@@ -5,6 +5,36 @@ index gymnastics."""
 import numpy as np
 
 import superact.thresholds as thresholds
+from superact.certify import mk_observable
+from superact.states import PAULI_X, PAULI_Y
+
+
+def _product_expectation(rho, single_qubit_ops) -> float:
+    op = np.array([[1.0]], dtype=np.complex128)
+    for o in single_qubit_ops:
+        op = np.kron(op, o)
+    return float(np.real(np.trace(np.asarray(rho) @ op)))
+
+
+def exact_ghz_settings(rho) -> dict[str, float]:
+    """Exact expectation values of the GHZ fidelity decomposition settings,
+    the oracle for ``certify.fidelity_from_settings``."""
+    m = np.asarray(getattr(rho, "entries", rho))
+    settings = {"population": float(np.real(m[0, 0] + m[7, 7]))}
+    for k in range(3):
+        mk = mk_observable(k)
+        settings[f"m{k}"] = _product_expectation(m, (mk, mk, mk))
+    return settings
+
+
+def exact_epr_settings(rho) -> dict[str, float]:
+    """Exact expectation values of the EPR fidelity decomposition settings."""
+    m = np.asarray(getattr(rho, "entries", rho))
+    return {
+        "population": float(np.real(m[0, 0] + m[3, 3])),
+        "xx": _product_expectation(m, (PAULI_X, PAULI_X)),
+        "yy": _product_expectation(m, (PAULI_Y, PAULI_Y)),
+    }
 
 
 def random_density_matrix(rng, n_qubits):
