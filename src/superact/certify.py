@@ -16,8 +16,9 @@ The optimizer is deterministic: the best point of a 64x64 (theta, phi)
 grid, ties going to the lowest theta, then the lowest phi, refined by
 see-saw steps (see "Refinement").  That grid point is found by branch and
 bound, bit for bit the first minimum over an evaluation of every point,
-with an exact eigensolve only where a perturbation bound cannot rule a
-point out (see "Grid search").  A sign-only search settles the sign by a
+with an exact eigensolve only where a bound, the closed form of the pair's
+sectors or a perturbation bound through a subgrid, cannot rule a point
+out (see "Grid search").  A sign-only search settles the sign by a
 branch and bound over bands of the Bloch sphere instead, and stops at a
 point that certifies a negative minimum or at bands that certify a
 nonnegative one (see "Certified signs"); otherwise it takes the default
@@ -29,12 +30,41 @@ point.
 
 Grid search
 -----------
-The 64 points of the subgrid of every eighth theta and phi are solved
-first.  Every other point takes the nearest of them as its parent A (theta
-clamps to the last subgrid row, phi wraps).  Let M be the point's
-normalized, transposed pair, E = M - A, lambda_1 <= lambda_2 the two lowest
-eigenvalues of A and v its lowest eigenvector.  Two lower bounds on
-lambda_min(M) follow:
+Every point gets a lower bound, less a slack; a few points are solved
+first, and then every other point of nonzero weight whose bound does not
+lie above the best value among them.  The bound comes from the closed
+form of the pair's sectors where no sector holds more than two basis
+states, and through a subgrid otherwise.
+
+*Sectors.*  Two basis states of the kept pair are coupled when an entry
+joining them, in either triangle, is nonzero in one of the transposed
+blocks ``_SLEObjective.blocks_pt``.  The rule reads exact zeros: an entry
+of 1e-300 couples.  A grid point's pair is a real combination of the
+blocks, so its entries off the coupling pattern are exact zeros, and the
+pair is block diagonal over its sectors, the groups of states that
+couplings connect.  When no sector holds more than two states, as for
+every X-shaped state (noisy GHZ, noise-model and distilled GHZ states
+among them) with each kept pair, the pair's lowest eigenvalue is the
+least of its sectors': d_k for a sector {k} and
+(d_k + d_j) / 2 - sqrt(((d_k - d_j) / 2)^2 + |M_jk|^2) for a sector
+{k, j}, with M_jk read from the lower triangle that LAPACK reads
+(``_sector_lowest``).  The closed form and LAPACK's eigensolve each
+return that eigenvalue to within a few ulps of ||M||_F times a small
+constant.  The eigensolver is backward stable on M = pairs / weight; the
+closed form is a handful of roundings on the unnormalized pair, divided
+by the weight at the end, which is M to an ulp in each entry.  The bound
+is the closed form less a slack of 1e-12 (1 + ||M||_F), some 10^4 ulps
+of that norm, which covers both rounding paths, so it lies below the
+value LAPACK returns at every point.  The closed form's argmin is solved
+first.  W-type and general states couple three or more states and take
+the subgrid.
+
+*Subgrid.*  The 64 points of the subgrid of every eighth theta and phi
+are solved first.  Every other point takes the nearest of them as its
+parent A (theta clamps to the last subgrid row, phi wraps).  Let M be the
+point's normalized, transposed pair, E = M - A, lambda_1 <= lambda_2 the
+two lowest eigenvalues of A and v its lowest eigenvector.  Two lower
+bounds on lambda_min(M) follow:
 
 - *Weyl with Samuelson*: every eigenvalue of E lies within sqrt(3) s of
   m = tr E / 4, where 4 s^2 = ||E - m I||_F^2 (Samuelson's inequality for
@@ -56,20 +86,10 @@ No term is a difference of nearly equal squares: s and r come from
 orthonormal coordinates, of E's traceless part and of E v across the other
 eigenvectors of A.
 
-A point is skipped only if its bound, less a slack of
-1e-12 (1 + ||A||_F + 2 eps), lies above the best value found on the
-subgrid; 2 eps >= ||E||_F, so the slack is at least
-1e-12 (1 + ||A||_F + ||E||_F).  The slack dwarfs the rounding of the bound
-and of LAPACK's eigenvalues, a few ulps of those norms, so the value an
-exhaustive evaluation computes at a skipped point lies above that best
-value too: the point can neither be the grid's minimum nor tie with it.
-Every other point of nonzero weight is solved.  Each solved point, the
-subgrid's included, is a row of one product over the whole grid, divided
-by its weight as in ``_SLEObjective.values``, and LAPACK solves each 4x4
-matrix on its own, so its value is the exhaustive evaluation's, bit for
-bit.  ``np.argmin`` over the grid, with ``inf`` at skipped points,
-therefore returns the exhaustive first minimum.  Points of vanishing
-weight stay ``inf`` and take no solve.
+Here the slack is 1e-12 (1 + ||A||_F + 2 eps); 2 eps >= ||E||_F, so it is
+at least 1e-12 (1 + ||A||_F + ||E||_F), and it dwarfs the rounding of the
+bound and of LAPACK's eigenvalues, a few ulps of those norms.
+
 A subgrid point of vanishing weight stays unnormalized: as a parent, A is
 its unnormalized pair and E is taken against that same matrix, so its
 children's bounds hold as well.
@@ -80,15 +100,39 @@ Hermitian blocks LAPACK reads (their lower triangles), so E, tr E, E's
 traceless part and E v are linear in the differences of n from the
 parent's (``_GridSearch``).
 
+With either bound, a point is skipped only if its bound, less its slack,
+lies above the best value solved first, so the value an exhaustive
+evaluation computes at a skipped point lies above that best value too:
+the point can neither be the grid's minimum nor tie with it.  Every other
+point of nonzero weight is solved.  Each solved point is a row of one
+product over the whole grid, divided by its weight as in
+``_SLEObjective.values``, and LAPACK solves each 4x4 matrix on its own, so
+its value is the exhaustive evaluation's, bit for bit.  ``np.argmin`` over
+the grid, with ``inf`` at skipped points, therefore returns the exhaustive
+first minimum.  Points of vanishing weight stay ``inf`` and take no
+solve.
+
 Measured on 392 searches, the ``certify-mixed`` bench pools of seeds 1-8
-and 40 random states with each of the three kept pairs, the search solves
-430 of the 4096 points on average, subgrid included (median 356, at most
-2492), and finds the exhaustive point bit for bit every time.  So did 1800
-more searches over random states, I/8, noisy GHZ states at 41 values of
-p, noisy W, distilled GHZ and W, rank-1, product and near-white states,
-and states with a pinned measured qubit; at no grid point of those did a
-bound less its slack exceed the computed value.  Ties cannot be pruned:
-on I/8 every point is solved.
+(default pair) and 40 random states with each of the three kept pairs,
+the search solves, counting the points solved first:
+
+- 216 searches with sectors of at most two states (112 noisy GHZ, 96
+  noise-model and 8 X-shaped random states): 69 of the 4096 points on
+  average (noisy GHZ 128, noise-model 4; at most 128);
+- 176 others (noisy W, CNOT-distilled W and random states): 367 on
+  average (median 234, at most 1597),
+
+and finds the exhaustive point bit for bit every time.  With the subgrid
+bounds on every state, so did 1800 more searches over random states,
+I/8, noisy GHZ states at 41 values of p, noisy W, distilled GHZ and W,
+rank-1, product and near-white states, and states with a pinned measured
+qubit; at no grid point of those did a bound less its slack exceed the
+computed value.  The sector bound was
+checked the same way on 1803 more searches over noisy GHZ, noise-model,
+distilled-GHZ and random X-shaped states, some with emptied blocks, with
+each kept pair: the closed form and LAPACK differed by at most
+2.6e-16 (1 + ||M||_F).  Ties cannot be pruned: on I/8 every point is
+solved.
 
 Refinement
 ----------
@@ -729,36 +773,101 @@ def _lower_bound(lam: np.ndarray, mean: np.ndarray, spread: np.ndarray,
             - 1e-12 * (1.0 + norm_a + 2.0 * eps))
 
 
+def _sector_partners(objective: _SLEObjective) -> np.ndarray | None:
+    """Each basis state's partner in its sector of the transposed pair, the
+    state itself when no block couples it to another; None when a sector
+    holds more than two states (see "Grid search" in the module
+    docstring).
+
+    Two states are coupled when an entry joining them is nonzero in some
+    block, in either triangle; the rule is exact, so any nonzero entry,
+    however small, couples.
+    """
+    blocks = objective.blocks_pt.view(np.complex128).reshape(4, 4, 4)
+    coupled = np.any(blocks != 0, axis=0)
+    coupled |= coupled.T
+    np.fill_diagonal(coupled, False)
+    # Sectors of at most two states are exactly one coupling per state.
+    if np.any(coupled.sum(axis=1) > 1):
+        return None
+    partners = np.arange(4)
+    rows, cols = np.nonzero(coupled)
+    partners[rows] = cols
+    return partners
+
+
+def _sector_lowest(pairs: np.ndarray, weights: np.ndarray,
+                   partners: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The closed-form lowest eigenvalue of each normalized pair
+    M = ``pairs / weights`` whose sectors ``partners`` gives, ``inf``
+    where the weight is at most ``DEGENERATE_WEIGHT``, and ||M||_F.
+
+    A sector {k, j} has the lowest eigenvalue
+    (d_k + d_j) / 2 - sqrt(((d_k - d_j) / 2)^2 + |M_jk|^2), with M_jk read
+    from the lower triangle as LAPACK reads it; a sector {k} has d_k.  Both
+    are taken on the unnormalized pair and divided by the weight.
+    """
+    states = np.arange(4)
+    first = np.flatnonzero(partners > states)
+    second = partners[first]
+    # Real and imaginary parts of the entries, row-major, one row per part.
+    entries = pairs.reshape(-1, 16).view(np.float64).T
+    diagonal = entries[10 * states]
+    below = 8 * second + 2 * first
+    off = entries[below] ** 2 + entries[below + 1] ** 2
+    half = (diagonal[first] - diagonal[second]) / 2.0
+    lowest = np.concatenate([
+        diagonal[partners == states],
+        (diagonal[first] + diagonal[second]) / 2.0 - np.sqrt(half * half + off),
+    ]).min(axis=0)
+    norm = np.sqrt((diagonal * diagonal).sum(axis=0) + 2.0 * off.sum(axis=0))
+    valid = weights > DEGENERATE_WEIGHT
+    safe = np.where(valid, weights, 1.0)
+    return np.where(valid, lowest / safe, np.inf), norm / safe
+
+
 class _GridSearch:
     """The best point of one objective on the SLE grid, by branch and bound.
 
     Built, it holds the whole grid's weights and unnormalized transposed
-    pairs, each from one product over the grid's coefficients, and has
-    solved the subgrid's rows of them; ``best`` bounds every other point
-    from below through its nearest subgrid point and solves only the points
-    whose bound does not rule them out (see "Grid search" in the module
-    docstring).  Every value is a row of that product, solved by
-    ``_lowest_eigenvalues``, so it is bit for bit the one an exhaustive
-    evaluation gives.
+    pairs, each from one product over the grid's coefficients.  ``best``
+    bounds every point from below, solves the points ``bounds`` names
+    first, and then only the points whose bound does not rule them out:
+    by the closed form of the pair's sectors when no sector holds more than
+    two states, else through the nearest point of the subgrid (see "Grid
+    search" in the module docstring).  Every value is a row of that
+    product, solved by ``_lowest_eigenvalues``, so it is bit for bit the
+    one an exhaustive evaluation gives.
     """
 
     def __init__(self, objective: _SLEObjective):
         grid = _sle_grid()
         self.objective = objective
+        self.partners = _sector_partners(objective)
         self.weights = grid.coefficients @ objective.traces
         self.pairs = objective._combine(grid.coefficients, objective.blocks_pt)
         self.values = np.full(grid.thetas.size, np.inf)
-        self.values[grid.coarse] = _lowest_eigenvalues(
-            self.pairs[grid.coarse], self.weights[grid.coarse])
+
+    def bounds(self) -> tuple[np.ndarray, np.ndarray]:
+        """A lower bound on the value at every grid point, less its slack,
+        and the points to solve first: the closed form's argmin for a
+        structured objective, else the subgrid."""
+        if self.partners is None:
+            return self._lower_bounds(self.weights), _sle_grid().coarse
+        lowest, norm = _sector_lowest(self.pairs, self.weights, self.partners)
+        return (lowest - 1e-12 * (1.0 + norm),
+                np.array([np.argmin(lowest)]))
 
     def best(self) -> tuple[float, float, float]:
         """The best grid point, (theta, phi, value): ``np.argmin`` over the
         exhaustive grid's values, with ``inf`` at every unsolved point."""
         grid = _sle_grid()
-        skipped = (self._lower_bounds(self.weights)
-                   > self.values[grid.coarse].min())
+        lower, first = self.bounds()
+        self.values[first] = _lowest_eigenvalues(self.pairs[first],
+                                                 self.weights[first])
+        skipped = lower > self.values[first].min()
         unsolved = (self.weights > DEGENERATE_WEIGHT) & ~skipped
-        unsolved[grid.coarse] = False
+        unsolved[first] = False
         points = np.flatnonzero(unsolved)
         self.values[points] = _lowest_eigenvalues(self.pairs[points],
                                                   self.weights[points])
@@ -854,14 +963,19 @@ def sle_quantify(rho, pair=None, quantifier: str = QUANTIFIER_NEGATIVITY, *,
     docstring) while each one strictly lowers the value, at most
     ``SLE_REFINE_STEPS`` of them, and reports the last point kept.  The
     grid is searched by branch and bound (see "Grid search" in the module
-    docstring): the stride-8 subgrid is solved exactly, every other point
-    is bounded from below through its nearest subgrid point A, and a point
-    is solved unless its bound, less a slack of
-    1e-12 (1 + ||A||_F + 2 eps) with 2 eps >= ||E||_F and E the point's
-    pair less A's, lies above the subgrid's best value.
-    The point found is bit for bit the one an eigensolve at every grid
-    point finds, after solving 430 of the 4096 points on average (see the
-    module docstring for the measurement).
+    docstring).  When the transposed pair splits into sectors of at most
+    two basis states, as for every X-shaped state, each point is bounded
+    from below by the closed form of its sectors, less a slack of
+    1e-12 (1 + ||M||_F) with M the point's normalized pair, and the closed
+    form's argmin is solved first.  Otherwise the stride-8 subgrid is
+    solved first and every other point is bounded from below through its
+    nearest subgrid point A, less a slack of 1e-12 (1 + ||A||_F + 2 eps)
+    with 2 eps >= ||E||_F and E the point's pair less A's.  A point is
+    solved unless its bound lies above the best value solved first.  The
+    point found is bit for bit the one an eigensolve at every grid point
+    finds, after solving 69 of the 4096 points on average for
+    a pair of at most two-state sectors and 367 for any other
+    (see the module docstring for the measurement).
 
     With ``sign_only=True``, a state whose nonzero entries conserve ring
     charges (see "Certified signs" in the module docstring) first takes a

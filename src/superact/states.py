@@ -17,6 +17,7 @@ function, so everything here is safe to call from concurrent workers.
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass
 from typing import Mapping
@@ -244,10 +245,24 @@ def _check_unit_interval(**params):
             raise ValueError(f"{name}={value!r} outside [0, 1]")
 
 
+@functools.cache
+def _ghz_projector(index: int, sign: int) -> np.ndarray:
+    """The read-only entries of ``make_ghz(index, sign).projector()``,
+    built and validated once per process."""
+    return make_ghz(index, sign).projector().entries
+
+
+@functools.cache
+def _w_projector() -> np.ndarray:
+    """The read-only entries of ``w_state().projector()``, built and
+    validated once per process."""
+    return w_state().projector().entries
+
+
 def noisy_ghz(p: float) -> DensityMatrix:
     """GHZ state mixed with white noise: p |GHZ><GHZ| + (1-p) I/8."""
     _check_unit_interval(p=p)
-    g = ghz3().projector().entries
+    g = _ghz_projector(0, +1)
     return DensityMatrix(3, p * g + (1.0 - p) * np.eye(8) / 8.0)
 
 
@@ -264,8 +279,7 @@ def noise_model_state(p: float, q: float, r: float) -> DensityMatrix:
     signal = np.zeros((8, 8), dtype=np.complex128)
     for index in range(4):
         weight = r if index == 0 else (1.0 - r) / 3.0
-        plus = make_ghz(index, +1).projector().entries
-        minus = make_ghz(index, -1).projector().entries
+        plus, minus = _ghz_projector(index, +1), _ghz_projector(index, -1)
         signal += weight * (q * plus + (1.0 - q) * minus)
     return DensityMatrix(3, p * signal + (1.0 - p) * np.eye(8) / 8.0)
 
@@ -273,7 +287,7 @@ def noise_model_state(p: float, q: float, r: float) -> DensityMatrix:
 def noisy_w(p: float) -> DensityMatrix:
     """W state mixed with white noise: p |W><W| + (1-p) I/8."""
     _check_unit_interval(p=p)
-    w = w_state().projector().entries
+    w = _w_projector()
     return DensityMatrix(3, p * w + (1.0 - p) * np.eye(8) / 8.0)
 
 

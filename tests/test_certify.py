@@ -52,6 +52,7 @@ from util import (
     random_density_matrix,
     random_hermitian,
     random_unitary,
+    random_x_state,
 )
 
 P_GRID = np.linspace(0.0, 1.0, 21)
@@ -642,6 +643,27 @@ def _more_grid_states():
 _GRID_STATES.update(_more_grid_states())
 
 
+def _structured_states():
+    """Noisy GHZ over a p grid, noise-model, distilled-GHZ and random
+    X-shaped states: the states whose transposed pairs split into sectors
+    of at most two basis states, for every kept pair."""
+    rng = np.random.default_rng(23)
+    states = {f"ghz-{p:.3f}": noisy_ghz(p)
+              for p in np.append(np.linspace(0.0, 1.0, 41), 1 / 3)}
+    for k, (p, q, r) in enumerate(rng.uniform(0.0, 1.0, (20, 3))):
+        states[f"noise-model-{k}"] = noise_model_state(p, q, r)
+    states["noise-model-corner"] = noise_model_state(0.8, 0.9, 0.95)
+    for p in np.linspace(0.0, 1.0, 15):
+        states[f"distilled-ghz-{p:.3f}"] = analytic_distilled_noisy_ghz(p)
+    for k in range(25):
+        states[f"random-x-{k}"] = random_x_state(rng)
+    return states
+
+
+_STRUCTURED_STATES = _structured_states()
+_GRID_STATES.update(_STRUCTURED_STATES)
+
+
 @pytest.mark.parametrize("name", list(_GRID_STATES))
 def test_sle_grid_search_is_the_exhaustive_argmin_bit_for_bit(name):
     rho = _GRID_STATES[name]
@@ -649,8 +671,7 @@ def test_sle_grid_search_is_the_exhaustive_argmin_bit_for_bit(name):
         objective = _SLEObjective(rho, pair)
         expected, values = _exhaustive_best(objective)
         search = certify._GridSearch(objective)
-        lower = search._lower_bounds(
-            certify._sle_grid().coefficients @ objective.traces)
+        lower, _ = search.bounds()
         assert _bits(search.best()) == _bits(expected)
         # Every bound, less its slack, lies below the exact value.
         assert not np.any(lower > values)
@@ -728,14 +749,19 @@ def test_sle_sign_only_settles_nonnegative_signs_by_certificate(
     assert sle_quantify(rho).certificate is None
 
 
-@pytest.mark.parametrize("rho", [noisy_w(0.6), noisy_ghz(0.6)],
-                         ids=["noisy-w", "noisy-ghz"])
-def test_sle_default_search_solves_a_fraction_of_the_grid(rho, batches):
-    # Measured when this budget was set: 120 and 600 solves on the grid,
-    # against 4096 for the exhaustive grid, then one per see-saw step.
+@pytest.mark.parametrize("rho,first,budget", [
+    (noisy_w(0.6), 64, 1024), (noisy_ghz(0.6), 1, 256),
+], ids=["noisy-w", "noisy-ghz"])
+def test_sle_default_search_solves_a_fraction_of_the_grid(rho, first, budget,
+                                                          batches):
+    # Measured when these budgets were set: 120 solves on the grid for
+    # noisy W, whose bounds go through the subgrid (first the 64 subgrid
+    # points), and 128 for noisy GHZ, whose sectors' closed form bounds
+    # every point (first its argmin), against 4096 for the exhaustive grid;
+    # then one per see-saw step.
     sle_quantify(rho)
-    assert batches[0] == 64  # the subgrid
-    assert sum(batches) <= 1024
+    assert batches[0] == first
+    assert sum(batches) <= budget
 
 
 def test_sle_seesaw_step_never_increases_the_value():
@@ -763,9 +789,10 @@ def test_sle_seesaw_step_skipped_on_a_singular_weight_form(batches):
     assert _SLEObjective(pinned, None).seesaw_step(0.3, 0.2) is None
     assert _sign_only_agrees(pinned, None, QUANTIFIER_MIN_EIGENVALUE) is None
     # The objective is constant wherever the weight is nonzero, so no bound
-    # rules a point out.  Both searches solve the subgrid, then every other
-    # point but the zero-weight theta = pi/2 row.
-    assert batches == [64, 64 * 64 - 2 * 64] * 2
+    # rules a point out.  The state is X-shaped, so both searches solve the
+    # closed form's argmin, then every other point but the zero-weight
+    # theta = pi/2 row.
+    assert batches == [1, 64 * 64 - 64 - 1] * 2
 
 
 def test_sle_bisection_margins_settle_in_the_band_search(monkeypatch, batches):
@@ -928,7 +955,7 @@ def _x_shaped_objective(rho, pair, theta, phi) -> float:
     lows = [(p + q) / 2 - np.hypot((p - q) / 2, abs(off))
             for p, q, off in ((d(0, 0), d(1, 1), anti(0, 1)),
                               (d(0, 1), d(1, 0), anti(0, 0)))]
-    return min(lows) / sum(d(a, b) for a in (0, 1) for b in (0, 1))
+    return np.minimum(*lows) / sum(d(a, b) for a in (0, 1) for b in (0, 1))
 
 
 @pytest.mark.parametrize("rho", [
@@ -947,6 +974,74 @@ def test_sle_objective_matches_the_x_shaped_closed_form(rho):
         expected = [_x_shaped_objective(rho, pair, t, f)
                     for t, f in zip(thetas, phis)]
         assert np.allclose(values, expected, rtol=0.0, atol=1e-15)
+
+
+@pytest.mark.parametrize("pair", [(0, 1), (0, 2), (1, 2)])
+def test_sle_sectors_of_each_family(pair):
+    # An X-shaped pair couples 00 with 11 and 01 with 10; transposing b
+    # keeps those sectors, so every basis state's partner is itself or its
+    # flip.  W-type and general states couple three or more states.
+    for name, rho in _STRUCTURED_STATES.items():
+        partners = certify._sector_partners(_SLEObjective(rho, pair))
+        assert partners is not None, name
+        assert np.array_equal(partners[partners], np.arange(4))
+        assert np.all((partners == np.arange(4)) | (partners == 3 - np.arange(4)))
+    for rho in (noisy_w(0.6), distill_cnot(noisy_w(0.5), noisy_w(0.5)).state,
+                random_density_matrix(np.random.default_rng(4), 3)):
+        assert certify._sector_partners(_SLEObjective(rho, pair)) is None
+
+
+@pytest.mark.parametrize("pair", [(0, 1), (0, 2), (1, 2)])
+@pytest.mark.parametrize("rho", [
+    noisy_ghz(0.6), noise_model_state(0.8, 0.9, 0.95),
+], ids=["noisy-ghz", "noise-model"])
+def test_sle_sectors_are_read_from_exact_zeros(rho, pair):
+    # One entry of 1e-300 joining |000> with the state whose second kept
+    # qubit is flipped couples the pair's 00 and 01, which share no sector:
+    # the structure is off and the search takes the subgrid's bounds.
+    m = np.array(rho.entries)
+    flipped = 1 << (2 - pair[1])
+    m[0, flipped] = m[flipped, 0] = 1e-300
+    leaky = DensityMatrix(3, m)
+    assert certify._sector_partners(_SLEObjective(rho, pair)) is not None
+    objective = _SLEObjective(leaky, pair)
+    assert certify._sector_partners(objective) is None
+    search = certify._GridSearch(objective)
+    assert np.array_equal(search.bounds()[1], certify._sle_grid().coarse)
+    assert _bits(search.best()) == _bits(_exhaustive_best(objective)[0])
+
+
+@pytest.mark.parametrize("pair", [(0, 1), (0, 2), (1, 2)])
+def test_sle_sector_closed_form_matches_the_x_shaped_oracle(pair):
+    # Without its slack, the sector bound at every grid point is the
+    # X-shaped closed form, and the search solves its argmin first; that
+    # the bound less its slack lies below every exact value is checked with
+    # the grid search, on the same states.
+    grid = certify._sle_grid()
+    for name, rho in _STRUCTURED_STATES.items():
+        search = certify._GridSearch(_SLEObjective(rho, pair))
+        lowest, _ = certify._sector_lowest(search.pairs, search.weights,
+                                           search.partners)
+        assert np.array_equal(search.bounds()[1], [np.argmin(lowest)])
+        valid = search.weights > certify.DEGENERATE_WEIGHT
+        assert np.array_equal(valid, np.isfinite(lowest)), name
+        oracle = _x_shaped_objective(rho, pair, grid.thetas[valid],
+                                     grid.phis[valid])
+        assert np.allclose(lowest[valid], oracle, rtol=0.0, atol=1e-15), name
+
+
+@pytest.mark.parametrize("pair", [(0, 1), (0, 2), (1, 2)])
+def test_sle_structured_search_skips_the_subgrid_bounds(pair, monkeypatch):
+    def refuse(self, weights):
+        raise AssertionError("the subgrid bounds were computed")
+
+    monkeypatch.setattr(certify._GridSearch, "_lower_bounds", refuse)
+    for rho in (noisy_ghz(0.6), noise_model_state(0.8, 0.9, 0.95),
+                analytic_distilled_noisy_ghz(0.3),
+                random_x_state(np.random.default_rng(31))):
+        sle_quantify(rho, pair)
+    with pytest.raises(AssertionError, match="subgrid bounds"):
+        sle_quantify(noisy_w(0.6), pair)
 
 
 def test_verify_sle_certificate_rejects_forgeries():

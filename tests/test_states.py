@@ -29,6 +29,8 @@ from superact.states import (
     PAULI_Z,
     DegenerateProjectionError,
     StateValidationError,
+    _ghz_projector,
+    _w_projector,
     density_matrix_from_dict,
 )
 from util import (
@@ -114,6 +116,18 @@ def test_ghz_family_orthonormal():
     gram = np.array([[np.vdot(a.amplitudes, b.amplitudes) for b in family]
                      for a in family])
     assert np.abs(gram - np.eye(8)).max() < 1e-15
+
+
+def test_constant_projectors_are_built_once_and_read_only():
+    # The noisy families read these instead of rebuilding and validating
+    # the same projectors on every call.
+    pairs = [(_ghz_projector(i, s), make_ghz(i, s)) for i in range(4)
+             for s in (+1, -1)] + [(_w_projector(), w_state())]
+    for cached, state in pairs:
+        assert not cached.flags.writeable
+        assert cached.tobytes() == state.projector().entries.tobytes()
+    assert _ghz_projector(2, -1) is _ghz_projector(2, -1)
+    assert _w_projector() is _w_projector()
 
 
 def test_make_ghz_rejects_bad_index():

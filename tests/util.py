@@ -44,6 +44,16 @@ def random_density_matrix(rng, n_qubits):
     return rho / np.trace(rho).real
 
 
+def random_x_state(rng):
+    """A random three-qubit X-shaped state: each pair of basis states i and
+    7 - i carries a random 2x2 positive block, nothing else is nonzero."""
+    rho = np.zeros((8, 8), dtype=complex)
+    for i in range(4):
+        g = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+        rho[np.ix_([i, 7 - i], [i, 7 - i])] = rng.uniform() * g @ g.conj().T
+    return rho / np.trace(rho).real
+
+
 def random_hermitian(rng, dim):
     a = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     return a + a.conj().T
