@@ -624,17 +624,6 @@ def test_csv_quotes_fields_with_commas(capsys):
 
 
 @pytest.mark.parametrize("spec,expected", [
-    # Noisy GHZ optima lie on phi-rings of tied values; the printed phi is
-    # the exhaustive grid's first minimum on the ring.
-    ("noisy-ghz:0.5", {
-        "min_eigenvalue": (-0.12499999999999997, 0.7853981633974482,
-                           0.9817477042468101),
-        "negativity": (0.32192809488736235, 0.7853981633974482,
-                       0.9817477042468101)}),
-    ("noisy-ghz:0.3", {
-        "min_eigenvalue": (0.025000000000000036, 0.7853981633974483,
-                           0.9817477042468101),
-        "negativity": (0.0, 0.7853981633974483, 0.9817477042468101)}),
     ("noisy-w:0.6", {
         "min_eigenvalue": (-0.25, 0.0, 0.0),
         "negativity": (0.5849625007211562, 0.0, 0.0)}),
@@ -646,6 +635,17 @@ def test_csv_quotes_fields_with_commas(capsys):
                            0.42426856408871894),
         "negativity": (0.06645444063350468, 1.4520697872558654,
                        0.42426856408871894)}),
+    # Noisy GHZ optima lie on phi-rings of tied values; the printed phi is
+    # the exhaustive grid's first minimum on the ring.
+    ("noisy-ghz:0.5", {
+        "min_eigenvalue": (-0.12499999999999997, 0.7853981633974482,
+                           0.9817477042468101),
+        "negativity": (0.32192809488736235, 0.7853981633974482,
+                       0.9817477042468101)}),
+    ("noisy-ghz:0.3", {
+        "min_eigenvalue": (0.025000000000000036, 0.7853981633974483,
+                           0.9817477042468101),
+        "negativity": (0.0, 0.7853981633974483, 0.9817477042468101)}),
 ])
 def test_certify_sle_golden(capsys, tmp_path, spec, expected):
     # The SLE optimum (value, theta, phi) exactly as the exhaustive 64x64
