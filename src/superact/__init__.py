@@ -1,6 +1,6 @@
 """Exact simulation of tripartite entanglement distillation and certification.
 
-Subpackages by concern:
+Modules by concern:
 
 - :mod:`superact.states` -- multi-qubit pure states and density matrices
 - :mod:`superact.linalg` -- Jacobi eigensolver for certificate checks

@@ -466,21 +466,6 @@ def histogram_to_json_dict(setting: str, shots: int, seed: int,
             "histogram": histogram}
 
 
-def product_expectation(histogram: dict[str, int]) -> float:
-    """Expectation of the full product observable from an outcome histogram."""
-    shots = sum(histogram.values())
-    signed = sum((-1 if outcome.count("1") % 2 else 1) * count
-                 for outcome, count in histogram.items())
-    return signed / shots
-
-
-def population_expectation(histogram: dict[str, int]) -> float:
-    """Probability of the all-zero or all-one outcome (the population term)."""
-    shots = sum(histogram.values())
-    n = len(next(iter(histogram)))
-    return (histogram.get("0" * n, 0) + histogram.get("1" * n, 0)) / shots
-
-
 def sampled_ghz_fidelity(rho, shots: int, seed: int) -> tuple[float, float]:
     """Estimate the GHZ fidelity from finite-shot Pauli measurements.
 
@@ -495,7 +480,9 @@ def sampled_ghz_fidelity(rho, shots: int, seed: int) -> tuple[float, float]:
     """
     m, _ = _sampling_state(rho, 3)
     _check_shots_and_seed(shots, seed)
-    shots = int(shots)  # so each count / shots rounds as int / int does
+    # Python ints: each count / shots then rounds as int / int does, and the
+    # derived seeds seed + offset cannot overflow a NumPy seed's dtype.
+    shots, seed = int(shots), int(seed)
     counts = _born_counts(m, "zzz", shots, seed)
     population = int(counts[0] + counts[7]) / shots
     var_f = 0.25 * population * (1.0 - population) / shots

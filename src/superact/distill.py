@@ -68,19 +68,12 @@ class DistillationOutcome:
     parity_branch_weights: tuple[tuple[str, float], ...]
 
 
-def pbs_projector() -> np.ndarray:
-    """Two-photon parity projector |00><00| + |11><11|."""
-    p = np.zeros((4, 4), dtype=np.complex128)
-    p[0, 0] = 1.0
-    p[3, 3] = 1.0
-    return p
-
-
 def parity_operators() -> tuple[np.ndarray, np.ndarray]:
     """Reduction operators (|0><00| +/- |1><11|)/sqrt(2).
 
-    They are the parity projector composed with an X-basis measurement of
-    the second photon: P_+ for outcome plus, P_- for outcome minus.
+    They are the parity projector |00><00| + |11><11| composed with an
+    X-basis measurement of the second photon: P_+ for outcome plus, P_-
+    for outcome minus.
     Completeness: P_+^dag P_+ + P_-^dag P_- equals the parity projector.
     """
     plus = np.zeros((2, 4), dtype=np.complex128)

@@ -11,28 +11,30 @@ negative optimum certifies genuine multipartite entanglement; a nonnegative
 optimum is strong (though not conclusive) evidence of bi-separability.
 
 The solver is Douglas-Rachford splitting (see "Douglas-Rachford
-iteration") over the 7-tuple (W, P_1, Q_1, ..., Q_3) of Hermitian matrices,
-with W the free block.  Every solve returns two certificates built from its
-final iterate, so that they can be re-verified without trusting the solver:
-an exactly feasible witness, whose value bounds the optimum from above, and
-a PPT mixture, which bounds it from below.
+iteration") over the 7-tuple (W, P_1, Q_1, ..., Q_3) of Hermitian matrices.
+Every solve returns two certificates built from its final iterate, so that
+they can be re-verified without trusting the solver: an exactly feasible
+witness, whose value bounds the optimum from above, and a PPT mixture,
+which bounds it from below.
 
 Douglas-Rachford iteration
 --------------------------
-``douglas_rachford`` is the loop behind the program.  It takes a stack x
-of Hermitian blocks with the linear cost <c, x>, an affine constraint set
-with its orthogonal projection P_A, and a product of cones: block 0 is free
-and blocks 1: are PSD, projected by clipping their eigenvalues (P_K).
-From the splitting variable z each iteration takes a gradient step on the
-cost and the two projections,
+The splitting separates the program's equality constraints, tr W = 1 and
+W = P_i + Q_i^{T_i}, from its cone constraints.  P_A is the orthogonal
+projection onto the equality constraints (see "Affine projection"); P_K
+leaves W alone and clips the eigenvalues of the six P and Q blocks to be
+nonnegative.  ``_iterates`` runs the splitting: from the splitting
+variable z each iteration steps along the cost tr(W rho), which moves W
+alone, and takes the two projections,
 
-    xf = P_A(z - step c),   y = 2 xf - z,   xg = P_K(y),
-    z <- z + relaxation (xg - xf),
+    xf = P_A(z - STEP (rho, 0, ..., 0)),   y = 2 xf - z,   xg = P_K(y),
+    z <- z + RELAXATION (xg - xf),
 
 and yields xf, y, xg and the z it moves on to.  The cone gap xg - y on
-blocks 1: over the step holds the multipliers of the cone constraints, from
-which ``ppt_mixer_witness`` repairs its dual certificate; it forms the gap
-only when it checks, and chooses when to check and when to stop.
+the P and Q blocks over STEP holds the multipliers of the cone
+constraints, from which ``ppt_mixer_witness`` repairs its dual
+certificate.  ``ppt_mixer_witness`` counts the iterations, forms the gap
+only when it checks the bounds, and stops the iteration itself.
 
 The loop accelerates the fixed-point iteration z <- T(z) of that map by
 type-II Anderson acceleration (Walker & Ni, SIAM J. Numer. Anal. 49, 715,
@@ -42,7 +44,7 @@ differences dg of the residuals g = T(z) - z and dT of the map's values,
 solves the least squares min ||g - dg gamma|| with a Tikhonov weight of
 1e-10 times the trace of its Gram matrix, and moves on to
 T(z) - dT gamma.  The coefficients gamma are real, computed on the real
-coordinates of the stacked blocks: a real combination of Hermitian blocks
+coordinates of the seven blocks: a real combination of Hermitian blocks
 is Hermitian, where a complex one is not.  Every T(z) is replaced by its
 exact Hermitian part, so that no rounding drift builds up for the
 extrapolation to amplify.  The safeguard keeps an extrapolated z only if
@@ -97,14 +99,14 @@ xg its cone projection:
   lower bound.
 
 Both bounds cost four small batched LAPACK calls.  Every solve computes
-them every 10 iterations and stops as soon as upper - lower is at most
-``gap_tol``, the one setting a caller of ``ppt_mixer_witness`` passes
-(``GAP_TOL`` = 1e-8 by default); a solve asked only for the sign
-(``sign_only=True``) also stops as soon as the upper bound lies below minus
-the certification margin ``CERTIFICATION_MARGIN`` = 1e-5 or the lower
-bound above it.  The gap stop ends sign-only solves too, so that one whose
-optimum lies inside the margin ends with an indeterminate sign instead of
-running to the iteration cap ``MAX_ITERATIONS`` = 200000.
+them every 10 iterations and at the iteration cap ``MAX_ITERATIONS`` =
+200000, and stops as soon as upper - lower is at most ``gap_tol``, the one
+setting a caller of ``ppt_mixer_witness`` passes (``GAP_TOL`` = 1e-8 by
+default); a solve asked only for the sign (``sign_only=True``) also stops
+as soon as the upper bound lies below minus the certification margin
+``CERTIFICATION_MARGIN`` = 1e-5 or the lower bound above it.  The gap stop
+ends sign-only solves too, so that one whose optimum lies inside the margin
+ends with an indeterminate sign instead of running to the iteration cap.
 Every result is built from the bounds at the final iterate, and its sign is
 read from them.
 
@@ -166,7 +168,6 @@ stagnation rule left up to 6.2e-7.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -238,41 +239,41 @@ class WitnessResult:
     final_z: np.ndarray | None = field(default=None, repr=False)
 
 
-@functools.cache
-def _partial_transpose_index(n_qubits: int) -> np.ndarray:
-    """Gather index of one partial transpose per bipartition, shape
-    (3, dim**2).
+def _partial_transpose_index() -> np.ndarray:
+    """Gather index of one three-qubit partial transpose per bipartition,
+    shape (3, 64).
 
-    With dim = 2**n_qubits and a stack of three dim x dim blocks flattened
-    to ``flat``, ``flat[index[j]]`` is block j partially transposed over
-    ``BIPARTITIONS[j]``, in row-major order.  The index is built once per
-    qubit count and is read-only.
+    With a stack of three 8 x 8 blocks flattened to ``flat``,
+    ``flat[index[j]]`` is block j partially transposed over
+    ``BIPARTITIONS[j]``, in row-major order.
     """
-    dim = 2 ** n_qubits
-    flat = np.arange(dim * dim).reshape(dim, dim)
+    flat = np.arange(64).reshape(8, 8)
     index = np.stack([
-        k * dim * dim + _partial_transpose_array(flat, n_qubits, party).ravel()
+        k * 64 + _partial_transpose_array(flat, 3, party).ravel()
         for k, party in enumerate(BIPARTITIONS)
     ])
     index.flags.writeable = False
     return index
 
 
-def _transpose_stack(blocks: np.ndarray, pt_index: np.ndarray) -> np.ndarray:
-    """Partial transpose of ``blocks[j]`` over the j-th party of ``pt_index``.
+_PT_INDEX = _partial_transpose_index()
+
+
+def _transpose_stack(blocks: np.ndarray,
+                     index: np.ndarray = _PT_INDEX) -> np.ndarray:
+    """Partial transpose of ``blocks[j]`` over the j-th party of ``index``.
 
     With a one-party index, ``blocks`` may also be a single matrix.
     """
-    return blocks.reshape(-1)[pt_index].reshape(blocks.shape)
+    return blocks.reshape(-1)[index].reshape(blocks.shape)
 
 
-def _project_affine(x: np.ndarray, pt_index: np.ndarray,
-                    eye: np.ndarray) -> np.ndarray:
+def _project_affine(x: np.ndarray, eye: np.ndarray) -> np.ndarray:
     dim = eye.shape[0]
     w = x[0]
     p_blocks, q_blocks = x[1::2], x[2::2]
     r0 = float(w.trace().real) - 1.0
-    r = w - p_blocks - _transpose_stack(q_blocks, pt_index)
+    r = w - p_blocks - _transpose_stack(q_blocks)
     r_sum = r[0] + r[1] + r[2]
     t = (5.0 * r0 - float(r_sum.trace().real)) / (2.0 * dim)
     s = (r_sum - 3.0 * t * eye) / 5.0
@@ -280,7 +281,7 @@ def _project_affine(x: np.ndarray, pt_index: np.ndarray,
     out = np.empty_like(x)
     out[0] = w - (t * eye + (m[0] + m[1] + m[2]))
     out[1::2] = p_blocks + m
-    out[2::2] = q_blocks + _transpose_stack(m, pt_index)
+    out[2::2] = q_blocks + _transpose_stack(m)
     return out
 
 
@@ -293,12 +294,6 @@ def _psd_part(blocks: np.ndarray) -> np.ndarray:
     lam, vec = np.linalg.eigh(blocks)
     return (vec * np.maximum(lam, 0.0)[:, None, :]) @ np.conj(
         np.swapaxes(vec, -1, -2))
-
-
-def _project_cone(x: np.ndarray) -> np.ndarray:
-    out = x.copy()
-    out[1:] = _psd_part(x[1:])
-    return out
 
 
 def _start(start, cold: np.ndarray) -> np.ndarray:
@@ -316,19 +311,17 @@ def _real_view(x: np.ndarray) -> np.ndarray:
     return x.reshape(-1).view(np.float64)
 
 
-def douglas_rachford(c: np.ndarray, z: np.ndarray, project_affine,
-                     step: float, relaxation: float, max_iterations: int):
-    """Anderson-accelerated Douglas-Rachford iterates of min <c, x> over an
-    affine set and cones.
+def _iterates(rho: np.ndarray, z: np.ndarray, eye: np.ndarray):
+    """Anderson-accelerated Douglas-Rachford iterates of the witness program.
 
-    Starts from the splitting variable ``z`` and yields, for each of at most
-    ``max_iterations`` iterations, the affine iterate xf, the reflection y
-    and its cone projection xg at the current z, and the z the next
-    iteration starts from (see "Douglas-Rachford iteration" in the module
-    docstring); the cone gap is xg[1:] - y[1:].  Each iteration evaluates
-    the Douglas-Rachford map once.  ``project_affine`` is the orthogonal
-    projection onto the affine set; block 0 of the stack is free, blocks 1:
-    are PSD.  No array is changed in place, ``z`` included.
+    Starts from the splitting variable ``z`` and yields, iteration after
+    iteration without end, the affine iterate xf, the reflection y and its
+    cone projection xg at the current z, and the z the next iteration
+    starts from (see "Douglas-Rachford iteration" in the module docstring);
+    the cone gap is xg[1:] - y[1:].  Each iteration evaluates the
+    Douglas-Rachford map once.  ``rho`` is the state, contiguous and of the
+    iteration's dtype, and ``eye`` the identity of that dtype.  No array is
+    changed in place, ``z`` included.
     """
     memory = _ANDERSON_MEMORY
     size = _real_view(z).size
@@ -343,13 +336,16 @@ def douglas_rachford(c: np.ndarray, z: np.ndarray, project_affine,
     base_t = base_g = None
     base_norm = np.inf
     candidate = False
-    for _ in range(max_iterations):
-        xf = project_affine(z - step * c)
+    while True:
+        shifted = z.copy()
+        shifted[0] -= STEP * rho
+        xf = _project_affine(shifted, eye)
         y = 2.0 * xf - z
-        xg = _project_cone(y)
+        xg = y.copy()
+        xg[1:] = _psd_part(y[1:])
         # Hermitian to the last bit, so that no rounding drift builds up for
         # the extrapolation to amplify.
-        t_z = _hermitian_part(z + relaxation * (xg - xf))
+        t_z = _hermitian_part(z + RELAXATION * (xg - xf))
         t_real = _real_view(t_z)
         g = t_real - _real_view(z)
         g_norm = float(g @ g)
@@ -395,7 +391,6 @@ class _Bounds(NamedTuple):
 
 
 def _certified_bounds(rho: np.ndarray, xf: np.ndarray, cone_gap: np.ndarray,
-                      step: float, pt_index: np.ndarray,
                       eye: np.ndarray) -> _Bounds:
     """Feasible witness and PPT mixture built from one iterate.
 
@@ -405,19 +400,19 @@ def _certified_bounds(rho: np.ndarray, xf: np.ndarray, cone_gap: np.ndarray,
     dim = eye.shape[0]
     w = _hermitian_part(xf[0])
     q_hat = _psd_part(xf[2::2])
-    p_raw = w - _transpose_stack(q_hat, pt_index)
+    p_raw = w - _transpose_stack(q_hat)
     delta = max(0.0, -float(np.linalg.eigvalsh(p_raw)[:, 0].min()))
     scale = 1.0 / (1.0 + dim * delta)
     witness = (w + delta * eye) * scale
 
-    multipliers = cone_gap / step
-    mix = multipliers[0::2] + _transpose_stack(multipliers[1::2], pt_index)
+    multipliers = cone_gap / STEP
+    mix = multipliers[0::2] + _transpose_stack(multipliers[1::2])
     mix = 0.5 * _hermitian_part(mix)
     lowest = np.linalg.eigvalsh(
-        np.concatenate([mix, _transpose_stack(mix, pt_index)]))[:, 0]
+        np.concatenate([mix, _transpose_stack(mix)]))[:, 0]
     mix += np.maximum(0.0, -lowest.reshape(2, -1).min(axis=0))[:, None, None] * eye
     r = rho - (mix[0] + mix[1] + mix[2])
-    r_t1 = _transpose_stack(r, pt_index[:1])
+    r_t1 = _transpose_stack(r, _PT_INDEX[:1])
     t = float(np.linalg.eigvalsh(np.stack([r, r_t1]))[:, 0].min())
     mix[0] += r - t * eye
     return _Bounds(
@@ -431,9 +426,9 @@ def _certified_bounds(rho: np.ndarray, xf: np.ndarray, cone_gap: np.ndarray,
 
 
 def _residuals(witness: np.ndarray, p_blocks: np.ndarray,
-               q_blocks: np.ndarray, pt_index: np.ndarray) -> tuple[float, ...]:
+               q_blocks: np.ndarray) -> tuple[float, ...]:
     """Frobenius norms ||W - P_i - Q_i^{T_i}||, one per bipartition."""
-    rebuilt = p_blocks + _transpose_stack(q_blocks, pt_index)
+    rebuilt = p_blocks + _transpose_stack(q_blocks)
     return tuple(float(np.linalg.norm(witness - r)) for r in rebuilt)
 
 
@@ -444,14 +439,15 @@ def ppt_mixer_witness(rho, *, gap_tol: float = GAP_TOL,
 
     Whatever the mode, the result holds the certified bounds of the final
     iterate and the sign they fix (see ``WitnessResult``).  Every 10
-    iterations the solve builds the bounds and stops once they lie within
-    ``gap_tol`` of each other; with ``sign_only=True`` it also stops as soon
-    as they fix the sign against ``CERTIFICATION_MARGIN``.  ``converged``
-    is True when the bounds ended the solve.
+    iterations, and at the iteration budget ``MAX_ITERATIONS``, the solve
+    builds the bounds and stops once they lie within ``gap_tol`` of each
+    other; with ``sign_only=True`` it also stops as soon as they fix the
+    sign against ``CERTIFICATION_MARGIN``.  ``converged`` is True when the
+    bounds ended the solve.
 
-    Reaching the iteration budget, ``MAX_ITERATIONS``, is not an
-    exception: the result is returned with ``converged=False`` and the
-    bounds of the last iterate.
+    Reaching the budget is not an exception: the result is returned with
+    the bounds of the last iterate, and with ``converged=False`` unless
+    those bounds meet the stop rule.
 
     The iteration starts from ``start``, the ``final_z`` of an earlier
     result, when it has this program's shape (7, 8, 8) and dtype (float64
@@ -460,44 +456,30 @@ def ppt_mixer_witness(rho, *, gap_tol: float = GAP_TOL,
     changes only when the solve stops, never what its bounds certify (see
     "Douglas-Rachford iteration" in the module docstring).
     """
-    m, n_qubits = _state_entries(rho, 3)
+    m, _ = _state_entries(rho, 3)
     dim = m.shape[0]
     # The program for a real state is invariant under complex conjugation,
     # so averaging an optimal witness with its conjugate gives a real optimal
     # one: such states iterate in real arithmetic.
     dtype = np.complex128 if m.imag.any() else np.float64
     eye = np.eye(dim, dtype=dtype)
-    pt_index = _partial_transpose_index(n_qubits)
-
-    c = np.zeros((7, dim, dim), dtype=dtype)
-    c[0] = m if dtype is np.complex128 else m.real
-    cold = np.zeros_like(c)
+    # Contiguous, since np.vdot rounds differently on a strided view such as
+    # m.real.
+    state = np.ascontiguousarray(m if dtype is np.complex128 else m.real)
+    cold = np.empty((7, dim, dim), dtype=dtype)
     cold[0] = eye / dim
     cold[1:] = eye / (2 * dim)
-    z = _start(start, cold)
 
-    def bounds_now() -> _Bounds:
-        return _certified_bounds(c[0], xf, xg[1:] - y[1:], STEP,
-                                 pt_index, eye)
-
-    xf = y = xg = z
-    bounds, bounds_at = None, -1
-    converged = False
-    iterations = 0
-    iterates = douglas_rachford(
-        c, z, lambda x: _project_affine(x, pt_index, eye),
-        STEP, RELAXATION, MAX_ITERATIONS)
+    iterates = _iterates(state, _start(start, cold), eye)
     for iterations, (xf, y, xg, z) in enumerate(iterates, 1):
-        if iterations % _BOUND_CHECK_EVERY:
+        if iterations % _BOUND_CHECK_EVERY and iterations < MAX_ITERATIONS:
             continue
-        bounds, bounds_at = bounds_now(), iterations
-        if (bounds.upper - bounds.lower <= gap_tol
-                or sign_only and (bounds.upper < -CERTIFICATION_MARGIN
-                                  or bounds.lower > CERTIFICATION_MARGIN)):
-            converged = True
+        bounds = _certified_bounds(state, xf, xg[1:] - y[1:], eye)
+        converged = (bounds.upper - bounds.lower <= gap_tol
+                     or sign_only and (bounds.upper < -CERTIFICATION_MARGIN
+                                       or bounds.lower > CERTIFICATION_MARGIN))
+        if converged or iterations >= MAX_ITERATIONS:
             break
-    if bounds_at != iterations:
-        bounds = bounds_now()
 
     witness = bounds.witness.astype(np.complex128)
     p_blocks = bounds.p_blocks.astype(np.complex128)
@@ -512,7 +494,7 @@ def ppt_mixer_witness(rho, *, gap_tol: float = GAP_TOL,
         optimal_value=bounds.upper,
         witness=witness,
         decompositions=tuple(zip(p_blocks, q_blocks)),
-        residuals=_residuals(witness, p_blocks, q_blocks, pt_index),
+        residuals=_residuals(witness, p_blocks, q_blocks),
         iterations=iterations,
         converged=converged,
         certified_sign=sign,

@@ -419,11 +419,14 @@ def density_matrix_to_dict(rho: DensityMatrix) -> dict:
 
 def density_matrix_from_dict(doc: Mapping) -> DensityMatrix:
     try:
-        n = int(doc["n_qubits"])
+        n = doc["n_qubits"]
         re = np.asarray(doc["re"], dtype=float)
         im = np.asarray(doc["im"], dtype=float)
     except (KeyError, TypeError, ValueError) as exc:
         raise StateValidationError(f"malformed density-matrix document: {exc}")
+    if isinstance(n, bool) or not isinstance(n, int):
+        raise StateValidationError(
+            f"n_qubits must be a JSON integer, got {n!r}")
     if re.shape != im.shape:
         raise StateValidationError(
             f"re/im shapes differ: {re.shape} vs {im.shape}")

@@ -106,6 +106,17 @@ def test_certify_invalid_file_nonzero_exit(tmp_path, capsys):
     assert out == ""
 
 
+def test_certify_rejects_a_non_integer_qubit_count(tmp_path, capsys):
+    doc = density_matrix_to_dict(noisy_ghz(0.5))
+    doc["n_qubits"] = 3.0
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    code, out, err = run_cli(["certify", "--input", str(bad)], capsys)
+    assert code == 1
+    assert "n_qubits must be a JSON integer, got 3.0" in err
+    assert out == ""
+
+
 def test_certify_rejects_non_finite_file(tmp_path, capsys):
     doc = density_matrix_to_dict(noisy_ghz(0.5))
     doc["re"][0][7] = float("nan")

@@ -18,9 +18,7 @@ from superact.coincidence import (
     generation_probability,
     histogram_to_json_dict,
     is_eightfold_coincidence,
-    population_expectation,
     preparation_schedule,
-    product_expectation,
     route_photons,
     same_order_pair_counts,
     sample_counts,
@@ -267,6 +265,12 @@ def test_sampling_takes_numpy_integers():
             == sample_counts(rho, "xyz", 1000, 7))
     assert (sampled_ghz_fidelity(rho, np.int32(1000), np.int64(7))
             == sampled_ghz_fidelity(rho, 1000, 7))
+    # The derived seeds seed + 1 .. seed + 8 must not overflow the seed's
+    # dtype: int8 would fail in the seed sequence, uint64 would wrap to
+    # other seeds and so to another estimate.
+    for seed in (np.int8(125), np.uint64(2 ** 64 - 1)):
+        assert (sampled_ghz_fidelity(rho, 1000, seed)
+                == sampled_ghz_fidelity(rho, 1000, int(seed)))
 
 
 def test_setting_rotations_are_built_once(monkeypatch):
@@ -312,8 +316,6 @@ def test_sample_counts_chi_squared_against_born_probabilities():
 
 def test_histogram_helpers():
     hist = {"00": 400, "11": 400, "01": 100, "10": 100}
-    assert product_expectation(hist) == pytest.approx(0.6)
-    assert population_expectation(hist) == pytest.approx(0.8)
     doc = histogram_to_json_dict("zz", 1000, 7, hist)
     assert doc["setting"] == "zz" and doc["histogram"] is hist
 

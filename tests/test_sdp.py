@@ -1,4 +1,6 @@
 import dataclasses
+import hashlib
+import itertools
 import time
 
 import numpy as np
@@ -19,11 +21,10 @@ from superact.sdp import (
     WitnessResult,
     ppt_mixer_witness,
     verify_witness_certificate,
-    _partial_transpose_index,
+    _PT_INDEX,
+    _iterates,
     _project_affine,
-    _project_cone,
     _transpose_stack,
-    douglas_rachford,
 )
 from superact.states import (
     DensityMatrix,
@@ -58,7 +59,7 @@ def _certificate_invariants(result: WitnessResult, rho, feas_tol=1e-6):
 # splitting-iteration internals
 
 def _witness_projection():
-    pt_index, eye = _partial_transpose_index(3), np.eye(8, dtype=complex)
+    eye = np.eye(8, dtype=complex)
 
     def feasible(y):
         assert abs(np.trace(y[0]).real - 1.0) < 1e-12
@@ -67,7 +68,7 @@ def _witness_projection():
                 y[2 + 2 * k], 3, party)
             assert np.abs(residual).max() < 1e-12
 
-    return 7, lambda x: _project_affine(x, pt_index, eye), feasible
+    return 7, lambda x: _project_affine(x, eye), feasible
 
 
 @pytest.mark.parametrize("program", [
@@ -89,20 +90,19 @@ def test_affine_projection_feasible_and_idempotent(program):
 
 def test_gather_partial_transpose_matches_reshape():
     rng = np.random.default_rng(2)
-    pt_index = _partial_transpose_index(3)
     for _ in range(5):
         blocks = (rng.standard_normal((3, 8, 8))
                   + 1j * rng.standard_normal((3, 8, 8)))
-        gathered = _transpose_stack(blocks, pt_index)
+        gathered = _transpose_stack(blocks)
         for k, party in enumerate(BIPARTITIONS):
             assert np.array_equal(gathered[k],
                                   _partial_transpose_array(blocks[k], 3, party))
 
 
 def test_partial_transpose_index_is_built_once_and_read_only():
-    index = _partial_transpose_index(3)
-    assert _partial_transpose_index(3) is index
-    assert not index.flags.writeable
+    # One module-level table, built at import and shared by every solve.
+    assert _PT_INDEX.shape == (3, 64)
+    assert not _PT_INDEX.flags.writeable
 
 
 def _mixed_random_state(seed, rank):
@@ -122,24 +122,25 @@ def test_accelerated_iterates_stay_hermitian():
     # extrapolated step; without the exact Hermitian part of each step,
     # rounding drift grows past 1e-12 within the first 1000 iterations.
     rho = _mixed_random_state(39, 1)
-    pt_index, eye = _partial_transpose_index(3), np.eye(8, dtype=complex)
-    c = np.zeros((7, 8, 8), dtype=complex)
-    c[0] = rho
-    z = np.zeros_like(c)
+    eye = np.eye(8, dtype=complex)
+    z = np.empty((7, 8, 8), dtype=complex)
     z[0] = eye / 8.0
     z[1:] = eye / 16.0
-    iterates = douglas_rachford(
-        c, z, lambda x: _project_affine(x, pt_index, eye), 7.0, 1.2, 1500)
-    for _, _, _, z in iterates:
+    for _, _, _, z in itertools.islice(_iterates(rho, z, eye), 1500):
         assert np.abs(z - np.conj(np.swapaxes(z, -1, -2))).max() <= 1e-12
 
 
 def test_cone_projection_clips_to_psd():
+    # From a random Hermitian splitting variable, the cone projection xg of
+    # the reflection y leaves the witness block as it is and makes the six
+    # P and Q blocks PSD.
     rng = np.random.default_rng(1)
-    x = np.stack([random_hermitian(rng, 8) for _ in range(7)])
-    y = _project_cone(x)
-    assert np.abs(y[0] - x[0]).max() == 0.0  # witness block is unconstrained
-    assert np.linalg.eigvalsh(y[1:]).min() > -1e-12
+    z = np.stack([random_hermitian(rng, 8) for _ in range(7)])
+    rho = _mixed_random_state(3, 2)
+    _, y, xg, _ = next(_iterates(rho, z, np.eye(8, dtype=complex)))
+    assert np.abs(xg[0] - y[0]).max() == 0.0  # witness block is unconstrained
+    assert np.linalg.eigvalsh(y[1:]).min() < -1.0  # so the clipping shows
+    assert np.linalg.eigvalsh(xg[1:]).min() > -1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -535,6 +536,72 @@ def test_mismatched_start_gives_the_cold_result():
         for f in dataclasses.fields(WitnessResult):
             assert np.array_equal(getattr(warm, f.name),
                                   getattr(cold, f.name)), f.name
+
+
+def _pinned_states():
+    """Eighteen states over both arithmetic paths: noisy GHZ, noisy W,
+    noise-model, CNOT-distilled W, maximally mixed, and seeded random
+    states, complex and (as their real parts, also states) real."""
+    states = [noisy_ghz(0.3), noisy_ghz(0.5), noisy_ghz(1.0),
+              noisy_w(0.4), noisy_w(0.5), noisy_w(0.6),
+              noise_model_state(0.8, 0.9, 0.95),
+              noise_model_state(0.45, 0.9084, 0.921),
+              distill_cnot(noisy_w(0.5), noisy_w(0.5)).state,
+              distill_cnot(noisy_w(0.6), noisy_w(0.6)).state,
+              maximally_mixed(3)]
+    states += [_mixed_random_state(seed, rank)
+               for seed, rank in ((1, 2), (2, 3), (3, 4), (5, 2), (6, 3))]
+    states += [_mixed_random_state(seed, rank).real
+               for seed, rank in ((2, 3), (3, 4))]
+    return states
+
+
+def _result_digest(results) -> str:
+    """sha256 over every field of every result, arrays to the bit and
+    floats by their exact repr."""
+    digest = hashlib.sha256()
+
+    def feed(value):
+        if isinstance(value, np.ndarray):
+            digest.update(f"{value.dtype.str}{value.shape}".encode())
+            digest.update(np.ascontiguousarray(value).tobytes())
+        elif isinstance(value, tuple):
+            digest.update(b"(")
+            for item in value:
+                feed(item)
+            digest.update(b")")
+        else:
+            digest.update(repr(value).encode())
+
+    for result in results:
+        for f in dataclasses.fields(WitnessResult):
+            digest.update(f.name.encode())
+            feed(getattr(result, f.name))
+    return digest.hexdigest()
+
+
+# sha256 of every field, ``final_z`` included, of the pinned solves below.
+# The solve is deterministic arithmetic, so a refactor that keeps it must
+# keep this digest; it depends on the NumPy and LAPACK build, and a
+# different build may round differently.
+_PINNED_SOLVES_DIGEST = (
+    "8ff855dd82edf2114a628c23c05db01d662f5af45cef3cad8cf83e0bb187901b")
+
+
+def test_pinned_solves_are_bit_identical(monkeypatch):
+    results = [ppt_mixer_witness(rho, **options)
+               for rho in _pinned_states()
+               for options in ({}, {"sign_only": True}, {"gap_tol": 1e-4})]
+    start = None
+    for p in np.linspace(0.40, 0.54, 8):  # a warm-started chain
+        results.append(ppt_mixer_witness(noisy_w(p), start=start))
+        start = results[-1].final_z
+    for cap in (3, 20):
+        monkeypatch.setattr(sdp, "MAX_ITERATIONS", cap)
+        results += [ppt_mixer_witness(noisy_w(0.6)),
+                    ppt_mixer_witness(_mixed_random_state(1, 2))]
+    assert len(results) == 66
+    assert _result_digest(results) == _PINNED_SOLVES_DIGEST
 
 
 def test_rejects_wrong_dimension():

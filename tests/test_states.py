@@ -32,6 +32,7 @@ from superact.states import (
     _ghz_projector,
     _w_projector,
     density_matrix_from_dict,
+    density_matrix_to_dict,
 )
 from util import (
     brute_partial_trace,
@@ -377,3 +378,10 @@ def test_density_matrix_reader_validates(tmp_path):
         load_density_matrix(path)
     with pytest.raises(StateValidationError):
         density_matrix_from_dict({"n_qubits": 1})
+    # The qubit count must be a JSON integer, not one that rounds to it.
+    doc = density_matrix_to_dict(noisy_ghz(0.5))
+    for n_qubits in (3.7, 3.0, "3", True, None, [3]):
+        path.write_text(json.dumps({**doc, "n_qubits": n_qubits}))
+        with pytest.raises(StateValidationError,
+                           match="n_qubits must be a JSON integer"):
+            load_density_matrix(path)
