@@ -5,12 +5,15 @@ qubit of a tripartite state onto cos(theta)|0> + sin(theta) e^{i phi}|1>
 and minimizes the lowest eigenvalue lambda_min after partial transposition
 of the normalized remainder pair.  A negative minimum certifies that some
 projection leaves the pair entangled, a nonnegative one that none does (for
-two qubits the PPT criterion is necessary and sufficient).  The same search
-gives the maximal negativity: the partial transpose of a unit-trace
-two-qubit state has at most one negative eigenvalue (Sanpera, Tarrach &
-Vidal, "Quantum separability, time reversal and canonical decompositions",
-PRA 58, 826 (1998)), so the negativity is log2(1 - 2 min(0, lambda_min)),
-largest where lambda_min is smallest.
+two qubits the PPT criterion is necessary and sufficient).  The search
+returns lambda_min and its direction (theta, phi), and everything else is
+read off them.  The partial transpose of a unit-trace two-qubit state has
+at most one negative eigenvalue (Sanpera, Tarrach & Vidal, "Quantum
+separability, time reversal and canonical decompositions", PRA 58, 826
+(1998)), so the maximal negativity is log2(1 - 2 min(0, lambda_min)),
+largest where lambda_min is smallest (``SLEResult.negativity``).  The
+localized pair itself, for the default pair (0, 1), is
+``project_subsystem(rho, bloch_state(theta, phi), 2, normalize=True)``.
 
 The optimizer is deterministic: the best point of a 64x64 (theta, phi)
 grid, ties going to the lowest theta, then the lowest phi, refined by
@@ -208,17 +211,14 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Mapping
 
 import numpy as np
 
 from .states import (
-    PAULI_X,
-    PAULI_Y,
     DEGENERATE_WEIGHT,
     DegenerateProjectionError,
-    DensityMatrix,
     _partial_transpose_array,
     _resolve_qubits,
     _state_entries,
@@ -226,9 +226,6 @@ from .states import (
     ghz3,
     w_state,
 )
-
-QUANTIFIER_NEGATIVITY = "negativity"
-QUANTIFIER_MIN_EIGENVALUE = "min-eigenvalue-after-pt"
 
 X_SHAPE_LEAKAGE_TOL = 1e-8
 
@@ -368,12 +365,6 @@ def w_witness_expectation(rho) -> float:
             - fidelity_with_pure(m, w_state()))
 
 
-def mk_observable(k: int) -> np.ndarray:
-    """cos(k pi/3) X + sin(k pi/3) Y, the three equatorial settings."""
-    angle = k * np.pi / 3.0
-    return np.cos(angle) * PAULI_X + np.sin(angle) * PAULI_Y
-
-
 _FIDELITY_SETTINGS = {
     "ghz3": ("population", "m0", "m1", "m2"),
     "epr": ("population", "xx", "yy"),
@@ -422,30 +413,23 @@ class SLECertificate:
 
 @dataclass(frozen=True)
 class SLEResult:
-    """Optimum of a bipartite quantifier over single-qubit projections.
+    """The lowest eigenvalue after partial transposition of the pair left by
+    projecting the measured qubit onto cos(theta)|0> + sin(theta) e^{i phi}|1>.
 
     ``certificate`` is set only by a sign-only search that settled a
     nonnegative sign on bands.
     """
 
-    value: float
+    min_eigenvalue: float
     theta: float
     phi: float
-    quantifier: str
-    localized_state: DensityMatrix
     certificate: SLECertificate | None = None
 
-
-def sle_result_to_json_dict(result: SLEResult) -> dict:
-    """Complete JSON record of an SLE search result."""
-    from .states import density_matrix_to_dict
-
-    return {
-        "value": result.value,
-        "optimizer": {"theta": result.theta, "phi": result.phi},
-        "quantifier": result.quantifier,
-        "localized_state": density_matrix_to_dict(result.localized_state),
-    }
+    @property
+    def negativity(self) -> float:
+        """The pair's negativity, log2(1 - 2 min(0, ``min_eigenvalue``)) (see
+        the module docstring)."""
+        return float(np.log2(1.0 - 2.0 * min(0.0, self.min_eigenvalue)))
 
 
 def _resolve_pair(pair) -> tuple[tuple[int, int], int]:
@@ -487,7 +471,7 @@ class _SLEObjective:
     """
 
     def __init__(self, rho, pair):
-        m, _ = _state_entries(rho, 3)  # _report needs rho >= 0
+        m, _ = _state_entries(rho, 3)  # the negativity needs rho >= 0
         kept, measured = _resolve_pair(pair)
         self.entries, self.kept, self.measured = m, kept, measured
         # Axes of the reshaped rho: qubit rows 0..2, then qubit columns 3..5.
@@ -496,7 +480,6 @@ class _SLEObjective:
         ).reshape(4, 4, 4)
         blocks = np.stack([t00, t01 + t10, 1j * (t01 - t10), t11])
         blocks_pt = blocks.reshape(4, 2, 2, 2, 2).transpose(0, 1, 4, 3, 2)
-        self.blocks = blocks.reshape(4, 16).view(np.float64)
         self.blocks_pt = blocks_pt.reshape(4, 16).view(np.float64)
         self.traces = np.einsum("kii->k", blocks).real
 
@@ -519,11 +502,6 @@ class _SLEObjective:
         coeffs = self._coefficients(thetas, phis)
         return _lowest_eigenvalues(self._combine(coeffs, self.blocks_pt),
                                    coeffs @ self.traces)
-
-    def projected(self, theta: float, phi: float) -> np.ndarray:
-        """The unnormalized pair state left by the projection at one point."""
-        coeffs = self._coefficients(np.array([theta]), np.array([phi]))
-        return self._combine(coeffs, self.blocks)[0]
 
     def seesaw_step(self, theta: float, phi: float) -> np.ndarray | None:
         """One see-saw step from (theta, phi) (see "Refinement" in the
@@ -557,31 +535,14 @@ class _SLEObjective:
                          np.angle(psi[1] * np.conj(psi[0])) % (2.0 * np.pi)])
 
 
-def _report(min_eigenvalue: float, quantifier: str) -> float:
-    """``quantifier`` of a pair state whose partial transpose has lowest
-    eigenvalue ``min_eigenvalue`` (see the module docstring)."""
-    if quantifier == QUANTIFIER_NEGATIVITY:
-        return float(np.log2(1.0 - 2.0 * min(0.0, min_eigenvalue)))
-    if quantifier == QUANTIFIER_MIN_EIGENVALUE:
-        return float(min_eigenvalue)
-    raise ValueError(f"unknown quantifier {quantifier!r}")
-
-
-def sle_reported_as(result: SLEResult, quantifier: str) -> SLEResult:
-    """A min-eigenvalue SLE result reported as ``quantifier``, same optimizer."""
-    if result.quantifier != QUANTIFIER_MIN_EIGENVALUE:
-        raise ValueError(f"cannot re-report a {result.quantifier!r} result")
-    return replace(result, value=_report(result.value, quantifier),
-                   quantifier=quantifier)
-
-
-def sle_quantifier_at(rho, pair, theta: float, phi: float, quantifier: str) -> float:
-    """Evaluate the chosen quantifier at one projection direction."""
+def sle_quantifier_at(rho, pair, theta: float, phi: float) -> float:
+    """The lowest eigenvalue after partial transposition of the normalized
+    pair at one projection direction."""
     value = _SLEObjective(rho, pair).values(np.array([theta]), np.array([phi]))[0]
     if value == np.inf:
         raise DegenerateProjectionError(
             f"projection at theta={theta}, phi={phi} has vanishing weight")
-    return _report(value, quantifier)
+    return float(value)
 
 
 def _respects(m: np.ndarray, charges) -> bool:
@@ -947,14 +908,14 @@ def _descend(objective: _SLEObjective, theta: float, phi: float,
     return theta, phi, value
 
 
-def sle_quantify(rho, pair=None, quantifier: str = QUANTIFIER_NEGATIVITY, *,
-                 sign_only: bool = False) -> SLEResult:
-    """Extremize a bipartite quantifier over single-qubit projections.
+def sle_quantify(rho, pair=None, *, sign_only: bool = False) -> SLEResult:
+    """Minimize the lowest eigenvalue after partial transposition of the
+    pair left by projecting the measured qubit, over the projection.
 
-    One search serves both quantifiers (see the module docstring): it
-    minimizes the minimum eigenvalue after partial transposition, and the
-    maximal negativity is log2(1 - 2 min(0, minimum)) at the same optimizer
-    (Sanpera, Tarrach & Vidal, PRA 58, 826 (1998)).
+    The result holds the minimum and its direction (theta, phi).  Its
+    ``negativity`` is the maximal negativity, at the same point, and
+    ``project_subsystem(rho, bloch_state(theta, phi), measured,
+    normalize=True)`` is the localized pair (see the module docstring).
 
     The search takes the best point of an ``SLE_GRID_SIZE`` x
     ``SLE_GRID_SIZE`` grid (64 x 64), the first minimum (theta-major) of
@@ -981,10 +942,10 @@ def sle_quantify(rho, pair=None, quantifier: str = QUANTIFIER_NEGATIVITY, *,
     charges (see "Certified signs" in the module docstring) first takes a
     branch and bound over bands in z = cos(2 theta), at phi = 0.  If it
     evaluates a projection whose minimum eigenvalue lies below
-    -``SLE_SIGN_SLACK``, the search returns that point's value,
-    (theta, phi) and localized state, which certify the sign but need not
-    be the optimum: the projection leaves an NPT, hence entangled, pair, so
-    the optimum lies below zero too.  If every band's bound lies above the
+    -``SLE_SIGN_SLACK``, the search returns that point's value and
+    (theta, phi), which certify the sign but need not be the optimum: the
+    projection leaves an NPT, hence entangled, pair, so the optimum lies
+    below zero too.  If every band's bound lies above the
     slack, no projection leaves an NPT pair, and the search returns its
     evaluated point of the lowest value, positive too, with the bands as
     ``certificate``.  The slack (1e-12) leaves optima within rounding of
@@ -1003,36 +964,24 @@ def sle_quantify(rho, pair=None, quantifier: str = QUANTIFIER_NEGATIVITY, *,
     pair : optional
         The indices of the two kept qubits; the remaining qubit is
         projected.  Defaults to qubits (0, 1).
-    quantifier : str
-        ``"negativity"`` or ``"min-eigenvalue-after-pt"``, the quantifier
-        reported.
     sign_only : bool
         Stop at the first point, or bands, that certify the sign of the
         optimum.
     """
-    _report(0.0, quantifier)  # reject an unknown quantifier before searching
     objective = _SLEObjective(rho, pair)
-
-    def result(theta: float, phi: float, value: float,
-               certificate: SLECertificate | None = None) -> SLEResult:
-        projected = objective.projected(theta, phi)
-        weight = float(np.trace(projected).real)
-        localized = DensityMatrix(2, projected / weight)
-        return SLEResult(value=_report(value, quantifier), theta=float(theta),
-                         phi=float(phi), quantifier=quantifier,
-                         localized_state=localized, certificate=certificate)
-
     charges = _ring_charges(objective) if sign_only else None
     settled = None if charges is None else _band_search(objective)
     if settled is not None:
         z, breakpoints = settled
         theta = 0.5 * float(np.arccos(z))
         value = objective.values(np.array([theta]), np.zeros(1))[0]
-        return result(theta, 0.0, value, None if breakpoints is None else
-                      SLECertificate(objective.kept, charges, breakpoints))
+        return SLEResult(float(value), theta, 0.0,
+                         None if breakpoints is None else
+                         SLECertificate(objective.kept, charges, breakpoints))
 
     theta, phi, value = _GridSearch(objective).best()
     if value == np.inf:
         raise DegenerateProjectionError(
             "every projection direction on the grid has vanishing weight")
-    return result(*_descend(objective, theta, phi, value))
+    theta, phi, value = _descend(objective, theta, phi, value)
+    return SLEResult(float(value), float(theta), float(phi))

@@ -37,12 +37,15 @@ from .states import (
     StateValidationError,
     _resolve_qubits,
     bell_phi_plus,
+    bloch_state,
+    density_matrix_to_dict,
     fidelity_with_pure,
     ghz3,
     load_density_matrix,
     noise_model_state,
     noisy_ghz,
     noisy_w,
+    project_subsystem,
 )
 
 
@@ -140,22 +143,28 @@ def cmd_certify(options: dict) -> str:
         "max_residual": max(witness.residuals),
     }
 
-    full_certificates = options.get("full_certificates")
-    found = cert.sle_quantify(rho, quantifier=cert.QUANTIFIER_MIN_EIGENVALUE)
-    sle = {}
-    for label, quantifier in (("negativity", cert.QUANTIFIER_NEGATIVITY),
-                              ("min_eigenvalue", cert.QUANTIFIER_MIN_EIGENVALUE)):
-        result = cert.sle_reported_as(found, quantifier)
-        if full_certificates:
-            sle[label] = cert.sle_result_to_json_dict(result)
-        else:
-            sle[label] = {"value": result.value, "theta": result.theta,
-                          "phi": result.phi}
-    report["sle"] = sle
-    if full_certificates:
+    found = cert.sle_quantify(rho)
+    records = (("negativity", "negativity", found.negativity),
+               ("min_eigenvalue", "min-eigenvalue-after-pt",
+                found.min_eigenvalue))
+    if options.get("full_certificates"):
         from .sdp import witness_result_to_json_dict
 
         report["ppt_mixer"] = witness_result_to_json_dict(witness)
+        # The default search keeps qubits (0, 1) and projects qubit 2.
+        localized, _ = project_subsystem(
+            rho, bloch_state(found.theta, found.phi), 2, normalize=True)
+        localized_state = density_matrix_to_dict(localized)
+        report["sle"] = {label: {
+            "value": value,
+            "optimizer": {"theta": found.theta, "phi": found.phi},
+            "quantifier": quantifier,
+            "localized_state": localized_state,
+        } for label, quantifier, value in records}
+    else:
+        report["sle"] = {label: {"value": value, "theta": found.theta,
+                                 "phi": found.phi}
+                         for label, _, value in records}
     return _render(report, options["fmt"])
 
 
@@ -218,7 +227,7 @@ def cmd_sweep(options: dict) -> str:
         row = (p,
                cert.gme_concurrence_x(rho),
                cert.ghz_witness_expectation(rho),
-               cert.sle_quantify(rho).value)
+               cert.sle_quantify(rho).negativity)
         return ",".join(format(v, ".17g") for v in row)
 
     rows = [one(p) for p in np.linspace(*options["certify"])]

@@ -363,17 +363,6 @@ def preparation_schedule(p: float) -> PreparationSchedule:
     return PreparationSchedule(p=p, rows=rows)
 
 
-def generation_probability(p: float, g: float) -> float:
-    """Per-trial probability of generating one noisy GHZ state.
-
-    ``g`` is the per-trial pair rate of one source; two pairs, the
-    preparation interferometer's 1/2 post-selection, and the schedule's
-    herald acceptance 1/(1+p) combine to g^2 / (2 (1+p)).
-    """
-    _check_unit_interval(p=p)
-    return g * g / (2.0 * (1.0 + p))
-
-
 # ---------------------------------------------------------------------------
 # finite-shot Born sampling
 

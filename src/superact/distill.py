@@ -12,7 +12,7 @@ the row and column bit strings, both maps are entrywise products:
 - the parity-check protocol (three qubits): each party overlaps its two
   photons on a polarizing beam splitter, keeps same-polarization events
   and measures the second output in the X basis, the Kraus operators
-  (|0><00| +/- |1><11|)/sqrt(2) of :func:`parity_operators`.  The branch
+  (|0><00| +/- |1><11|)/sqrt(2) per party.  The branch
   with signs s carries entry (i, j) of ``rho1 * rho2`` with the factor
   prod_k s_k^(d_k) / 8, where d = i XOR j.  A phase flip on the first
   kept qubit of every branch with an odd number of minus outcomes
@@ -66,22 +66,6 @@ class DistillationOutcome:
     state: DensityMatrix
     success_probability: float
     parity_branch_weights: tuple[tuple[str, float], ...]
-
-
-def parity_operators() -> tuple[np.ndarray, np.ndarray]:
-    """Reduction operators (|0><00| +/- |1><11|)/sqrt(2).
-
-    They are the parity projector |00><00| + |11><11| composed with an
-    X-basis measurement of the second photon: P_+ for outcome plus, P_-
-    for outcome minus.
-    Completeness: P_+^dag P_+ + P_-^dag P_- equals the parity projector.
-    """
-    plus = np.zeros((2, 4), dtype=np.complex128)
-    minus = np.zeros((2, 4), dtype=np.complex128)
-    plus[0, 0] = plus[1, 3] = 1.0 / np.sqrt(2.0)
-    minus[0, 0] = 1.0 / np.sqrt(2.0)
-    minus[1, 3] = -1.0 / np.sqrt(2.0)
-    return plus, minus
 
 
 def _copy_pair(rho1, rho2,

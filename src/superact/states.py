@@ -52,6 +52,21 @@ def _check_finite(m: np.ndarray) -> None:
             f"the first at {first}")
 
 
+def _check_qubit_count(n_qubits) -> None:
+    """Raise unless ``n_qubits`` is an int or NumPy integer, not a bool, of
+    at least 1."""
+    if (isinstance(n_qubits, bool)
+            or not isinstance(n_qubits, (int, np.integer)) or n_qubits < 1):
+        raise StateValidationError(
+            f"n_qubits must be a positive integer, got {n_qubits!r}")
+
+
+def _is_register_size(size: int, n_qubits: int) -> bool:
+    """Whether ``size`` is 2 ** ``n_qubits``, read off its bits, so that no
+    2 ** n_qubits is formed, however large the count."""
+    return size & (size - 1) == 0 and size.bit_length() - 1 == n_qubits
+
+
 def _readonly(a: np.ndarray) -> np.ndarray:
     a = np.array(a)
     a.setflags(write=False)
@@ -66,10 +81,9 @@ class PureState:
     amplitudes: np.ndarray
 
     def __post_init__(self):
+        _check_qubit_count(self.n_qubits)
         amps = np.asarray(self.amplitudes, dtype=np.complex128).reshape(-1)
-        if self.n_qubits < 1:
-            raise StateValidationError("n_qubits must be positive")
-        if amps.size != 2 ** self.n_qubits:
+        if not _is_register_size(amps.size, self.n_qubits):
             raise StateValidationError(
                 f"amplitude vector of length {amps.size} does not match "
                 f"{self.n_qubits} qubits")
@@ -99,11 +113,10 @@ class DensityMatrix:
     normalized: bool = True
 
     def __post_init__(self):
+        _check_qubit_count(self.n_qubits)
         m = np.asarray(self.entries, dtype=np.complex128)
-        dim = 2 ** self.n_qubits
-        if self.n_qubits < 1:
-            raise StateValidationError("n_qubits must be positive")
-        if m.shape != (dim, dim):
+        if (m.ndim != 2 or m.shape[0] != m.shape[1]
+                or not _is_register_size(m.shape[0], self.n_qubits)):
             raise StateValidationError(
                 f"matrix shape {m.shape} does not match {self.n_qubits} qubits")
         _check_finite(m)

@@ -15,9 +15,9 @@ signature ``(label, p, rho, start) -> (value, start)``:
 - the sign-only PPT mixer (W-GME, W-GME-after-distill): the negated value
   of a PPT-mixer witness whose sign is certified;
 - the W-SLE branch (W-SLE): the negated minimum eigenvalue after partial
-  transposition of the pair left by projecting qubit 2 onto |0>, the SLE
-  objective at theta = 0 (``certify.sle_quantifier_at``), which is the
-  optimal localization for the noisy W state.
+  transposition of the pair left by projecting qubit 2 onto |0>, which
+  ``certify.sle_quantifier_at`` returns at theta = 0; that projection is
+  the optimal localization for the noisy W state.
 
 ``start`` is what one PPT-mixer solve hands to the next; the margins that
 solve none hand it back unchanged.  ``default_tolerance`` reads the
@@ -74,7 +74,6 @@ from typing import Callable
 import numpy as np
 
 from .certify import (
-    QUANTIFIER_MIN_EIGENVALUE,
     gme_concurrence_arguments,
     sle_quantifier_at,
     sle_quantify,
@@ -126,8 +125,7 @@ def _concurrence(label: str, p: float, rho, start):
 
 
 def _sle_search(label: str, p: float, rho, start):
-    return -sle_quantify(rho, quantifier=QUANTIFIER_MIN_EIGENVALUE,
-                         sign_only=True).value, start
+    return -sle_quantify(rho, sign_only=True).min_eigenvalue, start
 
 
 def _ppt_mixer(label: str, p: float, rho, start):
@@ -144,8 +142,7 @@ def _ppt_mixer(label: str, p: float, rho, start):
 def _w_sle(label: str, p: float, rho, start):
     # Projecting qubit 2 onto |0> is the optimal localization for the noisy
     # W state (a test checks it against the full search).
-    return -sle_quantifier_at(rho, None, 0.0, 0.0,
-                              QUANTIFIER_MIN_EIGENVALUE), start
+    return -sle_quantifier_at(rho, None, 0.0, 0.0), start
 
 
 def _cnot_distilled_w(p: float) -> DensityMatrix:

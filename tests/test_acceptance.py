@@ -16,7 +16,6 @@ from superact import (
     noisy_w,
 )
 from superact.certify import (
-    QUANTIFIER_MIN_EIGENVALUE,
     gme_concurrence_arguments,
     gme_concurrence_x,
     negativity,
@@ -105,11 +104,10 @@ def test_criterion_3_superactivation_windows():
     p=0.40 on the ideal noisy GHZ state."""
     for q, r in NOISE_MODEL_PARAMS:
         before = noise_model_state(0.36, q, r)
-        assert sle_quantify(before).value <= 1e-10
-        assert sle_quantify(before,
-                            quantifier=QUANTIFIER_MIN_EIGENVALUE).value > 0.0
+        assert sle_quantify(before).negativity <= 1e-10
+        assert sle_quantify(before).min_eigenvalue > 0.0
         after = distill_tripartite(before, before).state
-        assert sle_quantify(after).value > 1e-4
+        assert sle_quantify(after).negativity > 1e-4
 
     before = noisy_ghz(0.40)
     assert gme_concurrence_x(before) == 0.0
@@ -135,8 +133,7 @@ def test_criterion_4_noise_model_replication():
     boundaries = {}
     for (q, r), reported in zip(NOISE_MODEL_PARAMS, (0.4095, 0.4103)):
         def margin(p):
-            return -sle_quantify(noise_model_state(p, q, r),
-                                 quantifier=QUANTIFIER_MIN_EIGENVALUE).value
+            return -sle_quantify(noise_model_state(p, q, r)).min_eigenvalue
         lo, hi = 0.37, 0.45
         assert margin(lo) < 0.0 < margin(hi)
         while (hi - lo) / 2 > 2.5e-4:

@@ -1,3 +1,4 @@
+import hashlib
 from dataclasses import replace
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 from superact import (
     DensityMatrix,
     bell_phi_plus,
+    bloch_state,
     fidelity_with_pure,
     ghz3,
     maximally_mixed,
@@ -13,26 +15,24 @@ from superact import (
     noisy_ghz,
     noisy_w,
     partial_transpose,
+    project_subsystem,
     tensor,
     w_state,
 )
 from superact.certify import (
-    QUANTIFIER_MIN_EIGENVALUE,
-    QUANTIFIER_NEGATIVITY,
     SLE_SIGN_SLACK,
     NotXShapedError,
     SLE_BAND_EVALUATIONS,
     SLECertificate,
+    SLEResult,
     _SLEObjective,
     fidelity_from_settings,
     ghz_witness_expectation,
     gme_concurrence_arguments,
     gme_concurrence_x,
-    mk_observable,
     negativity,
     sle_quantifier_at,
     sle_quantify,
-    sle_reported_as,
     verify_sle_certificate,
     w_witness_expectation,
     x_shape_view,
@@ -49,6 +49,7 @@ from util import (
     BAD_RAW_ARRAYS,
     exact_epr_settings,
     exact_ghz_settings,
+    mk_observable,
     random_density_matrix,
     random_hermitian,
     random_unitary,
@@ -255,7 +256,8 @@ def test_sle_noisy_ghz_against_closed_form():
     for p in (0.4, 0.5, 0.8):
         result = sle_quantify(noisy_ghz(p))
         trace_norm = 3 * (1 + p) / 4 + (3 * p - 1) / 4
-        assert result.value == pytest.approx(np.log2(trace_norm), abs=1e-9)
+        assert result.negativity == pytest.approx(np.log2(trace_norm),
+                                                  abs=1e-9)
         assert result.theta == pytest.approx(np.pi / 4, abs=1e-12)
         # phi does not move the value here; the refinement keeps the grid's.
         assert result.phi / (2 * np.pi / 64) == pytest.approx(
@@ -263,9 +265,11 @@ def test_sle_noisy_ghz_against_closed_form():
 
 
 def test_sle_noisy_ghz_boundary_one_third():
-    assert sle_quantify(noisy_ghz(1 / 3)).value == pytest.approx(0.0, abs=1e-10)
-    assert sle_quantify(noisy_ghz(0.3)).value == pytest.approx(0.0, abs=1e-10)
-    assert sle_quantify(noisy_ghz(0.35)).value > 1e-4
+    assert sle_quantify(noisy_ghz(1 / 3)).negativity == pytest.approx(
+        0.0, abs=1e-10)
+    assert sle_quantify(noisy_ghz(0.3)).negativity == pytest.approx(
+        0.0, abs=1e-10)
+    assert sle_quantify(noisy_ghz(0.35)).negativity > 1e-4
 
 
 def test_sle_negativity_just_past_the_thresholds():
@@ -273,66 +277,64 @@ def test_sle_negativity_just_past_the_thresholds():
     # missed these small entangled patches; read off the minimum eigenvalue
     # (1 - 3p)/4 it is log2(1 + 1.5e-6).
     p = 1 / 3 + 1e-6
-    assert sle_quantify(noisy_ghz(p)).value == pytest.approx(
+    assert sle_quantify(noisy_ghz(p)).negativity == pytest.approx(
         np.log2(1 + 1.5e-6), abs=1e-9)
     distilled = analytic_distilled_noisy_ghz((2 * np.sqrt(2) - 1) / 7 + 1e-6)
-    assert sle_quantify(distilled).value > 0.0
+    assert sle_quantify(distilled).negativity > 0.0
 
 
 def test_sle_negativity_is_exactly_zero_on_ppt_states():
     for rho in (noisy_ghz(0.3), noisy_w(0.25), noisy_ghz(0.0)):
-        assert sle_quantify(rho).value == 0.0
+        assert sle_quantify(rho).negativity == 0.0
 
 
 def test_sle_negativity_reported_at_the_min_eigenvalue_optimum():
+    # The negativity is read off the minimum eigenvalue at the search's
+    # direction, and agrees with the trace-norm negativity of the pair that
+    # the projection there leaves.
     for rho in (noisy_ghz(0.6), noisy_ghz(0.3), noisy_w(0.6),
                 noise_model_state(0.45, 0.9084, 0.9210)):
-        neg = sle_quantify(rho, quantifier=QUANTIFIER_NEGATIVITY)
-        lam = sle_quantify(rho, quantifier=QUANTIFIER_MIN_EIGENVALUE)
-        assert (neg.theta, neg.phi) == (lam.theta, lam.phi)
-        assert neg.value == np.log2(1 - 2 * min(0.0, lam.value))
-        assert np.array_equal(neg.localized_state.entries,
-                              lam.localized_state.entries)
-        for result in (neg, lam):
-            reported = sle_reported_as(lam, result.quantifier)
-            assert (reported.value, reported.theta, reported.phi,
-                    reported.quantifier) == (result.value, result.theta,
-                                             result.phi, result.quantifier)
-            assert reported.localized_state is lam.localized_state
-    with pytest.raises(ValueError, match="cannot re-report"):
-        sle_reported_as(neg, QUANTIFIER_MIN_EIGENVALUE)
+        result = sle_quantify(rho)
+        assert result.negativity == np.log2(
+            1 - 2 * min(0.0, result.min_eigenvalue))
+        localized, _ = project_subsystem(
+            rho, bloch_state(result.theta, result.phi), 2, normalize=True)
+        assert negativity(localized) == pytest.approx(result.negativity,
+                                                      abs=1e-12)
+    assert SLEResult(0.25, 0.0, 0.0).negativity == 0.0
+    assert SLEResult(-0.5, 0.0, 0.0).negativity == 1.0
 
 
 def test_sle_min_eig_variant_closed_form():
     for p in (0.2, 0.5, 0.9):
-        result = sle_quantify(noisy_ghz(p), quantifier=QUANTIFIER_MIN_EIGENVALUE)
-        assert result.value == pytest.approx((1 - 3 * p) / 4, abs=1e-9)
+        result = sle_quantify(noisy_ghz(p))
+        assert result.min_eigenvalue == pytest.approx((1 - 3 * p) / 4,
+                                                      abs=1e-9)
 
 
 def test_sle_distilled_threshold_region():
     threshold = (2 * np.sqrt(2) - 1) / 7
     below = sle_quantify(analytic_distilled_noisy_ghz(threshold - 0.01))
     above = sle_quantify(analytic_distilled_noisy_ghz(threshold + 0.01))
-    assert below.value == pytest.approx(0.0, abs=1e-10)
-    assert above.value > 1e-5
+    assert below.negativity == pytest.approx(0.0, abs=1e-10)
+    assert above.negativity > 1e-5
 
 
 def test_sle_distilled_min_eig_matches_closed_form():
     for p in (0.2, 0.3, 0.5):
-        result = sle_quantify(analytic_distilled_noisy_ghz(p),
-                              quantifier=QUANTIFIER_MIN_EIGENVALUE)
+        result = sle_quantify(analytic_distilled_noisy_ghz(p))
         expected = (1 - p) ** 2 / (4 * (3 * p * p + 1)) - 2 * p * p / (3 * p * p + 1)
-        assert result.value == pytest.approx(expected, abs=1e-9)
+        assert result.min_eigenvalue == pytest.approx(expected, abs=1e-9)
 
 
 def test_sle_optimizer_self_consistency():
-    for quantifier in (QUANTIFIER_NEGATIVITY, QUANTIFIER_MIN_EIGENVALUE):
-        result = sle_quantify(noise_model_state(0.45, 0.9084, 0.9210),
-                              quantifier=quantifier)
-        revalued = sle_quantifier_at(noise_model_state(0.45, 0.9084, 0.9210),
-                                     None, result.theta, result.phi, quantifier)
-        assert revalued == pytest.approx(result.value, abs=1e-10)
-        assert result.localized_state.normalized
+    rho = noise_model_state(0.45, 0.9084, 0.9210)
+    result = sle_quantify(rho)
+    revalued = sle_quantifier_at(rho, None, result.theta, result.phi)
+    assert revalued == pytest.approx(result.min_eigenvalue, abs=1e-10)
+    localized, _ = project_subsystem(
+        rho, bloch_state(result.theta, result.phi), 2, normalize=True)
+    assert localized.normalized
 
 
 def test_sle_search_beats_a_fine_grid():
@@ -347,17 +349,17 @@ def test_sle_search_beats_a_fine_grid():
         for pair in ((0, 1), (0, 2), (1, 2)):
             fine = _SLEObjective(rho, pair).values(thetas.ravel(),
                                                    phis.ravel()).min()
-            found = sle_quantify(rho, pair, QUANTIFIER_MIN_EIGENVALUE).value
+            found = sle_quantify(rho, pair).min_eigenvalue
             assert found <= fine
 
 
 def test_sle_pair_selection():
     # The noisy GHZ state is permutation-symmetric, so every kept pair
     # reports the same value.
-    base = sle_quantify(noisy_ghz(0.6), pair=(0, 1)).value
+    base = sle_quantify(noisy_ghz(0.6), pair=(0, 1)).negativity
     for pair in ((0, 2), (1, 2)):
-        assert sle_quantify(noisy_ghz(0.6), pair=pair).value == pytest.approx(
-            base, abs=1e-9)
+        assert sle_quantify(noisy_ghz(0.6), pair=pair).negativity == (
+            pytest.approx(base, abs=1e-9))
 
 
 def test_sle_skips_degenerate_directions():
@@ -366,15 +368,14 @@ def test_sle_skips_degenerate_directions():
     pinned = tensor(bell_phi_plus().projector(),
                     DensityMatrix(1, np.diag([1.0, 0.0]).astype(complex)))
     result = sle_quantify(pinned)
-    assert result.value == pytest.approx(1.0, abs=1e-9)
+    assert result.negativity == pytest.approx(1.0, abs=1e-9)
 
 
 def test_sle_all_degenerate_errors():
     with pytest.raises(DegenerateProjectionError):
         sle_quantify(np.zeros((8, 8), dtype=complex))
     with pytest.raises(DegenerateProjectionError):
-        sle_quantifier_at(np.zeros((8, 8)), None, 0.3, 0.2,
-                          QUANTIFIER_NEGATIVITY)
+        sle_quantifier_at(np.zeros((8, 8)), None, 0.3, 0.2)
 
 
 def test_sle_rejects_non_states():
@@ -389,18 +390,10 @@ def test_sle_rejects_non_states():
                            (negative, "minimum eigenvalue")):
         with pytest.raises(StateValidationError, match=message):
             sle_quantify(array)
-        for quantifier in (QUANTIFIER_NEGATIVITY, QUANTIFIER_MIN_EIGENVALUE):
-            with pytest.raises(StateValidationError, match=message):
-                sle_quantifier_at(array, None, 0.3, 0.2, quantifier)
-    assert sle_quantify(3.0 * m).value == pytest.approx(sle_quantify(m).value,
-                                                         abs=1e-12)
-
-
-def test_sle_rejects_unknown_quantifier():
-    with pytest.raises(ValueError, match="unknown quantifier"):
-        sle_quantify(noisy_ghz(0.5), quantifier="concurrence")
-    with pytest.raises(ValueError, match="unknown quantifier"):
-        sle_quantifier_at(noisy_ghz(0.5), None, 0.3, 0.2, "concurrence")
+        with pytest.raises(StateValidationError, match=message):
+            sle_quantifier_at(array, None, 0.3, 0.2)
+    assert sle_quantify(3.0 * m).negativity == pytest.approx(
+        sle_quantify(m).negativity, abs=1e-12)
 
 
 @pytest.mark.parametrize("bad", list(BAD_RAW_ARRAYS))
@@ -417,7 +410,13 @@ def test_sle_rejects_bad_pair():
         sle_quantify(maximally_mixed(2))
 
 
-def _einsum_objective(m, kept, measured, thetas, phis, quantifier):
+# The two readings of an SLE result, negativity and minimum eigenvalue, by
+# the ids their tests are known by, and the attribute each reads.
+_READINGS = {"negativity": "negativity",
+             "min-eigenvalue-after-pt": "min_eigenvalue"}
+
+
+def _einsum_objective(m, kept, measured, thetas, phis, reading):
     """The SLE objective as a per-point einsum over the full 8x8 matrix.
 
     The negativity is computed from all four eigenvalues, independently of
@@ -433,18 +432,17 @@ def _einsum_objective(m, kept, measured, thetas, phis, quantifier):
     projected = projected / np.where(valid, weights, 1.0)[:, None, None]
     pt = projected.reshape(-1, 2, 2, 2, 2).transpose(0, 1, 4, 3, 2).reshape(-1, 4, 4)
     eigs = np.linalg.eigvalsh(pt)
-    if quantifier == QUANTIFIER_NEGATIVITY:
+    if reading == "negativity":
         with np.errstate(divide="ignore"):
             return np.where(valid, np.log2(np.abs(eigs).sum(axis=1)), -np.inf)
     return np.where(valid, eigs[:, 0], np.inf)
 
 
-@pytest.mark.parametrize("quantifier", [QUANTIFIER_NEGATIVITY,
-                                        QUANTIFIER_MIN_EIGENVALUE])
+@pytest.mark.parametrize("reading", list(_READINGS))
 @pytest.mark.parametrize("kept", [(0, 1), (0, 2), (1, 2)])
-def test_sle_objective_matches_einsum_formula(kept, quantifier):
-    # The objective is the minimum eigenvalue; the negativity is the value
-    # sle_quantifier_at derives from it at each point.
+def test_sle_objective_matches_einsum_formula(kept, reading):
+    # The objective is the minimum eigenvalue; the negativity is read off
+    # the value sle_quantifier_at returns at each point.
     rng = np.random.default_rng(7)
     measured = 3 - sum(kept)
     pin = np.ones(8)
@@ -458,64 +456,64 @@ def test_sle_objective_matches_einsum_formula(kept, quantifier):
         pinned = pin[:, None] * m * pin[None, :]
         for state in (m, pinned / np.trace(pinned).real):
             expected = _einsum_objective(state, kept, measured, thetas, phis,
-                                         quantifier)
+                                         reading)
             valid = np.isfinite(expected)
-            if quantifier == QUANTIFIER_MIN_EIGENVALUE:
+            if reading == "min-eigenvalue-after-pt":
                 values = _SLEObjective(state, kept).values(thetas, phis)
                 assert np.array_equal(np.isfinite(values), valid)
                 assert np.allclose(values, expected, rtol=0.0, atol=1e-13)
                 continue
             for theta, phi, ok, want in zip(thetas, phis, valid, expected):
                 if ok:
-                    at = sle_quantifier_at(state, kept, theta, phi, quantifier)
-                    assert at == pytest.approx(want, rel=0.0, abs=1e-13)
+                    at = sle_quantifier_at(state, kept, theta, phi)
+                    assert SLEResult(at, theta, phi).negativity == (
+                        pytest.approx(want, rel=0.0, abs=1e-13))
                 else:
                     with pytest.raises(DegenerateProjectionError):
-                        sle_quantifier_at(state, kept, theta, phi, quantifier)
+                        sle_quantifier_at(state, kept, theta, phi)
     assert not valid[-1]
 
 
-@pytest.mark.parametrize("quantifier", [QUANTIFIER_NEGATIVITY,
-                                        QUANTIFIER_MIN_EIGENVALUE])
-def test_sle_value_matches_point_evaluation(quantifier):
+@pytest.mark.parametrize("reading", list(_READINGS))
+def test_sle_value_matches_point_evaluation(reading):
     rng = np.random.default_rng(11)
     for _ in range(3):
         m = random_density_matrix(rng, 3)
-        result = sle_quantify(m, quantifier=quantifier)
-        at = sle_quantifier_at(m, None, result.theta, result.phi, quantifier)
-        assert at == pytest.approx(result.value, abs=1e-12)
+        result = sle_quantify(m)
+        at = SLEResult(sle_quantifier_at(m, None, result.theta, result.phi),
+                       result.theta, result.phi)
+        assert getattr(at, _READINGS[reading]) == pytest.approx(
+            getattr(result, _READINGS[reading]), abs=1e-12)
 
 
-def _sign_only_agrees(rho, pair, quantifier) -> str | None:
+def _sign_only_agrees(rho, pair) -> str | None:
     """Compare a sign-only SLE search with the default one.
 
-    Returns how the search settled: ``"negative"`` at a point below -slack
-    in the signed objective (the minimum eigenvalue, or minus the
-    negativity), where the default optimum is no larger; ``"certified"``
-    with a band certificate that verifies, where the default min-eig
-    optimum is positive; ``None`` when it ran the full search, whose result
-    it must then be, bit for bit.
+    Returns how the search settled: ``"negative"`` at a point whose minimum
+    eigenvalue lies below -slack, where the default optimum is no larger;
+    ``"certified"`` with a band certificate that verifies, where the
+    default optimum is positive; ``None`` when it ran the full search, whose
+    result it must then be, bit for bit.  Both readings, the minimum
+    eigenvalue and the negativity, keep the default search's sign.
     """
-    full = sle_quantify(rho, pair, quantifier)
-    fast = sle_quantify(rho, pair, quantifier, sign_only=True)
-    flip = -1.0 if quantifier == QUANTIFIER_NEGATIVITY else 1.0
-    assert np.sign(fast.value) == np.sign(full.value)
-    if flip * fast.value < -SLE_SIGN_SLACK or fast.certificate is not None:
-        at = sle_quantifier_at(rho, pair, fast.theta, fast.phi, quantifier)
-        assert at == pytest.approx(fast.value, abs=1e-12)
-        assert fast.localized_state.normalized
+    full = sle_quantify(rho, pair)
+    fast = sle_quantify(rho, pair, sign_only=True)
+    for reading in _READINGS.values():
+        assert (np.sign(getattr(fast, reading))
+                == np.sign(getattr(full, reading)))
+    if fast.min_eigenvalue < -SLE_SIGN_SLACK or fast.certificate is not None:
+        at = sle_quantifier_at(rho, pair, fast.theta, fast.phi)
+        assert at == pytest.approx(fast.min_eigenvalue, abs=1e-12)
     if fast.certificate is not None:
-        full_min = sle_quantify(rho, pair, QUANTIFIER_MIN_EIGENVALUE).value
-        assert full_min > 0.0 and flip * fast.value >= 0.0
+        assert full.min_eigenvalue > 0.0 and fast.min_eigenvalue >= 0.0
+        assert fast.negativity == 0.0
         assert verify_sle_certificate(fast.certificate, rho)
         return "certified"
-    if flip * fast.value < -SLE_SIGN_SLACK:
-        assert flip * full.value <= flip * fast.value + 1e-15
+    if fast.min_eigenvalue < -SLE_SIGN_SLACK:
+        assert full.min_eigenvalue <= fast.min_eigenvalue + 1e-15
+        assert full.negativity >= fast.negativity - 1e-15
         return "negative"
-    assert (fast.value, fast.theta, fast.phi) == (full.value, full.theta,
-                                                  full.phi)
-    assert np.array_equal(fast.localized_state.entries,
-                          full.localized_state.entries)
+    assert fast == full
     return None
 
 
@@ -539,9 +537,8 @@ def test_sle_sign_only_agrees_with_default_search():
     ]
     settled = []
     for rho in states:
-        for quantifier in (QUANTIFIER_NEGATIVITY, QUANTIFIER_MIN_EIGENVALUE):
-            for pair in ((0, 1), (0, 2), (1, 2)):
-                settled.append(_sign_only_agrees(rho, pair, quantifier))
+        for pair in ((0, 1), (0, 2), (1, 2)):
+            settled.append(_sign_only_agrees(rho, pair))
     assert set(settled) == {"negative", "certified", None}
 
 
@@ -559,11 +556,10 @@ def test_sle_sign_only_agrees_on_every_bisection_point(monkeypatch):
     assert len(searched) == 39
     settled = []
     for rho, kwargs, result in searched:
-        assert kwargs == {"quantifier": QUANTIFIER_MIN_EIGENVALUE,
-                          "sign_only": True}
-        settled.append(_sign_only_agrees(rho, None, QUANTIFIER_MIN_EIGENVALUE))
+        assert kwargs == {"sign_only": True}
+        settled.append(_sign_only_agrees(rho, None))
         # Every nonnegative margin is settled by a verified certificate.
-        assert (settled[-1] == "certified") == (result.value >= 0.0)
+        assert (settled[-1] == "certified") == (result.min_eigenvalue >= 0.0)
     assert settled.count("certified") == 18
     assert settled.count("negative") == 21
 
@@ -724,24 +720,22 @@ def hull_points(monkeypatch):
 
 def test_sle_sign_only_settles_negative_signs_in_the_first_round(
         batches, hull_points):
-    result = sle_quantify(noisy_ghz(0.6), quantifier=QUANTIFIER_MIN_EIGENVALUE,
-                          sign_only=True)
+    result = sle_quantify(noisy_ghz(0.6), sign_only=True)
     # Eight bands of four hull points, then the reported point alone.
     assert hull_points == [32]
     assert batches == [1]
-    assert result.value < -SLE_SIGN_SLACK
+    assert result.min_eigenvalue < -SLE_SIGN_SLACK
     assert result.certificate is None and result.phi == 0.0
 
 
 def test_sle_sign_only_settles_nonnegative_signs_by_certificate(
         batches, hull_points):
     rho = noisy_ghz(0.3)
-    result = sle_quantify(rho, quantifier=QUANTIFIER_MIN_EIGENVALUE,
-                          sign_only=True)
+    result = sle_quantify(rho, sign_only=True)
     # The bands settle it in the first round; no grid point is solved.
     assert hull_points == [32]
     assert batches == [1]
-    assert result.value > SLE_SIGN_SLACK
+    assert result.min_eigenvalue > SLE_SIGN_SLACK
     assert result.certificate.pair == (0, 1)
     assert result.certificate.charges[2] == 1
     assert verify_sle_certificate(result.certificate, rho)
@@ -787,7 +781,7 @@ def test_sle_seesaw_step_skipped_on_a_singular_weight_form(batches):
     pinned = tensor(isotropic(0.2),
                     DensityMatrix(1, np.diag([1.0, 0.0]).astype(complex)))
     assert _SLEObjective(pinned, None).seesaw_step(0.3, 0.2) is None
-    assert _sign_only_agrees(pinned, None, QUANTIFIER_MIN_EIGENVALUE) is None
+    assert _sign_only_agrees(pinned, None) is None
     # The objective is constant wherever the weight is nonzero, so no bound
     # rules a point out.  The state is X-shaped, so both searches solve the
     # closed form's argmin, then every other point but the zero-weight
@@ -815,10 +809,9 @@ def test_sle_bisection_margins_settle_in_the_band_search(monkeypatch, batches):
     certified = [(rho, r) for rho, r, _ in searched if r.certificate]
     assert len(negative) == 21 and len(certified) == 18
     for rho, result in negative:
-        assert sle_quantifier_at(rho, None, result.theta, result.phi,
-                                 QUANTIFIER_MIN_EIGENVALUE) < -1e-12
+        assert sle_quantifier_at(rho, None, result.theta, result.phi) < -1e-12
     for rho, result in certified:
-        assert result.value > 0.0
+        assert result.min_eigenvalue > 0.0
         assert verify_sle_certificate(result.certificate, rho)
 
 
@@ -828,13 +821,13 @@ def test_sle_bisection_margins_settle_in_the_band_search(monkeypatch, batches):
     analytic_distilled_noisy_ghz((2 * np.sqrt(2) - 1) / 7 - 1e-4),
 ], ids=["ghz", "distilled-ghz"])
 def test_sle_certificate_just_below_the_thresholds(rho, pair):
-    result = sle_quantify(rho, pair, QUANTIFIER_MIN_EIGENVALUE, sign_only=True)
+    result = sle_quantify(rho, pair, sign_only=True)
     certificate = result.certificate
     assert certificate is not None
     assert certificate.pair == pair
     assert verify_sle_certificate(certificate, rho)
-    optimum = sle_quantify(rho, pair, QUANTIFIER_MIN_EIGENVALUE).value
-    assert 0.0 < optimum and 0.0 < result.value
+    optimum = sle_quantify(rho, pair).min_eigenvalue
+    assert 0.0 < optimum and 0.0 < result.min_eigenvalue
 
 
 @pytest.mark.parametrize("pair", [(0, 1), (0, 2), (1, 2)])
@@ -842,11 +835,9 @@ def test_sle_certificate_none_at_and_past_the_threshold(pair):
     # Past 1/3 some projection leaves an NPT pair; at 1/3 the optimum is
     # zero to rounding, so no band bound clears the slack and a sign-only
     # search falls back to the full one (see the agreement tests).
-    past = sle_quantify(noisy_ghz(1 / 3 + 1e-6), pair,
-                        QUANTIFIER_MIN_EIGENVALUE, sign_only=True)
-    assert past.certificate is None and past.value < -SLE_SIGN_SLACK
-    at = sle_quantify(noisy_ghz(1 / 3), pair, QUANTIFIER_MIN_EIGENVALUE,
-                      sign_only=True)
+    past = sle_quantify(noisy_ghz(1 / 3 + 1e-6), pair, sign_only=True)
+    assert past.certificate is None and past.min_eigenvalue < -SLE_SIGN_SLACK
+    at = sle_quantify(noisy_ghz(1 / 3), pair, sign_only=True)
     assert at.certificate is None
 
 
@@ -864,14 +855,58 @@ def test_sle_undecided_band_search_stays_under_its_cap(rho, pair,
     # weight vanishes, and keeping it leaves a pair with a zero eigenvalue
     # at every projection.  No band search settles either, and each leaves
     # the sign to the default search, whose result it returns bit for bit.
-    full = sle_quantify(rho, pair, QUANTIFIER_MIN_EIGENVALUE)
-    fast = sle_quantify(rho, pair, QUANTIFIER_MIN_EIGENVALUE, sign_only=True)
+    full = sle_quantify(rho, pair)
+    fast = sle_quantify(rho, pair, sign_only=True)
     assert 0 < sum(hull_points) <= SLE_BAND_EVALUATIONS
     assert fast.certificate is None
-    assert _bits((fast.value, fast.theta, fast.phi)) == _bits(
-        (full.value, full.theta, full.phi))
-    assert np.array_equal(fast.localized_state.entries,
-                          full.localized_state.entries)
+    assert _bits((fast.min_eigenvalue, fast.theta, fast.phi)) == _bits(
+        (full.min_eigenvalue, full.theta, full.phi))
+
+
+def _pinned_sle_states():
+    """Fifteen states: noisy GHZ below, at and past its SLE threshold,
+    noisy W, a noise-model state, distilled GHZ and CNOT-distilled W, and
+    seeded random states, general and X-shaped."""
+    rng = np.random.default_rng(11)
+    states = [noisy_ghz(p) for p in (0.0, 0.3, 1 / 3, 0.5, 0.9)]
+    states += [noisy_w(0.2), noisy_w(0.6),
+               noise_model_state(0.45, 0.9084, 0.921),
+               analytic_distilled_noisy_ghz(0.3),
+               distill_cnot(noisy_w(0.5), noisy_w(0.5)).state]
+    states += [random_density_matrix(rng, 3) for _ in range(3)]
+    states += [random_x_state(rng) for _ in range(2)]
+    return states
+
+
+# Recorded with the search that reported either quantifier; it depends on
+# the NumPy/LAPACK build, so another build may need it recorded again.
+_PINNED_SLE_DIGEST = (
+    "e41871e73ce37ee4a55f96391da6e5db471dcbf0c15c06ddf6f73965d0c51c33")
+
+
+def test_pinned_sle_searches_are_bit_identical():
+    # (lambda_min, theta, phi) by their exact repr, and the certificate's
+    # pair, charges and breakpoint bytes, of 90 searches: every kept pair,
+    # default and sign-only.
+    digest = hashlib.sha256()
+    searches = 0
+    for rho in _pinned_sle_states():
+        for pair in ((0, 1), (0, 2), (1, 2)):
+            for sign_only in (False, True):
+                result = sle_quantify(rho, pair, sign_only=sign_only)
+                digest.update(repr((result.min_eigenvalue, result.theta,
+                                    result.phi)).encode())
+                certificate = result.certificate
+                if certificate is None:
+                    digest.update(b"None")
+                else:
+                    digest.update(repr((certificate.pair,
+                                        certificate.charges)).encode())
+                    digest.update(np.ascontiguousarray(
+                        certificate.breakpoints).tobytes())
+                searches += 1
+    assert searches == 90
+    assert digest.hexdigest() == _PINNED_SLE_DIGEST
 
 
 def test_sle_ring_charges():
@@ -1046,8 +1081,7 @@ def test_sle_structured_search_skips_the_subgrid_bounds(pair, monkeypatch):
 
 def test_verify_sle_certificate_rejects_forgeries():
     rho = noisy_ghz(1 / 3 - 1e-4)
-    certificate = sle_quantify(rho, (0, 1), QUANTIFIER_MIN_EIGENVALUE,
-                               sign_only=True).certificate
+    certificate = sle_quantify(rho, (0, 1), sign_only=True).certificate
     assert verify_sle_certificate(certificate, rho)
     z = certificate.breakpoints
     assert z.size > 9  # refined past the first eight bands

@@ -6,7 +6,14 @@ import warnings
 import numpy as np
 import pytest
 
-from superact import DensityMatrix, noisy_ghz, noisy_w, save_density_matrix
+from superact import (
+    DensityMatrix,
+    bloch_state,
+    noisy_ghz,
+    noisy_w,
+    project_subsystem,
+    save_density_matrix,
+)
 import superact.certify as cert
 from superact.cli import _CONFIG_OPTIONS, _build_parser, main, parse_state_spec
 from superact.sdp import WitnessResult, verify_witness_certificate
@@ -117,6 +124,17 @@ def test_certify_rejects_a_non_integer_qubit_count(tmp_path, capsys):
     assert out == ""
 
 
+def test_certify_rejects_a_huge_qubit_count_before_forming_it(tmp_path,
+                                                              capsys):
+    bad = tmp_path / "huge.json"
+    bad.write_text(json.dumps({"n_qubits": 10 ** 8, "re": [[1.0]],
+                               "im": [[0.0]]}))
+    code, out, err = run_cli(["certify", "--input", str(bad)], capsys)
+    assert code == 1
+    assert "does not match 100000000 qubits" in err
+    assert out == ""
+
+
 def test_certify_rejects_non_finite_file(tmp_path, capsys):
     doc = density_matrix_to_dict(noisy_ghz(0.5))
     doc["re"][0][7] = float("nan")
@@ -184,6 +202,38 @@ def test_full_certificates_verify_from_the_report(capsys, p, sign):
         assert result.optimal_value < -1e-5
     else:
         assert result.lower_bound > 1e-5
+
+
+@pytest.mark.parametrize("spec", [
+    "noisy-ghz:0.5", "noisy-w:0.6", "noise-model:0.45,0.9084,0.921",
+    "random"])
+def test_full_certificates_sle_record_reads_off_the_optimizer(
+        capsys, tmp_path, spec):
+    # Both SLE records come from one search: the localized state is the
+    # projection of qubit 2 at the printed optimizer, and its trace-norm
+    # negativity, an independent route, matches the printed negativity.
+    if spec == "random":
+        spec = str(tmp_path / "random.json")
+        save_density_matrix(DensityMatrix(3, random_density_matrix(
+            np.random.default_rng(31), 3)), spec)
+    code, out, _ = run_cli(["certify", "--input", spec,
+                            "--full-certificates"], capsys)
+    assert code == 0
+    sle = json.loads(out)["sle"]
+    neg, lam = sle["negativity"], sle["min_eigenvalue"]
+    assert (neg["quantifier"], lam["quantifier"]) == (
+        "negativity", "min-eigenvalue-after-pt")
+    assert neg["optimizer"] == lam["optimizer"]
+    assert neg["localized_state"] == lam["localized_state"]
+    optimizer = neg["optimizer"]
+    expected, _ = project_subsystem(
+        parse_state_spec(spec),
+        bloch_state(optimizer["theta"], optimizer["phi"]), 2, normalize=True)
+    localized = _matrix(neg["localized_state"])
+    assert np.array_equal(localized, expected.entries)
+    assert cert.negativity(localized) == pytest.approx(neg["value"],
+                                                       abs=1e-12)
+    assert neg["value"] == np.log2(1 - 2 * min(0.0, lam["value"]))
 
 
 def test_certify_never_leaves_partial_output(tmp_path, capsys):

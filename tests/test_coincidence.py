@@ -15,7 +15,6 @@ from superact.coincidence import (
     EmissionEvent,
     emission_event,
     enumerate_same_order_events,
-    generation_probability,
     histogram_to_json_dict,
     is_eightfold_coincidence,
     preparation_schedule,
@@ -161,15 +160,6 @@ def test_schedule_csv_shape():
     assert lines[0] == "component,M1,M2,M3,probability"
     assert len(lines) == 6
     assert lines[1].startswith("GHZ3,in,out,out,")
-
-
-def test_generation_probability():
-    g = 0.02
-    assert generation_probability(1.0, g) == pytest.approx(g * g / 4)
-    assert generation_probability(0.0, g) == pytest.approx(g * g / 2)
-    grid = np.linspace(0, 1, 11)
-    values = [generation_probability(p, g) for p in grid]
-    assert all(a > b for a, b in zip(values, values[1:]))
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,6 @@ from superact.distill import (
     distill_cnot,
     distill_tripartite,
     localize,
-    parity_operators,
 )
 from superact.states import PAULI_X, PAULI_Z, PureState
 from util import random_density_matrix
@@ -40,6 +39,19 @@ def pbs_projector() -> np.ndarray:
     p[0, 0] = 1.0
     p[3, 3] = 1.0
     return p
+
+
+def parity_operators() -> tuple[np.ndarray, np.ndarray]:
+    """Reduction operators (|0><00| +/- |1><11|)/sqrt(2), the Kraus operators
+    of one party of the parity check: the parity projector composed with an
+    X-basis measurement of the second photon, P_+ for outcome plus and P_-
+    for outcome minus."""
+    plus = np.zeros((2, 4), dtype=np.complex128)
+    minus = np.zeros((2, 4), dtype=np.complex128)
+    plus[0, 0] = plus[1, 3] = 1.0 / np.sqrt(2.0)
+    minus[0, 0] = 1.0 / np.sqrt(2.0)
+    minus[1, 3] = -1.0 / np.sqrt(2.0)
+    return plus, minus
 
 
 def test_pbs_projector_properties():

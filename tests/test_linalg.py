@@ -3,7 +3,6 @@ import pytest
 
 from superact import linalg, noisy_ghz
 from superact.certify import (
-    QUANTIFIER_MIN_EIGENVALUE,
     negativity,
     sle_quantify,
     verify_sle_certificate,
@@ -87,8 +86,7 @@ def test_jacobi_only_in_certificate_reverification(monkeypatch):
         verify_witness_certificate(result, rho)
     # The sign-only SLE search's band certificate, at a state without SLE.
     separable = noisy_ghz(0.3)
-    settled = sle_quantify(separable, quantifier=QUANTIFIER_MIN_EIGENVALUE,
-                           sign_only=True)
+    settled = sle_quantify(separable, sign_only=True)
     assert settled.certificate is not None
     with pytest.raises(JacobiCalled):
         verify_sle_certificate(settled.certificate, separable)

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -58,6 +59,40 @@ def test_star_import_resolves_every_exported_name():
 def test_pure_state_normalization_enforced():
     with pytest.raises(StateValidationError):
         PureState(1, np.array([1.0, 1.0]))
+
+
+@pytest.mark.parametrize("n_qubits", [3.0, True, 0, -1, None, "3"])
+def test_states_reject_a_qubit_count_that_is_not_a_positive_integer(n_qubits):
+    with pytest.raises(StateValidationError,
+                       match="n_qubits must be a positive integer"):
+        DensityMatrix(n_qubits, np.eye(8) / 8.0)
+    with pytest.raises(StateValidationError,
+                       match="n_qubits must be a positive integer"):
+        PureState(n_qubits, np.eye(8)[0])
+
+
+def test_states_take_numpy_integer_qubit_counts():
+    assert DensityMatrix(np.int64(3), np.eye(8) / 8.0).n_qubits == 3
+    assert PureState(np.uint8(1), np.array([1.0, 0.0])).n_qubits == 1
+    for bad in (np.eye(4) / 4.0, np.full(8, 0.125), np.ones((8, 8, 8))):
+        with pytest.raises(StateValidationError, match="3 qubits"):
+            DensityMatrix(3, bad)
+
+
+def test_a_huge_qubit_count_is_rejected_without_forming_its_dimension():
+    # 2 ** n is never formed, so the check costs the same at any count;
+    # forming it took 46.7 MB at this count.
+    n = 10 ** 8
+    tracemalloc.start()
+    try:
+        for build, entries in ((DensityMatrix, np.eye(1)),
+                               (PureState, np.ones(1))):
+            with pytest.raises(StateValidationError, match=str(n)):
+                build(n, entries)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_density_matrix_rejects_non_hermitian():

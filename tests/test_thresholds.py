@@ -207,18 +207,13 @@ def test_w_sle_bracket_ends_carry_certificates():
     report = find_threshold(PROPERTY_W_SLE)
     lo = report.crossing_p - report.bracket_width
     hi = report.crossing_p + report.bracket_width
-    below = certify.sle_quantify(noisy_w(lo),
-                                 quantifier=certify.QUANTIFIER_MIN_EIGENVALUE,
-                                 sign_only=True)
+    below = certify.sle_quantify(noisy_w(lo), sign_only=True)
     assert below.certificate is not None
     assert certify.verify_sle_certificate(below.certificate, noisy_w(lo))
-    above = certify.sle_quantify(noisy_w(hi),
-                                 quantifier=certify.QUANTIFIER_MIN_EIGENVALUE,
-                                 sign_only=True)
+    above = certify.sle_quantify(noisy_w(hi), sign_only=True)
     assert above.certificate is None
     assert certify.sle_quantifier_at(
-        noisy_w(hi), None, above.theta, above.phi,
-        certify.QUANTIFIER_MIN_EIGENVALUE) < -1e-12
+        noisy_w(hi), None, above.theta, above.phi) < -1e-12
 
 
 def test_w_sle_margin_agrees_with_the_full_sle_search(monkeypatch):
@@ -241,9 +236,8 @@ def test_w_sle_margin_agrees_with_the_full_sle_search(monkeypatch):
     find_threshold(PROPERTY_W_SLE)
     assert len(points) >= 20
     for p, value in points:
-        searched = -certify.sle_quantify(
-            noisy_w(p), pair=(0, 1),
-            quantifier=certify.QUANTIFIER_MIN_EIGENVALUE).value
+        searched = -certify.sle_quantify(noisy_w(p),
+                                         pair=(0, 1)).min_eigenvalue
         assert np.sign(value) == np.sign(searched) != 0.0
         assert value == pytest.approx(searched, rel=0.0, abs=1e-12)
 

@@ -5,8 +5,13 @@ index gymnastics."""
 import numpy as np
 
 import superact.thresholds as thresholds
-from superact.certify import mk_observable
 from superact.states import PAULI_X, PAULI_Y
+
+
+def mk_observable(k: int) -> np.ndarray:
+    """cos(k pi/3) X + sin(k pi/3) Y, the three equatorial settings."""
+    angle = k * np.pi / 3.0
+    return np.cos(angle) * PAULI_X + np.sin(angle) * PAULI_Y
 
 
 def _product_expectation(rho, single_qubit_ops) -> float:
