@@ -67,7 +67,9 @@ of an earlier solve, which ``ppt_mixer_witness`` takes as ``start`` and
 hands back as ``final_z``.  Along a threshold bisection successive
 solves differ only in p, so each starts from the previous one's final z
 (see ``thresholds.certifying_margin``).  A start that does not have the
-program's shape and dtype, or is not finite, is ignored.  The start can
+program's shape and dtype, or is not finite, is ignored; any other is
+first twirled into the state's sectors (see "Symmetry sectors").  The
+start can
 only change how soon a solve stops: every verdict is read from bounds
 repaired into exactly feasible points at the final iterate, whatever the
 start.
@@ -98,17 +100,57 @@ xg its cone projection:
   add R - t I to Y_1.  Then rho - t I = sum_i Y_i exactly and t is the
   lower bound.
 
-Both bounds cost four small batched LAPACK calls.  Every solve computes
-them every 10 iterations and at the iteration cap ``MAX_ITERATIONS`` =
-200000, and stops as soon as upper - lower is at most ``gap_tol``, the one
-setting a caller of ``ppt_mixer_witness`` passes (``GAP_TOL`` = 1e-8 by
-default); a solve asked only for the sign (``sign_only=True``) also stops
-as soon as the upper bound lies below minus the certification margin
+Both bounds cost four eigendecompositions of stacks of blocks, taken
+sector by sector (see "Symmetry sectors"): one batched LAPACK call per
+sector size in each, and none for sectors of size 1, whose one entry is
+their eigenvalue.  Every solve computes them every 10 iterations and at
+the iteration cap ``MAX_ITERATIONS`` = 200000, and stops as soon as
+upper - lower is at most ``gap_tol``, the one setting a caller of
+``ppt_mixer_witness`` passes (``GAP_TOL`` = 1e-8 by default); a solve
+asked only for the sign (``sign_only=True``) also stops as soon as the
+upper bound lies below minus the certification margin
 ``CERTIFICATION_MARGIN`` = 1e-5 or the lower bound above it.  The gap stop
 ends sign-only solves too, so that one whose optimum lies inside the margin
 ends with an indeterminate sign instead of running to the iteration cap.
 Every result is built from the bounds at the final iterate, and its sign is
 read from them.
+
+Symmetry sectors
+----------------
+Every state the paper studies is invariant under some diagonal local
+unitaries, and the program inherits the symmetry (Gatermann & Parrilo, J.
+Pure Appl. Algebra 192, 95, 2004): local unitaries keep the program's
+feasible set, and one that commutes with rho keeps its objective.  The
+solver reads the symmetries off the exact zero pattern of the state.  With
+b - b' the difference of the qubit bits of the basis states of a nonzero
+entry rho_bb', a charge vector c in {-1, 0, 1}^3 is conserved when
+c.(b - b') = 0 for every such entry, and a Z-string s in {0, 1}^3 when
+s.(b - b') is even.  The phases exp(i theta c.b) and signs (-1)^{s.b} of
+the conserved c and s commute with rho.  W and the P blocks split into the
+sectors of basis states that agree in every c.b and every s.b mod 2.  A
+Q_i block splits in the same way with party i's charge negated, since
+partial transposition over party i conjugates its phase.  Noisy and
+distilled GHZ states give {000, 111} and singletons; noise-model and other
+X-shaped states, the four pairs {b, b with every bit flipped}; noisy and
+CNOT-distilled W states, the Hamming weights, of sizes 1, 3, 3 and 1.  A
+state with no symmetry is one sector of size 8, and its solve runs the
+arithmetic of a solver that knows no sectors.  The sectors are cached
+per zero pattern.
+
+Zeroing the entries outside the sectors is the average over the symmetry
+group, the twirl.  The twirl keeps a feasible point feasible, and keeps
+its value because rho is invariant.  The start is twirled first.  Then
+every step maps a point inside the sectors to one inside them: the cost
+step, since rho lies inside them; the affine projection; the cone
+projection, taken sector by sector as one batched eigendecomposition per
+sector size, a clip at 0 for sectors of size 1, and exact zeros outside;
+the Hermitian part; and Anderson's real combinations.  So the entries
+outside the sectors stay exactly zero, and no rounding drops them.  The
+certified bounds read W and the cone multipliers through the sectors,
+which twirls them, so every spectrum they take is of an exactly
+block-diagonal matrix, and they take it sector by sector.  The verifier
+``verify_witness_certificate`` knows nothing of sectors: it checks the
+full 8 x 8 matrices with the Jacobi solver.
 
 Affine projection
 -----------------
@@ -168,11 +210,14 @@ stagnation rule left up to 6.2e-7.
 
 from __future__ import annotations
 
+import functools
+import itertools
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
 
+from .certify import _QUBIT_BITS
 from .states import _finite_array, _partial_transpose_array, _state_entries
 
 BIPARTITIONS = ((0,), (1,), (2,))
@@ -289,11 +334,118 @@ def _hermitian_part(a: np.ndarray) -> np.ndarray:
     return 0.5 * (a + np.conj(np.swapaxes(a, -1, -2)))
 
 
-def _psd_part(blocks: np.ndarray) -> np.ndarray:
-    """Projection of each Hermitian block onto the PSD cone."""
-    lam, vec = np.linalg.eigh(blocks)
-    return (vec * np.maximum(lam, 0.0)[:, None, :]) @ np.conj(
-        np.swapaxes(vec, -1, -2))
+# Sector labels of the basis states (see "Symmetry sectors" in the module
+# docstring), per block kind: kind 0 is W and the P blocks, kind i the block
+# Q_i.  The columns are the total charge c.b of each charge vector c in
+# {-1, 0, 1}^3, with party i's charge negated in kind i, then the parity
+# s.b mod 2 of each Z-string s in {0, 1}^3.
+_CHARGES = np.array(list(itertools.product((-1, 0, 1), repeat=3)))
+_LABELS = np.stack([
+    np.concatenate([_QUBIT_BITS @ (_CHARGES * sign).T,
+                    _QUBIT_BITS @ _QUBIT_BITS.T % 2], axis=1)
+    for sign in 1 - 2 * np.eye(4, 3, k=-1, dtype=int)])
+# Whether basis states b and b' differ in each label, per kind.
+_LABELS_DIFFER = _LABELS[:, :, None, :] != _LABELS[:, None, :, :]
+# Gather index of block k of a flattened stack of 8 x 8 blocks.
+_OWN = np.arange(6 * 64).reshape(6, 64)
+
+
+class _Plan(NamedTuple):
+    """Gathers of the sectors of a stack of blocks, one per sector size.
+
+    Each group holds the flat indices of its sectors, shape (n, k, k), or
+    of their one diagonal entry, shape (n,), for k = 1; and the slot
+    block * 8 + (first basis state) of each sector.
+    """
+
+    groups: tuple[tuple[np.ndarray, np.ndarray], ...]
+    blocks: int
+
+
+class _Sectors(NamedTuple):
+    """Sectors of one zero pattern: the in-sector entries of
+    (W, P_1, Q_1, ..., Q_3), and a plan for each stack the solver reads."""
+
+    mask: np.ndarray
+    cone: _Plan       # the six P and Q blocks
+    q: _Plan          # Q_1, Q_2, Q_3
+    w: _Plan          # three W blocks
+    mixture: _Plan    # Y_1, Y_2, Y_3, then Y_i^{T_i}
+    shifted: _Plan    # R, then R^{T_1}
+
+
+def _plan(same: np.ndarray, kinds: tuple[int, ...],
+          bases: np.ndarray) -> _Plan:
+    """Plan of the sectors of blocks of the given kinds; the row-major
+    entries of block j are ``flat[bases[j]]``."""
+    in_sector = same[list(kinds)]
+    size = in_sector.sum(axis=-1)
+    first = in_sector.argmax(axis=-1) == np.arange(8)
+    groups = []
+    for k in np.flatnonzero(np.bincount(size.ravel())):
+        block, head = np.nonzero(first & (size == k))
+        if k == 1:
+            index = bases[block, 9 * head]
+        else:
+            members = np.argsort(~in_sector[block, head], axis=-1,
+                                 kind="stable")[:, :k]
+            entries = members[:, :, None] * 8 + members[:, None, :]
+            index = np.take_along_axis(
+                bases[block], entries.reshape(len(block), -1), axis=1
+            ).reshape(-1, k, k)
+        groups.append((index, 8 * block + head))
+    return _Plan(tuple(groups), len(kinds))
+
+
+@functools.lru_cache(maxsize=64)
+def _sectors_of(pattern: bytes) -> _Sectors:
+    nonzero = np.frombuffer(pattern, dtype=bool).reshape(8, 8)
+    conserved = ~_LABELS_DIFFER[0][nonzero].any(axis=0)
+    # same[kind, b, b']: b and b' share a sector in blocks of that kind.
+    same = ~_LABELS_DIFFER[..., conserved].any(axis=-1)
+    return _Sectors(
+        mask=same[[0, 0, 1, 0, 2, 0, 3]],
+        cone=_plan(same, (0, 1, 0, 2, 0, 3), _OWN),
+        q=_plan(same, (1, 2, 3), _OWN),
+        w=_plan(same, (0, 0, 0), _OWN),
+        mixture=_plan(same, (0, 0, 0, 1, 2, 3),
+                      np.concatenate([_OWN[:3], _PT_INDEX])),
+        shifted=_plan(same, (0, 1), np.stack([_OWN[0], _PT_INDEX[0]])),
+    )
+
+
+def _sectors(rho: np.ndarray) -> _Sectors:
+    """Sectors of the program for the 8 x 8 state ``rho``, cached per zero
+    pattern."""
+    return _sectors_of((rho != 0).tobytes())
+
+
+def _psd_part(blocks: np.ndarray, plan: _Plan) -> np.ndarray:
+    """Projection of each block onto the PSD cone, sector by sector; the
+    entries outside the sectors are zero."""
+    flat = blocks.reshape(-1)
+    out = np.zeros(flat.shape, flat.dtype)
+    for index, _ in plan.groups:
+        sub = flat[index]
+        if index.ndim == 1:
+            out[index] = np.maximum(sub.real, 0.0)
+            continue
+        lam, vec = np.linalg.eigh(sub)
+        out[index] = (vec * np.maximum(lam, 0.0)[:, None, :]) @ np.conj(
+            np.swapaxes(vec, -1, -2))
+    return out.reshape(blocks.shape)
+
+
+def _lowest(blocks: np.ndarray, plan: _Plan) -> np.ndarray:
+    """Lowest eigenvalue of each block that ``plan`` reads from ``blocks``,
+    the minimum over its sectors."""
+    flat = blocks.reshape(-1)
+    lowest = np.full(8 * plan.blocks, np.inf)
+    for index, slot in plan.groups:
+        sub = flat[index]
+        lowest[slot] = (sub.real if index.ndim == 1
+                        else np.linalg.eigvalsh(sub)[:, 0])
+    return lowest.reshape(plan.blocks, 8).min(axis=1)
 
 
 def _start(start, cold: np.ndarray) -> np.ndarray:
@@ -318,11 +470,15 @@ def _iterates(rho: np.ndarray, z: np.ndarray, eye: np.ndarray):
     iteration without end, the affine iterate xf, the reflection y and its
     cone projection xg at the current z, and the z the next iteration
     starts from (see "Douglas-Rachford iteration" in the module docstring);
-    the cone gap is xg[1:] - y[1:].  Each iteration evaluates the
+    the cone gap is xg[1:] - y[1:].  It first twirls ``z`` into the
+    sectors of ``rho``, and every iterate stays inside them (see "Symmetry
+    sectors").  Each iteration evaluates the
     Douglas-Rachford map once.  ``rho`` is the state, contiguous and of the
     iteration's dtype, and ``eye`` the identity of that dtype.  No array is
     changed in place, ``z`` included.
     """
+    sectors = _sectors(rho)
+    z = np.where(sectors.mask, z, 0.0)
     memory = _ANDERSON_MEMORY
     size = _real_view(z).size
     # Ring buffers of the differences between successive accepted iterates,
@@ -342,7 +498,7 @@ def _iterates(rho: np.ndarray, z: np.ndarray, eye: np.ndarray):
         xf = _project_affine(shifted, eye)
         y = 2.0 * xf - z
         xg = y.copy()
-        xg[1:] = _psd_part(y[1:])
+        xg[1:] = _psd_part(y[1:], sectors.cone)
         # Hermitian to the last bit, so that no rounding drift builds up for
         # the extrapolation to amplify.
         t_z = _hermitian_part(z + RELAXATION * (xg - xf))
@@ -395,25 +551,26 @@ def _certified_bounds(rho: np.ndarray, xf: np.ndarray, cone_gap: np.ndarray,
     """Feasible witness and PPT mixture built from one iterate.
 
     ``cone_gap`` is xg - y on the six cone blocks; see "Certified bounds" in
-    the module docstring for both repairs.
+    the module docstring for both repairs.  W and the cone multipliers are
+    read through the sectors of ``rho``, and every spectrum is taken
+    sector by sector (see "Symmetry sectors").
     """
+    sectors = _sectors(rho)
     dim = eye.shape[0]
-    w = _hermitian_part(xf[0])
-    q_hat = _psd_part(xf[2::2])
+    w = np.where(sectors.mask[0], _hermitian_part(xf[0]), 0.0)
+    q_hat = _psd_part(xf[2::2], sectors.q)
     p_raw = w - _transpose_stack(q_hat)
-    delta = max(0.0, -float(np.linalg.eigvalsh(p_raw)[:, 0].min()))
+    delta = max(0.0, -float(_lowest(p_raw, sectors.w).min()))
     scale = 1.0 / (1.0 + dim * delta)
     witness = (w + delta * eye) * scale
 
-    multipliers = cone_gap / STEP
+    multipliers = np.where(sectors.mask[1:], cone_gap, 0.0) / STEP
     mix = multipliers[0::2] + _transpose_stack(multipliers[1::2])
     mix = 0.5 * _hermitian_part(mix)
-    lowest = np.linalg.eigvalsh(
-        np.concatenate([mix, _transpose_stack(mix)]))[:, 0]
+    lowest = _lowest(mix, sectors.mixture)
     mix += np.maximum(0.0, -lowest.reshape(2, -1).min(axis=0))[:, None, None] * eye
     r = rho - (mix[0] + mix[1] + mix[2])
-    r_t1 = _transpose_stack(r, _PT_INDEX[:1])
-    t = float(np.linalg.eigvalsh(np.stack([r, r_t1]))[:, 0].min())
+    t = float(_lowest(r, sectors.shifted).min())
     mix[0] += r - t * eye
     return _Bounds(
         upper=float(np.vdot(rho, witness).real),

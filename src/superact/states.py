@@ -19,6 +19,8 @@ from __future__ import annotations
 
 import functools
 import json
+import os
+import tempfile
 from dataclasses import dataclass
 from typing import Mapping
 
@@ -425,7 +427,7 @@ def apply_local(rho, op, qubit: int) -> DensityMatrix:
 
 def density_matrix_to_dict(rho: DensityMatrix) -> dict:
     m = np.asarray(rho.entries)
-    return {"n_qubits": rho.n_qubits,
+    return {"n_qubits": int(rho.n_qubits),
             "re": m.real.tolist(),
             "im": m.imag.tolist()}
 
@@ -446,9 +448,26 @@ def density_matrix_from_dict(doc: Mapping) -> DensityMatrix:
     return DensityMatrix(n, re + 1j * im)
 
 
+def _write_atomically(path, text: str) -> None:
+    """Write ``text`` to ``path`` through a temporary file in the same
+    directory, so that a failed write leaves any old file as it was."""
+    directory = os.path.dirname(os.path.abspath(path))
+    try:
+        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".superact-")
+    except OSError as exc:  # e.g. a missing directory
+        raise OSError(f"cannot write {path}: {exc.strerror}") from None
+    try:
+        with os.fdopen(fd, "w") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise
+
+
 def save_density_matrix(rho: DensityMatrix, path) -> None:
-    with open(path, "w") as fh:
-        json.dump(density_matrix_to_dict(rho), fh)
+    _write_atomically(path, json.dumps(density_matrix_to_dict(rho)))
 
 
 def load_density_matrix(path) -> DensityMatrix:

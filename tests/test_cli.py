@@ -39,6 +39,30 @@ def test_every_flag_has_a_config_key():
     assert keys - {"config", "subcommand"} == _CONFIG_OPTIONS.keys()
 
 
+def test_one_parser_serves_every_call(capsys):
+    # The parser is built once per process.  A failed parse leaves it as it
+    # was: the next valid call runs, and the help text is that of a parser
+    # built afresh.
+    assert _build_parser() is _build_parser()
+    with pytest.raises(SystemExit) as exc:
+        main(["certify", "--no-such-flag"])
+    assert exc.value.code == 2
+    capsys.readouterr()
+    code, out, _ = run_cli(["certify", "--input", "noisy-ghz:0.5"], capsys)
+    assert code == 0
+    assert json.loads(out)["gme_concurrence"] == pytest.approx(0.125, abs=1e-9)
+    fresh = _build_parser.__wrapped__()
+    assert _build_parser().format_help() == fresh.format_help()
+    for name in ("certify", "distill", "sweep", "coincidence"):
+        with pytest.raises(SystemExit) as exc:
+            main([name, "--help"])
+        assert exc.value.code == 0
+        cached_help = capsys.readouterr().out
+        with pytest.raises(SystemExit):
+            fresh.parse_args([name, "--help"])
+        assert cached_help == capsys.readouterr().out
+
+
 def test_parse_state_spec_builtins():
     rho = parse_state_spec("noisy-ghz:0.5")
     assert rho.entries[0, 0] == pytest.approx(0.3125)
@@ -311,7 +335,7 @@ _CNOT_W_REPORT = {
         '  "recertify": {',
         '    "gme_concurrence": null,',
         '    "ppt_mixer_sign": "negative",',
-        '    "ppt_mixer_value": -0.027425640029585936',
+        '    "ppt_mixer_value": -0.02742564002958587',
         '  },',
         '  "success_probability": 0.2000000000000001,',
         '  "w_witness_expectation": -0.045833333333333504',
@@ -326,7 +350,7 @@ _CNOT_W_REPORT = {
            "cnot,noisy-w:0.6;noisy-w:0.6,0.20000000000000009,"
            "0.20000000000000009,0.012499999999999994,-0.045833333333333504,"
            "x,2,0,0.49999999999999994,0.17499999999999996,None,"
-           "-0.027425640029585936,negative\n",
+           "-0.02742564002958587,negative\n",
 }
 
 

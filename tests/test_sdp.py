@@ -9,7 +9,7 @@ import pytest
 from superact import ghz3, maximally_mixed, noise_model_state, noisy_ghz, noisy_w
 from superact import sdp
 from superact.certify import gme_concurrence_arguments
-from superact.distill import distill_cnot
+from superact.distill import distill_cnot, distill_tripartite
 from superact.linalg import jacobi_eigvalsh
 from superact.sdp import (
     BIPARTITIONS,
@@ -22,8 +22,10 @@ from superact.sdp import (
     ppt_mixer_witness,
     verify_witness_certificate,
     _PT_INDEX,
+    _certified_bounds,
     _iterates,
     _project_affine,
+    _sectors,
     _transpose_stack,
 )
 from superact.states import (
@@ -31,7 +33,13 @@ from superact.states import (
     StateValidationError,
     _partial_transpose_array,
 )
-from util import BAD_RAW_ARRAYS, random_density_matrix, random_hermitian
+from util import (
+    BAD_RAW_ARRAYS,
+    random_density_matrix,
+    random_hermitian,
+    random_unitary,
+    random_x_state,
+)
 
 
 def _certificate_invariants(result: WitnessResult, rho, feas_tol=1e-6):
@@ -115,32 +123,217 @@ def _mixed_random_state(seed, rank):
     return mix * m / np.trace(m).real + (1.0 - mix) * np.eye(8) / 8.0
 
 
+def _local_phase(rho):
+    """Conjugate by a local diagonal phase unitary, making entries complex."""
+    u = np.array([1.0], dtype=complex)
+    for angle in (0.3, 1.1, 2.0):
+        u = np.kron(u, np.array([1.0, np.exp(1j * angle)]))
+    return np.asarray(rho.entries) * np.outer(u, u.conj())
+
+
+def _entries(rho) -> np.ndarray:
+    return np.asarray(rho.entries if hasattr(rho, "entries") else rho)
+
+
+def _off_sector(x, rho):
+    """Largest magnitude of the entries of a (W, P_1, ..., Q_3) stack that
+    lie outside the symmetry sectors of ``rho``."""
+    return np.abs(np.where(_sectors(_entries(rho)).mask, 0.0, x)).max()
+
+
 def test_accelerated_iterates_stay_hermitian():
     # The extrapolation combines past iterates with real coefficients, so
     # every z the loop yields for a complex state is Hermitian block by
     # block.  Complex coefficients would break this on the first
     # extrapolated step; without the exact Hermitian part of each step,
     # rounding drift grows past 1e-12 within the first 1000 iterations.
-    rho = _mixed_random_state(39, 1)
+    # Every step maps the state's sectors to themselves, so the entries
+    # outside them stay exactly zero: none for the random state, all but
+    # the Hamming-weight sectors for the phased distilled W state.
     eye = np.eye(8, dtype=complex)
-    z = np.empty((7, 8, 8), dtype=complex)
-    z[0] = eye / 8.0
-    z[1:] = eye / 16.0
-    for _, _, _, z in itertools.islice(_iterates(rho, z, eye), 1500):
-        assert np.abs(z - np.conj(np.swapaxes(z, -1, -2))).max() <= 1e-12
+    cold = np.empty((7, 8, 8), dtype=complex)
+    cold[0] = eye / 8.0
+    cold[1:] = eye / 16.0
+    for rho in (_mixed_random_state(39, 1),
+                _local_phase(distill_cnot(noisy_w(0.5), noisy_w(0.5)).state)):
+        for xf, y, xg, z in itertools.islice(_iterates(rho, cold, eye), 1500):
+            assert np.abs(z - np.conj(np.swapaxes(z, -1, -2))).max() <= 1e-12
+            for x in (xf, y, xg, z):
+                assert _off_sector(x, rho) == 0.0
 
 
 def test_cone_projection_clips_to_psd():
     # From a random Hermitian splitting variable, the cone projection xg of
     # the reflection y leaves the witness block as it is and makes the six
-    # P and Q blocks PSD.
+    # P and Q blocks PSD.  For a state with sectors, the start is first cut
+    # down to them, so nothing outside them reaches the iterates.
     rng = np.random.default_rng(1)
     z = np.stack([random_hermitian(rng, 8) for _ in range(7)])
-    rho = _mixed_random_state(3, 2)
-    _, y, xg, _ = next(_iterates(rho, z, np.eye(8, dtype=complex)))
-    assert np.abs(xg[0] - y[0]).max() == 0.0  # witness block is unconstrained
-    assert np.linalg.eigvalsh(y[1:]).min() < -1.0  # so the clipping shows
-    assert np.linalg.eigvalsh(xg[1:]).min() > -1e-12
+    for rho in (_mixed_random_state(3, 2), _local_phase(noisy_w(0.6))):
+        _, y, xg, _ = next(_iterates(rho, z, np.eye(8, dtype=complex)))
+        assert np.abs(xg[0] - y[0]).max() == 0.0  # witness is unconstrained
+        assert np.linalg.eigvalsh(y[1:]).min() < -1.0  # so the clipping shows
+        assert np.linalg.eigvalsh(xg[1:]).min() > -1e-12
+        assert _off_sector(y, rho) == _off_sector(xg, rho) == 0.0
+    assert _off_sector(z, _local_phase(noisy_w(0.6))) > 1.0
+
+
+# ---------------------------------------------------------------------------
+# symmetry sectors
+
+def _sector_sets(rho, block=0):
+    """The sectors of block ``block`` of (W, P_1, Q_1, ..., Q_3) for the
+    state ``rho``, as a set of basis-index tuples."""
+    mask = _sectors(_entries(rho)).mask[block]
+    return {tuple(np.flatnonzero(row).tolist()) for row in mask}
+
+
+_SINGLETONS = {(b,) for b in range(8)}
+_COMPLEMENT_PAIRS = {(0, 7), (1, 6), (2, 5), (3, 4)}
+_HAMMING_WEIGHTS = {(0,), (1, 2, 4), (3, 5, 6), (7,)}
+
+
+@pytest.mark.parametrize("rho, sectors", [
+    pytest.param(noisy_ghz(0.5), {(0, 7)} | _SINGLETONS - {(0,), (7,)},
+                 id="noisy-ghz"),
+    pytest.param(noisy_ghz(1.0), {(0, 7)} | _SINGLETONS - {(0,), (7,)},
+                 id="ghz"),
+    pytest.param(distill_tripartite(noisy_ghz(0.6), noisy_ghz(0.6)).state,
+                 {(0, 7)} | _SINGLETONS - {(0,), (7,)}, id="distilled-ghz"),
+    pytest.param(noise_model_state(0.8, 0.9, 0.95), _COMPLEMENT_PAIRS,
+                 id="noise-model"),
+    pytest.param(random_x_state(np.random.default_rng(3)), _COMPLEMENT_PAIRS,
+                 id="random-x"),
+    pytest.param(noisy_w(0.6), _HAMMING_WEIGHTS, id="noisy-w"),
+    pytest.param(distill_cnot(noisy_w(0.5), noisy_w(0.5)).state,
+                 _HAMMING_WEIGHTS, id="distilled-w"),
+    pytest.param(maximally_mixed(3), _SINGLETONS, id="maximally-mixed"),
+    pytest.param(_mixed_random_state(1, 2), {tuple(range(8))}, id="random"),
+])
+def test_sector_shapes(rho, sectors):
+    m = _entries(rho)
+    assert _sector_sets(m) == sectors
+    # P blocks share W's sectors; the state's entries lie inside them.
+    for block in (1, 3, 5):
+        assert _sector_sets(m, block) == sectors
+    assert np.all(m[~_sectors(m).mask[0]] == 0)
+
+
+def test_partial_transpose_moves_the_q_sectors():
+    # Transposing party i conjugates its phase: Q_i's sectors are W's with
+    # party i's charge negated.  For noisy W, W conserves the Hamming
+    # weight, and Q_1 the charge -b_0 + b_1 + b_2 and the weight's parity.
+    m = np.asarray(noisy_w(0.6).entries)
+    assert _sector_sets(m, 2) == {(0, 5, 6), (1, 2, 7), (3,), (4,)}
+    # For GHZ, transposing party i moves the coherence |000><111| to the
+    # pair that differs from 000 in party i alone and from 111 elsewhere.
+    ghz = np.asarray(noisy_ghz(0.5).entries)
+    for block, pair in zip((2, 4, 6), ((3, 4), (2, 5), (1, 6))):
+        assert _sector_sets(ghz, block) == {pair} | _SINGLETONS - {
+            (pair[0],), (pair[1],)}
+
+
+def test_a_tiny_entry_merges_sectors():
+    # Sectors follow the exact zero pattern: a Hermitian pair of 1e-300
+    # entries joining 000 and 001 conserves no charge that tells them apart.
+    m = np.asarray(noisy_w(0.6).entries).copy()
+    m[0, 1] = m[1, 0] = 1e-300
+    sectors = _sector_sets(m)
+    assert any({0, 1} <= set(sector) for sector in sectors)
+    assert sectors != _HAMMING_WEIGHTS
+    result = ppt_mixer_witness(m)
+    assert verify_witness_certificate(result, m)
+    assert result.optimal_value == pytest.approx(
+        ppt_mixer_witness(noisy_w(0.6)).optimal_value, abs=2 * GAP_TOL)
+
+
+def _local_unitary(seed):
+    rng = np.random.default_rng(seed)
+    u = np.eye(1)
+    for _ in range(3):
+        u = np.kron(u, random_unitary(rng, 2))
+    return u
+
+
+@pytest.mark.parametrize("index", range(10))
+def test_solve_is_invariant_under_local_unitaries(index):
+    # The program is invariant under local unitaries, which destroy the
+    # zero pattern: the rotated state is one sector of size 8.  Both solves
+    # must bound the same optimum.
+    rho = np.asarray(_structured_states()[index].entries)
+    u = _local_unitary(index)
+    rotated = u @ rho @ u.conj().T
+    assert _sector_sets(rotated) == {tuple(range(8))}
+    plain, turned = ppt_mixer_witness(rho), ppt_mixer_witness(rotated)
+    assert plain.certified_sign == turned.certified_sign
+    assert plain.lower_bound <= turned.optimal_value
+    assert turned.lower_bound <= plain.optimal_value
+    assert plain.optimal_value == pytest.approx(turned.optimal_value,
+                                                abs=2 * GAP_TOL)
+    assert verify_witness_certificate(plain, rho)
+    assert verify_witness_certificate(turned, rotated)
+
+
+# Structured states over both arithmetic paths.
+_SECTOR_STATES = {
+    "noisy-w": lambda: noisy_w(0.6),
+    "noisy-ghz": lambda: noisy_ghz(0.5),
+    "distilled-w-phased":
+        lambda: _local_phase(distill_cnot(noisy_w(0.5), noisy_w(0.5)).state),
+}
+
+
+@pytest.mark.parametrize("name", list(_SECTOR_STATES))
+def test_bounds_twirl_an_iterate_outside_the_sectors(name):
+    # The bounds read W and the cone multipliers through the sectors, so
+    # from any Hermitian point, entries outside the sectors included, they
+    # build an exactly feasible witness and PPT mixture.
+    m = _entries(_SECTOR_STATES[name]()).astype(complex)
+    rng = np.random.default_rng(2)
+    xf = np.stack([random_hermitian(rng, 8) for _ in range(7)])
+    xf[0] += np.eye(8) * (1.0 - np.trace(xf[0]).real) / 8.0
+    gap = np.stack([random_hermitian(rng, 8) for _ in range(6)])
+    eye = np.eye(8, dtype=complex)
+    assert _off_sector(xf, m) > 0.1
+    bounds = _certified_bounds(m, xf, gap, eye)
+    assert abs(np.trace(bounds.witness).real - 1.0) < 1e-12
+    assert bounds.upper == pytest.approx(np.vdot(m, bounds.witness).real,
+                                         abs=1e-15)
+    rebuilt = bounds.p_blocks + _transpose_stack(bounds.q_blocks)
+    assert np.abs(rebuilt - bounds.witness).max() < 1e-12
+    assert np.abs(m - bounds.lower * eye
+                  - bounds.mixture.sum(axis=0)).max() < 1e-12
+    cones = np.concatenate([bounds.p_blocks, bounds.q_blocks, bounds.mixture,
+                            _transpose_stack(bounds.mixture)])
+    assert jacobi_eigvalsh(cones)[:, 0].min() >= -1e-9
+
+
+@pytest.mark.parametrize("name", list(_SECTOR_STATES))
+def test_start_outside_the_sectors(name):
+    # A start with entries outside the state's sectors, here a random
+    # Hermitian stack or the final z of an unstructured solve, is cut down
+    # to the sectors before the first step: it solves as that cut start
+    # does, and its certificates verify.
+    rho = _SECTOR_STATES[name]()
+    m = _entries(rho)
+    cold = ppt_mixer_witness(rho)
+    real = cold.final_z.dtype == np.float64
+    rng = np.random.default_rng(5)
+    noise = np.stack([random_hermitian(rng, 8) for _ in range(7)]) / 8.0
+    other = _mixed_random_state(1, 2)
+    unstructured = ppt_mixer_witness(other.real if real else other).final_z
+    for start in (noise.real if real else noise, unstructured):
+        assert _off_sector(start, m) > 0.0
+        warm = ppt_mixer_witness(rho, start=start)
+        cut = ppt_mixer_witness(
+            rho, start=np.where(_sectors(m).mask, start, 0.0))
+        for f in dataclasses.fields(WitnessResult):
+            assert np.array_equal(getattr(warm, f.name),
+                                  getattr(cut, f.name)), f.name
+        assert warm.certified_sign == cold.certified_sign
+        assert warm.optimal_value == pytest.approx(cold.optimal_value,
+                                                   abs=2 * GAP_TOL)
+        assert verify_witness_certificate(warm, rho)
 
 
 # ---------------------------------------------------------------------------
@@ -496,14 +689,6 @@ def test_verifier_validates_the_state():
         verify_witness_certificate(result, maximally_mixed(2))
 
 
-def _local_phase(rho):
-    """Conjugate by a local diagonal phase unitary, making entries complex."""
-    u = np.array([1.0], dtype=complex)
-    for angle in (0.3, 1.1, 2.0):
-        u = np.kron(u, np.array([1.0, np.exp(1j * angle)]))
-    return np.asarray(rho.entries) * np.outer(u, u.conj())
-
-
 @pytest.mark.parametrize("rho_factory", [
     lambda: noisy_w(0.6),
     lambda: distill_cnot(noisy_w(0.6), noisy_w(0.6)).state,
@@ -538,19 +723,24 @@ def test_mismatched_start_gives_the_cold_result():
                                   getattr(cold, f.name)), f.name
 
 
-def _pinned_states():
-    """Eighteen states over both arithmetic paths: noisy GHZ, noisy W,
-    noise-model, CNOT-distilled W, maximally mixed, and seeded random
-    states, complex and (as their real parts, also states) real."""
-    states = [noisy_ghz(0.3), noisy_ghz(0.5), noisy_ghz(1.0),
-              noisy_w(0.4), noisy_w(0.5), noisy_w(0.6),
-              noise_model_state(0.8, 0.9, 0.95),
-              noise_model_state(0.45, 0.9084, 0.921),
-              distill_cnot(noisy_w(0.5), noisy_w(0.5)).state,
-              distill_cnot(noisy_w(0.6), noisy_w(0.6)).state,
-              maximally_mixed(3)]
-    states += [_mixed_random_state(seed, rank)
-               for seed, rank in ((1, 2), (2, 3), (3, 4), (5, 2), (6, 3))]
+def _structured_states():
+    """Eleven states whose zero patterns have symmetry sectors: noisy GHZ,
+    noisy W, noise-model, CNOT-distilled W and maximally mixed."""
+    return [noisy_ghz(0.3), noisy_ghz(0.5), noisy_ghz(1.0),
+            noisy_w(0.4), noisy_w(0.5), noisy_w(0.6),
+            noise_model_state(0.8, 0.9, 0.95),
+            noise_model_state(0.45, 0.9084, 0.921),
+            distill_cnot(noisy_w(0.5), noisy_w(0.5)).state,
+            distill_cnot(noisy_w(0.6), noisy_w(0.6)).state,
+            maximally_mixed(3)]
+
+
+def _unstructured_states():
+    """Seven seeded random states, one sector of size 8 each, over both
+    arithmetic paths: complex, and (as their real parts, also states)
+    real."""
+    states = [_mixed_random_state(seed, rank)
+              for seed, rank in ((1, 2), (2, 3), (3, 4), (5, 2), (6, 3))]
     states += [_mixed_random_state(seed, rank).real
                for seed, rank in ((2, 3), (3, 4))]
     return states
@@ -580,28 +770,46 @@ def _result_digest(results) -> str:
     return digest.hexdigest()
 
 
+def _pinned_solves(states, capped, monkeypatch):
+    """Default, sign-only and loose solves of ``states``, then solves of
+    ``capped`` at iteration caps of 3 and 20."""
+    results = [ppt_mixer_witness(rho, **options)
+               for rho in states
+               for options in ({}, {"sign_only": True}, {"gap_tol": 1e-4})]
+    with monkeypatch.context() as patch:
+        for cap in (3, 20):
+            patch.setattr(sdp, "MAX_ITERATIONS", cap)
+            results.append(ppt_mixer_witness(capped))
+    return results
+
+
 # sha256 of every field, ``final_z`` included, of the pinned solves below.
 # The solve is deterministic arithmetic, so a refactor that keeps it must
-# keep this digest; it depends on the NumPy and LAPACK build, and a
-# different build may round differently.
-_PINNED_SOLVES_DIGEST = (
-    "8ff855dd82edf2114a628c23c05db01d662f5af45cef3cad8cf83e0bb187901b")
+# keep these digests; they depend on the NumPy and LAPACK build, and a
+# different build may round differently.  A state without symmetry is one
+# sector of size 8, which runs the arithmetic of a solve that knows no
+# sectors: the unstructured digest is the one such a solve gave.
+_UNSTRUCTURED_SOLVES_DIGEST = (
+    "71480cba39a2ecc4122d0852563847fbe5e893baa0c05f9824bd2fe36541bd3d")
+_STRUCTURED_SOLVES_DIGEST = (
+    "fa9fed1889014df8dfdf6803f8baa754d9b727b385794e8047d46bc56439e152")
 
 
 def test_pinned_solves_are_bit_identical(monkeypatch):
-    results = [ppt_mixer_witness(rho, **options)
-               for rho in _pinned_states()
-               for options in ({}, {"sign_only": True}, {"gap_tol": 1e-4})]
+    unstructured = _pinned_solves(_unstructured_states(),
+                                  _mixed_random_state(1, 2), monkeypatch)
+    structured = []
     start = None
     for p in np.linspace(0.40, 0.54, 8):  # a warm-started chain
-        results.append(ppt_mixer_witness(noisy_w(p), start=start))
-        start = results[-1].final_z
-    for cap in (3, 20):
-        monkeypatch.setattr(sdp, "MAX_ITERATIONS", cap)
-        results += [ppt_mixer_witness(noisy_w(0.6)),
-                    ppt_mixer_witness(_mixed_random_state(1, 2))]
-    assert len(results) == 66
-    assert _result_digest(results) == _PINNED_SOLVES_DIGEST
+        structured.append(ppt_mixer_witness(noisy_w(p), start=start))
+        start = structured[-1].final_z
+    structured += _pinned_solves(_structured_states(), noisy_w(0.6),
+                                 monkeypatch)
+    assert (len(unstructured), len(structured)) == (23, 43)
+    digests = {"unstructured": _result_digest(unstructured),
+               "structured": _result_digest(structured)}
+    assert digests == {"unstructured": _UNSTRUCTURED_SOLVES_DIGEST,
+                       "structured": _STRUCTURED_SOLVES_DIGEST}
 
 
 def test_rejects_wrong_dimension():

@@ -25,6 +25,7 @@ from superact import (
     tensor,
     w_state,
 )
+from superact import states
 from superact.states import (
     PAULI_X,
     PAULI_Z,
@@ -403,6 +404,36 @@ def test_density_matrix_json_round_trip(tmp_path):
     loaded = load_density_matrix(path)
     assert loaded.n_qubits == 3
     assert np.abs(np.asarray(loaded.entries) - np.asarray(rho.entries)).max() < 1e-15
+
+
+def test_density_matrix_save_writes_a_numpy_qubit_count(tmp_path):
+    rho = DensityMatrix(np.int64(3), noisy_ghz(0.5).entries)
+    path = tmp_path / "state.json"
+    save_density_matrix(rho, path)
+    loaded = load_density_matrix(path)
+    assert type(json.loads(path.read_text())["n_qubits"]) is int
+    assert loaded.n_qubits == 3
+    assert np.array_equal(loaded.entries, rho.entries)
+
+
+def test_failed_density_matrix_save_keeps_the_old_file(tmp_path, monkeypatch):
+    path = tmp_path / "state.json"
+    save_density_matrix(noisy_ghz(0.5), path)
+    old = path.read_text()
+    monkeypatch.setattr(states, "density_matrix_to_dict",
+                        lambda rho: {"n_qubits": object()})
+    with pytest.raises(TypeError):
+        save_density_matrix(noisy_w(0.6), path)
+    monkeypatch.undo()
+    monkeypatch.setattr(states.os, "replace", _fail_replace)
+    with pytest.raises(OSError, match="disk full"):
+        save_density_matrix(noisy_w(0.6), path)
+    assert path.read_text() == old
+    assert [p.name for p in tmp_path.iterdir()] == ["state.json"]
+
+
+def _fail_replace(src, dst):
+    raise OSError("disk full")
 
 
 def test_density_matrix_reader_validates(tmp_path):
