@@ -7,7 +7,7 @@ Modules by concern:
 - :mod:`superact.distill` -- parity-check and CNOT distillation protocols
 - :mod:`superact.certify` -- GME concurrence, negativity, witnesses, SLE search
 - :mod:`superact.sdp` -- first-order solver for the PPT-mixer program
-- :mod:`superact.thresholds` -- analytic constants and bisection thresholds
+- :mod:`superact.thresholds` -- bisection thresholds
 - :mod:`superact.coincidence` -- photonic network routing and sampling
 - :mod:`superact.cli` -- command-line driver
 """

@@ -168,12 +168,6 @@ def analytic_distilled_noisy_ghz(p: float) -> DensityMatrix:
     return DensityMatrix(3, m / norm)
 
 
-def analytic_fidelity_after(p: float) -> float:
-    """GHZ fidelity of the distilled noisy GHZ state: (25p^2+6p+1)/(24p^2+8)."""
-    _check_unit_interval(p=p)
-    return (25.0 * p * p + 6.0 * p + 1.0) / (24.0 * p * p + 8.0)
-
-
 def component_fidelity_update(component_fidelities) -> np.ndarray:
     """One distillation round on the eight GHZ-component proportions.
 

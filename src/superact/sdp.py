@@ -36,6 +36,26 @@ constraints, from which ``ppt_mixer_witness`` repairs its dual
 certificate.  ``ppt_mixer_witness`` counts the iterations, forms the gap
 only when it checks the bounds, and stops the iteration itself.
 
+The loop runs on one real vector of coordinates, not on the seven 8 x 8
+blocks.  The coordinates of a stack are those of its in-sector entries
+(see "Symmetry sectors"): block by block, each diagonal entry, and sqrt(2)
+times the real part of each entry above the diagonal; then, when the
+iteration is complex, sqrt(2) times the imaginary part of each entry
+above the diagonal.  They are orthonormal, so the Euclidean inner product
+of two coordinate vectors is the Frobenius inner product Re tr(A^H B) of
+their stacks, and every vector is the coordinates of a Hermitian stack.
+A noisy GHZ state has 63 real coordinates, a noise-model state 84, a noisy
+or distilled W state 98, and a state with no symmetry 448 (252 real parts
+and 196 imaginary parts), against the 448 real numbers of seven real 8 x 8
+blocks.  P_A is affine, P_A(x) = L x + P_A(0), so the cost step and the
+affine projection together are y = M z + c with M = 2 L - I and
+c = 2 P_A(0) - STEP (M + I) rho, and xf = (y + z) / 2.  P_K gathers the
+coordinates of each sector straight into a batched eigendecomposition
+(see "Symmetry sectors") and scatters the projected sectors back.  The
+iterates are expanded into 8 x 8 blocks only when the bounds are checked
+and at the end; ``final_z`` and ``start`` are (7, 8, 8) stacks of the
+iteration's dtype.
+
 The loop accelerates the fixed-point iteration z <- T(z) of that map by
 type-II Anderson acceleration (Walker & Ni, SIAM J. Numer. Anal. 49, 715,
 2011), safeguarded in the manner of Zhang, O'Donoghue & Boyd (SIAM J.
@@ -43,11 +63,10 @@ Optim. 30, 3170, 2020).  From the last 16 accepted iterates it takes the
 differences dg of the residuals g = T(z) - z and dT of the map's values,
 solves the least squares min ||g - dg gamma|| with a Tikhonov weight of
 1e-10 times the trace of its Gram matrix, and moves on to
-T(z) - dT gamma.  The coefficients gamma are real, computed on the real
-coordinates of the seven blocks: a real combination of Hermitian blocks
-is Hermitian, where a complex one is not.  Every T(z) is replaced by its
-exact Hermitian part, so that no rounding drift builds up for the
-extrapolation to amplify.  The safeguard keeps an extrapolated z only if
+T(z) - dT gamma.  The coefficients gamma are real, and so are the
+coordinates they combine: every iterate is exactly Hermitian, with no
+rounding drift for the extrapolation to amplify, and the least squares
+is the Frobenius one.  The safeguard keeps an extrapolated z only if
 its residual ||T(z) - z|| is below that of the last accepted iterate;
 otherwise the memory is cleared and the loop takes the plain step T(z)
 from the last accepted iterate, which it has already computed.  Either way
@@ -68,11 +87,10 @@ hands back as ``final_z``.  Along a threshold bisection successive
 solves differ only in p, so each starts from the previous one's final z
 (see ``thresholds.certifying_margin``).  A start that does not have the
 program's shape and dtype, or is not finite, is ignored; any other is
-first twirled into the state's sectors (see "Symmetry sectors").  The
-start can
-only change how soon a solve stops: every verdict is read from bounds
-repaired into exactly feasible points at the final iterate, whatever the
-start.
+read into the state's coordinates, which twirls it into its sectors (see
+"Symmetry sectors").  The start can only change how soon a solve stops:
+every verdict is read from bounds repaired into exactly feasible points
+at the final iterate, whatever the start.
 
 Certified bounds
 ----------------
@@ -133,19 +151,21 @@ partial transposition over party i conjugates its phase.  Noisy and
 distilled GHZ states give {000, 111} and singletons; noise-model and other
 X-shaped states, the four pairs {b, b with every bit flipped}; noisy and
 CNOT-distilled W states, the Hamming weights, of sizes 1, 3, 3 and 1.  A
-state with no symmetry is one sector of size 8, and its solve runs the
-arithmetic of a solver that knows no sectors.  The sectors are cached
-per zero pattern.
+state with no symmetry is one sector of size 8.  Every state takes the
+same path.  The sectors, the coordinates and the affine matrix M of the
+iteration (see "Affine projection") are cached per zero pattern and dtype.
 
 Zeroing the entries outside the sectors is the average over the symmetry
 group, the twirl.  The twirl keeps a feasible point feasible, and keeps
-its value because rho is invariant.  The start is twirled first.  Then
-every step maps a point inside the sectors to one inside them: the cost
-step, since rho lies inside them; the affine projection; the cone
-projection, taken sector by sector as one batched eigendecomposition per
-sector size, a clip at 0 for sectors of size 1, and exact zeros outside;
-the Hermitian part; and Anderson's real combinations.  So the entries
-outside the sectors stay exactly zero, and no rounding drops them.  The
+its value because rho is invariant.  Every step maps a point inside the
+sectors to one inside them: the cost step, since rho lies inside them; the
+affine projection; the cone projection; and Anderson's combinations.  So
+the iteration runs on the coordinates of the in-sector entries alone (see
+"Douglas-Rachford iteration"), and reading a start into them twirls it.
+The cone projection takes one batched eigendecomposition per sector size
+over the six P and Q blocks, gathering each sector's k x k matrix from
+the coordinates, and clips the one coordinate of each sector of size 1 at
+0.  Expanded, every iterate is exactly zero outside the sectors.  The
 certified bounds read W and the cone multipliers through the sectors,
 which twirls them, so every spectrum they take is of an exactly
 block-diagonal matrix, and they take it sector by sector.  The verifier
@@ -166,6 +186,21 @@ in closed form:
     M_i = (R_i - t I - S) / 2
 
 where r_0, R_i are the constraint residuals of the point being projected.
+``_project_affine`` evaluates it on stacks of blocks.
+
+The iteration does not evaluate it.  It multiplies its coordinates by
+M = 2 L - I, with L the linear part x -> P_A(x) - P_A(0) in coordinates
+(see "Douglas-Rachford iteration").  L is built once per zero pattern and
+dtype, and cached with the sectors: ``_project_affine`` projects the
+expanded unit vectors of the coordinates, a chunk of 64 at a time, and
+the results are read back into coordinates.  L is an orthogonal
+projection, so it is symmetric, and M is stored as the symmetric part of
+the matrix so read.  The constraints never mix real and imaginary parts:
+the trace is real, and T_i moves an entry, conjugating it when it crosses
+the diagonal.  So M is kept as two blocks, one acting on the coordinates of
+the real parts and one on those of the imaginary parts, which a real
+iteration does not have.  For a state with no symmetry these are 252 x 252
+and 196 x 196, half the multiplications of one 448 x 448 matrix.
 
 Step and relaxation
 -------------------
@@ -306,27 +341,30 @@ _PT_INDEX = _partial_transpose_index()
 
 def _transpose_stack(blocks: np.ndarray,
                      index: np.ndarray = _PT_INDEX) -> np.ndarray:
-    """Partial transpose of ``blocks[j]`` over the j-th party of ``index``.
-
-    With a one-party index, ``blocks`` may also be a single matrix.
-    """
-    return blocks.reshape(-1)[index].reshape(blocks.shape)
+    """Partial transpose of ``blocks[..., j, :, :]`` over the j-th party of
+    ``index``."""
+    flat = blocks.reshape(blocks.shape[:-3] + (index.size,))
+    return flat[..., index].reshape(blocks.shape)
 
 
 def _project_affine(x: np.ndarray, eye: np.ndarray) -> np.ndarray:
+    """Orthogonal projection of each stack (W, P_1, Q_1, ..., Q_3) of ``x``,
+    shape (..., 7, 8, 8), onto the equality constraints (see "Affine
+    projection" in the module docstring)."""
     dim = eye.shape[0]
-    w = x[0]
-    p_blocks, q_blocks = x[1::2], x[2::2]
-    r0 = float(w.trace().real) - 1.0
-    r = w - p_blocks - _transpose_stack(q_blocks)
-    r_sum = r[0] + r[1] + r[2]
-    t = (5.0 * r0 - float(r_sum.trace().real)) / (2.0 * dim)
-    s = (r_sum - 3.0 * t * eye) / 5.0
-    m = 0.5 * (r - t * eye - s)
+    w = x[..., 0, :, :]
+    p_blocks, q_blocks = x[..., 1::2, :, :], x[..., 2::2, :, :]
+    r0 = np.trace(w, axis1=-2, axis2=-1).real - 1.0
+    r = w[..., None, :, :] - p_blocks - _transpose_stack(q_blocks)
+    r_sum = r.sum(axis=-3)
+    t = (5.0 * r0 - np.trace(r_sum, axis1=-2, axis2=-1).real) / (2.0 * dim)
+    t_eye = t[..., None, None] * eye
+    s = (r_sum - 3.0 * t_eye) / 5.0
+    m = 0.5 * (r - (t_eye + s)[..., None, :, :])
     out = np.empty_like(x)
-    out[0] = w - (t * eye + (m[0] + m[1] + m[2]))
-    out[1::2] = p_blocks + m
-    out[2::2] = q_blocks + _transpose_stack(m)
+    out[..., 0, :, :] = w - (t_eye + m.sum(axis=-3))
+    out[..., 1::2, :, :] = p_blocks + m
+    out[..., 2::2, :, :] = q_blocks + _transpose_stack(m)
     return out
 
 
@@ -347,7 +385,17 @@ _LABELS = np.stack([
 # Whether basis states b and b' differ in each label, per kind.
 _LABELS_DIFFER = _LABELS[:, :, None, :] != _LABELS[:, None, :, :]
 # Gather index of block k of a flattened stack of 8 x 8 blocks.
-_OWN = np.arange(6 * 64).reshape(6, 64)
+_OWN = np.arange(7 * 64).reshape(7, 64)
+# Flat index of entry (b, j, i) of a stack of seven blocks, at (b, i, j).
+_MIRROR = np.swapaxes(_OWN.reshape(7, 8, 8), 1, 2).ravel()
+# Whether each entry of a flattened stack of seven blocks lies on, or on or
+# above, the diagonal of its block.
+_DIAGONAL = np.tile(np.eye(8, dtype=bool).ravel(), 7)
+_UPPER = np.tile(np.triu(np.ones((8, 8), dtype=bool)).ravel(), 7)
+# Unit vectors projected at a time when the affine matrix is built.
+_BUILD_CHUNK = 64
+_ROOT_HALF = np.sqrt(0.5)
+_ROOT_TWO = np.sqrt(2.0)
 
 
 class _Plan(NamedTuple):
@@ -362,16 +410,65 @@ class _Plan(NamedTuple):
     blocks: int
 
 
+class _ConeGroup(NamedTuple):
+    """The cone sectors of one size k >= 2, in coordinates: y[gather] *
+    weight, viewed in the iteration's dtype, is their (n, k, k) stack, and
+    a projected stack s gives the coordinates ``target`` as
+    s.view(float64)[source] * scale."""
+
+    gather: np.ndarray
+    weight: np.ndarray
+    target: np.ndarray
+    source: np.ndarray
+    scale: np.ndarray
+
+
 class _Sectors(NamedTuple):
-    """Sectors of one zero pattern: the in-sector entries of
-    (W, P_1, Q_1, ..., Q_3), and a plan for each stack the solver reads."""
+    """Sectors of one zero pattern and the iteration in them, for one dtype.
+
+    ``mask`` holds the in-sector entries of (W, P_1, Q_1, ..., Q_3).  The
+    coordinates of the iteration (see "Douglas-Rachford iteration" in the
+    module docstring) are read from the real view of a flat stack at
+    ``read_at`` times ``read_scale``, and expanded as coordinates[gather] *
+    weight, which holds the real and imaginary part of every entry, zero
+    outside the sectors.  ``affine`` holds M, one (coordinates, matrix)
+    block per part, and ``offset`` the coordinates of 2 P_A(0).  ``clip``
+    holds the coordinates of the cone sectors of size 1, and ``cone`` the
+    larger ones.  The plans hold the sectors of each stack the bounds read.
+    """
 
     mask: np.ndarray
-    cone: _Plan       # the six P and Q blocks
+    dtype: type
+    read_at: np.ndarray
+    read_scale: np.ndarray
+    gather: np.ndarray
+    weight: np.ndarray
+    affine: tuple[tuple[slice, np.ndarray], ...]
+    offset: np.ndarray
+    clip: np.ndarray
+    cone: tuple[_ConeGroup, ...]
     q: _Plan          # Q_1, Q_2, Q_3
     w: _Plan          # three W blocks
     mixture: _Plan    # Y_1, Y_2, Y_3, then Y_i^{T_i}
     shifted: _Plan    # R, then R^{T_1}
+
+    def read(self, x: np.ndarray) -> np.ndarray:
+        """Coordinates of the stacks ``x``, shape (..., 7, 8, 8): the
+        upper triangle of their in-sector entries."""
+        x = np.ascontiguousarray(x, dtype=self.dtype)
+        flat = x.reshape(x.shape[:-3] + (-1,)).view(np.float64)
+        return flat[..., self.read_at] * self.read_scale
+
+    def expand(self, v: np.ndarray) -> np.ndarray:
+        """The Hermitian stacks, shape (..., 7, 8, 8), of coordinates
+        ``v``."""
+        parts = np.ascontiguousarray(v[..., self.gather] * self.weight)
+        return parts.view(self.dtype).reshape(v.shape[:-1] + (7, 8, 8))
+
+    def apply_affine(self, v: np.ndarray) -> np.ndarray:
+        """M v, the reflection through the equality constraints' linear
+        part."""
+        return np.concatenate([m @ v[part] for part, m in self.affine])
 
 
 def _plan(same: np.ndarray, kinds: tuple[int, ...],
@@ -398,14 +495,41 @@ def _plan(same: np.ndarray, kinds: tuple[int, ...],
 
 
 @functools.lru_cache(maxsize=64)
-def _sectors_of(pattern: bytes) -> _Sectors:
+def _sectors_of(pattern: bytes, dtype: type) -> _Sectors:
     nonzero = np.frombuffer(pattern, dtype=bool).reshape(8, 8)
     conserved = ~_LABELS_DIFFER[0][nonzero].any(axis=0)
     # same[kind, b, b']: b and b' share a sector in blocks of that kind.
     same = ~_LABELS_DIFFER[..., conserved].any(axis=-1)
-    return _Sectors(
-        mask=same[[0, 0, 1, 0, 2, 0, 3]],
-        cone=_plan(same, (0, 1, 0, 2, 0, 3), _OWN),
+    mask = same[[0, 0, 1, 0, 2, 0, 3]]
+
+    # Coordinates: one for the real part of each in-sector entry on or above
+    # the diagonal, then, for a complex dtype, one for the imaginary part of
+    # each above it; off the diagonal, scaled by sqrt(2).
+    upper = mask.ravel() & _UPPER
+    parts = [np.flatnonzero(upper)]
+    if dtype is np.complex128:
+        parts.append(np.flatnonzero(upper & ~_DIAGONAL))
+    width = len(parts)
+    gather = np.zeros((7 * 64, width), dtype=np.intp)
+    weight = np.zeros((7 * 64, width))
+    read_at, read_scale, slices = [], [], []
+    count = 0
+    for part, flat in enumerate(parts):
+        slices.append(slice(count, count + len(flat)))
+        count += len(flat)
+        half = np.where(_DIAGONAL[flat], 1.0, _ROOT_HALF)
+        gather[flat, part] = gather[_MIRROR[flat], part] = np.arange(
+            slices[-1].start, count)
+        # The imaginary part of the entry below the diagonal is negated.
+        weight[flat, part] = half
+        weight[_MIRROR[flat], part] = -half if part else half
+        read_at.append(width * flat + part)
+        read_scale.append(np.where(_DIAGONAL[flat], 1.0, _ROOT_TWO))
+    sectors = _Sectors(
+        mask=mask, dtype=dtype,
+        read_at=np.concatenate(read_at), read_scale=np.concatenate(read_scale),
+        gather=gather, weight=weight, affine=(), offset=None, clip=None,
+        cone=(),
         q=_plan(same, (1, 2, 3), _OWN),
         w=_plan(same, (0, 0, 0), _OWN),
         mixture=_plan(same, (0, 0, 0, 1, 2, 3),
@@ -413,11 +537,68 @@ def _sectors_of(pattern: bytes) -> _Sectors:
         shifted=_plan(same, (0, 1), np.stack([_OWN[0], _PT_INDEX[0]])),
     )
 
+    # M = 2 L - I, with L the linear part of the affine projection, one block
+    # per part: the constraints map real parts to real parts and imaginary
+    # parts to imaginary parts.  Each part's unit vectors are expanded as real
+    # stacks, symmetric for the real part and antisymmetric for the
+    # imaginary part, and projected in real arithmetic, a chunk at a time so
+    # that a pattern with no symmetry takes little memory.
+    eye = np.eye(8)
+    base = _project_affine(np.zeros((7, 8, 8)), eye)
+    affine = []
+    for part, (flat, block) in enumerate(zip(parts, slices)):
+        linear = np.empty((len(flat), len(flat)))
+        for head in range(0, len(flat), _BUILD_CHUNK):
+            chunk = flat[head:head + _BUILD_CHUNK]
+            units = np.zeros((len(chunk), 7 * 64))
+            rows = np.arange(len(chunk))
+            units[rows, _MIRROR[chunk]] = weight[_MIRROR[chunk], part]
+            units[rows, chunk] = weight[chunk, part]
+            moved = _project_affine(units.reshape(-1, 7, 8, 8), eye) - base
+            linear[head:head + len(chunk)] = (
+                moved.reshape(-1, 7 * 64)[:, flat] * read_scale[part])
+        # Row k of ``linear`` is column k of L.  L is symmetric, being an
+        # orthogonal projection, and M is built from its symmetric part.
+        linear += linear.T
+        linear[np.diag_indices(len(flat))] -= 1.0
+        affine.append((block, linear))
+
+    # The cone blocks' sectors, per size; those of size 1 are clipped at 0.
+    cone, clip = [], []
+    for index, _ in _plan(same, (0, 1, 0, 2, 0, 3), _OWN[1:]).groups:
+        if index.ndim == 1:
+            clip.append(gather[index, 0])
+            continue
+        position = np.full(7 * 64, -1)
+        position[index.ravel()] = np.arange(index.size)
+        target, source = [], []
+        for part, (flat, block) in enumerate(zip(parts, slices)):
+            inside = position[flat] >= 0
+            target.append(np.arange(block.start, block.stop)[inside])
+            source.append(width * position[flat[inside]] + part)
+        target = np.concatenate(target)
+        cone.append(_ConeGroup(gather[index], weight[index], target,
+                               np.concatenate(source),
+                               sectors.read_scale[target]))
+    return sectors._replace(
+        affine=tuple(affine), offset=2.0 * sectors.read(base),
+        clip=np.concatenate(clip) if clip else np.zeros(0, np.intp),
+        cone=tuple(cone))
+
 
 def _sectors(rho: np.ndarray) -> _Sectors:
-    """Sectors of the program for the 8 x 8 state ``rho``, cached per zero
-    pattern."""
-    return _sectors_of((rho != 0).tobytes())
+    """Sectors of the program for the 8 x 8 state ``rho``, and its iteration
+    in the dtype of ``rho`` (float64 if real), cached per zero pattern and
+    dtype."""
+    dtype = np.complex128 if np.iscomplexobj(rho) else np.float64
+    return _sectors_of((rho != 0).tobytes(), dtype)
+
+
+def _clipped(stack: np.ndarray) -> np.ndarray:
+    """Projection of each matrix of ``stack`` onto the PSD cone."""
+    lam, vec = np.linalg.eigh(stack)
+    return (vec * np.maximum(lam, 0.0)[:, None, :]) @ np.conj(
+        np.swapaxes(vec, -1, -2))
 
 
 def _psd_part(blocks: np.ndarray, plan: _Plan) -> np.ndarray:
@@ -427,13 +608,21 @@ def _psd_part(blocks: np.ndarray, plan: _Plan) -> np.ndarray:
     out = np.zeros(flat.shape, flat.dtype)
     for index, _ in plan.groups:
         sub = flat[index]
-        if index.ndim == 1:
-            out[index] = np.maximum(sub.real, 0.0)
-            continue
-        lam, vec = np.linalg.eigh(sub)
-        out[index] = (vec * np.maximum(lam, 0.0)[:, None, :]) @ np.conj(
-            np.swapaxes(vec, -1, -2))
+        out[index] = (np.maximum(sub.real, 0.0) if index.ndim == 1
+                      else _clipped(sub))
     return out.reshape(blocks.shape)
+
+
+def _project_cones(y: np.ndarray, sectors: _Sectors) -> np.ndarray:
+    """P_K in coordinates: W as it is, and each P and Q block's sectors
+    projected onto the PSD cone."""
+    xg = y.copy()
+    xg[sectors.clip] = np.maximum(y[sectors.clip], 0.0)
+    for group in sectors.cone:
+        stack = (y[group.gather] * group.weight).view(sectors.dtype)[..., 0]
+        psd = _clipped(stack).reshape(-1).view(np.float64)
+        xg[group.target] = psd[group.source] * group.scale
+    return xg
 
 
 def _lowest(blocks: np.ndarray, plan: _Plan) -> np.ndarray:
@@ -457,34 +646,32 @@ def _start(start, cold: np.ndarray) -> np.ndarray:
     return cold
 
 
-def _real_view(x: np.ndarray) -> np.ndarray:
-    """``x`` flattened to its real coordinates (real and imaginary parts
-    interleaved for a complex array), sharing ``x``'s memory."""
-    return x.reshape(-1).view(np.float64)
-
-
-def _iterates(rho: np.ndarray, z: np.ndarray, eye: np.ndarray):
+def _iterates(rho: np.ndarray, z: np.ndarray):
     """Anderson-accelerated Douglas-Rachford iterates of the witness program.
 
-    Starts from the splitting variable ``z`` and yields, iteration after
-    iteration without end, the affine iterate xf, the reflection y and its
-    cone projection xg at the current z, and the z the next iteration
-    starts from (see "Douglas-Rachford iteration" in the module docstring);
-    the cone gap is xg[1:] - y[1:].  It first twirls ``z`` into the
-    sectors of ``rho``, and every iterate stays inside them (see "Symmetry
-    sectors").  Each iteration evaluates the
-    Douglas-Rachford map once.  ``rho`` is the state, contiguous and of the
-    iteration's dtype, and ``eye`` the identity of that dtype.  No array is
-    changed in place, ``z`` included.
+    Starts from the splitting variable ``z``, a (7, 8, 8) stack, and yields,
+    iteration after iteration without end, the affine iterate xf, the
+    reflection y and its cone projection xg at the current z, and the z the
+    next iteration starts from, all four as coordinates in the sectors of
+    ``rho`` (see "Douglas-Rachford iteration" and "Symmetry sectors" in the
+    module docstring); ``_sectors(rho).expand`` turns them into stacks, and
+    the cone gap is xg - y.  Reading ``z`` into coordinates twirls it.
+    Each iteration evaluates the Douglas-Rachford map once.  ``rho`` is
+    the state, of the iteration's dtype.  No array is changed in place,
+    ``z`` included.
     """
     sectors = _sectors(rho)
-    z = np.where(sectors.mask, z, 0.0)
+    z = sectors.read(z)
+    cost = np.zeros((7, 8, 8), rho.dtype)
+    cost[0] = rho
+    cost = sectors.read(cost)
+    # y = M z + c with c = 2 P_A(0) - STEP (M + I) rho, and xf = (y + z) / 2.
+    c = sectors.offset - STEP * (sectors.apply_affine(cost) + cost)
     memory = _ANDERSON_MEMORY
-    size = _real_view(z).size
-    # Ring buffers of the differences between successive accepted iterates,
-    # in real coordinates: of the residuals g = T(z) - z, and of T(z).
-    d_g = np.empty((memory, size))
-    d_t = np.empty((memory, size))
+    # Ring buffers of the differences between successive accepted iterates:
+    # of the residuals g = T(z) - z, and of T(z).
+    d_g = np.empty((memory, z.size))
+    d_t = np.empty((memory, z.size))
     gram = np.empty((memory, memory))  # d_g d_g^T
     identity = np.eye(memory)
     count = head = 0
@@ -493,17 +680,11 @@ def _iterates(rho: np.ndarray, z: np.ndarray, eye: np.ndarray):
     base_norm = np.inf
     candidate = False
     while True:
-        shifted = z.copy()
-        shifted[0] -= STEP * rho
-        xf = _project_affine(shifted, eye)
-        y = 2.0 * xf - z
-        xg = y.copy()
-        xg[1:] = _psd_part(y[1:], sectors.cone)
-        # Hermitian to the last bit, so that no rounding drift builds up for
-        # the extrapolation to amplify.
-        t_z = _hermitian_part(z + RELAXATION * (xg - xf))
-        t_real = _real_view(t_z)
-        g = t_real - _real_view(z)
+        y = sectors.apply_affine(z) + c
+        xf = 0.5 * (y + z)
+        xg = _project_cones(y, sectors)
+        t_z = z + RELAXATION * (xg - xf)
+        g = t_z - z
         g_norm = float(g @ g)
         if candidate and g_norm >= base_norm:
             # Safeguard: drop the extrapolation and the memory, and take the
@@ -515,21 +696,18 @@ def _iterates(rho: np.ndarray, z: np.ndarray, eye: np.ndarray):
             continue
         if base_t is not None:
             d_g[head] = g - base_g
-            d_t[head] = t_real - _real_view(base_t)
+            d_t[head] = t_z - base_t
             count = min(count + 1, memory)
             gram[head, :count] = gram[:count, head] = d_g[:count] @ d_g[head]
             head = (head + 1) % memory
         base_t, base_g, base_norm = t_z, g, g_norm
         candidate = count > 0
         if candidate:
-            # Real coefficients: a real combination of Hermitian blocks is
-            # Hermitian.
             lhs = gram[:count, :count]
             shift = _ANDERSON_REGULARIZATION * lhs.trace() + _TINY
             gamma = np.linalg.solve(lhs + shift * identity[:count, :count],
                                     d_g[:count] @ g)
-            z = (t_real - gamma @ d_t[:count]).view(t_z.dtype).reshape(
-                t_z.shape)
+            z = t_z - gamma @ d_t[:count]
         else:
             z = t_z
         yield xf, y, xg, z
@@ -627,11 +805,13 @@ def ppt_mixer_witness(rho, *, gap_tol: float = GAP_TOL,
     cold[0] = eye / dim
     cold[1:] = eye / (2 * dim)
 
-    iterates = _iterates(state, _start(start, cold), eye)
+    sectors = _sectors(state)
+    iterates = _iterates(state, _start(start, cold))
     for iterations, (xf, y, xg, z) in enumerate(iterates, 1):
         if iterations % _BOUND_CHECK_EVERY and iterations < MAX_ITERATIONS:
             continue
-        bounds = _certified_bounds(state, xf, xg[1:] - y[1:], eye)
+        bounds = _certified_bounds(state, sectors.expand(xf),
+                                   sectors.expand(xg - y)[1:], eye)
         converged = (bounds.upper - bounds.lower <= gap_tol
                      or sign_only and (bounds.upper < -CERTIFICATION_MARGIN
                                        or bounds.lower > CERTIFICATION_MARGIN))
@@ -657,7 +837,7 @@ def ppt_mixer_witness(rho, *, gap_tol: float = GAP_TOL,
         certified_sign=sign,
         lower_bound=bounds.lower,
         mixture=tuple(bounds.mixture.astype(np.complex128)),
-        final_z=z,
+        final_z=sectors.expand(z),
     )
 
 

@@ -20,7 +20,6 @@ from __future__ import annotations
 import functools
 import json
 import os
-import tempfile
 from dataclasses import dataclass
 from typing import Mapping
 
@@ -450,10 +449,13 @@ def density_matrix_from_dict(doc: Mapping) -> DensityMatrix:
 
 def _write_atomically(path, text: str) -> None:
     """Write ``text`` to ``path`` through a temporary file in the same
-    directory, so that a failed write leaves any old file as it was."""
+    directory, so that a failed write leaves any old file as it was.  The
+    file gets the mode a plain ``open`` gives a new file, 0o666 less the
+    process umask, which the system applies on creation."""
     directory = os.path.dirname(os.path.abspath(path))
+    tmp = os.path.join(directory, f".superact-{os.urandom(8).hex()}")
     try:
-        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".superact-")
+        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     except OSError as exc:  # e.g. a missing directory
         raise OSError(f"cannot write {path}: {exc.strerror}") from None
     try:

@@ -1,4 +1,4 @@
-"""Analytic threshold constants and bisection-based threshold discovery.
+"""Bisection-based threshold discovery.
 
 Each certifiable property of the noisy GHZ / noisy W family is reduced to a
 margin function of the noise parameter p that is negative where the
@@ -112,12 +112,6 @@ class ThresholdReport:
     crossing_p: float
     bracket_width: float
     evaluations: int
-
-
-@dataclass(frozen=True)
-class ThresholdConstant:
-    value: float
-    provenance: str
 
 
 def _concurrence(label: str, p: float, rho, start):
@@ -240,21 +234,6 @@ def find_threshold(property_name: str,
         bracket_width=0.5 * (hi - lo),
         evaluations=evaluations,
     )
-
-
-def analytic_constants() -> dict[str, ThresholdConstant]:
-    """Closed-form threshold values, plus the cited infinite-copy constant."""
-    closed = "closed-form"
-    return {
-        PROPERTY_GME: ThresholdConstant(3.0 / 7.0, closed),
-        PROPERTY_SLE: ThresholdConstant(1.0 / 3.0, closed),
-        PROPERTY_GME_AFTER: ThresholdConstant((4.0 * np.sqrt(3.0) - 3.0) / 13.0,
-                                              closed),
-        PROPERTY_SLE_AFTER: ThresholdConstant((2.0 * np.sqrt(2.0) - 1.0) / 7.0,
-                                              closed),
-        PROPERTY_W_SLE: ThresholdConstant(3.0 / 11.0, closed),
-        "GME-infinite-copy": ThresholdConstant(0.2, "cited-not-computed"),
-    }
 
 
 def fidelity_curves(p_values) -> np.ndarray:

@@ -40,7 +40,6 @@ from superact.thresholds import (
     PROPERTY_SLE,
     PROPERTY_SLE_AFTER,
     PROPERTY_W_SLE,
-    analytic_constants,
     find_threshold,
 )
 from superact.coincidence import (
@@ -52,7 +51,7 @@ from superact.coincidence import (
     sampled_ghz_fidelity,
 )
 from test_coincidence import REFERENCE_ROWS
-from util import random_density_matrix, random_unitary
+from util import analytic_constants, random_density_matrix, random_unitary
 
 NOISE_MODEL_PARAMS = ((0.9084, 0.9210), (0.9124, 0.9129))
 

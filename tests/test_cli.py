@@ -335,7 +335,7 @@ _CNOT_W_REPORT = {
         '  "recertify": {',
         '    "gme_concurrence": null,',
         '    "ppt_mixer_sign": "negative",',
-        '    "ppt_mixer_value": -0.02742564002958587',
+        '    "ppt_mixer_value": -0.027425640029585932',
         '  },',
         '  "success_probability": 0.2000000000000001,',
         '  "w_witness_expectation": -0.045833333333333504',
@@ -350,7 +350,7 @@ _CNOT_W_REPORT = {
            "cnot,noisy-w:0.6;noisy-w:0.6,0.20000000000000009,"
            "0.20000000000000009,0.012499999999999994,-0.045833333333333504,"
            "x,2,0,0.49999999999999994,0.17499999999999996,None,"
-           "-0.02742564002958587,negative\n",
+           "-0.027425640029585932,negative\n",
 }
 
 

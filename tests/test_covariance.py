@@ -1,0 +1,91 @@
+"""Covariance oracles for the fast paths keyed on a state's zero pattern.
+
+A qubit permutation or complex conjugation moves a state's entries, its
+zero pattern and so its symmetry sectors, while the physics does not
+change: the PPT-mixer program of the moved state has the same optimum.
+Each state below is first given local diagonal phases, distinct per qubit,
+which keep its zero pattern but make it complex, so that it is solved on
+the imaginary coordinates of its sectors and its conjugate is a different
+state.  The phases also break the symmetry of the paper's states under
+qubit permutations, except for noisy GHZ, whose one coherence takes the
+sum of the three angles.
+"""
+
+import itertools
+
+import numpy as np
+import pytest
+
+from superact import noise_model_state, noisy_ghz, noisy_w
+from superact.distill import distill_cnot
+from superact.sdp import (
+    GAP_TOL,
+    SIGN_NEGATIVE,
+    SIGN_NONNEGATIVE,
+    ppt_mixer_witness,
+    verify_witness_certificate,
+)
+from util import random_x_state
+
+# Paper states on both sides of their thresholds (GHZ 3/7, W about 0.479,
+# CNOT-distilled W about 0.519), with the sign each must certify.
+_STATES = {
+    "noisy-ghz-0.4": (lambda: noisy_ghz(0.4), SIGN_NONNEGATIVE),
+    "noisy-ghz-0.5": (lambda: noisy_ghz(0.5), SIGN_NEGATIVE),
+    "noisy-w-0.45": (lambda: noisy_w(0.45), SIGN_NONNEGATIVE),
+    "noisy-w-0.51": (lambda: noisy_w(0.51), SIGN_NEGATIVE),
+    "noise-model-0.45": (lambda: noise_model_state(0.45, 0.9084, 0.921),
+                         SIGN_NONNEGATIVE),
+    "noise-model-0.8": (lambda: noise_model_state(0.8, 0.9, 0.95),
+                        SIGN_NEGATIVE),
+    "distilled-w-0.50": (
+        lambda: distill_cnot(noisy_w(0.50), noisy_w(0.50)).state,
+        SIGN_NONNEGATIVE),
+    "distilled-w-0.54": (
+        lambda: distill_cnot(noisy_w(0.54), noisy_w(0.54)).state,
+        SIGN_NEGATIVE),
+    "random-x": (lambda: random_x_state(np.random.default_rng(8)), None),
+}
+
+
+def _phased(rho) -> np.ndarray:
+    """rho conjugated by the local unitary diag(1, exp(i a_k)) on each qubit
+    k, with angles a = (0.4, 1.3, 2.2)."""
+    m = np.asarray(getattr(rho, "entries", rho), dtype=complex)
+    u = np.array([1.0], dtype=complex)
+    for angle in (0.4, 1.3, 2.2):
+        u = np.kron(u, np.array([1.0, np.exp(1j * angle)]))
+    return m * np.outer(u, u.conj())
+
+
+def _permute_qubits(m: np.ndarray, order) -> np.ndarray:
+    """``m`` with its qubits reordered: qubit k of the result is qubit
+    ``order[k]`` of ``m``."""
+    axes = list(order) + [3 + k for k in order]
+    return m.reshape((2,) * 6).transpose(axes).reshape(8, 8)
+
+
+def _moved_copies(m: np.ndarray) -> dict[str, np.ndarray]:
+    copies = {f"perm-{''.join(map(str, order))}": _permute_qubits(m, order)
+              for order in itertools.permutations(range(3))
+              if order != (0, 1, 2)}
+    copies["conjugate"] = m.conj()
+    return copies
+
+
+@pytest.mark.parametrize("name", list(_STATES))
+def test_ppt_mixer_is_covariant(name):
+    factory, expected = _STATES[name]
+    m = _phased(factory())
+    base = ppt_mixer_witness(m)
+    assert verify_witness_certificate(base, m)
+    if expected is not None:
+        assert base.certified_sign == expected
+    copies = _moved_copies(m)
+    assert not np.array_equal(copies["conjugate"], m)
+    for label, copy in copies.items():
+        moved = ppt_mixer_witness(copy)
+        assert moved.certified_sign == base.certified_sign, label
+        assert moved.optimal_value == pytest.approx(
+            base.optimal_value, abs=2 * GAP_TOL), label
+        assert verify_witness_certificate(moved, copy), label

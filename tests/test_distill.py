@@ -17,7 +17,6 @@ from superact import (
 from superact.distill import (
     DistillationImpossibleError,
     analytic_distilled_noisy_ghz,
-    analytic_fidelity_after,
     component_fidelity_update,
     distill_cnot,
     distill_tripartite,
@@ -39,6 +38,11 @@ def pbs_projector() -> np.ndarray:
     p[0, 0] = 1.0
     p[3, 3] = 1.0
     return p
+
+
+def analytic_fidelity_after(p: float) -> float:
+    """GHZ fidelity of the distilled noisy GHZ state: (25p^2+6p+1)/(24p^2+8)."""
+    return (25.0 * p * p + 6.0 * p + 1.0) / (24.0 * p * p + 8.0)
 
 
 def parity_operators() -> tuple[np.ndarray, np.ndarray]:

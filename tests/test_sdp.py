@@ -142,21 +142,22 @@ def _off_sector(x, rho):
 
 
 def test_accelerated_iterates_stay_hermitian():
-    # The extrapolation combines past iterates with real coefficients, so
-    # every z the loop yields for a complex state is Hermitian block by
-    # block.  Complex coefficients would break this on the first
-    # extrapolated step; without the exact Hermitian part of each step,
-    # rounding drift grows past 1e-12 within the first 1000 iterations.
-    # Every step maps the state's sectors to themselves, so the entries
-    # outside them stay exactly zero: none for the random state, all but
-    # the Hamming-weight sectors for the phased distilled W state.
+    # The loop runs on real coordinates of Hermitian stacks and combines
+    # past iterates with real coefficients, so every z it yields for a
+    # complex state expands to a stack that is Hermitian block by block,
+    # to the last bit and with no rounding drift after 1500 iterations.
+    # The coordinates span only the state's sectors, so the entries outside
+    # them stay exactly zero: none for the random state, all but the
+    # Hamming-weight sectors for the phased distilled W state.
     eye = np.eye(8, dtype=complex)
     cold = np.empty((7, 8, 8), dtype=complex)
     cold[0] = eye / 8.0
     cold[1:] = eye / 16.0
     for rho in (_mixed_random_state(39, 1),
                 _local_phase(distill_cnot(noisy_w(0.5), noisy_w(0.5)).state)):
-        for xf, y, xg, z in itertools.islice(_iterates(rho, cold, eye), 1500):
+        expand = _sectors(rho).expand
+        for iterate in itertools.islice(_iterates(rho, cold), 1500):
+            xf, y, xg, z = map(expand, iterate)
             assert np.abs(z - np.conj(np.swapaxes(z, -1, -2))).max() <= 1e-12
             for x in (xf, y, xg, z):
                 assert _off_sector(x, rho) == 0.0
@@ -165,12 +166,13 @@ def test_accelerated_iterates_stay_hermitian():
 def test_cone_projection_clips_to_psd():
     # From a random Hermitian splitting variable, the cone projection xg of
     # the reflection y leaves the witness block as it is and makes the six
-    # P and Q blocks PSD.  For a state with sectors, the start is first cut
-    # down to them, so nothing outside them reaches the iterates.
+    # P and Q blocks PSD.  For a state with sectors, reading the start into
+    # coordinates cuts it down to them, so nothing outside them reaches the
+    # iterates.
     rng = np.random.default_rng(1)
     z = np.stack([random_hermitian(rng, 8) for _ in range(7)])
     for rho in (_mixed_random_state(3, 2), _local_phase(noisy_w(0.6))):
-        _, y, xg, _ = next(_iterates(rho, z, np.eye(8, dtype=complex)))
+        _, y, xg, _ = map(_sectors(rho).expand, next(_iterates(rho, z)))
         assert np.abs(xg[0] - y[0]).max() == 0.0  # witness is unconstrained
         assert np.linalg.eigvalsh(y[1:]).min() < -1.0  # so the clipping shows
         assert np.linalg.eigvalsh(xg[1:]).min() > -1e-12
@@ -334,6 +336,81 @@ def test_start_outside_the_sectors(name):
         assert warm.optimal_value == pytest.approx(cold.optimal_value,
                                                    abs=2 * GAP_TOL)
         assert verify_witness_certificate(warm, rho)
+
+
+# ---------------------------------------------------------------------------
+# coordinates and the affine matrix
+
+# One state per sector family, with its number of real coordinates when it
+# iterates in real arithmetic: 7 blocks times the in-sector entries on or
+# above the diagonal.  Complex arithmetic adds the imaginary parts of those
+# above it.
+_COORDINATE_FAMILIES = {
+    "ghz": (lambda: noisy_ghz(0.5), 63),
+    "x": (lambda: random_x_state(np.random.default_rng(3)), 84),
+    "hamming-weight": (lambda: noisy_w(0.6), 98),
+    "one-sector": (lambda: _mixed_random_state(1, 2), 252),
+}
+
+
+def _family_entries(family, dtype):
+    factory, real_size = _COORDINATE_FAMILIES[family]
+    m = _entries(factory())
+    return (m.real if dtype is np.float64 else m).astype(dtype), real_size
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.complex128],
+                         ids=["float64", "complex128"])
+@pytest.mark.parametrize("family", list(_COORDINATE_FAMILIES))
+def test_coordinates_expand_and_read_back(family, dtype):
+    m, real_size = _family_entries(family, dtype)
+    sectors = _sectors(m)
+    size = sectors.read_at.size
+    off_diagonal = (real_size - 7 * 8) if dtype is np.complex128 else 0
+    assert size == real_size + off_diagonal
+    v = np.random.default_rng(4).standard_normal((5, size))
+    x = sectors.expand(v)
+    assert x.dtype == dtype and x.shape == (5, 7, 8, 8)
+    assert np.array_equal(x, np.conj(np.swapaxes(x, -1, -2)))
+    assert _off_sector(x, m) == 0.0
+    assert np.abs(sectors.read(x) - v).max() <= 1e-15 * np.abs(v).max()
+    # Orthonormal: the Euclidean inner product of coordinates is the
+    # Frobenius one of the stacks.
+    assert np.vdot(x[0], x[1]).real == pytest.approx(v[0] @ v[1], abs=1e-12)
+    # Reading twirls: entries outside the sectors are dropped.
+    rng = np.random.default_rng(5)
+    noise = np.stack([random_hermitian(rng, 8) for _ in range(7)])
+    noise = noise if dtype is np.complex128 else noise.real
+    inside = np.where(sectors.mask, noise, 0.0)
+    assert np.array_equal(sectors.read(noise), sectors.read(inside))
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.complex128],
+                         ids=["float64", "complex128"])
+@pytest.mark.parametrize("family", list(_COORDINATE_FAMILIES))
+def test_affine_matrix_is_the_affine_projection(family, dtype):
+    m, _ = _family_entries(family, dtype)
+    sectors = _sectors(m)
+    size = sectors.read_at.size
+    # One block per part, real then imaginary, covering every coordinate.
+    parts = [part for part, _ in sectors.affine]
+    assert [(p.start, p.stop) for p in parts] == list(zip(
+        [0] + [p.stop for p in parts[:-1]], [p.stop for p in parts]))
+    assert parts[-1].stop == size
+    assert len(parts) == (2 if dtype is np.complex128 else 1)
+    for _, block in sectors.affine:
+        linear = 0.5 * (block + np.eye(len(block)))
+        assert np.abs(linear - linear.T).max() <= 1e-12
+        assert np.abs(linear @ linear - linear).max() <= 1e-12
+    _, _, feasible = _witness_projection()
+    rng = np.random.default_rng(6)
+    for v in rng.standard_normal((3, size)):
+        # P_A(v) = L v + P_A(0) = (M v + v + 2 P_A(0)) / 2.
+        projected = sectors.expand(
+            0.5 * (sectors.apply_affine(v) + v + sectors.offset))
+        feasible(projected)
+        reference = _project_affine(sectors.expand(v), np.eye(8))
+        assert np.abs(projected - reference).max() <= 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -786,13 +863,13 @@ def _pinned_solves(states, capped, monkeypatch):
 # sha256 of every field, ``final_z`` included, of the pinned solves below.
 # The solve is deterministic arithmetic, so a refactor that keeps it must
 # keep these digests; they depend on the NumPy and LAPACK build, and a
-# different build may round differently.  A state without symmetry is one
-# sector of size 8, which runs the arithmetic of a solve that knows no
-# sectors: the unstructured digest is the one such a solve gave.
+# different build may round differently (README's test section says how to
+# record them again).  Every state runs in the coordinates of its sectors,
+# one sector of size 8 for the unstructured states.
 _UNSTRUCTURED_SOLVES_DIGEST = (
-    "71480cba39a2ecc4122d0852563847fbe5e893baa0c05f9824bd2fe36541bd3d")
+    "a7186a607462706080d094fc3d3b6888ac277fefeab5a8823bf2673adc39f0de")
 _STRUCTURED_SOLVES_DIGEST = (
-    "fa9fed1889014df8dfdf6803f8baa754d9b727b385794e8047d46bc56439e152")
+    "daadf151e35daa504cc146fd580bc9270f513fda64ab2c07aa3ed02739182a11")
 
 
 def test_pinned_solves_are_bit_identical(monkeypatch):

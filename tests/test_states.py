@@ -1,4 +1,6 @@
 import json
+import os
+import stat
 import tracemalloc
 
 import numpy as np
@@ -430,6 +432,21 @@ def test_failed_density_matrix_save_keeps_the_old_file(tmp_path, monkeypatch):
         save_density_matrix(noisy_w(0.6), path)
     assert path.read_text() == old
     assert [p.name for p in tmp_path.iterdir()] == ["state.json"]
+
+
+@pytest.mark.parametrize("umask", [0o022, 0o002, 0o027])
+def test_saved_file_gets_the_mode_of_a_plain_write(tmp_path, umask):
+    # The temporary file behind the atomic write is created like a plain
+    # file: 0o666 less the umask, not a private 0o600.
+    old = os.umask(umask)
+    try:
+        save_density_matrix(noisy_ghz(0.5), tmp_path / "state.json")
+        (tmp_path / "plain.json").write_text("{}")
+    finally:
+        os.umask(old)
+    modes = {stat.S_IMODE((tmp_path / name).stat().st_mode)
+             for name in ("state.json", "plain.json")}
+    assert modes == {0o666 & ~umask}
 
 
 def _fail_replace(src, dst):

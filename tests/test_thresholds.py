@@ -17,7 +17,6 @@ from superact.thresholds import (
     PROPERTY_W_GME_AFTER,
     PROPERTY_W_SLE,
     ThresholdReport,
-    analytic_constants,
     certifying_margin,
     default_tolerance,
     fidelity_curves,
@@ -25,7 +24,7 @@ from superact.thresholds import (
     find_threshold,
     threshold_reports_csv,
 )
-from util import limit_margin_evaluations
+from util import analytic_constants, limit_margin_evaluations
 
 
 def test_analytic_constants_values_and_provenance():

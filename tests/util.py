@@ -2,10 +2,34 @@
 reference implementations that stay independent of the package's own
 index gymnastics."""
 
+from dataclasses import dataclass
+
 import numpy as np
 
 import superact.thresholds as thresholds
 from superact.states import PAULI_X, PAULI_Y
+
+
+@dataclass(frozen=True)
+class ThresholdConstant:
+    value: float
+    provenance: str
+
+
+def analytic_constants() -> dict[str, ThresholdConstant]:
+    """Closed-form threshold values, plus the cited infinite-copy constant,
+    the oracles of the bisections."""
+    closed = "closed-form"
+    return {
+        thresholds.PROPERTY_GME: ThresholdConstant(3.0 / 7.0, closed),
+        thresholds.PROPERTY_SLE: ThresholdConstant(1.0 / 3.0, closed),
+        thresholds.PROPERTY_GME_AFTER: ThresholdConstant(
+            (4.0 * np.sqrt(3.0) - 3.0) / 13.0, closed),
+        thresholds.PROPERTY_SLE_AFTER: ThresholdConstant(
+            (2.0 * np.sqrt(2.0) - 1.0) / 7.0, closed),
+        thresholds.PROPERTY_W_SLE: ThresholdConstant(3.0 / 11.0, closed),
+        "GME-infinite-copy": ThresholdConstant(0.2, "cited-not-computed"),
+    }
 
 
 def mk_observable(k: int) -> np.ndarray:
