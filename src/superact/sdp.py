@@ -188,14 +188,13 @@ in closed form:
 where r_0, R_i are the constraint residuals of the point being projected.
 ``_project_affine`` evaluates it on stacks of blocks.
 
-The iteration does not evaluate it.  It multiplies its coordinates by
-M = 2 L - I, with L the linear part x -> P_A(x) - P_A(0) in coordinates
-(see "Douglas-Rachford iteration").  L is built once per zero pattern and
-dtype, and cached with the sectors: ``_project_affine`` projects the
-expanded unit vectors of the coordinates, a chunk of 64 at a time, and
-the results are read back into coordinates.  L is an orthogonal
-projection, so it is symmetric, and M is stored as the symmetric part of
-the matrix so read.  The constraints never mix real and imaginary parts:
+The iteration instead multiplies its coordinates by M = 2 L - I, with L
+the linear part x -> P_A(x) - P_A(0) in coordinates (see "Douglas-Rachford
+iteration").  L is built once per zero pattern and dtype, and cached with
+the sectors: ``_project_affine`` projects the expanded unit vectors of the
+coordinates, a chunk of 64 at a time, and the results are read back into
+coordinates.  L is an orthogonal projection, so it is symmetric, and M is
+built from the symmetric part of the matrix so read.  The constraints never mix real and imaginary parts:
 the trace is real, and T_i moves an entry, conjugating it when it crosses
 the diagonal.  So M is kept as two blocks, one acting on the coordinates of
 the real parts and one on those of the imaginary parts, which a real
