@@ -19,9 +19,10 @@ signature ``(label, p, rho, start) -> (value, start)``:
   ``certify.sle_quantifier_at`` returns at theta = 0; that projection is
   the optimal localization for the noisy W state.
 
-``start`` is what one PPT-mixer solve hands to the next; the margins that
-solve none hand it back unchanged.  ``default_tolerance`` reads the
-margin from the same table: 1e-3 for the PPT mixer, 1e-6 for the others.
+``start`` is where a PPT-mixer solve starts, and what it hands back for
+later ones; the margins that solve none hand it back unchanged.
+``default_tolerance`` reads the margin from the same table: 1e-3 for the
+PPT mixer, 1e-6 for the others.
 
 Bisection on the sign of the margin then brackets the crossing.  Bisection
 is used deliberately: the margins are cheap, monotone sign indicators near
@@ -40,14 +41,19 @@ certified interval [lower, upper]; the search is refused rather than
 continued on an uncertified sign.  The default 1e-3 tolerance stops
 bisecting well before that happens.
 
-Successive bisection points differ only in p, so every PPT-mixer solve of
-one margin function starts from the final splitting variable of the solve
-before it (see "Douglas-Rachford iteration" in ``sdp.py``); the first
-starts cold, and so does every new ``find_threshold`` call.  A start
-changes only when a solve stops, not the sign it certifies, so every
-bracket is the one that cold starts give.  At the default ranges and
-tolerances the 18 PPT-mixer solves of the two SDP-backed properties take
-200 iterations, at most 20 per solve, against 450 and 70 from cold starts.
+Bisection points differ only in p, so every PPT-mixer solve of one margin
+function starts from the final splitting variables of the points it has
+already evaluated (see "Douglas-Rachford iteration" in ``sdp.py``): their
+linear interpolation in p between the nearest evaluated points below and
+above, or the nearest point when only one side has been evaluated.  A
+bisection midpoint so starts from the mean of its bracket ends'.  The
+first solve starts cold, and so does every new ``find_threshold`` call.
+A solve that takes a start checks its bounds at its first iterates too
+(see "Certified bounds" in ``sdp.py``).  A start changes only when a solve
+stops, not the sign it certifies, so every bracket is the one that cold
+starts give.  At the default ranges and tolerances the 18 PPT-mixer solves
+of the two SDP-backed properties take 107 iterations, at most 20 per solve
+and 8 of them 1, against 450 and 70 from cold starts.
 
 The two SLE-search margins (SLE and SLE-after-distill) run sign-only SLE
 searches, a branch and bound over bands of the measured qubit's Bloch
@@ -162,20 +168,36 @@ def _table_entry(property_name: str) -> tuple[Callable, Callable]:
     return _MARGINS[property_name]
 
 
+def _interpolated(starts: dict, p: float) -> np.ndarray | None:
+    """Start at p, linear in p between the nearest evaluated points below
+    and above it, the nearest one if only one side has been evaluated, and
+    None (cold) if neither."""
+    below = max((q for q in starts if q <= p), default=None)
+    above = min((q for q in starts if q >= p), default=None)
+    if below is None or above is None or below == above:
+        return starts.get(above if below is None else below)
+    weight = (p - below) / (above - below)
+    return (1.0 - weight) * starts[below] + weight * starts[above]
+
+
 def certifying_margin(property_name: str) -> Callable[[float], float]:
     """Margin function of p: positive iff the property is present.
 
     The margins that solve the PPT-mixer program (W-GME and
-    W-GME-after-distill) start each solve from the final splitting variable
-    of the previous solve of the same function, or cold on its first (see
-    the module docstring); each call returns a new function.
+    W-GME-after-distill) keep the final splitting variable of each solve,
+    keyed by p, and start each new solve from their linear interpolation
+    between the nearest evaluated points below and above it, from the
+    nearest point when only one side has been evaluated, or cold on the
+    first (see the module docstring); each call returns a new function.
     """
     build, evaluate = _table_entry(property_name)
-    start = None
+    starts = {}
 
     def margin(p: float) -> float:
-        nonlocal start
-        value, start = evaluate(property_name, p, build(p), start)
+        value, start = evaluate(property_name, p, build(p),
+                                _interpolated(starts, p))
+        if start is not None:
+            starts[p] = start
         return value
 
     return margin

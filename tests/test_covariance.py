@@ -9,6 +9,12 @@ the imaginary coordinates of its sectors and its conjugate is a different
 state.  The phases also break the symmetry of the paper's states under
 qubit permutations, except for noisy GHZ, whose one coherence takes the
 sum of the three angles.
+
+The X-shape concurrence reads the pairs {b, b with every bit flipped},
+which qubit permutations move among themselves and diagonal phases keep,
+so neither may change it.  Both distillation maps are masked entrywise
+products of the two copies, so they commute with qubit permutations, and
+a diagonal local unitary D on both copies comes out squared.
 """
 
 import itertools
@@ -17,7 +23,8 @@ import numpy as np
 import pytest
 
 from superact import noise_model_state, noisy_ghz, noisy_w
-from superact.distill import distill_cnot
+from superact.certify import gme_concurrence_x
+from superact.distill import distill_cnot, distill_tripartite
 from superact.sdp import (
     GAP_TOL,
     SIGN_NEGATIVE,
@@ -25,7 +32,7 @@ from superact.sdp import (
     ppt_mixer_witness,
     verify_witness_certificate,
 )
-from util import random_x_state
+from util import random_density_matrix, random_x_state
 
 # Paper states on both sides of their thresholds (GHZ 3/7, W about 0.479,
 # CNOT-distilled W about 0.519), with the sign each must certify.
@@ -89,3 +96,39 @@ def test_ppt_mixer_is_covariant(name):
         assert moved.optimal_value == pytest.approx(
             base.optimal_value, abs=2 * GAP_TOL), label
         assert verify_witness_certificate(moved, copy), label
+
+
+@pytest.mark.parametrize("rho_factory", [
+    lambda: noisy_ghz(0.5),
+    lambda: noisy_ghz(0.7),
+    lambda: noise_model_state(0.8, 0.9, 0.95),
+])
+def test_x_concurrence_is_invariant(rho_factory):
+    m = np.asarray(rho_factory().entries)
+    base = gme_concurrence_x(m)
+    assert base > 0.1
+    phased = _phased(m)
+    for order in itertools.permutations(range(3)):
+        moved = _permute_qubits(phased, order)
+        assert gme_concurrence_x(moved) == pytest.approx(
+            base, rel=0.0, abs=1e-14), order
+
+
+@pytest.mark.parametrize("distill", [distill_cnot, distill_tripartite])
+def test_distillation_is_covariant(distill):
+    rng = np.random.default_rng(12)
+    rho, sigma = (random_density_matrix(rng, 3) for _ in range(2))
+    base = distill(rho, sigma)
+    out = np.asarray(base.state.entries)
+    moved = {"phased": (distill(_phased(rho), _phased(sigma)),
+                        _phased(_phased(out)))}
+    for order in itertools.permutations(range(3)):
+        moved[f"perm-{''.join(map(str, order))}"] = (
+            distill(_permute_qubits(rho, order),
+                    _permute_qubits(sigma, order)),
+            _permute_qubits(out, order))
+    for label, (result, expected) in moved.items():
+        assert result.success_probability == pytest.approx(
+            base.success_probability, rel=1e-14), label
+        assert np.abs(np.asarray(result.state.entries)
+                      - expected).max() <= 1e-15, label

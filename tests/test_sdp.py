@@ -800,6 +800,31 @@ def test_mismatched_start_gives_the_cold_result():
                                   getattr(cold, f.name)), f.name
 
 
+@pytest.mark.parametrize("p, first", [(0.45, "lower"), (0.55, "upper")])
+def test_a_start_at_the_optimum_certifies_at_the_first_iterate(
+        monkeypatch, p, first):
+    # A solve that takes a start checks its bounds at iteration 1, building
+    # first the side that the iterate's value points to: the lower bound
+    # below the W threshold (about 0.479), the upper bound above it.
+    rho = noisy_w(p)
+    cold = ppt_mixer_witness(rho, sign_only=True)
+    assert cold.iterations >= 10
+    sides = []
+    for side in ("upper", "lower"):
+        name = f"_{side}_bound"
+
+        def recording(*args, _side=side, _build=getattr(sdp, name)):
+            sides.append(_side)
+            return _build(*args)
+
+        monkeypatch.setattr(sdp, name, recording)
+    warm = ppt_mixer_witness(rho, sign_only=True, start=cold.final_z)
+    assert warm.iterations == 1 and warm.converged
+    assert sides == [first, "upper" if first == "lower" else "lower"]
+    assert warm.certified_sign == cold.certified_sign
+    assert verify_witness_certificate(warm, rho)
+
+
 def _structured_states():
     """Eleven states whose zero patterns have symmetry sectors: noisy GHZ,
     noisy W, noise-model, CNOT-distilled W and maximally mixed."""
@@ -892,6 +917,15 @@ def test_pinned_solves_are_bit_identical(monkeypatch):
 def test_rejects_wrong_dimension():
     with pytest.raises(ValueError):
         ppt_mixer_witness(maximally_mixed(2))
+
+
+@pytest.mark.parametrize("gap_tol", [float("nan"), 0.0, -1e-8,
+                                     float("inf")])
+def test_rejects_gap_tol_that_is_not_positive_and_finite(gap_tol):
+    # Such a gap never stops a solve: it would run to MAX_ITERATIONS.
+    with pytest.raises(ValueError, match=rf"gap_tol must be positive and "
+                                         rf"finite, got {gap_tol}"):
+        ppt_mixer_witness(noisy_ghz(0.6), gap_tol=gap_tol)
 
 
 @pytest.mark.parametrize("bad", list(BAD_RAW_ARRAYS))

@@ -7,7 +7,11 @@ import superact.certify as certify
 import superact.thresholds as thresholds
 from superact import fidelity_with_pure, ghz3, noisy_ghz, noisy_w
 from superact.distill import distill_tripartite
-from superact.sdp import SIGN_INDETERMINATE, verify_witness_certificate
+from superact.sdp import (
+    SIGN_INDETERMINATE,
+    ppt_mixer_witness,
+    verify_witness_certificate,
+)
 from superact.thresholds import (
     PROPERTY_GME,
     PROPERTY_GME_AFTER,
@@ -124,10 +128,12 @@ def test_sdp_backed_thresholds_near_reported_values():
 
 def test_sdp_bisection_uses_few_sign_only_iterations(monkeypatch):
     # The 18 default bisection evaluations of the two SDP-backed properties
-    # each stop once certified bounds fix the sign, each solve warm-started
-    # from the previous one's final splitting variable (300 iterations in
-    # all, at most 30 per solve, when these bounds were set; 860 and 90
-    # from cold starts).
+    # each stop once certified bounds fix the sign, each solve started
+    # between the final splitting variables of its nearest evaluated points
+    # and checked at its first iterates: 107 iterations in all, at most 20
+    # per solve, when these bounds were set.  Without the early checks they
+    # took 190, from the previous solve's final z 185, with neither 200,
+    # and from cold starts 450, at most 70.
     solves = []
     solver = thresholds.ppt_mixer_witness
 
@@ -145,8 +151,68 @@ def test_sdp_bisection_uses_few_sign_only_iterations(monkeypatch):
     assert all(r.certified_sign != SIGN_INDETERMINATE for _, _, r in solves)
     assert all(verify_witness_certificate(r, rho) for rho, _, r in solves)
     iterations = [r.iterations for _, _, r in solves]
-    assert sum(iterations) <= 350
-    assert max(iterations) <= 40
+    assert sum(iterations) <= 150
+    assert max(iterations) <= 30
+
+
+# Bisections of the two SDP-backed properties: the defaults, and ranges and
+# tolerances that reach other midpoints, near and far from the crossings.
+_SDP_BISECTIONS = [
+    (PROPERTY_W_GME, None, None),
+    (PROPERTY_W_GME_AFTER, None, None),
+    (PROPERTY_W_GME, (0.42, 0.55), 1e-4),
+    (PROPERTY_W_GME, (0.3, 0.9), 3e-3),
+    (PROPERTY_W_GME, (0.45, 0.5), 5e-4),
+    (PROPERTY_W_GME_AFTER, (0.5, 0.56), 5e-4),
+    (PROPERTY_W_GME_AFTER, (0.46, 0.9), 2e-3),
+    (PROPERTY_W_GME_AFTER, (0.45, 0.6), 2e-4),
+]
+
+
+def test_warm_starts_give_the_cold_brackets(monkeypatch):
+    # A start changes only when a solve stops: every bisection ends on the
+    # report that cold starts give, with fewer iterations in all, and every
+    # warm-started solve's certificates verify.
+    solver = thresholds.ppt_mixer_witness
+
+    def bisections(cold):
+        solves = []
+
+        def recording(rho, *, start, **kwargs):
+            solves.append((rho, solver(rho, start=None if cold else start,
+                                       **kwargs)))
+            return solves[-1][1]
+
+        monkeypatch.setattr(thresholds, "ppt_mixer_witness", recording)
+        return [find_threshold(*case) for case in _SDP_BISECTIONS], solves
+
+    warm, warm_solves = bisections(cold=False)
+    cold, cold_solves = bisections(cold=True)
+    assert warm == cold
+    assert (len(warm_solves) == len(cold_solves)
+            == sum(r.evaluations for r in cold))
+    assert (sum(r.iterations for _, r in warm_solves)
+            < sum(r.iterations for _, r in cold_solves))
+    assert all(verify_witness_certificate(r, rho) for rho, r in warm_solves)
+
+
+@pytest.mark.parametrize("state, other", [
+    (lambda: noisy_w(0.45), lambda: noisy_ghz(0.6)),
+    (lambda: noisy_w(0.52), lambda: noisy_ghz(0.3)),
+    (lambda: thresholds._cnot_distilled_w(0.5), lambda: noisy_w(0.6)),
+    (lambda: thresholds._cnot_distilled_w(0.54), lambda: noisy_w(0.4)),
+])
+def test_a_start_from_another_state_certifies_the_cold_sign(state, other):
+    # The final splitting variable of another state's solve (for a noisy
+    # GHZ state, one with other symmetry sectors) is a poor start: the
+    # solve still certifies the sign a cold start does, with verifiable
+    # certificates.
+    rho = state()
+    cold = ppt_mixer_witness(rho, sign_only=True)
+    start = ppt_mixer_witness(other(), sign_only=True).final_z
+    warm = ppt_mixer_witness(rho, sign_only=True, start=start)
+    assert warm.certified_sign == cold.certified_sign != SIGN_INDETERMINATE
+    assert verify_witness_certificate(warm, rho)
 
 
 def test_warm_starts_stay_inside_one_bisection(monkeypatch):
