@@ -185,6 +185,14 @@ its minimum over a polygon at a vertex (Horst & Tuy, "Global
 Optimization: Deterministic Approaches", 1996), so the smallest of the
 four values bounds f on the band.  Each round evaluates the hull points of
 every open band in one batched eigensolve and halves the bands still open.
+Every search starts from the same eight bands, so the coefficients of
+their 32 hull points are a table built once per process
+(``_first_band_coefficients``, read-only).  A later round builds its bands'
+in a few vector operations (``_band_coefficients``) with the arithmetic of
+``_hull_points``, so the coefficients, and every sign, bracket and
+certificate, are the same bit for bit.  Later rounds take no table: a band
+that stays open descends a level a round, some 60 levels within the cap
+below, and a table of every depth's bands would hold 8 * 2^d at depth d.
 A chord end, which lies on the sphere, whose normalized value lies below
 -``SLE_SIGN_SLACK`` settles a negative sign.  Once every band's bound lies
 above the slack, every projection leaves a PPT, hence separable, pair
@@ -204,7 +212,13 @@ distilled GHZ and noisy W states settle within 256-280 points down to
 1e-11 below their thresholds and within 32 above them; from 1e-12 the
 optimum lies within the slack of zero and no search settles.  The cap is
 about twice the 280.  An undecided search stops at 464-512 points, in
-2-8 ms on a 2-vCPU VM, where a cap of 16384 takes 17-47 ms.
+2-8 ms on a 2-vCPU VM, where a cap of 16384 takes 17-47 ms.  On that VM
+(timeit, best of five), a whole sign-only search that settles in the first
+round takes about 95 us (190 us when every round built its points through
+``_hull_points`` and tested the nine candidate charges one by one), one
+that settles 1e-4 below noisy GHZ's threshold 280 us (540 us), and the
+two default SLE bisections, their 39 searches and the states they read,
+6.2 ms (12.5 ms).
 """
 
 from __future__ import annotations
@@ -242,6 +256,10 @@ SLE_SIGN_SLACK = 1e-12
 SLE_BAND_EVALUATIONS = 512
 # The first breakpoints in z of a sign-only search's bands.
 _FIRST_BREAKPOINTS = np.linspace(-1.0, 1.0, 9)
+# The projector (I + n.sigma) / 2 at n = (x, 0, z) over the SLE objective's
+# four blocks is 0.5 (offset + slope (z, x, z, z)), elementwise.
+_PROJECTOR_OFFSET = np.array([1.0, 0.0, 0.0, 1.0])
+_PROJECTOR_SLOPE = np.array([1.0, 1.0, 0.0, -1.0])
 # Bit of each qubit (columns, qubit 0 first) in each basis index (rows).
 _QUBIT_BITS = (np.arange(8)[:, None] >> np.arange(2, -1, -1)) & 1
 # (row, column) of the entries below the diagonal of a 4x4 pair.
@@ -275,6 +293,22 @@ class XShapeView:
     max_off_pattern_magnitude: float
 
 
+@functools.cache
+def _x_pattern(d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The X pattern of a d x d matrix, read-only: the rows i < d / 2, their
+    partners d - 1 - i, and the mask of the entries off the diagonal and
+    the anti-diagonal.  One entry per register size seen, each no larger
+    than a matrix of that size."""
+    idx = np.arange(d)
+    off = np.ones((d, d), dtype=bool)
+    off[idx, idx] = False
+    off[idx, d - 1 - idx] = False
+    tables = (idx[:d // 2], d - 1 - idx[:d // 2], off)
+    for table in tables:
+        table.flags.writeable = False
+    return tables
+
+
 def x_shape_view(rho) -> XShapeView:
     """Extract the X pattern of a matrix and report off-pattern leakage.
 
@@ -282,18 +316,11 @@ def x_shape_view(rho) -> XShapeView:
     positive semidefinite, with any trace.
     """
     m, _ = _state_entries(rho)
-    d = m.shape[0]
-    half = d // 2
-    a = np.array([m[i, i].real for i in range(half)])
-    b = np.array([m[d - 1 - i, d - 1 - i].real for i in range(half)])
-    c = np.array([m[i, d - 1 - i] for i in range(half)])
-    pattern = np.zeros((d, d), dtype=bool)
-    idx = np.arange(d)
-    pattern[idx, idx] = True
-    pattern[idx, d - 1 - idx] = True
-    off = np.abs(m[~pattern])
-    return XShapeView(a=a, b=b, c=c,
-                      max_off_pattern_magnitude=float(off.max(initial=0.0)))
+    rows, partners, off = _x_pattern(m.shape[0])
+    return XShapeView(
+        a=m[rows, rows].real, b=m[partners, partners].real,
+        c=m[rows, partners],
+        max_off_pattern_magnitude=float(np.abs(m[off]).max(initial=0.0)))
 
 
 def gme_concurrence_arguments(rho) -> np.ndarray:
@@ -478,7 +505,7 @@ class _SLEObjective:
         t00, t01, t10, t11 = m.reshape((2,) * 6).transpose(
             measured, 3 + measured, kept[0], kept[1], 3 + kept[0], 3 + kept[1]
         ).reshape(4, 4, 4)
-        blocks = np.stack([t00, t01 + t10, 1j * (t01 - t10), t11])
+        blocks = np.array([t00, t01 + t10, 1j * (t01 - t10), t11])
         blocks_pt = blocks.reshape(4, 2, 2, 2, 2).transpose(0, 1, 4, 3, 2)
         self.blocks_pt = blocks_pt.reshape(4, 16).view(np.float64)
         self.traces = np.einsum("kii->k", blocks).real
@@ -552,14 +579,37 @@ def _respects(m: np.ndarray, charges) -> bool:
     return not np.any((m != 0) & (total[:, None] != total[None, :]))
 
 
-def _ring_charges(objective: _SLEObjective) -> tuple[int, int, int] | None:
-    """Charges of the qubits, 1 on the measured one and -1, 0 or 1 on each
-    kept one, that the state's nonzero entries conserve; None if none do."""
+@functools.cache
+def _charge_candidates(
+        kept: tuple[int, int]) -> tuple[tuple[tuple[int, int, int], ...],
+                                        np.ndarray]:
+    """The nine candidate charges of ``_ring_charges`` for the ordered kept
+    pair, 1 on the measured qubit and (-1, 0, 1) ** 2 on ``kept`` in
+    ``itertools.product`` order, and for each candidate, read-only, where
+    the total charges of the 8x8 matrix's row and column differ (9, 64).
+    """
+    candidates = []
     for kept_charges in itertools.product((-1, 0, 1), repeat=2):
         charges = [1, 1, 1]
-        charges[objective.kept[0]], charges[objective.kept[1]] = kept_charges
-        if _respects(objective.entries, charges):
-            return tuple(charges)
+        charges[kept[0]], charges[kept[1]] = kept_charges
+        candidates.append(tuple(charges))
+    total = np.array(candidates) @ _QUBIT_BITS.T
+    differs = (total[:, :, None] != total[:, None, :]).reshape(9, 64)
+    differs.flags.writeable = False
+    return tuple(candidates), differs
+
+
+def _ring_charges(objective: _SLEObjective) -> tuple[int, int, int] | None:
+    """Charges of the qubits, 1 on the measured one and -1, 0 or 1 on each
+    kept one, that the state's nonzero entries conserve; None if none do.
+    Of several, the first in ``itertools.product`` order over the kept
+    pair's charges; all nine are tested in one product."""
+    candidates, differs = _charge_candidates(objective.kept)
+    # Whether some nonzero entry joins states of different total charge.
+    broken = differs @ (objective.entries != 0).reshape(64)
+    for charges, breaks in zip(candidates, broken.tolist()):
+        if not breaks:
+            return charges
     return None
 
 
@@ -572,6 +622,37 @@ def _hull_points(z1: np.ndarray, z2: np.ndarray) -> np.ndarray:
                      for z in (z1, z2)], axis=1)
     h = np.linalg.norm(ends.mean(axis=1), axis=-1) * (1.0 - 1e-12)
     return np.concatenate([ends, ends / h[:, None, None]], axis=1)
+
+
+def _band_coefficients(z1: np.ndarray, z2: np.ndarray) -> np.ndarray:
+    """The projector (I + n.sigma) / 2 over ``_SLEObjective``'s four blocks,
+    ((1 + z) / 2, x / 2, 0, (1 - z) / 2), at the four hull points of each
+    band [z1, z2], in ``_hull_points``' order; shape (bands, 4, 4).
+
+    The arithmetic is ``_hull_points``', so the coefficients are those of
+    its points bit for bit: x = sqrt(1 - z^2) at the chord ends, and h is
+    sqrt(mx^2 + mz^2) (1 - 1e-12) with (mx, mz) = (p1 + p2) / 2, as
+    ``np.linalg.norm(ends.mean(axis=1))`` takes it.  1 - z is 1 + (-1) z,
+    and the zero of y is 0 + 0 z.
+    """
+    z = np.array([z1, z2])
+    x = np.sqrt(1.0 - z * z)
+    mx, mz = (x[0] + x[1]) / 2.0, (z[0] + z[1]) / 2.0
+    h = np.sqrt(mx * mx + mz * mz) * (1.0 - 1e-12)
+    # (band, chord end, the coordinate under each coefficient).
+    ends = np.array([z, x, z, z]).T
+    points = np.concatenate([ends, ends / h[:, None, None]], axis=1)
+    return 0.5 * (_PROJECTOR_OFFSET + _PROJECTOR_SLOPE * points)
+
+
+@functools.cache
+def _first_band_coefficients() -> np.ndarray:
+    """``_band_coefficients`` of the eight first bands, which every band
+    search evaluates; built once, read-only."""
+    coefficients = _band_coefficients(_FIRST_BREAKPOINTS[:-1],
+                                      _FIRST_BREAKPOINTS[1:])
+    coefficients.flags.writeable = False
+    return coefficients
 
 
 def _hull_lowest(pairs: np.ndarray) -> np.ndarray:
@@ -594,17 +675,14 @@ def _band_search(
     longer be halved.
     """
     z1, z2 = _FIRST_BREAKPOINTS[:-1], _FIRST_BREAKPOINTS[1:]
+    coefficients = _first_band_coefficients()
     closed = []
     best_z, best = 0.0, np.inf
     evaluations = 0
-    while z1.size:
+    while True:
         evaluations += 4 * z1.size
         if evaluations > SLE_BAND_EVALUATIONS:
             return None
-        x, z = np.moveaxis(_hull_points(z1, z2), -1, 0)
-        # The projector (I + n.sigma) / 2 over the objective's four blocks.
-        coefficients = 0.5 * np.stack([1.0 + z, x, np.zeros_like(x), 1.0 - z],
-                                      axis=-1)
         lowest = _hull_lowest(objective._combine(
             coefficients.reshape(-1, 4), objective.blocks_pt)).reshape(-1, 4)
         # Normalized values at the chord ends, which lie on the circle.
@@ -612,7 +690,7 @@ def _band_search(
         valid = weights > DEGENERATE_WEIGHT
         values = np.where(valid, lowest[:, :2] / np.where(valid, weights, 1.0),
                           np.inf)
-        band, end = np.unravel_index(np.argmin(values), values.shape)
+        band, end = divmod(int(np.argmin(values)), 2)
         if values[band, end] < best:
             best_z, best = (z1, z2)[end][band], values[band, end]
         if best < -SLE_SIGN_SLACK:
@@ -620,11 +698,13 @@ def _band_search(
         still_open = lowest.min(axis=1) <= SLE_SIGN_SLACK
         closed.append(z1[~still_open])
         z1, z2 = z1[still_open], z2[still_open]
+        if not z1.size:
+            return best_z, np.append(np.sort(np.concatenate(closed)), 1.0)
         mid = 0.5 * (z1 + z2)
         if not np.all((z1 < mid) & (mid < z2)):
             return None
         z1, z2 = np.concatenate([z1, mid]), np.concatenate([mid, z2])
-    return best_z, np.append(np.sort(np.concatenate(closed)), 1.0)
+        coefficients = _band_coefficients(z1, z2)
 
 
 def verify_sle_certificate(certificate: SLECertificate, rho) -> bool:

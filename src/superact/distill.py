@@ -165,7 +165,10 @@ def analytic_distilled_noisy_ghz(p: float) -> DensityMatrix:
     for i in range(8):
         m[i, i] = corner if i in (0, 7) else middle
     m[0, 7] = m[7, 0] = 2.0 * p * p
-    return DensityMatrix(3, m / norm)
+    # A state by construction, for p in [0, 1]: Hermitian and of unit trace,
+    # with eigenvalues the middle entries and corner +/- 2 p^2 over the
+    # norm, nonnegative since (3 p + 1)^2 / 8 >= 2 p^2 where p <= 1.
+    return DensityMatrix._trusted(3, m / norm)
 
 
 def component_fidelity_update(component_fidelities) -> np.ndarray:

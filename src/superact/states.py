@@ -13,6 +13,21 @@ are returned separately instead of being silently folded in.
 
 All values are immutable after construction and every operation is a pure
 function, so everything here is safe to call from concurrent workers.
+
+Validation
+----------
+A :class:`DensityMatrix` checks its shape, finiteness, Hermiticity, trace
+and positivity when it is built.  The package's one exception is the
+private ``DensityMatrix._trusted``, for states that are states by
+construction: ``noisy_ghz``, ``noisy_w`` and ``noise_model_state`` here,
+each a convex mix, with its parameters checked to lie in [0, 1], of
+validated cached projectors and I/8, and the closed-form PSD matrix of
+``distill.analytic_distilled_noisy_ghz``.  Each call site says why its
+result is a state, and a test passes every such family's output through
+the full validation.  Everything that enters from outside keeps every check:
+a ``DensityMatrix(...)``, a file that ``load_density_matrix`` reads, and a
+raw array, which ``_state_entries`` validates.  So do the distillation
+outputs, reductions and localized states, which are not yet trusted.
 """
 
 from __future__ import annotations
@@ -137,6 +152,21 @@ class DensityMatrix:
             raise StateValidationError(
                 f"minimum eigenvalue {lam_min:.3e} below {PSD_TOL:.1e}")
         object.__setattr__(self, "entries", _readonly(m))
+
+    @classmethod
+    def _trusted(cls, n_qubits: int, entries) -> "DensityMatrix":
+        """A normalized state the package built as a state, without
+        ``__post_init__``'s checks; the entries are copied to a read-only
+        complex128 array, as there.  Only for the noisy families (see
+        "Validation" in the module docstring); each call site says why its
+        result is a state.
+        """
+        rho = object.__new__(cls)
+        object.__setattr__(rho, "n_qubits", n_qubits)
+        object.__setattr__(rho, "entries", _readonly(
+            np.asarray(entries, dtype=np.complex128)))
+        object.__setattr__(rho, "normalized", True)
+        return rho
 
     def trace(self) -> float:
         return float(np.trace(self.entries).real)
@@ -277,7 +307,9 @@ def noisy_ghz(p: float) -> DensityMatrix:
     """GHZ state mixed with white noise: p |GHZ><GHZ| + (1-p) I/8."""
     _check_unit_interval(p=p)
     g = _ghz_projector(0, +1)
-    return DensityMatrix(3, p * g + (1.0 - p) * np.eye(8) / 8.0)
+    # A state by construction: a convex mix, p in [0, 1], of a validated
+    # projector and I/8.
+    return DensityMatrix._trusted(3, p * g + (1.0 - p) * np.eye(8) / 8.0)
 
 
 def noise_model_state(p: float, q: float, r: float) -> DensityMatrix:
@@ -295,14 +327,18 @@ def noise_model_state(p: float, q: float, r: float) -> DensityMatrix:
         weight = r if index == 0 else (1.0 - r) / 3.0
         plus, minus = _ghz_projector(index, +1), _ghz_projector(index, -1)
         signal += weight * (q * plus + (1.0 - q) * minus)
-    return DensityMatrix(3, p * signal + (1.0 - p) * np.eye(8) / 8.0)
+    # A state by construction: a convex mix, p, q and r in [0, 1], of
+    # validated projectors and I/8.
+    return DensityMatrix._trusted(3, p * signal + (1.0 - p) * np.eye(8) / 8.0)
 
 
 def noisy_w(p: float) -> DensityMatrix:
     """W state mixed with white noise: p |W><W| + (1-p) I/8."""
     _check_unit_interval(p=p)
     w = _w_projector()
-    return DensityMatrix(3, p * w + (1.0 - p) * np.eye(8) / 8.0)
+    # A state by construction: a convex mix, p in [0, 1], of a validated
+    # projector and I/8.
+    return DensityMatrix._trusted(3, p * w + (1.0 - p) * np.eye(8) / 8.0)
 
 
 def maximally_mixed(n_qubits: int) -> DensityMatrix:

@@ -69,7 +69,17 @@ default ranges every search settles on bands: 21 negative margins and 18
 nonnegative ones, each with a certificate.  The signs, and so every
 bracket, are those of the default searches.  A margin value is therefore a
 certifying value, not always the optimum, and the values that a
-no-sign-change error prints are those certifying values.
+no-sign-change error prints are those certifying values.  The 21 negative
+signs settle in the first round, on the eight bands every search starts
+from, whose hull points' coefficients are built once per process; the
+other rounds build theirs in a few vector operations, with the same
+arithmetic, so every sign and certificate is the same bit for bit.
+
+The states the margins read are built from p without re-validation where
+they are states by construction: the noisy families and the closed-form
+distilled GHZ state (see "Validation" in ``states.py``).  Of the 125
+evaluations of the seven default bisections, only the nine of
+W-GME-after-distill validate a state, the output of ``distill_cnot``.
 """
 
 from __future__ import annotations

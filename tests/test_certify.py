@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 from dataclasses import replace
 
 import numpy as np
@@ -50,10 +51,13 @@ from util import (
     exact_epr_settings,
     exact_ghz_settings,
     mk_observable,
+    phased,
     random_density_matrix,
     random_hermitian,
     random_unitary,
     random_x_state,
+    ring_charges_loop,
+    x_shape_loop,
 )
 
 P_GRID = np.linspace(0.0, 1.0, 21)
@@ -92,6 +96,38 @@ def test_x_shape_view_reports_leakage():
         assert view.a[i] == pytest.approx(rho[i, i].real)
         assert view.b[i] == pytest.approx(rho[3 - i, 3 - i].real)
         assert view.c[i] == pytest.approx(rho[i, 3 - i])
+
+
+def _x_shape_states():
+    """X-shaped states, exact zeros off the pattern, and leaky ones, of two
+    and three qubits."""
+    rng = np.random.default_rng(21)
+    return {
+        "noisy-ghz": noisy_ghz(0.4),
+        "noise-model": noise_model_state(0.5, 0.9084, 0.921),
+        "distilled-ghz": analytic_distilled_noisy_ghz(0.3),
+        "random-x": random_x_state(rng),
+        "phased-ghz": phased(noisy_ghz(0.7)),
+        "noisy-w": noisy_w(0.5),
+        "distilled-w": distill_cnot(noisy_w(0.5), noisy_w(0.5)).state,
+        "random-3": random_density_matrix(rng, 3),
+        "random-2": random_density_matrix(rng, 2),
+        "isotropic": isotropic(0.3),
+    }
+
+
+@pytest.mark.parametrize("name", list(_x_shape_states()))
+def test_x_shape_view_matches_an_entry_loop(name):
+    rho = _x_shape_states()[name]
+    view = x_shape_view(rho)
+    a, b, c, leakage = x_shape_loop(np.asarray(getattr(rho, "entries", rho)))
+    for got, expected in ((view.a, a), (view.b, b), (view.c, c)):
+        assert got.dtype == expected.dtype and got.shape == expected.shape
+        assert got.tobytes() == expected.tobytes()
+    assert view.max_off_pattern_magnitude == leakage
+    assert (leakage == 0.0) == (name in ("noisy-ghz", "noise-model",
+                                         "distilled-ghz", "random-x",
+                                         "phased-ghz", "isotropic"))
 
 
 # ---------------------------------------------------------------------------
@@ -935,6 +971,77 @@ def test_sle_objective_of_a_ring_state_does_not_depend_on_phi(rho):
         assert np.allclose(objective.values(thetas, rng.uniform(0, 7, 30)),
                            objective.values(thetas, np.zeros(30)),
                            rtol=0.0, atol=1e-14)
+
+
+def _ring_charge_states():
+    """States with and without ring charges, among them one whose only
+    charge-breaking entries are 1e-300."""
+    rng = np.random.default_rng(23)
+    tiny = np.array(noisy_w(0.5).entries)
+    tiny[0, 7] = tiny[7, 0] = 1e-300
+    return {
+        "noisy-ghz": noisy_ghz(0.5),
+        "noisy-w": noisy_w(0.5),
+        "distilled-ghz": analytic_distilled_noisy_ghz(0.3),
+        "distilled-w": distill_cnot(noisy_w(0.5), noisy_w(0.5)).state,
+        "noise-model": noise_model_state(0.8, 0.9, 0.95),
+        "phased-ghz": phased(noisy_ghz(0.6)),
+        "phased-w": phased(noisy_w(0.6)),
+        "random-x": random_x_state(rng),
+        "random": random_density_matrix(rng, 3),
+        "diagonal": np.diag(rng.uniform(0.1, 1.0, 8) / 4.5).astype(complex),
+        "w-with-1e-300": tiny,
+    }
+
+
+@pytest.mark.parametrize("name", list(_ring_charge_states()))
+def test_sle_ring_charges_match_the_candidate_loop(name):
+    rho = _ring_charge_states()[name]
+    m = np.asarray(getattr(rho, "entries", rho))
+    found = []
+    # Every ordered kept pair: the candidates' order depends on it.
+    for pair in itertools.permutations(range(3), 2):
+        charges = certify._ring_charges(_SLEObjective(rho, pair))
+        assert charges == ring_charges_loop(m, pair), pair
+        assert charges is None or all(type(c) is int for c in charges)
+        found.append(charges)
+    # Coherences of two bit-flip patterns, as between |001> and |110>,
+    # leave no charge with 1 on the measured qubit.
+    assert (found[0] is None) == (name in ("noise-model", "random-x",
+                                           "random", "w-with-1e-300"))
+
+
+def test_sle_band_coefficients_match_the_hull_points_bit_for_bit():
+    def from_hull_points(z1, z2):
+        x, z = np.moveaxis(certify._hull_points(z1, z2), -1, 0)
+        return 0.5 * np.stack([1.0 + z, x, np.zeros_like(x), 1.0 - z],
+                              axis=-1)
+
+    rng = np.random.default_rng(29)
+    bands = []
+    for size in (2, 3, 8, 40):
+        z = np.sort(np.concatenate([[-1.0, 1.0],
+                                    rng.uniform(-1.0, 1.0, size - 1)]))
+        bands.append((z[:-1], z[1:]))
+        ends = np.sort(rng.uniform(-1.0, 1.0, (2, size)), axis=0)
+        bands.append((ends[0], ends[1]))
+    # The dyadic bands of depths 0-6, halved as the search halves them.
+    z = certify._FIRST_BREAKPOINTS
+    for _ in range(7):
+        bands.append((z[:-1], z[1:]))
+        z = np.sort(np.concatenate([z, 0.5 * (z[:-1] + z[1:])]))
+    for z1, z2 in bands:
+        expected = from_hull_points(z1, z2)
+        got = certify._band_coefficients(z1, z2)
+        assert got.shape == expected.shape == (z1.size, 4, 4)
+        assert got.tobytes() == expected.tobytes()
+    first = certify._first_band_coefficients()
+    assert first is certify._first_band_coefficients()
+    assert first.tobytes() == from_hull_points(
+        certify._FIRST_BREAKPOINTS[:-1], certify._FIRST_BREAKPOINTS[1:]
+    ).tobytes()
+    with pytest.raises(ValueError, match="read-only"):
+        first[0, 0, 0] = 0.0
 
 
 def test_sle_band_hull_contains_its_arc():

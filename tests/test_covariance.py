@@ -32,7 +32,7 @@ from superact.sdp import (
     ppt_mixer_witness,
     verify_witness_certificate,
 )
-from util import random_density_matrix, random_x_state
+from util import phased, random_density_matrix, random_x_state
 
 # Paper states on both sides of their thresholds (GHZ 3/7, W about 0.479,
 # CNOT-distilled W about 0.519), with the sign each must certify.
@@ -55,16 +55,6 @@ _STATES = {
 }
 
 
-def _phased(rho) -> np.ndarray:
-    """rho conjugated by the local unitary diag(1, exp(i a_k)) on each qubit
-    k, with angles a = (0.4, 1.3, 2.2)."""
-    m = np.asarray(getattr(rho, "entries", rho), dtype=complex)
-    u = np.array([1.0], dtype=complex)
-    for angle in (0.4, 1.3, 2.2):
-        u = np.kron(u, np.array([1.0, np.exp(1j * angle)]))
-    return m * np.outer(u, u.conj())
-
-
 def _permute_qubits(m: np.ndarray, order) -> np.ndarray:
     """``m`` with its qubits reordered: qubit k of the result is qubit
     ``order[k]`` of ``m``."""
@@ -83,7 +73,7 @@ def _moved_copies(m: np.ndarray) -> dict[str, np.ndarray]:
 @pytest.mark.parametrize("name", list(_STATES))
 def test_ppt_mixer_is_covariant(name):
     factory, expected = _STATES[name]
-    m = _phased(factory())
+    m = phased(factory())
     base = ppt_mixer_witness(m)
     assert verify_witness_certificate(base, m)
     if expected is not None:
@@ -107,9 +97,9 @@ def test_x_concurrence_is_invariant(rho_factory):
     m = np.asarray(rho_factory().entries)
     base = gme_concurrence_x(m)
     assert base > 0.1
-    phased = _phased(m)
+    m = phased(m)
     for order in itertools.permutations(range(3)):
-        moved = _permute_qubits(phased, order)
+        moved = _permute_qubits(m, order)
         assert gme_concurrence_x(moved) == pytest.approx(
             base, rel=0.0, abs=1e-14), order
 
@@ -120,8 +110,8 @@ def test_distillation_is_covariant(distill):
     rho, sigma = (random_density_matrix(rng, 3) for _ in range(2))
     base = distill(rho, sigma)
     out = np.asarray(base.state.entries)
-    moved = {"phased": (distill(_phased(rho), _phased(sigma)),
-                        _phased(_phased(out)))}
+    moved = {"phased": (distill(phased(rho), phased(sigma)),
+                        phased(phased(out)))}
     for order in itertools.permutations(range(3)):
         moved[f"perm-{''.join(map(str, order))}"] = (
             distill(_permute_qubits(rho, order),

@@ -27,7 +27,8 @@ from superact import (
     tensor,
     w_state,
 )
-from superact import states
+from superact import certify, states
+from superact.distill import analytic_distilled_noisy_ghz
 from superact.states import (
     PAULI_X,
     PAULI_Z,
@@ -135,6 +136,66 @@ def test_constructor_invariants(constructor, p):
     assert np.abs(m - m.conj().T).max() <= 1e-10
     assert abs(np.trace(m).real - 1.0) <= 1e-10
     assert rho.eigenvalues()[0] >= -1e-9
+
+
+def _family_parameters():
+    """(p, q, r) at the corners 0 and 1, mixed, and seeded at random."""
+    rng = np.random.default_rng(37)
+    corners = [(0.0, 0.0, 0.0), (1.0, 1.0, 1.0), (0.0, 1.0, 0.0),
+               (1.0, 0.0, 1.0)]
+    return corners + [tuple(float(x) for x in rng.uniform(0.0, 1.0, 3))
+                      for _ in range(24)]
+
+
+_TRUSTED_FAMILIES = {
+    "noisy_ghz": lambda p, q, r: noisy_ghz(p),
+    "noisy_w": lambda p, q, r: noisy_w(p),
+    "noise_model_state": noise_model_state,
+    "analytic_distilled_noisy_ghz":
+        lambda p, q, r: analytic_distilled_noisy_ghz(p),
+}
+
+
+@pytest.mark.parametrize("family", list(_TRUSTED_FAMILIES))
+def test_trusted_families_pass_the_full_validation(family):
+    # The families skip DensityMatrix's checks on the strength of their
+    # construction; every result must pass them unchanged.
+    for params in _family_parameters():
+        rho = _TRUSTED_FAMILIES[family](*params)
+        assert type(rho) is DensityMatrix, params
+        assert rho.n_qubits == 3 and rho.normalized, params
+        assert rho.entries.dtype == np.complex128, params
+        assert not rho.entries.flags.writeable, params
+        full = DensityMatrix(3, np.array(rho.entries))
+        assert full.entries.tobytes() == rho.entries.tobytes(), params
+
+
+@pytest.mark.parametrize("family", list(_TRUSTED_FAMILIES))
+@pytest.mark.parametrize("bad", [-1e-9, 1.0 + 1e-9, np.nan, np.inf])
+def test_trusted_families_reject_parameters_outside_0_1(family, bad):
+    with pytest.raises(ValueError, match="outside"):
+        _TRUSTED_FAMILIES[family](bad, 0.5, 0.5)
+    if family == "noise_model_state":
+        for params in ((0.5, bad, 0.5), (0.5, 0.5, bad)):
+            with pytest.raises(ValueError, match="outside"):
+                noise_model_state(*params)
+
+
+def test_entry_points_still_reject_non_states(tmp_path):
+    # Hermitian, unit trace, one eigenvalue -0.1: through DensityMatrix, a
+    # density-matrix file and a raw array, as every user input arrives.
+    bad = np.diag([0.6, 0.5, -0.1, 0.0, 0.0, 0.0, 0.0, 0.0]).astype(complex)
+    with pytest.raises(StateValidationError, match="minimum eigenvalue"):
+        DensityMatrix(3, bad)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"n_qubits": 3, "re": bad.real.tolist(),
+                                "im": bad.imag.tolist()}))
+    with pytest.raises(StateValidationError, match="minimum eigenvalue"):
+        load_density_matrix(path)
+    for read in (certify.gme_concurrence_x, certify.sle_quantify,
+                 certify.ghz_witness_expectation):
+        with pytest.raises(StateValidationError, match="minimum eigenvalue"):
+            read(bad)
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,14 @@ import pytest
 
 import superact.certify as certify
 import superact.thresholds as thresholds
-from superact import fidelity_with_pure, ghz3, noisy_ghz, noisy_w
+from superact import (
+    DensityMatrix,
+    fidelity_with_pure,
+    ghz3,
+    noise_model_state,
+    noisy_ghz,
+    noisy_w,
+)
 from superact.distill import distill_tripartite
 from superact.sdp import (
     SIGN_INDETERMINATE,
@@ -153,6 +160,31 @@ def test_sdp_bisection_uses_few_sign_only_iterations(monkeypatch):
     iterations = [r.iterations for _, _, r in solves]
     assert sum(iterations) <= 150
     assert max(iterations) <= 30
+
+
+def test_bisections_validate_only_the_distillation_outputs(monkeypatch):
+    # The noisy families are states by construction and skip DensityMatrix's
+    # checks, so of the seven default bisections only W-GME-after-distill
+    # validates: its distill_cnot output, once per evaluation.  The families'
+    # cached projectors are validated when first built, here beforehand.
+    noise_model_state(0.5, 0.5, 0.5)
+    noisy_w(0.5)
+    validations = []
+    validate = DensityMatrix.__post_init__
+
+    def counting(self):
+        validations.append(self.n_qubits)
+        validate(self)
+
+    monkeypatch.setattr(DensityMatrix, "__post_init__", counting)
+    counts = {}
+    for name in thresholds.DEFAULT_RANGES:
+        validations.clear()
+        report = find_threshold(name)
+        counts[name] = (len(validations), report.evaluations)
+    assert counts.pop(PROPERTY_W_GME_AFTER) == (9, 9)
+    assert all(validated == 0 for validated, _ in counts.values())
+    assert len(counts) == 6
 
 
 # Bisections of the two SDP-backed properties: the defaults, and ranges and

@@ -2,6 +2,7 @@
 reference implementations that stay independent of the package's own
 index gymnastics."""
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -83,6 +84,16 @@ def random_x_state(rng):
     return rho / np.trace(rho).real
 
 
+def phased(rho) -> np.ndarray:
+    """rho conjugated by the local unitary diag(1, exp(i a_k)) on each qubit
+    k, with angles a = (0.4, 1.3, 2.2)."""
+    m = np.asarray(getattr(rho, "entries", rho), dtype=complex)
+    u = np.array([1.0], dtype=complex)
+    for angle in (0.4, 1.3, 2.2):
+        u = np.kron(u, np.array([1.0, np.exp(1j * angle)]))
+    return m * np.outer(u, u.conj())
+
+
 def random_hermitian(rng, dim):
     a = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     return a + a.conj().T
@@ -112,6 +123,42 @@ def limit_margin_evaluations(monkeypatch, limit=100):
         return wrapped
 
     monkeypatch.setattr(thresholds, "certifying_margin", counted)
+
+
+def ring_charges_loop(m, kept):
+    """The ring charges of a three-qubit matrix for the ordered kept pair,
+    by a loop over every candidate and entry: the first candidate, in
+    ``itertools.product`` order over the kept qubits' charges (-1, 0, 1),
+    with charge 1 on the measured qubit, such that every nonzero entry
+    joins basis states of equal total charge; None if none is."""
+
+    def total(index, charges):
+        return sum(c * ((index >> (2 - q)) & 1) for q, c in enumerate(charges))
+
+    for kept_charges in itertools.product((-1, 0, 1), repeat=2):
+        charges = [1, 1, 1]
+        charges[kept[0]], charges[kept[1]] = kept_charges
+        if all(m[i, j] == 0 or total(i, charges) == total(j, charges)
+               for i in range(8) for j in range(8)):
+            return tuple(charges)
+    return None
+
+
+def x_shape_loop(m):
+    """(a, b, c, leakage) of a d x d matrix, entry by entry: a[i] = m[i, i]
+    and b[i] = m[d-1-i, d-1-i] (real parts), c[i] = m[i, d-1-i] for
+    i < d / 2, and the largest magnitude off the diagonal and the
+    anti-diagonal, 0.0 if there is none."""
+    d = m.shape[0]
+    a = [m[i, i].real for i in range(d // 2)]
+    b = [m[d - 1 - i, d - 1 - i].real for i in range(d // 2)]
+    c = [m[i, d - 1 - i] for i in range(d // 2)]
+    leakage = 0.0
+    for i in range(d):
+        for j in range(d):
+            if j not in (i, d - 1 - i):
+                leakage = max(leakage, float(np.abs(m[i, j])))
+    return np.array(a), np.array(b), np.array(c), leakage
 
 
 def brute_partial_trace(rho, n_qubits, keep):
