@@ -167,10 +167,11 @@ With the measured qubit's projector written as (I + n.sigma) / 2, the
 unnormalized, transposed pair M(n) is affine in n: its coefficients over
 ``_SLEObjective``'s four blocks are ((1 + z) / 2, x / 2, y / 2, (1 - z) / 2).
 So f(n) = lambda_min M(n) is concave, and on the unit sphere it has the
-objective's sign.  If every nonzero entry of rho joins basis states of
-equal total charge, with charge 1 on the measured qubit and -1, 0 or 1 on
-each kept one (``_ring_charges``; noisy GHZ, distilled GHZ and noisy W
-states have such charges), a phase on the measured qubit is undone by
+objective's sign.  If rho conserves a charge vector with 1 on the measured
+qubit and -1, 0 or 1 on each kept one, its ring charges (``_ring_charges``;
+``states._symmetries`` reads which charges a state conserves, and its
+docstring explains the reading; noisy GHZ, distilled GHZ and noisy W
+states have ring charges), a phase on the measured qubit is undone by
 diagonal phases on the kept ones, which leave lambda_min after partial
 transposition unchanged.  f then depends only on z and the radius
 sqrt(x^2 + y^2), and its minimum over the sphere is its minimum over the
@@ -224,7 +225,6 @@ two default SLE bisections, their 39 searches and the states they read,
 from __future__ import annotations
 
 import functools
-import itertools
 from dataclasses import dataclass
 from typing import Mapping
 
@@ -233,9 +233,12 @@ import numpy as np
 from .states import (
     DEGENERATE_WEIGHT,
     DegenerateProjectionError,
+    _CHARGES,
+    _QUBIT_BITS,
     _partial_transpose_array,
     _resolve_qubits,
     _state_entries,
+    _symmetries,
     fidelity_with_pure,
     ghz3,
     w_state,
@@ -260,8 +263,6 @@ _FIRST_BREAKPOINTS = np.linspace(-1.0, 1.0, 9)
 # four blocks is 0.5 (offset + slope (z, x, z, z)), elementwise.
 _PROJECTOR_OFFSET = np.array([1.0, 0.0, 0.0, 1.0])
 _PROJECTOR_SLOPE = np.array([1.0, 1.0, 0.0, -1.0])
-# Bit of each qubit (columns, qubit 0 first) in each basis index (rows).
-_QUBIT_BITS = (np.arange(8)[:, None] >> np.arange(2, -1, -1)) & 1
 # (row, column) of the entries below the diagonal of a 4x4 pair.
 _BELOW_DIAGONAL = np.tril_indices(4, -1)
 
@@ -460,13 +461,10 @@ class SLEResult:
 
 
 def _resolve_pair(pair) -> tuple[tuple[int, int], int]:
-    kept = (0, 1) if pair is None else tuple(int(i) for i in pair)
+    kept = (0, 1) if pair is None else _resolve_qubits(pair, 3)
     if len(kept) != 2:
         raise ValueError(f"kept pair must have exactly two qubits, got {kept}")
-    measured = tuple(i for i in range(3) if i not in kept)
-    if len(measured) != 1:
-        raise ValueError(f"pair {kept} does not leave exactly one measured qubit")
-    return (kept[0], kept[1]), measured[0]
+    return kept, 3 - sum(kept)
 
 
 def _lowest_eigenvalues(pairs: np.ndarray, weights: np.ndarray) -> np.ndarray:
@@ -574,41 +572,33 @@ def sle_quantifier_at(rho, pair, theta: float, phi: float) -> float:
 
 def _respects(m: np.ndarray, charges) -> bool:
     """Whether every nonzero entry of the 8x8 ``m`` joins basis states of
-    equal total charge, with ``charges`` the charge of each qubit."""
+    equal total charge, with ``charges`` the charge of each qubit.
+
+    ``verify_sle_certificate`` checks a certificate's charges here, not
+    through ``_symmetries``, so that it does not trust the solver's reading.
+    """
     total = _QUBIT_BITS @ np.asarray(charges)
     return not np.any((m != 0) & (total[:, None] != total[None, :]))
 
 
 @functools.cache
-def _charge_candidates(
-        kept: tuple[int, int]) -> tuple[tuple[tuple[int, int, int], ...],
-                                        np.ndarray]:
+def _ring_candidates(kept: tuple[int, int]) -> tuple[tuple[int, tuple], ...]:
     """The nine candidate charges of ``_ring_charges`` for the ordered kept
-    pair, 1 on the measured qubit and (-1, 0, 1) ** 2 on ``kept`` in
-    ``itertools.product`` order, and for each candidate, read-only, where
-    the total charges of the 8x8 matrix's row and column differ (9, 64).
-    """
-    candidates = []
-    for kept_charges in itertools.product((-1, 0, 1), repeat=2):
-        charges = [1, 1, 1]
-        charges[kept[0]], charges[kept[1]] = kept_charges
-        candidates.append(tuple(charges))
-    total = np.array(candidates) @ _QUBIT_BITS.T
-    differs = (total[:, :, None] != total[:, None, :]).reshape(9, 64)
-    differs.flags.writeable = False
-    return tuple(candidates), differs
+    pair, each with its row of ``_CHARGES``: 1 on the measured qubit, in
+    ``itertools.product`` order over the charges of ``kept``."""
+    rows = np.flatnonzero(_CHARGES[:, 3 - sum(kept)] == 1)
+    rows = rows[np.lexsort((_CHARGES[rows, kept[1]], _CHARGES[rows, kept[0]]))]
+    return tuple((int(row), tuple(_CHARGES[row].tolist())) for row in rows)
 
 
 def _ring_charges(objective: _SLEObjective) -> tuple[int, int, int] | None:
     """Charges of the qubits, 1 on the measured one and -1, 0 or 1 on each
-    kept one, that the state's nonzero entries conserve; None if none do.
-    Of several, the first in ``itertools.product`` order over the kept
-    pair's charges; all nine are tested in one product."""
-    candidates, differs = _charge_candidates(objective.kept)
-    # Whether some nonzero entry joins states of different total charge.
-    broken = differs @ (objective.entries != 0).reshape(64)
-    for charges, breaks in zip(candidates, broken.tolist()):
-        if not breaks:
+    kept one, that the state's nonzero entries conserve (read by
+    ``_symmetries``); None if none do.  Of several, the first in
+    ``itertools.product`` order over the kept pair's charges."""
+    conserved = _symmetries((objective.entries != 0).tobytes()).charges
+    for row, charges in _ring_candidates(objective.kept):
+        if conserved[row]:
             return charges
     return None
 
@@ -822,7 +812,11 @@ def _sector_partners(objective: _SLEObjective) -> np.ndarray | None:
 
     Two states are coupled when an entry joining them is nonzero in some
     block, in either triangle; the rule is exact, so any nonzero entry,
-    however small, couples.
+    however small, couples.  The couplings are not read through
+    ``_symmetries``: they can split the pair more finely than its labels.
+    When the only couplings join 00 and 01, they give {00, 01}, {10} and
+    {11}, the labels {00, 01} and {10, 11}, and the closed-form bounds
+    would take other arithmetic.
     """
     blocks = objective.blocks_pt.view(np.complex128).reshape(4, 4, 4)
     coupled = np.any(blocks != 0, axis=0)

@@ -155,21 +155,23 @@ Every state the paper studies is invariant under some diagonal local
 unitaries, and the program inherits the symmetry (Gatermann & Parrilo, J.
 Pure Appl. Algebra 192, 95, 2004): local unitaries keep the program's
 feasible set, and one that commutes with rho keeps its objective.  The
-solver reads the symmetries off the exact zero pattern of the state.  With
-b - b' the difference of the qubit bits of the basis states of a nonzero
-entry rho_bb', a charge vector c in {-1, 0, 1}^3 is conserved when
-c.(b - b') = 0 for every such entry, and a Z-string s in {0, 1}^3 when
-s.(b - b') is even.  The phases exp(i theta c.b) and signs (-1)^{s.b} of
-the conserved c and s commute with rho.  W and the P blocks split into the
-sectors of basis states that agree in every c.b and every s.b mod 2.  A
-Q_i block splits in the same way with party i's charge negated, since
-partial transposition over party i conjugates its phase.  Noisy and
+solver takes the charge vectors c and Z-strings s that the state's exact
+zero pattern conserves from ``states._symmetries``, whose docstring
+explains the reading: the phases exp(i theta c.b) and signs (-1)^{s.b}
+commute with rho.  W and the P blocks split into the sectors of basis
+states that agree in every c.b and every s.b mod 2.  A Q_i block splits in
+the same way with party i's charge negated, since partial transposition
+over party i conjugates its phase.  That splits it as flipping party i's
+bit does: -c_i b_i and c_i (1 - b_i) differ by the same c_i for every
+basis state, and s.b mod 2 changes by the same s_i.  Noisy and
 distilled GHZ states give {000, 111} and singletons; noise-model and other
 X-shaped states, the four pairs {b, b with every bit flipped}; noisy and
 CNOT-distilled W states, the Hamming weights, of sizes 1, 3, 3 and 1.  A
 state with no symmetry is one sector of size 8.  Every state takes the
 same path.  The sectors, the coordinates and the affine matrix M of the
-iteration (see "Affine projection") are cached per zero pattern and dtype.
+iteration (see "Affine projection") are cached per conserved symmetries and
+dtype, so states whose zero patterns conserve the same ones share them, and
+a solve reads them once.
 
 Zeroing the entries outside the sectors is the average over the symmetry
 group, the twirl.  The twirl keeps a feasible point feasible, and keeps
@@ -206,7 +208,7 @@ where r_0, R_i are the constraint residuals of the point being projected.
 
 The iteration instead multiplies its coordinates by M = 2 L - I, with L
 the linear part x -> P_A(x) - P_A(0) in coordinates (see "Douglas-Rachford
-iteration").  L is built once per zero pattern and dtype, and cached with
+iteration").  L is built once per set of sectors and dtype, and cached with
 the sectors: ``_project_affine`` projects the expanded unit vectors of the
 coordinates, a chunk of 64 at a time, and the results are read back into
 coordinates.  L is an orthogonal projection, so it is symmetric, and M is
@@ -261,14 +263,19 @@ stagnation rule left up to 6.2e-7.
 from __future__ import annotations
 
 import functools
-import itertools
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
 
-from .certify import _QUBIT_BITS
-from .states import _finite_array, _partial_transpose_array, _state_entries
+from .states import (
+    _LABELS,
+    _Symmetries,
+    _finite_array,
+    _partial_transpose_array,
+    _state_entries,
+    _symmetries,
+)
 
 BIPARTITIONS = ((0,), (1,), (2,))
 SIGN_NEGATIVE = "negative"
@@ -390,18 +397,6 @@ def _hermitian_part(a: np.ndarray) -> np.ndarray:
     return 0.5 * (a + np.conj(np.swapaxes(a, -1, -2)))
 
 
-# Sector labels of the basis states (see "Symmetry sectors" in the module
-# docstring), per block kind: kind 0 is W and the P blocks, kind i the block
-# Q_i.  The columns are the total charge c.b of each charge vector c in
-# {-1, 0, 1}^3, with party i's charge negated in kind i, then the parity
-# s.b mod 2 of each Z-string s in {0, 1}^3.
-_CHARGES = np.array(list(itertools.product((-1, 0, 1), repeat=3)))
-_LABELS = np.stack([
-    np.concatenate([_QUBIT_BITS @ (_CHARGES * sign).T,
-                    _QUBIT_BITS @ _QUBIT_BITS.T % 2], axis=1)
-    for sign in 1 - 2 * np.eye(4, 3, k=-1, dtype=int)])
-# Whether basis states b and b' differ in each label, per kind.
-_LABELS_DIFFER = _LABELS[:, :, None, :] != _LABELS[:, None, :, :]
 # Gather index of block k of a flattened stack of 8 x 8 blocks.
 _OWN = np.arange(7 * 64).reshape(7, 64)
 # Flat index of entry (b, j, i) of a stack of seven blocks, at (b, i, j).
@@ -442,7 +437,8 @@ class _ConeGroup(NamedTuple):
 
 
 class _Sectors(NamedTuple):
-    """Sectors of one zero pattern and the iteration in them, for one dtype.
+    """Sectors of one set of symmetries and the iteration in them, for one
+    dtype.
 
     ``mask`` holds the in-sector entries of (W, P_1, Q_1, ..., Q_3).  The
     coordinates of the iteration (see "Douglas-Rachford iteration" in the
@@ -513,11 +509,15 @@ def _plan(same: np.ndarray, kinds: tuple[int, ...],
 
 
 @functools.lru_cache(maxsize=64)
-def _sectors_of(pattern: bytes, dtype: type) -> _Sectors:
-    nonzero = np.frombuffer(pattern, dtype=bool).reshape(8, 8)
-    conserved = ~_LABELS_DIFFER[0][nonzero].any(axis=0)
+def _sectors_of(symmetries: _Symmetries, dtype: type) -> _Sectors:
+    # The conserved labels of each basis state b (see "Symmetry sectors" in
+    # the module docstring), per block kind: kind 0 is W and the P blocks,
+    # kind i the block Q_i, which takes the labels of b with party i's bit
+    # flipped.
+    labels = _LABELS[:, list(symmetries.charges + symmetries.z_strings)]
+    labels = labels[np.arange(8) ^ np.array([[0], [4], [2], [1]])]
     # same[kind, b, b']: b and b' share a sector in blocks of that kind.
-    same = ~_LABELS_DIFFER[..., conserved].any(axis=-1)
+    same = (labels[:, :, None] == labels[:, None]).all(axis=-1)
     mask = same[[0, 0, 1, 0, 2, 0, 3]]
 
     # Coordinates: one for the real part of each in-sector entry on or above
@@ -606,10 +606,11 @@ def _sectors_of(pattern: bytes, dtype: type) -> _Sectors:
 
 def _sectors(rho: np.ndarray) -> _Sectors:
     """Sectors of the program for the 8 x 8 state ``rho``, and its iteration
-    in the dtype of ``rho`` (float64 if real), cached per zero pattern and
-    dtype."""
+    in the dtype of ``rho`` (float64 if real), cached per conserved
+    symmetries and dtype: states whose zero patterns conserve the same
+    charges and Z-strings share them."""
     dtype = np.complex128 if np.iscomplexobj(rho) else np.float64
-    return _sectors_of((rho != 0).tobytes(), dtype)
+    return _sectors_of(_symmetries((rho != 0).tobytes()), dtype)
 
 
 def _clipped(stack: np.ndarray) -> np.ndarray:
@@ -664,21 +665,20 @@ def _start(start, cold: np.ndarray) -> np.ndarray:
     return cold
 
 
-def _iterates(rho: np.ndarray, z: np.ndarray):
+def _iterates(rho: np.ndarray, sectors: _Sectors, z: np.ndarray):
     """Anderson-accelerated Douglas-Rachford iterates of the witness program.
 
     Starts from the splitting variable ``z``, a (7, 8, 8) stack, and yields,
     iteration after iteration without end, the affine iterate xf, the
     reflection y and its cone projection xg at the current z, and the z the
-    next iteration starts from, all four as coordinates in the sectors of
-    ``rho`` (see "Douglas-Rachford iteration" and "Symmetry sectors" in the
-    module docstring); ``_sectors(rho).expand`` turns them into stacks, and
-    the cone gap is xg - y.  Reading ``z`` into coordinates twirls it.
-    Each iteration evaluates the Douglas-Rachford map once.  ``rho`` is
-    the state, of the iteration's dtype.  No array is changed in place,
-    ``z`` included.
+    next iteration starts from, all four as coordinates in ``sectors``,
+    those of ``rho`` (see "Douglas-Rachford iteration" and "Symmetry
+    sectors" in the module docstring); ``sectors.expand`` turns them into
+    stacks, and the cone gap is xg - y.  Reading ``z`` into coordinates
+    twirls it.  Each iteration evaluates the Douglas-Rachford map once.
+    ``rho`` is the state, of the iteration's dtype.  No array is changed in
+    place, ``z`` included.
     """
-    sectors = _sectors(rho)
     z = sectors.read(z)
     cost = np.zeros((7, 8, 8), rho.dtype)
     cost[0] = rho
@@ -793,22 +793,21 @@ def _lower_bound(rho: np.ndarray, sectors: _Sectors, cone_gap: np.ndarray,
     return _Lower(lower=t, mixture=mix)
 
 
-def _certified_bounds(rho: np.ndarray, xf: np.ndarray, cone_gap: np.ndarray,
-                      eye: np.ndarray) -> _Bounds:
+def _certified_bounds(rho: np.ndarray, sectors: _Sectors, xf: np.ndarray,
+                      cone_gap: np.ndarray, eye: np.ndarray) -> _Bounds:
     """Feasible witness and PPT mixture built from one iterate, with
-    ``cone_gap`` its xg - y on the six cone blocks."""
-    sectors = _sectors(rho)
+    ``cone_gap`` its xg - y on the six cone blocks and ``sectors`` those of
+    ``rho``."""
     return _Bounds(*_upper_bound(rho, sectors, xf, eye),
                    *_lower_bound(rho, sectors, cone_gap, eye))
 
 
-def _sign_side_first(rho: np.ndarray, xf: np.ndarray, cone_gap: np.ndarray,
-                     eye: np.ndarray) -> _Bounds | None:
+def _sign_side_first(rho: np.ndarray, sectors: _Sectors, xf: np.ndarray,
+                     cone_gap: np.ndarray, eye: np.ndarray) -> _Bounds | None:
     """The bounds of one iterate if the side that its value tr(W rho)
     points to clears ``CERTIFICATION_MARGIN``, otherwise None: the upper
     bound when the value is negative, the lower bound otherwise.  The other
     side is built only when that side clears."""
-    sectors = _sectors(rho)
     if np.vdot(rho, xf[0]).real < 0.0:
         upper = _upper_bound(rho, sectors, xf, eye)
         if not upper.upper < -CERTIFICATION_MARGIN:
@@ -873,12 +872,13 @@ def ppt_mixer_witness(rho, *, gap_tol: float = GAP_TOL,
     sectors = _sectors(state)
     z = _start(start, cold)
     early = () if z is cold else _WARM_CHECKS
-    for iterations, (xf, y, xg, z) in enumerate(_iterates(state, z), 1):
+    iterates = _iterates(state, sectors, z)
+    for iterations, (xf, y, xg, z) in enumerate(iterates, 1):
         if not iterations % _BOUND_CHECK_EVERY or iterations >= MAX_ITERATIONS:
-            bounds = _certified_bounds(state, sectors.expand(xf),
+            bounds = _certified_bounds(state, sectors, sectors.expand(xf),
                                        sectors.expand(xg - y)[1:], eye)
         elif iterations in early:
-            bounds = _sign_side_first(state, sectors.expand(xf),
+            bounds = _sign_side_first(state, sectors, sectors.expand(xf),
                                       sectors.expand(xg - y)[1:], eye)
             if bounds is None:
                 continue

@@ -33,10 +33,11 @@ outputs, reductions and localized states, which are not yet trusted.
 from __future__ import annotations
 
 import functools
+import itertools
 import json
 import os
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 import numpy as np
 
@@ -68,11 +69,15 @@ def _check_finite(m: np.ndarray) -> None:
             f"the first at {first}")
 
 
+def _is_integer(x) -> bool:
+    """Whether ``x`` is an int or a NumPy integer, and not a bool."""
+    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
+
+
 def _check_qubit_count(n_qubits) -> None:
     """Raise unless ``n_qubits`` is an int or NumPy integer, not a bool, of
     at least 1."""
-    if (isinstance(n_qubits, bool)
-            or not isinstance(n_qubits, (int, np.integer)) or n_qubits < 1):
+    if not _is_integer(n_qubits) or n_qubits < 1:
         raise StateValidationError(
             f"n_qubits must be a positive integer, got {n_qubits!r}")
 
@@ -177,11 +182,13 @@ class DensityMatrix:
 
 
 def _resolve_qubits(spec, n_qubits: int) -> tuple[int, ...]:
-    """One qubit index or a sequence of them, distinct and in range."""
-    if isinstance(spec, (int, np.integer)):
-        idx = (int(spec),)
-    else:
-        idx = tuple(int(i) for i in spec)
+    """One qubit index or a sequence of them, distinct and in range.  Each
+    index must be an int or a NumPy integer: a float or a bool raises
+    ``ValueError`` instead of being truncated to a qubit."""
+    items = tuple(spec) if np.iterable(spec) else (spec,)
+    if not all(map(_is_integer, items)):
+        raise ValueError(f"qubit indices must be integers, got {items}")
+    idx = tuple(int(i) for i in items)
     if len(set(idx)) != len(idx) or any(i < 0 or i >= n_qubits for i in idx):
         raise ValueError(f"invalid qubit indices {idx} for {n_qubits} qubits")
     return idx
@@ -234,6 +241,61 @@ def _state_entries(rho, n_qubits: int | None = None) -> tuple[np.ndarray, int]:
     if not isinstance(rho, DensityMatrix):
         DensityMatrix(n, m, normalized=False)
     return m, n
+
+
+# ---------------------------------------------------------------------------
+# symmetries of a three-qubit zero pattern
+
+# _QUBIT_BITS[b, q] is bit q of basis state b, qubit 0 first.  Its rows are
+# also the Z-strings s in {0, 1}^3, in itertools.product order.
+_QUBIT_BITS = (np.arange(8)[:, None] >> np.arange(2, -1, -1)) & 1
+# The charge vectors c in {-1, 0, 1}^3, in itertools.product order.
+_CHARGES = np.array(list(itertools.product((-1, 0, 1), repeat=3)))
+# Labels of each basis state b, shape (8, 35): c.b for each charge vector,
+# then the sign (-1)^{s.b} for each Z-string.
+_LABELS = np.concatenate([_QUBIT_BITS @ _CHARGES.T,
+                          (-1) ** (_QUBIT_BITS @ _QUBIT_BITS.T)], axis=1)
+
+
+class _Symmetries(NamedTuple):
+    """Whether a zero pattern conserves each charge vector, row by row of
+    ``_CHARGES``, and each Z-string, row by row of ``_QUBIT_BITS``."""
+
+    charges: tuple[bool, ...]
+    z_strings: tuple[bool, ...]
+
+
+@functools.lru_cache(maxsize=256)
+def _symmetries(pattern: bytes) -> _Symmetries:
+    """The diagonal symmetries of every three-qubit matrix with the zero
+    pattern ``(m != 0).tobytes()``; the one reading of them in the package.
+
+    Let b - b' be the difference of the qubit bits of the basis states of a
+    nonzero entry m_bb'.  A charge vector c in {-1, 0, 1}^3 is conserved
+    when c.(b - b') = 0 for every such entry, and a Z-string s in
+    {0, 1}^3 when s.(b - b') is even.  A diagonal unitary U commutes with
+    m exactly when it has the same phase on the two basis states of every
+    nonzero entry, so the local phases exp(i theta c.b) of a conserved c,
+    for every theta, and the signs (-1)^{s.b} of a conserved s commute
+    with m (Gatermann & Parrilo, "Exploiting symmetries in SDP and SOS
+    programming", J. Pure Appl. Algebra 192, 2004).  The zero charge and
+    the empty Z-string are always conserved.  The reading is exact: a
+    nonzero entry breaks a symmetry however small it is, 1e-300 included.
+    Noisy GHZ conserves the charges that sum to zero and the Z-strings of
+    even weight; noisy W the charges (k, k, k) and the strings 000 and 111;
+    noise-model and other X-shaped states only the zero charge and the
+    Z-strings of even weight; a state with no zero entry only the trivial
+    two.
+
+    ``sdp`` splits the PPT-mixer program into the sectors of every
+    conserved charge and Z-string, and ``certify._ring_charges`` takes a
+    conserved charge with 1 on the measured qubit as a state's ring
+    charges.  The result is cached per pattern.
+    """
+    # The basis states of each nonzero entry, and the labels both agree in.
+    b, b_prime = np.divmod(np.flatnonzero(np.frombuffer(pattern, bool)), 8)
+    conserved = (_LABELS[b] == _LABELS[b_prime]).all(axis=0).tolist()
+    return _Symmetries(tuple(conserved[:27]), tuple(conserved[27:]))
 
 
 # ---------------------------------------------------------------------------
@@ -446,8 +508,7 @@ def apply_local(rho, op, qubit: int) -> DensityMatrix:
     op = np.asarray(op, dtype=np.complex128)
     if op.shape != (2, 2):
         raise ValueError(f"expected a 2x2 operator, got shape {op.shape}")
-    if not 0 <= qubit < n:
-        raise ValueError(f"qubit {qubit} out of range for {n} qubits")
+    (qubit,) = _resolve_qubits(qubit, n)
     t = m.reshape((2,) * (2 * n))
     t = np.tensordot(op, t, axes=(1, qubit))
     t = np.moveaxis(t, 0, qubit)

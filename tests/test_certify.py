@@ -446,6 +446,28 @@ def test_sle_rejects_bad_pair():
         sle_quantify(maximally_mixed(2))
 
 
+def test_sle_rejects_a_pair_of_non_integers():
+    # int() would truncate (0.7, 1.9) to the pair (0, 1).
+    with pytest.raises(ValueError,
+                       match=r"must be integers, got \(0\.7, 1\.9\)"):
+        sle_quantify(noisy_ghz(0.5), pair=(0.7, 1.9))
+
+
+def test_sle_takes_a_pair_of_numpy_integers():
+    rho = noisy_w(0.6)
+    assert sle_quantify(rho, pair=np.array([0, 2])) == sle_quantify(
+        rho, pair=(0, 2))
+
+
+def test_sle_certificate_with_a_pair_of_non_integers_fails():
+    rho = noisy_ghz(0.3)
+    certificate = sle_quantify(rho, sign_only=True).certificate
+    assert certificate.pair == (0, 1)
+    assert verify_sle_certificate(certificate, rho)
+    assert not verify_sle_certificate(replace(certificate, pair=(0.9, 1.2)),
+                                      rho)
+
+
 # The two readings of an SLE result, negativity and minimum eigenvalue, by
 # the ids their tests are known by, and the attribute each reads.
 _READINGS = {"negativity": "negativity",

@@ -15,6 +15,14 @@ which qubit permutations move among themselves and diagonal phases keep,
 so neither may change it.  Both distillation maps are masked entrywise
 products of the two copies, so they commute with qubit permutations, and
 a diagonal local unitary D on both copies comes out squared.
+
+The SLE objective is a minimum over projections of the measured qubit.  A
+local unitary U_1 (x) U_2 on the kept pair leaves the spectrum of every
+projected pair's partial transpose as it is, and a unitary V on the
+measured qubit only relabels the projections, so neither may change the
+minimum.  Random unitaries destroy the zero pattern, and with it the ring
+charges that the sign-only search keys on, so the rotated states take the
+default search while the states themselves take the band search.
 """
 
 import itertools
@@ -23,8 +31,17 @@ import numpy as np
 import pytest
 
 from superact import noise_model_state, noisy_ghz, noisy_w
-from superact.certify import gme_concurrence_x
-from superact.distill import distill_cnot, distill_tripartite
+from superact.certify import (
+    SLE_SIGN_SLACK,
+    gme_concurrence_x,
+    sle_quantify,
+    verify_sle_certificate,
+)
+from superact.distill import (
+    analytic_distilled_noisy_ghz,
+    distill_cnot,
+    distill_tripartite,
+)
 from superact.sdp import (
     GAP_TOL,
     SIGN_NEGATIVE,
@@ -32,7 +49,12 @@ from superact.sdp import (
     ppt_mixer_witness,
     verify_witness_certificate,
 )
-from util import phased, random_density_matrix, random_x_state
+from util import (
+    phased,
+    random_density_matrix,
+    random_unitary,
+    random_x_state,
+)
 
 # Paper states on both sides of their thresholds (GHZ 3/7, W about 0.479,
 # CNOT-distilled W about 0.519), with the sign each must certify.
@@ -122,3 +144,46 @@ def test_distillation_is_covariant(distill):
             base.success_probability, rel=1e-14), label
         assert np.abs(np.asarray(result.state.entries)
                       - expected).max() <= 1e-15, label
+
+
+# Paper states on both sides of their SLE thresholds for the default pair
+# (0, 1): noisy GHZ 1/3, distilled GHZ (2 sqrt(2) - 1) / 7, noisy W 3/11,
+# and the modeled noise-model state, which has no SLE at p = 0.36.
+_SLE_STATES = {
+    "noisy-ghz-0.30": lambda: noisy_ghz(0.30),
+    "noisy-ghz-0.40": lambda: noisy_ghz(0.40),
+    "distilled-ghz-0.23": lambda: analytic_distilled_noisy_ghz(0.23),
+    "distilled-ghz-0.30": lambda: analytic_distilled_noisy_ghz(0.30),
+    "noisy-w-0.24": lambda: noisy_w(0.24),
+    "noisy-w-0.31": lambda: noisy_w(0.31),
+    "noise-model-0.36": lambda: noise_model_state(0.36, 0.9084, 0.921),
+    "noise-model-0.50": lambda: noise_model_state(0.50, 0.9084, 0.921),
+}
+
+
+def _signs_agree(state: np.ndarray) -> float:
+    """The default search's minimum on ``state``, after checking that the
+    sign-only search agrees with it in sign outside the slack and that its
+    certificate, if any, verifies."""
+    value = sle_quantify(state).min_eigenvalue
+    fast = sle_quantify(state, sign_only=True)
+    if abs(value) > SLE_SIGN_SLACK:
+        assert (fast.min_eigenvalue < 0.0) == (value < 0.0)
+    if fast.certificate is not None:
+        assert value > SLE_SIGN_SLACK
+        assert verify_sle_certificate(fast.certificate, state)
+    return value
+
+
+@pytest.mark.parametrize("name", list(_SLE_STATES))
+def test_sle_is_invariant_under_local_unitaries(name):
+    m = np.asarray(_SLE_STATES[name]().entries)
+    rng = np.random.default_rng(list(_SLE_STATES).index(name))
+    u1, u2, v = (random_unitary(rng, 2) for _ in range(3))
+    base = _signs_agree(m)
+    assert abs(base) > 1e-3  # each state lies clear of its threshold
+    for label, u in (("kept", np.kron(np.kron(u1, u2), np.eye(2))),
+                     ("measured", np.kron(np.eye(4), v))):
+        rotated = u @ m @ u.conj().T
+        assert _signs_agree(rotated) == pytest.approx(
+            base, rel=0.0, abs=1e-12), label

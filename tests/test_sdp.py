@@ -155,9 +155,9 @@ def test_accelerated_iterates_stay_hermitian():
     cold[1:] = eye / 16.0
     for rho in (_mixed_random_state(39, 1),
                 _local_phase(distill_cnot(noisy_w(0.5), noisy_w(0.5)).state)):
-        expand = _sectors(rho).expand
-        for iterate in itertools.islice(_iterates(rho, cold), 1500):
-            xf, y, xg, z = map(expand, iterate)
+        sectors = _sectors(rho)
+        for iterate in itertools.islice(_iterates(rho, sectors, cold), 1500):
+            xf, y, xg, z = map(sectors.expand, iterate)
             assert np.abs(z - np.conj(np.swapaxes(z, -1, -2))).max() <= 1e-12
             for x in (xf, y, xg, z):
                 assert _off_sector(x, rho) == 0.0
@@ -172,7 +172,8 @@ def test_cone_projection_clips_to_psd():
     rng = np.random.default_rng(1)
     z = np.stack([random_hermitian(rng, 8) for _ in range(7)])
     for rho in (_mixed_random_state(3, 2), _local_phase(noisy_w(0.6))):
-        _, y, xg, _ = map(_sectors(rho).expand, next(_iterates(rho, z)))
+        sectors = _sectors(rho)
+        _, y, xg, _ = map(sectors.expand, next(_iterates(rho, sectors, z)))
         assert np.abs(xg[0] - y[0]).max() == 0.0  # witness is unconstrained
         assert np.linalg.eigvalsh(y[1:]).min() < -1.0  # so the clipping shows
         assert np.linalg.eigvalsh(xg[1:]).min() > -1e-12
@@ -233,6 +234,16 @@ def test_partial_transpose_moves_the_q_sectors():
     for block, pair in zip((2, 4, 6), ((3, 4), (2, 5), (1, 6))):
         assert _sector_sets(ghz, block) == {pair} | _SINGLETONS - {
             (pair[0],), (pair[1],)}
+
+
+def test_equal_symmetries_share_one_sectors_entry():
+    # Sectors depend only on the conserved charges and Z-strings, so GHZ,
+    # with 4 nonzero entries, and noisy GHZ, with 10, share one cached
+    # entry and one build of the affine matrix.
+    full, half = (np.ascontiguousarray(_entries(noisy_ghz(p)).real)
+                  for p in (1.0, 0.5))
+    assert np.count_nonzero(full) == 4 and np.count_nonzero(half) == 10
+    assert _sectors(full) is _sectors(half)
 
 
 def test_a_tiny_entry_merges_sectors():
@@ -297,7 +308,7 @@ def test_bounds_twirl_an_iterate_outside_the_sectors(name):
     gap = np.stack([random_hermitian(rng, 8) for _ in range(6)])
     eye = np.eye(8, dtype=complex)
     assert _off_sector(xf, m) > 0.1
-    bounds = _certified_bounds(m, xf, gap, eye)
+    bounds = _certified_bounds(m, _sectors(m), xf, gap, eye)
     assert abs(np.trace(bounds.witness).real - 1.0) < 1e-12
     assert bounds.upper == pytest.approx(np.vdot(m, bounds.witness).real,
                                          abs=1e-15)

@@ -1,5 +1,7 @@
+import itertools
 import json
 import os
+import re
 import stat
 import tracemalloc
 
@@ -28,13 +30,14 @@ from superact import (
     w_state,
 )
 from superact import certify, states
-from superact.distill import analytic_distilled_noisy_ghz
+from superact.distill import analytic_distilled_noisy_ghz, distill_cnot
 from superact.states import (
     PAULI_X,
     PAULI_Z,
     DegenerateProjectionError,
     StateValidationError,
     _ghz_projector,
+    _symmetries,
     _w_projector,
     density_matrix_from_dict,
     density_matrix_to_dict,
@@ -42,7 +45,10 @@ from superact.states import (
 from util import (
     brute_partial_trace,
     brute_partial_transpose,
+    phased,
     random_density_matrix,
+    random_x_state,
+    symmetries_loop,
 )
 
 P_GRID = np.linspace(0.0, 1.0, 21)
@@ -380,6 +386,84 @@ def test_partial_transpose_of_product_state_stays_psd():
 def test_partial_transpose_bell_min_eigenvalue():
     pt = partial_transpose(bell_phi_plus().projector(), (1,))
     assert np.linalg.eigvalsh(pt).min() == pytest.approx(-0.5)
+
+
+# Calls with qubit indices that are not integers, each with the indices its
+# rejection must name.  int() would truncate each float and bool to a qubit.
+_NON_INTEGER_QUBITS = {
+    "partial-trace-floats": (
+        lambda rho: partial_trace(rho, [0.9, 1.2]), "(0.9, 1.2)"),
+    "partial-trace-one-float": (lambda rho: partial_trace(rho, 1.5), "(1.5,)"),
+    "partial-transpose-float": (
+        lambda rho: partial_transpose(rho, (1.5,)), "(1.5,)"),
+    "negativity-bool": (
+        lambda rho: certify.negativity(rho, (True,)), "(True,)"),
+    "apply-local-bool": (
+        lambda rho: apply_local(rho, PAULI_X, True), "(True,)"),
+}
+
+
+@pytest.mark.parametrize("name", list(_NON_INTEGER_QUBITS))
+def test_non_integer_qubit_indices_are_rejected(name):
+    call, named = _NON_INTEGER_QUBITS[name]
+    with pytest.raises(ValueError, match="qubit indices must be integers, "
+                       f"got {re.escape(named)}"):
+        call(noisy_w(0.6))
+
+
+def test_numpy_integer_qubit_indices_are_accepted():
+    rho = noisy_w(0.6)
+    kept = np.asarray(partial_trace(rho, (0, 2)).entries)
+    for keep in (np.array([0, 2]), (np.int64(0), np.int8(2))):
+        assert np.array_equal(partial_trace(rho, keep).entries, kept)
+    assert np.array_equal(partial_transpose(rho, np.int32(1)),
+                          partial_transpose(rho, 1))
+
+
+# ---------------------------------------------------------------------------
+# symmetries of a zero pattern
+
+def _symmetry_states():
+    """Every structured family, phased copies, X-shaped, random and diagonal
+    states, and noisy W with one coherence of 1e-300."""
+    rng = np.random.default_rng(29)
+    families = {
+        "noisy-ghz": noisy_ghz(0.5),
+        "ghz": noisy_ghz(1.0),
+        "noisy-w": noisy_w(0.6),
+        "noise-model": noise_model_state(0.8, 0.9, 0.95),
+        "distilled-ghz": analytic_distilled_noisy_ghz(0.3),
+        "distilled-w": distill_cnot(noisy_w(0.5), noisy_w(0.5)).state,
+    }
+    tiny = np.array(noisy_w(0.6).entries)
+    tiny[1, 6] = tiny[6, 1] = 1e-300
+    return {
+        **{name: np.asarray(rho.entries) for name, rho in families.items()},
+        **{f"phased-{name}": phased(rho) for name, rho in families.items()},
+        "random-x": random_x_state(rng),
+        "random": random_density_matrix(rng, 3),
+        "diagonal": np.diag(rng.uniform(0.1, 1.0, 8)).astype(complex),
+        "w-with-1e-300": tiny,
+    }
+
+
+@pytest.mark.parametrize("name", list(_symmetry_states()))
+def test_symmetries_match_the_loop_over_every_candidate(name):
+    m = _symmetry_states()[name]
+    found = _symmetries((m != 0).tobytes())
+    assert len(found.charges) == 27 and len(found.z_strings) == 8
+    charges = tuple(c for c, kept in zip(
+        itertools.product((-1, 0, 1), repeat=3), found.charges) if kept)
+    strings = tuple(s for s, kept in zip(
+        itertools.product((0, 1), repeat=3), found.z_strings) if kept)
+    assert (charges, strings) == symmetries_loop(m)
+    # The zero charge and the empty Z-string are always conserved; a diagonal
+    # state conserves everything, a state with no zero entry nothing more.
+    assert (0, 0, 0) in charges and (0, 0, 0) in strings
+    if name == "diagonal":
+        assert len(charges) == 27 and len(strings) == 8
+    if name == "random":
+        assert len(charges) == len(strings) == 1
 
 
 # ---------------------------------------------------------------------------

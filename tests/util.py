@@ -144,6 +144,27 @@ def ring_charges_loop(m, kept):
     return None
 
 
+def symmetries_loop(m):
+    """The charge vectors c in {-1, 0, 1}^3 and the Z-strings s in
+    {0, 1}^3, each in ``itertools.product`` order, that a three-qubit
+    matrix conserves, by a loop over every candidate and entry: every
+    nonzero entry m[i, j] must have c.i = c.j, and s.i and s.j of equal
+    parity, with i and j read as their qubit bits."""
+
+    def dot(vector, index):
+        return sum(v * ((index >> (2 - q)) & 1) for q, v in enumerate(vector))
+
+    def conserved(label):
+        return all(m[i, j] == 0 or label(i) == label(j)
+                   for i in range(8) for j in range(8))
+
+    charges = tuple(c for c in itertools.product((-1, 0, 1), repeat=3)
+                    if conserved(lambda i: dot(c, i)))
+    strings = tuple(s for s in itertools.product((0, 1), repeat=3)
+                    if conserved(lambda i: dot(s, i) % 2))
+    return charges, strings
+
+
 def x_shape_loop(m):
     """(a, b, c, leakage) of a d x d matrix, entry by entry: a[i] = m[i, i]
     and b[i] = m[d-1-i, d-1-i] (real parts), c[i] = m[i, d-1-i] for
