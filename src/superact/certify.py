@@ -225,6 +225,7 @@ two default SLE bisections, their 39 searches and the states they read,
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 from typing import Mapping
 
@@ -562,7 +563,11 @@ class _SLEObjective:
 
 def sle_quantifier_at(rho, pair, theta: float, phi: float) -> float:
     """The lowest eigenvalue after partial transposition of the normalized
-    pair at one projection direction."""
+    pair at one projection direction; a non-finite ``theta`` or ``phi``
+    raises ``ValueError``."""
+    for name, angle in (("theta", theta), ("phi", phi)):
+        if not math.isfinite(angle):
+            raise ValueError(f"{name} must be finite, got {angle!r}")
     value = _SLEObjective(rho, pair).values(np.array([theta]), np.array([phi]))[0]
     if value == np.inf:
         raise DegenerateProjectionError(

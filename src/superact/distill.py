@@ -39,6 +39,7 @@ from .states import (
     DensityMatrix,
     PureState,
     _check_unit_interval,
+    _is_integer,
     _state_entries,
     apply_local,
     bloch_state,
@@ -135,13 +136,13 @@ def localize(rho, measured_qubit: int, basis: str,
     branches localize toward the same target state.
     """
     key = _basis_key(basis)
+    if not _is_integer(outcome) or outcome not in (0, 1):
+        raise ValueError(f"outcome must be the integer 0 or 1, got {outcome!r}")
     if key == "x":
         psi = bloch_state(np.pi / 4.0, 0.0 if outcome == 0 else np.pi)
     else:
         psi = PureState(1, np.array([1.0, 0.0]) if outcome == 0
                         else np.array([0.0, 1.0]))
-    if outcome not in (0, 1):
-        raise ValueError(f"outcome must be 0 or 1, got {outcome}")
     try:
         state, weight = project_subsystem(rho, psi, (measured_qubit,),
                                           normalize=True)

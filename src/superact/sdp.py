@@ -119,7 +119,8 @@ xg its cone projection:
   add R - t I to Y_1.  Then rho - t I = sum_i Y_i exactly and t is the
   lower bound.
 
-Both bounds cost four eigendecompositions of stacks of blocks, taken
+One routine, ``_certified_bounds``, builds both sides for every check of
+every solve.  They cost four eigendecompositions of stacks of blocks, taken
 sector by sector (see "Symmetry sectors"): one batched LAPACK call per
 sector size in each, and none for sectors of size 1, whose one entry is
 their eigenvalue.  Every solve computes them every 10 iterations and at
@@ -136,18 +137,19 @@ read from them.
 
 A solve that takes a start also checks its bounds at iterations 1 and 3
 (``_WARM_CHECKS``), since a start near the optimum often fixes the sign
-there, and then keeps the cadence of 10.  An early check first builds only
-the side that the iterate's value tr(W rho) points to, the upper bound when
-it is negative and the lower bound otherwise, and it builds the other side,
-and applies the stop rule, only when that side clears the certification
-margin; a check that fails so costs about half a full one.  The iterations
-were chosen by measurement over the eight W-GME and W-GME-after-distill
-bisections listed in ``tests/test_thresholds.py``: checks at (1, 3) took
-487 iterations and 114.5 full checks' worth of bounds, against 830 and 83
-from the same starts with no early check.  They took the least CPU time
-of the sets (1), (2), (1, 2), (1, 2, 3), (1, 3, 6) and (3, 6), which took
-474-546 iterations, 1% less than (2), the next best.  Building both sides
-at every early check cost 7-11% more time.
+there, and then keeps the cadence of 10.  At an early check the same
+routine first builds only the side that the iterate's value tr(W rho)
+points to, the upper bound when it is negative and the lower bound
+otherwise, and gives up, returning no bounds, unless that side clears the
+certification margin; only then does it build the other side and the solve
+apply its stop rule.  A check that fails so costs about half a full one.
+The iterations were chosen by measurement over the eight W-GME and
+W-GME-after-distill bisections listed in ``tests/test_thresholds.py``:
+checks at (1, 3) took 487 iterations and 114.5 full checks' worth of
+bounds, against 830 and 83 from the same starts with no early check.  They
+took the least CPU time of the sets (1), (2), (1, 2), (1, 2, 3), (1, 3, 6)
+and (3, 6), which took 474-546 iterations, 1% less than (2), the next best.
+Building both sides at every early check cost 7-11% more time.
 
 Symmetry sectors
 ----------------
@@ -731,22 +733,6 @@ def _iterates(rho: np.ndarray, sectors: _Sectors, z: np.ndarray):
         yield xf, y, xg, z
 
 
-class _Upper(NamedTuple):
-    """Repaired feasible witness of one iterate and its value."""
-
-    upper: float
-    witness: np.ndarray
-    p_blocks: np.ndarray
-    q_blocks: np.ndarray
-
-
-class _Lower(NamedTuple):
-    """Repaired PPT mixture of one iterate and its lower bound."""
-
-    lower: float
-    mixture: np.ndarray
-
-
 class _Bounds(NamedTuple):
     """Repaired primal and dual points of one iterate and their values."""
 
@@ -759,11 +745,11 @@ class _Bounds(NamedTuple):
 
 
 def _upper_bound(rho: np.ndarray, sectors: _Sectors, xf: np.ndarray,
-                 eye: np.ndarray) -> _Upper:
-    """Feasible witness built from the affine iterate ``xf``; see "Certified
-    bounds" in the module docstring.  W is read through ``sectors``, those
-    of ``rho``, and every spectrum is taken sector by sector (see "Symmetry
-    sectors")."""
+                 eye: np.ndarray) -> tuple:
+    """Feasible witness built from the affine iterate ``xf``, as (value,
+    W, P blocks, Q blocks); see "Certified bounds" in the module docstring.
+    W is read through ``sectors``, those of ``rho``, and every spectrum is
+    taken sector by sector (see "Symmetry sectors")."""
     dim = eye.shape[0]
     w = np.where(sectors.mask[0], _hermitian_part(xf[0]), 0.0)
     q_hat = _psd_part(xf[2::2], sectors.q)
@@ -771,17 +757,16 @@ def _upper_bound(rho: np.ndarray, sectors: _Sectors, xf: np.ndarray,
     delta = max(0.0, -float(_lowest(p_raw, sectors.w).min()))
     scale = 1.0 / (1.0 + dim * delta)
     witness = (w + delta * eye) * scale
-    return _Upper(upper=float(np.vdot(rho, witness).real), witness=witness,
-                  p_blocks=(p_raw + delta * eye) * scale,
-                  q_blocks=q_hat * scale)
+    return (float(np.vdot(rho, witness).real), witness,
+            (p_raw + delta * eye) * scale, q_hat * scale)
 
 
 def _lower_bound(rho: np.ndarray, sectors: _Sectors, cone_gap: np.ndarray,
-                 eye: np.ndarray) -> _Lower:
-    """PPT mixture built from ``cone_gap``, xg - y on the six cone blocks;
-    see "Certified bounds" in the module docstring.  The cone multipliers
-    are read through ``sectors``, those of ``rho``, and every spectrum is
-    taken sector by sector."""
+                 eye: np.ndarray) -> tuple:
+    """PPT mixture built from ``cone_gap``, xg - y on the six cone blocks,
+    as (t, mixture); see "Certified bounds" in the module docstring.  The
+    cone multipliers are read through ``sectors``, those of ``rho``, and
+    every spectrum is taken sector by sector."""
     multipliers = np.where(sectors.mask[1:], cone_gap, 0.0) / STEP
     mix = multipliers[0::2] + _transpose_stack(multipliers[1::2])
     mix = 0.5 * _hermitian_part(mix)
@@ -790,33 +775,29 @@ def _lower_bound(rho: np.ndarray, sectors: _Sectors, cone_gap: np.ndarray,
     r = rho - (mix[0] + mix[1] + mix[2])
     t = float(_lowest(r, sectors.shifted).min())
     mix[0] += r - t * eye
-    return _Lower(lower=t, mixture=mix)
+    return t, mix
 
 
 def _certified_bounds(rho: np.ndarray, sectors: _Sectors, xf: np.ndarray,
-                      cone_gap: np.ndarray, eye: np.ndarray) -> _Bounds:
+                      cone_gap: np.ndarray, eye: np.ndarray,
+                      early: bool = False) -> _Bounds | None:
     """Feasible witness and PPT mixture built from one iterate, with
     ``cone_gap`` its xg - y on the six cone blocks and ``sectors`` those of
-    ``rho``."""
-    return _Bounds(*_upper_bound(rho, sectors, xf, eye),
-                   *_lower_bound(rho, sectors, cone_gap, eye))
-
-
-def _sign_side_first(rho: np.ndarray, sectors: _Sectors, xf: np.ndarray,
-                     cone_gap: np.ndarray, eye: np.ndarray) -> _Bounds | None:
-    """The bounds of one iterate if the side that its value tr(W rho)
-    points to clears ``CERTIFICATION_MARGIN``, otherwise None: the upper
-    bound when the value is negative, the lower bound otherwise.  The other
-    side is built only when that side clears."""
-    if np.vdot(rho, xf[0]).real < 0.0:
+    ``rho``.  An ``early`` check builds first the side that the iterate's
+    value tr(W rho) points to, the upper bound when it is negative and the
+    lower bound otherwise, and returns None unless that side clears
+    ``CERTIFICATION_MARGIN``."""
+    upper = lower = None
+    if early and np.vdot(rho, xf[0]).real < 0.0:
         upper = _upper_bound(rho, sectors, xf, eye)
-        if not upper.upper < -CERTIFICATION_MARGIN:
+        if not upper[0] < -CERTIFICATION_MARGIN:
             return None
-        return _Bounds(*upper, *_lower_bound(rho, sectors, cone_gap, eye))
-    lower = _lower_bound(rho, sectors, cone_gap, eye)
-    if not lower.lower > CERTIFICATION_MARGIN:
-        return None
-    return _Bounds(*_upper_bound(rho, sectors, xf, eye), *lower)
+    elif early:
+        lower = _lower_bound(rho, sectors, cone_gap, eye)
+        if not lower[0] > CERTIFICATION_MARGIN:
+            return None
+    return _Bounds(*(upper or _upper_bound(rho, sectors, xf, eye)),
+                   *(lower or _lower_bound(rho, sectors, cone_gap, eye)))
 
 
 def _residuals(witness: np.ndarray, p_blocks: np.ndarray,
@@ -871,34 +852,29 @@ def ppt_mixer_witness(rho, *, gap_tol: float = GAP_TOL,
 
     sectors = _sectors(state)
     z = _start(start, cold)
-    early = () if z is cold else _WARM_CHECKS
+    early_checks = () if z is cold else _WARM_CHECKS
     iterates = _iterates(state, sectors, z)
     for iterations, (xf, y, xg, z) in enumerate(iterates, 1):
-        if not iterations % _BOUND_CHECK_EVERY or iterations >= MAX_ITERATIONS:
-            bounds = _certified_bounds(state, sectors, sectors.expand(xf),
-                                       sectors.expand(xg - y)[1:], eye)
-        elif iterations in early:
-            bounds = _sign_side_first(state, sectors, sectors.expand(xf),
-                                      sectors.expand(xg - y)[1:], eye)
-            if bounds is None:
-                continue
-        else:
+        full = (not iterations % _BOUND_CHECK_EVERY
+                or iterations >= MAX_ITERATIONS)
+        if not (full or iterations in early_checks):
             continue
+        bounds = _certified_bounds(state, sectors, sectors.expand(xf),
+                                   sectors.expand(xg - y)[1:], eye,
+                                   early=not full)
+        if bounds is None:
+            continue
+        sign = (SIGN_NEGATIVE if bounds.upper < -CERTIFICATION_MARGIN
+                else SIGN_NONNEGATIVE if bounds.lower > CERTIFICATION_MARGIN
+                else SIGN_INDETERMINATE)
         converged = (bounds.upper - bounds.lower <= gap_tol
-                     or sign_only and (bounds.upper < -CERTIFICATION_MARGIN
-                                       or bounds.lower > CERTIFICATION_MARGIN))
+                     or sign_only and sign != SIGN_INDETERMINATE)
         if converged or iterations >= MAX_ITERATIONS:
             break
 
     witness = bounds.witness.astype(np.complex128)
     p_blocks = bounds.p_blocks.astype(np.complex128)
     q_blocks = bounds.q_blocks.astype(np.complex128)
-    if bounds.upper < -CERTIFICATION_MARGIN:
-        sign = SIGN_NEGATIVE
-    elif bounds.lower > CERTIFICATION_MARGIN:
-        sign = SIGN_NONNEGATIVE
-    else:
-        sign = SIGN_INDETERMINATE
     return WitnessResult(
         optimal_value=bounds.upper,
         witness=witness,
@@ -938,15 +914,16 @@ def witness_result_to_json_dict(result: WitnessResult) -> dict:
 def verify_witness_certificate(result: WitnessResult, rho) -> bool:
     """Re-check both certificates of a result without trusting the solver.
 
-    The witness must have unit trace, the reported value, PSD factors and
+    The witness must have unit trace and the reported value, with
     ||W - P_i - Q_i^{T_i}|| <= ``FEASIBILITY_TOL`` for every bipartition;
     the residuals the solver reports are not consulted.  The PPT mixture
-    must sum to rho - ``lower_bound`` I within 1e-9 (Frobenius norm) with
-    every Y_i and Y_i^{T_i} PSD.  Eigenvalues come from the package's own
-    Jacobi solver, so the check is independent of the LAPACK-backed
-    projections used inside the iteration.  A witness, decomposition or
-    mixture of the wrong shape, or a non-finite entry or bound, fails the
-    check.
+    must sum to rho - ``lower_bound`` I within 1e-9 (Frobenius norm).  Last,
+    the 12 factors, the six P and Q blocks, the three Y_i and the three
+    Y_i^{T_i}, must be PSD: their lowest eigenvalue must be at least -1e-9.
+    It comes from one call of the package's own Jacobi solver on all 12, so
+    the check is independent of the LAPACK-backed projections used inside
+    the iteration.  A witness, decomposition or mixture of the wrong shape,
+    or a non-finite entry or bound, fails the check.
 
     ``rho`` must be a three-qubit state: an array must be Hermitian and
     positive semidefinite, with any trace, or ``StateValidationError`` is
@@ -969,17 +946,15 @@ def verify_witness_certificate(result: WitnessResult, rho) -> bool:
     if not abs(float(np.real(np.vdot(m, w))) - result.optimal_value) <= 1e-8:
         return False
     for (p_hat, q_hat), party in zip(decompositions, BIPARTITIONS):
-        eigs = jacobi_eigvalsh(np.stack([p_hat, q_hat]))
-        if not eigs[:, 0].min() >= -1e-9:
-            return False
         reconstruction = p_hat + _partial_transpose_array(q_hat, n_qubits, party)
         if not np.linalg.norm(w - reconstruction) <= FEASIBILITY_TOL:
             return False
-
     shifted = m - result.lower_bound * np.eye(dim)
     if not np.linalg.norm(shifted - mixture.sum(axis=0)) <= 1e-9:
         return False
+
     transposed = [_partial_transpose_array(block, n_qubits, party)
                   for block, party in zip(mixture, BIPARTITIONS)]
-    eigs = jacobi_eigvalsh(np.concatenate([mixture, np.stack(transposed)]))
-    return bool(eigs[:, 0].min() >= -1e-9)
+    factors = np.concatenate([decompositions.reshape(-1, dim, dim), mixture,
+                              transposed])
+    return bool(jacobi_eigvalsh(factors)[:, 0].min() >= -1e-9)

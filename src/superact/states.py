@@ -108,6 +108,7 @@ class PureState:
             raise StateValidationError(
                 f"amplitude vector of length {amps.size} does not match "
                 f"{self.n_qubits} qubits")
+        _check_finite(amps)
         norm_sq = float(np.vdot(amps, amps).real)
         if abs(norm_sq - 1.0) > AMPLITUDE_NORM_TOL:
             raise StateValidationError(
@@ -308,10 +309,10 @@ def make_ghz(index: int, sign: int) -> PureState:
     (|000>, |001>, |010>, |100>), ``sign`` (+1/-1) the relative phase of its
     bit-flipped partner.  The eight states form an orthonormal family.
     """
-    if index not in (0, 1, 2, 3):
-        raise ValueError(f"index must be in 0..3, got {index}")
-    if sign not in (1, -1):
-        raise ValueError(f"sign must be +1 or -1, got {sign}")
+    if not _is_integer(index) or index not in (0, 1, 2, 3):
+        raise ValueError(f"index must be an integer in 0..3, got {index!r}")
+    if not _is_integer(sign) or sign not in (1, -1):
+        raise ValueError(f"sign must be the integer +1 or -1, got {sign!r}")
     first = (0, 1, 2, 4)[index]
     amps = np.zeros(8, dtype=np.complex128)
     amps[first] = 1.0 / np.sqrt(2.0)

@@ -3,10 +3,12 @@
 Each certifiable property of the noisy GHZ / noisy W family is reduced to a
 margin function of the noise parameter p that is negative where the
 property is absent and positive where it is present.  One table,
-``_MARGINS``, maps each property to the state it is evaluated on, built
-from p by ``noisy_ghz``, ``analytic_distilled_noisy_ghz``, ``noisy_w`` or
-the CNOT-distilled noisy W state, and to one of four margins, each with the
-signature ``(label, p, rho, start) -> (value, start)``:
+``_PROPERTIES``, maps each property to its default range of p
+(``DEFAULT_RANGES`` is read from it), to the state it is evaluated on,
+built from p by ``noisy_ghz``, ``analytic_distilled_noisy_ghz``,
+``noisy_w`` or the CNOT-distilled noisy W state, and to one of four
+margins, each with the signature ``(label, p, rho, start) -> (value,
+start)``:
 
 - the concurrence margin (GME, GME-after-distill): the largest unclipped
   inner argument of the X-shape concurrence;
@@ -109,16 +111,6 @@ PROPERTY_W_SLE = "W-SLE"
 CLOSED_FORM_TOL = 1e-6
 SDP_BACKED_TOL = 1e-3
 
-DEFAULT_RANGES: dict[str, tuple[float, float]] = {
-    PROPERTY_GME: (0.3, 0.6),
-    PROPERTY_SLE: (0.2, 0.5),
-    PROPERTY_GME_AFTER: (0.2, 0.4),
-    PROPERTY_SLE_AFTER: (0.2, 0.35),
-    PROPERTY_W_GME: (0.4, 0.6),
-    PROPERTY_W_GME_AFTER: (0.45, 0.6),
-    PROPERTY_W_SLE: (0.15, 0.45),
-}
-
 
 @dataclass(frozen=True)
 class ThresholdReport:
@@ -160,22 +152,26 @@ def _cnot_distilled_w(p: float) -> DensityMatrix:
     return distill_cnot(rho, rho).state
 
 
-# Property -> (state builder of p, margin).
-_MARGINS: dict[str, tuple[Callable, Callable]] = {
-    PROPERTY_GME: (noisy_ghz, _concurrence),
-    PROPERTY_SLE: (noisy_ghz, _sle_search),
-    PROPERTY_GME_AFTER: (analytic_distilled_noisy_ghz, _concurrence),
-    PROPERTY_SLE_AFTER: (analytic_distilled_noisy_ghz, _sle_search),
-    PROPERTY_W_GME: (noisy_w, _ppt_mixer),
-    PROPERTY_W_GME_AFTER: (_cnot_distilled_w, _ppt_mixer),
-    PROPERTY_W_SLE: (noisy_w, _w_sle),
+# Property -> (default range of p, state builder of p, margin).
+_PROPERTIES: dict[str, tuple[tuple[float, float], Callable, Callable]] = {
+    PROPERTY_GME: ((0.3, 0.6), noisy_ghz, _concurrence),
+    PROPERTY_SLE: ((0.2, 0.5), noisy_ghz, _sle_search),
+    PROPERTY_GME_AFTER: ((0.2, 0.4), analytic_distilled_noisy_ghz,
+                         _concurrence),
+    PROPERTY_SLE_AFTER: ((0.2, 0.35), analytic_distilled_noisy_ghz,
+                         _sle_search),
+    PROPERTY_W_GME: ((0.4, 0.6), noisy_w, _ppt_mixer),
+    PROPERTY_W_GME_AFTER: ((0.45, 0.6), _cnot_distilled_w, _ppt_mixer),
+    PROPERTY_W_SLE: ((0.15, 0.45), noisy_w, _w_sle),
 }
+DEFAULT_RANGES: dict[str, tuple[float, float]] = {
+    name: entry[0] for name, entry in _PROPERTIES.items()}
 
 
-def _table_entry(property_name: str) -> tuple[Callable, Callable]:
-    if property_name not in _MARGINS:
-        raise ValueError(f"unknown property {property_name!r}")
-    return _MARGINS[property_name]
+def _property(name: str) -> tuple[tuple[float, float], Callable, Callable]:
+    if name not in _PROPERTIES:
+        raise ValueError(f"unknown property {name!r}")
+    return _PROPERTIES[name]
 
 
 def _interpolated(starts: dict, p: float) -> np.ndarray | None:
@@ -200,7 +196,7 @@ def certifying_margin(property_name: str) -> Callable[[float], float]:
     nearest point when only one side has been evaluated, or cold on the
     first (see the module docstring); each call returns a new function.
     """
-    build, evaluate = _table_entry(property_name)
+    _, build, evaluate = _property(property_name)
     starts = {}
 
     def margin(p: float) -> float:
@@ -214,7 +210,7 @@ def certifying_margin(property_name: str) -> Callable[[float], float]:
 
 
 def default_tolerance(property_name: str) -> float:
-    _, evaluate = _table_entry(property_name)
+    _, _, evaluate = _property(property_name)
     return SDP_BACKED_TOL if evaluate is _ppt_mixer else CLOSED_FORM_TOL
 
 
@@ -228,9 +224,8 @@ def find_threshold(property_name: str,
     SDP-backed ones.  A tolerance the bracket cannot reach, because its
     ends become adjacent floats first, raises ``ValueError``.
     """
-    if property_name not in DEFAULT_RANGES:
-        raise ValueError(f"unknown property {property_name!r}")
-    lo, hi = p_range if p_range is not None else DEFAULT_RANGES[property_name]
+    default_range, _, _ = _property(property_name)
+    lo, hi = p_range if p_range is not None else default_range
     if not 0.0 <= lo < hi <= 1.0:
         raise ValueError(f"invalid range ({lo}, {hi})")
     tol = tolerance if tolerance is not None else default_tolerance(property_name)

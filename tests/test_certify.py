@@ -414,6 +414,16 @@ def test_sle_all_degenerate_errors():
         sle_quantifier_at(np.zeros((8, 8)), None, 0.3, 0.2)
 
 
+@pytest.mark.parametrize("theta, phi, named", [
+    (np.nan, 0.0, "theta"),
+    (0.0, np.inf, "phi"),
+])
+def test_sle_quantifier_at_rejects_a_non_finite_angle(theta, phi, named):
+    # Without the check, LAPACK warned and failed to converge instead.
+    with pytest.raises(ValueError, match=f"{named} must be finite"):
+        sle_quantifier_at(noisy_ghz(0.5), None, theta, phi)
+
+
 def test_sle_rejects_non_states():
     # The negativity is read off the minimum eigenvalue, which needs a
     # Hermitian positive semidefinite input; any trace is accepted.

@@ -290,6 +290,21 @@ def test_localize_zero_weight_branch():
         localize(zero, 2, "computational", 1)
 
 
+@pytest.mark.parametrize("outcome", [True, np.True_, 1.0])
+def test_localize_rejects_a_non_integer_outcome(outcome):
+    # Each would act as outcome 1.
+    with pytest.raises(ValueError, match="outcome must be"):
+        localize(noisy_ghz(0.5), 2, "x", outcome)
+
+
+def test_localize_takes_a_numpy_integer_outcome():
+    rho = noisy_ghz(0.5)
+    state, weight = localize(rho, 2, "x", np.int64(1))
+    expected, expected_weight = localize(rho, 2, "x", 1)
+    assert weight == expected_weight
+    assert np.array_equal(state.entries, expected.entries)
+
+
 def test_localize_rejects_unknown_basis():
     with pytest.raises(ValueError):
         localize(noisy_ghz(0.5), 2, "diagonal", 0)

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from superact import ghz3, maximally_mixed, noise_model_state, noisy_ghz, noisy_w
-from superact import sdp
+from superact import linalg, sdp
 from superact.certify import gme_concurrence_arguments
 from superact.distill import distill_cnot, distill_tripartite
 from superact.linalg import jacobi_eigvalsh
@@ -580,6 +580,26 @@ def test_non_convergence_reports_indeterminate(monkeypatch):
     assert verify_witness_certificate(later, rho)
 
 
+_QUICK_STATES = {
+    "noisy-ghz-0.5": (lambda: noisy_ghz(0.5), SIGN_NEGATIVE),
+    "noise-model": (lambda: noise_model_state(0.8, 0.9, 0.95), SIGN_NEGATIVE),
+    "noisy-ghz-0.3": (lambda: noisy_ghz(0.3), SIGN_NONNEGATIVE),
+}
+
+
+@pytest.mark.parametrize("name", list(_QUICK_STATES))
+def test_structured_solves_close_their_gap_under_a_small_cap(monkeypatch,
+                                                             name):
+    # These solves take 20-30 iterations.  A fault that keeps the interval
+    # open, such as a wrong sector reading, fails here within 300
+    # iterations instead of running every solve to the default cap.
+    build, sign = _QUICK_STATES[name]
+    monkeypatch.setattr(sdp, "MAX_ITERATIONS", 300)
+    result = ppt_mixer_witness(build())
+    assert result.converged
+    assert result.certified_sign == sign
+
+
 # ---------------------------------------------------------------------------
 # certified bounds and the sign-only solve
 
@@ -659,6 +679,23 @@ def test_sign_only_indeterminate_inside_the_margin():
     assert 0.0 <= result.optimal_value - result.lower_bound <= GAP_TOL
     assert abs(result.optimal_value) < 1e-4
     assert verify_witness_certificate(result, noisy_w(0.479))
+
+
+def test_verifier_takes_one_jacobi_pass_over_all_twelve_factors(
+        monkeypatch):
+    # The six P and Q blocks, the three Y_i and the three Y_i^{T_i}.
+    calls = []
+
+    def counting(matrices):
+        calls.append(np.shape(matrices))
+        return jacobi_eigvalsh(matrices)
+
+    monkeypatch.setattr(linalg, "jacobi_eigvalsh", counting)
+    for rho in (noisy_w(0.6), noisy_ghz(0.5)):
+        result = ppt_mixer_witness(rho)
+        calls.clear()
+        assert verify_witness_certificate(result, rho)
+        assert calls == [(12, 8, 8)]
 
 
 def test_verifier_rejects_tampered_lower_bound():

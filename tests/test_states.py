@@ -71,6 +71,19 @@ def test_pure_state_normalization_enforced():
         PureState(1, np.array([1.0, 1.0]))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_pure_state_rejects_non_finite_amplitudes(bad):
+    # The norm check alone passes both: abs(nan - 1) > tol is False, and
+    # |inf|^2 computed in complex arithmetic has a NaN part.
+    with pytest.raises(StateValidationError, match="non-finite"):
+        PureState(1, [bad, 0.0])
+
+
+def test_bloch_state_rejects_a_non_finite_angle():
+    with pytest.raises(StateValidationError, match="non-finite"):
+        bloch_state(np.nan, 0.0)
+
+
 @pytest.mark.parametrize("n_qubits", [3.0, True, 0, -1, None, "3"])
 def test_states_reject_a_qubit_count_that_is_not_a_positive_integer(n_qubits):
     with pytest.raises(StateValidationError,
@@ -241,6 +254,22 @@ def test_make_ghz_rejects_bad_index():
         make_ghz(4, +1)
     with pytest.raises(ValueError):
         make_ghz(0, 2)
+
+
+@pytest.mark.parametrize("index, sign, named", [
+    (True, 1, "index"),    # would act as index 1
+    (1.0, 1, "index"),     # raised a bare TypeError from tuple indexing
+    (0, True, "sign"),     # would act as sign +1
+    (0, 1.0, "sign"),
+])
+def test_make_ghz_rejects_non_integer_arguments(index, sign, named):
+    with pytest.raises(ValueError, match=f"{named} must be"):
+        make_ghz(index, sign)
+
+
+def test_make_ghz_takes_numpy_integers():
+    assert np.array_equal(make_ghz(np.int64(3), np.int8(-1)).amplitudes,
+                          make_ghz(3, -1).amplitudes)
 
 
 def test_noisy_ghz_entries():
