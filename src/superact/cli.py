@@ -12,7 +12,16 @@ option has passed its check.  Flags beat the config file; a mode flag given
 on the command line (``--curves``/``--certify``/``--thresholds``, or
 ``--schedule``/``--sample``) also drops the file's other modes of its group.
 With identical configuration (including seeds) the output files are
-byte-identical.
+byte-identical.  A flag that could not change the output is a usage
+error (exit code 2): a flag the subcommand does not take, and
+``sweep --tolerance`` without ``--thresholds``.
+
+The library returns values; this module renders every report.  JSON goes
+through ``json.dumps`` with sorted keys.  Every CSV table, the flattened
+``certify`` and ``distill`` reports and the ``sweep`` and ``coincidence``
+tables alike, goes through one writer, ``_table``: the ``csv`` module's
+quoting and newline line ends, floats at 17 significant digits and any
+other cell as ``str``.
 """
 
 from __future__ import annotations
@@ -34,6 +43,7 @@ from .sdp import GAP_TOL, ppt_mixer_witness
 from .states import (
     DensityMatrix,
     StateValidationError,
+    _is_integer,
     _resolve_qubits,
     _write_atomically,
     bell_phi_plus,
@@ -61,7 +71,7 @@ def parse_state_spec(spec: str) -> DensityMatrix:
     name, _, argstr = spec.partition(":")
     build, arity = _BUILT_IN_STATES.get(name, (None, -1))
     try:
-        args = [float(tok) for tok in argstr.split(",") if tok]
+        args = [float(tok) for tok in argstr.split(",")]
     except ValueError:
         args = None
     if args is None or len(args) != arity:
@@ -89,16 +99,22 @@ def _flatten(doc, prefix=""):
     return flat
 
 
+def _table(header, rows) -> str:
+    """One CSV table: a float cell, NumPy's included, prints at 17
+    significant digits, any other cell as ``str`` (so None is "None")."""
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    for row in (header, *rows):
+        writer.writerow([format(v, ".17g") if isinstance(v, float) else str(v)
+                         for v in row])
+    return out.getvalue()
+
+
 def _render(doc: dict, fmt: str) -> str:
     if fmt == "json":
         return json.dumps(doc, indent=2, sort_keys=True) + "\n"
     flat = _flatten(doc)
-    fmt_val = lambda v: format(v, ".17g") if isinstance(v, float) else str(v)
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(flat.keys())
-    writer.writerow(fmt_val(v) for v in flat.values())
-    return out.getvalue()
+    return _table(flat.keys(), [flat.values()])
 
 
 # ---------------------------------------------------------------------------
@@ -206,32 +222,38 @@ def cmd_sweep(options: dict) -> str:
     if "thresholds" in options:
         reports = [thr.find_threshold(name, tolerance=options.get("tolerance"))
                    for name in options["thresholds"]]
-        return thr.threshold_reports_csv(reports)
+        return _table(("property", "crossing_p", "bracket_width", "evaluations"),
+                      [(r.property_name, r.crossing_p, r.bracket_width,
+                        r.evaluations) for r in reports])
     if "curves" in options:
-        return thr.fidelity_curves_csv(np.linspace(*options["curves"]))
-
-    def one(p: float) -> str:
-        rho = noisy_ghz(p)
-        row = (p,
-               cert.gme_concurrence_x(rho),
-               cert.ghz_witness_expectation(rho),
-               cert.sle_quantify(rho).negativity)
-        return ",".join(format(v, ".17g") for v in row)
-
-    rows = [one(p) for p in np.linspace(*options["certify"])]
-    return ("p,gme_concurrence,ghz_witness_expectation,sle_negativity\n"
-            + "\n".join(rows) + "\n")
+        return _table(("p", "F_initial", "F1", "F2"),
+                      thr.fidelity_curves(np.linspace(*options["curves"])))
+    grid = ((p, noisy_ghz(p)) for p in np.linspace(*options["certify"]))
+    return _table(("p", "gme_concurrence", "ghz_witness_expectation",
+                   "sle_negativity"),
+                  [(p, cert.gme_concurrence_x(rho),
+                    cert.ghz_witness_expectation(rho),
+                    cert.sle_quantify(rho).negativity) for p, rho in grid])
 
 
 def cmd_coincidence(options: dict) -> str:
     if "schedule" in options:
-        return coin.preparation_schedule(options["schedule"]).to_csv()
+        schedule = coin.preparation_schedule(options["schedule"])
+        return _table(("component", "M1", "M2", "M3", "probability"),
+                      [(r.label, r.m1, r.m2, r.m3, r.probability)
+                       for r in schedule.rows])
     if options.get("sample"):
         setting, shots, seed, state = options["sample"]
         hist = coin.sample_counts(parse_state_spec(state), setting, shots, seed)
-        doc = coin.histogram_to_json_dict(setting, shots, seed, hist)
-        return json.dumps(doc, indent=2, sort_keys=True) + "\n"
-    return coin.enumerate_same_order_events().to_csv()
+        return _render({"setting": setting, "shots": shots, "seed": seed,
+                        "histogram": hist}, "json")
+    return _table(
+        ("class", "hwp", "epr1", "epr2", "epr3", "epr4", *coin.TERMINALS,
+         "coincidence"),
+        [(r.class_label, r.hwp.label(),
+          *(r.event.source_description(s) for s in range(1, 5)),
+          *r.pattern.counts, "yes" if r.coincidence else "no")
+         for r in coin.enumerate_same_order_events().rows])
 
 
 # Subcommand name -> handler; each reads the checked options it needs.
@@ -312,7 +334,7 @@ _CONFIG_KINDS = {
     "a string or a list of strings":
         lambda v: isinstance(v, str) or _strings(v),
     "a list of strings": _strings,
-    "an integer": lambda v: _number(v) and isinstance(v, int),
+    "an integer": _is_integer,
     "a number": _number,
     "true or false": lambda v: isinstance(v, bool),
 }
@@ -444,7 +466,12 @@ def _check_options(options: dict) -> dict:
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    parser = _build_parser()
+    args = parser.parse_args(argv)
+    # A sweep's mode is always a flag, and only --thresholds reads a
+    # --tolerance flag (the config key stays checked, without effect).
+    if vars(args).get("tolerance") is not None and args.thresholds is None:
+        parser.error("argument --tolerance: not allowed without --thresholds")
     try:
         options = _check_options(_merge_config(args))
         _atomic_write(options.get("output"),

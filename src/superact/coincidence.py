@@ -53,6 +53,7 @@ from .states import (
     DEGENERATE_WEIGHT,
     DensityMatrix,
     _check_unit_interval,
+    _is_integer,
     _state_entries,
     ghz3,
     make_ghz,
@@ -232,17 +233,6 @@ class CoincidenceReport:
         return sum(1 for row in self.rows
                    if row.coincidence and row.order != ORDER_IDEAL)
 
-    def to_csv(self) -> str:
-        header = ("class,hwp,epr1,epr2,epr3,epr4,"
-                  + ",".join(TERMINALS) + ",coincidence")
-        lines = [header]
-        for r in self.rows:
-            sources = ",".join(r.event.source_description(s) for s in range(1, 5))
-            counts = ",".join(str(c) for c in r.pattern.counts)
-            mark = "yes" if r.coincidence else "no"
-            lines.append(f"{r.class_label},{r.hwp.label()},{sources},{counts},{mark}")
-        return "\n".join(lines) + "\n"
-
 
 def same_order_pair_counts() -> list[tuple[int, int, int, int]]:
     """All distributions of four pairs over four sources, at most two each."""
@@ -330,13 +320,6 @@ class PreparationSchedule:
                       for w, r in zip(weights, self.rows))
         return DensityMatrix(3, mixture)
 
-    def to_csv(self) -> str:
-        lines = ["component,M1,M2,M3,probability"]
-        for r in self.rows:
-            lines.append(f"{r.label},{r.m1},{r.m2},{r.m3},"
-                         f"{format(r.probability, '.17g')}")
-        return "\n".join(lines) + "\n"
-
 
 def _flip_pair_mixture(index: int) -> DensityMatrix:
     """Equal mixture of the two GHZ-type states with bit pattern ``index``."""
@@ -400,7 +383,7 @@ def _sampling_state(rho, n_qubits: int | None = None) -> tuple[np.ndarray, int]:
 
 def _check_shots_and_seed(shots, seed) -> None:
     for name, value in (("shots", shots), ("seed", seed)):
-        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        if not _is_integer(value):
             raise ValueError(f"{name} must be an integer, got {value!r}")
     if not 0 < shots <= np.iinfo(np.int64).max:  # the sampler's range
         raise ValueError(
@@ -447,12 +430,6 @@ def sample_counts(rho, setting: str, shots: int, seed: int) -> dict[str, int]:
     _check_shots_and_seed(shots, seed)
     counts = _born_counts(m, key, shots, seed)
     return {format(i, f"0{n}b"): int(c) for i, c in enumerate(counts)}
-
-
-def histogram_to_json_dict(setting: str, shots: int, seed: int,
-                           histogram: dict[str, int]) -> dict:
-    return {"setting": setting, "shots": shots, "seed": seed,
-            "histogram": histogram}
 
 
 def sampled_ghz_fidelity(rho, shots: int, seed: int) -> tuple[float, float]:

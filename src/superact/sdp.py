@@ -274,6 +274,7 @@ from .states import (
     _LABELS,
     _Symmetries,
     _finite_array,
+    _matrix_to_dict,
     _partial_transpose_array,
     _state_entries,
     _symmetries,
@@ -887,10 +888,6 @@ def ppt_mixer_witness(rho, *, gap_tol: float = GAP_TOL,
         mixture=tuple(bounds.mixture.astype(np.complex128)),
         final_z=sectors.expand(z),
     )
-
-
-def _matrix_to_dict(m: np.ndarray) -> dict:
-    return {"re": m.real.tolist(), "im": m.imag.tolist()}
 
 
 def witness_result_to_json_dict(result: WitnessResult) -> dict:

@@ -522,11 +522,14 @@ def apply_local(rho, op, qubit: int) -> DensityMatrix:
 # ---------------------------------------------------------------------------
 # density-matrix file format
 
+def _matrix_to_dict(m: np.ndarray) -> dict:
+    """The JSON encoding of a complex matrix: its real and imaginary parts."""
+    return {"re": m.real.tolist(), "im": m.imag.tolist()}
+
+
 def density_matrix_to_dict(rho: DensityMatrix) -> dict:
-    m = np.asarray(rho.entries)
     return {"n_qubits": int(rho.n_qubits),
-            "re": m.real.tolist(),
-            "im": m.imag.tolist()}
+            **_matrix_to_dict(np.asarray(rho.entries))}
 
 
 def density_matrix_from_dict(doc: Mapping) -> DensityMatrix:

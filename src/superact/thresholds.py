@@ -279,21 +279,3 @@ def fidelity_curves(p_values) -> np.ndarray:
     f2 = (13.0 * p * p + 2.0 * p + 1.0) / (4.0 * denom)
     return np.column_stack([p, f_initial, f1, f2])
 
-
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
-
-
-def fidelity_curves_csv(p_values) -> str:
-    rows = ["p,F_initial,F1,F2"]
-    for row in fidelity_curves(p_values):
-        rows.append(",".join(_fmt(v) for v in row))
-    return "\n".join(rows) + "\n"
-
-
-def threshold_reports_csv(reports) -> str:
-    rows = ["property,crossing_p,bracket_width,evaluations"]
-    for r in reports:
-        rows.append(f"{r.property_name},{_fmt(r.crossing_p)},"
-                    f"{_fmt(r.bracket_width)},{r.evaluations}")
-    return "\n".join(rows) + "\n"

@@ -1,11 +1,14 @@
+import ast
 import csv
 import io
 import json
+import pathlib
 import warnings
 
 import numpy as np
 import pytest
 
+import superact
 from superact import (
     DensityMatrix,
     bloch_state,
@@ -72,6 +75,15 @@ def test_parse_state_spec_builtins():
         parse_state_spec("noisy-ghz:0.5,0.6")
     with pytest.raises(ValueError):
         parse_state_spec("squeezed:1.0")
+
+
+@pytest.mark.parametrize("spec", ["noise-model:0.5,,0.9,0.9", "noisy-ghz:0.5,",
+                                  "noisy-ghz:,0.5", "noisy-w:0.5,,"])
+def test_state_spec_with_an_empty_parameter_is_rejected(capsys, spec):
+    code, out, err = run_cli(["certify", "--input", spec], capsys)
+    assert code == 1
+    assert out == ""
+    assert err == f"superact: error: unrecognized state spec {spec!r}\n"
 
 
 # ---------------------------------------------------------------------------
@@ -818,6 +830,20 @@ def test_sweep_rejects_non_finite_tolerance(capsys, tolerance):
     assert "tolerance must be positive and finite" in err
 
 
+@pytest.mark.parametrize("mode", ["--curves", "--certify"])
+def test_sweep_tolerance_flag_needs_thresholds(tmp_path, capsys, mode):
+    # The flag could not change a grid table, so it is a usage error; the
+    # config key keeps its rule: checked, with no effect there.
+    with pytest.raises(SystemExit) as exc:
+        main(["sweep", mode, "0:1:2", "--tolerance", "5"])
+    assert exc.value.code == 2
+    assert "--tolerance" in capsys.readouterr().err
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"tolerance": 5}))
+    assert (run_cli(["--config", str(cfg), "sweep", mode, "0:1:2"], capsys)
+            == run_cli(["sweep", mode, "0:1:2"], capsys))
+
+
 def test_sweep_refuses_a_tolerance_below_float_resolution(monkeypatch,
                                                          capsys):
     limit_margin_evaluations(monkeypatch)
@@ -837,3 +863,76 @@ def test_sweep_refuses_uncertified_sdp_bracket(capsys):
     assert err.startswith("superact: error: W-GME-after-distill: ")
     assert "is not certified" in err
     assert "does not clear the margin 1e-05;" in err
+
+
+# ---------------------------------------------------------------------------
+# tables
+
+@pytest.mark.parametrize("args", [
+    ["certify", "--input", "noise-model:0.8,0.9,0.95", "--format", "csv"],
+    ["distill", "--input", "noisy-ghz:0.5", "--recertify", "--localize", "x:2",
+     "--format", "csv"],
+    ["sweep", "--thresholds", "GME,W-SLE"],
+    ["sweep", "--curves", "0:1:5"],
+    ["sweep", "--certify", "0.3:0.6:4"],
+    ["coincidence"],
+    ["coincidence", "--schedule", "0.5"],
+], ids=" ".join)
+def test_every_table_is_well_formed_csv(capsys, args):
+    code, out, _ = run_cli(args, capsys)
+    assert code == 0
+    header, *rows = csv.reader(io.StringIO(out))
+    assert rows
+    assert all(len(row) == len(header) for row in rows)
+
+
+def test_sweep_curves_golden(capsys):
+    code, out, _ = run_cli(["sweep", "--curves", "0:1:11"], capsys)
+    assert code == 0
+    assert out == (
+        "p,F_initial,F1,F2\n"
+        "0,0.125,0.125,0.25\n"
+        "0.10000000000000001,0.21250000000000002,0.22451456310679613,"
+        "0.32281553398058255\n"
+        "0.20000000000000001,0.30000000000000004,0.35714285714285715,"
+        "0.42857142857142849\n"
+        "0.30000000000000004,0.38750000000000007,0.49704724409448825,"
+        "0.54527559055118113\n"
+        "0.40000000000000002,0.47500000000000003,0.625,0.65540540540540537\n"
+        "0.5,0.5625,0.7321428571428571,0.75\n"
+        "0.60000000000000009,0.65000000000000013,0.8173076923076924,"
+        "0.82692307692307709\n"
+        "0.70000000000000007,0.73750000000000004,0.88309716599190291,"
+        "0.88765182186234848\n"
+        "0.80000000000000004,0.82500000000000007,0.93321917808219168,"
+        "0.93493150684931492\n"
+        "0.90000000000000002,0.91249999999999998,0.97120991253644307,"
+        "0.97157434402332365\n"
+        "1,1,1,1\n")
+
+
+def test_coincidence_schedule_golden(capsys):
+    code, out, _ = run_cli(["coincidence", "--schedule", "0.5"], capsys)
+    assert code == 0
+    assert out == ("component,M1,M2,M3,probability\n"
+                   "GHZ3,in,out,out,0.66666666666666663\n"
+                   "rho_G0,out,out,out,0.083333333333333343\n"
+                   "rho_G1,out,in,in,0.083333333333333343\n"
+                   "rho_G2,out,out,in,0.083333333333333343\n"
+                   "rho_G3,out,in,out,0.083333333333333343\n")
+
+
+def test_only_the_cli_writes_csv():
+    package = pathlib.Path(superact.__file__).parent
+    importers = set()
+    for path in package.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module]
+            else:
+                continue
+            if "csv" in names:
+                importers.add(path.name)
+    assert importers == {"cli.py"}

@@ -8,6 +8,7 @@ from scipy import stats
 
 import superact.coincidence as coincidence
 from superact import ghz3, maximally_mixed, noisy_ghz, noisy_w
+from superact.cli import main
 from superact.coincidence import (
     ORDER_DOUBLE_PAIR,
     ORDER_IDEAL,
@@ -15,7 +16,6 @@ from superact.coincidence import (
     EmissionEvent,
     emission_event,
     enumerate_same_order_events,
-    histogram_to_json_dict,
     is_eightfold_coincidence,
     preparation_schedule,
     route_photons,
@@ -113,14 +113,14 @@ def test_ideal_class_passes_under_every_hwp_config():
     assert all(v == 2 for v in passes_per_config.values())
 
 
-def test_enumeration_csv_mirrors_reference_rows():
-    csv = enumerate_same_order_events().to_csv()
-    lines = csv.strip().split("\n")
+def test_enumeration_csv_mirrors_reference_rows(capsys):
+    assert main(["coincidence"]) == 0
+    lines = capsys.readouterr().out.strip().split("\n")
     assert lines[0] == ("class,hwp,epr1,epr2,epr3,epr4,"
                         "t1,t2,a3,a4,b3,b4,c3,c4,coincidence")
-    assert ("g1-g2-g3-g4,M2=out,M3=out,H_t1 H_a1,H_b1 H_c1,H_a2 H_c2,"
+    assert ('g1-g2-g3-g4,"M2=out,M3=out",H_t1 H_a1,H_b1 H_c1,H_a2 H_c2,'
             "H_t2 H_b2,1,1,1,1,1,1,1,1,yes") in lines
-    assert ("g1-g2^2-0-g4,M2=out,M3=out,H_t1 H_a1,H_b1 H_c1 H_b1 H_c1,0,"
+    assert ('g1-g2^2-0-g4,"M2=out,M3=out",H_t1 H_a1,H_b1 H_c1 H_b1 H_c1,0,'
             "H_t2 H_b2,1,1,1,0,1,2,2,0,no") in lines
 
 
@@ -155,8 +155,9 @@ def test_schedule_rejects_out_of_range():
         preparation_schedule(-0.1)
 
 
-def test_schedule_csv_shape():
-    lines = preparation_schedule(0.5).to_csv().strip().split("\n")
+def test_schedule_csv_shape(capsys):
+    assert main(["coincidence", "--schedule", "0.5"]) == 0
+    lines = capsys.readouterr().out.strip().split("\n")
     assert lines[0] == "component,M1,M2,M3,probability"
     assert len(lines) == 6
     assert lines[1].startswith("GHZ3,in,out,out,")
@@ -302,12 +303,6 @@ def test_sample_counts_chi_squared_against_born_probabilities():
                                         shots * probs[mask] / probs[mask].sum())
         assert observed[~mask].sum() == 0
         assert p_value > 0.001
-
-
-def test_histogram_helpers():
-    hist = {"00": 400, "11": 400, "01": 100, "10": 100}
-    doc = histogram_to_json_dict("zz", 1000, 7, hist)
-    assert doc["setting"] == "zz" and doc["histogram"] is hist
 
 
 def test_sampled_fidelity_recovers_exact_value():

@@ -13,6 +13,7 @@ from superact import (
     noisy_ghz,
     noisy_w,
 )
+from superact.cli import main
 from superact.distill import distill_tripartite
 from superact.sdp import (
     SIGN_INDETERMINATE,
@@ -31,9 +32,7 @@ from superact.thresholds import (
     certifying_margin,
     default_tolerance,
     fidelity_curves,
-    fidelity_curves_csv,
     find_threshold,
-    threshold_reports_csv,
 )
 from util import analytic_constants, limit_margin_evaluations
 
@@ -383,15 +382,17 @@ def test_fidelity_curves_rejects_out_of_range():
             fidelity_curves(bad)
 
 
-def test_csv_emission_round_trippable():
-    csv = fidelity_curves_csv(np.linspace(0, 1, 5))
-    lines = csv.strip().split("\n")
+def test_csv_emission_round_trippable(capsys):
+    assert main(["sweep", "--curves", "0:1:5"]) == 0
+    lines = capsys.readouterr().out.strip().split("\n")
     assert lines[0] == "p,F_initial,F1,F2"
     assert len(lines) == 6
     value = float(lines[2].split(",")[2])
     assert value == fidelity_curves([0.25])[0, 2]  # bit-exact round trip
 
-    reports = [ThresholdReport("GME", 3 / 7, 1e-6, 20)]
-    csv2 = threshold_reports_csv(reports)
-    assert csv2.startswith("property,crossing_p,bracket_width,evaluations\n")
-    assert float(csv2.strip().split("\n")[1].split(",")[1]) == 3 / 7
+    assert main(["sweep", "--thresholds", "GME"]) == 0
+    lines = capsys.readouterr().out.strip().split("\n")
+    assert lines[0] == "property,crossing_p,bracket_width,evaluations"
+    name, crossing, width, evaluations = lines[1].split(",")
+    assert find_threshold(PROPERTY_GME) == ThresholdReport(
+        name, float(crossing), float(width), int(evaluations))
