@@ -3,10 +3,11 @@
 Modules by concern:
 
 - :mod:`superact.states` -- multi-qubit pure states and density matrices
-- :mod:`superact.linalg` -- Jacobi eigensolver for certificate checks
+- :mod:`superact.linalg` -- Jacobi eigensolver, called only by ``verify``
 - :mod:`superact.distill` -- parity-check and CNOT distillation protocols
 - :mod:`superact.certify` -- GME concurrence, negativity, witnesses, SLE search
 - :mod:`superact.sdp` -- first-order solver for the PPT-mixer program
+- :mod:`superact.verify` -- checks of witness and SLE certificates
 - :mod:`superact.thresholds` -- bisection thresholds
 - :mod:`superact.coincidence` -- photonic network routing and sampling
 - :mod:`superact.cli` -- command-line driver

@@ -190,7 +190,7 @@ Every search starts from the same eight bands, so the coefficients of
 their 32 hull points are a table built once per process
 (``_first_band_coefficients``, read-only).  A later round builds its bands'
 in a few vector operations (``_band_coefficients``) with the arithmetic of
-``_hull_points``, so the coefficients, and every sign, bracket and
+``verify._hull_points``, so the coefficients, and every sign, bracket and
 certificate, are the same bit for bit.  Later rounds take no table: a band
 that stays open descends a level a round, some 60 levels within the cap
 below, and a table of every depth's bands would hold 8 * 2^d at depth d.
@@ -198,10 +198,8 @@ A chord end, which lies on the sphere, whose normalized value lies below
 -``SLE_SIGN_SLACK`` settles a negative sign.  Once every band's bound lies
 above the slack, every projection leaves a PPT, hence separable, pair
 (Horodecki, Horodecki & Horodecki, PLA 223, 1 (1996)), and the bands'
-breakpoints and the charges are the certificate; ``verify_sle_certificate``
-re-checks it with its own contraction and the Jacobi solver.  Rounding
-moves a hull point by a few ulps and its value by a few ulps of ||rho||,
-which the slack dwarfs.
+breakpoints and the charges are the certificate, which ``superact.verify``
+re-checks.
 
 Near a zero optimum the open bands double each round, so the search stops
 before it would evaluate more than ``SLE_BAND_EVALUATIONS`` = 512 hull
@@ -216,8 +214,8 @@ about twice the 280.  An undecided search stops at 464-512 points, in
 2-8 ms on a 2-vCPU VM, where a cap of 16384 takes 17-47 ms.  On that VM
 (timeit, best of five), a whole sign-only search that settles in the first
 round takes about 95 us (190 us when every round built its points through
-``_hull_points`` and tested the nine candidate charges one by one), one
-that settles 1e-4 below noisy GHZ's threshold 280 us (540 us), and the
+``verify._hull_points`` and tested the nine candidate charges one by one),
+one that settles 1e-4 below noisy GHZ's threshold 280 us (540 us), and the
 two default SLE bisections, their 39 searches and the states they read,
 6.2 ms (12.5 ms).
 """
@@ -235,8 +233,8 @@ from .states import (
     DEGENERATE_WEIGHT,
     DegenerateProjectionError,
     _CHARGES,
-    _QUBIT_BITS,
     _partial_transpose_array,
+    _resolve_pair,
     _resolve_qubits,
     _state_entries,
     _symmetries,
@@ -244,6 +242,7 @@ from .states import (
     ghz3,
     w_state,
 )
+from .verify import SLE_SIGN_SLACK
 
 X_SHAPE_LEAKAGE_TOL = 1e-8
 
@@ -253,10 +252,10 @@ SLE_REFINE_STEPS = 500
 # stride-SLE_COARSE_STRIDE subgrid (see "Grid search").
 SLE_COARSE_STRIDE = 8
 # A sign-only SLE search settles a sign only on a value below -SLE_SIGN_SLACK
-# or on band bounds above SLE_SIGN_SLACK, so optima within rounding of zero
-# take the default search; it evaluates at most SLE_BAND_EVALUATIONS hull
-# points (see "Certified signs" in the module docstring).
-SLE_SIGN_SLACK = 1e-12
+# or on band bounds above SLE_SIGN_SLACK, the slack of the check that accepts
+# its certificates, so optima within rounding of zero take the default
+# search; it evaluates at most SLE_BAND_EVALUATIONS hull points (see
+# "Certified signs" in the module docstring).
 SLE_BAND_EVALUATIONS = 512
 # The first breakpoints in z of a sign-only search's bands.
 _FIRST_BREAKPOINTS = np.linspace(-1.0, 1.0, 9)
@@ -431,8 +430,8 @@ class SLECertificate:
     qubit, 1 on the measured one, that every nonzero entry of rho conserves;
     ``breakpoints`` run from -1 to 1 and split the projectors' z into bands
     on each of which the hull bound lies above ``SLE_SIGN_SLACK`` (see
-    "Certified signs" in the module docstring).  ``verify_sle_certificate``
-    re-checks it.
+    "Certified signs" in the module docstring).
+    ``verify.verify_sle_certificate`` re-checks it.
     """
 
     pair: tuple[int, int]
@@ -459,13 +458,6 @@ class SLEResult:
         """The pair's negativity, log2(1 - 2 min(0, ``min_eigenvalue``)) (see
         the module docstring)."""
         return float(np.log2(1.0 - 2.0 * min(0.0, self.min_eigenvalue)))
-
-
-def _resolve_pair(pair) -> tuple[tuple[int, int], int]:
-    kept = (0, 1) if pair is None else _resolve_qubits(pair, 3)
-    if len(kept) != 2:
-        raise ValueError(f"kept pair must have exactly two qubits, got {kept}")
-    return kept, 3 - sum(kept)
 
 
 def _lowest_eigenvalues(pairs: np.ndarray, weights: np.ndarray) -> np.ndarray:
@@ -498,7 +490,7 @@ class _SLEObjective:
 
     def __init__(self, rho, pair):
         m, _ = _state_entries(rho, 3)  # the negativity needs rho >= 0
-        kept, measured = _resolve_pair(pair)
+        kept, measured = ((0, 1), 2) if pair is None else _resolve_pair(pair)
         self.entries, self.kept, self.measured = m, kept, measured
         # Axes of the reshaped rho: qubit rows 0..2, then qubit columns 3..5.
         t00, t01, t10, t11 = m.reshape((2,) * 6).transpose(
@@ -575,17 +567,6 @@ def sle_quantifier_at(rho, pair, theta: float, phi: float) -> float:
     return float(value)
 
 
-def _respects(m: np.ndarray, charges) -> bool:
-    """Whether every nonzero entry of the 8x8 ``m`` joins basis states of
-    equal total charge, with ``charges`` the charge of each qubit.
-
-    ``verify_sle_certificate`` checks a certificate's charges here, not
-    through ``_symmetries``, so that it does not trust the solver's reading.
-    """
-    total = _QUBIT_BITS @ np.asarray(charges)
-    return not np.any((m != 0) & (total[:, None] != total[None, :]))
-
-
 @functools.cache
 def _ring_candidates(kept: tuple[int, int]) -> tuple[tuple[int, tuple], ...]:
     """The nine candidate charges of ``_ring_charges`` for the ordered kept
@@ -608,21 +589,10 @@ def _ring_charges(objective: _SLEObjective) -> tuple[int, int, int] | None:
     return None
 
 
-def _hull_points(z1: np.ndarray, z2: np.ndarray) -> np.ndarray:
-    """The four hull points (x, z) of each band [z1, z2] of the half circle
-    x = sqrt(1 - z^2): the chord ends p1, p2, then p1 / h and p2 / h, with h
-    the length of the chord's midpoint less a relative 1e-12; shape
-    (bands, 4, 2)."""
-    ends = np.stack([np.stack([np.sqrt(1.0 - z * z), z], axis=-1)
-                     for z in (z1, z2)], axis=1)
-    h = np.linalg.norm(ends.mean(axis=1), axis=-1) * (1.0 - 1e-12)
-    return np.concatenate([ends, ends / h[:, None, None]], axis=1)
-
-
 def _band_coefficients(z1: np.ndarray, z2: np.ndarray) -> np.ndarray:
     """The projector (I + n.sigma) / 2 over ``_SLEObjective``'s four blocks,
     ((1 + z) / 2, x / 2, 0, (1 - z) / 2), at the four hull points of each
-    band [z1, z2], in ``_hull_points``' order; shape (bands, 4, 4).
+    band [z1, z2], in ``verify._hull_points``' order; shape (bands, 4, 4).
 
     The arithmetic is ``_hull_points``', so the coefficients are those of
     its points bit for bit: x = sqrt(1 - z^2) at the chord ends, and h is
@@ -700,42 +670,6 @@ def _band_search(
             return None
         z1, z2 = np.concatenate([z1, mid]), np.concatenate([mid, z2])
         coefficients = _band_coefficients(z1, z2)
-
-
-def verify_sle_certificate(certificate: SLECertificate, rho) -> bool:
-    """Re-check an SLE certificate against ``rho`` without trusting the solver.
-
-    The breakpoints must be finite and strictly increasing, from exactly -1
-    to exactly 1, and rho's nonzero entries must conserve the charges, with
-    charge 1 on the measured qubit.  Every band's four hull points are then
-    contracted with rho^{T_b} here, not through the search's objective, and
-    the lowest eigenvalue of each pair must lie above ``SLE_SIGN_SLACK``
-    (see "Certified signs" in the module docstring).  Eigenvalues come from
-    the package's Jacobi solver, independent of the LAPACK calls of the
-    search; a malformed or non-finite entry fails the check.
-    """
-    from .linalg import jacobi_eigvalsh
-
-    m, _ = _state_entries(rho, 3)
-    try:
-        kept, measured = _resolve_pair(certificate.pair)
-        z = np.asarray(certificate.breakpoints, dtype=np.float64)
-        charges = np.asarray(certificate.charges, dtype=np.float64)
-    except (TypeError, ValueError):  # no pair, ragged or non-numeric
-        return False
-    if (z.ndim != 1 or z.size < 2 or not np.isfinite(z).all()
-            or z[0] != -1.0 or z[-1] != 1.0 or not np.all(z[1:] > z[:-1])):
-        return False
-    if (charges.shape != (3,) or charges[measured] != 1.0
-            or not _respects(m, charges)):
-        return False
-    # x[i, a, b, j, c, d] = <i a b| rho^{T_b} |j c d>, i and j over qubit m.
-    x = _partial_transpose_array(m, 3, (kept[1],)).reshape((2,) * 6).transpose(
-        measured, *kept, 3 + measured, 3 + kept[0], 3 + kept[1])
-    px, pz = np.moveaxis(_hull_points(z[:-1], z[1:]).reshape(-1, 2), -1, 0)
-    projectors = 0.5 * np.array([[1.0 + pz, px], [px, 1.0 - pz]])
-    pairs = np.einsum("jin,iabjcd->nabcd", projectors, x).reshape(-1, 4, 4)
-    return bool(jacobi_eigvalsh(pairs)[:, 0].min() > SLE_SIGN_SLACK)
 
 
 @dataclass(frozen=True)

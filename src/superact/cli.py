@@ -2,7 +2,10 @@
 
 Built-in state specs (``noisy-ghz:P``, ``noisy-w:P``, ``noise-model:P,Q,R``)
 cover the canonical states; anything else is read as a density-matrix JSON
-file ``{"n_qubits": k, "re": [[...]], "im": [[...]]}``.
+file ``{"n_qubits": k, "re": [[...]], "im": [[...]]}``.  A text is a
+built-in spec when what precedes its first colon names one, so a file path
+may hold a colon; a text with a colon that names neither a built-in state
+nor an existing file is an unrecognized spec.
 
 ``main`` takes one path for every subcommand: parse the flags, merge them
 over the ``--config`` file, check every option once, call the subcommand's
@@ -31,6 +34,7 @@ import csv
 import functools
 import io
 import json
+import os
 import sys
 
 import numpy as np
@@ -66,9 +70,9 @@ _BUILT_IN_STATES = {"noisy-ghz": (noisy_ghz, 1), "noisy-w": (noisy_w, 1),
 
 def parse_state_spec(spec: str) -> DensityMatrix:
     """Resolve a built-in state spec or a density-matrix JSON file path."""
-    if ":" not in spec:
+    name, colon, argstr = spec.partition(":")
+    if not colon or (name not in _BUILT_IN_STATES and os.path.exists(spec)):
         return load_density_matrix(spec)
-    name, _, argstr = spec.partition(":")
     build, arity = _BUILT_IN_STATES.get(name, (None, -1))
     try:
         args = [float(tok) for tok in argstr.split(",")]
@@ -278,7 +282,7 @@ def _build_parser() -> argparse.ArgumentParser:
     # The store_true flags default to None, not False, so that leaving one
     # out keeps the config file's value.
     p_cert = sub.add_parser("certify", help="run all certifiers on one state")
-    p_cert.add_argument("--input",
+    p_cert.add_argument("--input", action="append",
                         help="state spec or density-matrix JSON path")
     p_cert.add_argument("--full-certificates", action="store_true",
                         dest="full_certificates", default=None,
@@ -421,6 +425,8 @@ def _check_options(options: dict) -> dict:
     options["input"] = [inputs] if isinstance(inputs, str) else inputs
     if sub in ("certify", "distill") and not inputs:
         raise ValueError(f"{sub} requires --input (flag or config file)")
+    if sub == "certify" and len(options["input"]) > 1:
+        raise ValueError("certify takes one input state")
     if sub == "distill" and len(options["input"]) > 2:
         raise ValueError("distill takes one or two input states")
     for mode in ("curves", "certify"):

@@ -5,9 +5,10 @@ LAPACK (``numpy.linalg``), ``DensityMatrix.eigenvalues()`` and
 :func:`hermitian_eigenvalues` included, except where independence from
 LAPACK is the point.  This module's Jacobi solver serves exactly those
 two checks, re-verifying witness and SLE certificates, one call per
-certificate: ``sdp.verify_witness_certificate`` passes the 12 8x8 factors
-of a witness certificate (six P and Q blocks, three Y_i and three
-Y_i^{T_i}), and ``certify.verify_sle_certificate`` a stack of 4x4 pairs.
+certificate, and ``superact.verify`` is its only caller:
+``verify_witness_certificate`` passes the 12 8x8 factors of a witness
+certificate (six P and Q blocks, three Y_i and three Y_i^{T_i}), and
+``verify_sle_certificate`` a stack of 4x4 pairs.
 
 At that dimension the quadratically convergent Jacobi iteration is
 essentially exact and has no pathological inputs.  The solver is batched:

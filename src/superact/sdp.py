@@ -13,9 +13,9 @@ optimum is strong (though not conclusive) evidence of bi-separability.
 The solver is Douglas-Rachford splitting (see "Douglas-Rachford
 iteration") over the 7-tuple (W, P_1, Q_1, ..., Q_3) of Hermitian matrices.
 Every solve returns two certificates built from its final iterate, so that
-they can be re-verified without trusting the solver: an exactly feasible
-witness, whose value bounds the optimum from above, and a PPT mixture,
-which bounds it from below.
+``superact.verify`` can re-check them without trusting the solver: an
+exactly feasible witness, whose value bounds the optimum from above, and a
+PPT mixture, which bounds it from below.
 
 Douglas-Rachford iteration
 --------------------------
@@ -188,9 +188,7 @@ the coordinates, and clips the one coordinate of each sector of size 1 at
 0.  Expanded, every iterate is exactly zero outside the sectors.  The
 certified bounds read W and the cone multipliers through the sectors,
 which twirls them, so every spectrum they take is of an exactly
-block-diagonal matrix, and they take it sector by sector.  The verifier
-``verify_witness_certificate`` knows nothing of sectors: it checks the
-full 8 x 8 matrices with the Jacobi solver.
+block-diagonal matrix, and they take it sector by sector.
 
 Affine projection
 -----------------
@@ -273,7 +271,6 @@ import numpy as np
 from .states import (
     _LABELS,
     _Symmetries,
-    _finite_array,
     _matrix_to_dict,
     _partial_transpose_array,
     _state_entries,
@@ -296,9 +293,6 @@ RELAXATION = 1.2
 GAP_TOL = 1e-8
 MAX_ITERATIONS = 200_000
 CERTIFICATION_MARGIN = 1e-5
-# Largest ||W - P_i - Q_i^{T_i}|| that ``verify_witness_certificate``
-# accepts.
-FEASIBILITY_TOL = 1e-6
 # Iterations between two evaluations of the certified bounds.
 _BOUND_CHECK_EVERY = 10
 # Iterations at which a solve that takes a start also evaluates them, chosen
@@ -906,52 +900,3 @@ def witness_result_to_json_dict(result: WitnessResult) -> dict:
         "lower_bound": result.lower_bound,
         "mixture": [_matrix_to_dict(y) for y in result.mixture],
     }
-
-
-def verify_witness_certificate(result: WitnessResult, rho) -> bool:
-    """Re-check both certificates of a result without trusting the solver.
-
-    The witness must have unit trace and the reported value, with
-    ||W - P_i - Q_i^{T_i}|| <= ``FEASIBILITY_TOL`` for every bipartition;
-    the residuals the solver reports are not consulted.  The PPT mixture
-    must sum to rho - ``lower_bound`` I within 1e-9 (Frobenius norm).  Last,
-    the 12 factors, the six P and Q blocks, the three Y_i and the three
-    Y_i^{T_i}, must be PSD: their lowest eigenvalue must be at least -1e-9.
-    It comes from one call of the package's own Jacobi solver on all 12, so
-    the check is independent of the LAPACK-backed projections used inside
-    the iteration.  A witness, decomposition or mixture of the wrong shape,
-    or a non-finite entry or bound, fails the check.
-
-    ``rho`` must be a three-qubit state: an array must be Hermitian and
-    positive semidefinite, with any trace, or ``StateValidationError`` is
-    raised.
-    """
-    from .linalg import jacobi_eigvalsh
-
-    m, n_qubits = _state_entries(rho, 3)
-    dim = m.shape[0]
-    w = _finite_array(result.witness, (dim, dim))
-    decompositions = _finite_array(result.decompositions,
-                                   (len(BIPARTITIONS), 2, dim, dim))
-    mixture = _finite_array(result.mixture, (len(BIPARTITIONS), dim, dim))
-    if w is None or decompositions is None or mixture is None:
-        return False
-    if not np.isfinite([result.optimal_value, result.lower_bound]).all():
-        return False
-    if not abs(float(np.trace(w).real) - 1.0) <= 1e-8:
-        return False
-    if not abs(float(np.real(np.vdot(m, w))) - result.optimal_value) <= 1e-8:
-        return False
-    for (p_hat, q_hat), party in zip(decompositions, BIPARTITIONS):
-        reconstruction = p_hat + _partial_transpose_array(q_hat, n_qubits, party)
-        if not np.linalg.norm(w - reconstruction) <= FEASIBILITY_TOL:
-            return False
-    shifted = m - result.lower_bound * np.eye(dim)
-    if not np.linalg.norm(shifted - mixture.sum(axis=0)) <= 1e-9:
-        return False
-
-    transposed = [_partial_transpose_array(block, n_qubits, party)
-                  for block, party in zip(mixture, BIPARTITIONS)]
-    factors = np.concatenate([decompositions.reshape(-1, dim, dim), mixture,
-                              transposed])
-    return bool(jacobi_eigvalsh(factors)[:, 0].min() >= -1e-9)

@@ -195,17 +195,13 @@ def _resolve_qubits(spec, n_qubits: int) -> tuple[int, ...]:
     return idx
 
 
-def _finite_array(a, shape: tuple[int, ...]) -> np.ndarray | None:
-    """``a`` as a complex array of ``shape``, or None when it does not have
-    that shape or holds a non-finite entry; certificate verifiers use it to
-    reject a malformed certificate without raising."""
-    try:
-        m = np.asarray(a, dtype=np.complex128)
-    except (TypeError, ValueError):  # ragged or non-numeric
-        return None
-    if m.shape != shape or not np.isfinite(m).all():
-        return None
-    return m
+def _resolve_pair(pair) -> tuple[tuple[int, int], int]:
+    """A kept pair of two distinct qubits of three, checked by
+    ``_resolve_qubits``, and the measured qubit left over."""
+    kept = _resolve_qubits(pair, 3)
+    if len(kept) != 2:
+        raise ValueError(f"kept pair must have exactly two qubits, got {kept}")
+    return kept, 3 - sum(kept)
 
 
 def _entries(rho, n_qubits: int | None = None) -> tuple[np.ndarray, int]:

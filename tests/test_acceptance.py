@@ -31,7 +31,6 @@ from superact.linalg import jacobi_eigvalsh
 from superact.sdp import (
     SIGN_NEGATIVE,
     ppt_mixer_witness,
-    verify_witness_certificate,
 )
 from superact.states import _partial_transpose_array
 from superact.thresholds import (
@@ -50,6 +49,7 @@ from superact.coincidence import (
     route_photons,
     sampled_ghz_fidelity,
 )
+from superact.verify import verify_witness_certificate
 from test_coincidence import REFERENCE_ROWS
 from util import analytic_constants, random_density_matrix, random_unitary
 

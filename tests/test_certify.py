@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -34,18 +35,19 @@ from superact.certify import (
     negativity,
     sle_quantifier_at,
     sle_quantify,
-    verify_sle_certificate,
     w_witness_expectation,
     x_shape_view,
 )
 import superact.certify as certify
 import superact.thresholds as thresholds
+import superact.verify as verify
 from superact.distill import (
     analytic_distilled_noisy_ghz,
     distill_cnot,
     distill_tripartite,
 )
 from superact.states import DegenerateProjectionError, StateValidationError
+from superact.verify import verify_sle_certificate
 from util import (
     BAD_RAW_ARRAYS,
     exact_epr_settings,
@@ -1045,7 +1047,7 @@ def test_sle_ring_charges_match_the_candidate_loop(name):
 
 def test_sle_band_coefficients_match_the_hull_points_bit_for_bit():
     def from_hull_points(z1, z2):
-        x, z = np.moveaxis(certify._hull_points(z1, z2), -1, 0)
+        x, z = np.moveaxis(verify._hull_points(z1, z2), -1, 0)
         return 0.5 * np.stack([1.0 + z, x, np.zeros_like(x), 1.0 - z],
                               axis=-1)
 
@@ -1079,7 +1081,7 @@ def test_sle_band_coefficients_match_the_hull_points_bit_for_bit():
 def test_sle_band_hull_contains_its_arc():
     rng = np.random.default_rng(5)
     z = np.sort(np.concatenate([[-1.0, 1.0], rng.uniform(-1.0, 1.0, 30)]))
-    hulls = certify._hull_points(z[:-1], z[1:])
+    hulls = verify._hull_points(z[:-1], z[1:])
     assert hulls.shape == (31, 4, 2)
     for z1, z2, hull in zip(z[:-1], z[1:], hulls):
         angles = np.linspace(np.arccos(z2), np.arccos(z1), 41)
@@ -1246,7 +1248,7 @@ def test_verify_sle_certificate_rejects_forgeries():
     for charges in ((1, 1, 1), (0, 0, 0), (0, -1, 1.5), "abc"):
         forged = replace(certificate, charges=charges)
         assert not verify_sle_certificate(forged, rho), charges
-    for pair in ((0, 0), (0, 1, 2), (0, 5), "ab"):
+    for pair in ((0, 0), (0, 1, 2), (0, 5), "ab", None):
         assert not verify_sle_certificate(replace(certificate, pair=pair),
                                           rho), pair
     # Checked against another state, the same certificate proves nothing:
@@ -1257,6 +1259,39 @@ def test_verify_sle_certificate_rejects_forgeries():
     assert verify_sle_certificate(
         SLECertificate((0, 1), certificate.charges, np.linspace(-1, 1, 9)),
         noisy_ghz(0.3))
+
+
+def test_verify_sle_certificate_reads_every_field_through_one_rule():
+    # A field that is missing, non-numeric, ragged, non-finite or of the
+    # wrong shape fails the check without raising.
+    rho = noisy_ghz(0.3)
+    certificate = sle_quantify(rho, sign_only=True).certificate
+    assert verify_sle_certificate(certificate, rho)
+    assert verify_sle_certificate(replace(
+        certificate, pair=list(certificate.pair),
+        charges=np.array(certificate.charges),
+        breakpoints=certificate.breakpoints.tolist()), rho)
+    z, charges = certificate.breakpoints, certificate.charges
+    forgeries = {
+        "pair of bools": dict(pair=(False, True)),
+        "nested pair": dict(pair=[(0, 1)]),
+        "no breakpoints": dict(breakpoints=None),
+        "string breakpoints": dict(breakpoints=[str(v) for v in z]),
+        "complex breakpoints": dict(breakpoints=z + 0j),
+        "bool breakpoints": dict(breakpoints=np.array([True, False, True])),
+        "2-d breakpoints": dict(breakpoints=z[None]),
+        "no charges": dict(charges=None),
+        "string charges": dict(charges=tuple(str(c) for c in charges)),
+        "infinite charge": dict(charges=(np.inf,) + charges[1:]),
+        "four charges": dict(charges=charges + (0,)),
+        "ragged charges": dict(charges=((1,), 0, 1)),
+    }
+    for name, fields in forgeries.items():
+        assert not verify_sle_certificate(replace(certificate, **fields),
+                                          rho), name
+    for name in ("pair", "charges", "breakpoints"):
+        partial = {k: v for k, v in vars(certificate).items() if k != name}
+        assert not verify_sle_certificate(SimpleNamespace(**partial), rho)
 
 
 _NON_STATES = {

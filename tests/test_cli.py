@@ -19,8 +19,9 @@ from superact import (
 )
 import superact.certify as cert
 from superact.cli import _CONFIG_OPTIONS, _build_parser, main, parse_state_spec
-from superact.sdp import WitnessResult, verify_witness_certificate
+from superact.sdp import WitnessResult
 from superact.states import density_matrix_to_dict
+from superact.verify import verify_witness_certificate
 from util import limit_margin_evaluations, random_density_matrix
 
 
@@ -136,6 +137,39 @@ def test_certify_density_matrix_file(tmp_path, capsys):
     code, out, _ = run_cli(["certify", "--input", str(path)], capsys)
     assert code == 0
     assert json.loads(out)["gme_concurrence"] == pytest.approx(0.0, abs=1e-12)
+
+
+def test_a_state_file_path_may_hold_a_colon(tmp_path, capsys):
+    # Only a built-in state's name before the first colon makes a built-in
+    # spec, so a file under "runs:1" loads, for certify and for sampling.
+    directory = tmp_path / "runs:1"
+    directory.mkdir()
+    path = directory / "state.json"
+    save_density_matrix(noisy_ghz(0.36), path)
+    code, out, _ = run_cli(["certify", "--input", str(path)], capsys)
+    assert code == 0
+    assert json.loads(out)["gme_concurrence"] == pytest.approx(0.0, abs=1e-12)
+    sample = ["coincidence", "--sample", "setting=zzz", "shots=1000", "seed=3"]
+    code, out, _ = run_cli(sample + [f"state={path}"], capsys)
+    assert code == 0
+    assert out == run_cli(sample + ["state=noisy-ghz:0.36"], capsys)[1]
+    # A text with a colon that names neither a built-in state nor a file.
+    missing = str(directory / "missing.json")
+    code, out, err = run_cli(["certify", "--input", missing], capsys)
+    assert code == 1 and out == ""
+    assert err == f"superact: error: unrecognized state spec {missing!r}\n"
+
+
+def test_certify_takes_one_input_state(tmp_path, capsys):
+    # Neither a config file's list nor a repeated flag drops a state.
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"input": ["noisy-ghz:0.5", "noisy-w:0.6"]}))
+    for args in (["--config", str(cfg), "certify"],
+                 ["certify", "--input", "noisy-ghz:0.5", "--input",
+                  "noisy-w:0.6"]):
+        code, out, err = run_cli(args, capsys)
+        assert code == 1 and out == ""
+        assert err == "superact: error: certify takes one input state\n"
 
 
 def test_certify_invalid_file_nonzero_exit(tmp_path, capsys):

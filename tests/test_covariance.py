@@ -35,7 +35,6 @@ from superact.certify import (
     SLE_SIGN_SLACK,
     gme_concurrence_x,
     sle_quantify,
-    verify_sle_certificate,
 )
 from superact.distill import (
     analytic_distilled_noisy_ghz,
@@ -47,8 +46,8 @@ from superact.sdp import (
     SIGN_NEGATIVE,
     SIGN_NONNEGATIVE,
     ppt_mixer_witness,
-    verify_witness_certificate,
 )
+from superact.verify import verify_sle_certificate, verify_witness_certificate
 from util import (
     phased,
     random_density_matrix,

@@ -5,7 +5,6 @@ from superact import linalg, noisy_ghz
 from superact.certify import (
     negativity,
     sle_quantify,
-    verify_sle_certificate,
 )
 from superact.linalg import (
     NonHermitianError,
@@ -13,8 +12,9 @@ from superact.linalg import (
     jacobi_eigh,
     jacobi_eigvalsh,
 )
-from superact.sdp import ppt_mixer_witness, verify_witness_certificate
+from superact.sdp import ppt_mixer_witness
 from superact.states import DensityMatrix
+from superact.verify import verify_sle_certificate, verify_witness_certificate
 from util import random_hermitian
 
 

@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import itertools
 import time
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -20,7 +21,6 @@ from superact.sdp import (
     SIGN_NONNEGATIVE,
     WitnessResult,
     ppt_mixer_witness,
-    verify_witness_certificate,
     _PT_INDEX,
     _certified_bounds,
     _iterates,
@@ -33,6 +33,7 @@ from superact.states import (
     StateValidationError,
     _partial_transpose_array,
 )
+from superact.verify import verify_witness_certificate
 from util import (
     BAD_RAW_ARRAYS,
     random_density_matrix,
@@ -796,6 +797,41 @@ def test_verifier_rejects_malformed_certificates():
     for name, fields in forgeries.items():
         forged = dataclasses.replace(result, **fields)
         assert not verify_witness_certificate(forged, rho), name
+
+
+def test_verifier_reads_every_field_through_one_rule():
+    # A field read from JSON may hold anything.  A number, or nested lists
+    # of numbers, of the right shape is read as an array; a field that is
+    # missing, non-numeric, ragged or of the wrong shape fails the check
+    # without raising.
+    rho = noisy_ghz(0.6)
+    result = ppt_mixer_witness(rho)
+    assert verify_witness_certificate(result, rho)
+    assert verify_witness_certificate(dataclasses.replace(
+        result, witness=result.witness.tolist(),
+        mixture=[y.tolist() for y in result.mixture],
+        optimal_value=np.float64(result.optimal_value),
+        lower_bound=np.array(result.lower_bound)), rho)
+    for name in ("optimal_value", "lower_bound"):
+        bound = getattr(result, name)
+        for value in (None, str(bound), "abc", True, complex(bound),
+                      [bound], np.array([[bound]])):
+            forged = dataclasses.replace(result, **{name: value})
+            assert not verify_witness_certificate(forged, rho), (name, value)
+    for name in ("witness", "decompositions", "mixture"):
+        matrices = np.asarray(getattr(result, name))
+        for value in (None, "abc", matrices.astype(str),
+                      np.ones(matrices.shape, dtype=bool),
+                      np.array(matrices, dtype=object),
+                      [matrices.tolist(), [0.0]], matrices[..., None]):
+            forged = dataclasses.replace(result, **{name: value})
+            assert not verify_witness_certificate(forged, rho), name
+    assert verify_witness_certificate(SimpleNamespace(**vars(result)), rho)
+    for name in ("witness", "decompositions", "mixture", "optimal_value",
+                 "lower_bound"):
+        fields = {k: v for k, v in vars(result).items() if k != name}
+        assert not verify_witness_certificate(SimpleNamespace(**fields),
+                                              rho), name
 
 
 def test_verifier_validates_the_state():

@@ -18,7 +18,6 @@ from superact.distill import distill_tripartite
 from superact.sdp import (
     SIGN_INDETERMINATE,
     ppt_mixer_witness,
-    verify_witness_certificate,
 )
 from superact.thresholds import (
     PROPERTY_GME,
@@ -34,6 +33,7 @@ from superact.thresholds import (
     fidelity_curves,
     find_threshold,
 )
+from superact.verify import verify_sle_certificate, verify_witness_certificate
 from util import analytic_constants, limit_margin_evaluations
 
 
@@ -305,7 +305,7 @@ def test_w_sle_bracket_ends_carry_certificates():
     hi = report.crossing_p + report.bracket_width
     below = certify.sle_quantify(noisy_w(lo), sign_only=True)
     assert below.certificate is not None
-    assert certify.verify_sle_certificate(below.certificate, noisy_w(lo))
+    assert verify_sle_certificate(below.certificate, noisy_w(lo))
     above = certify.sle_quantify(noisy_w(hi), sign_only=True)
     assert above.certificate is None
     assert certify.sle_quantifier_at(
