@@ -17,7 +17,10 @@ on the command line (``--curves``/``--certify``/``--thresholds``, or
 With identical configuration (including seeds) the output files are
 byte-identical.  A flag that could not change the output is a usage
 error (exit code 2): a flag the subcommand does not take, and
-``sweep --tolerance`` without ``--thresholds``.
+``sweep --tolerance`` without ``--thresholds``.  So is a second occurrence
+of a flag that takes one value, which would silently replace the first.
+``--input`` repeats by design; a repeated ``--sample`` still keeps its
+last token list.
 
 The library returns values; this module renders every report.  JSON goes
 through ``json.dumps`` with sorted keys.  Every CSV table, the flattened
@@ -268,6 +271,17 @@ _COMMANDS = {"certify": cmd_certify, "distill": cmd_distill,
 # ---------------------------------------------------------------------------
 # argument parsing
 
+class _Once(argparse.Action):
+    """Stores a flag's one value; a repeat of the flag, whose later value
+    would silently replace the earlier one, is a usage error.  The default,
+    None, marks a flag not yet given."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        if getattr(namespace, self.dest) is not None:
+            raise argparse.ArgumentError(self, "may be given only once")
+        setattr(namespace, self.dest, values)
+
+
 # One parser serves every main() call of a process: parse_args leaves it as
 # it was, and building it takes ~0.7 ms (2-vCPU VM), an eighth of a small
 # certify job.
@@ -276,7 +290,8 @@ def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="superact",
         description="Entanglement distillation and certification engine")
-    parser.add_argument("--config", help="JSON file with default options")
+    parser.add_argument("--config", action=_Once,
+                        help="JSON file with default options")
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
     # The store_true flags default to None, not False, so that leaving one
@@ -290,26 +305,26 @@ def _build_parser() -> argparse.ArgumentParser:
                              "matrices in the report")
 
     p_dist = sub.add_parser("distill", help="distill two copies of a state")
-    p_dist.add_argument("--protocol", choices=("pbs", "cnot"), default=None)
+    p_dist.add_argument("--protocol", action=_Once, choices=("pbs", "cnot"))
     p_dist.add_argument("--input", action="append",
                         help="state spec; repeat for two different inputs")
-    p_dist.add_argument("--localize", metavar="BASIS:QUBIT",
+    p_dist.add_argument("--localize", action=_Once, metavar="BASIS:QUBIT",
                         help="also localize the output, e.g. x:2")
     p_dist.add_argument("--recertify", action="store_true", default=None,
                         help="re-run GME certifiers on the output")
 
     p_sweep = sub.add_parser("sweep", help="tabulate curves or thresholds")
     group = p_sweep.add_mutually_exclusive_group(required=True)
-    group.add_argument("--curves", metavar="START:STOP:COUNT")
-    group.add_argument("--certify", metavar="START:STOP:COUNT")
-    group.add_argument("--thresholds", metavar="NAMES",
+    group.add_argument("--curves", action=_Once, metavar="START:STOP:COUNT")
+    group.add_argument("--certify", action=_Once, metavar="START:STOP:COUNT")
+    group.add_argument("--thresholds", action=_Once, metavar="NAMES",
                        help="'all' or comma-separated property names")
-    p_sweep.add_argument("--tolerance", type=float)
+    p_sweep.add_argument("--tolerance", action=_Once, type=float)
 
     p_coin = sub.add_parser("coincidence",
                             help="photonic network tables and sampling")
     group = p_coin.add_mutually_exclusive_group()
-    group.add_argument("--schedule", type=float, metavar="P",
+    group.add_argument("--schedule", action=_Once, type=float, metavar="P",
                        help="emit the preparation schedule for parameter P")
     group.add_argument("--sample", nargs="+", metavar="KEY=VALUE",
                        help="sample counts, e.g. setting=zzz shots=1000 seed=7")
@@ -317,10 +332,12 @@ def _build_parser() -> argparse.ArgumentParser:
     # Only certify and distill choose their format, and only sampling is
     # seeded; sweep and coincidence tables are always CSV.
     for p in (p_cert, p_dist, p_sweep, p_coin):
-        p.add_argument("--output", help="output path (default: stdout)")
+        p.add_argument("--output", action=_Once,
+                       help="output path (default: stdout)")
     for p in (p_cert, p_dist):
-        p.add_argument("--format", choices=("csv", "json"), dest="fmt")
-    p_coin.add_argument("--seed", type=int,
+        p.add_argument("--format", action=_Once, choices=("csv", "json"),
+                       dest="fmt")
+    p_coin.add_argument("--seed", action=_Once, type=int,
                         help="sampling seed when --sample gives none")
     return parser
 

@@ -1,4 +1,4 @@
-"""Bisection-based threshold discovery.
+"""Threshold discovery by ITP steps and bisection.
 
 Each certifiable property of the noisy GHZ / noisy W family is reduced to a
 margin function of the noise parameter p that is negative where the
@@ -17,19 +17,32 @@ start)``:
 - the sign-only PPT mixer (W-GME, W-GME-after-distill): the negated value
   of a PPT-mixer witness whose sign is certified;
 - the W-SLE branch (W-SLE): the negated minimum eigenvalue after partial
-  transposition of the pair left by projecting qubit 2 onto |0>, which
-  ``certify.sle_quantifier_at`` returns at theta = 0; that projection is
-  the optimal localization for the noisy W state.
+  transposition of the pair left by projecting qubit 2 onto |0>, one 4x4
+  eigensolve of the value ``certify.sle_quantifier_at`` returns at theta =
+  0; that projection is the optimal localization for the noisy W state.
 
 ``start`` is where a PPT-mixer solve starts, and what it hands back for
 later ones; the margins that solve none hand it back unchanged.
 ``default_tolerance`` reads the margin from the same table: 1e-3 for the
 PPT mixer, 1e-6 for the others.
 
-Bisection on the sign of the margin then brackets the crossing.  Bisection
-is used deliberately: the margins are cheap, monotone sign indicators near
-each crossing, and the bracket provides a self-evident correctness
-certificate.
+A search on the sign of the margin then brackets the crossing.  Each step
+evaluates the margin at one point strictly inside the bracket and keeps the
+part whose ends' margins differ in sign, so every bracket, the last one
+too, has at each end a sign the margin returned: a self-evident correctness
+certificate.  The two PPT-mixer margins step to the midpoint (bisection).
+The other five take ITP steps (interpolate, truncate, project: Oliveira &
+Takahashi, ACM Trans. Math. Softw. 47(1), 2020): the regula falsi point of
+the bracket's ends, moved towards the midpoint by kappa1 w^kappa2 for a
+bracket of width w (kappa1 = 0.2 over the first bracket's width, kappa2 =
+2), then projected so that the search takes at most n0 = 1 step more than
+bisection would.  A step that would not land strictly inside the bracket
+takes the midpoint.  At the default 1e-6 each of the five takes 8
+evaluations, against bisection's 19 or 20; at 1e-8, 9 (25 or 26); at 1e-9,
+9 or 10 (29 or 30).  ``default_tolerance``'s test, whether the margin is
+the PPT mixer's, picks the step too.  A sign-only PPT-mixer solve returns a
+bound that certifies its sign, not the margin's value, which steers the
+interpolation poorly: ITP took W-GME from 9 evaluations to 11.
 
 The two PPT-mixer margins (W-GME and W-GME-after-distill) solve the
 program in sign-only mode, at the solver's fixed settings: each
@@ -66,36 +79,34 @@ which puts the optimum below zero too.  Or it stops once bounds on every
 band lie above 1e-12, which puts every projection, and so the optimum,
 above zero, and returns its lowest evaluated value.  Only a search that
 settles neither within 512 evaluated points runs the default search to its
-optimum (see ``certify.sle_quantify``).  At the 39 bisection points of the
-default ranges every search settles on bands: 21 negative margins and 18
+optimum (see ``certify.sle_quantify``).  At the 16 points of the two
+default searches every search settles on bands: 8 negative margins and 8
 nonnegative ones, each with a certificate.  The signs, and so every
 bracket, are those of the default searches.  A margin value is therefore a
-certifying value, not always the optimum, and the values that a
-no-sign-change error prints are those certifying values.  The 21 negative
-signs settle in the first round, on the eight bands every search starts
-from, whose hull points' coefficients are built once per process; the
-other rounds build theirs in a few vector operations, with the same
-arithmetic, so every sign and certificate is the same bit for bit.
+certifying value, not always the optimum; ITP interpolates between such
+values, and the values that a no-sign-change error prints are those
+certifying values.  The 8 negative signs settle in the first round, on the
+eight bands every search starts from, whose hull points' coefficients are
+built once per process; the other rounds build theirs in a few vector
+operations, with the same arithmetic, so every sign and certificate is the
+same bit for bit.
 
 The states the margins read are built from p without re-validation where
 they are states by construction: the noisy families and the closed-form
-distilled GHZ state (see "Validation" in ``states.py``).  Of the 125
-evaluations of the seven default bisections, only the nine of
+distilled GHZ state (see "Validation" in ``states.py``).  Of the 58
+evaluations of the seven default searches, only the nine of
 W-GME-after-distill validate a state, the output of ``distill_cnot``.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
-from .certify import (
-    gme_concurrence_arguments,
-    sle_quantifier_at,
-    sle_quantify,
-)
+from .certify import gme_concurrence_arguments, sle_quantify
 from .distill import analytic_distilled_noisy_ghz, distill_cnot
 from .sdp import CERTIFICATION_MARGIN, SIGN_INDETERMINATE, ppt_mixer_witness
 from .states import DensityMatrix, noisy_ghz, noisy_w
@@ -110,6 +121,11 @@ PROPERTY_W_SLE = "W-SLE"
 
 CLOSED_FORM_TOL = 1e-6
 SDP_BACKED_TOL = 1e-3
+# ITP's parameters (see the module docstring): kappa1 over the first
+# bracket's width, kappa2 and n0.
+ITP_KAPPA1 = 0.2
+ITP_KAPPA2 = 2.0
+ITP_N0 = 1
 
 
 @dataclass(frozen=True)
@@ -143,8 +159,14 @@ def _ppt_mixer(label: str, p: float, rho, start):
 
 def _w_sle(label: str, p: float, rho, start):
     # Projecting qubit 2 onto |0> is the optimal localization for the noisy
-    # W state (a test checks it against the full search).
-    return -sle_quantifier_at(rho, None, 0.0, 0.0), start
+    # W state (a test checks it against the full search).  The pair left is
+    # <0|rho|0> over qubit 2 over its trace, and its partial transpose over
+    # qubit 1 is the one ``certify.sle_quantifier_at(rho, None, 0, 0)``
+    # solves.
+    pair = rho.entries.reshape((2,) * 6)[:, :, 0, :, :, 0]
+    pair_pt = pair.transpose(0, 3, 2, 1).reshape(4, 4)
+    lowest = np.linalg.eigvalsh(pair_pt / pair_pt.trace().real)[0]
+    return -float(lowest), start
 
 
 def _cnot_distilled_w(p: float) -> DensityMatrix:
@@ -214,17 +236,40 @@ def default_tolerance(property_name: str) -> float:
     return SDP_BACKED_TOL if evaluate is _ppt_mixer else CLOSED_FORM_TOL
 
 
+def _itp_point(lo: float, hi: float, m_lo: float, m_hi: float,
+               truncation: float, widest: float) -> float:
+    """ITP's next point in the bracket (lo, hi), whose ends' margins are
+    ``m_lo`` and ``m_hi``: the regula falsi point, moved ``truncation``
+    towards the midpoint, then projected onto the points that leave a
+    bracket at most ``widest`` wide.  The midpoint where that point is not
+    strictly inside (lo, hi) or, by rounding, leaves a wider bracket."""
+    mid = 0.5 * (lo + hi)
+    radius = widest - (hi - lo) / 2.0
+    falsi = lo + (hi - lo) * m_lo / (m_lo - m_hi)
+    towards = math.copysign(1.0, mid - falsi)
+    step = falsi + towards * truncation
+    if truncation > abs(mid - falsi):
+        step = mid
+    if abs(step - mid) > radius:
+        step = mid - towards * radius
+    if lo < step < hi and max(step - lo, hi - step) <= widest:
+        return step
+    return mid
+
+
 def find_threshold(property_name: str,
                    p_range: tuple[float, float] | None = None,
                    tolerance: float | None = None) -> ThresholdReport:
-    """Bisect the certifying margin of a property to a sign-change bracket.
+    """Narrow the certifying margin of a property to a sign-change bracket.
 
     ``tolerance``, positive and finite, bounds the half-width of the final
     bracket; it defaults to 1e-6 for closed-form margins and 1e-3 for
     SDP-backed ones.  A tolerance the bracket cannot reach, because its
-    ends become adjacent floats first, raises ``ValueError``.
+    ends become adjacent floats first, raises ``ValueError``.  The
+    SDP-backed margins are bisected; the others take ITP steps (see the
+    module docstring).
     """
-    default_range, _, _ = _property(property_name)
+    default_range, _, evaluate = _property(property_name)
     lo, hi = p_range if p_range is not None else default_range
     if not 0.0 <= lo < hi <= 1.0:
         raise ValueError(f"invalid range ({lo}, {hi})")
@@ -239,22 +284,38 @@ def find_threshold(property_name: str,
         raise ValueError(
             f"{property_name}: margin does not change sign on [{lo}, {hi}] "
             f"(values {m_lo:.3e}, {m_hi:.3e})")
+    itp = evaluate is not _ppt_mixer
+    kappa1 = ITP_KAPPA1 / (hi - lo)
+    # Bisection's step count, plus n0: ITP takes at most this many steps.
+    steps = max(0, math.ceil(math.log2(hi - lo) - math.log2(tol) - 1.0))
+    steps += ITP_N0
+    # ITP's bounds aim one ulp inside tol, so that rounding the bracket's
+    # ends cannot leave the last step's bracket a hair wider than 2 tol and
+    # cost a step more.
+    target = tol - math.ulp(hi)
     while (hi - lo) / 2.0 > tol:
         mid = 0.5 * (lo + hi)
         if not lo < mid < hi:  # lo and hi are adjacent floats
             raise ValueError(f"{property_name}: tolerance {tol:g} is below "
                              f"the float resolution at p = {mid!r}")
-        m_mid = margin(mid)
+        p = mid
+        if itp:
+            # The bracket this step leaves is at most target * 2**steps
+            # wide, a bound that halves with each step to 2 * target.
+            p = _itp_point(lo, hi, m_lo, m_hi,
+                           kappa1 * (hi - lo) ** ITP_KAPPA2,
+                           math.ldexp(target, steps))
+            steps -= 1
+        m_p = margin(p)
         evaluations += 1
-        if m_mid == 0.0:
+        if m_p == 0.0:
             # Exact zero: shrink symmetrically around it.
-            half = min(mid - lo, hi - mid, tol)
-            lo, hi = mid - half, mid + half
-            break
-        if (m_mid > 0.0) == (m_hi > 0.0):
-            hi, m_hi = mid, m_mid
+            half = min(p - lo, hi - p, tol)
+            return ThresholdReport(property_name, p, half, evaluations)
+        if (m_p > 0.0) == (m_hi > 0.0):
+            hi, m_hi = p, m_p
         else:
-            lo, m_lo = mid, m_mid
+            lo, m_lo = p, m_p
     return ThresholdReport(
         property_name=property_name,
         crossing_p=0.5 * (lo + hi),

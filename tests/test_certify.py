@@ -623,15 +623,15 @@ def test_sle_sign_only_agrees_on_every_bisection_point(monkeypatch):
     monkeypatch.setattr(thresholds, "sle_quantify", recording)
     for name in (thresholds.PROPERTY_SLE, thresholds.PROPERTY_SLE_AFTER):
         thresholds.find_threshold(name)
-    assert len(searched) == 39
+    assert len(searched) == 16
     settled = []
     for rho, kwargs, result in searched:
         assert kwargs == {"sign_only": True}
         settled.append(_sign_only_agrees(rho, None))
         # Every nonnegative margin is settled by a verified certificate.
         assert (settled[-1] == "certified") == (result.min_eigenvalue >= 0.0)
-    assert settled.count("certified") == 18
-    assert settled.count("negative") == 21
+    assert settled.count("certified") == 8
+    assert settled.count("negative") == 8
 
 
 @pytest.fixture
@@ -872,12 +872,12 @@ def test_sle_bisection_margins_settle_in_the_band_search(monkeypatch, batches):
     monkeypatch.setattr(thresholds, "sle_quantify", recording)
     for name in (thresholds.PROPERTY_SLE, thresholds.PROPERTY_SLE_AFTER):
         thresholds.find_threshold(name)
-    assert len(searched) == 39
+    assert len(searched) == 16
     # No search falls back to the grid: each solves its reported point only.
     assert all(solved == [1] for _, _, solved in searched)
     negative = [(rho, r) for rho, r, _ in searched if r.certificate is None]
     certified = [(rho, r) for rho, r, _ in searched if r.certificate]
-    assert len(negative) == 21 and len(certified) == 18
+    assert len(negative) == 8 and len(certified) == 8
     for rho, result in negative:
         assert sle_quantifier_at(rho, None, result.theta, result.phi) < -1e-12
     for rho, result in certified:

@@ -43,6 +43,38 @@ def test_every_flag_has_a_config_key():
     assert keys - {"config", "subcommand"} == _CONFIG_OPTIONS.keys()
 
 
+# Each single-valued flag, given twice.
+_REPEATED_FLAGS = {
+    "--config": ["--config", "a.json", "--config", "b.json", "coincidence"],
+    "--protocol": ["distill", "--input", "noisy-ghz:0.5", "--protocol", "pbs",
+                   "--protocol", "cnot"],
+    "--localize": ["distill", "--input", "noisy-ghz:0.5", "--localize", "x:2",
+                   "--localize", "z:1"],
+    "--curves": ["sweep", "--curves", "0:1:3", "--curves", "0:1:5"],
+    "--certify": ["sweep", "--certify", "0:1:3", "--certify", "0:1:5"],
+    "--thresholds": ["sweep", "--thresholds", "GME", "--thresholds", "SLE"],
+    "--tolerance": ["sweep", "--thresholds", "GME", "--tolerance", "1e-3",
+                    "--tolerance", "1e-6"],
+    "--schedule": ["coincidence", "--schedule", "0.5", "--schedule", "0.6"],
+    "--output": ["certify", "--input", "noisy-ghz:0.5", "--output", "a.csv",
+                 "--output", "b.csv"],
+    "--format": ["certify", "--input", "noisy-ghz:0.5", "--format", "csv",
+                 "--format", "json"],
+    "--seed": ["coincidence", "--sample", "setting=zzz", "shots=10",
+               "--seed", "1", "--seed", "2"],
+}
+
+
+@pytest.mark.parametrize("flag", list(_REPEATED_FLAGS))
+def test_a_repeated_single_valued_flag_is_rejected(flag, capsys):
+    # The later value would silently replace the earlier one.
+    with pytest.raises(SystemExit) as exc:
+        main(_REPEATED_FLAGS[flag])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"argument {flag}: may be given only once" in err
+
+
 def test_one_parser_serves_every_call(capsys):
     # The parser is built once per process.  A failed parse leaves it as it
     # was: the next valid call runs, and the help text is that of a parser
@@ -836,13 +868,13 @@ def test_sweep_all_thresholds_golden(capsys):
     assert code == 0
     assert out.split("\n") == [
         "property,crossing_p,bracket_width,evaluations",
-        "GME,0.42857151031494134,5.7220458984930112e-07,20",
-        "SLE,0.33333339691162112,5.7220458984930112e-07,20",
-        "GME-after-distill,0.30216903686523444,7.6293945314165335e-07,19",
-        "SLE-after-distill,0.26120357513427739,5.7220458984930112e-07,19",
+        "GME,0.42857178859569584,3.7905473793120592e-07,8",
+        "SLE,0.33333355519875585,2.3982452818094302e-07,8",
+        "GME-after-distill,0.30216949351469702,1.4290719718701439e-08,8",
+        "SLE-after-distill,0.26120420225852053,3.3794303871959031e-07,8",
         "W-GME,0.47890624999999998,0.00078124999999998335,9",
         "W-GME-after-distill,0.5185546875,0.00058593749999996669,9",
-        "W-SLE,0.27272701263427723,5.7220458984930112e-07,20",
+        "W-SLE,0.27272794715281912,6.894873847695937e-07,8",
         "",
     ]
 

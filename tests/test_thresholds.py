@@ -1,3 +1,4 @@
+import math
 import re
 
 import numpy as np
@@ -61,6 +62,7 @@ def test_fast_thresholds_match_constants(name, p_range):
     exact = analytic_constants()[name].value
     assert abs(report.crossing_p - exact) <= 2e-6
     assert report.bracket_width <= 1e-6
+    assert report.evaluations <= 10  # ITP steps; bisection took 19-20
 
 
 def test_sle_thresholds_match_constants():
@@ -68,6 +70,8 @@ def test_sle_thresholds_match_constants():
         report = find_threshold(name, tolerance=1e-6)
         exact = analytic_constants()[name].value
         assert abs(report.crossing_p - exact) <= 2e-6
+        assert report.bracket_width <= 1e-6
+        assert report.evaluations <= 10
 
 
 def test_report_brackets_a_sign_change():
@@ -114,6 +118,64 @@ def test_tolerance_below_float_resolution_raises(monkeypatch, tolerance):
     with pytest.raises(ValueError, match=r"GME: tolerance .* float resolution "
                                          r"at p = 0\.428"):
         find_threshold(PROPERTY_GME, tolerance=tolerance)
+
+
+# Synthetic margins of p on (0, 1), each increasing through one sign change.
+_SYNTHETIC_MARGINS = {
+    "step": lambda p: -1.0 if p < 0.3 else 10.0,
+    # Never exactly zero: the root lies between 0.61 and the float below.
+    "linear": lambda p: p - 0.61 + 1e-20,
+    "flat-then-steep": lambda p: -1e-3 + max(p - 0.9, 0.0) ** 3 * 1e4,
+}
+
+
+def _synthetic(monkeypatch, margin):
+    """A property named "synthetic" on (0, 1) whose margin is ``margin``;
+    returns the list of (p, value) pairs it is evaluated at."""
+    points = []
+
+    def evaluate(label, p, rho, start):
+        points.append((p, margin(p)))
+        return points[-1][1], start
+
+    monkeypatch.setitem(thresholds._PROPERTIES, "synthetic",
+                        ((0.0, 1.0), lambda p: p, evaluate))
+    return points
+
+
+@pytest.mark.parametrize("tolerance", [1e-3, 1e-6, 1e-9, 1e-12])
+@pytest.mark.parametrize("shape", list(_SYNTHETIC_MARGINS))
+def test_itp_takes_at_most_one_step_more_than_bisection(monkeypatch, shape,
+                                                         tolerance):
+    # ITP keeps bisection's worst case plus n0 = 1 step, and its final
+    # bracket's ends are evaluated points on either side of the sign change.
+    points = _synthetic(monkeypatch, _SYNTHETIC_MARGINS[shape])
+    report = find_threshold("synthetic", tolerance=tolerance)
+    bisection_steps = math.ceil(math.log2(1.0 / (2.0 * tolerance)))
+    assert report.evaluations == len(points)
+    assert report.evaluations <= 2 + bisection_steps + thresholds.ITP_N0
+    assert report.bracket_width <= tolerance
+    lo = max(p for p, value in points if value < 0.0)
+    hi = min(p for p, value in points if value > 0.0)
+    assert (report.crossing_p, report.bracket_width) == (0.5 * (lo + hi),
+                                                         0.5 * (hi - lo))
+
+
+def test_itp_shrinks_around_an_exact_zero(monkeypatch):
+    # The regula falsi point of p - 1/2 on (0, 1) is the midpoint, where the
+    # margin is exactly zero: the bracket shrinks to the tolerance around it.
+    _synthetic(monkeypatch, lambda p: p - 0.5)
+    assert find_threshold("synthetic", tolerance=1e-6) == ThresholdReport(
+        "synthetic", 0.5, 1e-6, 3)
+
+
+@pytest.mark.parametrize("shape", ["step", "linear"])
+def test_itp_refuses_a_tolerance_below_float_resolution(monkeypatch, shape):
+    limit_margin_evaluations(monkeypatch)
+    _synthetic(monkeypatch, _SYNTHETIC_MARGINS[shape])
+    with pytest.raises(ValueError, match=r"synthetic: tolerance 1e-17 is "
+                                         r"below the float resolution"):
+        find_threshold("synthetic", tolerance=1e-17)
 
 
 def test_default_tolerances():
@@ -268,12 +330,13 @@ def test_warm_starts_stay_inside_one_bisection(monkeypatch):
 
 
 @pytest.mark.parametrize("name,max_hull_points", [
-    # Measured when these budgets were set: 976 and 848 hull points over
-    # the 20 and 19 band searches, none of which reached the grid.  The
-    # subgrid, see-saw step and cone-program certificate that the band
-    # search replaced solved 1294 and 1229 grid and stepped points.
-    pytest.param(PROPERTY_SLE, 1000, id=PROPERTY_SLE),
-    pytest.param(PROPERTY_SLE_AFTER, 870, id=PROPERTY_SLE_AFTER),
+    # Measured when these budgets were set: 432 hull points over each
+    # property's 8 band searches, none of which reached the grid.  Bisection
+    # took 976 and 848 over 20 and 19 searches, and the subgrid, see-saw
+    # step and cone-program certificate that the band search replaced
+    # solved 1294 and 1229 grid and stepped points.
+    pytest.param(PROPERTY_SLE, 450, id=PROPERTY_SLE),
+    pytest.param(PROPERTY_SLE_AFTER, 450, id=PROPERTY_SLE_AFTER),
 ])
 def test_sle_bisection_objective_budget(monkeypatch, name, max_hull_points):
     hull, solved = [], []
@@ -315,7 +378,8 @@ def test_w_sle_bracket_ends_carry_certificates():
 def test_w_sle_margin_agrees_with_the_full_sle_search(monkeypatch):
     # The W-SLE margin takes the computational-basis branch as the optimal
     # localization; the search over every projection must agree with it at
-    # each bisection point.
+    # each point of the default search, and so must the SLE objective at
+    # theta = 0, which the margin evaluates in one 4x4 eigensolve of its own.
     points = []
     factory = thresholds.certifying_margin
 
@@ -330,8 +394,10 @@ def test_w_sle_margin_agrees_with_the_full_sle_search(monkeypatch):
 
     monkeypatch.setattr(thresholds, "certifying_margin", recording_factory)
     find_threshold(PROPERTY_W_SLE)
-    assert len(points) >= 20
+    assert len(points) == 8
     for p, value in points:
+        branch = -certify.sle_quantifier_at(noisy_w(p), None, 0.0, 0.0)
+        assert value == pytest.approx(branch, rel=0.0, abs=1e-15)
         searched = -certify.sle_quantify(noisy_w(p),
                                          pair=(0, 1)).min_eigenvalue
         assert np.sign(value) == np.sign(searched) != 0.0
