@@ -18,9 +18,10 @@ With identical configuration (including seeds) the output files are
 byte-identical.  A flag that could not change the output is a usage
 error (exit code 2): a flag the subcommand does not take, and
 ``sweep --tolerance`` without ``--thresholds``.  So is a second occurrence
-of a flag that takes one value, which would silently replace the first.
-``--input`` repeats by design; a repeated ``--sample`` still keeps its
-last token list.
+of a flag that takes one value, which would silently replace the first,
+``--sample`` included (its one value is its token list).  ``--input``
+repeats by design.  A key given twice inside one ``--sample`` is an
+error (exit code 1), for the same reason.
 
 The library returns values; this module renders every report.  JSON goes
 through ``json.dumps`` with sorted keys.  Every CSV table, the flattened
@@ -326,7 +327,8 @@ def _build_parser() -> argparse.ArgumentParser:
     group = p_coin.add_mutually_exclusive_group()
     group.add_argument("--schedule", action=_Once, type=float, metavar="P",
                        help="emit the preparation schedule for parameter P")
-    group.add_argument("--sample", nargs="+", metavar="KEY=VALUE",
+    group.add_argument("--sample", action=_Once, nargs="+",
+                       metavar="KEY=VALUE",
                        help="sample counts, e.g. setting=zzz shots=1000 seed=7")
 
     # Only certify and distill choose their format, and only sampling is
@@ -477,7 +479,12 @@ def _check_options(options: dict) -> dict:
     if options.get("sample"):
         if any("=" not in token for token in options["sample"]):
             raise ValueError("--sample tokens must look like KEY=VALUE")
-        sample = dict(token.split("=", 1) for token in options["sample"])
+        pairs = [token.split("=", 1) for token in options["sample"]]
+        keys = [key for key, _ in pairs]
+        repeated = sorted({key for key in keys if keys.count(key) > 1})
+        if repeated:
+            raise ValueError(f"--sample gives {repeated} more than once")
+        sample = dict(pairs)
         missing = [k for k in ("setting", "shots") if k not in sample]
         if missing:
             raise ValueError(f"--sample needs {missing} as KEY=VALUE tokens")

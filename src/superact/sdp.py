@@ -12,10 +12,11 @@ optimum is strong (though not conclusive) evidence of bi-separability.
 
 The solver is Douglas-Rachford splitting (see "Douglas-Rachford
 iteration") over the 7-tuple (W, P_1, Q_1, ..., Q_3) of Hermitian matrices.
-Every solve returns two certificates built from its final iterate, so that
+Every solve returns certificates built from its final iterate, so that
 ``superact.verify`` can re-check them without trusting the solver: an
 exactly feasible witness, whose value bounds the optimum from above, and a
-PPT mixture, which bounds it from below.
+PPT mixture, which bounds it from below.  A default solve returns both; a
+sign-only solve that fixes its sign returns only the one that fixes it.
 
 Douglas-Rachford iteration
 --------------------------
@@ -106,8 +107,9 @@ decomposition.  Both sides are repaired into exactly feasible points from
 any iterate, with xf the affine iterate, y = 2 xf - z the reflection and
 xg its cone projection:
 
-- *upper bound*: take W = herm(xf_0) and Q_i the PSD part of xf's Q
-  blocks, let delta = max(0, -min_i lambda_min(W - Q_i^{T_i})), and scale
+- *upper bound*: take W = xf_0, exactly Hermitian as every expanded
+  iterate is, and Q_i the PSD part of xf's Q blocks, let
+  delta = max(0, -min_i lambda_min(W - Q_i^{T_i})), and scale
   (W + delta I, W - Q_i^{T_i} + delta I, Q_i) by 1 / (1 + 8 delta).  The
   result is feasible with unit trace and value (tr(W rho) + delta) /
   (1 + 8 delta);
@@ -119,11 +121,11 @@ xg its cone projection:
   add R - t I to Y_1.  Then rho - t I = sum_i Y_i exactly and t is the
   lower bound.
 
-One routine, ``_certified_bounds``, builds both sides for every check of
-every solve.  They cost four eigendecompositions of stacks of blocks, taken
-sector by sector (see "Symmetry sectors"): one batched LAPACK call per
-sector size in each, and none for sectors of size 1, whose one entry is
-their eigenvalue.  Every solve computes them every 10 iterations and at
+One routine, ``_certified_bounds``, builds the bounds for every check of
+every solve.  Both sides cost four eigendecompositions of stacks of blocks,
+taken sector by sector (see "Symmetry sectors"): one batched LAPACK call
+per sector size in each, and none for sectors of size 1, whose one entry
+is their eigenvalue.  Every solve checks them every 10 iterations and at
 the iteration cap ``MAX_ITERATIONS`` = 200000, and stops as soon as
 upper - lower is at most ``gap_tol``, the one setting a caller of
 ``ppt_mixer_witness`` passes (``GAP_TOL`` = 1e-8 by default); a solve
@@ -135,14 +137,31 @@ ends with an indeterminate sign instead of running to the iteration cap.
 Every result is built from the bounds at the final iterate, and its sign is
 read from them.
 
+Every check builds first the side that the iterate's value tr(W rho)
+points to: the upper bound when it is negative and the lower bound
+otherwise.  In a sign-only solve, a check whose first side clears the
+certification margin ends the solve there and never builds the other side.
+The result then holds the one certificate that fixes the sign, a witness
+for a negative sign or a PPT mixture for a nonnegative one, and the other
+bound is infinite (+inf above, -inf below), so the optimum still lies
+between the two.  Otherwise the check builds both sides and the solve
+applies its stop rule.  A sign-only result whose sign the second side
+fixes keeps only that side; one whose sign stays indeterminate keeps both,
+as every default result does.  A sign-only solve so stops at the same
+check, with the same ``final_z``, as it would with both sides built, and
+the side it keeps is the same bit for bit.  Over the 18 PPT-mixer solves
+of the default W-GME and W-GME-after-distill bisections (107 iterations),
+building one side where it fixes the sign took the solver's traced time
+from 12.56 to 11.06 ms, from 118 to 104 us per iteration (``bench/run.py
+--workload thresholds --trace 1``, seed 21, 2-vCPU VM).
+
 A solve that takes a start also checks its bounds at iterations 1 and 3
 (``_WARM_CHECKS``), since a start near the optimum often fixes the sign
-there, and then keeps the cadence of 10.  At an early check the same
-routine first builds only the side that the iterate's value tr(W rho)
-points to, the upper bound when it is negative and the lower bound
-otherwise, and gives up, returning no bounds, unless that side clears the
-certification margin; only then does it build the other side and the solve
-apply its stop rule.  A check that fails so costs about half a full one.
+there, and then keeps the cadence of 10.  An early check gives up,
+returning no bounds, unless the side it builds first clears the
+certification margin; only then does a default solve build the other side
+and apply its stop rule.  A check that fails so costs about half a full
+one.
 The iterations were chosen by measurement over the eight W-GME and
 W-GME-after-distill bisections listed in ``tests/test_thresholds.py``:
 checks at (1, 3) took 487 iterations and 114.5 full checks' worth of
@@ -324,20 +343,26 @@ class WitnessResult:
     variable the solve reached, a start for a solve of a nearby state; it
     is no part of either certificate.
 
+    A default result holds both sides, and so does a sign-only one whose
+    sign is indeterminate.  A sign-only result with a certified sign holds
+    only the side that fixes it: a negative one has ``lower_bound`` = -inf
+    and ``mixture`` None, a nonnegative one ``optimal_value`` = +inf and
+    ``witness``, ``decompositions`` and ``residuals`` None.
+
     ``certified_sign`` is ``negative`` when ``optimal_value`` lies below
     minus ``CERTIFICATION_MARGIN``, ``nonnegative`` when ``lower_bound``
     lies above it, and ``indeterminate`` otherwise.
     """
 
     optimal_value: float
-    witness: np.ndarray
-    decompositions: tuple[tuple[np.ndarray, np.ndarray], ...]
-    residuals: tuple[float, ...]
+    witness: np.ndarray | None
+    decompositions: tuple[tuple[np.ndarray, np.ndarray], ...] | None
+    residuals: tuple[float, ...] | None
     iterations: int
     converged: bool
     certified_sign: str
     lower_bound: float
-    mixture: tuple[np.ndarray, ...]
+    mixture: tuple[np.ndarray, ...] | None
     final_z: np.ndarray | None = field(default=None, repr=False)
 
 
@@ -729,14 +754,15 @@ def _iterates(rho: np.ndarray, sectors: _Sectors, z: np.ndarray):
 
 
 class _Bounds(NamedTuple):
-    """Repaired primal and dual points of one iterate and their values."""
+    """Repaired primal and dual points of one iterate and their values; a
+    side left out has None for its points and an infinite value."""
 
     upper: float
-    witness: np.ndarray
-    p_blocks: np.ndarray
-    q_blocks: np.ndarray
+    witness: np.ndarray | None
+    p_blocks: np.ndarray | None
+    q_blocks: np.ndarray | None
     lower: float
-    mixture: np.ndarray
+    mixture: np.ndarray | None
 
 
 def _upper_bound(rho: np.ndarray, sectors: _Sectors, xf: np.ndarray,
@@ -746,7 +772,7 @@ def _upper_bound(rho: np.ndarray, sectors: _Sectors, xf: np.ndarray,
     W is read through ``sectors``, those of ``rho``, and every spectrum is
     taken sector by sector (see "Symmetry sectors")."""
     dim = eye.shape[0]
-    w = np.where(sectors.mask[0], _hermitian_part(xf[0]), 0.0)
+    w = np.where(sectors.mask[0], xf[0], 0.0)
     q_hat = _psd_part(xf[2::2], sectors.q)
     p_raw = w - _transpose_stack(q_hat)
     delta = max(0.0, -float(_lowest(p_raw, sectors.w).min()))
@@ -773,26 +799,41 @@ def _lower_bound(rho: np.ndarray, sectors: _Sectors, cone_gap: np.ndarray,
     return t, mix
 
 
+# The bound and certificate of a side that a sign-only result leaves out.
+_NO_UPPER = (np.inf, None, None, None)
+_NO_LOWER = (-np.inf, None)
+
+
 def _certified_bounds(rho: np.ndarray, sectors: _Sectors, xf: np.ndarray,
-                      cone_gap: np.ndarray, eye: np.ndarray,
-                      early: bool = False) -> _Bounds | None:
+                      cone_gap: np.ndarray, eye: np.ndarray, *,
+                      early: bool = False,
+                      sign_only: bool = False) -> _Bounds | None:
     """Feasible witness and PPT mixture built from one iterate, with
     ``cone_gap`` its xg - y on the six cone blocks and ``sectors`` those of
-    ``rho``.  An ``early`` check builds first the side that the iterate's
-    value tr(W rho) points to, the upper bound when it is negative and the
-    lower bound otherwise, and returns None unless that side clears
-    ``CERTIFICATION_MARGIN``."""
+    ``rho``.  The side that the iterate's value tr(W rho) points to is
+    built first, the upper bound when it is negative and the lower bound
+    otherwise.  When it does not clear ``CERTIFICATION_MARGIN``, an
+    ``early`` check returns None, and any other builds the other side too.
+    A ``sign_only`` check whose bounds fix the sign keeps only the side
+    that fixes it, with ``_NO_UPPER`` or ``_NO_LOWER`` for the other, which
+    it builds only when the first side does not fix the sign."""
     upper = lower = None
-    if early and np.vdot(rho, xf[0]).real < 0.0:
+    if np.vdot(rho, xf[0]).real < 0.0:
         upper = _upper_bound(rho, sectors, xf, eye)
-        if not upper[0] < -CERTIFICATION_MARGIN:
-            return None
-    elif early:
+        cleared = upper[0] < -CERTIFICATION_MARGIN
+    else:
         lower = _lower_bound(rho, sectors, cone_gap, eye)
-        if not lower[0] > CERTIFICATION_MARGIN:
-            return None
-    return _Bounds(*(upper or _upper_bound(rho, sectors, xf, eye)),
-                   *(lower or _lower_bound(rho, sectors, cone_gap, eye)))
+        cleared = lower[0] > CERTIFICATION_MARGIN
+    if early and not cleared:
+        return None
+    if not (sign_only and cleared):
+        upper = upper or _upper_bound(rho, sectors, xf, eye)
+        lower = lower or _lower_bound(rho, sectors, cone_gap, eye)
+        if sign_only and upper[0] < -CERTIFICATION_MARGIN:
+            lower = None
+        elif sign_only and lower[0] > CERTIFICATION_MARGIN:
+            upper = None
+    return _Bounds(*(upper or _NO_UPPER), *(lower or _NO_LOWER))
 
 
 def _residuals(witness: np.ndarray, p_blocks: np.ndarray,
@@ -812,9 +853,10 @@ def ppt_mixer_witness(rho, *, gap_tol: float = GAP_TOL,
     iterations, and at the iteration budget ``MAX_ITERATIONS``, the solve
     builds the bounds and stops once they lie within ``gap_tol`` of each
     other; with ``sign_only=True`` it also stops as soon as they fix the
-    sign against ``CERTIFICATION_MARGIN``.  ``converged`` is True when the
-    bounds ended the solve.  ``gap_tol`` must be positive and finite, or
-    ``ValueError`` is raised.
+    sign against ``CERTIFICATION_MARGIN``, and returns only the side that
+    fixes it (see "Certified bounds" in the module docstring).
+    ``converged`` is True when the bounds ended the solve.  ``gap_tol``
+    must be positive and finite, or ``ValueError`` is raised.
 
     Reaching the budget is not an exception: the result is returned with
     the bounds of the last iterate, and with ``converged=False`` unless
@@ -856,7 +898,7 @@ def ppt_mixer_witness(rho, *, gap_tol: float = GAP_TOL,
             continue
         bounds = _certified_bounds(state, sectors, sectors.expand(xf),
                                    sectors.expand(xg - y)[1:], eye,
-                                   early=not full)
+                                   early=not full, sign_only=sign_only)
         if bounds is None:
             continue
         sign = (SIGN_NEGATIVE if bounds.upper < -CERTIFICATION_MARGIN
@@ -867,36 +909,46 @@ def ppt_mixer_witness(rho, *, gap_tol: float = GAP_TOL,
         if converged or iterations >= MAX_ITERATIONS:
             break
 
-    witness = bounds.witness.astype(np.complex128)
-    p_blocks = bounds.p_blocks.astype(np.complex128)
-    q_blocks = bounds.q_blocks.astype(np.complex128)
+    witness = decompositions = residuals = mixture = None
+    if bounds.witness is not None:
+        witness = bounds.witness.astype(np.complex128)
+        p_blocks = bounds.p_blocks.astype(np.complex128)
+        q_blocks = bounds.q_blocks.astype(np.complex128)
+        decompositions = tuple(zip(p_blocks, q_blocks))
+        residuals = _residuals(witness, p_blocks, q_blocks)
+    if bounds.mixture is not None:
+        mixture = tuple(bounds.mixture.astype(np.complex128))
     return WitnessResult(
         optimal_value=bounds.upper,
         witness=witness,
-        decompositions=tuple(zip(p_blocks, q_blocks)),
-        residuals=_residuals(witness, p_blocks, q_blocks),
+        decompositions=decompositions,
+        residuals=residuals,
         iterations=iterations,
         converged=converged,
         certified_sign=sign,
         lower_bound=bounds.lower,
-        mixture=tuple(bounds.mixture.astype(np.complex128)),
+        mixture=mixture,
         final_z=sectors.expand(z),
     )
 
 
 def witness_result_to_json_dict(result: WitnessResult) -> dict:
-    """Complete JSON record of the witness program's solution."""
+    """Complete JSON record of the witness program's solution; a side that
+    a sign-only result leaves out is written as null."""
+    has_witness = result.witness is not None
+    has_mixture = result.mixture is not None
     return {
-        "optimal_value": result.optimal_value,
-        "witness": _matrix_to_dict(result.witness),
+        "optimal_value": result.optimal_value if has_witness else None,
+        "witness": _matrix_to_dict(result.witness) if has_witness else None,
         "decompositions": [
             {"P": _matrix_to_dict(p), "Q": _matrix_to_dict(q)}
             for p, q in result.decompositions
-        ],
-        "residuals": list(result.residuals),
+        ] if has_witness else None,
+        "residuals": list(result.residuals) if has_witness else None,
         "iterations": result.iterations,
         "converged": result.converged,
         "certified_sign": result.certified_sign,
-        "lower_bound": result.lower_bound,
-        "mixture": [_matrix_to_dict(y) for y in result.mixture],
+        "lower_bound": result.lower_bound if has_mixture else None,
+        "mixture": ([_matrix_to_dict(y) for y in result.mixture]
+                    if has_mixture else None),
     }

@@ -48,13 +48,16 @@ The two PPT-mixer margins (W-GME and W-GME-after-distill) solve the
 program in sign-only mode, at the solver's fixed settings: each
 solve stops as soon as a feasible witness (an upper bound) or a PPT mixture
 (a lower bound) puts the optimum clear of the certification margin
-``sdp.CERTIFICATION_MARGIN`` = 1e-5, and the margin's sign is the certified
-one.  Bisection therefore narrows a bracket only on certified signs.  When
-a solve cannot certify its sign, because the optimum at that p lies within
-the margin of zero, the margin raises ``ValueError`` naming p and the
-certified interval [lower, upper]; the search is refused rather than
-continued on an uncertified sign.  The default 1e-3 tolerance stops
-bisecting well before that happens.
+``sdp.CERTIFICATION_MARGIN`` = 1e-5, and returns that one certificate.  The
+margin is minus its bound: minus the witness's value for a negative sign,
+a positive margin, and minus the mixture's lower bound for a nonnegative
+one.  Its sign is the certified one, so bisection narrows a bracket only
+on certified signs, and every evaluated point carries the certificate of
+its sign.  When a solve cannot certify its sign, because the optimum at
+that p lies within the margin of zero, it holds both bounds and the margin
+raises ``ValueError`` naming p and the certified interval [lower, upper];
+the search is refused rather than continued on an uncertified sign.  The
+default 1e-3 tolerance stops bisecting well before that happens.
 
 Bisection points differ only in p, so every PPT-mixer solve of one margin
 function starts from the final splitting variables of the points it has
@@ -108,7 +111,12 @@ import numpy as np
 
 from .certify import gme_concurrence_arguments, sle_quantify
 from .distill import analytic_distilled_noisy_ghz, distill_cnot
-from .sdp import CERTIFICATION_MARGIN, SIGN_INDETERMINATE, ppt_mixer_witness
+from .sdp import (
+    CERTIFICATION_MARGIN,
+    SIGN_INDETERMINATE,
+    SIGN_NEGATIVE,
+    ppt_mixer_witness,
+)
 from .states import DensityMatrix, noisy_ghz, noisy_w
 
 PROPERTY_GME = "GME"
@@ -154,7 +162,9 @@ def _ppt_mixer(label: str, p: float, rho, start):
             f"optimum lies in [{result.lower_bound:.6e}, "
             f"{result.optimal_value:.6e}], which does not clear the margin "
             f"{CERTIFICATION_MARGIN:g}; use a larger tolerance")
-    return -result.optimal_value, result.final_z
+    if result.certified_sign == SIGN_NEGATIVE:
+        return -result.optimal_value, result.final_z
+    return -result.lower_bound, result.final_z
 
 
 def _w_sle(label: str, p: float, rho, start):

@@ -3,7 +3,9 @@
 Two solvers hand back certificates.  ``sdp.ppt_mixer_witness`` returns an
 exactly feasible witness and a PPT mixture, which bound the PPT-mixer
 program (Jungnitsch, Moroder & Guehne, PRL 106, 190502, 2011) from above
-and below; ``verify_witness_certificate`` re-checks both.  A sign-only
+and below; a sign-only solve that fixes its sign returns only the one of
+the two that fixes it.  ``verify_witness_certificate`` re-checks each
+certificate a result holds.  A sign-only
 ``certify.sle_quantify`` that settles a nonnegative sign returns bands in z
 on which every projection of the measured qubit leaves a PPT, hence
 separable, pair (Horodecki, Horodecki & Horodecki, PLA 223, 1 (1996));
@@ -21,7 +23,10 @@ rho^{T_b} itself, not through the search's objective.
 that is missing, ragged, non-numeric, non-finite or of the wrong shape
 fails the check: it returns False, never raises and never falls back to a
 default (a certificate with no pair is not read as one for the pair
-(0, 1)).  Only a state that is not a valid three-qubit state raises.
+(0, 1)).  A witness result's side is read as left out only when all its
+certificate fields are None and its bound is the infinity that claims
+nothing, so a finite bound with no certificate fails.  Only a state that
+is not a valid three-qubit state raises.
 
 *Tolerances.*  ``FEASIBILITY_TOL`` bounds ||W - P_i - Q_i^{T_i}||; the
 witness's trace and value must hold within 1e-8, the mixture's sum within
@@ -75,18 +80,39 @@ def _finite_array(value, shape: tuple, dtype=np.complex128) -> np.ndarray:
     return a.astype(dtype, copy=False)
 
 
+def _side(bound, certificate: tuple, shapes: tuple, absent: float):
+    """One side of a witness result: None when it is left out, that is
+    every field of ``certificate`` is None and ``bound`` is the infinity
+    ``absent``; otherwise the bound and the certificate's fields, read
+    through ``_finite_array``.  Raises ``ValueError`` for a side that is
+    neither, such as a finite bound with no certificate."""
+    if all(part is None for part in certificate):
+        if not (isinstance(bound, float) and bound == absent):
+            raise ValueError("a bound with no certificate")
+        return None
+    return (_finite_array(bound, (), np.float64),
+            *(_finite_array(part, shape)
+              for part, shape in zip(certificate, shapes)))
+
+
 def verify_witness_certificate(result, rho) -> bool:
-    """Re-check both certificates of a ``sdp.WitnessResult`` without
+    """Re-check every certificate a ``sdp.WitnessResult`` holds without
     trusting the solver.
+
+    A result holds the upper side, a witness and its value, the lower
+    side, a PPT mixture and its bound, or both; a side left out has None
+    for its certificate and +inf or -inf for its bound.  A result with neither side, a
+    finite bound with no certificate, and a certificate whose bound is not
+    the one reported all fail the check.
 
     The witness must have unit trace and the reported value, with
     ||W - P_i - Q_i^{T_i}|| <= ``FEASIBILITY_TOL`` for every bipartition;
     the residuals the solver reports are not consulted.  The PPT mixture
     must sum to rho - ``lower_bound`` I within 1e-9 (Frobenius norm).  Last,
-    the 12 factors, the six P and Q blocks, the three Y_i and the three
+    the factors held, the six P and Q blocks, the three Y_i and the three
     Y_i^{T_i}, must be PSD: their lowest eigenvalue must be at least -1e-9.
-    It comes from one call of the package's own Jacobi solver on all 12.
-    A malformed field fails the check (see the module docstring).
+    It comes from one call of the package's own Jacobi solver on all of
+    them.  A malformed field fails the check (see the module docstring).
 
     ``rho`` must be a three-qubit state: an array must be Hermitian and
     positive semidefinite, with any trace, or ``StateValidationError`` is
@@ -95,32 +121,39 @@ def verify_witness_certificate(result, rho) -> bool:
     m, n_qubits = _state_entries(rho, 3)
     dim = m.shape[0]
     try:
-        w = _finite_array(result.witness, (dim, dim))
-        decompositions = _finite_array(result.decompositions, (3, 2, dim, dim))
-        mixture = _finite_array(result.mixture, (3, dim, dim))
-        value = _finite_array(result.optimal_value, (), np.float64)
-        lower = _finite_array(result.lower_bound, (), np.float64)
+        upper = _side(result.optimal_value,
+                      (result.witness, result.decompositions),
+                      ((dim, dim), (3, 2, dim, dim)), np.inf)
+        lower = _side(result.lower_bound, (result.mixture,),
+                      ((3, dim, dim),), -np.inf)
     except _MALFORMED:
         return False
-    if not abs(float(np.trace(w).real) - 1.0) <= 1e-8:
+    if upper is None and lower is None:
         return False
-    if not abs(float(np.real(np.vdot(m, w))) - value) <= 1e-8:
-        return False
-    # Bipartition i transposes party i.
-    for party, (p_hat, q_hat) in enumerate(decompositions):
-        reconstruction = p_hat + _partial_transpose_array(q_hat, n_qubits,
-                                                          (party,))
-        if not np.linalg.norm(w - reconstruction) <= FEASIBILITY_TOL:
+    factors = []
+    if upper is not None:
+        value, w, decompositions = upper
+        if not abs(float(np.trace(w).real) - 1.0) <= 1e-8:
             return False
-    shifted = m - lower * np.eye(dim)
-    if not np.linalg.norm(shifted - mixture.sum(axis=0)) <= 1e-9:
-        return False
-
-    transposed = [_partial_transpose_array(block, n_qubits, (party,))
-                  for party, block in enumerate(mixture)]
-    factors = np.concatenate([decompositions.reshape(-1, dim, dim), mixture,
-                              transposed])
-    return bool(linalg.jacobi_eigvalsh(factors)[:, 0].min() >= -1e-9)
+        if not abs(float(np.real(np.vdot(m, w))) - value) <= 1e-8:
+            return False
+        # Bipartition i transposes party i.
+        for party, (p_hat, q_hat) in enumerate(decompositions):
+            reconstruction = p_hat + _partial_transpose_array(
+                q_hat, n_qubits, (party,))
+            if not np.linalg.norm(w - reconstruction) <= FEASIBILITY_TOL:
+                return False
+        factors.append(decompositions.reshape(-1, dim, dim))
+    if lower is not None:
+        bound, mixture = lower
+        shifted = m - bound * np.eye(dim)
+        if not np.linalg.norm(shifted - mixture.sum(axis=0)) <= 1e-9:
+            return False
+        factors += [mixture, np.stack([
+            _partial_transpose_array(block, n_qubits, (party,))
+            for party, block in enumerate(mixture)])]
+    lowest = linalg.jacobi_eigvalsh(np.concatenate(factors))[:, 0]
+    return bool(lowest.min() >= -1e-9)
 
 
 def _respects(m: np.ndarray, charges) -> bool:

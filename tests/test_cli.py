@@ -62,6 +62,9 @@ _REPEATED_FLAGS = {
                  "--format", "json"],
     "--seed": ["coincidence", "--sample", "setting=zzz", "shots=10",
                "--seed", "1", "--seed", "2"],
+    # One token list per flag: the second would replace the first.
+    "--sample": ["coincidence", "--sample", "setting=zzz", "shots=10",
+                 "--sample", "setting=xxx", "shots=5"],
 }
 
 
@@ -637,6 +640,20 @@ def test_unparsable_numbers_name_the_input(capsys, args, message):
     assert code == 1
     assert out == ""
     assert err == f"superact: error: {message}\n"
+
+
+@pytest.mark.parametrize("tokens, repeated", [
+    (["setting=zzz", "shots=10", "shots=3"], ["shots"]),
+    (["setting=zzz", "shots=10", "seed=1", "setting=xxx", "seed=2"],
+     ["seed", "setting"]),
+], ids=["shots", "seed-and-setting"])
+def test_coincidence_sample_rejects_a_repeated_key(capsys, tokens, repeated):
+    # The later value would silently replace the earlier one.
+    code, out, err = run_cli(["coincidence", "--sample"] + tokens, capsys)
+    assert code == 1
+    assert out == ""
+    assert err == (f"superact: error: --sample gives {repeated} "
+                   f"more than once\n")
 
 
 @pytest.mark.parametrize("seed", [["seed=-1"], ["--seed", "-1"]], ids=" ".join)

@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import itertools
+import json
 import time
 from types import SimpleNamespace
 
@@ -21,6 +22,7 @@ from superact.sdp import (
     SIGN_NONNEGATIVE,
     WitnessResult,
     ppt_mixer_witness,
+    witness_result_to_json_dict,
     _PT_INDEX,
     _certified_bounds,
     _iterates,
@@ -44,8 +46,23 @@ from util import (
 
 
 def _certificate_invariants(result: WitnessResult, rho, feas_tol=1e-6):
-    """Re-check everything the solver claims, using the Jacobi eigensolver."""
+    """Re-check everything the solver claims, using the Jacobi eigensolver;
+    a side the result leaves out must have no fields and an infinite
+    bound."""
     m = np.asarray(rho.entries)
+    if result.witness is None:
+        assert result.decompositions is None and result.residuals is None
+        assert result.optimal_value == np.inf
+    else:
+        _witness_invariants(result, m, feas_tol)
+    if result.mixture is None:
+        assert result.lower_bound == -np.inf
+    else:
+        _mixture_invariants(result, m)
+    assert result.witness is not None or result.mixture is not None
+
+
+def _witness_invariants(result: WitnessResult, m, feas_tol):
     assert abs(np.trace(result.witness).real - 1.0) < 1e-8
     assert abs(np.real(np.vdot(m, result.witness))
                - result.optimal_value) < 1e-8
@@ -56,6 +73,9 @@ def _certificate_invariants(result: WitnessResult, rho, feas_tol=1e-6):
         rebuilt = p_hat + _partial_transpose_array(q_hat, 3, party)
         assert np.linalg.norm(result.witness - rebuilt) <= feas_tol
         assert residual <= feas_tol
+
+
+def _mixture_invariants(result: WitnessResult, m):
     mixture = np.stack(result.mixture)
     assert np.linalg.norm(m - result.lower_bound * np.eye(8)
                           - mixture.sum(axis=0)) <= 1e-9
@@ -476,6 +496,8 @@ def test_noisy_ghz_optimum_matches_closed_form(p):
     assert exact <= fast.optimal_value + 1e-12
     assert fast.certified_sign == (SIGN_NEGATIVE if exact < 0
                                    else SIGN_NONNEGATIVE)
+    # Only the side that fixes the sign is returned.
+    assert (fast.witness is None) == (exact >= 0) == (fast.mixture is not None)
     assert verify_witness_certificate(fast, rho)
 
 
@@ -641,11 +663,17 @@ def test_bounds_sandwich_the_optimum_and_certify_the_sign(name):
     assert fast.iterations <= default.iterations
     if default.certified_sign != SIGN_INDETERMINATE:
         assert fast.certified_sign == default.certified_sign
+    # A default result holds both sides; a sign-only one the side of its
+    # sign, the other left out, or both when its sign is indeterminate.
+    assert default.witness is not None and default.mixture is not None
+    assert (fast.witness is None) == (fast.certified_sign == SIGN_NONNEGATIVE)
+    assert (fast.mixture is None) == (fast.certified_sign == SIGN_NEGATIVE)
     margin = CERTIFICATION_MARGIN
     for result in (default, fast):
         # Both modes return the repaired, exactly feasible witness, whose
-        # value is the upper bound, and read the sign from the two bounds.
-        assert max(result.residuals) < 1e-12
+        # value is the upper bound, when they return a witness, and read the
+        # sign from the two bounds.
+        assert result.witness is None or max(result.residuals) < 1e-12
         assert result.lower_bound <= result.optimal_value
         if result.optimal_value < -margin:
             expected = SIGN_NEGATIVE
@@ -677,6 +705,8 @@ def test_sign_only_indeterminate_inside_the_margin():
     result = ppt_mixer_witness(noisy_w(0.479), sign_only=True)
     assert result.converged
     assert result.certified_sign == SIGN_INDETERMINATE
+    # An indeterminate result holds both sides.
+    assert result.witness is not None and result.mixture is not None
     assert 0.0 <= result.optimal_value - result.lower_bound <= GAP_TOL
     assert abs(result.optimal_value) < 1e-4
     assert verify_witness_certificate(result, noisy_w(0.479))
@@ -697,6 +727,13 @@ def test_verifier_takes_one_jacobi_pass_over_all_twelve_factors(
         calls.clear()
         assert verify_witness_certificate(result, rho)
         assert calls == [(12, 8, 8)]
+    # A one-sided result: the six P and Q blocks, or the six Y_i and
+    # Y_i^{T_i}.
+    for rho in (noisy_w(0.6), noisy_w(0.4)):
+        result = ppt_mixer_witness(rho, sign_only=True)
+        calls.clear()
+        assert verify_witness_certificate(result, rho)
+        assert calls == [(6, 8, 8)]
 
 
 def test_verifier_rejects_tampered_lower_bound():
@@ -709,7 +746,7 @@ def test_verifier_rejects_tampered_lower_bound():
 
 def test_verifier_rejects_non_ppt_mixture_blocks():
     rho = noisy_ghz(0.9)
-    result = ppt_mixer_witness(rho, sign_only=True)
+    result = ppt_mixer_witness(rho)
     assert verify_witness_certificate(result, rho)
     ghz = np.asarray(ghz3().projector().entries)
     swapped = dataclasses.replace(
@@ -768,11 +805,72 @@ def test_verifier_rejects_nan_certificates():
         dataclasses.replace(result, witness=nan_witness), rho)
 
 
+def test_verifier_rejects_forged_one_sided_certificates():
+    # A sign-only result holds one side; the verifier accepts it, and
+    # rejects it with a finite bound that no certificate backs, with no
+    # side at all, or with a certificate whose bound is not the one
+    # reported.
+    rho = noisy_w(0.55)
+    default = ppt_mixer_witness(rho)
+    negative = ppt_mixer_witness(rho, sign_only=True)
+    nonnegative = ppt_mixer_witness(noisy_w(0.4), sign_only=True)
+    biseparable = ppt_mixer_witness(noisy_w(0.4))
+    assert negative.certified_sign == SIGN_NEGATIVE
+    assert nonnegative.certified_sign == SIGN_NONNEGATIVE
+    no_witness = dict(witness=None, decompositions=None, residuals=None)
+    neither = dict(no_witness, optimal_value=np.inf, mixture=None,
+                   lower_bound=-np.inf)
+    on_negative = {
+        "finite lower bound, no mixture":
+            dict(lower_bound=default.lower_bound),
+        "witness removed": dict(witness=None),
+        "witness and decompositions removed": no_witness,
+        "both sides removed": neither,
+        "mixture moved on": dict(mixture=default.mixture),
+        "+inf lower bound": dict(lower_bound=np.inf),
+    }
+    on_nonnegative = {
+        "finite value, no witness":
+            dict(optimal_value=biseparable.optimal_value),
+        "mixture removed": dict(mixture=None),
+        "both sides removed": neither,
+        "witness moved on": {
+            name: getattr(biseparable, name)
+            for name in ("witness", "decompositions", "residuals")},
+        "-inf value": dict(optimal_value=-np.inf),
+    }
+    for result, state, forgeries in ((negative, rho, on_negative),
+                                     (nonnegative, noisy_w(0.4),
+                                      on_nonnegative)):
+        assert verify_witness_certificate(result, state)
+        for name, fields in forgeries.items():
+            forged = dataclasses.replace(result, **fields)
+            assert not verify_witness_certificate(forged, state), name
+    # A side taken from another solve of the same state, with its own
+    # bound, is a certificate in its own right.
+    assert verify_witness_certificate(dataclasses.replace(
+        negative, mixture=default.mixture, lower_bound=default.lower_bound),
+        rho)
+
+
+def test_json_record_writes_null_for_a_side_left_out():
+    for p, absent in ((0.55, "lower_bound"), (0.4, "optimal_value")):
+        result = ppt_mixer_witness(noisy_w(p), sign_only=True)
+        record = witness_result_to_json_dict(result)
+        json.dumps(record, allow_nan=False)
+        left_out = ({"lower_bound", "mixture"} if absent == "lower_bound"
+                    else {"optimal_value", "witness", "decompositions",
+                          "residuals"})
+        assert {k for k, v in record.items() if v is None} == left_out
+    record = witness_result_to_json_dict(ppt_mixer_witness(noisy_w(0.55)))
+    assert None not in record.values()
+
+
 def test_verifier_rejects_malformed_certificates():
     # A certificate of the wrong shape, or with a non-finite entry anywhere,
     # fails the check instead of raising from inside NumPy.
     rho = noisy_w(0.6)
-    result = ppt_mixer_witness(rho, sign_only=True)
+    result = ppt_mixer_witness(rho)
     assert verify_witness_certificate(result, rho)
     p, q = result.decompositions[0]
     nan_block = np.full((8, 8), np.nan, dtype=complex)
@@ -904,7 +1002,10 @@ def test_a_start_at_the_optimum_certifies_at_the_first_iterate(
         monkeypatch.setattr(sdp, name, recording)
     warm = ppt_mixer_witness(rho, sign_only=True, start=cold.final_z)
     assert warm.iterations == 1 and warm.converged
-    assert sides == [first, "upper" if first == "lower" else "lower"]
+    # The first side fixes the sign, so the other is never built.
+    assert sides == [first]
+    assert (warm.witness is None) == (first == "lower")
+    assert (warm.mixture is None) == (first == "upper")
     assert warm.certified_sign == cold.certified_sign
     assert verify_witness_certificate(warm, rho)
 
@@ -957,45 +1058,61 @@ def _result_digest(results) -> str:
 
 
 def _pinned_solves(states, capped, monkeypatch):
-    """Default, sign-only and loose solves of ``states``, then solves of
-    ``capped`` at iteration caps of 3 and 20."""
-    results = [ppt_mixer_witness(rho, **options)
-               for rho in states
-               for options in ({}, {"sign_only": True}, {"gap_tol": 1e-4})]
+    """Default, loose and sign-only solves of ``states``, then default
+    solves of ``capped`` at iteration caps of 3 and 20, as two lists: the
+    sign-only solves, and all the others."""
+    two_sided, sign_only = [], []
+    for rho in states:
+        two_sided += [ppt_mixer_witness(rho),
+                      ppt_mixer_witness(rho, gap_tol=1e-4)]
+        sign_only.append(ppt_mixer_witness(rho, sign_only=True))
     with monkeypatch.context() as patch:
         for cap in (3, 20):
             patch.setattr(sdp, "MAX_ITERATIONS", cap)
-            results.append(ppt_mixer_witness(capped))
-    return results
+            two_sided.append(ppt_mixer_witness(capped))
+    return two_sided, sign_only
 
 
-# sha256 of every field, ``final_z`` included, of the pinned solves below.
-# The solve is deterministic arithmetic, so a refactor that keeps it must
-# keep these digests; they depend on the NumPy and LAPACK build, and a
-# different build may round differently (README's test section says how to
-# record them again).  Every state runs in the coordinates of its sectors,
-# one sector of size 8 for the unstructured states.
-_UNSTRUCTURED_SOLVES_DIGEST = (
-    "a7186a607462706080d094fc3d3b6888ac277fefeab5a8823bf2673adc39f0de")
-_STRUCTURED_SOLVES_DIGEST = (
-    "daadf151e35daa504cc146fd580bc9270f513fda64ab2c07aa3ed02739182a11")
+# sha256 of every field, ``final_z`` included, of the pinned solves below,
+# one digest per corpus and mode: the default, loose, capped and
+# warm-chained solves, and the sign-only ones.  The solve is deterministic
+# arithmetic, so a refactor that keeps it must keep these digests; they
+# depend on the NumPy and LAPACK build, and a different build may round
+# differently (README's test section says how to record them again).
+# Every state runs in the coordinates of its sectors, one sector of size 8
+# for the unstructured states.
+_PINNED_SOLVE_DIGESTS = {
+    "unstructured":
+        "adc1843afec9c27152184d7db704945cdcccafa50f2901d58dc401110d7c38f8",
+    "structured":
+        "215dfae0720e356278e0ff18f0a0206aed0bbad38ede010b73efb5160de5daaa",
+    "unstructured sign-only":
+        "20e28d9d43de4cc6347f838c8b8d0f099e345bcb553540c1df4cc8aa829ab6ca",
+    "structured sign-only":
+        "b82dfb63f4a72cb2f7ccf24f76206b08d33ae2a4861fc91f3575dbb9c7ce403e",
+}
 
 
 def test_pinned_solves_are_bit_identical(monkeypatch):
-    unstructured = _pinned_solves(_unstructured_states(),
-                                  _mixed_random_state(1, 2), monkeypatch)
+    unstructured, unstructured_fast = _pinned_solves(
+        _unstructured_states(), _mixed_random_state(1, 2), monkeypatch)
     structured = []
     start = None
     for p in np.linspace(0.40, 0.54, 8):  # a warm-started chain
         structured.append(ppt_mixer_witness(noisy_w(p), start=start))
         start = structured[-1].final_z
-    structured += _pinned_solves(_structured_states(), noisy_w(0.6),
-                                 monkeypatch)
-    assert (len(unstructured), len(structured)) == (23, 43)
-    digests = {"unstructured": _result_digest(unstructured),
-               "structured": _result_digest(structured)}
-    assert digests == {"unstructured": _UNSTRUCTURED_SOLVES_DIGEST,
-                       "structured": _STRUCTURED_SOLVES_DIGEST}
+    solves, structured_fast = _pinned_solves(_structured_states(),
+                                             noisy_w(0.6), monkeypatch)
+    structured += solves
+    assert (len(unstructured), len(structured)) == (16, 32)
+    assert (len(unstructured_fast), len(structured_fast)) == (7, 11)
+    digests = {
+        "unstructured": _result_digest(unstructured),
+        "structured": _result_digest(structured),
+        "unstructured sign-only": _result_digest(unstructured_fast),
+        "structured sign-only": _result_digest(structured_fast),
+    }
+    assert digests == _PINNED_SOLVE_DIGESTS
 
 
 def test_rejects_wrong_dimension():

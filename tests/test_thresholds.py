@@ -18,6 +18,8 @@ from superact.cli import main
 from superact.distill import distill_tripartite
 from superact.sdp import (
     SIGN_INDETERMINATE,
+    SIGN_NEGATIVE,
+    SIGN_NONNEGATIVE,
     ppt_mixer_witness,
 )
 from superact.thresholds import (
@@ -223,6 +225,43 @@ def test_sdp_bisection_uses_few_sign_only_iterations(monkeypatch):
     assert max(iterations) <= 30
 
 
+def test_every_bisection_point_carries_the_certificate_of_its_sign(
+        monkeypatch):
+    # Each solve of the two default SDP-backed bisections returns exactly
+    # one certificate, the side that fixes its sign: a witness for a
+    # negative sign, a PPT mixture for a nonnegative one.  The margin is
+    # minus the bound of that side.
+    solves = []
+    solver = thresholds.ppt_mixer_witness
+
+    def recording(rho, *args, **kwargs):
+        solves.append((rho, solver(rho, *args, **kwargs)))
+        return solves[-1][1]
+
+    monkeypatch.setattr(thresholds, "ppt_mixer_witness", recording)
+    for name in (PROPERTY_W_GME, PROPERTY_W_GME_AFTER):
+        find_threshold(name)
+    signs = [r.certified_sign for _, r in solves]
+    assert len(solves) == 18
+    assert set(signs) == {SIGN_NEGATIVE, SIGN_NONNEGATIVE}
+    for rho, result in solves:
+        negative = result.certified_sign == SIGN_NEGATIVE
+        witness_side = (result.witness, result.decompositions,
+                        result.residuals)
+        assert all((part is not None) == negative for part in witness_side)
+        assert (result.mixture is None) == negative
+        assert (result.lower_bound == -np.inf) == negative
+        assert (result.optimal_value == np.inf) == (not negative)
+        assert verify_witness_certificate(result, rho)
+    for p, sign in ((0.4, SIGN_NONNEGATIVE), (0.6, SIGN_NEGATIVE)):
+        rho = noisy_w(p)
+        result = ppt_mixer_witness(rho, sign_only=True)
+        assert result.certified_sign == sign
+        value, _ = thresholds._ppt_mixer(PROPERTY_W_GME, p, rho, None)
+        assert value == -(result.optimal_value if sign == SIGN_NEGATIVE
+                          else result.lower_bound)
+
+
 def test_bisections_validate_only_the_distillation_outputs(monkeypatch):
     # The noisy families are states by construction and skip DensityMatrix's
     # checks, so of the seven default bisections only W-GME-after-distill
@@ -404,6 +443,11 @@ def test_w_sle_margin_agrees_with_the_full_sle_search(monkeypatch):
         assert value == pytest.approx(searched, rel=0.0, abs=1e-12)
 
 
+# A bound as the refusal prints it, finite: an indeterminate result holds
+# both sides.
+_FINITE = r"-?\d\.\d{6}e[-+]\d\d"
+
+
 @pytest.mark.parametrize("name,p", [
     pytest.param(PROPERTY_W_GME, "0.47900390625", id=PROPERTY_W_GME),
     pytest.param(PROPERTY_W_GME_AFTER, "0.5189208984375",
@@ -413,10 +457,12 @@ def test_sdp_bisection_refuses_uncertified_signs(name, p):
     # At 3e-5 the bisection reaches a point whose optimum lies inside the
     # 1e-5 certification margin; it must stop there, not guess the sign.
     # The point is pinned: a warm start may change when a solve stops,
-    # never which bisection point is refused.
+    # never which bisection point is refused.  The refusal prints both
+    # bounds.
     with pytest.raises(ValueError,
                        match=rf"{name}: .* at p={re.escape(p)} is not "
-                             rf"certified: the optimum lies in \[\S+, \S+\]"):
+                             rf"certified: the optimum lies in "
+                             rf"\[{_FINITE}, {_FINITE}\]"):
         find_threshold(name, tolerance=3e-5)
 
 
