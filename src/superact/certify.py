@@ -233,6 +233,9 @@ from .states import (
     DEGENERATE_WEIGHT,
     DegenerateProjectionError,
     _CHARGES,
+    _checked,
+    _eigh,
+    _eigvalsh,
     _partial_transpose_array,
     _resolve_pair,
     _resolve_qubits,
@@ -367,7 +370,7 @@ def negativity(rho, bipartition=None) -> float:
         side = (1,)
     else:
         side = _resolve_qubits(bipartition, n)
-    eigs = np.linalg.eigvalsh(_partial_transpose_array(m, n, side))
+    eigs = _checked(_eigvalsh(_partial_transpose_array(m, n, side)))
     return float(np.log2(np.abs(eigs).sum()))
 
 
@@ -470,7 +473,7 @@ def _lowest_eigenvalues(pairs: np.ndarray, weights: np.ndarray) -> np.ndarray:
     """
     valid = weights > DEGENERATE_WEIGHT
     safe = np.where(valid, weights, 1.0)
-    lowest = np.linalg.eigvalsh(pairs / safe[:, None, None])[:, 0]
+    lowest = _eigvalsh(pairs / safe[:, None, None])[:, 0]
     return np.where(valid, lowest, np.inf)
 
 
@@ -533,7 +536,7 @@ class _SLEObjective:
         ``DEGENERATE_WEIGHT``.
         """
         coeffs = self._coefficients(np.array([theta]), np.array([phi]))
-        f = np.linalg.eigh(self._combine(coeffs, self.blocks_pt)[0])[1][:, 0]
+        f = _eigh(self._combine(coeffs, self.blocks_pt)[0])[1][:, 0]
         blocks_pt = self.blocks_pt.view(np.complex128).reshape(4, 4, 4)
         a = np.einsum("i,kij,j->k", f.conj(), blocks_pt, f).real
 
@@ -542,12 +545,12 @@ class _SLEObjective:
             off = 0.5 * (k[1] - 1j * k[2])
             return np.array([[k[0], off], [np.conj(off), k[3]]])
 
-        r_eigs, r_vecs = np.linalg.eigh(form(self.traces))
+        r_eigs, r_vecs = _eigh(form(self.traces))
         if r_eigs[0] <= DEGENERATE_WEIGHT:
             return None
         # psi = S y with S = V diag(r)^{-1/2} whitens R, so psi^H R psi = |y|^2.
         whiten = r_vecs / np.sqrt(r_eigs)
-        y = np.linalg.eigh(whiten.conj().T @ form(a) @ whiten)[1][:, 0]
+        y = _eigh(whiten.conj().T @ form(a) @ whiten)[1][:, 0]
         psi = whiten @ y
         return np.array([np.arctan2(abs(psi[1]), abs(psi[0])),
                          np.angle(psi[1] * np.conj(psi[0])) % (2.0 * np.pi)])
@@ -561,7 +564,7 @@ def sle_quantifier_at(rho, pair, theta: float, phi: float) -> float:
         if not math.isfinite(angle):
             raise ValueError(f"{name} must be finite, got {angle!r}")
     value = _SLEObjective(rho, pair).values(np.array([theta]), np.array([phi]))[0]
-    if value == np.inf:
+    if _checked(value) == np.inf:
         raise DegenerateProjectionError(
             f"projection at theta={theta}, phi={phi} has vanishing weight")
     return float(value)
@@ -623,7 +626,7 @@ def _first_band_coefficients() -> np.ndarray:
 def _hull_lowest(pairs: np.ndarray) -> np.ndarray:
     """Lowest eigenvalues of a stack of unnormalized transposed pairs, the
     band search's one evaluation."""
-    return np.linalg.eigvalsh(pairs)[:, 0]
+    return _eigvalsh(pairs)[:, 0]
 
 
 def _band_search(
@@ -648,8 +651,8 @@ def _band_search(
         evaluations += 4 * z1.size
         if evaluations > SLE_BAND_EVALUATIONS:
             return None
-        lowest = _hull_lowest(objective._combine(
-            coefficients.reshape(-1, 4), objective.blocks_pt)).reshape(-1, 4)
+        lowest = _checked(_hull_lowest(objective._combine(
+            coefficients.reshape(-1, 4), objective.blocks_pt))).reshape(-1, 4)
         # Normalized values at the chord ends, which lie on the circle.
         weights = coefficients[:, :2] @ objective.traces
         valid = weights > DEGENERATE_WEIGHT
@@ -870,8 +873,7 @@ class _GridSearch:
         # A parent of vanishing weight stays unnormalized, in A and in d.
         parents = weights[grid.coarse]
         safe = np.where(parents > DEGENERATE_WEIGHT, parents, 1.0)
-        lam, vec = np.linalg.eigh(
-            self.pairs[grid.coarse] / safe[:, None, None])
+        lam, vec = _eigh(self.pairs[grid.coarse] / safe[:, None, None])
         # <v_k| H_j |v_0> over each parent's eigenvectors v_k, as 8 reals.
         along = (np.einsum("jab,pb->pja", hermitian, vec[:, :, 0])
                  @ vec.conj()).view(np.float64)
@@ -914,7 +916,8 @@ def _descend(objective: _SLEObjective, theta: float, phi: float,
         step = objective.seesaw_step(theta, phi)
         if step is None:
             break
-        stepped = objective.values(step[:1], step[1:])[0]
+        _checked(step)
+        stepped = _checked(objective.values(step[:1], step[1:])[0])
         if not stepped < value:
             break
         theta, phi, value = step[0], step[1], stepped
@@ -987,13 +990,13 @@ def sle_quantify(rho, pair=None, *, sign_only: bool = False) -> SLEResult:
     if settled is not None:
         z, breakpoints = settled
         theta = 0.5 * float(np.arccos(z))
-        value = objective.values(np.array([theta]), np.zeros(1))[0]
+        value = _checked(objective.values(np.array([theta]), np.zeros(1))[0])
         return SLEResult(float(value), theta, 0.0,
                          None if breakpoints is None else
                          SLECertificate(objective.kept, charges, breakpoints))
 
     theta, phi, value = _GridSearch(objective).best()
-    if value == np.inf:
+    if _checked(value) == np.inf:
         raise DegenerateProjectionError(
             "every projection direction on the grid has vanishing weight")
     theta, phi, value = _descend(objective, theta, phi, value)

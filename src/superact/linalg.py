@@ -1,15 +1,20 @@
 """Eigenvalues of small complex Hermitian matrices via cyclic Jacobi rotations.
 
 Eigensolver policy: every eigenvalue the package computes comes from
-LAPACK (``numpy.linalg``), ``DensityMatrix.eigenvalues()`` and
-:func:`hermitian_eigenvalues` included, except where independence from
-LAPACK is the point.  This module's Jacobi solver serves exactly those
-two checks, re-verifying witness and SLE certificates, one call per
-certificate, and ``superact.verify`` is its only caller:
-``verify_witness_certificate`` passes the 8x8 factors of a witness
-result (six P and Q blocks, three Y_i and three Y_i^{T_i}, or the six of
-the one side a sign-only result holds), and ``verify_sle_certificate`` a
-stack of 4x4 pairs.
+LAPACK, except where independence from LAPACK is the point.  Functions that
+take input from outside, ``DensityMatrix`` validation,
+``DensityMatrix.eigenvalues()`` and :func:`hermitian_eigenvalues`, call it
+through ``numpy.linalg``, whose checks and ``LinAlgError`` they keep.  The
+solvers' hot paths in ``sdp``, ``certify`` and ``thresholds``, whose
+inputs the package builds, call the same gufuncs through the LAPACK entry
+of ``superact.states``, without ``numpy.linalg``'s per-call wrapper (see
+"LAPACK entry" there).  This module's Jacobi solver serves exactly the
+two checks where independence is the point, re-verifying witness and SLE
+certificates, one call per certificate, and ``superact.verify`` is its
+only caller: ``verify_witness_certificate`` passes the 8x8 factors of a
+witness result (six P and Q blocks, three Y_i and three Y_i^{T_i}, or the
+six of the one side a sign-only result holds), and
+``verify_sle_certificate`` a stack of 4x4 pairs.
 
 At that dimension the quadratically convergent Jacobi iteration is
 essentially exact and has no pathological inputs.  The solver is batched:

@@ -35,7 +35,7 @@ and yields xf, y, xg and the z it moves on to.  The cone gap xg - y on
 the P and Q blocks over STEP holds the multipliers of the cone
 constraints, from which ``ppt_mixer_witness`` repairs its dual
 certificate.  ``ppt_mixer_witness`` counts the iterations, forms the gap
-only when it checks the bounds, and stops the iteration itself.
+only when a check builds the lower bound, and stops the iteration itself.
 
 The loop runs on one real vector of coordinates, not on the seven 8 x 8
 blocks.  The coordinates of a stack are those of its in-sector entries
@@ -73,7 +73,12 @@ otherwise the memory is cleared and the loop takes the plain step T(z)
 from the last accepted iterate, which it has already computed.  Either way
 each iteration evaluates T once, and a rejected candidate counts as an
 iteration.  The differences live in fixed ring buffers whose Gram matrix is
-updated one row per iteration.  A memory of 16 was chosen by measurement:
+updated one row per iteration.  The regularized system, that matrix with
+the weight added to its diagonal, is solved through the LAPACK entry of
+``states`` (see "LAPACK entry" there), as is every eigendecomposition of
+the iteration and of the bounds: at 16 x 16 the solve takes 1.6 us there
+and 3.4 us through ``np.linalg.solve``, whose wrapper costs the
+difference.  A memory of 16 was chosen by measurement:
 over the 272 certify-mixed states of seeds 1-8 and three more, default
 solves took 24040 iterations at a memory of 8, 19650 at 16 and 21620 at
 32; at 8 most noisy GHZ and noise-model solves take 20, at 32 they take
@@ -115,7 +120,8 @@ xg its cone projection:
   (1 + 8 delta);
 - *lower bound*: the cone multipliers (xg - y) / step give A_i from the P
   blocks and B_i from the Q blocks, both PSD; at a fixed point
-  Y_i = A_i = B_i^{T_i}.  Take Y_i = herm(A_i + B_i^{T_i}) / 2 + eps_i I
+  Y_i = A_i = B_i^{T_i}.  Take Y_i = (A_i + B_i^{T_i}) / 2 + eps_i I,
+  exactly Hermitian as every expanded iterate is,
   with eps_i the smallest shift that makes Y_i and Y_i^{T_i} PSD, let
   R = rho - sum_i Y_i and t = min(lambda_min(R), lambda_min(R^{T_1})), and
   add R - t I to Y_1.  Then rho - t I = sum_i Y_i exactly and t is the
@@ -153,7 +159,11 @@ the side it keeps is the same bit for bit.  Over the 18 PPT-mixer solves
 of the default W-GME and W-GME-after-distill bisections (107 iterations),
 building one side where it fixes the sign took the solver's traced time
 from 12.56 to 11.06 ms, from 118 to 104 us per iteration (``bench/run.py
---workload thresholds --trace 1``, seed 21, 2-vCPU VM).
+--workload thresholds --trace 1``, seed 21, 2-vCPU VM).  Calling LAPACK
+through the entry of ``states`` instead of ``numpy.linalg``, which skips
+1.7-1.8 us of wrapper per call on eigensolves of 2-9 us, then took the
+same 107 iterations from 102 to 84 us each, and the solver's traced time
+from 10.9 to 9.0 ms.
 
 A solve that takes a start also checks its bounds at iterations 1 and 3
 (``_WARM_CHECKS``), since a start near the optimum often fixes the sign
@@ -290,8 +300,12 @@ import numpy as np
 from .states import (
     _LABELS,
     _Symmetries,
+    _checked,
+    _eigh,
+    _eigvalsh,
     _matrix_to_dict,
     _partial_transpose_array,
+    _solve,
     _state_entries,
     _symmetries,
 )
@@ -415,10 +429,6 @@ def _project_affine(x: np.ndarray, eye: np.ndarray) -> np.ndarray:
     return out
 
 
-def _hermitian_part(a: np.ndarray) -> np.ndarray:
-    return 0.5 * (a + np.conj(np.swapaxes(a, -1, -2)))
-
-
 # Gather index of block k of a flattened stack of 8 x 8 blocks.
 _OWN = np.arange(7 * 64).reshape(7, 64)
 # Flat index of entry (b, j, i) of a stack of seven blocks, at (b, i, j).
@@ -504,6 +514,8 @@ class _Sectors(NamedTuple):
     def apply_affine(self, v: np.ndarray) -> np.ndarray:
         """M v, the reflection through the equality constraints' linear
         part."""
+        if len(self.affine) == 1:  # a real iteration: one part, all of v
+            return self.affine[0][1] @ v
         return np.concatenate([m @ v[part] for part, m in self.affine])
 
 
@@ -637,9 +649,11 @@ def _sectors(rho: np.ndarray) -> _Sectors:
 
 def _clipped(stack: np.ndarray) -> np.ndarray:
     """Projection of each matrix of ``stack`` onto the PSD cone."""
-    lam, vec = np.linalg.eigh(stack)
-    return (vec * np.maximum(lam, 0.0)[:, None, :]) @ np.conj(
-        np.swapaxes(vec, -1, -2))
+    lam, vec = _eigh(stack)
+    adjoint = vec.swapaxes(-1, -2)
+    if adjoint.dtype.kind == "c":
+        adjoint = adjoint.conj()
+    return (vec * np.maximum(lam, 0.0)[:, None, :]) @ adjoint
 
 
 def _psd_part(blocks: np.ndarray, plan: _Plan) -> np.ndarray:
@@ -673,8 +687,7 @@ def _lowest(blocks: np.ndarray, plan: _Plan) -> np.ndarray:
     lowest = np.full(8 * plan.blocks, np.inf)
     for index, slot in plan.groups:
         sub = flat[index]
-        lowest[slot] = (sub.real if index.ndim == 1
-                        else np.linalg.eigvalsh(sub)[:, 0])
+        lowest[slot] = sub.real if index.ndim == 1 else _eigvalsh(sub)[:, 0]
     return lowest.reshape(plan.blocks, 8).min(axis=1)
 
 
@@ -713,7 +726,6 @@ def _iterates(rho: np.ndarray, sectors: _Sectors, z: np.ndarray):
     d_g = np.empty((memory, z.size))
     d_t = np.empty((memory, z.size))
     gram = np.empty((memory, memory))  # d_g d_g^T
-    identity = np.eye(memory)
     count = head = 0
     # T(z), g and ||g||^2 at the last accepted z.
     base_t = base_g = None
@@ -745,8 +757,9 @@ def _iterates(rho: np.ndarray, sectors: _Sectors, z: np.ndarray):
         if candidate:
             lhs = gram[:count, :count]
             shift = _ANDERSON_REGULARIZATION * lhs.trace() + _TINY
-            gamma = np.linalg.solve(lhs + shift * identity[:count, :count],
-                                    d_g[:count] @ g)
+            system = lhs.copy()
+            system.flat[::count + 1] += shift
+            gamma = _solve(system, d_g[:count] @ g)
             z = t_z - gamma @ d_t[:count]
         else:
             z = t_z
@@ -775,7 +788,7 @@ def _upper_bound(rho: np.ndarray, sectors: _Sectors, xf: np.ndarray,
     w = np.where(sectors.mask[0], xf[0], 0.0)
     q_hat = _psd_part(xf[2::2], sectors.q)
     p_raw = w - _transpose_stack(q_hat)
-    delta = max(0.0, -float(_lowest(p_raw, sectors.w).min()))
+    delta = max(0.0, -float(_checked(_lowest(p_raw, sectors.w).min())))
     scale = 1.0 / (1.0 + dim * delta)
     witness = (w + delta * eye) * scale
     return (float(np.vdot(rho, witness).real), witness,
@@ -790,11 +803,11 @@ def _lower_bound(rho: np.ndarray, sectors: _Sectors, cone_gap: np.ndarray,
     every spectrum is taken sector by sector."""
     multipliers = np.where(sectors.mask[1:], cone_gap, 0.0) / STEP
     mix = multipliers[0::2] + _transpose_stack(multipliers[1::2])
-    mix = 0.5 * _hermitian_part(mix)
+    mix = 0.5 * mix
     lowest = _lowest(mix, sectors.mixture)
     mix += np.maximum(0.0, -lowest.reshape(2, -1).min(axis=0))[:, None, None] * eye
     r = rho - (mix[0] + mix[1] + mix[2])
-    t = float(_lowest(r, sectors.shifted).min())
+    t = float(_checked(_lowest(r, sectors.shifted).min()))
     mix[0] += r - t * eye
     return t, mix
 
@@ -805,30 +818,32 @@ _NO_LOWER = (-np.inf, None)
 
 
 def _certified_bounds(rho: np.ndarray, sectors: _Sectors, xf: np.ndarray,
-                      cone_gap: np.ndarray, eye: np.ndarray, *,
+                      cone_gap, eye: np.ndarray, *,
                       early: bool = False,
                       sign_only: bool = False) -> _Bounds | None:
     """Feasible witness and PPT mixture built from one iterate, with
-    ``cone_gap`` its xg - y on the six cone blocks and ``sectors`` those of
-    ``rho``.  The side that the iterate's value tr(W rho) points to is
-    built first, the upper bound when it is negative and the lower bound
-    otherwise.  When it does not clear ``CERTIFICATION_MARGIN``, an
-    ``early`` check returns None, and any other builds the other side too.
-    A ``sign_only`` check whose bounds fix the sign keeps only the side
-    that fixes it, with ``_NO_UPPER`` or ``_NO_LOWER`` for the other, which
-    it builds only when the first side does not fix the sign."""
+    ``cone_gap()`` its xg - y on the six cone blocks, called only when the
+    lower side is built, and ``sectors`` those of ``rho``.  The side that
+    the iterate's value tr(W rho) points to is built first, the upper bound
+    when it is negative and the lower bound otherwise.  When it does not
+    clear ``CERTIFICATION_MARGIN``, an ``early`` check returns None, and
+    any other builds the other side too.  A ``sign_only`` check whose
+    bounds fix the sign keeps only the side that fixes it, with
+    ``_NO_UPPER`` or ``_NO_LOWER`` for the other, which it builds only when
+    the first side does not fix the sign.  A side whose eigensolves failed
+    raises ``np.linalg.LinAlgError`` (see "LAPACK entry" in ``states``)."""
     upper = lower = None
     if np.vdot(rho, xf[0]).real < 0.0:
         upper = _upper_bound(rho, sectors, xf, eye)
         cleared = upper[0] < -CERTIFICATION_MARGIN
     else:
-        lower = _lower_bound(rho, sectors, cone_gap, eye)
+        lower = _lower_bound(rho, sectors, cone_gap(), eye)
         cleared = lower[0] > CERTIFICATION_MARGIN
     if early and not cleared:
         return None
     if not (sign_only and cleared):
         upper = upper or _upper_bound(rho, sectors, xf, eye)
-        lower = lower or _lower_bound(rho, sectors, cone_gap, eye)
+        lower = lower or _lower_bound(rho, sectors, cone_gap(), eye)
         if sign_only and upper[0] < -CERTIFICATION_MARGIN:
             lower = None
         elif sign_only and lower[0] > CERTIFICATION_MARGIN:
@@ -896,9 +911,10 @@ def ppt_mixer_witness(rho, *, gap_tol: float = GAP_TOL,
                 or iterations >= MAX_ITERATIONS)
         if not (full or iterations in early_checks):
             continue
-        bounds = _certified_bounds(state, sectors, sectors.expand(xf),
-                                   sectors.expand(xg - y)[1:], eye,
-                                   early=not full, sign_only=sign_only)
+        bounds = _certified_bounds(
+            state, sectors, sectors.expand(xf),
+            lambda: sectors.expand(xg - y)[1:], eye,
+            early=not full, sign_only=sign_only)
         if bounds is None:
             continue
         sign = (SIGN_NEGATIVE if bounds.upper < -CERTIFICATION_MARGIN

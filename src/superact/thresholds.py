@@ -117,7 +117,7 @@ from .sdp import (
     SIGN_NEGATIVE,
     ppt_mixer_witness,
 )
-from .states import DensityMatrix, noisy_ghz, noisy_w
+from .states import DensityMatrix, _checked, _eigvalsh, noisy_ghz, noisy_w
 
 PROPERTY_GME = "GME"
 PROPERTY_SLE = "SLE"
@@ -175,7 +175,7 @@ def _w_sle(label: str, p: float, rho, start):
     # solves.
     pair = rho.entries.reshape((2,) * 6)[:, :, 0, :, :, 0]
     pair_pt = pair.transpose(0, 3, 2, 1).reshape(4, 4)
-    lowest = np.linalg.eigvalsh(pair_pt / pair_pt.trace().real)[0]
+    lowest = _eigvalsh(pair_pt / pair_pt.trace().real)[0]
     return -float(lowest), start
 
 
@@ -227,6 +227,8 @@ def certifying_margin(property_name: str) -> Callable[[float], float]:
     between the nearest evaluated points below and above it, from the
     nearest point when only one side has been evaluated, or cold on the
     first (see the module docstring); each call returns a new function.
+    A NaN margin, the mark of a failed LAPACK call, raises
+    ``np.linalg.LinAlgError`` (see "LAPACK entry" in ``states``).
     """
     _, build, evaluate = _property(property_name)
     starts = {}
@@ -236,7 +238,7 @@ def certifying_margin(property_name: str) -> Callable[[float], float]:
                                 _interpolated(starts, p))
         if start is not None:
             starts[p] = start
-        return value
+        return _checked(value)
 
     return margin
 

@@ -50,6 +50,7 @@ from superact.states import DegenerateProjectionError, StateValidationError
 from superact.verify import verify_sle_certificate
 from util import (
     BAD_RAW_ARRAYS,
+    FAILED_LAPACK_WARNING,
     exact_epr_settings,
     exact_ghz_settings,
     mk_observable,
@@ -58,6 +59,7 @@ from util import (
     random_hermitian,
     random_unitary,
     random_x_state,
+    failing_entry,
     ring_charges_loop,
     x_shape_loop,
 )
@@ -1363,3 +1365,42 @@ def test_density_matrix_inputs_are_not_validated_again(monkeypatch):
     assert built == []
     negativity(np.asarray(rho.entries), (0,))
     assert len(built) == 1
+
+
+# Each search path, with an entry it calls: the band search (a negative and
+# a nonnegative sign), the grid's exact values and the subgrid's bounds, and
+# the see-saw steps from the grid's best point, which a sign-only search
+# takes when the state has no ring charges.
+_FAILED_SEARCHES = {
+    "band-negative": ("_eigvalsh", noisy_ghz(0.4), True),
+    "band-nonnegative": ("_eigvalsh", noisy_ghz(0.2), True),
+    "grid-values": ("_eigvalsh", random_density_matrix(
+        np.random.default_rng(5), 3), False),
+    "grid-bounds-and-seesaw": ("_eigh", random_density_matrix(
+        np.random.default_rng(5), 3), False),
+    "seesaw": ("_eigh", noisy_ghz(0.4), False),
+    "sign-only-without-ring-charges": ("_eigh", random_density_matrix(
+        np.random.default_rng(5), 3), True),
+}
+
+
+@pytest.mark.filterwarnings(FAILED_LAPACK_WARNING)
+@pytest.mark.parametrize("name", list(_FAILED_SEARCHES))
+def test_failed_lapack_call_raises_from_sle_quantify(monkeypatch, name):
+    # A failed call returns NaN; the search's result must raise
+    # LinAlgError, never return a NaN value or a sign (see "LAPACK entry"
+    # in states).
+    entry, rho, sign_only = _FAILED_SEARCHES[name]
+    monkeypatch.setattr(certify, entry, failing_entry(getattr(certify, entry)))
+    with pytest.raises(np.linalg.LinAlgError):
+        sle_quantify(rho, sign_only=sign_only)
+
+
+@pytest.mark.filterwarnings(FAILED_LAPACK_WARNING)
+def test_failed_lapack_call_raises_from_the_one_point_quantities(monkeypatch):
+    monkeypatch.setattr(certify, "_eigvalsh",
+                        failing_entry(certify._eigvalsh))
+    with pytest.raises(np.linalg.LinAlgError):
+        sle_quantifier_at(noisy_w(0.3), None, 0.0, 0.0)
+    with pytest.raises(np.linalg.LinAlgError):
+        negativity(noisy_w(0.3), (0,))

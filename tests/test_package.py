@@ -53,3 +53,37 @@ def test_package_docstring_lists_every_module():
                         flags=re.MULTILINE)
     assert len(listed) == len(set(listed))
     assert set(listed) == MODULES.keys() - {"__init__"}
+
+
+def _names_umath_linalg(tree: ast.Module) -> bool:
+    """Whether ``tree`` imports or reaches ``numpy.linalg._umath_linalg``."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import) and any(
+                "_umath_linalg" in alias.name for alias in node.names):
+            return True
+        if isinstance(node, ast.ImportFrom) and (
+                "_umath_linalg" in (node.module or "")
+                or any(alias.name == "_umath_linalg" for alias in node.names)):
+            return True
+        if isinstance(node, ast.Attribute) and node.attr == "_umath_linalg":
+            return True
+    return False
+
+
+def test_only_states_reaches_lapack_past_numpy_linalg():
+    assert {name for name, tree in MODULES.items()
+            if _names_umath_linalg(tree)} == {"states"}
+
+
+def test_solver_hot_paths_take_the_lapack_entry():
+    # Every eigensolve and linear solve of these modules goes through
+    # states' LAPACK entry (see "LAPACK entry" in states), never through
+    # numpy.linalg's wrapper.
+    for name in ("sdp", "certify", "thresholds"):
+        calls = [node.func.attr for node in ast.walk(MODULES[name])
+                 if isinstance(node, ast.Call)
+                 and isinstance(node.func, ast.Attribute)
+                 and node.func.attr in {"eigh", "eigvalsh", "solve"}
+                 and isinstance(node.func.value, ast.Attribute)
+                 and node.func.value.attr == "linalg"]
+        assert calls == [], name

@@ -38,6 +38,8 @@ from superact.states import (
 from superact.verify import verify_witness_certificate
 from util import (
     BAD_RAW_ARRAYS,
+    FAILED_LAPACK_WARNING,
+    failing_entry,
     random_density_matrix,
     random_hermitian,
     random_unitary,
@@ -329,7 +331,7 @@ def test_bounds_twirl_an_iterate_outside_the_sectors(name):
     gap = np.stack([random_hermitian(rng, 8) for _ in range(6)])
     eye = np.eye(8, dtype=complex)
     assert _off_sector(xf, m) > 0.1
-    bounds = _certified_bounds(m, _sectors(m), xf, gap, eye)
+    bounds = _certified_bounds(m, _sectors(m), xf, lambda: gap, eye)
     assert abs(np.trace(bounds.witness).real - 1.0) < 1e-12
     assert bounds.upper == pytest.approx(np.vdot(m, bounds.witness).real,
                                          abs=1e-15)
@@ -1188,3 +1190,53 @@ def test_matches_reference_solver(rho_factory):
     ours = ppt_mixer_witness(rho).optimal_value
     reference = _reference_value(cvxpy, np.asarray(rho.entries))
     assert ours == pytest.approx(reference, abs=2e-6)
+
+
+@pytest.mark.filterwarnings(FAILED_LAPACK_WARNING)
+@pytest.mark.parametrize("sign_only", [False, True])
+@pytest.mark.parametrize("entry", ["_eigh", "_eigvalsh", "_solve"])
+@pytest.mark.parametrize("rho", [noisy_w(0.45), noisy_w(0.6),
+                                 _mixed_random_state(3, 4)],
+                         ids=["w-0.45", "w-0.6", "random"])
+def test_failed_lapack_call_raises_at_the_bound_check(monkeypatch, rho, entry,
+                                                      sign_only):
+    # A failed call returns NaN, in the iteration (eigh, solve) or in the
+    # bounds (eigh, eigvalsh); it must end as LinAlgError at the first bound
+    # check it reaches, never as a sign.
+    monkeypatch.setattr(sdp, entry, failing_entry(getattr(sdp, entry)))
+    with pytest.raises(np.linalg.LinAlgError):
+        ppt_mixer_witness(rho, sign_only=sign_only)
+
+
+@pytest.mark.filterwarnings(FAILED_LAPACK_WARNING)
+@pytest.mark.parametrize("early", [False, True])
+@pytest.mark.parametrize("side, entry", [("upper", "_eigh"),
+                                         ("upper", "_eigvalsh"),
+                                         ("lower", "_eigvalsh")])
+def test_a_side_whose_eigensolve_failed_raises(monkeypatch, side, entry,
+                                               early):
+    # Each side alone, built from certificates that clear the margin: a
+    # GME state's witness (upper) and a biseparable state's PPT mixture
+    # (lower).  A NaN there, such as one the shift max(0, -lambda_min) of
+    # the witness would drop, must raise, not certify a sign.
+    rho = noisy_w(0.6 if side == "upper" else 0.3)
+    result = ppt_mixer_witness(rho)
+    m = _entries(rho)
+    eye = np.eye(8, dtype=complex)
+    if side == "upper":
+        xf = np.stack([result.witness,
+                       *itertools.chain.from_iterable(result.decompositions)])
+        gap = np.zeros((6, 8, 8), complex)
+    else:
+        xf = np.stack([eye / 8.0] + [eye / 16.0] * 6)
+        mixture = np.stack(result.mixture)
+        gap = sdp.STEP * np.stack([mixture, _transpose_stack(mixture)],
+                                  axis=1).reshape(6, 8, 8)
+    bounds = _certified_bounds(m, _sectors(m), xf, lambda: gap, eye,
+                               early=early, sign_only=True)
+    assert (bounds.upper < -CERTIFICATION_MARGIN if side == "upper"
+            else bounds.lower > CERTIFICATION_MARGIN)
+    monkeypatch.setattr(sdp, entry, failing_entry(getattr(sdp, entry)))
+    with pytest.raises(np.linalg.LinAlgError):
+        _certified_bounds(m, _sectors(m), xf, lambda: gap, eye, early=early,
+                          sign_only=True)

@@ -642,3 +642,66 @@ def test_density_matrix_reader_validates(tmp_path):
         with pytest.raises(StateValidationError,
                            match="n_qubits must be a JSON integer"):
             load_density_matrix(path)
+
+
+# The shapes the solvers hand the LAPACK entry: the PPT-mixer's cone and
+# bound sectors, the SLE search's 4x4 pairs, the see-saw's single 4x4 pair
+# and 2x2 forms, and the W-SLE margin's 4x4 pair.
+_ENTRY_SHAPES = [(12, 3, 3), (6, 2, 2), (24, 2, 2), (1, 8, 8), (1, 4, 4),
+                 (32, 4, 4), (367, 4, 4), (4, 4), (2, 2)]
+
+
+def _hermitian_stack(rng, shape, dtype):
+    a = rng.standard_normal(shape)
+    if dtype is np.complex128:
+        a = a + 1j * rng.standard_normal(shape)
+    return a + np.conj(np.swapaxes(a, -1, -2))
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+@pytest.mark.parametrize("shape", _ENTRY_SHAPES)
+def test_lapack_entry_matches_numpy_linalg_bit_for_bit(shape, dtype):
+    rng = np.random.default_rng(sum(shape))
+    a = _hermitian_stack(rng, shape, dtype)
+    # A strided view too: every entry reads the lower triangle wherever the
+    # matrices lie in memory.
+    for stack in (a, np.swapaxes(a, -1, -2)):
+        lam, vec = states._eigh(stack)
+        expected = np.linalg.eigh(stack)
+        assert (lam.dtype, vec.dtype) == (expected.eigenvalues.dtype,
+                                          expected.eigenvectors.dtype)
+        assert lam.tobytes() == expected.eigenvalues.tobytes()
+        assert vec.tobytes() == expected.eigenvectors.tobytes()
+        values = states._eigvalsh(stack)
+        assert values.dtype == np.float64
+        assert values.tobytes() == np.linalg.eigvalsh(stack).tobytes()
+
+
+@pytest.mark.parametrize("size", [1, 2, 5, 16])
+def test_lapack_entry_solve_matches_numpy_linalg_bit_for_bit(size):
+    # Anderson's regularized least squares: a Gram matrix plus a shift.
+    rng = np.random.default_rng(size)
+    d = rng.standard_normal((size, 40))
+    a = d @ d.T
+    a.flat[::size + 1] += 1e-10 * a.trace()
+    b = rng.standard_normal(size)
+    x = states._solve(a, b)
+    assert x.tobytes() == np.linalg.solve(a, b).tobytes()
+
+
+def test_failed_lapack_call_returns_nan_and_checked_raises():
+    # Without numpy.linalg's errstate the gufunc warns and returns NaN, which
+    # _checked turns into the LinAlgError numpy.linalg raises.
+    with pytest.warns(RuntimeWarning, match="invalid value"):
+        lam, vec = states._eigh(np.full((2, 4, 4), np.nan))
+    assert np.isnan(lam).all() and np.isnan(vec).all()
+    with pytest.warns(RuntimeWarning, match="invalid value"):
+        lowest = states._eigvalsh(np.full((3, 3), np.nan))
+    with pytest.warns(RuntimeWarning, match="invalid value"):
+        x = states._solve(np.zeros((4, 4)), np.ones(4))
+    for values in (lam, lowest, x, float(lowest[0])):
+        with pytest.raises(np.linalg.LinAlgError):
+            states._checked(values)
+    finite = np.arange(3.0)
+    assert states._checked(finite) is finite
+    assert states._checked(np.inf) == np.inf

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import superact.certify as certify
+import superact.sdp as sdp
 import superact.thresholds as thresholds
 from superact import (
     DensityMatrix,
@@ -37,7 +38,12 @@ from superact.thresholds import (
     find_threshold,
 )
 from superact.verify import verify_sle_certificate, verify_witness_certificate
-from util import analytic_constants, limit_margin_evaluations
+from util import (
+    FAILED_LAPACK_WARNING,
+    analytic_constants,
+    failing_entry,
+    limit_margin_evaluations,
+)
 
 
 def test_analytic_constants_values_and_provenance():
@@ -508,3 +514,18 @@ def test_csv_emission_round_trippable(capsys):
     name, crossing, width, evaluations = lines[1].split(",")
     assert find_threshold(PROPERTY_GME) == ThresholdReport(
         name, float(crossing), float(width), int(evaluations))
+
+
+@pytest.mark.filterwarnings(FAILED_LAPACK_WARNING)
+@pytest.mark.parametrize("name, module", [
+    (PROPERTY_W_SLE, thresholds),
+    (PROPERTY_SLE, certify),
+    (PROPERTY_W_GME, sdp),
+])
+def test_failed_lapack_call_raises_from_find_threshold(monkeypatch, name,
+                                                       module):
+    # A margin read from a failed LAPACK call must raise LinAlgError, never
+    # narrow a bracket or report no sign change.
+    monkeypatch.setattr(module, "_eigvalsh", failing_entry(module._eigvalsh))
+    with pytest.raises(np.linalg.LinAlgError):
+        find_threshold(name)

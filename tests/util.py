@@ -99,6 +99,23 @@ def random_hermitian(rng, dim):
     return a + a.conj().T
 
 
+# The warning a LAPACK gufunc gives when it fails, which a test that feeds
+# the NaN of a failed call on to LAPACK sees again there.
+FAILED_LAPACK_WARNING = "ignore:invalid value encountered:RuntimeWarning"
+
+
+def failing_entry(entry):
+    """``entry``, one of ``superact.states``' LAPACK entry functions, failing
+    on every call as LAPACK does: NaN in results of the real call's shapes
+    (see "LAPACK entry" in ``states``)."""
+    def failed(*args):
+        out = entry(*args)
+        if isinstance(out, tuple):
+            return tuple(np.full_like(part, np.nan) for part in out)
+        return np.full_like(out, np.nan)
+    return failed
+
+
 def random_unitary(rng, dim):
     a = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     q, r = np.linalg.qr(a)
