@@ -15,59 +15,75 @@ largest where lambda_min is smallest (``SLEResult.negativity``).  The
 localized pair itself, for the default pair (0, 1), is
 ``project_subsystem(rho, bloch_state(theta, phi), 2, normalize=True)``.
 
-The optimizer is deterministic: the best point of a 64x64 (theta, phi)
-grid, ties going to the lowest theta, then the lowest phi, refined by
-see-saw steps (see "Refinement").  That grid point is found by branch and
-bound, bit for bit the first minimum over an evaluation of every point,
-with an exact eigensolve only where a bound, the closed form of the pair's
-sectors or a perturbation bound through a subgrid, cannot rule a point
-out (see "Grid search").  A sign-only search settles the sign by a
-branch and bound over bands of the Bloch sphere instead, and stops at a
-point that certifies a negative minimum or at bands that certify a
-nonnegative one (see "Certified signs"); otherwise it takes the default
-search.  The objective, ``_SLEObjective``, is set up once per search, so
-each exact evaluation, of grid points or of one stepped point, is a row of
-one small matrix product and a batched 4x4 eigensolve
-(``_lowest_eigenvalues``); ``sle_quantifier_at`` evaluates it at one
-point.
+The optimizer is deterministic.  An X-shaped state, whose entries off the
+diagonal and the anti-diagonal are exact zeros, takes the closed form (see
+"X-shaped states").  Any other state takes the best point of a 64x64
+(theta, phi) grid, ties going to the lowest theta, then the lowest phi,
+refined by see-saw steps (see "Refinement").  That grid point is found by
+branch and bound, bit for bit the first minimum over an evaluation of
+every point, with an exact eigensolve only where a perturbation bound
+through a subgrid cannot rule a point out (see "Grid search").  A
+sign-only search settles the sign by a branch and bound over bands of the
+Bloch sphere instead, and stops at a point that certifies a negative
+minimum or at bands that certify a nonnegative one (see "Certified
+signs"); otherwise it takes the default search.  The objective,
+``_SLEObjective``, is set up once per search, so each exact evaluation, of
+grid points or of one stepped point, is a row of one small matrix product
+and a batched 4x4 eigensolve (``_lowest_eigenvalues``);
+``sle_quantifier_at`` evaluates it at one point.
+
+X-shaped states
+---------------
+With z = cos(2 theta), an X-shaped state's blocks over the measured qubit
+are diagonal (T_00, T_11) and anti-diagonal (T_01, T_10) over the kept
+pair, so the weight w(z) = ((1 + z) tr T_00 + (1 - z) tr T_11) / 2 does not
+depend on phi, and the transposed pair splits into the sectors {00, 11}
+and {01, 10}.  A sector's 2x2 block has the diagonal p(z), q(z), affine in
+z, and the coupling c s (cos(phi) x + sin(phi) y), with x and y its
+entries in ``_SLEObjective``'s blocks 1 and 2 and (c s)^2 = (1 - z^2) / 4.
+The block's lowest eigenvalue falls as the coupling grows, and
+|cos(phi) x + sin(phi) y|^2 is the Gram matrix of x and y read at
+(cos(phi), sin(phi)).  It is largest, K^2 the Gram matrix's largest
+eigenvalue, on the principal axis
+phi = atan2(2 Re(x conj(y)), |x|^2 - |y|^2) / 2, taken modulo pi.  Each
+sector takes its own axis, as the minimum over phi of the lesser of two
+blocks is the lesser of their minima.  On a phi-ring, where x and y have
+equal moduli and orthogonal phases, the Gram matrix is a multiple of the
+identity, the value does not depend on phi, and the axis is phi = 0.
+
+What is left is the least over the sectors and z in [-1, 1] of
+f(z) = (p + q - sqrt((p - q)^2 + (1 - z^2) K^2)) / (2 w).  At an interior
+minimum s = f(z*), g(z) = (p - s w)(q - s w) - (1 - z^2) K^2 / 4, the
+determinant of the block less s w, is nonnegative near z* and zero at z*:
+a double root, so its discriminant in z vanishes.  That discriminant is
+quadratic in s, since its terms of degree three and four cancel, so s is
+one of its two roots, and z* is the double root of g at that s, where g's
+leading coefficient is positive (``_touching_points``).  A sector whose p,
+q and w take the same values at both poles, as noisy GHZ's coupled sector
+does, has z* = 0 exactly, whatever the rounding of s, and theta = pi/4 to
+the last bit.  The value is the least of f at those z and at z = 1 and
+z = -1, over the points whose weight exceeds ``DEGENERATE_WEIGHT``.  Ties
+go to the lowest theta, then the lowest phi, and at a pole, where the
+projection does not depend on phi, phi is 0.  The direction is
+theta = arccos(z) / 2 and the sector's axis.
+
+The closed form takes no eigensolve: some 0.03 ms per search on a 2-vCPU
+VM (timeit), against 0.5-0.6 ms for the grid and its refinement on noisy
+GHZ and noise-model states.  On 1797 searches over 599 random X-shaped
+states, with blocks emptied, coherences dropped or blocks of rank one at
+random, on each kept pair, its value lay at most 3.9e-16 above that
+search's and up to 1.2e-8 below it, where the see-saw stopped short; the
+objective at its direction reproduced the value within 2.8e-16.
 
 Grid search
 -----------
-Every point gets a lower bound, less a slack; a few points are solved
-first, and then every other point of nonzero weight whose bound does not
-lie above the best value among them.  The bound comes from the closed
-form of the pair's sectors where no sector holds more than two basis
-states, and through a subgrid otherwise.
-
-*Sectors.*  Two basis states of the kept pair are coupled when an entry
-joining them, in either triangle, is nonzero in one of the transposed
-blocks ``_SLEObjective.blocks_pt``.  The rule reads exact zeros: an entry
-of 1e-300 couples.  A grid point's pair is a real combination of the
-blocks, so its entries off the coupling pattern are exact zeros, and the
-pair is block diagonal over its sectors, the groups of states that
-couplings connect.  When no sector holds more than two states, as for
-every X-shaped state (noisy GHZ, noise-model and distilled GHZ states
-among them) with each kept pair, the pair's lowest eigenvalue is the
-least of its sectors': d_k for a sector {k} and
-(d_k + d_j) / 2 - sqrt(((d_k - d_j) / 2)^2 + |M_jk|^2) for a sector
-{k, j}, with M_jk read from the lower triangle that LAPACK reads
-(``_sector_lowest``).  The closed form and LAPACK's eigensolve each
-return that eigenvalue to within a few ulps of ||M||_F times a small
-constant.  The eigensolver is backward stable on M = pairs / weight; the
-closed form is a handful of roundings on the unnormalized pair, divided
-by the weight at the end, which is M to an ulp in each entry.  The bound
-is the closed form less a slack of 1e-12 (1 + ||M||_F), some 10^4 ulps
-of that norm, which covers both rounding paths, so it lies below the
-value LAPACK returns at every point.  The closed form's argmin is solved
-first.  W-type and general states couple three or more states and take
-the subgrid.
-
-*Subgrid.*  The 64 points of the subgrid of every eighth theta and phi
-are solved first.  Every other point takes the nearest of them as its
-parent A (theta clamps to the last subgrid row, phi wraps).  Let M be the
-point's normalized, transposed pair, E = M - A, lambda_1 <= lambda_2 the
-two lowest eigenvalues of A and v its lowest eigenvector.  Two lower
-bounds on lambda_min(M) follow:
+The 64 points of the subgrid of every eighth theta and phi are solved
+first.  Every other point gets a lower bound, less a slack, through the
+nearest of them, its parent A (theta clamps to the last subgrid row, phi
+wraps), and is solved unless its bound lies above the best value among
+them.  Let M be the point's normalized, transposed pair, E = M - A,
+lambda_1 <= lambda_2 the two lowest eigenvalues of A and v its lowest
+eigenvector.  Two lower bounds on lambda_min(M) follow:
 
 - *Weyl with Samuelson*: every eigenvalue of E lies within sqrt(3) s of
   m = tr E / 4, where 4 s^2 = ||E - m I||_F^2 (Samuelson's inequality for
@@ -103,38 +119,27 @@ Hermitian blocks LAPACK reads (their lower triangles), so E, tr E, E's
 traceless part and E v are linear in the differences of n from the
 parent's (``_GridSearch``).
 
-With either bound, a point is skipped only if its bound, less its slack,
-lies above the best value solved first, so the value an exhaustive
-evaluation computes at a skipped point lies above that best value too:
-the point can neither be the grid's minimum nor tie with it.  Every other
-point of nonzero weight is solved.  Each solved point is a row of one
-product over the whole grid, divided by its weight as in
-``_SLEObjective.values``, and LAPACK solves each 4x4 matrix on its own, so
-its value is the exhaustive evaluation's, bit for bit.  ``np.argmin`` over
-the grid, with ``inf`` at skipped points, therefore returns the exhaustive
-first minimum.  Points of vanishing weight stay ``inf`` and take no
-solve.
+A point is skipped only if its bound, less its slack, lies above the best
+value solved first, so the value an exhaustive evaluation computes at a
+skipped point lies above that best value too: the point can neither be the
+grid's minimum nor tie with it.  Every other point of nonzero weight is
+solved.  Each solved point is a row of one product over the whole grid,
+divided by its weight as in ``_SLEObjective.values``, and LAPACK solves
+each 4x4 matrix on its own, so its value is the exhaustive evaluation's,
+bit for bit.  ``np.argmin`` over the grid, with ``inf`` at skipped points,
+therefore returns the exhaustive first minimum.  Points of vanishing
+weight stay ``inf`` and take no solve.
 
-Measured on 392 searches, the ``certify-mixed`` bench pools of seeds 1-8
-(default pair) and 40 random states with each of the three kept pairs,
-the search solves, counting the points solved first:
-
-- 216 searches with sectors of at most two states (112 noisy GHZ, 96
-  noise-model and 8 X-shaped random states): 69 of the 4096 points on
-  average (noisy GHZ 128, noise-model 4; at most 128);
-- 176 others (noisy W, CNOT-distilled W and random states): 367 on
-  average (median 234, at most 1597),
-
-and finds the exhaustive point bit for bit every time.  With the subgrid
-bounds on every state, so did 1800 more searches over random states,
-I/8, noisy GHZ states at 41 values of p, noisy W, distilled GHZ and W,
-rank-1, product and near-white states, and states with a pinned measured
-qubit; at no grid point of those did a bound less its slack exceed the
-computed value.  The sector bound was
-checked the same way on 1803 more searches over noisy GHZ, noise-model,
-distilled-GHZ and random X-shaped states, some with emptied blocks, with
-each kept pair: the closed form and LAPACK differed by at most
-2.6e-16 (1 + ||M||_F).  Ties cannot be pruned: on I/8 every point is
+Measured on the 176 searches over states that are not X-shaped, the
+noisy W, CNOT-distilled W and random states of the ``certify-mixed``
+bench pools of seeds 1-8 (default pair) and 40 random states with each of
+the three kept pairs, the search solves 367 of the 4096 points on average,
+counting the subgrid (median 234, at most 1597), and finds the exhaustive
+point bit for bit every time.  So did 1800 more searches over random
+states, I/8, noisy GHZ states at 41 values of p, noisy W, distilled GHZ
+and W, rank-1, product and near-white states, and states with a pinned
+measured qubit; at no grid point of those did a bound less its slack
+exceed the computed value.  Ties cannot be pruned: on I/8 every point is
 solved.
 
 Refinement
@@ -154,12 +159,9 @@ the old psi's ratio at f, which is the old value.
 
 The search steps from the grid's best point and keeps each step only while
 it strictly lowers the value, at most ``SLE_REFINE_STEPS`` of them, so it
-never reports a point worse than the grid's.  On a ring of degenerate
-optima, as for noisy GHZ states with p > 0, whose value does not depend on
-phi, the step leaves the grid's phi in place and lands on theta = pi/4.
-When R is singular the step is skipped: the measured qubit is then pure,
-the state a product with it, and the objective constant wherever the
-weight is nonzero.
+never reports a point worse than the grid's.  When R is singular the step
+is skipped: the measured qubit is then pure, the state a product with it,
+and the objective constant wherever the weight is nonzero.
 
 Certified signs
 ---------------
@@ -225,7 +227,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Iterator, Mapping
 
 import numpy as np
 
@@ -746,100 +748,30 @@ def _lower_bound(lam: np.ndarray, mean: np.ndarray, spread: np.ndarray,
             - 1e-12 * (1.0 + norm_a + 2.0 * eps))
 
 
-def _sector_partners(objective: _SLEObjective) -> np.ndarray | None:
-    """Each basis state's partner in its sector of the transposed pair, the
-    state itself when no block couples it to another; None when a sector
-    holds more than two states (see "Grid search" in the module
-    docstring).
-
-    Two states are coupled when an entry joining them is nonzero in some
-    block, in either triangle; the rule is exact, so any nonzero entry,
-    however small, couples.  The couplings are not read through
-    ``_symmetries``: they can split the pair more finely than its labels.
-    When the only couplings join 00 and 01, they give {00, 01}, {10} and
-    {11}, the labels {00, 01} and {10, 11}, and the closed-form bounds
-    would take other arithmetic.
-    """
-    blocks = objective.blocks_pt.view(np.complex128).reshape(4, 4, 4)
-    coupled = np.any(blocks != 0, axis=0)
-    coupled |= coupled.T
-    np.fill_diagonal(coupled, False)
-    # Sectors of at most two states are exactly one coupling per state.
-    if np.any(coupled.sum(axis=1) > 1):
-        return None
-    partners = np.arange(4)
-    rows, cols = np.nonzero(coupled)
-    partners[rows] = cols
-    return partners
-
-
-def _sector_lowest(pairs: np.ndarray, weights: np.ndarray,
-                   partners: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The closed-form lowest eigenvalue of each normalized pair
-    M = ``pairs / weights`` whose sectors ``partners`` gives, ``inf``
-    where the weight is at most ``DEGENERATE_WEIGHT``, and ||M||_F.
-
-    A sector {k, j} has the lowest eigenvalue
-    (d_k + d_j) / 2 - sqrt(((d_k - d_j) / 2)^2 + |M_jk|^2), with M_jk read
-    from the lower triangle as LAPACK reads it; a sector {k} has d_k.  Both
-    are taken on the unnormalized pair and divided by the weight.
-    """
-    states = np.arange(4)
-    first = np.flatnonzero(partners > states)
-    second = partners[first]
-    # Real and imaginary parts of the entries, row-major, one row per part.
-    entries = pairs.reshape(-1, 16).view(np.float64).T
-    diagonal = entries[10 * states]
-    below = 8 * second + 2 * first
-    off = entries[below] ** 2 + entries[below + 1] ** 2
-    half = (diagonal[first] - diagonal[second]) / 2.0
-    lowest = np.concatenate([
-        diagonal[partners == states],
-        (diagonal[first] + diagonal[second]) / 2.0 - np.sqrt(half * half + off),
-    ]).min(axis=0)
-    norm = np.sqrt((diagonal * diagonal).sum(axis=0) + 2.0 * off.sum(axis=0))
-    valid = weights > DEGENERATE_WEIGHT
-    safe = np.where(valid, weights, 1.0)
-    return np.where(valid, lowest / safe, np.inf), norm / safe
-
-
 class _GridSearch:
     """The best point of one objective on the SLE grid, by branch and bound.
 
     Built, it holds the whole grid's weights and unnormalized transposed
     pairs, each from one product over the grid's coefficients.  ``best``
-    bounds every point from below, solves the points ``bounds`` names
-    first, and then only the points whose bound does not rule them out:
-    by the closed form of the pair's sectors when no sector holds more than
-    two states, else through the nearest point of the subgrid (see "Grid
-    search" in the module docstring).  Every value is a row of that
-    product, solved by ``_lowest_eigenvalues``, so it is bit for bit the
-    one an exhaustive evaluation gives.
+    solves the subgrid first, bounds every other point from below through
+    its nearest subgrid point, and then solves only the points whose bound
+    does not rule them out (see "Grid search" in the module docstring).
+    Every value is a row of that product, solved by ``_lowest_eigenvalues``,
+    so it is bit for bit the one an exhaustive evaluation gives.
     """
 
     def __init__(self, objective: _SLEObjective):
         grid = _sle_grid()
         self.objective = objective
-        self.partners = _sector_partners(objective)
         self.weights = grid.coefficients @ objective.traces
         self.pairs = objective._combine(grid.coefficients, objective.blocks_pt)
         self.values = np.full(grid.thetas.size, np.inf)
-
-    def bounds(self) -> tuple[np.ndarray, np.ndarray]:
-        """A lower bound on the value at every grid point, less its slack,
-        and the points to solve first: the closed form's argmin for a
-        structured objective, else the subgrid."""
-        if self.partners is None:
-            return self._lower_bounds(self.weights), _sle_grid().coarse
-        lowest, norm = _sector_lowest(self.pairs, self.weights, self.partners)
-        return (lowest - 1e-12 * (1.0 + norm),
-                np.array([np.argmin(lowest)]))
 
     def best(self) -> tuple[float, float, float]:
         """The best grid point, (theta, phi, value): ``np.argmin`` over the
         exhaustive grid's values, with ``inf`` at every unsolved point."""
         grid = _sle_grid()
-        lower, first = self.bounds()
+        lower, first = self._lower_bounds(self.weights), grid.coarse
         self.values[first] = _lowest_eigenvalues(self.pairs[first],
                                                  self.weights[first])
         skipped = lower > self.values[first].min()
@@ -924,6 +856,64 @@ def _descend(objective: _SLEObjective, theta: float, phi: float,
     return theta, phi, value
 
 
+def _touching_points(p: list, q: list, w: list, k2: float) -> Iterator[float]:
+    """The z = cos(2 theta) in (-1, 1) where a sector's value can take an
+    interior minimum, for p, q and w given at the poles z = -1 and z = 1
+    (see "X-shaped states" in the module docstring).
+
+    With A_i = p_i - s w_i, B_i = q_i - s w_i and S = A_1 B_0 + A_0 B_1, the
+    discriminant of 4 g in z is 4 ((A_1 B_0 - A_0 B_1)^2 - 2 K^2 S + K^4),
+    quadratic in s, and at each of its roots the double root of g is
+    z = (A_0 B_0 - A_1 B_1) / ((A_1 - A_0) (B_1 - B_0) + K^2).
+    """
+    (p0, p1), (q0, q1), (w0, w1) = p, q, w
+    l0, l1 = p1 * q0 - p0 * q1, p0 * w1 + w0 * q1 - p1 * w0 - w1 * q0
+    a = l1 * l1 - 4.0 * k2 * w0 * w1
+    b = 2.0 * (l0 * l1 + k2 * (p1 * w0 + w1 * q0 + p0 * w1 + w0 * q1))
+    c = l0 * l0 - 2.0 * k2 * (p1 * q0 + p0 * q1) + k2 * k2
+    # The roots in s without cancellation; a negative discriminant, within
+    # rounding of a double root, gives the real part.
+    h = -0.5 * (b + math.copysign(math.sqrt(max(b * b - 4.0 * a * c, 0.0)), b))
+    for s in ([h / a] if a else []) + ([c / h] if h else []):
+        a0, a1, b0, b1 = p0 - s * w0, p1 - s * w1, q0 - s * w0, q1 - s * w1
+        curvature = (a1 - a0) * (b1 - b0) + k2
+        if curvature > 0.0 and abs(a0 * b0 - a1 * b1) < curvature:
+            yield (a0 * b0 - a1 * b1) / curvature
+
+
+def _x_closed_form(objective: _SLEObjective) -> tuple[float, float, float]:
+    """The SLE optimum (theta, phi, value) of an X-shaped state, in closed
+    form from the objective's blocks (see "X-shaped states" in the module
+    docstring); the value is ``inf`` when every projection has vanishing
+    weight."""
+    blocks = objective.blocks_pt.view(np.complex128).reshape(4, 4, 4)
+    # The diagonal at the poles z = -1 and z = 1, which read blocks 3 and 0.
+    # The weight sums it by sectors, so that poles whose entries match in
+    # another order, as noisy GHZ's do, weigh the same to the last bit.
+    diagonal = np.einsum("kii->ki", blocks[3::-3]).real
+    poles = diagonal.T.tolist()
+    w = [(d0 + d3) + (d1 + d2) for d0, d1, d2, d3 in diagonal.tolist()]
+    best = (math.inf, 0.0, 0.0)
+    for k, j in ((0, 3), (1, 2)):
+        x, y = complex(blocks[1, j, k]), complex(blocks[2, j, k])
+        xx, yy, xy = abs(x) ** 2, abs(y) ** 2, (x * y.conjugate()).real
+        phi = 0.5 * math.atan2(2.0 * xy, xx - yy) % math.pi
+        k2 = 0.5 * (xx + yy) + math.hypot(0.5 * (xx - yy), xy)
+        for z in (1.0, -1.0, *_touching_points(poles[k], poles[j], w, k2)):
+            # sin^2(theta) and cos^2(theta).
+            s2, c2 = 0.5 * (1.0 - z), 0.5 * (1.0 + z)
+            p, q, weight = (s2 * a + c2 * b for a, b in (poles[k], poles[j], w))
+            if weight > DEGENERATE_WEIGHT:
+                value = (0.5 * (p + q) - math.hypot(
+                    0.5 * (p - q), math.sqrt(s2 * c2 * k2))) / weight
+                # Ties go to the lowest theta, then the lowest phi; at a
+                # pole the projection does not depend on phi.
+                best = min(best, (value, 0.5 * math.acos(z),
+                                  phi if abs(z) < 1.0 else 0.0))
+    value, theta, phi = best
+    return theta, phi, value
+
+
 def sle_quantify(rho, pair=None, *, sign_only: bool = False) -> SLEResult:
     """Minimize the lowest eigenvalue after partial transposition of the
     pair left by projecting the measured qubit, over the projection.
@@ -933,26 +923,27 @@ def sle_quantify(rho, pair=None, *, sign_only: bool = False) -> SLEResult:
     ``project_subsystem(rho, bloch_state(theta, phi), measured,
     normalize=True)`` is the localized pair (see the module docstring).
 
-    The search takes the best point of an ``SLE_GRID_SIZE`` x
+    A state whose entries off the X pattern (``x_shape_view``) are exact
+    zeros takes the closed form, with no grid and no eigensolve: each
+    sector of the transposed pair at its principal axis in phi, minimized
+    over theta at the poles and where the determinant of the sector less
+    the value touches zero, at the roots of a quadratic in the value (see
+    "X-shaped states" in the module docstring).  Ties go to the lowest
+    theta, and phi is 0 on a phi-ring and at the poles.  Any
+    other state takes the best point of an ``SLE_GRID_SIZE`` x
     ``SLE_GRID_SIZE`` grid (64 x 64), the first minimum (theta-major) of
     the objective over all its points, and then see-saw steps from it
     (``_SLEObjective.seesaw_step``, see "Refinement" in the module
     docstring) while each one strictly lowers the value, at most
     ``SLE_REFINE_STEPS`` of them, and reports the last point kept.  The
     grid is searched by branch and bound (see "Grid search" in the module
-    docstring).  When the transposed pair splits into sectors of at most
-    two basis states, as for every X-shaped state, each point is bounded
-    from below by the closed form of its sectors, less a slack of
-    1e-12 (1 + ||M||_F) with M the point's normalized pair, and the closed
-    form's argmin is solved first.  Otherwise the stride-8 subgrid is
-    solved first and every other point is bounded from below through its
-    nearest subgrid point A, less a slack of 1e-12 (1 + ||A||_F + 2 eps)
-    with 2 eps >= ||E||_F and E the point's pair less A's.  A point is
-    solved unless its bound lies above the best value solved first.  The
-    point found is bit for bit the one an eigensolve at every grid point
-    finds, after solving 69 of the 4096 points on average for
-    a pair of at most two-state sectors and 367 for any other
-    (see the module docstring for the measurement).
+    docstring): the stride-8 subgrid is solved first and every other point
+    is bounded from below through its nearest subgrid point A, less a slack
+    of 1e-12 (1 + ||A||_F + 2 eps) with 2 eps >= ||E||_F and E the point's
+    pair less A's.  A point is solved unless its bound lies above the best
+    value solved first.  The point found is bit for bit the one an
+    eigensolve at every grid point finds, after solving 367 of the 4096
+    points on average (see the module docstring for the measurement).
 
     With ``sign_only=True``, a state whose nonzero entries conserve ring
     charges (see "Certified signs" in the module docstring) first takes a
@@ -969,8 +960,8 @@ def sle_quantify(rho, pair=None, *, sign_only: bool = False) -> SLEResult:
     the last-bit change a point's value can take when it is evaluated in a
     different batch.  A state without ring charges, and a search that
     settles neither sign within ``SLE_BAND_EVALUATIONS`` hull points, take
-    the default search, whose result is then returned exactly.  The
-    default search takes no certificate.
+    the default search, the closed form or the grid, whose result is then
+    returned exactly.  The default search takes no certificate.
 
     Parameters
     ----------
@@ -995,9 +986,13 @@ def sle_quantify(rho, pair=None, *, sign_only: bool = False) -> SLEResult:
                          None if breakpoints is None else
                          SLECertificate(objective.kept, charges, breakpoints))
 
-    theta, phi, value = _GridSearch(objective).best()
+    # The closed form takes states whose entries off the X pattern are
+    # exact zeros; an entry of 1e-300 sends a state to the grid.
+    if objective.entries[_x_pattern(8)[2]].any():
+        theta, phi, value = _descend(objective, *_GridSearch(objective).best())
+    else:
+        theta, phi, value = _x_closed_form(objective)
     if _checked(value) == np.inf:
         raise DegenerateProjectionError(
-            "every projection direction on the grid has vanishing weight")
-    theta, phi, value = _descend(objective, theta, phi, value)
+            "every projection direction has vanishing weight")
     return SLEResult(float(value), float(theta), float(phi))

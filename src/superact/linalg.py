@@ -138,14 +138,14 @@ def hermitian_eigenvalues(matrix) -> np.ndarray:
     """Ascending real eigenvalues of a single Hermitian matrix, from LAPACK.
 
     Raises :class:`NonHermitianError` when the entrywise deviation from the
-    adjoint exceeds ``HERMITICITY_TOL``; otherwise the spectrum is that of
-    the Hermitian part.
+    adjoint exceeds ``HERMITICITY_TOL`` or is NaN; otherwise the spectrum is
+    that of the Hermitian part.
     """
     a = np.asarray(matrix, dtype=np.complex128)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"expected one square matrix, got shape {a.shape}")
     deviation = np.abs(a - a.conj().T).max()
-    if deviation > HERMITICITY_TOL:
+    if not deviation <= HERMITICITY_TOL:
         raise NonHermitianError(
             f"matrix deviates from Hermitian by {deviation:.3e} "
             f"(tolerance {HERMITICITY_TOL:.1e})")

@@ -711,10 +711,10 @@ def _more_grid_states():
 _GRID_STATES.update(_more_grid_states())
 
 
-def _structured_states():
-    """Noisy GHZ over a p grid, noise-model, distilled-GHZ and random
-    X-shaped states: the states whose transposed pairs split into sectors
-    of at most two basis states, for every kept pair."""
+def _x_shaped_states():
+    """X-shaped states: noisy GHZ over a p grid, noise-model, distilled-GHZ
+    and random X-shaped states.  ``sle_quantify`` takes them in closed form;
+    the grid search is checked on them directly."""
     rng = np.random.default_rng(23)
     states = {f"ghz-{p:.3f}": noisy_ghz(p)
               for p in np.append(np.linspace(0.0, 1.0, 41), 1 / 3)}
@@ -728,8 +728,8 @@ def _structured_states():
     return states
 
 
-_STRUCTURED_STATES = _structured_states()
-_GRID_STATES.update(_STRUCTURED_STATES)
+_X_SHAPED_STATES = _x_shaped_states()
+_GRID_STATES.update(_X_SHAPED_STATES)
 
 
 @pytest.mark.parametrize("name", list(_GRID_STATES))
@@ -739,7 +739,7 @@ def test_sle_grid_search_is_the_exhaustive_argmin_bit_for_bit(name):
         objective = _SLEObjective(rho, pair)
         expected, values = _exhaustive_best(objective)
         search = certify._GridSearch(objective)
-        lower, _ = search.bounds()
+        lower = search._lower_bounds(search.weights)
         assert _bits(search.best()) == _bits(expected)
         # Every bound, less its slack, lies below the exact value.
         assert not np.any(lower > values)
@@ -816,15 +816,14 @@ def test_sle_sign_only_settles_nonnegative_signs_by_certificate(
 
 
 @pytest.mark.parametrize("rho,first,budget", [
-    (noisy_w(0.6), 64, 1024), (noisy_ghz(0.6), 1, 256),
-], ids=["noisy-w", "noisy-ghz"])
+    (noisy_w(0.6), 64, 1024),
+], ids=["noisy-w"])
 def test_sle_default_search_solves_a_fraction_of_the_grid(rho, first, budget,
                                                           batches):
-    # Measured when these budgets were set: 120 solves on the grid for
-    # noisy W, whose bounds go through the subgrid (first the 64 subgrid
-    # points), and 128 for noisy GHZ, whose sectors' closed form bounds
-    # every point (first its argmin), against 4096 for the exhaustive grid;
-    # then one per see-saw step.
+    # Measured when this budget was set: 120 solves on the grid for noisy
+    # W, whose bounds go through the subgrid (first the 64 subgrid points),
+    # against 4096 for the exhaustive grid; then one per see-saw step.
+    # X-shaped states take the closed form and solve no grid point.
     sle_quantify(rho)
     assert batches[0] == first
     assert sum(batches) <= budget
@@ -855,10 +854,10 @@ def test_sle_seesaw_step_skipped_on_a_singular_weight_form(batches):
     assert _SLEObjective(pinned, None).seesaw_step(0.3, 0.2) is None
     assert _sign_only_agrees(pinned, None) is None
     # The objective is constant wherever the weight is nonzero, so no bound
-    # rules a point out.  The state is X-shaped, so both searches solve the
-    # closed form's argmin, then every other point but the zero-weight
-    # theta = pi/2 row.
-    assert batches == [1, 64 * 64 - 64 - 1] * 2
+    # rules a point out.  The state is not X-shaped, since its coherence
+    # joins |000> and |110>, so both searches solve the subgrid, then every
+    # other point but the zero-weight theta = pi/2 row.
+    assert batches == [64, 64 * 64 - 64 - 64] * 2
 
 
 def test_sle_bisection_margins_settle_in_the_band_search(monkeypatch, batches):
@@ -953,7 +952,7 @@ def _pinned_sle_states():
 # Recorded with the search that reported either quantifier; it depends on
 # the NumPy/LAPACK build, so another build may need it recorded again.
 _PINNED_SLE_DIGEST = (
-    "e41871e73ce37ee4a55f96391da6e5db471dcbf0c15c06ddf6f73965d0c51c33")
+    "50a285d47f3df69d9cde85cc2137ad5d3cf49c09226dd2942d418d91d6ee73c0")
 
 
 def test_pinned_sle_searches_are_bit_identical():
@@ -1154,58 +1153,66 @@ def test_sle_objective_matches_the_x_shaped_closed_form(rho):
         assert np.allclose(values, expected, rtol=0.0, atol=1e-15)
 
 
+def _refuse_the_grid(monkeypatch):
+    """Make the grid search and every eigensolve of ``certify`` raise, so
+    that only the closed form can answer."""
+    def refuse(*args):
+        raise AssertionError("the search left the closed form")
+
+    for entry in ("_GridSearch", "_eigvalsh", "_eigh"):
+        monkeypatch.setattr(certify, entry, refuse)
+
+
 @pytest.mark.parametrize("pair", [(0, 1), (0, 2), (1, 2)])
-def test_sle_sectors_of_each_family(pair):
-    # An X-shaped pair couples 00 with 11 and 01 with 10; transposing b
-    # keeps those sectors, so every basis state's partner is itself or its
-    # flip.  W-type and general states couple three or more states.
-    for name, rho in _STRUCTURED_STATES.items():
-        partners = certify._sector_partners(_SLEObjective(rho, pair))
-        assert partners is not None, name
-        assert np.array_equal(partners[partners], np.arange(4))
-        assert np.all((partners == np.arange(4)) | (partners == 3 - np.arange(4)))
+def test_sle_sectors_of_each_family(pair, monkeypatch):
+    # An X-shaped pair splits into the sectors {00, 11} and {01, 10}, and
+    # its default search takes their closed form: it builds no grid and
+    # solves no eigenproblem.  W-type and general states take the grid.
+    _refuse_the_grid(monkeypatch)
+    for rho in _X_SHAPED_STATES.values():
+        sle_quantify(rho, pair)
     for rho in (noisy_w(0.6), distill_cnot(noisy_w(0.5), noisy_w(0.5)).state,
                 random_density_matrix(np.random.default_rng(4), 3)):
-        assert certify._sector_partners(_SLEObjective(rho, pair)) is None
+        with pytest.raises(AssertionError, match="left the closed form"):
+            sle_quantify(rho, pair)
 
 
 @pytest.mark.parametrize("pair", [(0, 1), (0, 2), (1, 2)])
 @pytest.mark.parametrize("rho", [
     noisy_ghz(0.6), noise_model_state(0.8, 0.9, 0.95),
 ], ids=["noisy-ghz", "noise-model"])
-def test_sle_sectors_are_read_from_exact_zeros(rho, pair):
+def test_sle_sectors_are_read_from_exact_zeros(rho, pair, monkeypatch):
     # One entry of 1e-300 joining |000> with the state whose second kept
-    # qubit is flipped couples the pair's 00 and 01, which share no sector:
-    # the structure is off and the search takes the subgrid's bounds.
+    # qubit is flipped lies off the X pattern: the rule reads exact zeros,
+    # so the search takes the grid, which finds the exhaustive point.
     m = np.array(rho.entries)
     flipped = 1 << (2 - pair[1])
     m[0, flipped] = m[flipped, 0] = 1e-300
     leaky = DensityMatrix(3, m)
-    assert certify._sector_partners(_SLEObjective(rho, pair)) is not None
     objective = _SLEObjective(leaky, pair)
-    assert certify._sector_partners(objective) is None
-    search = certify._GridSearch(objective)
-    assert np.array_equal(search.bounds()[1], certify._sle_grid().coarse)
-    assert _bits(search.best()) == _bits(_exhaustive_best(objective)[0])
+    assert _bits(certify._GridSearch(objective).best()) == _bits(
+        _exhaustive_best(objective)[0])
+    _refuse_the_grid(monkeypatch)
+    sle_quantify(rho, pair)
+    with pytest.raises(AssertionError, match="left the closed form"):
+        sle_quantify(leaky, pair)
 
 
 @pytest.mark.parametrize("pair", [(0, 1), (0, 2), (1, 2)])
 def test_sle_sector_closed_form_matches_the_x_shaped_oracle(pair):
-    # Without its slack, the sector bound at every grid point is the
-    # X-shaped closed form, and the search solves its argmin first; that
-    # the bound less its slack lies below every exact value is checked with
-    # the grid search, on the same states.
-    grid = certify._sle_grid()
-    for name, rho in _STRUCTURED_STATES.items():
-        search = certify._GridSearch(_SLEObjective(rho, pair))
-        lowest, _ = certify._sector_lowest(search.pairs, search.weights,
-                                           search.partners)
-        assert np.array_equal(search.bounds()[1], [np.argmin(lowest)])
-        valid = search.weights > certify.DEGENERATE_WEIGHT
-        assert np.array_equal(valid, np.isfinite(lowest)), name
-        oracle = _x_shaped_objective(rho, pair, grid.thetas[valid],
-                                     grid.phis[valid])
-        assert np.allclose(lowest[valid], oracle, rtol=0.0, atol=1e-15), name
+    # The closed form lies at or below the X-shaped objective's minimum over
+    # a fine (theta, phi) grid, and the objective takes that value at the
+    # printed direction.
+    thetas, phis = (axis.ravel() for axis in np.meshgrid(
+        np.linspace(0.0, np.pi / 2, 161),
+        np.linspace(0.0, 2 * np.pi, 160, endpoint=False), indexing="ij"))
+    for name, rho in _X_SHAPED_STATES.items():
+        result = sle_quantify(rho, pair)
+        fine = _x_shaped_objective(rho, pair, thetas, phis).min()
+        assert result.min_eigenvalue <= fine + 1e-14, name
+        assert _x_shaped_objective(
+            rho, pair, result.theta, result.phi) == pytest.approx(
+                result.min_eigenvalue, rel=0.0, abs=1e-14), name
 
 
 @pytest.mark.parametrize("pair", [(0, 1), (0, 2), (1, 2)])
@@ -1378,7 +1385,7 @@ _FAILED_SEARCHES = {
         np.random.default_rng(5), 3), False),
     "grid-bounds-and-seesaw": ("_eigh", random_density_matrix(
         np.random.default_rng(5), 3), False),
-    "seesaw": ("_eigh", noisy_ghz(0.4), False),
+    "seesaw": ("_eigh", noisy_w(0.4), False),
     "sign-only-without-ring-charges": ("_eigh", random_density_matrix(
         np.random.default_rng(5), 3), True),
 }
@@ -1391,7 +1398,15 @@ def test_failed_lapack_call_raises_from_sle_quantify(monkeypatch, name):
     # LinAlgError, never return a NaN value or a sign (see "LAPACK entry"
     # in states).
     entry, rho, sign_only = _FAILED_SEARCHES[name]
-    monkeypatch.setattr(certify, entry, failing_entry(getattr(certify, entry)))
+    working = getattr(certify, entry)
+    failing = failing_entry(working)
+
+    def patched(a):
+        # The subgrid's eigensolve is one batch and a see-saw step's are
+        # single matrices; the see-saw case fails only the single ones.
+        return working(a) if name == "seesaw" and a.ndim > 2 else failing(a)
+
+    monkeypatch.setattr(certify, entry, patched)
     with pytest.raises(np.linalg.LinAlgError):
         sle_quantify(rho, sign_only=sign_only)
 

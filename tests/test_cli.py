@@ -808,29 +808,27 @@ def test_csv_quotes_fields_with_commas(capsys):
         "min_eigenvalue": (-0.25, 0.0, 0.0),
         "negativity": (0.5849625007211562, 0.0, 0.0)}),
     ("noise-model:0.8,0.9,0.95", {
-        "min_eigenvalue": (-0.246, 0.7853981633974483, 0.0),
+        "min_eigenvalue": (-0.24600000000000002, 0.7853981633974483, 0.0),
         "negativity": (0.5772475355931507, 0.7853981633974483, 0.0)}),
     ("random", {
         "min_eigenvalue": (-0.023570036563113256, 1.4520697872558654,
                            0.42426856408871894),
         "negativity": (0.06645444063350468, 1.4520697872558654,
                        0.42426856408871894)}),
-    # Noisy GHZ optima lie on phi-rings of tied values; the printed phi is
-    # the exhaustive grid's first minimum on the ring.
+    # Noisy GHZ optima lie on phi-rings of tied values; the closed form
+    # prints phi = 0 on a ring.
     ("noisy-ghz:0.5", {
-        "min_eigenvalue": (-0.12499999999999997, 0.7853981633974482,
-                           0.9817477042468101),
-        "negativity": (0.32192809488736235, 0.7853981633974482,
-                       0.9817477042468101)}),
+        "min_eigenvalue": (-0.12499999999999996, 0.7853981633974483, 0.0),
+        "negativity": (0.32192809488736235, 0.7853981633974483, 0.0)}),
     ("noisy-ghz:0.3", {
-        "min_eigenvalue": (0.025000000000000036, 0.7853981633974483,
-                           0.9817477042468101),
-        "negativity": (0.0, 0.7853981633974483, 0.9817477042468101)}),
+        "min_eigenvalue": (0.025000000000000026, 0.7853981633974483, 0.0),
+        "negativity": (0.0, 0.7853981633974483, 0.0)}),
 ])
 def test_certify_sle_golden(capsys, tmp_path, spec, expected):
-    # The SLE optimum (value, theta, phi) exactly as the exhaustive 64x64
-    # grid and its see-saw refinement printed it; the random state's lies
-    # off the grid, where the refinement took it.
+    # The SLE optimum (value, theta, phi) exactly as the search printed it:
+    # in closed form for the X-shaped states, and for noisy W and the
+    # random state the exhaustive 64x64 grid and its see-saw refinement;
+    # the random state's lies off the grid, where the refinement took it.
     if spec == "random":
         spec = str(tmp_path / "random.json")
         save_density_matrix(DensityMatrix(3, random_density_matrix(
@@ -855,11 +853,11 @@ def test_sweep_certify_golden(capsys):
         "0.40000000000000002,0,0.025000000000000189,0.13750352374993474",
         "0.5,0.12499999999999989,-0.062499999999999833,0.32192809488736235",
         "0.60000000000000009,0.30000000000000004,-0.14999999999999986,"
-        "0.4854268271702421",
+        "0.48542682717024188",
         "0.70000000000000007,0.47500000000000009,-0.23749999999999982,"
         "0.63226821549951306",
         "0.80000000000000004,0.64999999999999969,-0.32499999999999957,"
-        "0.76553474636297725",
+        "0.76553474636297703",
         "0.90000000000000002,0.82499999999999973,-0.41249999999999976,"
         "0.88752527074158749",
         "1,0.99999999999999978,-0.49999999999999978,1",

@@ -22,7 +22,11 @@ projected pair's partial transpose as it is, and a unitary V on the
 measured qubit only relabels the projections, so neither may change the
 minimum.  Random unitaries destroy the zero pattern, and with it the ring
 charges that the sign-only search keys on, so the rotated states take the
-default search while the states themselves take the band search.
+default search while the states themselves take the band search.  A
+qubit permutation, with the kept pair relabelled, leaves the objective a
+function of the same projections, and a phase diag(1, e^{i alpha}) on the
+measured qubit moves the optimum's phi by alpha; X-shaped states check the
+closed form, the others the grid and its refinement.
 """
 
 import itertools
@@ -186,3 +190,51 @@ def test_sle_is_invariant_under_local_unitaries(name):
         rotated = u @ m @ u.conj().T
         assert _signs_agree(rotated) == pytest.approx(
             base, rel=0.0, abs=1e-12), label
+
+
+# X-shaped states, which take the closed form, and others, which take the
+# grid and its see-saw refinement; phased, so that no permutation maps a
+# state onto itself (noisy GHZ aside).
+_PERMUTED_SLE_STATES = {
+    "noisy-ghz-0.4": lambda: noisy_ghz(0.4),
+    "noise-model-0.8": lambda: noise_model_state(0.8, 0.9, 0.95),
+    "distilled-ghz-0.3": lambda: analytic_distilled_noisy_ghz(0.3),
+    "random-x": lambda: random_x_state(np.random.default_rng(8)),
+    "noisy-w-0.6": lambda: noisy_w(0.6),
+    "distilled-w-0.54": lambda: distill_cnot(noisy_w(0.54),
+                                             noisy_w(0.54)).state,
+    "random": lambda: random_density_matrix(np.random.default_rng(9), 3),
+}
+
+
+@pytest.mark.parametrize("name", list(_PERMUTED_SLE_STATES))
+def test_sle_is_covariant_under_qubit_permutations(name):
+    m = phased(_PERMUTED_SLE_STATES[name]())
+    for pair in ((0, 1), (0, 2), (1, 2)):
+        base = sle_quantify(m, pair).min_eigenvalue
+        for order in itertools.permutations(range(3)):
+            moved = (order.index(pair[0]), order.index(pair[1]))
+            value = sle_quantify(_permute_qubits(m, order),
+                                 moved).min_eigenvalue
+            assert value == pytest.approx(base, rel=0.0, abs=1e-12), (
+                pair, order)
+
+
+@pytest.mark.parametrize("alpha", [0.7, 2.0, -1.1])
+@pytest.mark.parametrize("pair", [(0, 1), (0, 2), (1, 2)])
+def test_sle_phase_on_the_measured_qubit_shifts_phi(pair, alpha):
+    # The projection onto (c, s e^{i phi}) of V rho V^H, V = diag(1, e^{i
+    # alpha}) on the measured qubit, is the projection of rho at phi -
+    # alpha.  The random X state has no ring, so its optimum has one phi
+    # modulo pi, away from the poles.
+    m = random_x_state(np.random.default_rng(8))
+    measured_bit = (np.arange(8) >> (2 - (3 - sum(pair)))) & 1
+    phases = np.exp(1j * alpha * measured_bit)
+    base = sle_quantify(m, pair)
+    moved = sle_quantify(m * np.outer(phases, phases.conj()), pair)
+    assert 0.0 < base.theta < np.pi / 2
+    assert moved.min_eigenvalue == pytest.approx(base.min_eigenvalue,
+                                                 rel=0.0, abs=1e-14)
+    assert moved.theta == pytest.approx(base.theta, rel=0.0, abs=1e-12)
+    shift = (moved.phi - base.phi - alpha) % np.pi
+    assert min(shift, np.pi - shift) <= 1e-12

@@ -59,6 +59,14 @@ def test_rejects_non_hermitian():
         hermitian_eigenvalues(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
+@pytest.mark.parametrize("dim", [2, 3])
+def test_rejects_nan(dim):
+    # A NaN deviation does not exceed the tolerance, and must not pass as
+    # lying within it: LAPACK would return NaN, or fail to converge.
+    with pytest.raises(NonHermitianError, match="nan"):
+        hermitian_eigenvalues(np.full((dim, dim), np.nan))
+
+
 def test_rejects_non_square():
     with pytest.raises(ValueError):
         hermitian_eigenvalues(np.zeros((2, 3)))
