@@ -16,17 +16,19 @@ localized pair itself, for the default pair (0, 1), is
 ``project_subsystem(rho, bloch_state(theta, phi), 2, normalize=True)``.
 
 The optimizer is deterministic.  An X-shaped state, whose entries off the
-diagonal and the anti-diagonal are exact zeros, takes the closed form (see
-"X-shaped states").  Any other state takes the best point of a 64x64
+diagonal and the anti-diagonal are exact zeros, takes the closed form in
+both modes, with a certificate when its value is positive (see "X-shaped
+states").  Any other state takes the best point of a 64x64
 (theta, phi) grid, ties going to the lowest theta, then the lowest phi,
 refined by see-saw steps (see "Refinement").  That grid point is found by
 branch and bound, bit for bit the first minimum over an evaluation of
 every point, with an exact eigensolve only where a perturbation bound
 through a subgrid cannot rule a point out (see "Grid search").  A
-sign-only search settles the sign by a branch and bound over bands of the
-Bloch sphere instead, and stops at a point that certifies a negative
-minimum or at bands that certify a nonnegative one (see "Certified
-signs"); otherwise it takes the default search.  The objective,
+sign-only search on a state that is not X-shaped settles the sign by a
+branch and bound over bands of the Bloch sphere instead, and stops at a
+point that certifies a negative minimum or at bands that certify a
+nonnegative one (see "Certified signs"); otherwise it takes the default
+search.  The objective,
 ``_SLEObjective``, is set up once per search, so each exact evaluation, of
 grid points or of one stepped point, is a row of one small matrix product
 and a batched 4x4 eigensolve (``_lowest_eigenvalues``);
@@ -74,6 +76,24 @@ states, with blocks emptied, coherences dropped or blocks of rank one at
 random, on each kept pair, its value lay at most 3.9e-16 above that
 search's and up to 1.2e-8 below it, where the see-saw stopped short; the
 objective at its direction reproduced the value within 2.8e-16.
+
+The closed form serves sign-only searches too, with the same value and
+direction bit for bit, so the SLE and SLE-after-distill bisections, on
+noisy GHZ and its distilled state, run no band search and no eigensolve.
+A value above ``SLE_SIGN_SLACK`` comes with an ``SLEXCertificate``, which
+holds the pair alone.  ``verify.verify_sle_x_certificate`` rebuilds both
+sectors from rho, with K = |u| + |v| for the two entries u, v of rho that
+a sector's coupling reads, and checks, with s the slack and
+t = sin^2(theta) = (1 - z) / 2, that p - s w and q - s w are nonnegative
+at both poles and that the determinant (p - s w)(q - s w) - t (1 - t) K^2
+is nonnegative on [0, 1], at its ends and its vertex.  Then at every
+projection the lowest eigenvalue of each sector is at least s w, so no
+projection leaves an NPT pair.  On the 180 X-shaped cases of the tests
+(noisy GHZ, noise-model, distilled GHZ and random X states, every kept
+pair) the check accepts exactly the 68 whose value exceeds the slack.  A
+value below -slack is certified by its direction, which
+``sle_quantifier_at`` re-evaluates; one within the slack of zero, whose
+sign is rounding noise, takes no certificate.
 
 Grid search
 -----------
@@ -169,13 +189,13 @@ With the measured qubit's projector written as (I + n.sigma) / 2, the
 unnormalized, transposed pair M(n) is affine in n: its coefficients over
 ``_SLEObjective``'s four blocks are ((1 + z) / 2, x / 2, y / 2, (1 - z) / 2).
 So f(n) = lambda_min M(n) is concave, and on the unit sphere it has the
-objective's sign.  If rho conserves a charge vector with 1 on the measured
-qubit and -1, 0 or 1 on each kept one, its ring charges (``_ring_charges``;
-``states._symmetries`` reads which charges a state conserves, and its
-docstring explains the reading; noisy GHZ, distilled GHZ and noisy W
-states have ring charges), a phase on the measured qubit is undone by
-diagonal phases on the kept ones, which leave lambda_min after partial
-transposition unchanged.  f then depends only on z and the radius
+objective's sign.  If rho, not X-shaped, conserves a charge vector with 1
+on the measured qubit and -1, 0 or 1 on each kept one, its ring charges
+(``_ring_charges``; ``states._symmetries`` reads which charges a state
+conserves, and its docstring explains the reading; noisy W and
+CNOT-distilled W states have ring charges), a phase on the measured qubit
+is undone by diagonal phases on the kept ones, which leave lambda_min
+after partial transposition unchanged.  f then depends only on z and the radius
 sqrt(x^2 + y^2), and its minimum over the sphere is its minimum over the
 half circle x = sqrt(1 - z^2), y = 0.
 
@@ -205,21 +225,15 @@ re-checks.
 
 Near a zero optimum the open bands double each round, so the search stops
 before it would evaluate more than ``SLE_BAND_EVALUATIONS`` = 512 hull
-points, and leaves the sign to the default search.  At the 39 SLE and
-SLE-after-distill bisection points every search settles: 21 negative signs
-in the first round of 32 points, and 18 nonnegative ones in at most 128
-points each; the 39 searches evaluate 1824 points in all.  Noisy GHZ,
-distilled GHZ and noisy W states settle within 256-280 points down to
-1e-11 below their thresholds and within 32 above them; from 1e-12 the
-optimum lies within the slack of zero and no search settles.  The cap is
-about twice the 280.  An undecided search stops at 464-512 points, in
-2-8 ms on a 2-vCPU VM, where a cap of 16384 takes 17-47 ms.  On that VM
-(timeit, best of five), a whole sign-only search that settles in the first
-round takes about 95 us (190 us when every round built its points through
-``verify._hull_points`` and tested the nine candidate charges one by one),
-one that settles 1e-4 below noisy GHZ's threshold 280 us (540 us), and the
-two default SLE bisections, their 39 searches and the states they read,
-6.2 ms (12.5 ms).
+points, and leaves the sign to the default search.  Noisy W and
+CNOT-distilled W states settle within 56-280 points down to 1e-11 below
+their threshold 3/11 and within 32, the first round, above it; from 1e-12
+the optimum lies within the slack of zero and no search settles.  The cap
+is about twice the 280.  An undecided search stops at 408-512 points.  On
+a 2-vCPU VM (timeit, best of five), a whole sign-only search on noisy W
+that settles in the first round takes about 125 us, one that settles 1e-4
+below 3/11 560 us, and one at 3/11, which reaches the cap and then runs
+the default search, 4.4 ms.
 """
 
 from __future__ import annotations
@@ -445,12 +459,31 @@ class SLECertificate:
 
 
 @dataclass(frozen=True)
+class SLEXCertificate:
+    """The kept pair (a, b) of an X-shaped state on which every projection
+    of the measured qubit leaves a pair whose partial transpose has its
+    lowest eigenvalue at least ``SLE_SIGN_SLACK`` times the projection's
+    weight, hence a PPT, and so separable, pair (see "X-shaped states" in
+    the module docstring).
+
+    Only the pair is held: ``verify.verify_sle_x_certificate`` rebuilds
+    both sectors from rho itself and re-checks it.
+    """
+
+    pair: tuple[int, int]
+
+
+@dataclass(frozen=True)
 class SLEResult:
     """The lowest eigenvalue after partial transposition of the pair left by
     projecting the measured qubit onto cos(theta)|0> + sin(theta) e^{i phi}|1>.
 
-    ``certificate`` is set only by a sign-only search that settled a
-    nonnegative sign on bands.
+    ``certificate`` proves that no projection leaves an NPT pair.  The
+    closed form of an X-shaped state sets an ``SLEXCertificate`` when its
+    value lies above ``SLE_SIGN_SLACK``, in both modes; a sign-only search
+    on any other state sets an ``SLECertificate`` when it settled a
+    nonnegative sign on bands.  A negative value is certified by its
+    direction instead, and the field is None.
     """
 
     min_eigenvalue: float
@@ -929,7 +962,10 @@ def sle_quantify(rho, pair=None, *, sign_only: bool = False) -> SLEResult:
     over theta at the poles and where the determinant of the sector less
     the value touches zero, at the roots of a quadratic in the value (see
     "X-shaped states" in the module docstring).  Ties go to the lowest
-    theta, and phi is 0 on a phi-ring and at the poles.  Any
+    theta, and phi is 0 on a phi-ring and at the poles.  It does so in
+    both modes, and a value above ``SLE_SIGN_SLACK`` comes with an
+    ``SLEXCertificate`` as ``certificate``, which
+    ``verify.verify_sle_x_certificate`` re-checks from rho.  Any
     other state takes the best point of an ``SLE_GRID_SIZE`` x
     ``SLE_GRID_SIZE`` grid (64 x 64), the first minimum (theta-major) of
     the objective over all its points, and then see-saw steps from it
@@ -945,8 +981,9 @@ def sle_quantify(rho, pair=None, *, sign_only: bool = False) -> SLEResult:
     eigensolve at every grid point finds, after solving 367 of the 4096
     points on average (see the module docstring for the measurement).
 
-    With ``sign_only=True``, a state whose nonzero entries conserve ring
-    charges (see "Certified signs" in the module docstring) first takes a
+    With ``sign_only=True``, a state that is not X-shaped and whose nonzero
+    entries conserve ring charges, such as noisy W and CNOT-distilled W
+    (see "Certified signs" in the module docstring), first takes a
     branch and bound over bands in z = cos(2 theta), at phi = 0.  If it
     evaluates a projection whose minimum eigenvalue lies below
     -``SLE_SIGN_SLACK``, the search returns that point's value and
@@ -960,8 +997,8 @@ def sle_quantify(rho, pair=None, *, sign_only: bool = False) -> SLEResult:
     the last-bit change a point's value can take when it is evaluated in a
     different batch.  A state without ring charges, and a search that
     settles neither sign within ``SLE_BAND_EVALUATIONS`` hull points, take
-    the default search, the closed form or the grid, whose result is then
-    returned exactly.  The default search takes no certificate.
+    the default search, the grid, whose result is then returned exactly,
+    with no certificate.
 
     Parameters
     ----------
@@ -976,7 +1013,11 @@ def sle_quantify(rho, pair=None, *, sign_only: bool = False) -> SLEResult:
         optimum.
     """
     objective = _SLEObjective(rho, pair)
-    charges = _ring_charges(objective) if sign_only else None
+    # The closed form takes states whose entries off the X pattern are
+    # exact zeros, in both modes; an entry of 1e-300 sends a state to the
+    # bands or the grid.
+    x_shaped = not objective.entries[_x_pattern(8)[2]].any()
+    charges = _ring_charges(objective) if sign_only and not x_shaped else None
     settled = None if charges is None else _band_search(objective)
     if settled is not None:
         z, breakpoints = settled
@@ -986,13 +1027,13 @@ def sle_quantify(rho, pair=None, *, sign_only: bool = False) -> SLEResult:
                          None if breakpoints is None else
                          SLECertificate(objective.kept, charges, breakpoints))
 
-    # The closed form takes states whose entries off the X pattern are
-    # exact zeros; an entry of 1e-300 sends a state to the grid.
-    if objective.entries[_x_pattern(8)[2]].any():
-        theta, phi, value = _descend(objective, *_GridSearch(objective).best())
-    else:
+    if x_shaped:
         theta, phi, value = _x_closed_form(objective)
+    else:
+        theta, phi, value = _descend(objective, *_GridSearch(objective).best())
     if _checked(value) == np.inf:
         raise DegenerateProjectionError(
             "every projection direction has vanishing weight")
-    return SLEResult(float(value), float(theta), float(phi))
+    return SLEResult(float(value), float(theta), float(phi),
+                     SLEXCertificate(objective.kept)
+                     if x_shaped and value > SLE_SIGN_SLACK else None)

@@ -13,7 +13,7 @@ start)``:
 - the concurrence margin (GME, GME-after-distill): the largest unclipped
   inner argument of the X-shape concurrence;
 - the sign-only SLE search (SLE, SLE-after-distill): the negated
-  certifying minimum eigenvalue after partial transposition;
+  minimum eigenvalue after partial transposition, the exact optimum;
 - the sign-only PPT mixer (W-GME, W-GME-after-distill): the negated value
   of a PPT-mixer witness whose sign is certified;
 - the W-SLE branch (W-SLE): the negated minimum eigenvalue after partial
@@ -74,25 +74,16 @@ of the two SDP-backed properties take 107 iterations, at most 20 per solve
 and 8 of them 1, against 450 and 70 from cold starts.
 
 The two SLE-search margins (SLE and SLE-after-distill) run sign-only SLE
-searches, a branch and bound over bands of the measured qubit's Bloch
-sphere (see "Certified signs" in ``certify.py``).  A search stops at the
-first projection direction whose minimum eigenvalue after partial
-transposition lies below -1e-12: that projection leaves an entangled pair,
-which puts the optimum below zero too.  Or it stops once bounds on every
-band lie above 1e-12, which puts every projection, and so the optimum,
-above zero, and returns its lowest evaluated value.  Only a search that
-settles neither within 512 evaluated points runs the default search to its
-optimum (see ``certify.sle_quantify``).  At the 16 points of the two
-default searches every search settles on bands: 8 negative margins and 8
-nonnegative ones, each with a certificate.  The signs, and so every
-bracket, are those of the default searches.  A margin value is therefore a
-certifying value, not always the optimum; ITP interpolates between such
-values, and the values that a no-sign-change error prints are those
-certifying values.  The 8 negative signs settle in the first round, on the
-eight bands every search starts from, whose hull points' coefficients are
-built once per process; the other rounds build theirs in a few vector
-operations, with the same arithmetic, so every sign and certificate is the
-same bit for bit.
+searches on noisy GHZ and on its analytic distilled state.  Both are
+X-shaped, so each search is the closed form (see "X-shaped states" in
+``certify.py``): the margin is minus the exact optimum, with no band
+rounds, no cap, no fall-back and no eigensolve, and ITP interpolates, and
+a no-sign-change error prints, exact optima.  A point whose optimum lies
+above 1e-12 carries a certificate that ``verify.verify_sle_x_certificate``
+re-checks from the state alone, and one whose optimum lies below -1e-12
+is certified by its direction, which ``certify.sle_quantifier_at``
+re-evaluates.  At the 16 points of the two default searches, 8 negative
+and 8 nonnegative, each carries the certificate of its sign.
 
 The states the margins read are built from p without re-validation where
 they are states by construction: the noisy families and the closed-form

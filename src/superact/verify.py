@@ -1,22 +1,31 @@
 """Certificate checks that trust neither solver.
 
-Two solvers hand back certificates.  ``sdp.ppt_mixer_witness`` returns an
-exactly feasible witness and a PPT mixture, which bound the PPT-mixer
-program (Jungnitsch, Moroder & Guehne, PRL 106, 190502, 2011) from above
-and below; a sign-only solve that fixes its sign returns only the one of
-the two that fixes it.  ``verify_witness_certificate`` re-checks each
-certificate a result holds.  A sign-only
-``certify.sle_quantify`` that settles a nonnegative sign returns bands in z
-on which every projection of the measured qubit leaves a PPT, hence
-separable, pair (Horodecki, Horodecki & Horodecki, PLA 223, 1 (1996));
-``verify_sle_certificate`` re-checks them.  One policy serves both.
+Three checks re-verify what the solvers hand back, under one policy.
+
+- ``sdp.ppt_mixer_witness`` returns an exactly feasible witness and a PPT
+  mixture, which bound the PPT-mixer program (Jungnitsch, Moroder &
+  Guehne, PRL 106, 190502, 2011) from above and below; a sign-only solve
+  that fixes its sign returns only the one of the two that fixes it.
+  ``verify_witness_certificate`` re-checks each certificate a result
+  holds.
+- A sign-only ``certify.sle_quantify`` on a state that is not X-shaped,
+  when it settles a nonnegative sign, returns bands in z on which every
+  projection of the measured qubit leaves a PPT, hence separable, pair
+  (Horodecki, Horodecki & Horodecki, PLA 223, 1 (1996));
+  ``verify_sle_certificate`` re-checks them.
+- ``certify.sle_quantify`` on an X-shaped state whose closed-form value
+  lies above ``SLE_SIGN_SLACK`` returns the kept pair alone;
+  ``verify_sle_x_certificate`` rebuilds the two sectors of the transposed
+  pair from rho and re-checks that no projection leaves an NPT pair.
 
 *What a check trusts.*  Only the state and the certificate's own fields.
 The witness check ignores the residuals the solver reports and knows
 nothing of its symmetry sectors: it rebuilds the full 8 x 8 matrices.  The
-SLE check reads the charges through ``_respects``, not through
+band check reads the charges through ``_respects``, not through
 ``states._symmetries``, and contracts the hull points of the bands with
-rho^{T_b} itself, not through the search's objective.
+rho^{T_b} itself, not through the search's objective.  The X check reads
+the X pattern and the sectors' entries off rho itself, not through the
+search's objective or its closed form.
 
 *Malformed fields.*  A check reads every field of its certificate in one
 ``try``, through ``_finite_array`` or ``states._resolve_pair``.  A field
@@ -31,16 +40,20 @@ is not a valid three-qubit state raises.
 *Tolerances.*  ``FEASIBILITY_TOL`` bounds ||W - P_i - Q_i^{T_i}||; the
 witness's trace and value must hold within 1e-8, the mixture's sum within
 1e-9 and its factors' lowest eigenvalues at -1e-9.  A band's pairs must
-have their lowest eigenvalue above ``SLE_SIGN_SLACK``, which the band
-search imports so that it settles exactly what this check accepts.
-Rounding moves a hull point by a few ulps and its value by a few ulps of
-||rho||, which the slack dwarfs.
+have their lowest eigenvalue above ``SLE_SIGN_SLACK``, and each sector of
+an X-shaped state's pairs, less ``SLE_SIGN_SLACK`` times the weight, must
+be PSD; the band search and the closed form import the slack, so that they
+certify exactly what these checks accept.  Rounding moves a hull point by
+a few ulps and its value by a few ulps of ||rho||, which the slack dwarfs.
 
-*Positive semidefiniteness.*  Each check takes one pass of the package's
-Jacobi solver, ``linalg.jacobi_eigvalsh``, over every matrix it must find
-PSD, independent of the LAPACK calls inside the solvers.  It is looked up
-through the ``linalg`` module at call time, so that a wrapper installed on
-that module sees every pass.
+*Positive semidefiniteness.*  The witness and band checks take one pass
+of the package's Jacobi solver, ``linalg.jacobi_eigvalsh``, over every
+matrix they must find PSD, independent of the LAPACK calls inside the
+solvers.  It is looked up through the ``linalg`` module at call time, so
+that a wrapper installed on that module sees every pass.  The X check
+takes no pass and no eigensolve: a 2x2 sector is PSD exactly where its
+diagonal and its determinant are nonnegative, quantities it evaluates in
+closed form.
 """
 
 import numpy as np
@@ -57,8 +70,10 @@ from .states import (
 # accepts.
 FEASIBILITY_TOL = 1e-6
 # Smallest lowest eigenvalue of a band's pairs that ``verify_sle_certificate``
-# accepts, and the margin the sign-only band search settles a sign by (see
-# "Certified signs" in ``superact.certify``'s docstring).
+# accepts, over their weight that ``verify_sle_x_certificate`` accepts, and
+# the margin the band search and the closed form certify a sign by (see
+# "Certified signs" and "X-shaped states" in ``superact.certify``'s
+# docstring).
 SLE_SIGN_SLACK = 1e-12
 # What reading a malformed field raises: AttributeError for a missing one,
 # ValueError (or TypeError) for one that is ragged or not what it must be.
@@ -209,3 +224,58 @@ def verify_sle_certificate(certificate, rho) -> bool:
     projectors = 0.5 * np.array([[1.0 + pz, px], [px, 1.0 - pz]])
     pairs = np.einsum("jin,iabjcd->nabcd", projectors, x).reshape(-1, 4, 4)
     return bool(linalg.jacobi_eigvalsh(pairs)[:, 0].min() > SLE_SIGN_SLACK)
+
+
+def verify_sle_x_certificate(certificate, rho) -> bool:
+    """Re-check a ``certify.SLEXCertificate`` against ``rho`` without
+    trusting the solver, and with no eigensolve.
+
+    The pair must name two distinct qubits, and every entry of rho off its
+    diagonal and anti-diagonal must be an exact zero.  Projecting the
+    measured qubit onto cos(theta)|0> + sin(theta) e^{i phi}|1> then leaves
+    a pair whose partial transpose splits into the sectors {00, 11} and
+    {01, 10}.  With t = sin^2(theta), a sector's diagonal p, q and the
+    projection's weight w are affine in t, read off rho at the poles t = 0
+    and t = 1, and its coupling is sqrt(t (1 - t)) (e^{i phi} u
+    + e^{-i phi} v), u and v two entries of rho, whose modulus is at most
+    sqrt(t (1 - t)) K, K = |u| + |v|, with equality at some phi.  With
+    s = ``SLE_SIGN_SLACK``, p - s w and q - s w must be nonnegative at both
+    poles, and (p - s w)(q - s w) - t (1 - t) K^2, quadratic in t, at its
+    ends and at its vertex where that lies in [0, 1]: then each sector
+    less s w is PSD at every projection (see "X-shaped states" in
+    ``superact.certify``'s docstring).  A malformed pair fails the check
+    (see the module docstring).
+
+    ``rho`` must be a three-qubit state, or ``StateValidationError`` is
+    raised.
+    """
+    m, _ = _state_entries(rho, 3)
+    try:
+        kept, measured = _resolve_pair(certificate.pair)
+    except _MALFORMED:
+        return False
+    on_x = np.eye(8, dtype=bool)
+    if np.any(m[~(on_x | on_x[::-1])] != 0):
+        return False
+    # r[i, a, b, j, c, d] = <i a b| rho |j c d>, i and j over the measured
+    # qubit.
+    r = m.reshape((2,) * 6).transpose(
+        measured, *kept, 3 + measured, 3 + kept[0], 3 + kept[1])
+    diagonal = np.einsum("iabiab->iab", r).real
+    shifted = diagonal - SLE_SIGN_SLACK * diagonal.sum(axis=(1, 2))[:, None, None]
+    # The sector coupled by <a b|M|a' b'> of the projected pair M, with
+    # a' = 1 - a, holds the transposed pair's (a, b') and (a', b).
+    for a, b in ((0, 1), (0, 0)):
+        (p0, q0), (p1, q1) = shifted[:, [a, 1 - a], [1 - b, b]]
+        k2 = (abs(r[0, a, b, 1, 1 - a, 1 - b])
+              + abs(r[1, a, b, 0, 1 - a, 1 - b])) ** 2
+        if min(p0, q0, p1, q1) < 0.0:
+            return False
+        lead = (p1 - p0) * (q1 - q0) + k2
+        linear = p0 * (q1 - q0) + q0 * (p1 - p0) - k2
+        vertex = min(max(-0.5 * linear / lead, 0.0), 1.0) if lead > 0.0 else 0.0
+        for t in (0.0, 1.0, vertex):
+            if ((p0 + t * (p1 - p0)) * (q0 + t * (q1 - q0))
+                    - t * (1.0 - t) * k2 < 0.0):
+                return False
+    return True

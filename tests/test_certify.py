@@ -27,6 +27,7 @@ from superact.certify import (
     SLE_BAND_EVALUATIONS,
     SLECertificate,
     SLEResult,
+    SLEXCertificate,
     _SLEObjective,
     fidelity_from_settings,
     ghz_witness_expectation,
@@ -47,7 +48,7 @@ from superact.distill import (
     distill_tripartite,
 )
 from superact.states import DegenerateProjectionError, StateValidationError
-from superact.verify import verify_sle_certificate
+from superact.verify import verify_sle_certificate, verify_sle_x_certificate
 from util import (
     BAD_RAW_ARRAYS,
     FAILED_LAPACK_WARNING,
@@ -61,6 +62,7 @@ from util import (
     random_x_state,
     failing_entry,
     ring_charges_loop,
+    sle_certificate_verifies,
     x_shape_loop,
 )
 
@@ -70,6 +72,12 @@ P_GRID = np.linspace(0.0, 1.0, 21)
 def isotropic(p):
     bell = np.asarray(bell_phi_plus().projector().entries)
     return DensityMatrix(2, p * bell + (1 - p) * np.eye(4) / 4.0)
+
+
+def _distilled_w(p):
+    """The CNOT-distilled noisy W state, a ring state that is not X-shaped;
+    its SLE threshold is noisy W's, 3/11."""
+    return distill_cnot(noisy_w(p), noisy_w(p)).state
 
 
 # ---------------------------------------------------------------------------
@@ -474,7 +482,7 @@ def test_sle_takes_a_pair_of_numpy_integers():
 
 
 def test_sle_certificate_with_a_pair_of_non_integers_fails():
-    rho = noisy_ghz(0.3)
+    rho = noisy_w(0.2)
     certificate = sle_quantify(rho, sign_only=True).certificate
     assert certificate.pair == (0, 1)
     assert verify_sle_certificate(certificate, rho)
@@ -596,14 +604,15 @@ def test_sle_sign_only_agrees_with_default_search():
     # crosses zero, the negative region is small enough to fall between the
     # coarse grid points (at 0.687) or between all grid points (at 0.68609).
     mixed = [t * randoms[1] + (1 - t) * np.eye(8) / 8 for t in (0.687, 0.68609)]
+    # Noisy W and CNOT-distilled W conserve ring charges and are not
+    # X-shaped, so their sign-only searches take the band search.
     states = [
-        noise_model_state(0.45, 0.9084, 0.9210),
-        noise_model_state(0.8, 0.9, 0.9),
+        noisy_w(0.2),
         # PPT after every projection, optimum zero to rounding:
-        noisy_ghz(1 / 3),
-        noisy_ghz(0.3),
-        analytic_distilled_noisy_ghz((2 * np.sqrt(2) - 1) / 7),
+        noisy_w(3 / 11),
         noisy_w(0.6),
+        _distilled_w(0.25),
+        _distilled_w(0.5),
         *randoms,
         *mixed,
     ]
@@ -614,26 +623,35 @@ def test_sle_sign_only_agrees_with_default_search():
     assert set(settled) == {"negative", "certified", None}
 
 
+def _w_sle_bisection_states(monkeypatch) -> list:
+    """The noisy W states of the default W-SLE search's eight points, on
+    both sides of 3/11 and down to 7e-7 from it: ring states that are not
+    X-shaped.  The margin itself takes one 4x4 eigensolve of its own."""
+    default_range, build, margin = thresholds._PROPERTIES[
+        thresholds.PROPERTY_W_SLE]
+    states = []
+
+    def recording(label, p, rho, start):
+        states.append(rho)
+        return margin(label, p, rho, start)
+
+    monkeypatch.setitem(thresholds._PROPERTIES, thresholds.PROPERTY_W_SLE,
+                        (default_range, build, recording))
+    thresholds.find_threshold(thresholds.PROPERTY_W_SLE)
+    return states
+
+
 def test_sle_sign_only_agrees_on_every_bisection_point(monkeypatch):
-    searched = []
-    search = thresholds.sle_quantify
-
-    def recording(rho, *args, **kwargs):
-        searched.append((rho, kwargs, search(rho, *args, **kwargs)))
-        return searched[-1][2]
-
-    monkeypatch.setattr(thresholds, "sle_quantify", recording)
-    for name in (thresholds.PROPERTY_SLE, thresholds.PROPERTY_SLE_AFTER):
-        thresholds.find_threshold(name)
-    assert len(searched) == 16
+    states = _w_sle_bisection_states(monkeypatch)
+    assert len(states) == 8
     settled = []
-    for rho, kwargs, result in searched:
-        assert kwargs == {"sign_only": True}
+    for rho in states:
+        result = sle_quantify(rho, sign_only=True)
         settled.append(_sign_only_agrees(rho, None))
-        # Every nonnegative margin is settled by a verified certificate.
+        # Every nonnegative point is settled by a verified certificate.
         assert (settled[-1] == "certified") == (result.min_eigenvalue >= 0.0)
-    assert settled.count("certified") == 8
-    assert settled.count("negative") == 8
+    assert settled.count("certified") == 4
+    assert settled.count("negative") == 4
 
 
 @pytest.fixture
@@ -792,7 +810,7 @@ def hull_points(monkeypatch):
 
 def test_sle_sign_only_settles_negative_signs_in_the_first_round(
         batches, hull_points):
-    result = sle_quantify(noisy_ghz(0.6), sign_only=True)
+    result = sle_quantify(noisy_w(0.6), sign_only=True)
     # Eight bands of four hull points, then the reported point alone.
     assert hull_points == [32]
     assert batches == [1]
@@ -802,7 +820,7 @@ def test_sle_sign_only_settles_negative_signs_in_the_first_round(
 
 def test_sle_sign_only_settles_nonnegative_signs_by_certificate(
         batches, hull_points):
-    rho = noisy_ghz(0.3)
+    rho = noisy_w(0.2)
     result = sle_quantify(rho, sign_only=True)
     # The bands settle it in the first round; no grid point is solved.
     assert hull_points == [32]
@@ -862,23 +880,15 @@ def test_sle_seesaw_step_skipped_on_a_singular_weight_form(batches):
 
 def test_sle_bisection_margins_settle_in_the_band_search(monkeypatch, batches):
     searched = []
-    search = thresholds.sle_quantify
-
-    def recording(rho, *args, **kwargs):
+    for rho in _w_sle_bisection_states(monkeypatch):
         first = len(batches)
-        result = search(rho, *args, **kwargs)
+        result = sle_quantify(rho, sign_only=True)
         searched.append((rho, result, batches[first:]))
-        return result
-
-    monkeypatch.setattr(thresholds, "sle_quantify", recording)
-    for name in (thresholds.PROPERTY_SLE, thresholds.PROPERTY_SLE_AFTER):
-        thresholds.find_threshold(name)
-    assert len(searched) == 16
     # No search falls back to the grid: each solves its reported point only.
     assert all(solved == [1] for _, _, solved in searched)
     negative = [(rho, r) for rho, r, _ in searched if r.certificate is None]
     certified = [(rho, r) for rho, r, _ in searched if r.certificate]
-    assert len(negative) == 8 and len(certified) == 8
+    assert len(negative) == 4 and len(certified) == 4
     for rho, result in negative:
         assert sle_quantifier_at(rho, None, result.theta, result.phi) < -1e-12
     for rho, result in certified:
@@ -887,16 +897,24 @@ def test_sle_bisection_margins_settle_in_the_band_search(monkeypatch, batches):
 
 
 @pytest.mark.parametrize("pair", [(0, 1), (0, 2), (1, 2)])
-@pytest.mark.parametrize("rho", [
-    noisy_ghz(1 / 3 - 1e-4),
-    analytic_distilled_noisy_ghz((2 * np.sqrt(2) - 1) / 7 - 1e-4),
-], ids=["ghz", "distilled-ghz"])
-def test_sle_certificate_just_below_the_thresholds(rho, pair):
+@pytest.mark.parametrize("rho,kind", [
+    (noisy_ghz(1 / 3 - 1e-4), SLEXCertificate),
+    (analytic_distilled_noisy_ghz((2 * np.sqrt(2) - 1) / 7 - 1e-4),
+     SLEXCertificate),
+    (noisy_w(3 / 11 - 1e-4), SLECertificate),
+    (_distilled_w(3 / 11 - 1e-4), SLECertificate),
+], ids=["ghz", "distilled-ghz", "w", "distilled-w"])
+def test_sle_certificate_just_below_the_thresholds(rho, kind, pair):
+    # Just below the paper's thresholds the sign-only search proves that no
+    # projection leaves an NPT pair: in closed form on the X-shaped GHZ
+    # states, and on bands refined past the first round on the W states.
     result = sle_quantify(rho, pair, sign_only=True)
     certificate = result.certificate
-    assert certificate is not None
+    assert type(certificate) is kind
     assert certificate.pair == pair
-    assert verify_sle_certificate(certificate, rho)
+    assert sle_certificate_verifies(certificate, rho)
+    if kind is SLECertificate:
+        assert certificate.breakpoints.size > 9
     optimum = sle_quantify(rho, pair).min_eigenvalue
     assert 0.0 < optimum and 0.0 < result.min_eigenvalue
 
@@ -917,15 +935,18 @@ _PINNED = tensor(isotropic(0.2),
 
 
 @pytest.mark.parametrize("pair", [(0, 1), (0, 2), (1, 2)])
-@pytest.mark.parametrize("rho", [noisy_ghz(1 / 3), _PINNED],
-                         ids=["ghz-1/3", "pinned"])
+@pytest.mark.parametrize("rho", [noisy_w(3 / 11), _PINNED],
+                         ids=["w-3/11", "pinned"])
 def test_sle_undecided_band_search_stays_under_its_cap(rho, pair,
                                                        hull_points):
-    # At noisy GHZ's threshold the optimum is zero to rounding.  With qubit
-    # 2 pinned to |0>, measuring it leaves a zero at the pole |1>, whose
-    # weight vanishes, and keeping it leaves a pair with a zero eigenvalue
-    # at every projection.  No band search settles either, and each leaves
-    # the sign to the default search, whose result it returns bit for bit.
+    # At noisy W's threshold the optimum is zero to rounding: the search
+    # keeps halving the bands next to the pole z = 1, where the optimum
+    # lies, and stops at 512 hull points, the cap itself (measured when
+    # this case was set).  With qubit 2 pinned to |0>, measuring
+    # it leaves a zero at the pole |1>, whose weight vanishes, and keeping
+    # it leaves a pair with a zero eigenvalue at every projection.  No band
+    # search settles either sign, and each leaves it to the default search,
+    # whose result it returns bit for bit.
     full = sle_quantify(rho, pair)
     fast = sle_quantify(rho, pair, sign_only=True)
     assert 0 < sum(hull_points) <= SLE_BAND_EVALUATIONS
@@ -952,13 +973,13 @@ def _pinned_sle_states():
 # Recorded with the search that reported either quantifier; it depends on
 # the NumPy/LAPACK build, so another build may need it recorded again.
 _PINNED_SLE_DIGEST = (
-    "50a285d47f3df69d9cde85cc2137ad5d3cf49c09226dd2942d418d91d6ee73c0")
+    "fbc6ffe4bff56460baadbbd2bde7519e61484e577462f01773bd566ceaf07b44")
 
 
 def test_pinned_sle_searches_are_bit_identical():
     # (lambda_min, theta, phi) by their exact repr, and the certificate's
-    # pair, charges and breakpoint bytes, of 90 searches: every kept pair,
-    # default and sign-only.
+    # kind and pair, and a band certificate's charges and breakpoint bytes,
+    # of 90 searches: every kept pair, default and sign-only.
     digest = hashlib.sha256()
     searches = 0
     for rho in _pinned_sle_states():
@@ -970,6 +991,8 @@ def test_pinned_sle_searches_are_bit_identical():
                 certificate = result.certificate
                 if certificate is None:
                     digest.update(b"None")
+                elif isinstance(certificate, SLEXCertificate):
+                    digest.update(repr(certificate).encode())
                 else:
                     digest.update(repr((certificate.pair,
                                         certificate.charges)).encode())
@@ -1166,15 +1189,18 @@ def _refuse_the_grid(monkeypatch):
 @pytest.mark.parametrize("pair", [(0, 1), (0, 2), (1, 2)])
 def test_sle_sectors_of_each_family(pair, monkeypatch):
     # An X-shaped pair splits into the sectors {00, 11} and {01, 10}, and
-    # its default search takes their closed form: it builds no grid and
-    # solves no eigenproblem.  W-type and general states take the grid.
+    # its search takes their closed form in both modes: it builds no grid,
+    # runs no band search and solves no eigenproblem.  W-type and general
+    # states take the grid, or the band search's eigensolves.
     _refuse_the_grid(monkeypatch)
     for rho in _X_SHAPED_STATES.values():
-        sle_quantify(rho, pair)
-    for rho in (noisy_w(0.6), distill_cnot(noisy_w(0.5), noisy_w(0.5)).state,
+        for sign_only in (False, True):
+            sle_quantify(rho, pair, sign_only=sign_only)
+    for rho in (noisy_w(0.6), _distilled_w(0.5),
                 random_density_matrix(np.random.default_rng(4), 3)):
-        with pytest.raises(AssertionError, match="left the closed form"):
-            sle_quantify(rho, pair)
+        for sign_only in (False, True):
+            with pytest.raises(AssertionError, match="left the closed form"):
+                sle_quantify(rho, pair, sign_only=sign_only)
 
 
 @pytest.mark.parametrize("pair", [(0, 1), (0, 2), (1, 2)])
@@ -1215,34 +1241,121 @@ def test_sle_sector_closed_form_matches_the_x_shaped_oracle(pair):
                 result.min_eigenvalue, rel=0.0, abs=1e-14), name
 
 
-@pytest.mark.parametrize("pair", [(0, 1), (0, 2), (1, 2)])
-def test_sle_structured_search_skips_the_subgrid_bounds(pair, monkeypatch):
-    def refuse(self, weights):
-        raise AssertionError("the subgrid bounds were computed")
+def _x_certificate_cases():
+    """180 X-shaped cases: every kept pair of noisy GHZ, noise-model and
+    distilled GHZ states around their thresholds, and of 40 random X-shaped
+    states."""
+    rng = np.random.default_rng(5)
+    states = [noisy_ghz(p) for p in (0.0, 0.1, 0.3, 1 / 3, 0.34, 0.5, 0.8, 1.0)]
+    states += [noise_model_state(p, q, r)
+               for q, r in ((0.9084, 0.921), (0.93, 0.88))
+               for p in (0.2, 0.45, 0.7, 0.9)]
+    states += [analytic_distilled_noisy_ghz(p) for p in (0.1, 0.25, 0.3, 0.6)]
+    states += [random_x_state(rng) for _ in range(40)]
+    return [(rho, pair) for rho in states for pair in ((0, 1), (0, 2), (1, 2))]
 
-    monkeypatch.setattr(certify._GridSearch, "_lower_bounds", refuse)
-    for rho in (noisy_ghz(0.6), noise_model_state(0.8, 0.9, 0.95),
-                analytic_distilled_noisy_ghz(0.3),
-                random_x_state(np.random.default_rng(31))):
-        sle_quantify(rho, pair)
-    with pytest.raises(AssertionError, match="subgrid bounds"):
-        sle_quantify(noisy_w(0.6), pair)
+
+def test_sle_sign_only_takes_the_closed_form_on_x_shaped_states():
+    # On an X-shaped state sign_only changes nothing: both modes return the
+    # closed form bit for bit, with the certificate of a value above the
+    # slack, which the verifier accepts.  A negative value's direction
+    # re-checks below -slack at one point.
+    cases = _x_certificate_cases()
+    assert len(cases) == 180
+    certified = negative = 0
+    for rho, pair in cases:
+        full = sle_quantify(rho, pair)
+        fast = sle_quantify(rho, pair, sign_only=True)
+        assert _bits((fast.min_eigenvalue, fast.theta, fast.phi)) == _bits(
+            (full.min_eigenvalue, full.theta, full.phi))
+        assert fast.certificate == full.certificate
+        if fast.min_eigenvalue > SLE_SIGN_SLACK:
+            assert fast.certificate == SLEXCertificate(pair)
+            assert verify_sle_x_certificate(fast.certificate, rho)
+            certified += 1
+        else:
+            assert fast.certificate is None
+        if fast.min_eigenvalue < -SLE_SIGN_SLACK:
+            assert sle_quantifier_at(rho, pair, fast.theta,
+                                     fast.phi) < -SLE_SIGN_SLACK
+            negative += 1
+    # Noisy GHZ at 1/3 reads zero to rounding, inside the slack.
+    assert (certified, negative) == (68, 109)
+
+
+def test_verify_sle_x_certificate_rejects_forgeries():
+    rho = noisy_ghz(0.3)
+    certificate = sle_quantify(rho, sign_only=True).certificate
+    assert certificate == SLEXCertificate((0, 1))
+    assert verify_sle_x_certificate(certificate, rho)
+    assert verify_sle_x_certificate(SLEXCertificate(np.array([0, 1])), rho)
+    # The pair is read through one rule, as the band check reads it: not
+    # two distinct qubits, not integers, malformed or missing all fail.
+    for pair in ((0, 0), (0, 1, 2), (0, 5), (0.9, 1.2), (False, True),
+                 [(0, 1)], "ab", None):
+        assert not verify_sle_x_certificate(SLEXCertificate(pair), rho), pair
+    assert not verify_sle_x_certificate(SimpleNamespace(), rho)
+    # One off-X entry of 1e-300: the sectors no longer split.
+    leaky = np.array(rho.entries)
+    leaky[0, 1] = leaky[1, 0] = 1e-300
+    assert not verify_sle_x_certificate(certificate, leaky)
+    # Past the threshold the closed form is negative, and at it zero to
+    # rounding, inside the slack.
+    for state in (noisy_ghz(0.5), noisy_ghz(1 / 3)):
+        assert sle_quantify(state).min_eigenvalue <= SLE_SIGN_SLACK
+        assert not verify_sle_x_certificate(certificate, state)
+    # Populations on |00>|i> and |11>|i> alone leave the pair's sector
+    # {01, 10} empty at both poles, and so the value zero: that sector's
+    # determinant, (s w)^2, is positive, and only its diagonal less s w
+    # shows the value inside the slack.
+    empty = np.diag([0.25, 0.25, 0, 0, 0, 0, 0.25, 0.25]).astype(complex)
+    assert sle_quantify(empty).min_eigenvalue == 0.0
+    assert not verify_sle_x_certificate(certificate, empty)
+    # On an asymmetric random X state, pair (0, 1) has no SLE and pair
+    # (0, 2) has: the certificate of one pair proves nothing for the other.
+    asymmetric = random_x_state(np.random.default_rng(6))
+    found = sle_quantify(asymmetric, (0, 1), sign_only=True).certificate
+    assert found == SLEXCertificate((0, 1))
+    assert verify_sle_x_certificate(found, asymmetric)
+    assert sle_quantify(asymmetric, (0, 2)).min_eigenvalue < -SLE_SIGN_SLACK
+    assert not verify_sle_x_certificate(replace(found, pair=(0, 2)),
+                                        asymmetric)
+
+
+def test_verify_sle_x_certificate_accepts_where_the_oracle_clears_the_slack():
+    # On random X states the check accepts a pair exactly where the
+    # X-shaped objective's minimum over a fine (theta, phi) grid lies above
+    # the slack, and so never where the grid finds a negative value.
+    thetas, phis = (axis.ravel() for axis in np.meshgrid(
+        np.linspace(0.0, np.pi / 2, 161),
+        np.linspace(0.0, 2 * np.pi, 160, endpoint=False), indexing="ij"))
+    rng = np.random.default_rng(37)
+    accepted = []
+    for _ in range(40):
+        rho = random_x_state(rng)
+        for pair in ((0, 1), (0, 2), (1, 2)):
+            fine = _x_shaped_objective(rho, pair, thetas, phis).min()
+            accepts = verify_sle_x_certificate(SLEXCertificate(pair), rho)
+            assert accepts == (fine > SLE_SIGN_SLACK), pair
+            accepted.append(accepts)
+    assert accepted.count(True) == 50 and accepted.count(False) == 70
 
 
 def test_verify_sle_certificate_rejects_forgeries():
-    rho = noisy_ghz(1 / 3 - 1e-4)
+    rho = noisy_w(3 / 11 - 1e-4)
     certificate = sle_quantify(rho, (0, 1), sign_only=True).certificate
     assert verify_sle_certificate(certificate, rho)
     z = certificate.breakpoints
-    assert z.size > 9  # refined past the first eight bands
+    assert z.size > 9  # refined past the first eight bands, towards z = 1
     swapped = z.copy()
     swapped[[2, 3]] = swapped[[3, 2]]
     forgeries = {
         # A gap at either pole: the bands no longer reach -1 or 1.
         "dropped first band": z[1:],
         "dropped last band": z[:-1],
-        # A refined band dropped: its parent's hull bound does not clear.
-        "dropped inner band": np.delete(z, 4),
+        # The last refined band dropped: its parent's hull bound, next to
+        # noisy W's optimum at the pole z = 1, does not clear.
+        "dropped inner band": np.delete(z, -2),
         "inflated endpoint": np.append(z[:-1], np.nextafter(1.0, 2.0)),
         "bands out of order": swapped,
         "zero-width band": np.insert(z, 4, z[4]),
@@ -1252,28 +1365,30 @@ def test_verify_sle_certificate_rejects_forgeries():
     for name, breakpoints in forgeries.items():
         forged = replace(certificate, breakpoints=breakpoints)
         assert not verify_sle_certificate(forged, rho), name
-    # |000><111| joins charges 0 and 3; charge 0 on the measured qubit does
-    # not make the objective independent of phi.
-    for charges in ((1, 1, 1), (0, 0, 0), (0, -1, 1.5), "abc"):
+    # Noisy W's coherences join |001>, |010> and |100>, so it conserves
+    # equal charges only; charge 0 on the measured qubit does not make the
+    # objective independent of phi.
+    for charges in ((1, -1, 1), (0, 0, 0), (0, -1, 1.5), "abc"):
         forged = replace(certificate, charges=charges)
         assert not verify_sle_certificate(forged, rho), charges
     for pair in ((0, 0), (0, 1, 2), (0, 5), "ab", None):
         assert not verify_sle_certificate(replace(certificate, pair=pair),
                                           rho), pair
     # Checked against another state, the same certificate proves nothing:
-    # past the threshold a band fails, and noisy W breaks the charges.
-    assert not verify_sle_certificate(certificate, noisy_ghz(1 / 3 + 1e-4))
-    assert not verify_sle_certificate(certificate, noisy_w(0.2))
+    # past the threshold a band fails, and noisy GHZ, whose |000><111| joins
+    # charges 0 and 3, breaks the charges.
+    assert not verify_sle_certificate(certificate, noisy_w(3 / 11 + 1e-4))
+    assert not verify_sle_certificate(certificate, noisy_ghz(0.2))
     # Bands that a full round of the search closes verify by themselves.
     assert verify_sle_certificate(
         SLECertificate((0, 1), certificate.charges, np.linspace(-1, 1, 9)),
-        noisy_ghz(0.3))
+        noisy_w(0.2))
 
 
 def test_verify_sle_certificate_reads_every_field_through_one_rule():
     # A field that is missing, non-numeric, ragged, non-finite or of the
     # wrong shape fails the check without raising.
-    rho = noisy_ghz(0.3)
+    rho = noisy_w(0.2)
     certificate = sle_quantify(rho, sign_only=True).certificate
     assert verify_sle_certificate(certificate, rho)
     assert verify_sle_certificate(replace(
@@ -1360,13 +1475,15 @@ def test_witnesses_and_concurrence_reject_an_x_shaped_non_psd_array(reader):
 
 
 def test_density_matrix_inputs_are_not_validated_again(monkeypatch):
-    rho = noisy_ghz(0.3)
-    certificate = sle_quantify(rho, sign_only=True).certificate
+    rho, ring = noisy_ghz(0.3), noisy_w(0.2)
+    x_certificate = sle_quantify(rho, sign_only=True).certificate
+    certificate = sle_quantify(ring, sign_only=True).certificate
     built = []
     monkeypatch.setattr(DensityMatrix, "__post_init__",
                         lambda self: built.append(self))
     negativity(rho, (0,))
-    assert verify_sle_certificate(certificate, rho)
+    assert verify_sle_certificate(certificate, ring)
+    assert verify_sle_x_certificate(x_certificate, rho)
     for reader in _STATE_READERS.values():
         reader(rho)
     assert built == []
@@ -1379,8 +1496,8 @@ def test_density_matrix_inputs_are_not_validated_again(monkeypatch):
 # the see-saw steps from the grid's best point, which a sign-only search
 # takes when the state has no ring charges.
 _FAILED_SEARCHES = {
-    "band-negative": ("_eigvalsh", noisy_ghz(0.4), True),
-    "band-nonnegative": ("_eigvalsh", noisy_ghz(0.2), True),
+    "band-negative": ("_eigvalsh", noisy_w(0.4), True),
+    "band-nonnegative": ("_eigvalsh", noisy_w(0.2), True),
     "grid-values": ("_eigvalsh", random_density_matrix(
         np.random.default_rng(5), 3), False),
     "grid-bounds-and-seesaw": ("_eigh", random_density_matrix(

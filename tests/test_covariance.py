@@ -51,12 +51,13 @@ from superact.sdp import (
     SIGN_NONNEGATIVE,
     ppt_mixer_witness,
 )
-from superact.verify import verify_sle_certificate, verify_witness_certificate
+from superact.verify import verify_witness_certificate
 from util import (
     phased,
     random_density_matrix,
     random_unitary,
     random_x_state,
+    sle_certificate_verifies,
 )
 
 # Paper states on both sides of their thresholds (GHZ 3/7, W about 0.479,
@@ -167,14 +168,14 @@ _SLE_STATES = {
 def _signs_agree(state: np.ndarray) -> float:
     """The default search's minimum on ``state``, after checking that the
     sign-only search agrees with it in sign outside the slack and that its
-    certificate, if any, verifies."""
+    certificate, if any, passes the check of its kind."""
     value = sle_quantify(state).min_eigenvalue
     fast = sle_quantify(state, sign_only=True)
     if abs(value) > SLE_SIGN_SLACK:
         assert (fast.min_eigenvalue < 0.0) == (value < 0.0)
     if fast.certificate is not None:
         assert value > SLE_SIGN_SLACK
-        assert verify_sle_certificate(fast.certificate, state)
+        assert sle_certificate_verifies(fast.certificate, state)
     return value
 
 

@@ -34,6 +34,27 @@ def test_verify_imports_only_numpy_states_and_linalg():
                                            "superact.linalg"}
 
 
+def test_x_certificate_check_reads_rho_alone():
+    # The closed form's certificate check rebuilds its sectors from rho: it
+    # names nothing that certify defines, so neither the search's objective
+    # nor its closed form, and takes no Jacobi pass.
+    certify = MODULES["certify"].body
+    defined = {node.name for node in certify
+               if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+    defined |= {target.id for node in certify if isinstance(node, ast.Assign)
+                for target in node.targets if isinstance(target, ast.Name)}
+    assert {"_SLEObjective", "_touching_points", "_x_closed_form",
+            "_x_pattern"} <= defined
+    check = next(node for node in MODULES["verify"].body
+                 if isinstance(node, ast.FunctionDef)
+                 and node.name == "verify_sle_x_certificate")
+    names = {node.id for node in ast.walk(check) if isinstance(node, ast.Name)}
+    names |= {node.attr for node in ast.walk(check)
+              if isinstance(node, ast.Attribute)}
+    assert names & defined == set()
+    assert names & {"linalg", "jacobi_eigvalsh", "jacobi_eigh"} == set()
+
+
 def test_only_verify_imports_the_jacobi_solver():
     importers = {name for name, tree in MODULES.items()
                  if "superact.linalg" in _imports(tree)}

@@ -37,7 +37,11 @@ from superact.thresholds import (
     fidelity_curves,
     find_threshold,
 )
-from superact.verify import verify_sle_certificate, verify_witness_certificate
+from superact.verify import (
+    verify_sle_certificate,
+    verify_sle_x_certificate,
+    verify_witness_certificate,
+)
 from util import (
     FAILED_LAPACK_WARNING,
     analytic_constants,
@@ -374,33 +378,39 @@ def test_warm_starts_stay_inside_one_bisection(monkeypatch):
     assert len(runs[0][1]) == len(runs[1][1]) == 9
 
 
-@pytest.mark.parametrize("name,max_hull_points", [
-    # Measured when these budgets were set: 432 hull points over each
-    # property's 8 band searches, none of which reached the grid.  Bisection
-    # took 976 and 848 over 20 and 19 searches, and the subgrid, see-saw
-    # step and cone-program certificate that the band search replaced
-    # solved 1294 and 1229 grid and stepped points.
-    pytest.param(PROPERTY_SLE, 450, id=PROPERTY_SLE),
-    pytest.param(PROPERTY_SLE_AFTER, 450, id=PROPERTY_SLE_AFTER),
-])
-def test_sle_bisection_objective_budget(monkeypatch, name, max_hull_points):
-    hull, solved = [], []
-    hull_lowest, lowest = certify._hull_lowest, certify._lowest_eigenvalues
+@pytest.mark.parametrize("name", [PROPERTY_SLE, PROPERTY_SLE_AFTER])
+def test_sle_bisection_objective_budget(monkeypatch, name):
+    # Noisy GHZ and its distilled state are X-shaped, so every search of the
+    # two default bisections takes the closed form: no band search, no grid
+    # point and no eigensolve.  Every nonnegative point then carries the
+    # closed form's certificate, and every negative point's direction
+    # re-checks below -slack at one point.
+    calls, searched = [], []
+    for entry in ("_hull_lowest", "_lowest_eigenvalues", "_eigvalsh",
+                  "_eigh"):
+        def recording(*args, entry=entry, solve=getattr(certify, entry)):
+            calls.append(entry)
+            return solve(*args)
 
-    def recording_hull(pairs):
-        hull.append(len(pairs))
-        return hull_lowest(pairs)
+        monkeypatch.setattr(certify, entry, recording)
+    search = thresholds.sle_quantify
 
-    def recording(pairs, weights):
-        solved.append(weights.size)
-        return lowest(pairs, weights)
+    def recording_search(rho, *args, **kwargs):
+        searched.append((rho, search(rho, *args, **kwargs)))
+        return searched[-1][1]
 
-    monkeypatch.setattr(certify, "_hull_lowest", recording_hull)
-    monkeypatch.setattr(certify, "_lowest_eigenvalues", recording)
+    monkeypatch.setattr(thresholds, "sle_quantify", recording_search)
     report = find_threshold(name)
-    # Each search solves its reported point alone, none the grid.
-    assert solved == [1] * report.evaluations
-    assert sum(hull) <= max_hull_points
+    assert calls == []
+    assert len(searched) == report.evaluations == 8
+    for rho, result in searched:
+        if result.min_eigenvalue >= 0.0:
+            assert result.certificate == certify.SLEXCertificate((0, 1))
+            assert verify_sle_x_certificate(result.certificate, rho)
+        else:
+            assert result.certificate is None
+            assert certify.sle_quantifier_at(
+                rho, None, result.theta, result.phi) < -certify.SLE_SIGN_SLACK
 
 
 def test_w_sle_bracket_ends_carry_certificates():
@@ -519,13 +529,13 @@ def test_csv_emission_round_trippable(capsys):
 @pytest.mark.filterwarnings(FAILED_LAPACK_WARNING)
 @pytest.mark.parametrize("name, module", [
     (PROPERTY_W_SLE, thresholds),
-    (PROPERTY_SLE, certify),
     (PROPERTY_W_GME, sdp),
 ])
 def test_failed_lapack_call_raises_from_find_threshold(monkeypatch, name,
                                                        module):
     # A margin read from a failed LAPACK call must raise LinAlgError, never
-    # narrow a bracket or report no sign change.
+    # narrow a bracket or report no sign change.  The SLE margins make no
+    # LAPACK call (test_sle_bisection_objective_budget).
     monkeypatch.setattr(module, "_eigvalsh", failing_entry(module._eigvalsh))
     with pytest.raises(np.linalg.LinAlgError):
         find_threshold(name)

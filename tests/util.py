@@ -8,7 +8,9 @@ from dataclasses import dataclass
 import numpy as np
 
 import superact.thresholds as thresholds
+from superact.certify import SLEXCertificate
 from superact.states import PAULI_X, PAULI_Y
+from superact.verify import verify_sle_certificate, verify_sle_x_certificate
 
 
 @dataclass(frozen=True)
@@ -82,6 +84,15 @@ def random_x_state(rng):
         g = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
         rho[np.ix_([i, 7 - i], [i, 7 - i])] = rng.uniform() * g @ g.conj().T
     return rho / np.trace(rho).real
+
+
+def sle_certificate_verifies(certificate, rho) -> bool:
+    """Whether an SLE result's certificate passes the check of its kind:
+    the closed form's of an X-shaped state, or the band search's."""
+    check = (verify_sle_x_certificate
+             if isinstance(certificate, SLEXCertificate)
+             else verify_sle_certificate)
+    return check(certificate, rho)
 
 
 def phased(rho) -> np.ndarray:
