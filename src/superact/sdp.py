@@ -1,4 +1,5 @@
-"""First-order solver for the PPT-mixer witness program.
+"""The PPT-mixer witness program: a closed form on GHZ-diagonal states and
+a first-order solver for every other state.
 
 The program searched is
 
@@ -10,13 +11,16 @@ for the three one-versus-rest bipartitions of a three-qubit state.  A
 negative optimum certifies genuine multipartite entanglement; a nonnegative
 optimum is strong (though not conclusive) evidence of bi-separability.
 
-The solver is Douglas-Rachford splitting (see "Douglas-Rachford
-iteration") over the 7-tuple (W, P_1, Q_1, ..., Q_3) of Hermitian matrices.
-Every solve returns certificates built from its final iterate, so that
-``superact.verify`` can re-check them without trusting the solver: an
+A GHZ-diagonal state, such as noisy GHZ or a noise-model state, first
+takes a closed form (see "GHZ-diagonal states"): the fidelity witness,
+normalized, and a PPT mixture that meets it.  Every other state, and one
+whose closed form fails its checks, is solved by Douglas-Rachford
+splitting (see "Douglas-Rachford iteration") over the 7-tuple (W, P_1,
+Q_1, ..., Q_3) of Hermitian matrices.  Every result holds certificates
+that ``superact.verify`` can re-check without trusting the solver: an
 exactly feasible witness, whose value bounds the optimum from above, and a
-PPT mixture, which bounds it from below.  A default solve returns both; a
-sign-only solve that fixes its sign returns only the one that fixes it.
+PPT mixture, which bounds it from below.  A default result holds both; a
+sign-only one that fixes its sign holds only the one that fixes it.
 
 Douglas-Rachford iteration
 --------------------------
@@ -128,12 +132,12 @@ xg its cone projection:
   lower bound.
 
 One routine, ``_certified_bounds``, builds the bounds for every check of
-every solve.  Both sides cost four eigendecompositions of stacks of blocks,
-taken sector by sector (see "Symmetry sectors"): one batched LAPACK call
-per sector size in each, and none for sectors of size 1, whose one entry
-is their eigenvalue.  Every solve checks them every 10 iterations and at
-the iteration cap ``MAX_ITERATIONS`` = 200000, and stops as soon as
-upper - lower is at most ``gap_tol``, the one setting a caller of
+every Douglas-Rachford solve.  Both sides cost four eigendecompositions of
+stacks of blocks, taken sector by sector (see "Symmetry sectors"): one
+batched LAPACK call per sector size in each, and none for sectors of size
+1, whose one entry is their eigenvalue.  Every solve checks them every 10
+iterations and at the iteration cap ``MAX_ITERATIONS`` = 200000, and stops
+as soon as upper - lower is at most ``gap_tol``, the one setting a caller of
 ``ppt_mixer_witness`` passes (``GAP_TOL`` = 1e-8 by default); a solve
 asked only for the sign (``sign_only=True``) also stops as soon as the
 upper bound lies below minus the certification margin
@@ -179,6 +183,69 @@ bounds, against 830 and 83 from the same starts with no early check.  They
 took the least CPU time of the sets (1), (2), (1, 2), (1, 2, 3), (1, 3, 6)
 and (3, 6), which took 474-546 iterations, 1% less than (2), the next best.
 Building both sides at every early check cost 7-11% more time.
+
+GHZ-diagonal states
+-------------------
+A state is GHZ-diagonal when the GHZ basis |G_{f,+-}> = (|f> +- |7 - f>) /
+sqrt(2), f in (0, 1, 2, 4) as ``states.make_ghz`` orders them,
+diagonalizes it; the pairs {f, 7 - f} are read in that order.  Noisy GHZ,
+the noise-model states, their parity-check outputs and the maximally mixed
+state are GHZ-diagonal.  The test is
+exact: the state is real, every entry off the X pattern is an exact zero,
+and each pair {f, 7 - f} has rho[f, f] == rho[7 - f, 7 - f] and
+rho[f, 7 - f] == rho[7 - f, f].  With a_f = rho[f, f] and
+c_f = rho[f, 7 - f], the GHZ-basis eigenvalues are a_f +- c_f.  Such a
+state is GME exactly where lambda_max > tr(rho) / 2 (Guehne & Seevinck,
+NJP 12, 053002, 2010).  Let (j, s) be the pair and sign of the largest
+eigenvalue, G = G_{j,s}, t = (tr(rho) / 2 - lambda_max) / 3, and pi_i(j)
+the pair reached by flipping party i's bit of pair j.  Transposing party
+i keeps every diagonal entry and swaps the coherences of pairs k and
+pi_i(k).
+
+- *Upper bound*: W = (I/2 - |G><G|) / 3, the fidelity witness of G
+  normalized to unit trace, with P_i = 0 and Q_i = W^{T_i}.  The partial
+  transpose of |G><G| has the spectrum {1/2, 1/2, 1/2, -1/2, 0, 0, 0, 0},
+  so Q_i is PSD; the decomposition is exact, with residuals 0, and
+  tr(W rho) = t.
+- *Lower bound*: Y_i holds pair pi_i(j) of rho - t I and the share
+  kappa_i of pair j, with kappa_i = w_i / sum_k w_k,
+  w_i = max(0, a_{pi_i(j)} - t), or 1/3 where every w_i is 0.  The three
+  pairs pi_i(j) are the other three, so sum_i Y_i = rho - t I.  In exact
+  arithmetic sum_k (a_{pi_k(j)} - t) = |c_j|, so kappa_i is
+  (a_{pi_i(j)} - t) / |c_j| by the trace; dividing by the sum keeps
+  sum_i kappa_i = 1 to rounding when |c_j| is small.
+- *Checks*: the three Q_i, the three Y_i and the three Y_i^{T_i} are
+  X-shaped, and each of their four pairs [[d, c], [c, d]] has equal
+  diagonal entries, as rho's do; so each factor is PSD exactly where
+  d - |c|, its pairs' lowest eigenvalues, are nonnegative.  A factor
+  passes when they lie at or above minus ``_ROUNDING`` = 64 ulps of
+  tr(rho) (1.4e-14 for a unit trace): its entries are a few roundings
+  deep from entries of size at most tr(rho), and the verifier accepts
+  down to -1e-9.  Outside pair j the checks read
+  a_k - t >= |c_k|; on it, a_j - t >= |c_j| and
+  (a_k - t)(a_j - t) >= |c_k| |c_j| for each other pair k.  Where
+  lambda_max >= tr(rho) / 2, t <= 0 and the state's own positivity,
+  a_f >= |c_f|, gives them all: on the GME side the fidelity witness is
+  the optimum.  Below that they hold on some states, noisy GHZ at every p
+  among them, and fail on others, such as
+  ``noise_model_state(0.1, 0.9, 0.3)``.
+
+When the checks pass, both bounds are t.  The result, built from
+``_Bounds`` as Douglas-Rachford's are, has ``iterations`` = 0,
+``converged`` = True and ``final_z`` = None, and the solve reads no
+``start``.  It takes no eigensolve, and 0.1-0.15 ms in all on the
+2-vCPU VM (Douglas-Rachford took 1.2-1.6 ms on these states).  A
+sign-only request keeps the side that fixes the sign against
+``CERTIFICATION_MARGIN``, or both where |t| lies inside it, as a sign-only
+Douglas-Rachford solve ends.
+When the mixture fails its checks, only a sign-only request whose sign
+the witness fixes (t below minus the margin) is answered from the witness
+alone; every other falls back to Douglas-Rachford, bit for bit the solve
+of a state that is not GHZ-diagonal.  Over the GHZ-diagonal states of the
+tests' corpus (noisy GHZ at 41 p, noise-model states over the benchmark's
+(q, r) ranges, distilled noisy GHZ, parity-check outputs, the maximally
+mixed state and 56 Dirichlet draws with lambda_max >= 1/2), the closed
+value lies inside Douglas-Rachford's certified interval within 1e-12.
 
 Symmetry sectors
 ----------------
@@ -353,9 +420,12 @@ class WitnessResult:
     Frobenius norms ||W - P_i - Q_i^{T_i}|| (rounding only), and
     ``optimal_value`` is its value tr(W rho).  ``mixture`` holds
     (Y_1, Y_2, Y_3) with rho - ``lower_bound`` I = Y_1 + Y_2 + Y_3 and every
-    Y_i and Y_i^{T_i} positive semidefinite.  ``final_z`` is the splitting
-    variable the solve reached, a start for a solve of a nearby state; it
-    is no part of either certificate.
+    Y_i and Y_i^{T_i} positive semidefinite.  ``iterations`` counts the
+    Douglas-Rachford iterations, and ``final_z`` is the splitting variable
+    the solve reached, a start for a solve of a nearby state; it is no
+    part of either certificate.  A result in closed form (see
+    "GHZ-diagonal states" in the module docstring) has ``iterations`` = 0,
+    ``final_z`` None and both bounds equal.
 
     A default result holds both sides, and so does a sign-only one whose
     sign is indeterminate.  A sign-only result with a certified sign holds
@@ -844,11 +914,89 @@ def _certified_bounds(rho: np.ndarray, sectors: _Sectors, xf: np.ndarray,
     if not (sign_only and cleared):
         upper = upper or _upper_bound(rho, sectors, xf, eye)
         lower = lower or _lower_bound(rho, sectors, cone_gap(), eye)
-        if sign_only and upper[0] < -CERTIFICATION_MARGIN:
-            lower = None
-        elif sign_only and lower[0] > CERTIFICATION_MARGIN:
-            upper = None
-    return _Bounds(*(upper or _NO_UPPER), *(lower or _NO_LOWER))
+    bounds = _Bounds(*(upper or _NO_UPPER), *(lower or _NO_LOWER))
+    return _fixing_side(bounds) if sign_only else bounds
+
+
+def _fixing_side(bounds: _Bounds) -> _Bounds:
+    """``bounds`` with only the side that fixes the sign, or both when
+    neither does."""
+    if bounds.upper < -CERTIFICATION_MARGIN:
+        return _Bounds(*bounds[:4], *_NO_LOWER)
+    if bounds.lower > CERTIFICATION_MARGIN:
+        return _Bounds(*_NO_UPPER, *bounds[4:])
+    return bounds
+
+
+def _sign(bounds: _Bounds) -> str:
+    """The sign that ``bounds`` certify against ``CERTIFICATION_MARGIN``."""
+    if bounds.upper < -CERTIFICATION_MARGIN:
+        return SIGN_NEGATIVE
+    if bounds.lower > CERTIFICATION_MARGIN:
+        return SIGN_NONNEGATIVE
+    return SIGN_INDETERMINATE
+
+
+# GHZ-diagonal states (see "GHZ-diagonal states" in the module docstring).
+# The pairs {f, 7 - f}, in the order of the index of ``states.make_ghz``;
+# the flat indices of each pair's entries (f, f), (f, 7 - f), (7 - f, f)
+# and (7 - f, 7 - f) in an 8 x 8 matrix; for each pair and party, the pair
+# reached by flipping that party's bit; and the entries off the X pattern.
+_PAIRS = np.array([[0, 7], [1, 6], [2, 5], [3, 4]])
+_PAIR_ENTRIES = (8 * _PAIRS[:, :, None] + _PAIRS[:, None, :]).reshape(4, 4)
+_FLIPPED = np.arange(4)[:, None] ^ np.array([4, 2, 1])
+_FLIPPED = np.minimum(_FLIPPED, 7 - _FLIPPED)
+_OFF_X = ~(np.eye(8, dtype=bool) | np.eye(8, dtype=bool)[::-1])
+# The closed form's checks pass a factor whose lowest eigenvalue lies at or
+# above minus this share of the state's trace, 64 ulps, the rounding of its
+# entries (see "GHZ-diagonal states" in the module docstring).
+_ROUNDING = 64 * np.finfo(float).eps
+
+
+def _ghz_diagonal_bounds(state: np.ndarray) -> _Bounds | None:
+    """Closed-form bounds of a GHZ-diagonal ``state``, None for any other
+    (see "GHZ-diagonal states" in the module docstring): the fidelity
+    witness of the largest GHZ-basis eigenvalue, and the PPT mixture that
+    meets it when its factors pass their checks, otherwise ``_NO_LOWER``."""
+    if state.dtype != np.float64 or state[_OFF_X].any():
+        return None
+    entries = state.reshape(-1)[_PAIR_ENTRIES]
+    a, c = entries[:, 0], entries[:, 1]
+    if not (np.array_equal(a, entries[:, 3])
+            and np.array_equal(c, entries[:, 2])):
+        return None
+    # The pair j and sign of the largest eigenvalue a + c or a - c, whose
+    # witness has the value t = (tr rho / 2 - lambda_max) / 3.
+    eigenvalues = np.stack([a + c, a - c], axis=1)
+    k = int(np.argmax(eigenvalues))
+    j, half_trace = k // 2, a.sum()
+    t = float((half_trace - eigenvalues.flat[k]) / 3.0)
+    witness = np.eye(8) / 6.0
+    coherence = 1.0 / 6.0 if k % 2 else -1.0 / 6.0
+    witness.flat[_PAIR_ENTRIES[j]] = (0.0, coherence, coherence, 0.0)
+    q_blocks = _transpose_stack(np.stack([witness] * 3))
+    upper = (t, witness, np.zeros_like(q_blocks), q_blocks)
+
+    # Y_i: pair pi_i(j) of rho - t I, and the share kappa_i of pair j.
+    shifted = (state - t * np.eye(8)).reshape(-1)
+    own = _PAIR_ENTRIES[_FLIPPED[j]]
+    weight = np.maximum(shifted[own[:, 0]], 0.0)
+    kappa = weight / weight.sum() if weight.any() else np.full(3, 1.0 / 3.0)
+    mixture = np.zeros((3, 64))
+    mixture[np.arange(3)[:, None], own] = shifted[own]
+    mixture[:, _PAIR_ENTRIES[j]] = kappa[:, None] * shifted[_PAIR_ENTRIES[j]]
+    mixture = mixture.reshape(3, 8, 8)
+    # Every factor is X-shaped, and each of its pairs has equal diagonal
+    # entries d and the coherence c, so it is PSD where d >= |c| on each.
+    factors = np.concatenate([q_blocks, mixture, _transpose_stack(mixture)])
+    pairs = factors.reshape(9, 64)[:, _PAIR_ENTRIES]
+    lowest = (pairs[..., 0] - np.abs(pairs[..., 1])).min(axis=1)
+    passed = lowest >= -_ROUNDING * 2.0 * half_trace
+    if not passed[:3].all():
+        return None
+    if not passed[3:].all():
+        return _Bounds(*upper, *_NO_LOWER)
+    return _Bounds(*upper, t, mixture)
 
 
 def _residuals(witness: np.ndarray, p_blocks: np.ndarray,
@@ -863,15 +1011,21 @@ def ppt_mixer_witness(rho, *, gap_tol: float = GAP_TOL,
                       start: np.ndarray | None = None) -> WitnessResult:
     """Solve the PPT-mixer program for a three-qubit state.
 
-    Whatever the mode, the result holds the certified bounds of the final
-    iterate and the sign they fix (see ``WitnessResult``).  Every 10
+    Whatever the mode, the result holds certified bounds and the sign they
+    fix (see ``WitnessResult``).  A GHZ-diagonal state first takes the
+    closed form (see "GHZ-diagonal states" in the module docstring): its
+    bounds are the result, with ``iterations=0``, ``converged=True`` and
+    ``final_z=None``, when they lie within ``gap_tol`` of each other, or,
+    with ``sign_only=True``, when they fix the sign, and then ``start`` is
+    not read.  Every other solve is Douglas-Rachford's.  Every 10
     iterations, and at the iteration budget ``MAX_ITERATIONS``, the solve
-    builds the bounds and stops once they lie within ``gap_tol`` of each
-    other; with ``sign_only=True`` it also stops as soon as they fix the
-    sign against ``CERTIFICATION_MARGIN``, and returns only the side that
-    fixes it (see "Certified bounds" in the module docstring).
-    ``converged`` is True when the bounds ended the solve.  ``gap_tol``
-    must be positive and finite, or ``ValueError`` is raised.
+    builds the bounds of its iterate and stops once they lie within
+    ``gap_tol`` of each other; with ``sign_only=True`` it also stops as
+    soon as they fix the sign against ``CERTIFICATION_MARGIN``.  Either
+    way a sign-only result keeps only the side that fixes its sign (see
+    "Certified bounds" in the module docstring).  ``converged`` is True
+    when the bounds ended the solve.  ``gap_tol`` must be positive and
+    finite, or ``ValueError`` is raised.
 
     Reaching the budget is not an exception: the result is returned with
     the bounds of the last iterate, and with ``converged=False`` unless
@@ -886,18 +1040,44 @@ def ppt_mixer_witness(rho, *, gap_tol: float = GAP_TOL,
     changes only when the solve stops, never what its bounds certify (see
     "Douglas-Rachford iteration").
     """
+    state = _program_state(rho, gap_tol)
+    bounds = _ghz_diagonal_bounds(state)
+    if bounds is not None:
+        bounds = _fixing_side(bounds) if sign_only else bounds
+        sign = _sign(bounds)
+        if _stops(bounds, sign, gap_tol, sign_only):
+            return _result(bounds, 0, True, sign, None)
+    return _douglas_rachford(state, gap_tol, sign_only, start)
+
+
+def _program_state(rho, gap_tol: float) -> np.ndarray:
+    """The entries of ``rho`` the program reads, float64 for a real state
+    and complex128 otherwise, once ``rho`` and ``gap_tol`` are checked."""
     if not 0.0 < gap_tol < np.inf:  # NaN fails both comparisons
         raise ValueError(f"gap_tol must be positive and finite, got {gap_tol}")
     m, _ = _state_entries(rho, 3)
-    dim = m.shape[0]
     # The program for a real state is invariant under complex conjugation,
     # so averaging an optimal witness with its conjugate gives a real optimal
-    # one: such states iterate in real arithmetic.
-    dtype = np.complex128 if m.imag.any() else np.float64
+    # one: such states iterate in real arithmetic.  Contiguous, since np.vdot
+    # rounds differently on a strided view such as m.real.
+    return np.ascontiguousarray(m if m.imag.any() else m.real)
+
+
+def _stops(bounds: _Bounds, sign: str, gap_tol: float,
+           sign_only: bool) -> bool:
+    """The stop rule: ``bounds`` lie within ``gap_tol`` of each other, or
+    a sign-only solve's fix its sign."""
+    return (bounds.upper - bounds.lower <= gap_tol
+            or sign_only and sign != SIGN_INDETERMINATE)
+
+
+def _douglas_rachford(state: np.ndarray, gap_tol: float, sign_only: bool,
+                      start) -> WitnessResult:
+    """The Douglas-Rachford solve of ``ppt_mixer_witness`` on the checked
+    entries ``state``."""
+    dim = state.shape[0]
+    dtype = state.dtype.type
     eye = np.eye(dim, dtype=dtype)
-    # Contiguous, since np.vdot rounds differently on a strided view such as
-    # m.real.
-    state = np.ascontiguousarray(m if dtype is np.complex128 else m.real)
     cold = np.empty((7, dim, dim), dtype=dtype)
     cold[0] = eye / dim
     cold[1:] = eye / (2 * dim)
@@ -917,14 +1097,17 @@ def ppt_mixer_witness(rho, *, gap_tol: float = GAP_TOL,
             early=not full, sign_only=sign_only)
         if bounds is None:
             continue
-        sign = (SIGN_NEGATIVE if bounds.upper < -CERTIFICATION_MARGIN
-                else SIGN_NONNEGATIVE if bounds.lower > CERTIFICATION_MARGIN
-                else SIGN_INDETERMINATE)
-        converged = (bounds.upper - bounds.lower <= gap_tol
-                     or sign_only and sign != SIGN_INDETERMINATE)
+        sign = _sign(bounds)
+        converged = _stops(bounds, sign, gap_tol, sign_only)
         if converged or iterations >= MAX_ITERATIONS:
             break
+    return _result(bounds, iterations, converged, sign, sectors.expand(z))
 
+
+def _result(bounds: _Bounds, iterations: int, converged: bool, sign: str,
+            final_z: np.ndarray | None) -> WitnessResult:
+    """The ``WitnessResult`` of ``bounds``, its certificates in
+    complex128."""
     witness = decompositions = residuals = mixture = None
     if bounds.witness is not None:
         witness = bounds.witness.astype(np.complex128)
@@ -944,7 +1127,7 @@ def ppt_mixer_witness(rho, *, gap_tol: float = GAP_TOL,
         certified_sign=sign,
         lower_bound=bounds.lower,
         mixture=mixture,
-        final_z=sectors.expand(z),
+        final_z=final_z,
     )
 
 

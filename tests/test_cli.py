@@ -281,16 +281,10 @@ def _matrix(doc):
     return np.asarray(doc["re"]) + 1j * np.asarray(doc["im"])
 
 
-@pytest.mark.parametrize("p, sign", [(0.3, "nonnegative"), (0.6, "negative")])
-def test_full_certificates_verify_from_the_report(capsys, p, sign):
-    # The report alone must carry both certificates of the printed verdict.
-    code, out, _ = run_cli(["certify", "--input", f"noisy-w:{p}",
-                            "--full-certificates"], capsys)
-    assert code == 0
-    doc = json.loads(out)["ppt_mixer"]
-    assert doc["certified_sign"] == sign
-    assert "final_z" not in doc
-    result = WitnessResult(
+def _witness_result_from_report(doc) -> WitnessResult:
+    """The ``WitnessResult`` that a ``--full-certificates`` report's
+    ``ppt_mixer`` record holds."""
+    return WitnessResult(
         optimal_value=doc["optimal_value"],
         witness=_matrix(doc["witness"]),
         decompositions=tuple((_matrix(d["P"]), _matrix(d["Q"]))
@@ -302,11 +296,51 @@ def test_full_certificates_verify_from_the_report(capsys, p, sign):
         lower_bound=doc["lower_bound"],
         mixture=tuple(_matrix(y) for y in doc["mixture"]),
     )
+
+
+@pytest.mark.parametrize("p, sign", [(0.3, "nonnegative"), (0.6, "negative")])
+def test_full_certificates_verify_from_the_report(capsys, p, sign):
+    # The report alone must carry both certificates of the printed verdict.
+    code, out, _ = run_cli(["certify", "--input", f"noisy-w:{p}",
+                            "--full-certificates"], capsys)
+    assert code == 0
+    doc = json.loads(out)["ppt_mixer"]
+    assert doc["certified_sign"] == sign
+    assert "final_z" not in doc
+    result = _witness_result_from_report(doc)
     assert verify_witness_certificate(result, noisy_w(p))
     if sign == "negative":
         assert result.optimal_value < -1e-5
     else:
         assert result.lower_bound > 1e-5
+
+
+@pytest.mark.parametrize("spec, sign", [
+    ("noisy-ghz:0.5", "negative"), ("noisy-ghz:0.3", "nonnegative"),
+    ("noise-model:0.8,0.9,0.95", "negative")])
+def test_closed_form_certificates_verify_from_the_report(capsys, spec, sign):
+    # GHZ-diagonal states take the closed form: no iteration, and the two
+    # bounds meet; the report alone carries both certificates.
+    code, out, _ = run_cli(["certify", "--input", spec,
+                            "--full-certificates"], capsys)
+    assert code == 0
+    doc = json.loads(out)["ppt_mixer"]
+    assert (doc["certified_sign"], doc["iterations"]) == (sign, 0)
+    assert doc["optimal_value"] == doc["lower_bound"]
+    result = _witness_result_from_report(doc)
+    assert verify_witness_certificate(result, parse_state_spec(spec))
+
+
+def test_certify_prints_the_closed_form_of_noisy_ghz(capsys):
+    # The fidelity witness's value (1/2 - lambda_max)/3 = -1/48 at p = 0.5,
+    # up to the rounding of the state's own entries, on both sides.
+    code, out, _ = run_cli(["certify", "--input", "noisy-ghz:0.5"], capsys)
+    assert code == 0
+    ppt = json.loads(out)["ppt_mixer"]
+    assert (ppt["iterations"], ppt["max_residual"]) == (0, 0.0)
+    assert ppt["converged"] and ppt["certified_sign"] == "negative"
+    assert ppt["optimal_value"] == ppt["lower_bound"]
+    assert ppt["optimal_value"] == pytest.approx(-1 / 48, abs=1e-16)
 
 
 @pytest.mark.parametrize("spec", [

@@ -11,7 +11,11 @@ import pytest
 from superact import ghz3, maximally_mixed, noise_model_state, noisy_ghz, noisy_w
 from superact import linalg, sdp
 from superact.certify import gme_concurrence_arguments
-from superact.distill import distill_cnot, distill_tripartite
+from superact.distill import (
+    analytic_distilled_noisy_ghz,
+    distill_cnot,
+    distill_tripartite,
+)
 from superact.linalg import jacobi_eigvalsh
 from superact.sdp import (
     BIPARTITIONS,
@@ -34,6 +38,7 @@ from superact.states import (
     DensityMatrix,
     StateValidationError,
     _partial_transpose_array,
+    make_ghz,
 )
 from superact.verify import verify_witness_certificate
 from util import (
@@ -134,6 +139,14 @@ def test_partial_transpose_index_is_built_once_and_read_only():
     # One module-level table, built at import and shared by every solve.
     assert _PT_INDEX.shape == (3, 64)
     assert not _PT_INDEX.flags.writeable
+
+
+def _dr_witness(rho, *, gap_tol=GAP_TOL, sign_only=False, start=None):
+    """``ppt_mixer_witness`` by Douglas-Rachford whatever the state, through
+    the solve it runs for every state that the closed form does not
+    settle."""
+    return sdp._douglas_rachford(sdp._program_state(rho, gap_tol), gap_tol,
+                                 sign_only, start)
 
 
 def _mixed_random_state(seed, rank):
@@ -349,10 +362,12 @@ def test_start_outside_the_sectors(name):
     # A start with entries outside the state's sectors, here a random
     # Hermitian stack or the final z of an unstructured solve, is cut down
     # to the sectors before the first step: it solves as that cut start
-    # does, and its certificates verify.
+    # does, and its certificates verify.  Noisy GHZ is GHZ-diagonal, so
+    # ``ppt_mixer_witness`` settles it in closed form; the Douglas-Rachford
+    # entry solves every state.
     rho = _SECTOR_STATES[name]()
     m = _entries(rho)
-    cold = ppt_mixer_witness(rho)
+    cold = _dr_witness(rho)
     real = cold.final_z.dtype == np.float64
     rng = np.random.default_rng(5)
     noise = np.stack([random_hermitian(rng, 8) for _ in range(7)]) / 8.0
@@ -360,8 +375,8 @@ def test_start_outside_the_sectors(name):
     unstructured = ppt_mixer_witness(other.real if real else other).final_z
     for start in (noise.real if real else noise, unstructured):
         assert _off_sector(start, m) > 0.0
-        warm = ppt_mixer_witness(rho, start=start)
-        cut = ppt_mixer_witness(
+        warm = _dr_witness(rho, start=start)
+        cut = _dr_witness(
             rho, start=np.where(_sectors(m).mask, start, 0.0))
         for f in dataclasses.fields(WitnessResult):
             assert np.array_equal(getattr(warm, f.name),
@@ -483,16 +498,20 @@ def test_gme_regime_negative():
 
 # For GHZ-diagonal X states the optimum is minus a third of the largest inner
 # argument of the X-shape concurrence, on both sides of the GME boundary.
+# ``ppt_mixer_witness`` settles these states in closed form, so these tests
+# solve them by Douglas-Rachford, an independent check of that form.
 
 @pytest.mark.parametrize("p", [0.3, 0.43, 0.45, 0.5, 0.6, 0.8, 0.95, 1.0])
 def test_noisy_ghz_optimum_matches_closed_form(p):
     rho = noisy_ghz(p)
     exact = -(7 * p - 3) / 24
-    result = ppt_mixer_witness(rho)
+    result = _dr_witness(rho)
+    assert result.iterations > 0
     assert result.optimal_value == pytest.approx(exact, abs=1e-8)
     assert verify_witness_certificate(result, rho)
     # Both bounds come from rounded arithmetic, hence the 1e-12 slack.
-    fast = ppt_mixer_witness(rho, sign_only=True)
+    fast = _dr_witness(rho, sign_only=True)
+    assert fast.iterations > 0
     for lower in (result.lower_bound, fast.lower_bound):
         assert lower <= exact + 1e-12
     assert exact <= fast.optimal_value + 1e-12
@@ -506,7 +525,8 @@ def test_noisy_ghz_optimum_matches_closed_form(p):
 @pytest.mark.parametrize("pqr", [(0.8, 0.9, 0.9), (0.7, 0.95, 0.85)])
 def test_noise_model_optimum_matches_closed_form(pqr):
     rho = noise_model_state(*pqr)
-    result = ppt_mixer_witness(rho)
+    result = _dr_witness(rho)
+    assert result.iterations > 0
     expected = -float(gme_concurrence_arguments(rho).max()) / 3.0
     assert result.optimal_value == pytest.approx(expected, abs=1e-8)
     assert verify_witness_certificate(result, rho)
@@ -521,7 +541,8 @@ def test_iteration_budget_at_default_settings(rho_factory, budget):
     # Iteration counts are deterministic; these bounds hold at the measured
     # default step and relaxation with Anderson acceleration (1310, 40 and
     # 30 iterations when they were set) and fail if either drifts back.
-    result = ppt_mixer_witness(rho_factory())
+    # The Douglas-Rachford entry, since noisy GHZ takes the closed form.
+    result = _dr_witness(rho_factory())
     assert result.converged
     assert result.iterations <= budget
 
@@ -541,8 +562,10 @@ _GAP_CORPUS = {
 
 @pytest.mark.parametrize("name", list(_GAP_CORPUS))
 def test_default_solve_stops_on_the_certified_gap(name):
+    # Douglas-Rachford's stop rule, for the GHZ-diagonal states too.
     rho = _GAP_CORPUS[name]()
-    result = ppt_mixer_witness(rho)
+    result = _dr_witness(rho)
+    assert result.iterations > 0
     assert result.converged
     assert result.iterations % 10 == 0
     assert 0.0 <= result.optimal_value - result.lower_bound <= GAP_TOL
@@ -617,12 +640,211 @@ def test_structured_solves_close_their_gap_under_a_small_cap(monkeypatch,
                                                              name):
     # These solves take 20-30 iterations.  A fault that keeps the interval
     # open, such as a wrong sector reading, fails here within 300
-    # iterations instead of running every solve to the default cap.
+    # iterations instead of running every solve to the default cap.  They
+    # are GHZ-diagonal, so the Douglas-Rachford entry solves them.
     build, sign = _QUICK_STATES[name]
     monkeypatch.setattr(sdp, "MAX_ITERATIONS", 300)
-    result = ppt_mixer_witness(build())
+    result = _dr_witness(build())
     assert result.converged
     assert result.certified_sign == sign
+
+
+# ---------------------------------------------------------------------------
+# the closed form of GHZ-diagonal states
+
+_GHZ_PAIRS = ((0, 7), (1, 6), (2, 5), (4, 3))
+
+
+def _ghz_diagonal_state(rng, dominant):
+    """A GHZ-diagonal state with Dirichlet GHZ-basis eigenvalues, half its
+    weight on ``make_ghz(dominant // 2, +1 or -1)``, so that lambda_max >=
+    1/2; entries exactly symmetric within each pair."""
+    lam = 0.5 * rng.dirichlet(np.ones(8))
+    lam[dominant] += 0.5
+    m = np.zeros((8, 8))
+    for pair, (f, g) in enumerate(_GHZ_PAIRS):
+        plus, minus = lam[2 * pair], lam[2 * pair + 1]
+        m[f, f] = m[g, g] = 0.5 * (plus + minus)
+        m[f, g] = m[g, f] = 0.5 * (plus - minus)
+    return m
+
+
+def _ghz_diagonal_corpus():
+    noise_models = [noise_model_state(p, q, r) for p in (0.6, 0.7, 0.8, 0.95)
+                    for q in (0.85, 0.98) for r in (0.85, 0.98)]
+    rng = np.random.default_rng(17)
+    return {
+        "noisy-ghz": [noisy_ghz(p) for p in np.linspace(0.0, 1.0, 41)],
+        "noise-model": noise_models,
+        "analytic-distilled-ghz": [analytic_distilled_noisy_ghz(p)
+                                   for p in np.linspace(0.0, 1.0, 11)],
+        "parity-check-noise-model": [distill_tripartite(rho, rho).state
+                                     for rho in noise_models],
+        "maximally-mixed": [maximally_mixed(3)],
+        # All eight GHZ-basis states dominant, seven draws each.
+        "dirichlet": [_ghz_diagonal_state(rng, k % 8) for k in range(56)],
+    }
+
+
+GHZ_DIAGONAL_CORPUS = _ghz_diagonal_corpus()
+
+
+@pytest.mark.parametrize("family", list(GHZ_DIAGONAL_CORPUS))
+def test_closed_form_lies_in_the_douglas_rachford_interval(family):
+    # Both sides in closed form, with no iteration: the value lies in the
+    # interval Douglas-Rachford certifies, and the verifier accepts both
+    # certificates.  Sign-only, the closed form keeps the side of its sign.
+    for rho in GHZ_DIAGONAL_CORPUS[family]:
+        result = ppt_mixer_witness(rho)
+        assert (result.iterations, result.converged) == (0, True)
+        assert result.final_z is None
+        assert result.optimal_value == result.lower_bound
+        assert result.residuals == (0.0, 0.0, 0.0)
+        _certificate_invariants(result, DensityMatrix(3, _entries(rho),
+                                                      normalized=False))
+        assert verify_witness_certificate(result, rho)
+        reference = _dr_witness(rho)
+        assert reference.iterations > 0
+        assert (reference.lower_bound - 1e-12 <= result.optimal_value
+                <= reference.optimal_value + 1e-12)
+        if reference.certified_sign != SIGN_INDETERMINATE:
+            assert result.certified_sign == reference.certified_sign
+        fast = ppt_mixer_witness(rho, sign_only=True)
+        assert fast.iterations == 0
+        sign = fast.certified_sign
+        assert sign == result.certified_sign
+        assert (fast.witness is None) == (sign == SIGN_NONNEGATIVE)
+        assert (fast.mixture is None) == (sign == SIGN_NEGATIVE)
+        assert verify_witness_certificate(fast, rho)
+
+
+def test_closed_form_witness_is_the_dominant_fidelity_witness():
+    # W = (I/2 - |G><G|)/3 for the GHZ-basis state G of the largest
+    # eigenvalue, with P_i = 0 and Q_i = W^{T_i}; its value is
+    # (1/2 - lambda_max)/3.
+    for k, rho in enumerate(GHZ_DIAGONAL_CORPUS["dirichlet"]):
+        dominant = k % 8
+        g = np.asarray(make_ghz(dominant // 2, (1, -1)[dominant % 2])
+                       .projector().entries)
+        result = ppt_mixer_witness(rho)
+        expected = (0.5 * np.eye(8) - g) / 3.0
+        assert np.abs(result.witness - expected).max() < 1e-15
+        lam_max = np.linalg.eigvalsh(rho)[-1]
+        assert result.optimal_value == pytest.approx((0.5 - lam_max) / 3.0,
+                                                     abs=1e-15)
+        for (p_block, q_block), party in zip(result.decompositions,
+                                             BIPARTITIONS):
+            assert not p_block.any()
+            assert np.array_equal(
+                q_block, _partial_transpose_array(result.witness, 3, party))
+
+
+@pytest.mark.parametrize("scale", [0.5, 2.0])
+def test_closed_form_scales_with_the_trace(scale):
+    # Any trace is accepted, and the optimum scales with it.
+    for rho in (noisy_ghz(0.5), noisy_ghz(0.3),
+                noise_model_state(0.8, 0.9, 0.95)):
+        m = scale * _entries(rho)
+        scaled, unit = ppt_mixer_witness(m), ppt_mixer_witness(rho)
+        assert scaled.iterations == 0 and scaled.mixture is not None
+        assert scaled.optimal_value == pytest.approx(
+            scale * unit.optimal_value, abs=1e-15)
+        assert verify_witness_certificate(scaled, m)
+
+
+def test_closed_form_takes_no_lapack_call(monkeypatch):
+    # The checks are scalar: every factor is X-shaped, and each 2 x 2 pair's
+    # lowest eigenvalue is taken in closed form.
+    for entry in ("_eigh", "_eigvalsh", "_solve"):
+        monkeypatch.setattr(sdp, entry, None)
+    for rho in (noisy_ghz(0.5), noisy_ghz(0.3), maximally_mixed(3),
+                noise_model_state(0.8, 0.9, 0.95)):
+        for sign_only in (False, True):
+            assert ppt_mixer_witness(rho, sign_only=sign_only).iterations == 0
+
+
+def _off_x_entry():
+    m = _entries(noisy_ghz(0.5)).copy()
+    m[0, 1] = m[1, 0] = 1e-300
+    return m
+
+
+def _uneven_pair():
+    m = _entries(noisy_ghz(0.5)).copy()
+    m[1, 1] = np.nextafter(m[1, 1].real, 1.0)
+    return m
+
+
+def _complex_coherence():
+    m = _entries(noisy_ghz(0.5)).copy()
+    m[0, 7] *= np.exp(0.3j)
+    m[7, 0] = np.conj(m[0, 7])
+    return m
+
+
+def _imaginary_diagonal():
+    # Hermitian within the validation tolerance, not exactly.
+    m = _entries(noisy_ghz(0.5)).copy()
+    m[0, 0] += 1e-13j
+    m[7, 7] += 1e-13j
+    return m
+
+
+_FALL_BACKS = {
+    "off-x-entry": (_off_x_entry, SIGN_NEGATIVE),
+    "uneven-pair": (_uneven_pair, SIGN_NEGATIVE),
+    "complex-coherence": (_complex_coherence, SIGN_NEGATIVE),
+    "imaginary-diagonal": (_imaginary_diagonal, SIGN_NEGATIVE),
+    # GHZ-diagonal, but its PPT mixture fails the checks; with q = 0.1 its
+    # coherences are negative.
+    "noise-model-0.1-0.9-0.3":
+        (lambda: noise_model_state(0.1, 0.9, 0.3), SIGN_NONNEGATIVE),
+    "noise-model-0.1-0.1-0.3":
+        (lambda: noise_model_state(0.1, 0.1, 0.3), SIGN_NONNEGATIVE),
+}
+
+
+@pytest.mark.parametrize("name", list(_FALL_BACKS))
+def test_closed_form_falls_back_to_douglas_rachford(name):
+    # A state that is not exactly GHZ-diagonal, or whose mixture fails, is
+    # solved by Douglas-Rachford, bit for bit, in both modes.
+    build, sign = _FALL_BACKS[name]
+    rho = build()
+    state = sdp._program_state(rho, GAP_TOL)
+    closed = sdp._ghz_diagonal_bounds(state)
+    if name.startswith("noise-model"):
+        assert closed.witness is not None and closed.mixture is None
+    else:
+        assert closed is None
+    for sign_only in (False, True):
+        result = ppt_mixer_witness(rho, sign_only=sign_only)
+        assert result.iterations > 0 and result.final_z is not None
+        assert result.certified_sign == sign
+        reference = _dr_witness(rho, sign_only=sign_only)
+        for f in dataclasses.fields(WitnessResult):
+            assert np.array_equal(getattr(result, f.name),
+                                  getattr(reference, f.name)), f.name
+        assert verify_witness_certificate(result, rho)
+
+
+@pytest.mark.parametrize("p, sign", [(0.5, SIGN_NEGATIVE),
+                                     (0.3, SIGN_NONNEGATIVE),
+                                     (3 / 7, SIGN_INDETERMINATE)])
+def test_sign_only_closed_form_keeps_the_side_of_its_sign(p, sign):
+    # One side where it fixes the sign, both where the value lies inside
+    # the certification margin, as a sign-only Douglas-Rachford solve ends.
+    rho = noisy_ghz(p)
+    fast = ppt_mixer_witness(rho, sign_only=True)
+    assert (fast.iterations, fast.converged, fast.certified_sign) == (0, True,
+                                                                      sign)
+    assert (fast.witness is None) == (sign == SIGN_NONNEGATIVE)
+    assert (fast.mixture is None) == (sign == SIGN_NEGATIVE)
+    assert (fast.lower_bound == -np.inf) == (sign == SIGN_NEGATIVE)
+    assert (fast.optimal_value == np.inf) == (sign == SIGN_NONNEGATIVE)
+    assert verify_witness_certificate(fast, rho)
+    default = ppt_mixer_witness(rho)
+    assert default.witness is not None and default.mixture is not None
+    assert default.certified_sign == sign
 
 
 # ---------------------------------------------------------------------------
@@ -690,10 +912,11 @@ def test_bounds_sandwich_the_optimum_and_certify_the_sign(name):
 
 def test_sign_only_stops_on_bounds_and_stays_inside_budget():
     # Pinned counts, with head room, of the sign-only solve on states that
-    # the bounds certify quickly.
+    # the bounds certify quickly, by Douglas-Rachford: noisy GHZ takes the
+    # closed form in ``ppt_mixer_witness``.
     for rho, budget in ((noisy_w(0.6), 50), (noisy_ghz(0.3), 20),
                         (distill_cnot(noisy_w(0.45), noisy_w(0.45)).state, 50)):
-        result = ppt_mixer_witness(rho, sign_only=True)
+        result = _dr_witness(rho, sign_only=True)
         assert result.converged
         assert result.certified_sign != SIGN_INDETERMINATE
         assert result.iterations <= budget
@@ -1082,16 +1305,17 @@ def _pinned_solves(states, capped, monkeypatch):
 # depend on the NumPy and LAPACK build, and a different build may round
 # differently (README's test section says how to record them again).
 # Every state runs in the coordinates of its sectors, one sector of size 8
-# for the unstructured states.
+# for the unstructured states; the GHZ-diagonal states of the structured
+# corpus (noisy GHZ, noise-model and maximally mixed) take the closed form.
 _PINNED_SOLVE_DIGESTS = {
     "unstructured":
         "adc1843afec9c27152184d7db704945cdcccafa50f2901d58dc401110d7c38f8",
     "structured":
-        "215dfae0720e356278e0ff18f0a0206aed0bbad38ede010b73efb5160de5daaa",
+        "4b8894533ccaea17c695bf1a9ea06bfbfc13c2d5d5babc994528b269387cc8b0",
     "unstructured sign-only":
         "20e28d9d43de4cc6347f838c8b8d0f099e345bcb553540c1df4cc8aa829ab6ca",
     "structured sign-only":
-        "b82dfb63f4a72cb2f7ccf24f76206b08d33ae2a4861fc91f3575dbb9c7ce403e",
+        "9d334c6e64746d3c883a9d065ee6b7857a11930fc1b48d0ca4ba03d85ab5ee5a",
 }
 
 
