@@ -214,15 +214,15 @@ pi_i(k).
   arithmetic sum_k (a_{pi_k(j)} - t) = |c_j|, so kappa_i is
   (a_{pi_i(j)} - t) / |c_j| by the trace; dividing by the sum keeps
   sum_i kappa_i = 1 to rounding when |c_j| is small.
-- *Checks*: the three Q_i, the three Y_i and the three Y_i^{T_i} are
-  X-shaped, and each of their four pairs [[d, c], [c, d]] has equal
-  diagonal entries, as rho's do; so each factor is PSD exactly where
-  d - |c|, its pairs' lowest eigenvalues, are nonnegative.  A factor
-  passes when they lie at or above minus ``_ROUNDING`` = 64 ulps of
-  tr(rho) (1.4e-14 for a unit trace): its entries are a few roundings
-  deep from entries of size at most tr(rho), and the verifier accepts
-  down to -1e-9.  Outside pair j the checks read
-  a_k - t >= |c_k|; on it, a_j - t >= |c_j| and
+- *Checks*: the entries of each Q_i are exactly 0 and +-1/6, so it
+  needs none.  The three Y_i and the three Y_i^{T_i} are X-shaped, and
+  each of their four pairs [[d, c], [c, d]] has equal diagonal entries,
+  as rho's do; so each factor is PSD exactly where d - |c|, its pairs'
+  lowest eigenvalues, are nonnegative.  A factor passes when they lie at
+  or above minus ``_ROUNDING`` = 64 ulps of tr(rho) (1.4e-14 for a unit
+  trace): its entries are a few roundings deep from entries of size at
+  most tr(rho), and the verifier accepts down to -1e-9.  Outside pair j
+  the checks read a_k - t >= |c_k|; on it, a_j - t >= |c_j| and
   (a_k - t)(a_j - t) >= |c_k| |c_j| for each other pair k.  Where
   lambda_max >= tr(rho) / 2, t <= 0 and the state's own positivity,
   a_f >= |c_f|, gives them all: on the GME side the fidelity witness is
@@ -238,14 +238,14 @@ When the checks pass, both bounds are t.  The result, built from
 sign-only request keeps the side that fixes the sign against
 ``CERTIFICATION_MARGIN``, or both where |t| lies inside it, as a sign-only
 Douglas-Rachford solve ends.
-When the mixture fails its checks, only a sign-only request whose sign
-the witness fixes (t below minus the margin) is answered from the witness
-alone; every other falls back to Douglas-Rachford, bit for bit the solve
-of a state that is not GHZ-diagonal.  Over the GHZ-diagonal states of the
-tests' corpus (noisy GHZ at 41 p, noise-model states over the benchmark's
-(q, r) ranges, distilled noisy GHZ, parity-check outputs, the maximally
-mixed state and 56 Dirichlet draws with lambda_max >= 1/2), the closed
-value lies inside Douglas-Rachford's certified interval within 1e-12.
+When the mixture fails its checks (on a state with every a_f >= |c_f|,
+only where t > 0), the state falls back to Douglas-Rachford, bit for bit
+the solve of a state that is not GHZ-diagonal.  Over the GHZ-diagonal
+states of the tests' corpus (noisy GHZ at 41 p, noise-model states over
+the benchmark's (q, r) ranges, distilled noisy GHZ, parity-check
+outputs, the maximally mixed state and 56 Dirichlet draws with
+lambda_max >= 1/2), the closed value lies inside Douglas-Rachford's
+certified interval within 1e-12.
 
 Symmetry sectors
 ----------------
@@ -954,10 +954,10 @@ _ROUNDING = 64 * np.finfo(float).eps
 
 
 def _ghz_diagonal_bounds(state: np.ndarray) -> _Bounds | None:
-    """Closed-form bounds of a GHZ-diagonal ``state``, None for any other
-    (see "GHZ-diagonal states" in the module docstring): the fidelity
-    witness of the largest GHZ-basis eigenvalue, and the PPT mixture that
-    meets it when its factors pass their checks, otherwise ``_NO_LOWER``."""
+    """Closed-form bounds of a GHZ-diagonal ``state`` whose PPT mixture
+    passes its checks, None for any other (see "GHZ-diagonal states" in the
+    module docstring): the fidelity witness of the largest GHZ-basis
+    eigenvalue, and the PPT mixture that meets it."""
     if state.dtype != np.float64 or state[_OFF_X].any():
         return None
     entries = state.reshape(-1)[_PAIR_ENTRIES]
@@ -988,14 +988,11 @@ def _ghz_diagonal_bounds(state: np.ndarray) -> _Bounds | None:
     mixture = mixture.reshape(3, 8, 8)
     # Every factor is X-shaped, and each of its pairs has equal diagonal
     # entries d and the coherence c, so it is PSD where d >= |c| on each.
-    factors = np.concatenate([q_blocks, mixture, _transpose_stack(mixture)])
-    pairs = factors.reshape(9, 64)[:, _PAIR_ENTRIES]
-    lowest = (pairs[..., 0] - np.abs(pairs[..., 1])).min(axis=1)
-    passed = lowest >= -_ROUNDING * 2.0 * half_trace
-    if not passed[:3].all():
+    factors = np.concatenate([mixture, _transpose_stack(mixture)])
+    pairs = factors.reshape(6, 64)[:, _PAIR_ENTRIES]
+    if (pairs[..., 0] - np.abs(pairs[..., 1])).min() < (
+            -_ROUNDING * 2.0 * half_trace):
         return None
-    if not passed[3:].all():
-        return _Bounds(*upper, *_NO_LOWER)
     return _Bounds(*upper, t, mixture)
 
 
@@ -1012,20 +1009,19 @@ def ppt_mixer_witness(rho, *, gap_tol: float = GAP_TOL,
     """Solve the PPT-mixer program for a three-qubit state.
 
     Whatever the mode, the result holds certified bounds and the sign they
-    fix (see ``WitnessResult``).  A GHZ-diagonal state first takes the
-    closed form (see "GHZ-diagonal states" in the module docstring): its
-    bounds are the result, with ``iterations=0``, ``converged=True`` and
-    ``final_z=None``, when they lie within ``gap_tol`` of each other, or,
-    with ``sign_only=True``, when they fix the sign, and then ``start`` is
-    not read.  Every other solve is Douglas-Rachford's.  Every 10
-    iterations, and at the iteration budget ``MAX_ITERATIONS``, the solve
-    builds the bounds of its iterate and stops once they lie within
-    ``gap_tol`` of each other; with ``sign_only=True`` it also stops as
-    soon as they fix the sign against ``CERTIFICATION_MARGIN``.  Either
-    way a sign-only result keeps only the side that fixes its sign (see
-    "Certified bounds" in the module docstring).  ``converged`` is True
-    when the bounds ended the solve.  ``gap_tol`` must be positive and
-    finite, or ``ValueError`` is raised.
+    fix (see ``WitnessResult``).  A GHZ-diagonal state whose PPT mixture
+    passes its checks takes the closed form (see "GHZ-diagonal states" in
+    the module docstring): its two bounds are equal, so they meet any
+    ``gap_tol``, and the result has ``iterations=0``, ``converged=True``
+    and ``final_z=None``; ``start`` is not read.  Every other solve is
+    Douglas-Rachford's.  Every 10 iterations, and at the iteration budget
+    ``MAX_ITERATIONS``, the solve builds the bounds of its iterate and
+    stops once they lie within ``gap_tol`` of each other; with
+    ``sign_only=True`` it also stops as soon as they fix the sign against
+    ``CERTIFICATION_MARGIN``.  Either way a sign-only result keeps only
+    the side that fixes its sign (see "Certified bounds" in the module
+    docstring).  ``converged`` is True when the bounds ended the solve.
+    ``gap_tol`` must be positive and finite, or ``ValueError`` is raised.
 
     Reaching the budget is not an exception: the result is returned with
     the bounds of the last iterate, and with ``converged=False`` unless
@@ -1044,9 +1040,7 @@ def ppt_mixer_witness(rho, *, gap_tol: float = GAP_TOL,
     bounds = _ghz_diagonal_bounds(state)
     if bounds is not None:
         bounds = _fixing_side(bounds) if sign_only else bounds
-        sign = _sign(bounds)
-        if _stops(bounds, sign, gap_tol, sign_only):
-            return _result(bounds, 0, True, sign, None)
+        return _result(bounds, 0, True, _sign(bounds), None)
     return _douglas_rachford(state, gap_tol, sign_only, start)
 
 
@@ -1061,14 +1055,6 @@ def _program_state(rho, gap_tol: float) -> np.ndarray:
     # one: such states iterate in real arithmetic.  Contiguous, since np.vdot
     # rounds differently on a strided view such as m.real.
     return np.ascontiguousarray(m if m.imag.any() else m.real)
-
-
-def _stops(bounds: _Bounds, sign: str, gap_tol: float,
-           sign_only: bool) -> bool:
-    """The stop rule: ``bounds`` lie within ``gap_tol`` of each other, or
-    a sign-only solve's fix its sign."""
-    return (bounds.upper - bounds.lower <= gap_tol
-            or sign_only and sign != SIGN_INDETERMINATE)
 
 
 def _douglas_rachford(state: np.ndarray, gap_tol: float, sign_only: bool,
@@ -1098,7 +1084,8 @@ def _douglas_rachford(state: np.ndarray, gap_tol: float, sign_only: bool,
         if bounds is None:
             continue
         sign = _sign(bounds)
-        converged = _stops(bounds, sign, gap_tol, sign_only)
+        converged = (bounds.upper - bounds.lower <= gap_tol
+                     or sign_only and sign != SIGN_INDETERMINATE)
         if converged or iterations >= MAX_ITERATIONS:
             break
     return _result(bounds, iterations, converged, sign, sectors.expand(z))

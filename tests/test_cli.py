@@ -332,15 +332,19 @@ def test_closed_form_certificates_verify_from_the_report(capsys, spec, sign):
 
 
 def test_certify_prints_the_closed_form_of_noisy_ghz(capsys):
-    # The fidelity witness's value (1/2 - lambda_max)/3 = -1/48 at p = 0.5,
-    # up to the rounding of the state's own entries, on both sides.
+    # The fidelity witness's value (tr(rho)/2 - lambda_max)/3 on both sides,
+    # read off the stored state's own entries: -1/48 at p = 0.5 but for the
+    # rounding of those entries (rho[0, 0] is 0.31249999999999994).
     code, out, _ = run_cli(["certify", "--input", "noisy-ghz:0.5"], capsys)
     assert code == 0
     ppt = json.loads(out)["ppt_mixer"]
     assert (ppt["iterations"], ppt["max_residual"]) == (0, 0.0)
     assert ppt["converged"] and ppt["certified_sign"] == "negative"
     assert ppt["optimal_value"] == ppt["lower_bound"]
-    assert ppt["optimal_value"] == pytest.approx(-1 / 48, abs=1e-16)
+    m = np.asarray(noisy_ghz(0.5).entries).real
+    half_trace = np.diag(m)[:4].sum()
+    value = (half_trace - (m[0, 0] + m[0, 7])) / 3.0
+    assert ppt["optimal_value"] == value == -0.020833333333333315
 
 
 @pytest.mark.parametrize("spec", [

@@ -308,12 +308,14 @@ def _local_unitary(seed):
 def test_solve_is_invariant_under_local_unitaries(index):
     # The program is invariant under local unitaries, which destroy the
     # zero pattern: the rotated state is one sector of size 8.  Both solves
-    # must bound the same optimum.
+    # must bound the same optimum.  The plain one is Douglas-Rachford's on
+    # the sectors, GHZ-diagonal states included.
     rho = np.asarray(_structured_states()[index].entries)
     u = _local_unitary(index)
     rotated = u @ rho @ u.conj().T
     assert _sector_sets(rotated) == {tuple(range(8))}
-    plain, turned = ppt_mixer_witness(rho), ppt_mixer_witness(rotated)
+    plain, turned = _dr_witness(rho), ppt_mixer_witness(rotated)
+    assert plain.iterations > 0 and turned.iterations > 0
     assert plain.certified_sign == turned.certified_sign
     assert plain.lower_bound <= turned.optimal_value
     assert turned.lower_bound <= plain.optimal_value
@@ -811,11 +813,7 @@ def test_closed_form_falls_back_to_douglas_rachford(name):
     build, sign = _FALL_BACKS[name]
     rho = build()
     state = sdp._program_state(rho, GAP_TOL)
-    closed = sdp._ghz_diagonal_bounds(state)
-    if name.startswith("noise-model"):
-        assert closed.witness is not None and closed.mixture is None
-    else:
-        assert closed is None
+    assert sdp._ghz_diagonal_bounds(state) is None
     for sign_only in (False, True):
         result = ppt_mixer_witness(rho, sign_only=sign_only)
         assert result.iterations > 0 and result.final_z is not None

@@ -18,6 +18,7 @@ from superact import (
 from superact.cli import main
 from superact.distill import distill_tripartite
 from superact.sdp import (
+    GAP_TOL,
     SIGN_INDETERMINATE,
     SIGN_NEGATIVE,
     SIGN_NONNEGATIVE,
@@ -345,13 +346,15 @@ def test_warm_starts_give_the_cold_brackets(monkeypatch):
     (lambda: thresholds._cnot_distilled_w(0.54), lambda: noisy_w(0.4)),
 ])
 def test_a_start_from_another_state_certifies_the_cold_sign(state, other):
-    # The final splitting variable of another state's solve (for a noisy
-    # GHZ state, one with other symmetry sectors) is a poor start: the
-    # solve still certifies the sign a cold start does, with verifiable
-    # certificates.
+    # The final splitting variable of another state's Douglas-Rachford
+    # solve (for a noisy GHZ state, one with other symmetry sectors) is a
+    # poor start: the solve still certifies the sign a cold start does,
+    # with verifiable certificates.
     rho = state()
     cold = ppt_mixer_witness(rho, sign_only=True)
-    start = ppt_mixer_witness(other(), sign_only=True).final_z
+    start = sdp._douglas_rachford(sdp._program_state(other(), GAP_TOL),
+                                  GAP_TOL, True, None).final_z
+    assert start is not None
     warm = ppt_mixer_witness(rho, sign_only=True, start=start)
     assert warm.certified_sign == cold.certified_sign != SIGN_INDETERMINATE
     assert verify_witness_certificate(warm, rho)
