@@ -16,23 +16,18 @@ localized pair itself, for the default pair (0, 1), is
 ``project_subsystem(rho, bloch_state(theta, phi), 2, normalize=True)``.
 
 The optimizer is deterministic.  An X-shaped state, whose entries off the
-diagonal and the anti-diagonal are exact zeros, takes the closed form in
-both modes, with a certificate when its value is positive (see "X-shaped
-states").  Any other state takes the best point of a 64x64
-(theta, phi) grid, ties going to the lowest theta, then the lowest phi,
-refined by see-saw steps (see "Refinement").  That grid point is found by
-branch and bound, bit for bit the first minimum over an evaluation of
-every point, with an exact eigensolve only where a perturbation bound
-through a subgrid cannot rule a point out (see "Grid search").  A
-sign-only search on a state that is not X-shaped settles the sign by a
-branch and bound over bands of the Bloch sphere instead, and stops at a
-point that certifies a negative minimum or at bands that certify a
-nonnegative one (see "Certified signs"); otherwise it takes the default
-search.  The objective,
-``_SLEObjective``, is set up once per search, so each exact evaluation, of
-grid points or of one stepped point, is a row of one small matrix product
-and a batched 4x4 eigensolve (``_lowest_eigenvalues``);
-``sle_quantifier_at`` evaluates it at one point.
+diagonal and the anti-diagonal are exact zeros, takes the closed form, with
+a certificate when its value is positive (see "X-shaped states").  Any
+other state takes the best point of a 64x64 (theta, phi) grid, ties going
+to the lowest theta, then the lowest phi, refined by see-saw steps (see
+"Refinement").  That grid point is found by branch and bound, bit for bit
+the first minimum over an evaluation of every point, with an exact
+eigensolve only where a perturbation bound through a subgrid cannot rule a
+point out (see "Grid search").  The objective, ``_SLEObjective``, is set up
+once per search, so each exact evaluation, of grid points or of one
+stepped point, is a row of one small matrix product and a batched 4x4
+eigensolve (``_lowest_eigenvalues``); ``sle_quantifier_at`` evaluates it
+at one point.
 
 X-shaped states
 ---------------
@@ -77,23 +72,22 @@ random, on each kept pair, its value lay at most 3.9e-16 above that
 search's and up to 1.2e-8 below it, where the see-saw stopped short; the
 objective at its direction reproduced the value within 2.8e-16.
 
-The closed form serves sign-only searches too, with the same value and
-direction bit for bit, so the SLE and SLE-after-distill bisections, on
-noisy GHZ and its distilled state, run no band search and no eigensolve.
-A value above ``SLE_SIGN_SLACK`` comes with an ``SLEXCertificate``, which
-holds the pair alone.  ``verify.verify_sle_x_certificate`` rebuilds both
-sectors from rho, with K = |u| + |v| for the two entries u, v of rho that
-a sector's coupling reads, and checks, with s the slack and
-t = sin^2(theta) = (1 - z) / 2, that p - s w and q - s w are nonnegative
-at both poles and that the determinant (p - s w)(q - s w) - t (1 - t) K^2
-is nonnegative on [0, 1], at its ends and its vertex.  Then at every
-projection the lowest eigenvalue of each sector is at least s w, so no
-projection leaves an NPT pair.  On the 180 X-shaped cases of the tests
-(noisy GHZ, noise-model, distilled GHZ and random X states, every kept
-pair) the check accepts exactly the 68 whose value exceeds the slack.  A
-value below -slack is certified by its direction, which
-``sle_quantifier_at`` re-evaluates; one within the slack of zero, whose
-sign is rounding noise, takes no certificate.
+The SLE and SLE-after-distill bisections, on noisy GHZ and its distilled
+state, therefore run no eigensolve.  A value above ``SLE_SIGN_SLACK``
+comes with an ``SLEXCertificate``, which holds the pair alone.
+``verify.verify_sle_x_certificate`` rebuilds both sectors from rho, with
+K = |u| + |v| for the two entries u, v of rho that a sector's coupling
+reads, and checks, with s the slack and t = sin^2(theta) = (1 - z) / 2,
+that p - s w and q - s w are nonnegative at both poles and that the
+determinant (p - s w)(q - s w) - t (1 - t) K^2 is nonnegative on [0, 1],
+at its ends and its vertex.  Then at every projection the lowest
+eigenvalue of each sector is at least s w, so no projection leaves an NPT
+pair.  On the 180 X-shaped cases of the tests (noisy GHZ, noise-model,
+distilled GHZ and random X states, every kept pair) the check accepts
+exactly the 68 whose value exceeds the slack.  A value below -slack is
+certified by its direction, which ``sle_quantifier_at`` re-evaluates; one
+within the slack of zero, whose sign is rounding noise, takes no
+certificate.
 
 Grid search
 -----------
@@ -182,58 +176,6 @@ it strictly lowers the value, at most ``SLE_REFINE_STEPS`` of them, so it
 never reports a point worse than the grid's.  When R is singular the step
 is skipped: the measured qubit is then pure, the state a product with it,
 and the objective constant wherever the weight is nonzero.
-
-Certified signs
----------------
-With the measured qubit's projector written as (I + n.sigma) / 2, the
-unnormalized, transposed pair M(n) is affine in n: its coefficients over
-``_SLEObjective``'s four blocks are ((1 + z) / 2, x / 2, y / 2, (1 - z) / 2).
-So f(n) = lambda_min M(n) is concave, and on the unit sphere it has the
-objective's sign.  If rho, not X-shaped, conserves a charge vector with 1
-on the measured qubit and -1, 0 or 1 on each kept one, its ring charges
-(``_ring_charges``; ``states._symmetries`` reads which charges a state
-conserves, and its docstring explains the reading; noisy W and
-CNOT-distilled W states have ring charges), a phase on the measured qubit
-is undone by diagonal phases on the kept ones, which leave lambda_min
-after partial transposition unchanged.  f then depends only on z and the radius
-sqrt(x^2 + y^2), and its minimum over the sphere is its minimum over the
-half circle x = sqrt(1 - z^2), y = 0.
-
-The search splits z into bands, eight to start.  The arc of a band from z1
-to z2, with chord ends p1 and p2, lies in the hull of p1, p2, p1 / h and
-p2 / h, where h is the length of the chord's midpoint: the last two span
-the tangent at the arc's middle.  h is shrunk by a relative 1e-12, so that
-rounding cannot move the arc outside the hull.  A concave function takes
-its minimum over a polygon at a vertex (Horst & Tuy, "Global
-Optimization: Deterministic Approaches", 1996), so the smallest of the
-four values bounds f on the band.  Each round evaluates the hull points of
-every open band in one batched eigensolve and halves the bands still open.
-Every search starts from the same eight bands, so the coefficients of
-their 32 hull points are a table built once per process
-(``_first_band_coefficients``, read-only).  A later round builds its bands'
-in a few vector operations (``_band_coefficients``) with the arithmetic of
-``verify._hull_points``, so the coefficients, and every sign, bracket and
-certificate, are the same bit for bit.  Later rounds take no table: a band
-that stays open descends a level a round, some 60 levels within the cap
-below, and a table of every depth's bands would hold 8 * 2^d at depth d.
-A chord end, which lies on the sphere, whose normalized value lies below
--``SLE_SIGN_SLACK`` settles a negative sign.  Once every band's bound lies
-above the slack, every projection leaves a PPT, hence separable, pair
-(Horodecki, Horodecki & Horodecki, PLA 223, 1 (1996)), and the bands'
-breakpoints and the charges are the certificate, which ``superact.verify``
-re-checks.
-
-Near a zero optimum the open bands double each round, so the search stops
-before it would evaluate more than ``SLE_BAND_EVALUATIONS`` = 512 hull
-points, and leaves the sign to the default search.  Noisy W and
-CNOT-distilled W states settle within 56-280 points down to 1e-11 below
-their threshold 3/11 and within 32, the first round, above it; from 1e-12
-the optimum lies within the slack of zero and no search settles.  The cap
-is about twice the 280.  An undecided search stops at 408-512 points.  On
-a 2-vCPU VM (timeit, best of five), a whole sign-only search on noisy W
-that settles in the first round takes about 125 us, one that settles 1e-4
-below 3/11 560 us, and one at 3/11, which reaches the cap and then runs
-the default search, 4.4 ms.
 """
 
 from __future__ import annotations
@@ -248,7 +190,6 @@ import numpy as np
 from .states import (
     DEGENERATE_WEIGHT,
     DegenerateProjectionError,
-    _CHARGES,
     _checked,
     _eigh,
     _eigvalsh,
@@ -256,7 +197,6 @@ from .states import (
     _resolve_pair,
     _resolve_qubits,
     _state_entries,
-    _symmetries,
     fidelity_with_pure,
     ghz3,
     w_state,
@@ -270,18 +210,6 @@ SLE_REFINE_STEPS = 500
 # The grid search bounds each point through the nearest point of the
 # stride-SLE_COARSE_STRIDE subgrid (see "Grid search").
 SLE_COARSE_STRIDE = 8
-# A sign-only SLE search settles a sign only on a value below -SLE_SIGN_SLACK
-# or on band bounds above SLE_SIGN_SLACK, the slack of the check that accepts
-# its certificates, so optima within rounding of zero take the default
-# search; it evaluates at most SLE_BAND_EVALUATIONS hull points (see
-# "Certified signs" in the module docstring).
-SLE_BAND_EVALUATIONS = 512
-# The first breakpoints in z of a sign-only search's bands.
-_FIRST_BREAKPOINTS = np.linspace(-1.0, 1.0, 9)
-# The projector (I + n.sigma) / 2 at n = (x, 0, z) over the SLE objective's
-# four blocks is 0.5 (offset + slope (z, x, z, z)), elementwise.
-_PROJECTOR_OFFSET = np.array([1.0, 0.0, 0.0, 1.0])
-_PROJECTOR_SLOPE = np.array([1.0, 1.0, 0.0, -1.0])
 # (row, column) of the entries below the diagonal of a 4x4 pair.
 _BELOW_DIAGONAL = np.tril_indices(4, -1)
 
@@ -441,24 +369,6 @@ def fidelity_from_settings(expectations: Mapping[str, float], target: str) -> fl
 # stochastic localizable entanglement
 
 @dataclass(frozen=True)
-class SLECertificate:
-    """Bands in z that prove every projection of the measured qubit leaves a
-    PPT, hence separable, pair.
-
-    ``pair`` is the kept pair (a, b) and ``charges`` the charge of each
-    qubit, 1 on the measured one, that every nonzero entry of rho conserves;
-    ``breakpoints`` run from -1 to 1 and split the projectors' z into bands
-    on each of which the hull bound lies above ``SLE_SIGN_SLACK`` (see
-    "Certified signs" in the module docstring).
-    ``verify.verify_sle_certificate`` re-checks it.
-    """
-
-    pair: tuple[int, int]
-    charges: tuple[int, int, int]
-    breakpoints: np.ndarray
-
-
-@dataclass(frozen=True)
 class SLEXCertificate:
     """The kept pair (a, b) of an X-shaped state on which every projection
     of the measured qubit leaves a pair whose partial transpose has its
@@ -478,18 +388,16 @@ class SLEResult:
     """The lowest eigenvalue after partial transposition of the pair left by
     projecting the measured qubit onto cos(theta)|0> + sin(theta) e^{i phi}|1>.
 
-    ``certificate`` proves that no projection leaves an NPT pair.  The
+    ``certificate`` proves that no projection leaves an NPT pair: the
     closed form of an X-shaped state sets an ``SLEXCertificate`` when its
-    value lies above ``SLE_SIGN_SLACK``, in both modes; a sign-only search
-    on any other state sets an ``SLECertificate`` when it settled a
-    nonnegative sign on bands.  A negative value is certified by its
-    direction instead, and the field is None.
+    value lies above ``SLE_SIGN_SLACK``.  Otherwise the field is None; a
+    negative value is certified by its direction instead.
     """
 
     min_eigenvalue: float
     theta: float
     phi: float
-    certificate: SLECertificate | None = None
+    certificate: SLEXCertificate | None = None
 
     @property
     def negativity(self) -> float:
@@ -603,111 +511,6 @@ def sle_quantifier_at(rho, pair, theta: float, phi: float) -> float:
         raise DegenerateProjectionError(
             f"projection at theta={theta}, phi={phi} has vanishing weight")
     return float(value)
-
-
-@functools.cache
-def _ring_candidates(kept: tuple[int, int]) -> tuple[tuple[int, tuple], ...]:
-    """The nine candidate charges of ``_ring_charges`` for the ordered kept
-    pair, each with its row of ``_CHARGES``: 1 on the measured qubit, in
-    ``itertools.product`` order over the charges of ``kept``."""
-    rows = np.flatnonzero(_CHARGES[:, 3 - sum(kept)] == 1)
-    rows = rows[np.lexsort((_CHARGES[rows, kept[1]], _CHARGES[rows, kept[0]]))]
-    return tuple((int(row), tuple(_CHARGES[row].tolist())) for row in rows)
-
-
-def _ring_charges(objective: _SLEObjective) -> tuple[int, int, int] | None:
-    """Charges of the qubits, 1 on the measured one and -1, 0 or 1 on each
-    kept one, that the state's nonzero entries conserve (read by
-    ``_symmetries``); None if none do.  Of several, the first in
-    ``itertools.product`` order over the kept pair's charges."""
-    conserved = _symmetries((objective.entries != 0).tobytes()).charges
-    for row, charges in _ring_candidates(objective.kept):
-        if conserved[row]:
-            return charges
-    return None
-
-
-def _band_coefficients(z1: np.ndarray, z2: np.ndarray) -> np.ndarray:
-    """The projector (I + n.sigma) / 2 over ``_SLEObjective``'s four blocks,
-    ((1 + z) / 2, x / 2, 0, (1 - z) / 2), at the four hull points of each
-    band [z1, z2], in ``verify._hull_points``' order; shape (bands, 4, 4).
-
-    The arithmetic is ``_hull_points``', so the coefficients are those of
-    its points bit for bit: x = sqrt(1 - z^2) at the chord ends, and h is
-    sqrt(mx^2 + mz^2) (1 - 1e-12) with (mx, mz) = (p1 + p2) / 2, as
-    ``np.linalg.norm(ends.mean(axis=1))`` takes it.  1 - z is 1 + (-1) z,
-    and the zero of y is 0 + 0 z.
-    """
-    z = np.array([z1, z2])
-    x = np.sqrt(1.0 - z * z)
-    mx, mz = (x[0] + x[1]) / 2.0, (z[0] + z[1]) / 2.0
-    h = np.sqrt(mx * mx + mz * mz) * (1.0 - 1e-12)
-    # (band, chord end, the coordinate under each coefficient).
-    ends = np.array([z, x, z, z]).T
-    points = np.concatenate([ends, ends / h[:, None, None]], axis=1)
-    return 0.5 * (_PROJECTOR_OFFSET + _PROJECTOR_SLOPE * points)
-
-
-@functools.cache
-def _first_band_coefficients() -> np.ndarray:
-    """``_band_coefficients`` of the eight first bands, which every band
-    search evaluates; built once, read-only."""
-    coefficients = _band_coefficients(_FIRST_BREAKPOINTS[:-1],
-                                      _FIRST_BREAKPOINTS[1:])
-    coefficients.flags.writeable = False
-    return coefficients
-
-
-def _hull_lowest(pairs: np.ndarray) -> np.ndarray:
-    """Lowest eigenvalues of a stack of unnormalized transposed pairs, the
-    band search's one evaluation."""
-    return _eigvalsh(pairs)[:, 0]
-
-
-def _band_search(
-        objective: _SLEObjective) -> tuple[float, np.ndarray | None] | None:
-    """The sign of the SLE objective of a state with ring charges, by branch
-    and bound over bands in z (see "Certified signs" in the module
-    docstring).
-
-    Returns (z, None) at an evaluated point of the circle whose value lies
-    below -``SLE_SIGN_SLACK``, and (z, breakpoints) once every band's bound
-    lies above the slack, z the evaluated point of the lowest value and
-    breakpoints the bands' ends.  Returns None when another round would
-    take it past ``SLE_BAND_EVALUATIONS`` hull points, or a band can no
-    longer be halved.
-    """
-    z1, z2 = _FIRST_BREAKPOINTS[:-1], _FIRST_BREAKPOINTS[1:]
-    coefficients = _first_band_coefficients()
-    closed = []
-    best_z, best = 0.0, np.inf
-    evaluations = 0
-    while True:
-        evaluations += 4 * z1.size
-        if evaluations > SLE_BAND_EVALUATIONS:
-            return None
-        lowest = _checked(_hull_lowest(objective._combine(
-            coefficients.reshape(-1, 4), objective.blocks_pt))).reshape(-1, 4)
-        # Normalized values at the chord ends, which lie on the circle.
-        weights = coefficients[:, :2] @ objective.traces
-        valid = weights > DEGENERATE_WEIGHT
-        values = np.where(valid, lowest[:, :2] / np.where(valid, weights, 1.0),
-                          np.inf)
-        band, end = divmod(int(np.argmin(values)), 2)
-        if values[band, end] < best:
-            best_z, best = (z1, z2)[end][band], values[band, end]
-        if best < -SLE_SIGN_SLACK:
-            return best_z, None
-        still_open = lowest.min(axis=1) <= SLE_SIGN_SLACK
-        closed.append(z1[~still_open])
-        z1, z2 = z1[still_open], z2[still_open]
-        if not z1.size:
-            return best_z, np.append(np.sort(np.concatenate(closed)), 1.0)
-        mid = 0.5 * (z1 + z2)
-        if not np.all((z1 < mid) & (mid < z2)):
-            return None
-        z1, z2 = np.concatenate([z1, mid]), np.concatenate([mid, z2])
-        coefficients = _band_coefficients(z1, z2)
 
 
 @dataclass(frozen=True)
@@ -947,7 +750,7 @@ def _x_closed_form(objective: _SLEObjective) -> tuple[float, float, float]:
     return theta, phi, value
 
 
-def sle_quantify(rho, pair=None, *, sign_only: bool = False) -> SLEResult:
+def sle_quantify(rho, pair=None) -> SLEResult:
     """Minimize the lowest eigenvalue after partial transposition of the
     pair left by projecting the measured qubit, over the projection.
 
@@ -962,43 +765,24 @@ def sle_quantify(rho, pair=None, *, sign_only: bool = False) -> SLEResult:
     over theta at the poles and where the determinant of the sector less
     the value touches zero, at the roots of a quadratic in the value (see
     "X-shaped states" in the module docstring).  Ties go to the lowest
-    theta, and phi is 0 on a phi-ring and at the poles.  It does so in
-    both modes, and a value above ``SLE_SIGN_SLACK`` comes with an
-    ``SLEXCertificate`` as ``certificate``, which
-    ``verify.verify_sle_x_certificate`` re-checks from rho.  Any
-    other state takes the best point of an ``SLE_GRID_SIZE`` x
-    ``SLE_GRID_SIZE`` grid (64 x 64), the first minimum (theta-major) of
-    the objective over all its points, and then see-saw steps from it
-    (``_SLEObjective.seesaw_step``, see "Refinement" in the module
-    docstring) while each one strictly lowers the value, at most
-    ``SLE_REFINE_STEPS`` of them, and reports the last point kept.  The
-    grid is searched by branch and bound (see "Grid search" in the module
-    docstring): the stride-8 subgrid is solved first and every other point
-    is bounded from below through its nearest subgrid point A, less a slack
-    of 1e-12 (1 + ||A||_F + 2 eps) with 2 eps >= ||E||_F and E the point's
-    pair less A's.  A point is solved unless its bound lies above the best
-    value solved first.  The point found is bit for bit the one an
-    eigensolve at every grid point finds, after solving 367 of the 4096
-    points on average (see the module docstring for the measurement).
-
-    With ``sign_only=True``, a state that is not X-shaped and whose nonzero
-    entries conserve ring charges, such as noisy W and CNOT-distilled W
-    (see "Certified signs" in the module docstring), first takes a
-    branch and bound over bands in z = cos(2 theta), at phi = 0.  If it
-    evaluates a projection whose minimum eigenvalue lies below
-    -``SLE_SIGN_SLACK``, the search returns that point's value and
-    (theta, phi), which certify the sign but need not be the optimum: the
-    projection leaves an NPT, hence entangled, pair, so the optimum lies
-    below zero too.  If every band's bound lies above the
-    slack, no projection leaves an NPT pair, and the search returns its
-    evaluated point of the lowest value, positive too, with the bands as
-    ``certificate``.  The slack (1e-12) leaves optima within rounding of
-    zero, whose sign is rounding noise, to the default search, and dwarfs
-    the last-bit change a point's value can take when it is evaluated in a
-    different batch.  A state without ring charges, and a search that
-    settles neither sign within ``SLE_BAND_EVALUATIONS`` hull points, take
-    the default search, the grid, whose result is then returned exactly,
-    with no certificate.
+    theta, and phi is 0 on a phi-ring and at the poles.  A value above
+    ``SLE_SIGN_SLACK`` comes with an ``SLEXCertificate`` as
+    ``certificate``, which ``verify.verify_sle_x_certificate`` re-checks
+    from rho.  Any other state takes the best point of an
+    ``SLE_GRID_SIZE`` x ``SLE_GRID_SIZE`` grid (64 x 64), the first minimum
+    (theta-major) of the objective over all its points, and then see-saw
+    steps from it (``_SLEObjective.seesaw_step``, see "Refinement" in the
+    module docstring) while each one strictly lowers the value, at most
+    ``SLE_REFINE_STEPS`` of them, and reports the last point kept, with no
+    certificate.  The grid is searched by branch and bound (see "Grid
+    search" in the module docstring): the stride-8 subgrid is solved first
+    and every other point is bounded from below through its nearest
+    subgrid point A, less a slack of 1e-12 (1 + ||A||_F + 2 eps) with
+    2 eps >= ||E||_F and E the point's pair less A's.  A point is solved
+    unless its bound lies above the best value solved first.  The point
+    found is bit for bit the one an eigensolve at every grid point finds,
+    after solving 367 of the 4096 points on average (see the module
+    docstring for the measurement).
 
     Parameters
     ----------
@@ -1008,25 +792,11 @@ def sle_quantify(rho, pair=None, *, sign_only: bool = False) -> SLEResult:
     pair : optional
         The indices of the two kept qubits; the remaining qubit is
         projected.  Defaults to qubits (0, 1).
-    sign_only : bool
-        Stop at the first point, or bands, that certify the sign of the
-        optimum.
     """
     objective = _SLEObjective(rho, pair)
     # The closed form takes states whose entries off the X pattern are
-    # exact zeros, in both modes; an entry of 1e-300 sends a state to the
-    # bands or the grid.
+    # exact zeros; an entry of 1e-300 sends a state to the grid.
     x_shaped = not objective.entries[_x_pattern(8)[2]].any()
-    charges = _ring_charges(objective) if sign_only and not x_shaped else None
-    settled = None if charges is None else _band_search(objective)
-    if settled is not None:
-        z, breakpoints = settled
-        theta = 0.5 * float(np.arccos(z))
-        value = _checked(objective.values(np.array([theta]), np.zeros(1))[0])
-        return SLEResult(float(value), theta, 0.0,
-                         None if breakpoints is None else
-                         SLECertificate(objective.kept, charges, breakpoints))
-
     if x_shaped:
         theta, phi, value = _x_closed_form(objective)
     else:

@@ -9,12 +9,12 @@ solvers' hot paths in ``sdp``, ``certify`` and ``thresholds``, whose
 inputs the package builds, call the same gufuncs through the LAPACK entry
 of ``superact.states``, without ``numpy.linalg``'s per-call wrapper (see
 "LAPACK entry" there).  This module's Jacobi solver serves exactly the
-two checks where independence is the point, re-verifying witness and SLE
+one check where independence is the point, re-verifying witness
 certificates, one call per certificate, and ``superact.verify`` is its
 only caller: ``verify_witness_certificate`` passes the 8x8 factors of a
 witness result (six P and Q blocks, three Y_i and three Y_i^{T_i}, or the
-six of the one side a sign-only result holds), and
-``verify_sle_certificate`` a stack of 4x4 pairs.
+six of the one side a sign-only result holds).  The SLE certificate check
+takes no eigensolve.
 
 At that dimension the quadratically convergent Jacobi iteration is
 essentially exact and has no pathological inputs.  The solver is batched:

@@ -342,9 +342,7 @@ def _symmetries(pattern: bytes) -> _Symmetries:
     two.
 
     ``sdp`` splits the PPT-mixer program into the sectors of every
-    conserved charge and Z-string, and ``certify._ring_charges`` takes a
-    conserved charge with 1 on the measured qubit as a state's ring
-    charges.  The result is cached per pattern.
+    conserved charge and Z-string.  The result is cached per pattern.
     """
     # The basis states of each nonzero entry, and the labels both agree in.
     b, b_prime = np.divmod(np.flatnonzero(np.frombuffer(pattern, bool)), 8)

@@ -12,8 +12,8 @@ start)``:
 
 - the concurrence margin (GME, GME-after-distill): the largest unclipped
   inner argument of the X-shape concurrence;
-- the sign-only SLE search (SLE, SLE-after-distill): the negated
-  minimum eigenvalue after partial transposition, the exact optimum;
+- the SLE search (SLE, SLE-after-distill): the negated minimum
+  eigenvalue after partial transposition, the exact optimum;
 - the sign-only PPT mixer (W-GME, W-GME-after-distill): the negated value
   of a PPT-mixer witness whose sign is certified;
 - the W-SLE branch (W-SLE): the negated minimum eigenvalue after partial
@@ -73,17 +73,17 @@ starts give.  At the default ranges and tolerances the 18 PPT-mixer solves
 of the two SDP-backed properties take 107 iterations, at most 20 per solve
 and 8 of them 1, against 450 and 70 from cold starts.
 
-The two SLE-search margins (SLE and SLE-after-distill) run sign-only SLE
-searches on noisy GHZ and on its analytic distilled state.  Both are
-X-shaped, so each search is the closed form (see "X-shaped states" in
-``certify.py``): the margin is minus the exact optimum, with no band
-rounds, no cap, no fall-back and no eigensolve, and ITP interpolates, and
-a no-sign-change error prints, exact optima.  A point whose optimum lies
-above 1e-12 carries a certificate that ``verify.verify_sle_x_certificate``
-re-checks from the state alone, and one whose optimum lies below -1e-12
-is certified by its direction, which ``certify.sle_quantifier_at``
-re-evaluates.  At the 16 points of the two default searches, 8 negative
-and 8 nonnegative, each carries the certificate of its sign.
+The two SLE-search margins (SLE and SLE-after-distill) run SLE searches on
+noisy GHZ and on its analytic distilled state.  Both are X-shaped, so each
+search is the closed form (see "X-shaped states" in ``certify.py``): the
+margin is minus the exact optimum, with no grid and no eigensolve, and ITP
+interpolates, and a no-sign-change error prints, exact optima.  A point
+whose optimum lies above 1e-12 carries a certificate that
+``verify.verify_sle_x_certificate`` re-checks from the state alone, and one
+whose optimum lies below -1e-12 is certified by its direction, which
+``certify.sle_quantifier_at`` re-evaluates.  At the 16 points of the two
+default searches, 8 negative and 8 nonnegative, each carries the
+certificate of its sign.
 
 The states the margins read are built from p without re-validation where
 they are states by construction: the noisy families and the closed-form
@@ -142,7 +142,7 @@ def _concurrence(label: str, p: float, rho, start):
 
 
 def _sle_search(label: str, p: float, rho, start):
-    return -sle_quantify(rho, sign_only=True).min_eigenvalue, start
+    return -sle_quantify(rho).min_eigenvalue, start
 
 
 def _ppt_mixer(label: str, p: float, rho, start):

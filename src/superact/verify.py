@@ -1,6 +1,6 @@
 """Certificate checks that trust neither solver.
 
-Three checks re-verify what the solvers hand back, under one policy.
+Two checks re-verify what the solvers hand back, under one policy.
 
 - ``sdp.ppt_mixer_witness`` returns an exactly feasible witness and a PPT
   mixture, which bound the PPT-mixer program (Jungnitsch, Moroder &
@@ -8,24 +8,18 @@ Three checks re-verify what the solvers hand back, under one policy.
   that fixes its sign returns only the one of the two that fixes it.
   ``verify_witness_certificate`` re-checks each certificate a result
   holds.
-- A sign-only ``certify.sle_quantify`` on a state that is not X-shaped,
-  when it settles a nonnegative sign, returns bands in z on which every
-  projection of the measured qubit leaves a PPT, hence separable, pair
-  (Horodecki, Horodecki & Horodecki, PLA 223, 1 (1996));
-  ``verify_sle_certificate`` re-checks them.
 - ``certify.sle_quantify`` on an X-shaped state whose closed-form value
   lies above ``SLE_SIGN_SLACK`` returns the kept pair alone;
   ``verify_sle_x_certificate`` rebuilds the two sectors of the transposed
-  pair from rho and re-checks that no projection leaves an NPT pair.
+  pair from rho and re-checks that no projection leaves an NPT, hence
+  entangled, pair (for two qubits a PPT pair is separable: Horodecki,
+  Horodecki & Horodecki, PLA 223, 1 (1996)).
 
 *What a check trusts.*  Only the state and the certificate's own fields.
 The witness check ignores the residuals the solver reports and knows
 nothing of its symmetry sectors: it rebuilds the full 8 x 8 matrices.  The
-band check reads the charges through ``_respects``, not through
-``states._symmetries``, and contracts the hull points of the bands with
-rho^{T_b} itself, not through the search's objective.  The X check reads
-the X pattern and the sectors' entries off rho itself, not through the
-search's objective or its closed form.
+X check reads the X pattern and the sectors' entries off rho itself, not
+through the search's objective or its closed form.
 
 *Malformed fields.*  A check reads every field of its certificate in one
 ``try``, through ``_finite_array`` or ``states._resolve_pair``.  A field
@@ -39,28 +33,24 @@ is not a valid three-qubit state raises.
 
 *Tolerances.*  ``FEASIBILITY_TOL`` bounds ||W - P_i - Q_i^{T_i}||; the
 witness's trace and value must hold within 1e-8, the mixture's sum within
-1e-9 and its factors' lowest eigenvalues at -1e-9.  A band's pairs must
-have their lowest eigenvalue above ``SLE_SIGN_SLACK``, and each sector of
-an X-shaped state's pairs, less ``SLE_SIGN_SLACK`` times the weight, must
-be PSD; the band search and the closed form import the slack, so that they
-certify exactly what these checks accept.  Rounding moves a hull point by
-a few ulps and its value by a few ulps of ||rho||, which the slack dwarfs.
+1e-9 and its factors' lowest eigenvalues at -1e-9.  Each sector of an
+X-shaped state's pairs, less ``SLE_SIGN_SLACK`` times the weight, must be
+PSD; the closed form imports the slack, so that it certifies exactly what
+the X check accepts.
 
-*Positive semidefiniteness.*  The witness and band checks take one pass
-of the package's Jacobi solver, ``linalg.jacobi_eigvalsh``, over every
-matrix they must find PSD, independent of the LAPACK calls inside the
-solvers.  It is looked up through the ``linalg`` module at call time, so
-that a wrapper installed on that module sees every pass.  The X check
-takes no pass and no eigensolve: a 2x2 sector is PSD exactly where its
-diagonal and its determinant are nonnegative, quantities it evaluates in
-closed form.
+*Positive semidefiniteness.*  The witness check takes one pass of the
+package's Jacobi solver, ``linalg.jacobi_eigvalsh``, over every matrix it
+must find PSD, independent of the LAPACK calls inside the solvers.  It is
+looked up through the ``linalg`` module at call time, so that a wrapper
+installed on that module sees every pass.  The X check takes no pass and
+no eigensolve: a 2x2 sector is PSD exactly where its diagonal and its
+determinant are nonnegative, quantities it evaluates in closed form.
 """
 
 import numpy as np
 
 from . import linalg
 from .states import (
-    _QUBIT_BITS,
     _partial_transpose_array,
     _resolve_pair,
     _state_entries,
@@ -69,11 +59,10 @@ from .states import (
 # Largest ||W - P_i - Q_i^{T_i}|| that ``verify_witness_certificate``
 # accepts.
 FEASIBILITY_TOL = 1e-6
-# Smallest lowest eigenvalue of a band's pairs that ``verify_sle_certificate``
-# accepts, over their weight that ``verify_sle_x_certificate`` accepts, and
-# the margin the band search and the closed form certify a sign by (see
-# "Certified signs" and "X-shaped states" in ``superact.certify``'s
-# docstring).
+# Smallest lowest eigenvalue, over the weight, of each sector of an
+# X-shaped state's pairs that ``verify_sle_x_certificate`` accepts, and the
+# margin the closed form certifies a sign by (see "X-shaped states" in
+# ``superact.certify``'s docstring).
 SLE_SIGN_SLACK = 1e-12
 # What reading a malformed field raises: AttributeError for a missing one,
 # ValueError (or TypeError) for one that is ragged or not what it must be.
@@ -81,15 +70,13 @@ _MALFORMED = (AttributeError, TypeError, ValueError)
 
 
 def _finite_array(value, shape: tuple, dtype=np.complex128) -> np.ndarray:
-    """``value`` as a ``dtype`` array of ``shape``, a None in which matches
-    any length.  Raises ``ValueError`` unless ``value`` is a finite array of
-    that shape of a numeric type that casts safely to ``dtype``, so None, a
-    string, a bool or a complex bound is rejected (NumPy itself raises
-    ``ValueError`` on a ragged one)."""
+    """``value`` as a ``dtype`` array of ``shape``.  Raises ``ValueError``
+    unless ``value`` is a finite array of that shape of a numeric type that
+    casts safely to ``dtype``, so None, a string, a bool or a complex bound
+    is rejected (NumPy itself raises ``ValueError`` on a ragged one)."""
     a = np.asarray(value)
     if (not np.issubdtype(a.dtype, np.number)
-            or not np.can_cast(a.dtype, dtype) or a.ndim != len(shape)
-            or any(n not in (None, size) for n, size in zip(shape, a.shape))
+            or not np.can_cast(a.dtype, dtype) or a.shape != shape
             or not np.isfinite(a).all()):
         raise ValueError(f"not a finite array of shape {shape}")
     return a.astype(dtype, copy=False)
@@ -169,61 +156,6 @@ def verify_witness_certificate(result, rho) -> bool:
             for party, block in enumerate(mixture)])]
     lowest = linalg.jacobi_eigvalsh(np.concatenate(factors))[:, 0]
     return bool(lowest.min() >= -1e-9)
-
-
-def _respects(m: np.ndarray, charges) -> bool:
-    """Whether every nonzero entry of the 8x8 ``m`` joins basis states of
-    equal total charge, with ``charges`` the charge of each qubit."""
-    total = _QUBIT_BITS @ np.asarray(charges)
-    return not np.any((m != 0) & (total[:, None] != total[None, :]))
-
-
-def _hull_points(z1: np.ndarray, z2: np.ndarray) -> np.ndarray:
-    """The four hull points (x, z) of each band [z1, z2] of the half circle
-    x = sqrt(1 - z^2): the chord ends p1, p2, then p1 / h and p2 / h, with h
-    the length of the chord's midpoint less a relative 1e-12; shape
-    (bands, 4, 2)."""
-    ends = np.stack([np.stack([np.sqrt(1.0 - z * z), z], axis=-1)
-                     for z in (z1, z2)], axis=1)
-    h = np.linalg.norm(ends.mean(axis=1), axis=-1) * (1.0 - 1e-12)
-    return np.concatenate([ends, ends / h[:, None, None]], axis=1)
-
-
-def verify_sle_certificate(certificate, rho) -> bool:
-    """Re-check a ``certify.SLECertificate`` against ``rho`` without
-    trusting the solver.
-
-    The pair must name two distinct qubits.  The breakpoints must be
-    strictly increasing, from exactly -1 to exactly 1, and rho's nonzero
-    entries must conserve the charges, with charge 1 on the measured qubit.
-    Every band's four hull points are then contracted with rho^{T_b}, and
-    the lowest eigenvalue of each pair must lie above ``SLE_SIGN_SLACK``
-    (see "Certified signs" in ``superact.certify``'s docstring), from one
-    call of the Jacobi solver.  A malformed field fails the check (see the
-    module docstring).
-
-    ``rho`` must be a three-qubit state, or ``StateValidationError`` or
-    ``ValueError`` is raised.
-    """
-    m, _ = _state_entries(rho, 3)
-    try:
-        kept, measured = _resolve_pair(certificate.pair)
-        z = _finite_array(certificate.breakpoints, (None,), np.float64)
-        charges = _finite_array(certificate.charges, (3,), np.float64)
-    except _MALFORMED:
-        return False
-    if (z.size < 2 or z[0] != -1.0 or z[-1] != 1.0
-            or not np.all(z[1:] > z[:-1])):
-        return False
-    if charges[measured] != 1.0 or not _respects(m, charges):
-        return False
-    # x[i, a, b, j, c, d] = <i a b| rho^{T_b} |j c d>, i and j over qubit m.
-    x = _partial_transpose_array(m, 3, (kept[1],)).reshape((2,) * 6).transpose(
-        measured, *kept, 3 + measured, 3 + kept[0], 3 + kept[1])
-    px, pz = np.moveaxis(_hull_points(z[:-1], z[1:]).reshape(-1, 2), -1, 0)
-    projectors = 0.5 * np.array([[1.0 + pz, px], [px, 1.0 - pz]])
-    pairs = np.einsum("jin,iabjcd->nabcd", projectors, x).reshape(-1, 4, 4)
-    return bool(linalg.jacobi_eigvalsh(pairs)[:, 0].min() > SLE_SIGN_SLACK)
 
 
 def verify_sle_x_certificate(certificate, rho) -> bool:

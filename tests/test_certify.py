@@ -1,5 +1,4 @@
 import hashlib
-import itertools
 from dataclasses import replace
 from types import SimpleNamespace
 
@@ -24,8 +23,6 @@ from superact import (
 from superact.certify import (
     SLE_SIGN_SLACK,
     NotXShapedError,
-    SLE_BAND_EVALUATIONS,
-    SLECertificate,
     SLEResult,
     SLEXCertificate,
     _SLEObjective,
@@ -40,15 +37,18 @@ from superact.certify import (
     x_shape_view,
 )
 import superact.certify as certify
-import superact.thresholds as thresholds
-import superact.verify as verify
 from superact.distill import (
     analytic_distilled_noisy_ghz,
     distill_cnot,
     distill_tripartite,
 )
-from superact.states import DegenerateProjectionError, StateValidationError
-from superact.verify import verify_sle_certificate, verify_sle_x_certificate
+from superact.states import (
+    DegenerateProjectionError,
+    StateValidationError,
+    _CHARGES,
+    _symmetries,
+)
+from superact.verify import verify_sle_x_certificate
 from util import (
     BAD_RAW_ARRAYS,
     FAILED_LAPACK_WARNING,
@@ -61,8 +61,6 @@ from util import (
     random_unitary,
     random_x_state,
     failing_entry,
-    ring_charges_loop,
-    sle_certificate_verifies,
     x_shape_loop,
 )
 
@@ -482,12 +480,12 @@ def test_sle_takes_a_pair_of_numpy_integers():
 
 
 def test_sle_certificate_with_a_pair_of_non_integers_fails():
-    rho = noisy_w(0.2)
-    certificate = sle_quantify(rho, sign_only=True).certificate
+    rho = noisy_ghz(0.2)
+    certificate = sle_quantify(rho).certificate
     assert certificate.pair == (0, 1)
-    assert verify_sle_certificate(certificate, rho)
-    assert not verify_sle_certificate(replace(certificate, pair=(0.9, 1.2)),
-                                      rho)
+    assert verify_sle_x_certificate(certificate, rho)
+    assert not verify_sle_x_certificate(replace(certificate, pair=(0.9, 1.2)),
+                                        rho)
 
 
 # The two readings of an SLE result, negativity and minimum eigenvalue, by
@@ -564,94 +562,6 @@ def test_sle_value_matches_point_evaluation(reading):
                        result.theta, result.phi)
         assert getattr(at, _READINGS[reading]) == pytest.approx(
             getattr(result, _READINGS[reading]), abs=1e-12)
-
-
-def _sign_only_agrees(rho, pair) -> str | None:
-    """Compare a sign-only SLE search with the default one.
-
-    Returns how the search settled: ``"negative"`` at a point whose minimum
-    eigenvalue lies below -slack, where the default optimum is no larger;
-    ``"certified"`` with a band certificate that verifies, where the
-    default optimum is positive; ``None`` when it ran the full search, whose
-    result it must then be, bit for bit.  Both readings, the minimum
-    eigenvalue and the negativity, keep the default search's sign.
-    """
-    full = sle_quantify(rho, pair)
-    fast = sle_quantify(rho, pair, sign_only=True)
-    for reading in _READINGS.values():
-        assert (np.sign(getattr(fast, reading))
-                == np.sign(getattr(full, reading)))
-    if fast.min_eigenvalue < -SLE_SIGN_SLACK or fast.certificate is not None:
-        at = sle_quantifier_at(rho, pair, fast.theta, fast.phi)
-        assert at == pytest.approx(fast.min_eigenvalue, abs=1e-12)
-    if fast.certificate is not None:
-        assert full.min_eigenvalue > 0.0 and fast.min_eigenvalue >= 0.0
-        assert fast.negativity == 0.0
-        assert verify_sle_certificate(fast.certificate, rho)
-        return "certified"
-    if fast.min_eigenvalue < -SLE_SIGN_SLACK:
-        assert full.min_eigenvalue <= fast.min_eigenvalue + 1e-15
-        assert full.negativity >= fast.negativity - 1e-15
-        return "negative"
-    assert fast == full
-    return None
-
-
-def test_sle_sign_only_agrees_with_default_search():
-    rng = np.random.default_rng(3)
-    randoms = [random_density_matrix(rng, 3) for _ in range(3)]
-    # Just past the weight 0.68608 where the min-eig optimum of pair (0, 1)
-    # crosses zero, the negative region is small enough to fall between the
-    # coarse grid points (at 0.687) or between all grid points (at 0.68609).
-    mixed = [t * randoms[1] + (1 - t) * np.eye(8) / 8 for t in (0.687, 0.68609)]
-    # Noisy W and CNOT-distilled W conserve ring charges and are not
-    # X-shaped, so their sign-only searches take the band search.
-    states = [
-        noisy_w(0.2),
-        # PPT after every projection, optimum zero to rounding:
-        noisy_w(3 / 11),
-        noisy_w(0.6),
-        _distilled_w(0.25),
-        _distilled_w(0.5),
-        *randoms,
-        *mixed,
-    ]
-    settled = []
-    for rho in states:
-        for pair in ((0, 1), (0, 2), (1, 2)):
-            settled.append(_sign_only_agrees(rho, pair))
-    assert set(settled) == {"negative", "certified", None}
-
-
-def _w_sle_bisection_states(monkeypatch) -> list:
-    """The noisy W states of the default W-SLE search's eight points, on
-    both sides of 3/11 and down to 7e-7 from it: ring states that are not
-    X-shaped.  The margin itself takes one 4x4 eigensolve of its own."""
-    default_range, build, margin = thresholds._PROPERTIES[
-        thresholds.PROPERTY_W_SLE]
-    states = []
-
-    def recording(label, p, rho, start):
-        states.append(rho)
-        return margin(label, p, rho, start)
-
-    monkeypatch.setitem(thresholds._PROPERTIES, thresholds.PROPERTY_W_SLE,
-                        (default_range, build, recording))
-    thresholds.find_threshold(thresholds.PROPERTY_W_SLE)
-    return states
-
-
-def test_sle_sign_only_agrees_on_every_bisection_point(monkeypatch):
-    states = _w_sle_bisection_states(monkeypatch)
-    assert len(states) == 8
-    settled = []
-    for rho in states:
-        result = sle_quantify(rho, sign_only=True)
-        settled.append(_sign_only_agrees(rho, None))
-        # Every nonnegative point is settled by a verified certificate.
-        assert (settled[-1] == "certified") == (result.min_eigenvalue >= 0.0)
-    assert settled.count("certified") == 4
-    assert settled.count("negative") == 4
 
 
 @pytest.fixture
@@ -793,46 +703,6 @@ def test_sle_lower_bound_never_exceeds_the_lowest_eigenvalue(scale):
             assert exact - bound <= 1e-8
 
 
-@pytest.fixture
-def hull_points(monkeypatch):
-    """The sizes of the batches of hull points a sign-only band search
-    evaluates, one batch per round (``_hull_lowest``)."""
-    sizes = []
-    solve = certify._hull_lowest
-
-    def recording(pairs):
-        sizes.append(len(pairs))
-        return solve(pairs)
-
-    monkeypatch.setattr(certify, "_hull_lowest", recording)
-    return sizes
-
-
-def test_sle_sign_only_settles_negative_signs_in_the_first_round(
-        batches, hull_points):
-    result = sle_quantify(noisy_w(0.6), sign_only=True)
-    # Eight bands of four hull points, then the reported point alone.
-    assert hull_points == [32]
-    assert batches == [1]
-    assert result.min_eigenvalue < -SLE_SIGN_SLACK
-    assert result.certificate is None and result.phi == 0.0
-
-
-def test_sle_sign_only_settles_nonnegative_signs_by_certificate(
-        batches, hull_points):
-    rho = noisy_w(0.2)
-    result = sle_quantify(rho, sign_only=True)
-    # The bands settle it in the first round; no grid point is solved.
-    assert hull_points == [32]
-    assert batches == [1]
-    assert result.min_eigenvalue > SLE_SIGN_SLACK
-    assert result.certificate.pair == (0, 1)
-    assert result.certificate.charges[2] == 1
-    assert verify_sle_certificate(result.certificate, rho)
-    # The default search takes no certificate.
-    assert sle_quantify(rho).certificate is None
-
-
 @pytest.mark.parametrize("rho,first,budget", [
     (noisy_w(0.6), 64, 1024),
 ], ids=["noisy-w"])
@@ -864,36 +734,16 @@ def test_sle_seesaw_step_never_increases_the_value():
 
 def test_sle_seesaw_step_skipped_on_a_singular_weight_form(batches):
     # The measured qubit pinned to |0>: the weight form R = diag(1, 0) is
-    # singular, so the step is skipped.  The band search cannot settle the
-    # sign, since the zero-weight pole |1> forces a zero there, and the
-    # sign-only search runs the full search.
+    # singular, so the step is skipped.
     pinned = tensor(isotropic(0.2),
                     DensityMatrix(1, np.diag([1.0, 0.0]).astype(complex)))
     assert _SLEObjective(pinned, None).seesaw_step(0.3, 0.2) is None
-    assert _sign_only_agrees(pinned, None) is None
+    sle_quantify(pinned)
     # The objective is constant wherever the weight is nonzero, so no bound
     # rules a point out.  The state is not X-shaped, since its coherence
-    # joins |000> and |110>, so both searches solve the subgrid, then every
+    # joins |000> and |110>, so the search solves the subgrid, then every
     # other point but the zero-weight theta = pi/2 row.
-    assert batches == [64, 64 * 64 - 64 - 64] * 2
-
-
-def test_sle_bisection_margins_settle_in_the_band_search(monkeypatch, batches):
-    searched = []
-    for rho in _w_sle_bisection_states(monkeypatch):
-        first = len(batches)
-        result = sle_quantify(rho, sign_only=True)
-        searched.append((rho, result, batches[first:]))
-    # No search falls back to the grid: each solves its reported point only.
-    assert all(solved == [1] for _, _, solved in searched)
-    negative = [(rho, r) for rho, r, _ in searched if r.certificate is None]
-    certified = [(rho, r) for rho, r, _ in searched if r.certificate]
-    assert len(negative) == 4 and len(certified) == 4
-    for rho, result in negative:
-        assert sle_quantifier_at(rho, None, result.theta, result.phi) < -1e-12
-    for rho, result in certified:
-        assert result.min_eigenvalue > 0.0
-        assert verify_sle_certificate(result.certificate, rho)
+    assert batches == [64, 64 * 64 - 64 - 64]
 
 
 @pytest.mark.parametrize("pair", [(0, 1), (0, 2), (1, 2)])
@@ -901,58 +751,31 @@ def test_sle_bisection_margins_settle_in_the_band_search(monkeypatch, batches):
     (noisy_ghz(1 / 3 - 1e-4), SLEXCertificate),
     (analytic_distilled_noisy_ghz((2 * np.sqrt(2) - 1) / 7 - 1e-4),
      SLEXCertificate),
-    (noisy_w(3 / 11 - 1e-4), SLECertificate),
-    (_distilled_w(3 / 11 - 1e-4), SLECertificate),
+    (noisy_w(3 / 11 - 1e-4), None),
+    (_distilled_w(3 / 11 - 1e-4), None),
 ], ids=["ghz", "distilled-ghz", "w", "distilled-w"])
 def test_sle_certificate_just_below_the_thresholds(rho, kind, pair):
-    # Just below the paper's thresholds the sign-only search proves that no
-    # projection leaves an NPT pair: in closed form on the X-shaped GHZ
-    # states, and on bands refined past the first round on the W states.
-    result = sle_quantify(rho, pair, sign_only=True)
-    certificate = result.certificate
-    assert type(certificate) is kind
-    assert certificate.pair == pair
-    assert sle_certificate_verifies(certificate, rho)
-    if kind is SLECertificate:
-        assert certificate.breakpoints.size > 9
-    optimum = sle_quantify(rho, pair).min_eigenvalue
-    assert 0.0 < optimum and 0.0 < result.min_eigenvalue
+    # Just below the paper's thresholds the optimum is positive.  On the
+    # X-shaped GHZ states the closed form proves that no projection leaves
+    # an NPT pair; the W states are not X-shaped, and their grid search
+    # carries no certificate.
+    result = sle_quantify(rho, pair)
+    assert 0.0 < result.min_eigenvalue
+    if kind is None:
+        assert result.certificate is None
+    else:
+        assert result.certificate == kind(pair)
+        assert verify_sle_x_certificate(result.certificate, rho)
 
 
 @pytest.mark.parametrize("pair", [(0, 1), (0, 2), (1, 2)])
 def test_sle_certificate_none_at_and_past_the_threshold(pair):
     # Past 1/3 some projection leaves an NPT pair; at 1/3 the optimum is
-    # zero to rounding, so no band bound clears the slack and a sign-only
-    # search falls back to the full one (see the agreement tests).
-    past = sle_quantify(noisy_ghz(1 / 3 + 1e-6), pair, sign_only=True)
+    # zero to rounding, inside the slack, so neither takes a certificate.
+    past = sle_quantify(noisy_ghz(1 / 3 + 1e-6), pair)
     assert past.certificate is None and past.min_eigenvalue < -SLE_SIGN_SLACK
-    at = sle_quantify(noisy_ghz(1 / 3), pair, sign_only=True)
+    at = sle_quantify(noisy_ghz(1 / 3), pair)
     assert at.certificate is None
-
-
-_PINNED = tensor(isotropic(0.2),
-                 DensityMatrix(1, np.diag([1.0, 0.0]).astype(complex)))
-
-
-@pytest.mark.parametrize("pair", [(0, 1), (0, 2), (1, 2)])
-@pytest.mark.parametrize("rho", [noisy_w(3 / 11), _PINNED],
-                         ids=["w-3/11", "pinned"])
-def test_sle_undecided_band_search_stays_under_its_cap(rho, pair,
-                                                       hull_points):
-    # At noisy W's threshold the optimum is zero to rounding: the search
-    # keeps halving the bands next to the pole z = 1, where the optimum
-    # lies, and stops at 512 hull points, the cap itself (measured when
-    # this case was set).  With qubit 2 pinned to |0>, measuring
-    # it leaves a zero at the pole |1>, whose weight vanishes, and keeping
-    # it leaves a pair with a zero eigenvalue at every projection.  No band
-    # search settles either sign, and each leaves it to the default search,
-    # whose result it returns bit for bit.
-    full = sle_quantify(rho, pair)
-    fast = sle_quantify(rho, pair, sign_only=True)
-    assert 0 < sum(hull_points) <= SLE_BAND_EVALUATIONS
-    assert fast.certificate is None
-    assert _bits((fast.min_eigenvalue, fast.theta, fast.phi)) == _bits(
-        (full.min_eigenvalue, full.theta, full.phi))
 
 
 def _pinned_sle_states():
@@ -973,47 +796,25 @@ def _pinned_sle_states():
 # Recorded with the search that reported either quantifier; it depends on
 # the NumPy/LAPACK build, so another build may need it recorded again.
 _PINNED_SLE_DIGEST = (
-    "fbc6ffe4bff56460baadbbd2bde7519e61484e577462f01773bd566ceaf07b44")
+    "a14ff83d3586a3a14f08d28cb1cf131f9633c54ccfbc46a83446f5fdc689e794")
 
 
 def test_pinned_sle_searches_are_bit_identical():
     # (lambda_min, theta, phi) by their exact repr, and the certificate's
-    # kind and pair, and a band certificate's charges and breakpoint bytes,
-    # of 90 searches: every kept pair, default and sign-only.
+    # repr, of 45 searches: every kept pair.
     digest = hashlib.sha256()
     searches = 0
     for rho in _pinned_sle_states():
         for pair in ((0, 1), (0, 2), (1, 2)):
-            for sign_only in (False, True):
-                result = sle_quantify(rho, pair, sign_only=sign_only)
-                digest.update(repr((result.min_eigenvalue, result.theta,
-                                    result.phi)).encode())
-                certificate = result.certificate
-                if certificate is None:
-                    digest.update(b"None")
-                elif isinstance(certificate, SLEXCertificate):
-                    digest.update(repr(certificate).encode())
-                else:
-                    digest.update(repr((certificate.pair,
-                                        certificate.charges)).encode())
-                    digest.update(np.ascontiguousarray(
-                        certificate.breakpoints).tobytes())
-                searches += 1
-    assert searches == 90
+            result = sle_quantify(rho, pair)
+            digest.update(repr((result.min_eigenvalue, result.theta,
+                                result.phi)).encode())
+            certificate = result.certificate
+            digest.update(b"None" if certificate is None
+                          else repr(certificate).encode())
+            searches += 1
+    assert searches == 45
     assert digest.hexdigest() == _PINNED_SLE_DIGEST
-
-
-def test_sle_ring_charges():
-    # Noisy W conserves the excitation number, noisy GHZ a charge whose
-    # kept qubits sum to -1; a random state conserves none and takes the
-    # default search.
-    assert certify._ring_charges(_SLEObjective(noisy_w(0.5), None)) == (
-        1, 1, 1)
-    for pair in ((0, 1), (0, 2), (1, 2)):
-        charges = certify._ring_charges(_SLEObjective(noisy_ghz(0.5), pair))
-        assert charges[3 - sum(pair)] == 1 and sum(charges) == 0
-    random = random_density_matrix(np.random.default_rng(4), 3)
-    assert certify._ring_charges(_SLEObjective(random, None)) is None
 
 
 @pytest.mark.parametrize("rho", [
@@ -1025,102 +826,15 @@ def test_sle_objective_of_a_ring_state_does_not_depend_on_phi(rho):
     thetas = rng.uniform(0.0, np.pi / 2, 30)
     for pair in ((0, 1), (0, 2), (1, 2)):
         objective = _SLEObjective(rho, pair)
-        assert certify._ring_charges(objective) is not None
+        # A conserved charge with 1 on the measured qubit: a phase on that
+        # qubit is undone by diagonal phases on the kept pair, which leave
+        # the lowest eigenvalue after partial transposition unchanged.
+        conserved = np.array(
+            _symmetries((objective.entries != 0).tobytes()).charges)
+        assert (_CHARGES[conserved, objective.measured] == 1).any()
         assert np.allclose(objective.values(thetas, rng.uniform(0, 7, 30)),
                            objective.values(thetas, np.zeros(30)),
                            rtol=0.0, atol=1e-14)
-
-
-def _ring_charge_states():
-    """States with and without ring charges, among them one whose only
-    charge-breaking entries are 1e-300."""
-    rng = np.random.default_rng(23)
-    tiny = np.array(noisy_w(0.5).entries)
-    tiny[0, 7] = tiny[7, 0] = 1e-300
-    return {
-        "noisy-ghz": noisy_ghz(0.5),
-        "noisy-w": noisy_w(0.5),
-        "distilled-ghz": analytic_distilled_noisy_ghz(0.3),
-        "distilled-w": distill_cnot(noisy_w(0.5), noisy_w(0.5)).state,
-        "noise-model": noise_model_state(0.8, 0.9, 0.95),
-        "phased-ghz": phased(noisy_ghz(0.6)),
-        "phased-w": phased(noisy_w(0.6)),
-        "random-x": random_x_state(rng),
-        "random": random_density_matrix(rng, 3),
-        "diagonal": np.diag(rng.uniform(0.1, 1.0, 8) / 4.5).astype(complex),
-        "w-with-1e-300": tiny,
-    }
-
-
-@pytest.mark.parametrize("name", list(_ring_charge_states()))
-def test_sle_ring_charges_match_the_candidate_loop(name):
-    rho = _ring_charge_states()[name]
-    m = np.asarray(getattr(rho, "entries", rho))
-    found = []
-    # Every ordered kept pair: the candidates' order depends on it.
-    for pair in itertools.permutations(range(3), 2):
-        charges = certify._ring_charges(_SLEObjective(rho, pair))
-        assert charges == ring_charges_loop(m, pair), pair
-        assert charges is None or all(type(c) is int for c in charges)
-        found.append(charges)
-    # Coherences of two bit-flip patterns, as between |001> and |110>,
-    # leave no charge with 1 on the measured qubit.
-    assert (found[0] is None) == (name in ("noise-model", "random-x",
-                                           "random", "w-with-1e-300"))
-
-
-def test_sle_band_coefficients_match_the_hull_points_bit_for_bit():
-    def from_hull_points(z1, z2):
-        x, z = np.moveaxis(verify._hull_points(z1, z2), -1, 0)
-        return 0.5 * np.stack([1.0 + z, x, np.zeros_like(x), 1.0 - z],
-                              axis=-1)
-
-    rng = np.random.default_rng(29)
-    bands = []
-    for size in (2, 3, 8, 40):
-        z = np.sort(np.concatenate([[-1.0, 1.0],
-                                    rng.uniform(-1.0, 1.0, size - 1)]))
-        bands.append((z[:-1], z[1:]))
-        ends = np.sort(rng.uniform(-1.0, 1.0, (2, size)), axis=0)
-        bands.append((ends[0], ends[1]))
-    # The dyadic bands of depths 0-6, halved as the search halves them.
-    z = certify._FIRST_BREAKPOINTS
-    for _ in range(7):
-        bands.append((z[:-1], z[1:]))
-        z = np.sort(np.concatenate([z, 0.5 * (z[:-1] + z[1:])]))
-    for z1, z2 in bands:
-        expected = from_hull_points(z1, z2)
-        got = certify._band_coefficients(z1, z2)
-        assert got.shape == expected.shape == (z1.size, 4, 4)
-        assert got.tobytes() == expected.tobytes()
-    first = certify._first_band_coefficients()
-    assert first is certify._first_band_coefficients()
-    assert first.tobytes() == from_hull_points(
-        certify._FIRST_BREAKPOINTS[:-1], certify._FIRST_BREAKPOINTS[1:]
-    ).tobytes()
-    with pytest.raises(ValueError, match="read-only"):
-        first[0, 0, 0] = 0.0
-
-
-def test_sle_band_hull_contains_its_arc():
-    rng = np.random.default_rng(5)
-    z = np.sort(np.concatenate([[-1.0, 1.0], rng.uniform(-1.0, 1.0, 30)]))
-    hulls = verify._hull_points(z[:-1], z[1:])
-    assert hulls.shape == (31, 4, 2)
-    for z1, z2, hull in zip(z[:-1], z[1:], hulls):
-        angles = np.linspace(np.arccos(z2), np.arccos(z1), 41)
-        arc = np.stack([np.sin(angles), np.cos(angles)], axis=-1)
-        # The quadrilateral p2, p1, p1 / h, p2 / h is counter-clockwise in
-        # (x, z): no arc point lies to the right of an edge.
-        corners = hull[[1, 0, 2, 3]]
-        edges = np.roll(corners, -1, axis=0) - corners
-        offsets = arc[:, None, :] - corners[None, :, :]
-        distances = (edges[:, 0] * offsets[..., 1]
-                     - edges[:, 1] * offsets[..., 0]) / np.linalg.norm(
-                         edges, axis=1)
-        assert distances.min() >= -1e-15
-        # The tangent edge clears the arc's midpoint by the 1e-12 margin.
-        assert distances[20, 2] > 5e-13
 
 
 def _x_shaped_objective(rho, pair, theta, phi) -> float:
@@ -1189,18 +903,15 @@ def _refuse_the_grid(monkeypatch):
 @pytest.mark.parametrize("pair", [(0, 1), (0, 2), (1, 2)])
 def test_sle_sectors_of_each_family(pair, monkeypatch):
     # An X-shaped pair splits into the sectors {00, 11} and {01, 10}, and
-    # its search takes their closed form in both modes: it builds no grid,
-    # runs no band search and solves no eigenproblem.  W-type and general
-    # states take the grid, or the band search's eigensolves.
+    # its search takes their closed form: it builds no grid and solves no
+    # eigenproblem.  W-type and general states take the grid.
     _refuse_the_grid(monkeypatch)
     for rho in _X_SHAPED_STATES.values():
-        for sign_only in (False, True):
-            sle_quantify(rho, pair, sign_only=sign_only)
+        sle_quantify(rho, pair)
     for rho in (noisy_w(0.6), _distilled_w(0.5),
                 random_density_matrix(np.random.default_rng(4), 3)):
-        for sign_only in (False, True):
-            with pytest.raises(AssertionError, match="left the closed form"):
-                sle_quantify(rho, pair, sign_only=sign_only)
+        with pytest.raises(AssertionError, match="left the closed form"):
+            sle_quantify(rho, pair)
 
 
 @pytest.mark.parametrize("pair", [(0, 1), (0, 2), (1, 2)])
@@ -1255,29 +966,24 @@ def _x_certificate_cases():
     return [(rho, pair) for rho in states for pair in ((0, 1), (0, 2), (1, 2))]
 
 
-def test_sle_sign_only_takes_the_closed_form_on_x_shaped_states():
-    # On an X-shaped state sign_only changes nothing: both modes return the
-    # closed form bit for bit, with the certificate of a value above the
-    # slack, which the verifier accepts.  A negative value's direction
-    # re-checks below -slack at one point.
+def test_sle_closed_form_certifies_the_sign_on_x_shaped_states():
+    # The closed form sets the certificate of a value above the slack,
+    # which the verifier accepts.  A negative value's direction re-checks
+    # below -slack at one point.
     cases = _x_certificate_cases()
     assert len(cases) == 180
     certified = negative = 0
     for rho, pair in cases:
-        full = sle_quantify(rho, pair)
-        fast = sle_quantify(rho, pair, sign_only=True)
-        assert _bits((fast.min_eigenvalue, fast.theta, fast.phi)) == _bits(
-            (full.min_eigenvalue, full.theta, full.phi))
-        assert fast.certificate == full.certificate
-        if fast.min_eigenvalue > SLE_SIGN_SLACK:
-            assert fast.certificate == SLEXCertificate(pair)
-            assert verify_sle_x_certificate(fast.certificate, rho)
+        result = sle_quantify(rho, pair)
+        if result.min_eigenvalue > SLE_SIGN_SLACK:
+            assert result.certificate == SLEXCertificate(pair)
+            assert verify_sle_x_certificate(result.certificate, rho)
             certified += 1
         else:
-            assert fast.certificate is None
-        if fast.min_eigenvalue < -SLE_SIGN_SLACK:
-            assert sle_quantifier_at(rho, pair, fast.theta,
-                                     fast.phi) < -SLE_SIGN_SLACK
+            assert result.certificate is None
+        if result.min_eigenvalue < -SLE_SIGN_SLACK:
+            assert sle_quantifier_at(rho, pair, result.theta,
+                                     result.phi) < -SLE_SIGN_SLACK
             negative += 1
     # Noisy GHZ at 1/3 reads zero to rounding, inside the slack.
     assert (certified, negative) == (68, 109)
@@ -1285,12 +991,12 @@ def test_sle_sign_only_takes_the_closed_form_on_x_shaped_states():
 
 def test_verify_sle_x_certificate_rejects_forgeries():
     rho = noisy_ghz(0.3)
-    certificate = sle_quantify(rho, sign_only=True).certificate
+    certificate = sle_quantify(rho).certificate
     assert certificate == SLEXCertificate((0, 1))
     assert verify_sle_x_certificate(certificate, rho)
     assert verify_sle_x_certificate(SLEXCertificate(np.array([0, 1])), rho)
-    # The pair is read through one rule, as the band check reads it: not
-    # two distinct qubits, not integers, malformed or missing all fail.
+    # The pair is read through one rule: not two distinct qubits, not
+    # integers, malformed or missing all fail.
     for pair in ((0, 0), (0, 1, 2), (0, 5), (0.9, 1.2), (False, True),
                  [(0, 1)], "ab", None):
         assert not verify_sle_x_certificate(SLEXCertificate(pair), rho), pair
@@ -1314,7 +1020,7 @@ def test_verify_sle_x_certificate_rejects_forgeries():
     # On an asymmetric random X state, pair (0, 1) has no SLE and pair
     # (0, 2) has: the certificate of one pair proves nothing for the other.
     asymmetric = random_x_state(np.random.default_rng(6))
-    found = sle_quantify(asymmetric, (0, 1), sign_only=True).certificate
+    found = sle_quantify(asymmetric, (0, 1)).certificate
     assert found == SLEXCertificate((0, 1))
     assert verify_sle_x_certificate(found, asymmetric)
     assert sle_quantify(asymmetric, (0, 2)).min_eigenvalue < -SLE_SIGN_SLACK
@@ -1339,83 +1045,6 @@ def test_verify_sle_x_certificate_accepts_where_the_oracle_clears_the_slack():
             assert accepts == (fine > SLE_SIGN_SLACK), pair
             accepted.append(accepts)
     assert accepted.count(True) == 50 and accepted.count(False) == 70
-
-
-def test_verify_sle_certificate_rejects_forgeries():
-    rho = noisy_w(3 / 11 - 1e-4)
-    certificate = sle_quantify(rho, (0, 1), sign_only=True).certificate
-    assert verify_sle_certificate(certificate, rho)
-    z = certificate.breakpoints
-    assert z.size > 9  # refined past the first eight bands, towards z = 1
-    swapped = z.copy()
-    swapped[[2, 3]] = swapped[[3, 2]]
-    forgeries = {
-        # A gap at either pole: the bands no longer reach -1 or 1.
-        "dropped first band": z[1:],
-        "dropped last band": z[:-1],
-        # The last refined band dropped: its parent's hull bound, next to
-        # noisy W's optimum at the pole z = 1, does not clear.
-        "dropped inner band": np.delete(z, -2),
-        "inflated endpoint": np.append(z[:-1], np.nextafter(1.0, 2.0)),
-        "bands out of order": swapped,
-        "zero-width band": np.insert(z, 4, z[4]),
-        "non-finite": np.where(z == 0.0, np.nan, z),
-        "ragged": [[-1.0], [0.0, 1.0]],
-    }
-    for name, breakpoints in forgeries.items():
-        forged = replace(certificate, breakpoints=breakpoints)
-        assert not verify_sle_certificate(forged, rho), name
-    # Noisy W's coherences join |001>, |010> and |100>, so it conserves
-    # equal charges only; charge 0 on the measured qubit does not make the
-    # objective independent of phi.
-    for charges in ((1, -1, 1), (0, 0, 0), (0, -1, 1.5), "abc"):
-        forged = replace(certificate, charges=charges)
-        assert not verify_sle_certificate(forged, rho), charges
-    for pair in ((0, 0), (0, 1, 2), (0, 5), "ab", None):
-        assert not verify_sle_certificate(replace(certificate, pair=pair),
-                                          rho), pair
-    # Checked against another state, the same certificate proves nothing:
-    # past the threshold a band fails, and noisy GHZ, whose |000><111| joins
-    # charges 0 and 3, breaks the charges.
-    assert not verify_sle_certificate(certificate, noisy_w(3 / 11 + 1e-4))
-    assert not verify_sle_certificate(certificate, noisy_ghz(0.2))
-    # Bands that a full round of the search closes verify by themselves.
-    assert verify_sle_certificate(
-        SLECertificate((0, 1), certificate.charges, np.linspace(-1, 1, 9)),
-        noisy_w(0.2))
-
-
-def test_verify_sle_certificate_reads_every_field_through_one_rule():
-    # A field that is missing, non-numeric, ragged, non-finite or of the
-    # wrong shape fails the check without raising.
-    rho = noisy_w(0.2)
-    certificate = sle_quantify(rho, sign_only=True).certificate
-    assert verify_sle_certificate(certificate, rho)
-    assert verify_sle_certificate(replace(
-        certificate, pair=list(certificate.pair),
-        charges=np.array(certificate.charges),
-        breakpoints=certificate.breakpoints.tolist()), rho)
-    z, charges = certificate.breakpoints, certificate.charges
-    forgeries = {
-        "pair of bools": dict(pair=(False, True)),
-        "nested pair": dict(pair=[(0, 1)]),
-        "no breakpoints": dict(breakpoints=None),
-        "string breakpoints": dict(breakpoints=[str(v) for v in z]),
-        "complex breakpoints": dict(breakpoints=z + 0j),
-        "bool breakpoints": dict(breakpoints=np.array([True, False, True])),
-        "2-d breakpoints": dict(breakpoints=z[None]),
-        "no charges": dict(charges=None),
-        "string charges": dict(charges=tuple(str(c) for c in charges)),
-        "infinite charge": dict(charges=(np.inf,) + charges[1:]),
-        "four charges": dict(charges=charges + (0,)),
-        "ragged charges": dict(charges=((1,), 0, 1)),
-    }
-    for name, fields in forgeries.items():
-        assert not verify_sle_certificate(replace(certificate, **fields),
-                                          rho), name
-    for name in ("pair", "charges", "breakpoints"):
-        partial = {k: v for k, v in vars(certificate).items() if k != name}
-        assert not verify_sle_certificate(SimpleNamespace(**partial), rho)
 
 
 _NON_STATES = {
@@ -1445,11 +1074,10 @@ _STATE_READERS = {
 @pytest.mark.parametrize("kind", list(_NON_STATES))
 @pytest.mark.parametrize("entry", [
     lambda m: negativity(m, (0,)),
-    lambda m: sle_quantify(m, sign_only=True),
     lambda m: distill_cnot(m, m),
     lambda m: distill_tripartite(m, m),
     *_STATE_READERS.values(),
-], ids=["negativity", "sle_quantify_sign_only", "distill_cnot",
+], ids=["negativity", "distill_cnot",
         "distill_tripartite", *_STATE_READERS])
 def test_entry_points_reject_raw_non_states(entry, kind):
     with pytest.raises(StateValidationError, match=_NON_STATES[kind]):
@@ -1475,15 +1103,13 @@ def test_witnesses_and_concurrence_reject_an_x_shaped_non_psd_array(reader):
 
 
 def test_density_matrix_inputs_are_not_validated_again(monkeypatch):
-    rho, ring = noisy_ghz(0.3), noisy_w(0.2)
-    x_certificate = sle_quantify(rho, sign_only=True).certificate
-    certificate = sle_quantify(ring, sign_only=True).certificate
+    rho = noisy_ghz(0.3)
+    certificate = sle_quantify(rho).certificate
     built = []
     monkeypatch.setattr(DensityMatrix, "__post_init__",
                         lambda self: built.append(self))
     negativity(rho, (0,))
-    assert verify_sle_certificate(certificate, ring)
-    assert verify_sle_x_certificate(x_certificate, rho)
+    assert verify_sle_x_certificate(certificate, rho)
     for reader in _STATE_READERS.values():
         reader(rho)
     assert built == []
@@ -1491,20 +1117,15 @@ def test_density_matrix_inputs_are_not_validated_again(monkeypatch):
     assert len(built) == 1
 
 
-# Each search path, with an entry it calls: the band search (a negative and
-# a nonnegative sign), the grid's exact values and the subgrid's bounds, and
-# the see-saw steps from the grid's best point, which a sign-only search
-# takes when the state has no ring charges.
+# Each search path of the grid, with an entry it calls: the grid's exact
+# values and the subgrid's bounds, and the see-saw steps from the grid's
+# best point.
 _FAILED_SEARCHES = {
-    "band-negative": ("_eigvalsh", noisy_w(0.4), True),
-    "band-nonnegative": ("_eigvalsh", noisy_w(0.2), True),
     "grid-values": ("_eigvalsh", random_density_matrix(
-        np.random.default_rng(5), 3), False),
+        np.random.default_rng(5), 3)),
     "grid-bounds-and-seesaw": ("_eigh", random_density_matrix(
-        np.random.default_rng(5), 3), False),
-    "seesaw": ("_eigh", noisy_w(0.4), False),
-    "sign-only-without-ring-charges": ("_eigh", random_density_matrix(
-        np.random.default_rng(5), 3), True),
+        np.random.default_rng(5), 3)),
+    "seesaw": ("_eigh", noisy_w(0.4)),
 }
 
 
@@ -1514,7 +1135,7 @@ def test_failed_lapack_call_raises_from_sle_quantify(monkeypatch, name):
     # A failed call returns NaN; the search's result must raise
     # LinAlgError, never return a NaN value or a sign (see "LAPACK entry"
     # in states).
-    entry, rho, sign_only = _FAILED_SEARCHES[name]
+    entry, rho = _FAILED_SEARCHES[name]
     working = getattr(certify, entry)
     failing = failing_entry(working)
 
@@ -1525,7 +1146,7 @@ def test_failed_lapack_call_raises_from_sle_quantify(monkeypatch, name):
 
     monkeypatch.setattr(certify, entry, patched)
     with pytest.raises(np.linalg.LinAlgError):
-        sle_quantify(rho, sign_only=sign_only)
+        sle_quantify(rho)
 
 
 @pytest.mark.filterwarnings(FAILED_LAPACK_WARNING)

@@ -51,13 +51,15 @@ from superact.sdp import (
     SIGN_NONNEGATIVE,
     ppt_mixer_witness,
 )
-from superact.verify import verify_witness_certificate
+from superact.verify import (
+    verify_sle_x_certificate,
+    verify_witness_certificate,
+)
 from util import (
     phased,
     random_density_matrix,
     random_unitary,
     random_x_state,
-    sle_certificate_verifies,
 )
 
 # Paper states on both sides of their thresholds (GHZ 3/7, W about 0.479,
@@ -165,18 +167,15 @@ _SLE_STATES = {
 }
 
 
-def _signs_agree(state: np.ndarray) -> float:
-    """The default search's minimum on ``state``, after checking that the
-    sign-only search agrees with it in sign outside the slack and that its
-    certificate, if any, passes the check of its kind."""
-    value = sle_quantify(state).min_eigenvalue
-    fast = sle_quantify(state, sign_only=True)
-    if abs(value) > SLE_SIGN_SLACK:
-        assert (fast.min_eigenvalue < 0.0) == (value < 0.0)
-    if fast.certificate is not None:
-        assert value > SLE_SIGN_SLACK
-        assert sle_certificate_verifies(fast.certificate, state)
-    return value
+def _checked_minimum(state: np.ndarray) -> float:
+    """The search's minimum on ``state``, after checking that its
+    certificate, if any, comes with a value above the slack and passes the
+    closed form's check."""
+    result = sle_quantify(state)
+    if result.certificate is not None:
+        assert result.min_eigenvalue > SLE_SIGN_SLACK
+        assert verify_sle_x_certificate(result.certificate, state)
+    return result.min_eigenvalue
 
 
 @pytest.mark.parametrize("name", list(_SLE_STATES))
@@ -184,12 +183,12 @@ def test_sle_is_invariant_under_local_unitaries(name):
     m = np.asarray(_SLE_STATES[name]().entries)
     rng = np.random.default_rng(list(_SLE_STATES).index(name))
     u1, u2, v = (random_unitary(rng, 2) for _ in range(3))
-    base = _signs_agree(m)
+    base = _checked_minimum(m)
     assert abs(base) > 1e-3  # each state lies clear of its threshold
     for label, u in (("kept", np.kron(np.kron(u1, u2), np.eye(2))),
                      ("measured", np.kron(np.eye(4), v))):
         rotated = u @ m @ u.conj().T
-        assert _signs_agree(rotated) == pytest.approx(
+        assert _checked_minimum(rotated) == pytest.approx(
             base, rel=0.0, abs=1e-12), label
 
 

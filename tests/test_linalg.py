@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from superact import linalg, noisy_ghz, noisy_w
+from superact import linalg, noisy_ghz
 from superact.certify import (
     negativity,
     sle_quantify,
@@ -15,7 +15,6 @@ from superact.linalg import (
 from superact.sdp import ppt_mixer_witness
 from superact.states import DensityMatrix
 from superact.verify import (
-    verify_sle_certificate,
     verify_sle_x_certificate,
     verify_witness_certificate,
 )
@@ -96,14 +95,7 @@ def test_jacobi_only_in_certificate_reverification(monkeypatch):
     result = ppt_mixer_witness(rho)
     with pytest.raises(JacobiCalled):
         verify_witness_certificate(result, rho)
-    # The sign-only SLE search's band certificate, at a ring state without
-    # SLE that is not X-shaped.
-    separable = noisy_w(0.2)
-    settled = sle_quantify(separable, sign_only=True)
-    assert settled.certificate is not None
-    with pytest.raises(JacobiCalled):
-        verify_sle_certificate(settled.certificate, separable)
     # The closed form's certificate of an X-shaped state takes no pass.
     x_shaped = noisy_ghz(0.3)
     assert verify_sle_x_certificate(
-        sle_quantify(x_shaped, sign_only=True).certificate, x_shaped)
+        sle_quantify(x_shaped).certificate, x_shaped)

@@ -39,7 +39,6 @@ from superact.thresholds import (
     find_threshold,
 )
 from superact.verify import (
-    verify_sle_certificate,
     verify_sle_x_certificate,
     verify_witness_certificate,
 )
@@ -384,13 +383,12 @@ def test_warm_starts_stay_inside_one_bisection(monkeypatch):
 @pytest.mark.parametrize("name", [PROPERTY_SLE, PROPERTY_SLE_AFTER])
 def test_sle_bisection_objective_budget(monkeypatch, name):
     # Noisy GHZ and its distilled state are X-shaped, so every search of the
-    # two default bisections takes the closed form: no band search, no grid
-    # point and no eigensolve.  Every nonnegative point then carries the
+    # two default bisections takes the closed form: no grid point and no
+    # eigensolve.  Every nonnegative point then carries the
     # closed form's certificate, and every negative point's direction
     # re-checks below -slack at one point.
     calls, searched = [], []
-    for entry in ("_hull_lowest", "_lowest_eigenvalues", "_eigvalsh",
-                  "_eigh"):
+    for entry in ("_lowest_eigenvalues", "_eigvalsh", "_eigh"):
         def recording(*args, entry=entry, solve=getattr(certify, entry)):
             calls.append(entry)
             return solve(*args)
@@ -414,23 +412,6 @@ def test_sle_bisection_objective_budget(monkeypatch, name):
             assert result.certificate is None
             assert certify.sle_quantifier_at(
                 rho, None, result.theta, result.phi) < -certify.SLE_SIGN_SLACK
-
-
-def test_w_sle_bracket_ends_carry_certificates():
-    # The W-SLE margin assumes that projecting qubit 2 onto |0> is the
-    # optimal localization.  At the final bracket's ends a sign-only search
-    # over every projection backs that: below the crossing its bands prove
-    # no projection leaves an NPT pair, above it a projection does.
-    report = find_threshold(PROPERTY_W_SLE)
-    lo = report.crossing_p - report.bracket_width
-    hi = report.crossing_p + report.bracket_width
-    below = certify.sle_quantify(noisy_w(lo), sign_only=True)
-    assert below.certificate is not None
-    assert verify_sle_certificate(below.certificate, noisy_w(lo))
-    above = certify.sle_quantify(noisy_w(hi), sign_only=True)
-    assert above.certificate is None
-    assert certify.sle_quantifier_at(
-        noisy_w(hi), None, above.theta, above.phi) < -1e-12
 
 
 def test_w_sle_margin_agrees_with_the_full_sle_search(monkeypatch):

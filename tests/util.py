@@ -8,9 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 import superact.thresholds as thresholds
-from superact.certify import SLEXCertificate
 from superact.states import PAULI_X, PAULI_Y
-from superact.verify import verify_sle_certificate, verify_sle_x_certificate
 
 
 @dataclass(frozen=True)
@@ -86,15 +84,6 @@ def random_x_state(rng):
     return rho / np.trace(rho).real
 
 
-def sle_certificate_verifies(certificate, rho) -> bool:
-    """Whether an SLE result's certificate passes the check of its kind:
-    the closed form's of an X-shaped state, or the band search's."""
-    check = (verify_sle_x_certificate
-             if isinstance(certificate, SLEXCertificate)
-             else verify_sle_certificate)
-    return check(certificate, rho)
-
-
 def phased(rho) -> np.ndarray:
     """rho conjugated by the local unitary diag(1, exp(i a_k)) on each qubit
     k, with angles a = (0.4, 1.3, 2.2)."""
@@ -151,25 +140,6 @@ def limit_margin_evaluations(monkeypatch, limit=100):
         return wrapped
 
     monkeypatch.setattr(thresholds, "certifying_margin", counted)
-
-
-def ring_charges_loop(m, kept):
-    """The ring charges of a three-qubit matrix for the ordered kept pair,
-    by a loop over every candidate and entry: the first candidate, in
-    ``itertools.product`` order over the kept qubits' charges (-1, 0, 1),
-    with charge 1 on the measured qubit, such that every nonzero entry
-    joins basis states of equal total charge; None if none is."""
-
-    def total(index, charges):
-        return sum(c * ((index >> (2 - q)) & 1) for q, c in enumerate(charges))
-
-    for kept_charges in itertools.product((-1, 0, 1), repeat=2):
-        charges = [1, 1, 1]
-        charges[kept[0]], charges[kept[1]] = kept_charges
-        if all(m[i, j] == 0 or total(i, charges) == total(j, charges)
-               for i in range(8) for j in range(8)):
-            return tuple(charges)
-    return None
 
 
 def symmetries_loop(m):
